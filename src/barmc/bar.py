@@ -261,10 +261,14 @@ class SHatCohomology:
         self.total_dims = self.cx.total_cohomology_dims()
         self.h0 = self.cx.cohomology(0)
         self.filtered_dims = {}
+        self.weight_reps = []
         for i in sorted(self.S.space.degrees_present()):
-            self.filtered_dims[i] = self._filtered_dims_at(i)
+            reps = self._filtered_reps(i)
+            self.filtered_dims[i] = [len(vs) for vs in reps]
+            if i == 0:
+                self.weight_reps = [(w, v) for w, vs in enumerate(reps)
+                                    for v in vs]
         self.weight_dims = self.filtered_dims.get(0, [0] * (N + 1))
-        self.weight_reps = self._adapted_reps()
         basis = list(self.h0.boundaries.rows) + [v for _, v in self.weight_reps]
         self._n_boundaries = len(self.h0.boundaries.rows)
         self._solver = SpanSolver(basis, self.field) if basis else None
@@ -288,32 +292,24 @@ class SHatCohomology:
         _, kernel, _, _ = solve_linear(m)
         return [{labels[j]: c for j, c in kv.items()} for kv in kernel]
 
-    def _filtered_dims_at(self, degree):
-        h = self.h0 if degree == 0 else self.cx.cohomology(degree)
-        brows = h.boundaries.rows
-        bdim = h.boundaries.dim
-        ranks = []
-        for w in range(self.N + 2):
-            kernel = self._restricted_kernel(self._labels_at(degree, w))
-            ranks.append(Subspace(brows + kernel, self.field).dim - bdim)
-        if ranks[0] != h.dim:
-            raise MathCheckFailure("weight filtration does not exhaust H^%d" % degree)
-        return [ranks[w] - ranks[w + 1] for w in range(self.N + 1)]
+    def _filtered_reps(self, degree):
+        """Cocycles adapted to the weight filtration of H^degree, by weight.
 
-    def _adapted_reps(self):
-        per_weight = {w: [] for w in range(self.N + 1)}
-        base = list(self.h0.boundaries.rows)
-        sub = Subspace(base, self.field)
+        One pass from the top weight down: Z(F^w) grows as w falls, and
+        each cocycle of Z(F^w) that is new modulo the boundaries and the
+        cocycles already taken is a class of weight w.  The count taken
+        at weight w is dim F^w H - dim F^(w+1) H.
+        """
+        h = self.cx.cohomology(degree)
+        span = Subspace(h.boundaries.rows, self.field)
+        reps = [[] for _ in range(self.N + 1)]
         for w in range(self.N, -1, -1):
-            for v in self._restricted_kernel(self._labels_at(0, w)):
-                if not sub.contains(v):
-                    per_weight[w].append(v)
-                    base.append(v)
-                    sub = Subspace(base, self.field)
-        for w in range(self.N + 1):
-            if len(per_weight[w]) != self.weight_dims[w]:
-                raise MathCheckFailure("weight filtration bookkeeping mismatch")
-        return [(w, v) for w in range(self.N + 1) for v in per_weight[w]]
+            for v in self._restricted_kernel(self._labels_at(degree, w)):
+                if span.insert(v):
+                    reps[w].append(v)
+        if span.dim - h.boundaries.dim != h.dim:
+            raise MathCheckFailure("weight filtration does not exhaust H^%d" % degree)
+        return reps
 
     def _check_product_well_defined(self):
         alg = self.S.algebra

@@ -11,6 +11,7 @@ every step, so intermediate numerators stay bounded.  Over F_p ordinary
 division-based elimination is used.
 """
 
+from bisect import bisect
 from fractions import Fraction
 from math import gcd
 
@@ -429,7 +430,15 @@ class SpanSolver:
 
 
 class Subspace:
-    """Echelonized span of sparse vectors; supports canonical coset reps."""
+    """Echelonized span of sparse vectors; supports canonical coset reps.
+
+    Keys are ordered by ``repr``.  ``rows`` is the reduced echelon basis
+    of the span in that order: each row has coefficient one at its pivot
+    key (its smallest key), zero at every other pivot key, and rows are
+    listed by pivot.  That basis is unique, so a Subspace grown one
+    vector at a time by ``insert`` has the same ``rows``, ``pivot_keys``
+    and ``dim`` as one built from all the vectors at once.
+    """
 
     def __init__(self, vectors, field):
         self.field = field
@@ -444,31 +453,50 @@ class Subspace:
                 if k not in seen:
                     seen.add(k)
                     keys.append(k)
-        self.keys = sorted(keys, key=repr)
-        kidx = {k: i for i, k in enumerate(self.keys)}
+        keys.sort(key=repr)
+        kidx = {k: i for i, k in enumerate(keys)}
         m = Matrix.from_rows(
             [{kidx[k]: c for k, c in v.items()} for v in vecs],
-            len(self.keys),
+            len(keys),
             field,
         )
         e = m.row_reduce()
-        self.rows = [
-            {self.keys[j]: c for j, c in row.items()} for row in e.rows
-        ]
-        self.pivot_keys = [self.keys[p] for p in e.pivots]
+        self.rows = [{keys[j]: c for j, c in row.items()} for row in e.rows]
+        self.pivot_keys = [keys[p] for p in e.pivots]
         self.dim = e.rank
+        self._row_at = dict(zip(self.pivot_keys, self.rows))
 
     def reduce(self, v):
         """Canonical representative of v modulo this subspace."""
         v = dict(v)
-        for row, pk in zip(self.rows, self.pivot_keys):
-            c = v.get(pk)
-            if c:
-                vec_add(v, row, -c)
+        # rows vanish at each other's pivots, so one pass over the
+        # pivots present in v clears them all
+        for pk in [k for k in v if k in self._row_at]:
+            vec_add(v, self._row_at[pk], -v[pk])
         return vec_clean(v)
 
     def contains(self, v):
         return not self.reduce(v)
+
+    def insert(self, v):
+        """Add v to the span: True if it was new, False (no change) if not."""
+        r = self.reduce(v)
+        if not r:
+            return False
+        pk = min(r, key=repr)
+        inv = r[pk].inverse()
+        r = {k: inv * c for k, c in r.items()}
+        for i, row in enumerate(self.rows):
+            c = row.get(pk)
+            if c:
+                row = vec_add(dict(row), r, -c)
+                self.rows[i] = self._row_at[self.pivot_keys[i]] = row
+        at = bisect(self.pivot_keys, repr(pk), key=repr)
+        self.pivot_keys.insert(at, pk)
+        self.rows.insert(at, r)
+        self._row_at[pk] = r
+        self.dim += 1
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +570,7 @@ class Complex:
         self.space = space
         self.field = field
         self.d = {k: vec_clean(v) for k, v in d.items() if vec_clean(v)}
+        self._cohomology = {}
         if check:
             self._validate()
 
@@ -581,7 +610,10 @@ class Complex:
         return m, src, dst
 
     def cohomology(self, i):
-        return Cohomology(self, i)
+        """H^i, computed once per degree; d is never changed after construction."""
+        if i not in self._cohomology:
+            self._cohomology[i] = Cohomology(self, i)
+        return self._cohomology[i]
 
     def total_cohomology_dims(self):
         degs = self.space.degrees_present()
@@ -613,15 +645,11 @@ class Cohomology:
         # pick representatives: kernel vectors whose reductions mod the
         # boundary space stay independent
         reps = []
-        span = list(boundaries)
-        sub = Subspace(span, field)
+        span = Subspace(self.boundaries.rows, field)
         for kv in kernel:
             v = {src[j]: c for j, c in kv.items()}
-            red = sub.reduce(v)
-            if red:
+            if span.insert(v):
                 reps.append(v)
-                span.append(v)
-                sub = Subspace(span, field)
         self.representatives = reps
         self.dim = len(reps)
         self._n_boundaries = len(boundaries)

@@ -357,11 +357,10 @@ class HomSet:
         if self.particular is None:
             return []
         quotient = []
-        span = Subspace(list(self.image.rows), self.field)
+        span = Subspace(self.image.rows, self.field)
         for v in self.kernel_vecs:
-            if not span.contains(v):
+            if span.insert(v):
                 quotient.append(v)
-                span = Subspace(list(span.rows) + [v], self.field)
         p = self.field.p
         if not p and quotient:
             raise HypothesisNotMet("infinitely many orbits over this field")
@@ -563,7 +562,6 @@ class KernelComplex:
             if coords:
                 d[(a, k)] = coords
         self.complex = Complex(self.space, d, self.field)
-        self._cohomologies = {}
 
     def _embed(self, coord_vec):
         out = {}
@@ -588,9 +586,7 @@ class KernelComplex:
         return vec_clean(out)
 
     def cohomology(self, degree):
-        if degree not in self._cohomologies:
-            self._cohomologies[degree] = self.complex.cohomology(degree)
-        return self._cohomologies[degree]
+        return self.complex.cohomology(degree)
 
 
 class ObstructionClass:

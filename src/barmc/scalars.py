@@ -32,14 +32,36 @@ class FieldMismatch(TypeError):
     """Raised when scalars over different fields meet in one expression."""
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this
+# bound, the least strong pseudoprime to all of them (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p):
+    """Deterministic Miller-Rabin; refuses p it cannot decide exactly."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _MR_BOUND:
+        raise ValueError("modulus %r is too large to certify as prime" % (p,))
+    for q in _MR_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -53,6 +75,8 @@ class Field:
             if p is not None:
                 raise ValueError("Q takes no modulus")
         elif kind == "Fp":
+            if isinstance(p, bool) or not isinstance(p, int):
+                raise ValueError("modulus %r is not an integer" % (p,))
             if not _is_prime(p):
                 raise ValueError("modulus %r is not prime" % (p,))
         else:

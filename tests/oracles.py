@@ -1,9 +1,17 @@
 """Independent recomputation helpers shared by test modules.
 
-Everything here deliberately avoids the package's elimination code:
+The dense helpers deliberately avoid the package's elimination code:
 dense, division-based Gauss working directly on scalars, with full row
 scans instead of sparse bookkeeping.  Slow and simple on purpose.
+
+The rebuild-loop oracles at the end are the cohomology code as it was
+before ``Subspace.insert``: they rebuild a batch ``Subspace`` after
+every accepted vector and compute each step of the weight filtration
+in its own pass.  The batch build is the reference that ``insert`` is
+tested against, so they may use it.
 """
+
+from barmc.linalg import SpanSolver, Subspace
 
 
 def dense_rank(vectors, field):
@@ -88,3 +96,69 @@ def cohomology_dims_oracle(labels_by_degree, apply_d, field):
         if dim:
             dims[i] = dim
     return dims
+
+
+# ---------------------------------------------------------------------------
+# rebuild-loop oracles
+
+
+def cohomology_oracle(cx, i):
+    """(boundary rows, representatives) of H^i(cx), rebuilding the span."""
+    field = cx.field
+    d_i, src, _ = cx.matrix_of_d(i)
+    kernel = d_i.row_reduce().kernel_basis()
+    d_prev, _, dst_prev = cx.matrix_of_d(i - 1)
+    boundaries = [{dst_prev[r]: c for r, c in col.items()}
+                  for col in d_prev.row_reduce().image_basis()]
+    reps = []
+    span = list(boundaries)
+    sub = Subspace(span, field)
+    for kv in kernel:
+        v = {src[j]: c for j, c in kv.items()}
+        if sub.reduce(v):
+            reps.append(v)
+            span.append(v)
+            sub = Subspace(span, field)
+    return Subspace(boundaries, field).rows, reps
+
+
+def filtered_dims_oracle(rep, degree):
+    """Weight-graded dims of H^degree of an SHatCohomology, one pass per w."""
+    h = rep.cx.cohomology(degree)
+    brows = h.boundaries.rows
+    bdim = h.boundaries.dim
+    ranks = []
+    for w in range(rep.N + 2):
+        kernel = rep._restricted_kernel(rep._labels_at(degree, w))
+        ranks.append(Subspace(brows + kernel, rep.field).dim - bdim)
+    assert ranks[0] == h.dim
+    return [ranks[w] - ranks[w + 1] for w in range(rep.N + 1)]
+
+
+def adapted_reps_oracle(rep):
+    """(weight, cocycle) pairs adapted to the filtration of H^0."""
+    per_weight = {w: [] for w in range(rep.N + 1)}
+    base = list(rep.h0.boundaries.rows)
+    sub = Subspace(base, rep.field)
+    for w in range(rep.N, -1, -1):
+        for v in rep._restricted_kernel(rep._labels_at(0, w)):
+            if not sub.contains(v):
+                per_weight[w].append(v)
+                base.append(v)
+                sub = Subspace(base, rep.field)
+    return [(w, v) for w in range(rep.N + 1) for v in per_weight[w]]
+
+
+def product_table_oracle(rep, weight_reps):
+    """Products of the given H^0 representatives in their class coordinates."""
+    brows = rep.h0.boundaries.rows
+    solver = SpanSolver(list(brows) + [v for _, v in weight_reps], rep.field)
+    table = {}
+    for i, (_, u) in enumerate(weight_reps):
+        for j, (_, v) in enumerate(weight_reps):
+            coords = solver.coordinates(rep.S.algebra.eval_m_vectors([u, v]))
+            coords = {k - len(brows): c for k, c in coords.items()
+                      if k >= len(brows) and c}
+            if coords:
+                table[(i, j)] = coords
+    return table

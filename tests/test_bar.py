@@ -33,7 +33,15 @@ from barmc.examples import golden_dg_pair, kpoints, ngr, njac, xy
 from barmc.linalg import Complex, GradedSpace, vec_add, vec_clean
 from barmc.scalars import Field
 
-from oracles import cohomology_dims_oracle, dense_kernel, dense_rank
+from oracles import (
+    adapted_reps_oracle,
+    cohomology_dims_oracle,
+    cohomology_oracle,
+    dense_kernel,
+    dense_rank,
+    filtered_dims_oracle,
+    product_table_oracle,
+)
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -339,6 +347,26 @@ def test_koszul_probe_ngr_order_4():
         assert verdict.h0_weight_dims == h0_weight_dims_oracle(
             verdict.cohomology.S, 4)
         assert verdict.ok, verdict.dims
+
+
+@pytest.mark.parametrize("make, field, N", [
+    (lambda f: kpoints(f, 2), Q, 5),
+    (lambda f: kpoints(f, 3), F3, 3),
+    (xy, Q, 4),
+    (lambda f: njac(f, 2), Q, 4),
+], ids=["kpoints2-Q-5", "kpoints3-F3-3", "xy-Q-4", "njac2-Q-4"])
+def test_filtered_cohomology_matches_rebuild_loop_oracles(make, field, N):
+    rep = koszul_probe(make(field), N).cohomology
+    for i in rep.S.space.degrees_present():
+        h = rep.cx.cohomology(i)
+        assert h is rep.cx.cohomology(i)
+        assert (h.boundaries.rows, h.representatives) == \
+            cohomology_oracle(rep.cx, i)
+        assert rep.filtered_dims[i] == filtered_dims_oracle(rep, i)
+    assert rep.weight_dims == filtered_dims_oracle(rep, 0)
+    weight_reps = adapted_reps_oracle(rep)
+    assert rep.weight_reps == weight_reps
+    assert rep.product_table() == product_table_oracle(rep, weight_reps)
 
 
 def test_koszul_probe_refuses_non_admissible_input():

@@ -26,6 +26,7 @@ from barmc.linalg import (
     vec_sub,
 )
 from barmc.scalars import Field, FieldMismatch
+from oracles import dense_rank
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -252,6 +253,49 @@ def test_subspace_of_zero_vectors_is_trivial():
     sub = Subspace([{}, {"a": Q(0)}], Q)
     assert sub.dim == 0
     assert sub.reduce({"a": Q(1)}) == {"a": Q(1)}
+
+
+# ints from 0 to 11 sort differently by repr ("10" < "2") than by value
+span_key = st.one_of(st.integers(0, 11), st.sampled_from(["a", ("b", 1)]))
+span_vectors = st.lists(
+    st.dictionaries(span_key, st.fractions(-3, 3, max_denominator=3),
+                    max_size=5),
+    max_size=10)
+
+
+def assert_same_subspace(got, want):
+    assert got.rows == want.rows
+    assert got.pivot_keys == want.pivot_keys
+    assert got.dim == want.dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([Q, F2, F3]), span_vectors, st.integers(0, 10))
+def test_subspace_insert_matches_batch_build(field, raw, cut):
+    vecs = []
+    for v in raw:
+        try:
+            vecs.append({k: field(c) for k, c in v.items()})
+        except ZeroDivisionError:  # denominator divisible by p
+            continue
+    sub = Subspace(vecs[:cut], field)
+    for v in vecs[cut:]:
+        held = sub.contains(v)
+        assert sub.insert(v) is not held
+    assert_same_subspace(sub, Subspace(vecs, field))
+    assert sub.dim == dense_rank(vecs, field)
+
+
+def test_subspace_insert_matches_batch_build_on_sparse_path():
+    # 70 keys puts the batch build on the sparse elimination cores
+    for field in (Q, F3):
+        vecs = [{i: field(2), (i + 3) % 70: field(1), (5 * i) % 70: field(-1)}
+                for i in range(70)]
+        sub = Subspace(vecs[:20], field)
+        accepted = [v for v in vecs[20:] if sub.insert(v)]
+        assert_same_subspace(sub, Subspace(vecs, field))
+        assert sub.dim == Subspace(vecs[:20], field).dim + len(accepted)
+        assert sub.dim == dense_rank(vecs, field)
 
 
 # ---------------------------------------------------------------------------

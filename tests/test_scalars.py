@@ -1,10 +1,18 @@
 """Field descriptors and exact scalar arithmetic."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
-from barmc.scalars import Field, FieldMismatch, Scalar, field_to_desc, parse_field
+from barmc.scalars import (
+    Field,
+    FieldMismatch,
+    Scalar,
+    _is_prime,
+    field_to_desc,
+    parse_field,
+)
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -40,6 +48,40 @@ def test_non_prime_modulus_rejected():
         Field.prime(6)
     with pytest.raises(ValueError):
         Field.prime(1)
+
+
+def _trial_division_is_prime(p):
+    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
+def test_primality_agrees_with_trial_division_below_ten_thousand():
+    assert [p for p in range(10**4) if _is_prime(p)] == \
+        [p for p in range(10**4) if _trial_division_is_prime(p)]
+
+
+def test_large_prime_modulus_is_accepted_quickly():
+    start = time.perf_counter()
+    F = Field.prime(2**61 - 1)
+    assert time.perf_counter() - start < 0.5
+    assert F(2**61) == F(1)
+
+
+def test_strong_pseudoprimes_rejected():
+    # a Carmichael number, and a strong pseudoprime to the bases 2, 3, 5, 7
+    for n in (561, 3215031751):
+        with pytest.raises(ValueError):
+            Field.prime(n)
+
+
+def test_modulus_beyond_the_certified_range_refused():
+    with pytest.raises(ValueError, match="too large"):
+        Field.prime(2**89 - 1)
+
+
+def test_non_integer_modulus_rejected():
+    for p in (5.0, "5", True, None):
+        with pytest.raises(ValueError):
+            Field.prime(p)
 
 
 def test_bool_is_not_a_scalar():
