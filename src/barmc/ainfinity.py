@@ -16,7 +16,16 @@ ground field at the very end, so prime fields (including F_2) see the
 same bookkeeping as Q.
 """
 
-from .linalg import Complex, GradedSpace, vec_add, vec_clean, vec_is_zero
+from itertools import product as iter_product
+
+from .linalg import (
+    Complex,
+    GradedSpace,
+    vec_add,
+    vec_clean,
+    vec_is_zero,
+    vec_scale,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -251,20 +260,11 @@ def check_ainf_axioms(A, n_max):
         raise ValueError("n_max must be at least 1")
     labels = A.space.labels
     for n in range(1, n_max + 1):
-        for args in _tuples(labels, n):
+        for args in iter_product(labels, repeat=n):
             res = stasheff_residual(A, args)
             if res:
                 return CheckReport(False, failure=(n, args, res), checked_to=n_max)
     return CheckReport(True, checked_to=n_max)
-
-
-def _tuples(labels, n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _tuples(labels, n - 1):
-        for l in labels:
-            yield rest + (l,)
 
 
 def check_strict_unit(A):
@@ -318,7 +318,7 @@ def b_from_m(A):
         for args, vec in table.items():
             degs = [A.deg(a) for a in args]
             sign = A.field.sign(suspension_exponent(degs))
-            out.set(n, args, vec_scale_checked(vec, sign))
+            out.set(n, args, vec_scale(vec, sign))
     return out
 
 
@@ -329,12 +329,8 @@ def m_from_b(space, field, b):
         for args, vec in table.items():
             degs = [space.degree[a] for a in args]
             sign = field.sign(suspension_exponent(degs))
-            out.set(n, args, vec_scale_checked(vec, sign))
+            out.set(n, args, vec_scale(vec, sign))
     return out
-
-
-def vec_scale_checked(vec, coeff):
-    return {k: coeff * c for k, c in vec.items() if c}
 
 
 def b_residual(space_shifted, field, b, args, arity_bound):
@@ -477,7 +473,7 @@ def check_ainf_morphism(f, n_max):
         note = "arities %d..%d not checked (component bound %d)" % (
             top + 1, n_max, f.arity_bound)
     for n in range(1, top + 1):
-        for args in _tuples(f.source.space.labels, n):
+        for args in iter_product(f.source.space.labels, repeat=n):
             res = morphism_residual(f, args)
             if res:
                 return CheckReport(False, failure=(n, args, res), checked_to=top, note=note)
@@ -515,7 +511,7 @@ def compose_morphisms(g, f, arity_bound=None):
     comps = StructureMaps()
     A1 = f.source
     for n in range(1, bound + 1):
-        for args in _tuples(A1.space.labels, n):
+        for args in iter_product(A1.space.labels, repeat=n):
             degs = [A1.deg(a) for a in args]
             acc = {}
             for s in range(1, n + 1):
@@ -630,7 +626,7 @@ def tensor_with_dg(A, C):
         if n < 2:
             continue
         for a_args, a_vec in table.items():
-            for c_args in _tuples(c_labels, n):
+            for c_args in iter_product(c_labels, repeat=n):
                 prod = _c_product(C, c_args)
                 if not prod:
                     continue

@@ -13,8 +13,6 @@ presentations of H^0 is an order-N certificate about these finite
 truncations.  No statement here is a claim about the inverse limit.
 """
 
-import itertools
-
 from .ainfinity import (
     AInfAlgebra,
     CheckReport,
@@ -22,7 +20,6 @@ from .ainfinity import (
     b_from_m,
     koszul_pass_exponent,
     restrict_to_ideal,
-    stasheff_residual,
     tensor_label,
     tensor_with_dg,
 )
@@ -83,7 +80,6 @@ class BarTruncation:
         self.d = self._assemble()
         # Complex() certifies homogeneity and d_bar^2 = 0 exactly.
         self.complex = Complex(self.space, self.d, self.field)
-        self._check_coalgebra()
         self._check_coderivation()
 
     def _assemble(self):
@@ -112,22 +108,6 @@ class BarTruncation:
 
     def deconcatenations(self, word):
         return [(word[:i], word[i:]) for i in range(len(word) + 1)]
-
-    def weight(self, word):
-        return len(word)
-
-    def _check_coalgebra(self):
-        for w in self.words:
-            splits = self.deconcatenations(w)
-            if ((), w) not in splits or (w, ()) not in splits:
-                raise MathCheckFailure("deconcatenation lost a counit term")
-            left = sorted(((u, v, z) for uv, z in splits
-                           for u, v in self.deconcatenations(uv)), key=repr)
-            right = sorted(((u, v, z) for u, vz in splits
-                            for v, z in self.deconcatenations(vz)), key=repr)
-            if left != right:
-                raise MathCheckFailure(
-                    "deconcatenation fails coassociativity on %r" % (w,))
 
     def _check_coderivation(self):
         """d_bar is a coderivation: Delta d = (d x 1 + 1 x d) Delta, exactly.
@@ -649,110 +629,3 @@ class BarComplex:
 
 def bar_complex(A, N):
     return BarComplex(A, N)
-
-
-# ---------------------------------------------------------------------------
-# the universal deformation
-
-
-class UniversalDeformation:
-    """A x S_N with the structure maps twisted by the universal cochain.
-
-    The n-th map takes one element of A x S_N and n - 1 elements of A,
-    inserting the cochain i times on the left:
-
-        sum over i >= 0 of (-1)^(i(i+1)/2 + n i)
-            m_{n+i}(tau, ..., tau, x, a_1 x 1, ..., a_{n-1} x 1).
-
-    Each insertion raises weight, so the sums are finite; killing
-    positive weight recovers the operations of A on the nose.
-    """
-
-    def __init__(self, A, N):
-        if not is_admissible(A):
-            raise HypothesisNotMet(
-                "the universal deformation needs a strictly unital augmented "
-                "algebra whose augmentation ideal sits in degrees >= 1")
-        if not A.op_complete_for(A.arity_bound):
-            raise HypothesisNotMet(
-                "the universal deformation inserts the cochain up to the full "
-                "arity bound %d, but the algebra is only complete to arity %d"
-                % (A.arity_bound, A.complete_to_arity))
-        self.A = A
-        self.N = N
-        self.field = A.field
-        self.S = dual_dg_algebra(A, N)
-        self.T = tensor_with_dg(A, self.S.algebra)
-        self.tau = universal_twisting_cochain(A).element(self.S)
-        self.ops = self._assemble()
-        self._shim = self._build_shim()
-
-    def _assemble(self):
-        A = self.A
-        one = self.field.one
-        ops = StructureMaps()
-        for n in range(1, A.arity_bound + 1):
-            for x in self.T.space.labels:
-                xvec = {x: one}
-                for rest in itertools.product(A.space.labels, repeat=n - 1):
-                    tail = [{tensor_label(a, ()): one} for a in rest]
-                    acc = {}
-                    for i in range(min(A.arity_bound - n, self.N) + 1):
-                        term = self.T.eval_m_vectors([self.tau] * i + [xvec] + tail)
-                        if term:
-                            vec_add(acc, term,
-                                    self.field.sign(i * (i + 1) // 2 + n * i))
-                    acc = vec_clean(acc)
-                    if acc:
-                        ops.set(n, (x,) + rest, acc)
-        return ops
-
-    def _build_shim(self):
-        """Module and algebra operations merged into one checkable structure.
-
-        Tuples whose first slot is a module label evaluate through the
-        twisted maps, pure algebra tuples through A; the Stasheff
-        identities on mixed tuples are then exactly the module axioms.
-        """
-        basis = [(l, self.T.space.degree[l]) for l in self.T.space.labels]
-        for a in self.A.space.labels:
-            if a in self.T.space.index:
-                raise ValueError("module and algebra labels collide at %r" % (a,))
-            basis.append((a, self.A.deg(a)))
-        space = GradedSpace(basis)
-        ops = self.ops.copy()
-        for n, table in self.A.m.entries.items():
-            for args, vec in table.items():
-                ops.set(n, args, dict(vec))
-        return AInfAlgebra(space, self.field, ops, arity_bound=self.A.arity_bound)
-
-    def check_module_axioms(self, n_max=None):
-        """Stasheff identities on (module element, algebra elements) tuples."""
-        cap = n_max if n_max is not None else self.A.arity_bound + 1
-        for n in range(1, cap + 1):
-            for x in self.T.space.labels:
-                for rest in itertools.product(self.A.space.labels, repeat=n - 1):
-                    res = stasheff_residual(self._shim, (x,) + rest)
-                    if res:
-                        return CheckReport(False, failure=(n, (x,) + rest, res),
-                                           checked_to=cap)
-        return CheckReport(True, checked_to=cap)
-
-    def check_base_change(self):
-        """Killing positive weight returns the operations of A exactly."""
-        A = self.A
-        for n in range(1, A.arity_bound + 1):
-            for a0 in A.space.labels:
-                for rest in itertools.product(A.space.labels, repeat=n - 1):
-                    full = self.ops.get(n, (tensor_label(a0, ()),) + rest)
-                    got = vec_clean({a2: c for (a2, w2), c in full.items()
-                                     if w2 == ()})
-                    want = vec_clean(dict(A.m.get(n, (a0,) + rest)))
-                    if got != want:
-                        return CheckReport(
-                            False, failure=(n, (a0,) + rest, got, want))
-        return CheckReport(True, checked_to=A.arity_bound)
-
-
-def universal_deformation(A, N):
-    return UniversalDeformation(A, N)

@@ -11,7 +11,7 @@ never needs rejection.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 from .ainfinity import AInfAlgebra, StructureMaps, tensor_with_dg, unitize
 from .artin import (
@@ -276,7 +276,7 @@ def _random_single_arity(field, rng):
     basis = [("x%d" % i, 1) for i in range(1, r + 1)] + [("y", 2)]
     space = GradedSpace(basis)
     ops = StructureMaps()
-    for args in _all_tuples(["x%d" % i for i in range(1, r + 1)], k):
+    for args in product(["x%d" % i for i in range(1, r + 1)], repeat=k):
         c = _rand_scalar(field, rng)
         if c:
             ops.set(k, args, {"y": c})
@@ -284,13 +284,6 @@ def _random_single_arity(field, rng):
     return unitize(bare, unit_label="1")
 
 
-def _all_tuples(labels, n):
-    if n == 0:
-        yield ()
-        return
-    for rest in _all_tuples(labels, n - 1):
-        for l in labels:
-            yield rest + (l,)
 
 
 def _random_complex_algebra(field, rng):

@@ -516,10 +516,6 @@ class Tower:
         self.n = n
         self.Rbar, self._pi, _ = quotient_by_power(R, n)
 
-    def section(self, vec):
-        """A vector over A x Rbar read as one over A x R; exact section."""
-        return dict(vec)
-
     def project(self, vec):
         out = {}
         for (a, r), c in vec.items():
@@ -642,7 +638,7 @@ def obstruction_o2(A, tower, alpha_bar, seed=1):
     def phi(lift):
         return vec_scale(setup.mc_residual(lift), -setup.field.one)
 
-    first = tower.section(alpha_bar)
+    first = dict(alpha_bar)
     cls = ObstructionClass(kc, phi(first), 2)
     eta = _second_lift_perturbation(kc, 1, seed)
     if eta:
@@ -673,7 +669,7 @@ def obstruction_o1(A, tower, alpha1, alpha2, f_bar):
     if vec_clean(down.apply(f_bar)):
         raise HypothesisNotMet("f is not a morphism downstairs")
     hc = HomComplex(setup, alpha1, alpha2, check_objects=False)
-    return ObstructionClass(kc, hc.apply(tower.section(f_bar)), 1)
+    return ObstructionClass(kc, hc.apply(dict(f_bar)), 1)
 
 
 class DifferenceClass:
@@ -760,7 +756,7 @@ def lift_mc(A, R, alpha0, seed=1):
             return LiftOutcome(False, level=n, obstruction=cls, trace=trace)
         kc = cls.kernel_complex
         setup = kc.setup
-        lift = tower.section(current)
+        lift = dict(current)
         residual = setup.mc_residual(lift)
         target = kc.coordinates(residual)
         m, src, dst = kc.complex.matrix_of_d(1)

@@ -255,19 +255,3 @@ class Scalar:
                 return str(self.val.numerator)
             return "%d/%d" % (self.val.numerator, self.val.denominator)
         return str(self.val)
-
-
-def parse_field(desc):
-    """Field from its description dict, {"kind": "Q"} or {"kind": "Fp", "p": 2}."""
-    kind = desc.get("kind")
-    if kind == "Q":
-        return Field.rationals()
-    if kind == "Fp":
-        return Field.prime(int(desc["p"]))
-    raise ValueError("unknown field description %r" % (desc,))
-
-
-def field_to_desc(field):
-    if field.kind == "Q":
-        return {"kind": "Q"}
-    return {"kind": "Fp", "p": field.p}

@@ -37,7 +37,10 @@ def field_from_json(doc):
     if doc["kind"] == "Q":
         return Field.rationals()
     if doc["kind"] == "Fp":
-        return Field.prime(int(doc["p"]))
+        p = doc.get("p")
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise ValueError("Fp descriptor needs an integer 'p', got %r" % (p,))
+        return Field.prime(p)
     raise ValueError("unknown field kind %r" % (doc["kind"],))
 
 

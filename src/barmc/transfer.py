@@ -33,7 +33,6 @@ from .ainfinity import (
     check_ainf_morphism,
     check_strict_unit,
     degree_certified_arity_bound,
-    vec_scale_checked,
 )
 from .errors import MathCheckFailure
 from .linalg import (
@@ -43,6 +42,7 @@ from .linalg import (
     solve,
     vec_add,
     vec_clean,
+    vec_scale,
     vec_sub,
 )
 
@@ -342,7 +342,7 @@ def minimal_model(C, arity_max, splitting=None):
                 continue
             pw = t.apply_p(w)
             if pw:
-                mops.set(n, args, vec_scale_checked(pw, field.sign(n)))
+                mops.set(n, args, vec_scale(pw, field.sign(n)))
             hw = t.apply_h(w)
             if hw:
                 comps.set(n, args, hw)

@@ -7,11 +7,18 @@ through iterated deconcatenation gives a map from the dual word
 algebra S_N into R, and the same left-insertion sums that twist the
 hom complexes make A x R into an A-infinity module.
 
+One engine, TwistedStructure, builds every twisted module here, and
+it has three uses: TwistedModule (A x R twisted by alpha), the
+UniversalDeformation (the same module over the base S_N, twisted by
+the universal cochain), and TwistedComodule (A x R* for a classical
+base, twisted through contraction).  They differ only in their space
+and in the i-fold insertion.
+
 Nothing here trusts a dualization sign.  The word-algebra map is
 forced by multiplicativity from its weight-one entries and then
-certified entrywise to be a unital DG algebra map; the twisted module
-certifies that its differential squares to zero and that the module
-Stasheff identities hold on every mixed tuple.  The classical
+certified entrywise to be a unital DG algebra map; the engine
+certifies that the twisted differential squares to zero and that the
+module Stasheff identities hold on every mixed tuple.  The classical
 comparison runs both sides by exhaustion: algebra maps out of a
 generators-and-relations presentation of H^0(S_N) on one side, gauge
 classes on the other, matched through the corepresenting maps.
@@ -26,7 +33,13 @@ from .ainfinity import (
     stasheff_residual,
     tensor_label,
 )
-from .bar import dual_dg_algebra, koszul_probe, s_hat_cohomology
+from .bar import (
+    dual_dg_algebra,
+    is_admissible,
+    koszul_probe,
+    s_hat_cohomology,
+    universal_twisting_cochain,
+)
 from .errors import HypothesisNotMet, MathCheckFailure
 from .linalg import (
     Complex,
@@ -37,11 +50,7 @@ from .linalg import (
     vec_add,
     vec_clean,
 )
-from .mc import ENUMERATION_CAP, DeformationSetup, pi0
-
-
-def _key(v):
-    return tuple(sorted((repr(l), str(c)) for l, c in v.items()))
+from .mc import ENUMERATION_CAP, DeformationSetup, _vec_key, pi0
 
 
 # ---------------------------------------------------------------------------
@@ -251,22 +260,26 @@ def check_tower_compatibility(big, small):
 # twisted modules
 
 
-class TwistedModule:
-    """A x R carrying the structure maps twisted by alpha.
+class TwistedStructure:
+    """The twisted-module engine: a space over A x R and its twisted maps.
 
-    The n-th map takes one element of A x R and n - 1 elements of A,
-    with the twist inserted on the left:
+    The n-th map takes one element of the twisted space and n - 1
+    elements of A.  Its value is a signed sum over the number i of
+    twist insertions,
 
         m_n(x, a_1, .., a_{n-1}) =
-            sum over i >= 0 of (-1)^(i(i+1)/2 + n i)
-                m_{n+i}(alpha, .., alpha, x, a_1 x 1, .., a_{n-1} x 1).
+            sum over i >= 0 of (-1)^(i(i+1)/2 + n i) insertion_i(x, a_1, ..),
 
-    Setting alpha = 0 recovers the tensor algebra operations on the
-    nose.  Construction certifies that the differential squares to
-    zero, naming a witness basis element when it does not; that is
-    exactly how a non-Maurer-Cartan twist surfaces.  The module
-    Stasheff identities are checked on every mixed tuple through a
-    shim that merges the module maps with the operations of A.
+    cut at the arity bound of A and at the nilpotency index nu of the
+    base.  When the arity bound reaches past nu, the nu-fold insertion
+    is evaluated anyway and must vanish.  A subclass supplies only the
+    space and the i-fold insertion.
+
+    Construction certifies that the differential squares to zero,
+    naming a witness basis element when it does not; that is exactly
+    how a non-Maurer-Cartan twist surfaces.  The module Stasheff
+    identities are checked on every mixed tuple through a shim that
+    merges the twisted maps with the operations of A.
     """
 
     def __init__(self, setup, alpha, check=True):
@@ -277,7 +290,7 @@ class TwistedModule:
         self.T = setup.T
         self.field = setup.field
         self.alpha = vec_clean(dict(alpha))
-        self.space = self.T.space
+        self.space = self._space()
         self.ops = self._assemble()
         self._certify_d_squared()
         d = {l: dict(self.ops.get(1, (l,))) for l in self.space.labels
@@ -291,19 +304,15 @@ class TwistedModule:
                     "module axioms fail on %r" % (rep.failure,))
 
     def _assemble(self):
-        A, T = self.A, self.T
-        one = self.field.one
+        bound = self.A.arity_bound
         nu = self.setup.nu
         ops = StructureMaps()
-        for n in range(1, A.arity_bound + 1):
+        for n in range(1, bound + 1):
             for x in self.space.labels:
-                xvec = {x: one}
-                for rest in iter_product(A.space.labels, repeat=n - 1):
-                    tail = [{tensor_label(a, self.R.unit): one} for a in rest]
+                for rest in iter_product(self.A.space.labels, repeat=n - 1):
                     acc = {}
-                    for i in range(min(A.arity_bound - n, nu) + 1):
-                        term = T.eval_m_vectors(
-                            [self.alpha] * i + [xvec] + tail)
+                    for i in range(min(bound - n, nu) + 1):
+                        term = self._insertion(i, x, rest)
                         if i >= nu:
                             if vec_clean(term):
                                 raise MathCheckFailure(
@@ -374,6 +383,33 @@ class TwistedModule:
                 vec_add(out, self.ops.get(n, args), coeff)
         return vec_clean(out)
 
+    def cohomology_dims(self):
+        return self.complex.total_cohomology_dims()
+
+
+class TwistedModule(TwistedStructure):
+    """A x R carrying the structure maps twisted by alpha.
+
+    The twist is inserted on the left through the tensor algebra:
+
+        insertion_i(x, a_1, ..) =
+            m_{n+i}(alpha, .., alpha, x, a_1 x 1, .., a_{n-1} x 1).
+
+    Setting alpha = 0 recovers the tensor algebra operations on the
+    nose.  This is one of three uses of the engine: the twisted module
+    over an artinian base, the universal deformation (the same module
+    over the base S_N, twisted by the universal cochain), and the
+    dual-side TwistedComodule.
+    """
+
+    def _space(self):
+        return self.T.space
+
+    def _insertion(self, i, x, rest):
+        one = self.field.one
+        tail = [{tensor_label(a, self.R.unit): one} for a in rest]
+        return self.T.eval_m_vectors([self.alpha] * i + [{x: one}] + tail)
+
     def right_action(self, x_vec, r_vec):
         """x . r through the tensor algebra; needs the strict unit of A."""
         if self.A.unit is None:
@@ -381,12 +417,55 @@ class TwistedModule:
         embed = {tensor_label(self.A.unit, r): c for r, c in r_vec.items()}
         return self.T.eval_m_vectors([x_vec, embed])
 
-    def cohomology_dims(self):
-        return self.complex.total_cohomology_dims()
-
 
 def twisted_module(A, alpha, R, check=True):
     return TwistedModule(DeformationSetup(A, R), alpha, check=check)
+
+
+class UniversalDeformation(TwistedModule):
+    """A x S_N with the structure maps twisted by the universal cochain.
+
+    The twisted module over the base S_N, with the twist the universal
+    element tau = sum_a a x (a)*.  Each insertion raises weight, so the
+    sums are finite (S_N has nilpotency index N + 1); killing positive
+    weight recovers the operations of A on the nose.  The module
+    axioms are checked on demand, not at construction.
+    """
+
+    def __init__(self, A, N):
+        if not is_admissible(A):
+            raise HypothesisNotMet(
+                "the universal deformation needs a strictly unital augmented "
+                "algebra whose augmentation ideal sits in degrees >= 1")
+        if not A.op_complete_for(A.arity_bound):
+            raise HypothesisNotMet(
+                "the universal deformation inserts the cochain up to the full "
+                "arity bound %d, but the algebra is only complete to arity %d"
+                % (A.arity_bound, A.complete_to_arity))
+        self.N = N
+        self.S = dual_dg_algebra(A, N)
+        self.tau = universal_twisting_cochain(A).element(self.S)
+        super().__init__(DeformationSetup(A, self.S.as_artinian()), self.tau,
+                         check=False)
+
+    def check_base_change(self):
+        """Killing positive weight returns the operations of A exactly."""
+        A = self.A
+        for n in range(1, A.arity_bound + 1):
+            for a0 in A.space.labels:
+                for rest in iter_product(A.space.labels, repeat=n - 1):
+                    full = self.ops.get(n, (tensor_label(a0, ()),) + rest)
+                    got = vec_clean({a2: c for (a2, w2), c in full.items()
+                                     if w2 == ()})
+                    want = vec_clean(dict(A.m.get(n, (a0,) + rest)))
+                    if got != want:
+                        return CheckReport(
+                            False, failure=(n, (a0,) + rest, got, want))
+        return CheckReport(True, checked_to=A.arity_bound)
+
+
+def universal_deformation(A, N):
+    return UniversalDeformation(A, N)
 
 
 class ModuleIsomorphism:
@@ -466,7 +545,7 @@ def gauge_module_isomorphism(setup, g, check=True):
     return ModuleIsomorphism(setup, g, check=check)
 
 
-class TwistedComodule:
+class TwistedComodule(TwistedStructure):
     """A x R* for a classical base, twisted through contraction.
 
     The label (a, r) stands for a x r*.  Each insertion multiplies its
@@ -474,9 +553,8 @@ class TwistedComodule:
     base side transposes left multiplication into a contraction of
     functionals.  Classical bases only: their dual carries no
     differential and no Koszul signs, so the transpose introduces no
-    second sign convention to trust.  The same certifications run:
-    the differential squares to zero with a witness otherwise, and the
-    module Stasheff identities hold on every mixed tuple.
+    second sign convention to trust.  The engine runs the same
+    certifications as for the module.
     """
 
     def __init__(self, setup, alpha, check=True):
@@ -484,26 +562,12 @@ class TwistedComodule:
             raise HypothesisNotMet(
                 "the dual-side twist is implemented for bases concentrated "
                 "in degree 0")
-        setup.check_mc_input(alpha)
-        self.setup = setup
-        self.A = setup.A
-        self.R = setup.R
-        self.field = setup.field
-        self.alpha = vec_clean(dict(alpha))
-        self.space = GradedSpace(
+        super().__init__(setup, alpha, check=check)
+
+    def _space(self):
+        return GradedSpace(
             [(tensor_label(a, r), self.A.deg(a))
              for a in self.A.space.labels for r in self.R.space.labels])
-        self.ops = self._assemble()
-        self._certify_d_squared()
-        d = {l: dict(self.ops.get(1, (l,))) for l in self.space.labels
-             if self.ops.get(1, (l,))}
-        self.complex = Complex(self.space, d, self.field)
-        self._shim = self._build_shim()
-        if check:
-            rep = self.check_module_axioms()
-            if not rep.ok:
-                raise MathCheckFailure(
-                    "comodule axioms fail on %r" % (rep.failure,))
 
     def _contract(self, s_vec, r):
         """The functional u |-> r*(s u), as a vector of functionals."""
@@ -515,9 +579,10 @@ class TwistedComodule:
                     vec_add(out, {u: cs * c})
         return vec_clean(out)
 
-    def _insertion(self, i, a, r, rest):
+    def _insertion(self, i, x, rest):
         """i-fold twist of m_n on a x r*, summed over ordered choices."""
         A = self.A
+        a, r = x
         out = {}
         if i == 0:
             avec = A.eval_m((a,) + rest)
@@ -543,88 +608,6 @@ class TwistedComodule:
                 for u, cu in dual.items():
                     vec_add(out, {tensor_label(a2, u): coeff * ca * cu})
         return out
-
-    def _assemble(self):
-        A = self.A
-        nu = self.setup.nu
-        ops = StructureMaps()
-        for n in range(1, A.arity_bound + 1):
-            for a in A.space.labels:
-                for r in self.R.space.labels:
-                    for rest in iter_product(A.space.labels, repeat=n - 1):
-                        acc = {}
-                        for i in range(min(A.arity_bound - n, nu) + 1):
-                            term = self._insertion(i, a, r, rest)
-                            if i >= nu:
-                                if vec_clean(term):
-                                    raise MathCheckFailure(
-                                        "nilpotency truncation unsound in "
-                                        "the dual-side twist")
-                                break
-                            if term:
-                                vec_add(acc, term, self.field.sign(
-                                    i * (i + 1) // 2 + n * i))
-                        acc = vec_clean(acc)
-                        if acc:
-                            ops.set(n, (tensor_label(a, r),) + rest, acc)
-        return ops
-
-    def _certify_d_squared(self):
-        one = self.field.one
-        for l in self.space.labels:
-            w = self.differential(self.differential({l: one}))
-            if w:
-                raise MathCheckFailure(
-                    "dual-side twisted differential fails to square to zero "
-                    "at %r (residue %r); the twist does not satisfy the "
-                    "Maurer-Cartan equation" % (l, w))
-
-    def _build_shim(self):
-        basis = [(l, self.space.degree[l]) for l in self.space.labels]
-        for a in self.A.space.labels:
-            if a in self.space.index:
-                raise ValueError(
-                    "comodule and algebra labels collide at %r" % (a,))
-            basis.append((a, self.A.deg(a)))
-        space = GradedSpace(basis)
-        ops = self.ops.copy()
-        for n, table in self.A.m.entries.items():
-            for args, vec in table.items():
-                ops.set(n, args, dict(vec))
-        return AInfAlgebra(space, self.field, ops,
-                           arity_bound=self.A.arity_bound)
-
-    def check_module_axioms(self, n_max=None):
-        cap = n_max if n_max is not None else self.A.arity_bound + 1
-        for n in range(1, cap + 1):
-            for x in self.space.labels:
-                for rest in iter_product(self.A.space.labels, repeat=n - 1):
-                    res = stasheff_residual(self._shim, (x,) + rest)
-                    if res:
-                        return CheckReport(False, failure=(n, (x,) + rest, res),
-                                           checked_to=cap)
-        return CheckReport(True, checked_to=cap)
-
-    def differential(self, v):
-        out = {}
-        for l, c in v.items():
-            vec_add(out, self.ops.get(1, (l,)), c)
-        return vec_clean(out)
-
-    def op(self, x_vec, a_vecs):
-        n = 1 + len(a_vecs)
-        out = {}
-        for x, cx in x_vec.items():
-            for combo in iter_product(*(sorted(a.items()) for a in a_vecs)):
-                coeff = cx
-                for _, c in combo:
-                    coeff = coeff * c
-                args = (x,) + tuple(l for l, _ in combo)
-                vec_add(out, self.ops.get(n, args), coeff)
-        return vec_clean(out)
-
-    def cohomology_dims(self):
-        return self.complex.total_cohomology_dims()
 
 
 def twisted_comodule(A, alpha, R, check=True):
@@ -786,7 +769,7 @@ def invert_unit(R, u):
 def conjugation_orbits(R, maps):
     """Orbits of generator-image tuples under conjugation by units."""
     units = [(u, invert_unit(R, u)) for u in enumerate_units(R)]
-    index_of = {tuple(_key(w) for w in t): i for i, t in enumerate(maps)}
+    index_of = {tuple(_vec_key(w) for w in t): i for i, t in enumerate(maps)}
     seen = set()
     orbits = []
     orbit_of = {}
@@ -804,7 +787,7 @@ def conjugation_orbits(R, maps):
             for u, uinv in units:
                 moved = tuple(R.multiply(R.multiply(u, w), uinv)
                               for w in maps[j])
-                k = index_of.get(tuple(_key(w) for w in moved))
+                k = index_of.get(tuple(_vec_key(w) for w in moved))
                 if k is None:
                     raise MathCheckFailure(
                         "conjugation left the enumerated map set")
@@ -877,7 +860,7 @@ def prorep_compare(A, R, N, cap=ENUMERATION_CAP):
     probe = _comparison_gates(A, R, N, commutative_required=True)
     pres = H0Presentation(A, N, rep=probe.cohomology)
     maps = algebra_maps(pres, R)
-    keys = [tuple(_key(w) for w in t) for t in maps]
+    keys = [tuple(_vec_key(w) for w in t) for t in maps]
     index_of = {k: i for i, k in enumerate(keys)}
     setup = DeformationSetup(A, R)
     classes = pi0(A, R, cap)
@@ -885,7 +868,7 @@ def prorep_compare(A, R, N, cap=ENUMERATION_CAP):
     matching = {}
     for ci, cls in enumerate(classes.classes):
         images = [induced_map(setup, pres, alpha) for alpha in cls]
-        image_keys = {tuple(_key(w) for w in t) for t in images}
+        image_keys = {tuple(_vec_key(w) for w in t) for t in images}
         if len(image_keys) != 1:
             problems.append("class %d maps to %d distinct algebra maps"
                             % (ci, len(image_keys)))
@@ -917,7 +900,7 @@ def prorep_compare_noncomm(A, R, N, cap=ENUMERATION_CAP):
     pres = H0Presentation(A, N, rep=probe.cohomology)
     maps = algebra_maps(pres, R)
     orbits, orbit_of = conjugation_orbits(R, maps)
-    keys = [tuple(_key(w) for w in t) for t in maps]
+    keys = [tuple(_vec_key(w) for w in t) for t in maps]
     index_of = {k: i for i, k in enumerate(keys)}
     setup = DeformationSetup(A, R)
     classes = pi0(A, R, cap)
@@ -927,7 +910,7 @@ def prorep_compare_noncomm(A, R, N, cap=ENUMERATION_CAP):
         hit = set()
         for alpha in cls:
             t = induced_map(setup, pres, alpha)
-            k = tuple(_key(w) for w in t)
+            k = tuple(_vec_key(w) for w in t)
             if k not in index_of:
                 problems.append(
                     "class %d maps outside the enumerated Hom set" % ci)

@@ -9,9 +9,16 @@ before ``Subspace.insert``: they rebuild a batch ``Subspace`` after
 every accepted vector and compute each step of the weight filtration
 in its own pass.  The batch build is the reference that ``insert`` is
 tested against, so they may use it.
+
+``universal_ops_oracle`` is the universal deformation's own insertion
+loop, from before it became a twisted module over S_N.
 """
 
-from barmc.linalg import SpanSolver, Subspace
+from itertools import product
+
+from barmc.ainfinity import StructureMaps, tensor_label, tensor_with_dg
+from barmc.bar import dual_dg_algebra
+from barmc.linalg import SpanSolver, Subspace, vec_add, vec_clean
 
 
 def dense_rank(vectors, field):
@@ -162,3 +169,31 @@ def product_table_oracle(rep, weight_reps):
             if coords:
                 table[(i, j)] = coords
     return table
+
+
+def universal_ops_oracle(A, N):
+    """Structure maps of A x S_N twisted by the universal cochain.
+
+    Sums at most N insertions of tau = sum_a a x (a)* on the left of
+    each basis tuple, evaluated in the tensor algebra over S_N.
+    """
+    field = A.field
+    one = field.one
+    S = dual_dg_algebra(A, N)
+    T = tensor_with_dg(A, S.algebra)
+    tau = {tensor_label(a, (a,)): one for a in A.ideal_labels()}
+    ops = StructureMaps()
+    for n in range(1, A.arity_bound + 1):
+        for x in T.space.labels:
+            xvec = {x: one}
+            for rest in product(A.space.labels, repeat=n - 1):
+                tail = [{tensor_label(a, ()): one} for a in rest]
+                acc = {}
+                for i in range(min(A.arity_bound - n, N) + 1):
+                    term = T.eval_m_vectors([tau] * i + [xvec] + tail)
+                    if term:
+                        vec_add(acc, term, field.sign(i * (i + 1) // 2 + n * i))
+                acc = vec_clean(acc)
+                if acc:
+                    ops.set(n, (x,) + rest, acc)
+    return ops

@@ -25,13 +25,13 @@ from barmc.bar import (
     koszul_probe,
     s_hat_cohomology,
     stabilization_report,
-    universal_deformation,
     universal_twisting_cochain,
 )
 from barmc.errors import HypothesisNotMet
 from barmc.examples import golden_dg_pair, kpoints, ngr, njac, xy
 from barmc.linalg import Complex, GradedSpace, vec_add, vec_clean
 from barmc.scalars import Field
+from barmc.twisting import universal_deformation
 
 from oracles import (
     adapted_reps_oracle,
@@ -41,6 +41,7 @@ from oracles import (
     dense_rank,
     filtered_dims_oracle,
     product_table_oracle,
+    universal_ops_oracle,
 )
 
 Q = Field.rationals()
@@ -579,6 +580,21 @@ def test_universal_deformation_golden_base_change():
     E = universal_deformation(golden_dg_pair(F2)[0], 1)
     assert E.check_module_axioms(3).ok
     assert E.check_base_change().ok
+
+
+@pytest.mark.parametrize("make,field,N", [
+    (lambda f: njac(f, 1), Q, 2),
+    (lambda f: njac(f, 1), F2, 2),
+    (lambda f: kpoints(f, 2), F2, 2),
+    (lambda f: kpoints(f, 2), Q, 3),
+    (lambda f: golden_dg_pair(f)[0], F2, 1),
+    (lambda f: xy(f), Q, 3),
+    (lambda f: njac(f, 2), F3, 2),
+])
+def test_universal_deformation_matches_the_insertion_oracle(make, field, N):
+    A = make(field)
+    E = universal_deformation(A, N)
+    assert E.ops.entries == universal_ops_oracle(A, N).entries
 
 
 def test_universal_deformation_refuses_non_admissible():

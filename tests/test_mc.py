@@ -136,7 +136,7 @@ def brute_components(setup, elements):
 def brute_lift_exists(A, tower, alpha_bar):
     """Any eta in (A x I)^1 with residual(section + eta) = 0."""
     setup = DeformationSetup(A, tower.R)
-    base = tower.section(alpha_bar)
+    base = dict(alpha_bar)
     radical = set(tower.R.ideal_labels)
     kernel_labels = set()
     for row in tower.kernel_rows:
@@ -154,7 +154,7 @@ def brute_lift_exists(A, tower, alpha_bar):
 def brute_morphism_lift_exists(A, tower, alpha1, alpha2, f_bar):
     """Any h in (A x I)^0 with the corrected section a morphism upstairs."""
     setup = DeformationSetup(A, tower.R)
-    base = tower.section(f_bar)
+    base = dict(f_bar)
     kernel_labels = set()
     for row in tower.kernel_rows:
         kernel_labels |= set(row)

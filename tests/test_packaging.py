@@ -1,13 +1,16 @@
 """Package metadata that pytest would otherwise never touch."""
 
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 tomllib = pytest.importorskip("tomllib")
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def test_every_console_script_target_imports():
@@ -19,3 +22,14 @@ def test_every_console_script_target_imports():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+def test_every_benchmark_tracer_hook_resolves():
+    """A renamed hooked symbol would otherwise surface only in the bench."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.HOOKS
+    for dotted in tracer.HOOKS:
+        owner, name = tracer.resolve(dotted)
+        assert callable(getattr(owner, name)), dotted

@@ -10,9 +10,8 @@ from barmc.scalars import (
     FieldMismatch,
     Scalar,
     _is_prime,
-    field_to_desc,
-    parse_field,
 )
+from barmc.serialize import field_from_json, field_to_json
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -125,11 +124,24 @@ def test_elements_enumeration():
 
 def test_field_descriptor_round_trip():
     for f in (Q, F2, F5):
-        assert parse_field(field_to_desc(f)) == f
-    assert parse_field({"kind": "Q"}) == Q
-    assert parse_field({"kind": "Fp", "p": 2}) == F2
+        assert field_from_json(field_to_json(f)) == f
+    assert field_from_json({"kind": "Q"}) == Q
+    assert field_from_json({"kind": "Fp", "p": 2}) == F2
     with pytest.raises(ValueError):
-        parse_field({"kind": "R"})
+        field_from_json({"kind": "R"})
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "Fp"},
+    {"kind": "Fp", "p": 5.5},
+    {"kind": "Fp", "p": 5.0},
+    {"kind": "Fp", "p": "5"},
+    ["Fp", 5],
+    None,
+])
+def test_malformed_field_descriptor_is_refused(doc):
+    with pytest.raises(ValueError):
+        field_from_json(doc)
 
 
 def test_as_string_round_trips_through_call():
