@@ -192,8 +192,8 @@ BUILTIN_ALGEBRAS = {
 
 def builtin_algebra(name, field, args=()):
     if name not in BUILTIN_ALGEBRAS:
-        raise KeyError("unknown builtin algebra %r (have: %s)"
-                       % (name, ", ".join(sorted(BUILTIN_ALGEBRAS))))
+        raise ValueError("unknown builtin algebra %r (have: %s)"
+                         % (name, ", ".join(sorted(BUILTIN_ALGEBRAS))))
     fn, _ = BUILTIN_ALGEBRAS[name]
     return fn(field, *[int(a) for a in args])
 
@@ -207,7 +207,7 @@ def builtin_base(name, field, args=()):
     if name == "squarezero":
         gens = [("m%d" % i, int(d)) for i, d in enumerate(args, start=1)]
         return square_zero(field, gens)
-    raise KeyError("unknown builtin base %r (have: poly, squarezero)" % (name,))
+    raise ValueError("unknown builtin base %r (have: poly, squarezero)" % (name,))
 
 
 # ---------------------------------------------------------------------------

@@ -2,22 +2,21 @@
 
 Vectors are dicts mapping a basis key (an integer index, a string
 label, or a structured tuple label) to a nonzero Scalar.  Matrices are
-stored as sparse triplets with a canonical (row, col) ordering; row
-reduction switches to a dense working copy below a size threshold.
+stored as sparse triplets with a canonical (row, col) ordering.
 
-Over Q the elimination is fraction-free: rows are scaled to integer
-content and combined by cross-multiplication with a gcd reduction after
-every step, so intermediate numerators stay bounded.  Over F_p ordinary
-division-based elimination is used.
+Every echelon form comes from one kernel, ``Subspace.insert``.  It
+reduces a vector by the rows held so far, scales the remainder to one
+at its smallest key, clears that key from the other rows and files the
+new row by pivot, so the rows are always the reduced row-echelon basis
+for a fixed key order.  ``Subspace`` orders keys by ``repr``, a matrix
+echelon (``Elimination``) by column index, and ``SpanSolver`` puts the
+labels before the coordinate tags through which it tracks
+combinations.  Arithmetic is ordinary division over Q and F_p alike.
 """
 
 from bisect import bisect
-from fractions import Fraction
-from math import gcd
 
-from .scalars import Field, FieldMismatch, Scalar
-
-DENSE_CUTOFF = 64
+from .scalars import FieldMismatch, Scalar
 
 
 # ---------------------------------------------------------------------------
@@ -193,148 +192,22 @@ class Matrix:
         return Elimination(self)
 
 
-def _integerize(row):
-    """Scale a dict row of Fractions to coprime integers; returns int dict."""
-    denom = 1
-    for c in row.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
-    ints = {j: int(c * denom) for j, c in row.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    if g > 1:
-        ints = {j: v // g for j, v in ints.items()}
-    return ints
-
-
 class Elimination:
     """Reduced row-echelon data for one matrix.
 
-    Exposes rank, pivot positions, a kernel basis (columns = domain),
-    and the original pivot columns as an image basis.  The reduction is
-    Gauss-Jordan: echelon rows are fully reduced and pivot-normalized,
-    so kernel vectors read off directly from the free columns.
+    ``rows`` is the reduced echelon basis of the row space, columns in
+    index order, built by ``Subspace.insert``.  Exposes rank, pivot
+    positions, a kernel basis (columns = domain) read off the free
+    columns, and the original pivot columns as an image basis.
     """
 
     def __init__(self, matrix):
         self.matrix = matrix
         self.field = matrix.field
-        rows = [r for r in matrix.rows() if r]
-        if matrix.nrows < DENSE_CUTOFF and matrix.ncols < DENSE_CUTOFF:
-            echelon = self._reduce_dense(rows)
-        elif self.field.kind == "Q":
-            echelon = self._reduce_rational(rows)
-        else:
-            echelon = self._reduce_prime(rows)
-        echelon.sort(key=lambda r: min(r))
-        # back-substitute to reach reduced echelon form
-        for a in range(len(echelon) - 1, -1, -1):
-            pa = min(echelon[a])
-            lead = echelon[a][pa]
-            if lead != self.field.one:
-                inv = lead.inverse()
-                echelon[a] = {j: inv * c for j, c in echelon[a].items()}
-            for b in range(a):
-                coeff = echelon[b].get(pa)
-                if coeff is not None:
-                    vec_add(echelon[b], echelon[a], -coeff)
-        self.rows = echelon
-        self.pivots = [min(r) for r in echelon]
-        self.rank = len(echelon)
-
-    # three elimination cores; all return echelon rows over self.field
-
-    def _reduce_dense(self, rows):
-        """Working copy as dense lists, ordinary division-based elimination.
-
-        Small matrices dominate the workload and a dense sweep avoids
-        the per-row dict churn of the sparse cores.
-        """
-        ncols = self.matrix.ncols
-        zero = self.field.zero
-        work = []
-        for r in rows:
-            row = [zero] * ncols
-            for j, c in r.items():
-                row[j] = c
-            work.append(row)
-        rix = 0
-        for col in range(ncols):
-            piv = None
-            for i in range(rix, len(work)):
-                if work[i][col]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            work[rix], work[piv] = work[piv], work[rix]
-            prow = work[rix]
-            pv = prow[col]
-            for i in range(rix + 1, len(work)):
-                c = work[i][col]
-                if c:
-                    factor = c / pv
-                    row_i = work[i]
-                    for j in range(col, ncols):
-                        if prow[j]:
-                            row_i[j] = row_i[j] - factor * prow[j]
-            rix += 1
-            if rix == len(work):
-                break
-        return [
-            {j: c for j, c in enumerate(work[i]) if c} for i in range(rix)
-        ]
-
-    def _reduce_prime(self, rows):
-        work = [dict(r) for r in rows]
-        done = []
-        while work:
-            col = min(min(r) for r in work)
-            k = next(i for i, r in enumerate(work) if min(r) == col)
-            pivot_row = work.pop(k)
-            pv = pivot_row[col]
-            rest = []
-            for r in work:
-                c = r.get(col)
-                if c is not None:
-                    r = vec_add(dict(r), pivot_row, -(c / pv))
-                if r:
-                    rest.append(r)
-            done.append(pivot_row)
-            work = rest
-        return done
-
-    def _reduce_rational(self, rows):
-        work = [_integerize({j: c.val for j, c in r.items()}) for r in rows]
-        done = []
-        while work:
-            col = min(min(r) for r in work)
-            # smallest pivot magnitude keeps the growth down
-            cands = [i for i, r in enumerate(work) if min(r) == col]
-            k = min(cands, key=lambda i: abs(work[i][col]))
-            pivot_row = work.pop(k)
-            pv = pivot_row[col]
-            rest = []
-            for r in work:
-                c = r.get(col)
-                if c is not None:
-                    new = {}
-                    for j in set(r) | set(pivot_row):
-                        v = r.get(j, 0) * pv - pivot_row.get(j, 0) * c
-                        if v:
-                            new[j] = v
-                    g = 0
-                    for v in new.values():
-                        g = gcd(g, v)
-                    if g > 1:
-                        new = {j: v // g for j, v in new.items()}
-                    r = new
-                if r:
-                    rest.append(r)
-            done.append(pivot_row)
-            work = rest
-        F = self.field
-        return [{j: F(Fraction(v)) for j, v in r.items()} for r in done]
+        echelon = _ColumnEchelon(matrix.rows(), self.field)
+        self.rows = echelon.rows
+        self.pivots = echelon.pivot_keys
+        self.rank = echelon.dim
 
     def kernel_basis(self):
         """Basis of {x : Mx = 0}, one vector per free column, canonical order."""
@@ -390,40 +263,27 @@ def solve(matrix, b):
 class SpanSolver:
     """Membership and coordinates relative to a fixed list of spanning vectors.
 
-    Built once from sparse vectors keyed by arbitrary labels; answers
-    "is v in the span" and "express v in the given spanning set" by one
-    augmented elimination per query.
+    Each spanning vector v_j is kept as v_j + e_j, where the tag e_j
+    sorts after every label, and only when v_j is new modulo the earlier
+    vectors.  Reducing a vector v then clears all of its labels exactly
+    when v is in the span, and the tags left over are minus the
+    coordinates of v: the unique ones supported on the earliest
+    independent spanning vectors, with every other coordinate zero.
     """
 
     def __init__(self, vectors, field):
-        self.vectors = [vec_clean(v) for v in vectors]
-        self.field = field
-        keys = []
-        seen = set()
-        for v in self.vectors:
-            for k in v:
-                if k not in seen:
-                    seen.add(k)
-                    keys.append(k)
-        self.keys = sorted(keys, key=repr)
-        self.key_index = {k: i for i, k in enumerate(self.keys)}
-
-    def _as_matrix_with(self, v):
-        extra = [k for k in v if k not in self.key_index]
-        idx = dict(self.key_index)
-        for k in sorted(extra, key=repr):
-            idx[k] = len(idx)
-        m = Matrix(len(idx), len(self.vectors), self.field)
-        for j, col in enumerate(self.vectors):
-            for k, c in col.items():
-                m.entries[(idx[k], j)] = c
-        b = {idx[k]: c for k, c in v.items() if c}
-        return m, b
+        self._echelon = _TaggedEchelon((), field)
+        for j, v in enumerate(vectors):
+            tagged = self._echelon.reduce({**v, _Tag(j): field.one})
+            if not _only_tags(tagged):
+                self._echelon.insert(tagged)
 
     def coordinates(self, v):
         """Coefficients expressing v in the spanning set, or None."""
-        m, b = self._as_matrix_with(v)
-        return solve(m, b)
+        r = self._echelon.reduce(v)
+        if not _only_tags(r):
+            return None
+        return {t.j: -c for t, c in sorted(r.items(), key=lambda tc: tc[0].j)}
 
     def contains(self, v):
         return self.coordinates(v) is not None
@@ -435,45 +295,31 @@ class Subspace:
     Keys are ordered by ``repr``.  ``rows`` is the reduced echelon basis
     of the span in that order: each row has coefficient one at its pivot
     key (its smallest key), zero at every other pivot key, and rows are
-    listed by pivot.  That basis is unique, so a Subspace grown one
-    vector at a time by ``insert`` has the same ``rows``, ``pivot_keys``
-    and ``dim`` as one built from all the vectors at once.
+    listed by pivot.  That basis is unique, so it does not depend on the
+    insertion order.  ``insert`` is the package's only row reduction;
+    ``Elimination`` and ``SpanSolver`` use subclasses with other key orders.
     """
+
+    # sort key of the key order; a row's pivot is its smallest key
+    _order = staticmethod(repr)
 
     def __init__(self, vectors, field):
         self.field = field
-        keys = []
-        seen = set()
-        vecs = []
+        self.rows = []
+        self.pivot_keys = []
+        self.dim = 0
+        self._row_at = {}
         for v in vectors:
-            v = vec_clean(v)
-            if v:
-                vecs.append(v)
-            for k in v:
-                if k not in seen:
-                    seen.add(k)
-                    keys.append(k)
-        keys.sort(key=repr)
-        kidx = {k: i for i, k in enumerate(keys)}
-        m = Matrix.from_rows(
-            [{kidx[k]: c for k, c in v.items()} for v in vecs],
-            len(keys),
-            field,
-        )
-        e = m.row_reduce()
-        self.rows = [{keys[j]: c for j, c in row.items()} for row in e.rows]
-        self.pivot_keys = [keys[p] for p in e.pivots]
-        self.dim = e.rank
-        self._row_at = dict(zip(self.pivot_keys, self.rows))
+            self.insert(v)
 
     def reduce(self, v):
         """Canonical representative of v modulo this subspace."""
-        v = dict(v)
+        v = vec_clean(v)
         # rows vanish at each other's pivots, so one pass over the
-        # pivots present in v clears them all
+        # pivots present in v clears them all; vec_add keeps v clean
         for pk in [k for k in v if k in self._row_at]:
             vec_add(v, self._row_at[pk], -v[pk])
-        return vec_clean(v)
+        return v
 
     def contains(self, v):
         return not self.reduce(v)
@@ -483,20 +329,49 @@ class Subspace:
         r = self.reduce(v)
         if not r:
             return False
-        pk = min(r, key=repr)
-        inv = r[pk].inverse()
-        r = {k: inv * c for k, c in r.items()}
-        for i, row in enumerate(self.rows):
-            c = row.get(pk)
-            if c:
-                row = vec_add(dict(row), r, -c)
-                self.rows[i] = self._row_at[self.pivot_keys[i]] = row
-        at = bisect(self.pivot_keys, repr(pk), key=repr)
+        order = self._order
+        pk = min(r, key=order)
+        if r[pk] != self.field.one:
+            inv = r[pk].inverse()
+            r = {k: inv * c for k, c in r.items()}
+        for i in [i for i, row in enumerate(self.rows) if pk in row]:
+            row = vec_add(dict(self.rows[i]), r, -self.rows[i][pk])
+            self.rows[i] = self._row_at[self.pivot_keys[i]] = row
+        at = bisect(self.pivot_keys, order(pk), key=order)
         self.pivot_keys.insert(at, pk)
         self.rows.insert(at, r)
         self._row_at[pk] = r
         self.dim += 1
         return True
+
+
+class _ColumnEchelon(Subspace):
+    """The row space of a matrix, keys being column indices in order."""
+
+    _order = staticmethod(int)
+
+
+class _Tag:
+    """The coordinate tag e_j of a SpanSolver; equal only to itself."""
+
+    __slots__ = ("j",)
+
+    def __init__(self, j):
+        self.j = j
+
+
+def _only_tags(v):
+    return all(type(k) is _Tag for k in v)
+
+
+def _labels_then_tags(k):
+    return (1, k.j) if type(k) is _Tag else (0, repr(k))
+
+
+class _TaggedEchelon(Subspace):
+    """A SpanSolver's echelon: labels by ``repr``, then tags by index."""
+
+    _order = staticmethod(_labels_then_tags)
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ def label_from_json(doc):
 
 
 def scalar_to_str(c):
-    return str(c)
+    return c.as_string()
 
 
 def scalar_from_str(field, text):
@@ -151,19 +151,22 @@ def algebra_from_json(doc):
     field = field_from_json(doc["field"])
     basis = []
     for entry in doc["basis"]:
-        basis.append((label_from_json(entry["label"]), int(entry["degree"])))
+        label, degree = _fields(entry, ("label", "degree"), "basis entry")
+        basis.append((label_from_json(label), _integer(degree, entry)))
     space = GradedSpace(basis)
     m = StructureMaps()
     for op in doc["ops"]:
-        n = int(op["arity"])
-        args = tuple(label_from_json(a) for a in op["in"])
+        n, ins, outs = _fields(op, ("arity", "in", "out"), "op")
+        n = _integer(n, op)
+        args = tuple(_known(space, a, op) for a in ins)
         if len(args) != n:
             raise ValueError("op lists %d inputs but declares arity %d"
                              % (len(args), n))
         vec = {}
-        for term in op["out"]:
-            lbl = label_from_json(term["label"])
-            c = scalar_from_str(field, term["coeff"])
+        for term in outs:
+            lbl, coeff = _fields(term, ("label", "coeff"), "output term")
+            lbl = _known(space, lbl, op)
+            c = scalar_from_str(field, coeff)
             if lbl in vec:
                 raise ValueError("duplicate output label %r" % (lbl,))
             if c:
@@ -180,6 +183,26 @@ def algebra_from_json(doc):
         aug_label=label_from_json(aug) if aug is not None else None,
         complete_to_arity=doc.get("complete_to_arity"),
     )
+
+
+def _fields(entry, keys, what):
+    """The values of entry at keys, or ValueError naming the entry."""
+    if not isinstance(entry, dict) or not all(k in entry for k in keys):
+        raise ValueError("%s %r needs the keys %s" % (what, entry, keys))
+    return [entry[k] for k in keys]
+
+
+def _integer(value, entry):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError("%r is not an integer in %r" % (value, entry))
+    return value
+
+
+def _known(space, label, op):
+    label = label_from_json(label)
+    if label not in space.index:
+        raise ValueError("unknown basis label %r in op %r" % (label, op))
+    return label
 
 
 def dumps_canonical(doc):

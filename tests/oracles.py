@@ -4,21 +4,31 @@ The dense helpers deliberately avoid the package's elimination code:
 dense, division-based Gauss working directly on scalars, with full row
 scans instead of sparse bookkeeping.  Slow and simple on purpose.
 
-The rebuild-loop oracles at the end are the cohomology code as it was
-before ``Subspace.insert``: they rebuild a batch ``Subspace`` after
+``rref_oracle``, ``SubspaceOracle`` and ``span_coordinates_oracle`` are
+the package's batch elimination as it was before every echelon form
+came from ``Subspace.insert``: a dense core below 64 rows and columns,
+sparse cores above it (fraction-free over Q, division-based over F_p),
+then back-substitution; a batch ``Subspace`` built on that; and
+coordinates by one augmented solve per query.
+
+The rebuild-loop oracles are the cohomology code as it was before
+``Subspace.insert``: they rebuild a batch ``SubspaceOracle`` after
 every accepted vector and compute each step of the weight filtration
-in its own pass.  The batch build is the reference that ``insert`` is
-tested against, so they may use it.
+in its own pass.
 
 ``universal_ops_oracle`` is the universal deformation's own insertion
 loop, from before it became a twisted module over S_N.
 """
 
+from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from barmc.ainfinity import StructureMaps, tensor_label, tensor_with_dg
 from barmc.bar import dual_dg_algebra
-from barmc.linalg import SpanSolver, Subspace, vec_add, vec_clean
+from barmc.linalg import Matrix, vec_add, vec_clean
+
+DENSE_CUTOFF = 64
 
 
 def dense_rank(vectors, field):
@@ -106,6 +116,201 @@ def cohomology_dims_oracle(labels_by_degree, apply_d, field):
 
 
 # ---------------------------------------------------------------------------
+# batch elimination
+
+
+def rref_oracle(matrix):
+    """(rows, pivots) of the reduced row-echelon form of a Matrix."""
+    field = matrix.field
+    rows = [r for r in matrix.rows() if r]
+    if matrix.nrows < DENSE_CUTOFF and matrix.ncols < DENSE_CUTOFF:
+        echelon = _reduce_dense(rows, matrix.ncols, field)
+    elif field.kind == "Q":
+        echelon = _reduce_rational(rows, field)
+    else:
+        echelon = _reduce_prime(rows)
+    echelon.sort(key=lambda r: min(r))
+    # back-substitute to reach reduced echelon form
+    for a in range(len(echelon) - 1, -1, -1):
+        pa = min(echelon[a])
+        lead = echelon[a][pa]
+        if lead != field.one:
+            inv = lead.inverse()
+            echelon[a] = {j: inv * c for j, c in echelon[a].items()}
+        for b in range(a):
+            coeff = echelon[b].get(pa)
+            if coeff is not None:
+                vec_add(echelon[b], echelon[a], -coeff)
+    return echelon, [min(r) for r in echelon]
+
+
+def _reduce_dense(rows, ncols, field):
+    zero = field.zero
+    work = []
+    for r in rows:
+        row = [zero] * ncols
+        for j, c in r.items():
+            row[j] = c
+        work.append(row)
+    rix = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(rix, len(work)):
+            if work[i][col]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        work[rix], work[piv] = work[piv], work[rix]
+        prow = work[rix]
+        pv = prow[col]
+        for i in range(rix + 1, len(work)):
+            c = work[i][col]
+            if c:
+                factor = c / pv
+                row_i = work[i]
+                for j in range(col, ncols):
+                    if prow[j]:
+                        row_i[j] = row_i[j] - factor * prow[j]
+        rix += 1
+        if rix == len(work):
+            break
+    return [{j: c for j, c in enumerate(work[i]) if c} for i in range(rix)]
+
+
+def _reduce_prime(rows):
+    work = [dict(r) for r in rows]
+    done = []
+    while work:
+        col = min(min(r) for r in work)
+        k = next(i for i, r in enumerate(work) if min(r) == col)
+        pivot_row = work.pop(k)
+        pv = pivot_row[col]
+        rest = []
+        for r in work:
+            c = r.get(col)
+            if c is not None:
+                r = vec_add(dict(r), pivot_row, -(c / pv))
+            if r:
+                rest.append(r)
+        done.append(pivot_row)
+        work = rest
+    return done
+
+
+def _integerize(row):
+    """Scale a dict row of Fractions to coprime integers; returns int dict."""
+    denom = 1
+    for c in row.values():
+        denom = denom * c.denominator // gcd(denom, c.denominator)
+    ints = {j: int(c * denom) for j, c in row.items()}
+    g = 0
+    for v in ints.values():
+        g = gcd(g, v)
+    if g > 1:
+        ints = {j: v // g for j, v in ints.items()}
+    return ints
+
+
+def _reduce_rational(rows, field):
+    """Fraction-free: integer rows combined by cross-multiplication."""
+    work = [_integerize({j: c.val for j, c in r.items()}) for r in rows]
+    done = []
+    while work:
+        col = min(min(r) for r in work)
+        # smallest pivot magnitude keeps the growth down
+        cands = [i for i, r in enumerate(work) if min(r) == col]
+        k = min(cands, key=lambda i: abs(work[i][col]))
+        pivot_row = work.pop(k)
+        pv = pivot_row[col]
+        rest = []
+        for r in work:
+            c = r.get(col)
+            if c is not None:
+                new = {}
+                for j in set(r) | set(pivot_row):
+                    v = r.get(j, 0) * pv - pivot_row.get(j, 0) * c
+                    if v:
+                        new[j] = v
+                g = 0
+                for v in new.values():
+                    g = gcd(g, v)
+                if g > 1:
+                    new = {j: v // g for j, v in new.items()}
+                r = new
+            if r:
+                rest.append(r)
+        done.append(pivot_row)
+        work = rest
+    return [{j: field(Fraction(v)) for j, v in r.items()} for r in done]
+
+
+class SubspaceOracle:
+    """Batch echelon of a span, keys in ``repr`` order, via ``rref_oracle``."""
+
+    def __init__(self, vectors, field):
+        keys = []
+        seen = set()
+        vecs = []
+        for v in vectors:
+            v = vec_clean(v)
+            if v:
+                vecs.append(v)
+            for k in v:
+                if k not in seen:
+                    seen.add(k)
+                    keys.append(k)
+        keys.sort(key=repr)
+        kidx = {k: i for i, k in enumerate(keys)}
+        m = Matrix.from_rows([{kidx[k]: c for k, c in v.items()} for v in vecs],
+                             len(keys), field)
+        rows, pivots = rref_oracle(m)
+        self.rows = [{keys[j]: c for j, c in row.items()} for row in rows]
+        self.pivot_keys = [keys[p] for p in pivots]
+        self.dim = len(rows)
+        self._row_at = dict(zip(self.pivot_keys, self.rows))
+
+    def reduce(self, v):
+        v = dict(v)
+        for pk in [k for k in v if k in self._row_at]:
+            vec_add(v, self._row_at[pk], -v[pk])
+        return vec_clean(v)
+
+    def contains(self, v):
+        return not self.reduce(v)
+
+
+def span_coordinates_oracle(vectors, field, v):
+    """Coordinates of v in the spanning vectors by one augmented solve.
+
+    The unique solution supported on the earliest independent vectors
+    (free coordinates zero), or None when v is not in the span.
+    """
+    vectors = [vec_clean(u) for u in vectors]
+    keys = sorted({k for u in vectors for k in u}, key=repr)
+    idx = {k: i for i, k in enumerate(keys)}
+    for k in sorted((k for k in v if k not in idx), key=repr):
+        idx[k] = len(idx)
+    n = len(vectors)
+    aug = Matrix(len(idx), n + 1, field)
+    for j, col in enumerate(vectors):
+        for k, c in col.items():
+            aug.entries[(idx[k], j)] = c
+    for k, c in v.items():
+        if c:
+            aug[idx[k], n] = c
+    rows, pivots = rref_oracle(aug)
+    x = {}
+    for row, p in zip(rows, pivots):
+        if p == n:
+            return None
+        c = row.get(n)
+        if c is not None:
+            x[p] = c
+    return x
+
+
+# ---------------------------------------------------------------------------
 # rebuild-loop oracles
 
 
@@ -119,14 +324,14 @@ def cohomology_oracle(cx, i):
                   for col in d_prev.row_reduce().image_basis()]
     reps = []
     span = list(boundaries)
-    sub = Subspace(span, field)
+    sub = SubspaceOracle(span, field)
     for kv in kernel:
         v = {src[j]: c for j, c in kv.items()}
         if sub.reduce(v):
             reps.append(v)
             span.append(v)
-            sub = Subspace(span, field)
-    return Subspace(boundaries, field).rows, reps
+            sub = SubspaceOracle(span, field)
+    return SubspaceOracle(boundaries, field).rows, reps
 
 
 def filtered_dims_oracle(rep, degree):
@@ -137,7 +342,7 @@ def filtered_dims_oracle(rep, degree):
     ranks = []
     for w in range(rep.N + 2):
         kernel = rep._restricted_kernel(rep._labels_at(degree, w))
-        ranks.append(Subspace(brows + kernel, rep.field).dim - bdim)
+        ranks.append(SubspaceOracle(brows + kernel, rep.field).dim - bdim)
     assert ranks[0] == h.dim
     return [ranks[w] - ranks[w + 1] for w in range(rep.N + 1)]
 
@@ -146,24 +351,25 @@ def adapted_reps_oracle(rep):
     """(weight, cocycle) pairs adapted to the filtration of H^0."""
     per_weight = {w: [] for w in range(rep.N + 1)}
     base = list(rep.h0.boundaries.rows)
-    sub = Subspace(base, rep.field)
+    sub = SubspaceOracle(base, rep.field)
     for w in range(rep.N, -1, -1):
         for v in rep._restricted_kernel(rep._labels_at(0, w)):
             if not sub.contains(v):
                 per_weight[w].append(v)
                 base.append(v)
-                sub = Subspace(base, rep.field)
+                sub = SubspaceOracle(base, rep.field)
     return [(w, v) for w in range(rep.N + 1) for v in per_weight[w]]
 
 
 def product_table_oracle(rep, weight_reps):
     """Products of the given H^0 representatives in their class coordinates."""
     brows = rep.h0.boundaries.rows
-    solver = SpanSolver(list(brows) + [v for _, v in weight_reps], rep.field)
+    basis = list(brows) + [v for _, v in weight_reps]
     table = {}
     for i, (_, u) in enumerate(weight_reps):
         for j, (_, v) in enumerate(weight_reps):
-            coords = solver.coordinates(rep.S.algebra.eval_m_vectors([u, v]))
+            coords = span_coordinates_oracle(
+                basis, rep.field, rep.S.algebra.eval_m_vectors([u, v]))
             coords = {k - len(brows): c for k, c in coords.items()
                       if k >= len(brows) and c}
             if coords:

@@ -2,9 +2,12 @@
 
 Rank and kernel claims are cross-checked against two oracles that share
 no code with the package: sympy's rref over Q, and a short dense
-elimination over F_p written directly in this file.
+elimination over F_p written directly in this file.  ``Elimination``,
+batch ``Subspace`` builds and ``SpanSolver`` answers are compared
+exactly with the batch elimination kept in ``tests/oracles.py``.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,7 +29,12 @@ from barmc.linalg import (
     vec_sub,
 )
 from barmc.scalars import Field, FieldMismatch
-from oracles import dense_rank
+from oracles import (
+    SubspaceOracle,
+    dense_rank,
+    rref_oracle,
+    span_coordinates_oracle,
+)
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -155,8 +163,8 @@ def test_rank_plus_nullity_is_column_count(data):
 
 
 def test_sparse_path_agrees_with_oracle_above_cutoff():
-    # 70 columns forces the sparse elimination cores; band structure
-    # keeps the oracle cheap
+    # 70 columns, past the 64 at which rref_oracle leaves its dense
+    # core; band structure keeps the oracles cheap
     rows = []
     for i in range(70):
         row = {i: 1}
@@ -282,20 +290,86 @@ def test_subspace_insert_matches_batch_build(field, raw, cut):
     for v in vecs[cut:]:
         held = sub.contains(v)
         assert sub.insert(v) is not held
-    assert_same_subspace(sub, Subspace(vecs, field))
+    assert_same_subspace(sub, SubspaceOracle(vecs, field))
     assert sub.dim == dense_rank(vecs, field)
 
 
 def test_subspace_insert_matches_batch_build_on_sparse_path():
-    # 70 keys puts the batch build on the sparse elimination cores
+    # 70 keys puts the oracle batch build on its sparse cores
     for field in (Q, F3):
         vecs = [{i: field(2), (i + 3) % 70: field(1), (5 * i) % 70: field(-1)}
                 for i in range(70)]
         sub = Subspace(vecs[:20], field)
         accepted = [v for v in vecs[20:] if sub.insert(v)]
-        assert_same_subspace(sub, Subspace(vecs, field))
-        assert sub.dim == Subspace(vecs[:20], field).dim + len(accepted)
+        assert_same_subspace(sub, SubspaceOracle(vecs, field))
+        assert sub.dim == SubspaceOracle(vecs[:20], field).dim + len(accepted)
         assert sub.dim == dense_rank(vecs, field)
+
+
+def _vectors_in(field, raw):
+    out = []
+    for v in raw:
+        try:
+            out.append({k: field(c) for k, c in v.items()})
+        except ZeroDivisionError:  # denominator divisible by p
+            continue
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([Q, F2, F3]), span_vectors,
+       st.lists(st.lists(st.integers(-2, 2), min_size=10, max_size=10),
+                min_size=1, max_size=4),
+       span_vectors, st.data())
+def test_span_solver_matches_coordinates_oracle(field, raw, mixes, others, data):
+    base = _vectors_in(field, raw)
+    combos = []
+    for mix in mixes:
+        comb = {}
+        for c, v in zip(mix, base):
+            vec_add(comb, v, field(c))
+        combos.append(comb)
+    # the combinations make some spanning vectors dependent on earlier ones
+    vecs = data.draw(st.permutations(base + combos))
+    solver = SpanSolver(vecs, field)
+    for q in combos + base + _vectors_in(field, others):
+        want = span_coordinates_oracle(vecs, field, q)
+        assert solver.coordinates(q) == want
+        assert solver.contains(q) is (want is not None)
+
+
+@st.composite
+def eliminated_matrices(draw):
+    field = draw(st.sampled_from([Q, F2, F3]))
+    # small shapes and shapes past 64, where rref_oracle runs its sparse cores
+    lo, hi = draw(st.sampled_from([(1, 9), (60, 72)]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    nrows, ncols = rng.randint(lo, hi), rng.randint(lo, hi)
+    density = rng.choice([0.05, 0.15, 0.4]) if hi < 64 else rng.choice([0.03, 0.06])
+    m = Matrix(nrows, ncols, field)
+    for i in range(nrows):
+        for j in range(ncols):
+            if rng.random() < density:
+                m[i, j] = rng.randint(-3, 3)
+    return m
+
+
+@settings(max_examples=40, deadline=None)
+@given(eliminated_matrices())
+def test_elimination_matches_rref_oracle(m):
+    e = m.row_reduce()
+    rows, pivots = rref_oracle(m)
+    assert e.rows == rows
+    assert e.pivots == pivots and e.rank == len(pivots)
+    kernel = []
+    for f in sorted(set(range(m.ncols)) - set(pivots)):
+        v = {f: m.field.one}
+        for row, p in zip(rows, pivots):
+            if f in row:
+                v[p] = -row[f]
+        kernel.append(v)
+    assert e.kernel_basis() == kernel
+    assert e.image_basis() == [m.column(j) for j in pivots]
 
 
 # ---------------------------------------------------------------------------

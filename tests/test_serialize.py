@@ -1,0 +1,104 @@
+"""Canonical JSON descriptions: round trips and refused input."""
+
+import json
+
+import pytest
+
+from barmc.ainfinity import tensor_with_dg
+from barmc.examples import (
+    acyclic_cone,
+    builtin_algebra,
+    builtin_base,
+    golden_dg_pair,
+    kpoints,
+    njac,
+    xy,
+)
+from barmc.scalars import Field
+from barmc.serialize import algebra_from_json, algebra_to_json, dumps_canonical
+
+Q = Field.rationals()
+F2 = Field.prime(2)
+F3 = Field.prime(3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: kpoints(Q, 2),
+    lambda: njac(F3, 2),
+    lambda: xy(Q),
+    lambda: golden_dg_pair(Q)[0],
+    lambda: tensor_with_dg(kpoints(F3, 1), acyclic_cone(F3)),
+], ids=["kpoints(Q,2)", "njac(F3,2)", "xy(Q)", "golden_dg_pair(Q)[0]",
+        "kpoints(F3,1)xcone"])
+def test_algebra_round_trips_through_json_text(make):
+    A = make()
+    text = dumps_canonical(algebra_to_json(A))
+    B = algebra_from_json(json.loads(text))
+    assert B.field == A.field
+    assert B.space.labels == A.space.labels
+    assert B.space.degree == A.space.degree
+    assert B.m.entries == A.m.entries
+    assert (B.unit, B.aug_label, B.arity_bound) == (A.unit, A.aug_label,
+                                                    A.arity_bound)
+    assert dumps_canonical(algebra_to_json(B)) == text
+
+
+def _doc():
+    return {
+        "field": {"kind": "Q"},
+        "basis": [{"label": "1", "degree": 0}, {"label": "x", "degree": 1}],
+        "ops": [{"arity": 2, "in": ["x", "1"],
+                 "out": [{"label": "x", "coeff": "1"}]}],
+    }
+
+
+def _set(path, value):
+    def mutate(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+def _drop(path):
+    def mutate(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        del doc[last]
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _set(("ops", 0, "in"), ["x", "z"]),
+    _set(("ops", 0, "out", 0, "label"), "z"),
+    _set(("basis", 1, "degree"), True),
+    _set(("basis", 1, "degree"), 1.7),
+    # m_1(1) = x is a valid unary op once the arity is the integer 1
+    _set(("ops", 0), {"arity": True, "in": ["1"],
+                      "out": [{"label": "x", "coeff": "1"}]}),
+    _drop(("basis", 1, "label")),
+    _drop(("basis", 1, "degree")),
+    _drop(("ops", 0, "arity")),
+    _drop(("ops", 0, "in")),
+    _drop(("ops", 0, "out")),
+    _drop(("ops", 0, "out", 0, "coeff")),
+], ids=["unknown input", "unknown output", "degree true", "degree 1.7",
+        "arity true", "no label", "no degree", "no arity", "no in", "no out",
+        "no coeff"])
+def test_malformed_algebra_description_is_refused(mutate):
+    algebra_from_json(_doc())  # the unmutated description loads
+    doc = _doc()
+    mutate(doc)
+    with pytest.raises(ValueError):
+        algebra_from_json(doc)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: builtin_algebra("nosuch", Q),
+    lambda: builtin_base("nosuch", Q),
+], ids=["algebra", "base"])
+def test_unknown_builtin_name_is_refused(build):
+    with pytest.raises(ValueError, match="nosuch"):
+        build()
