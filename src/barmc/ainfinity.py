@@ -138,6 +138,8 @@ class AInfAlgebra:
 
     def _check_degrees(self):
         for n, table in self.m.entries.items():
+            if n < 1:
+                raise ValueError("operation of arity %d; arities start at 1" % n)
             if n > self.arity_bound:
                 raise ValueError("operation of arity %d above the declared bound" % n)
             for args, vec in table.items():
@@ -313,17 +315,15 @@ def suspension_exponent(degrees):
 
 def b_from_m(A):
     """The coderivation components b_n on A[1] from the operations m_n."""
-    out = StructureMaps()
-    for n, table in A.m.entries.items():
-        for args, vec in table.items():
-            degs = [A.deg(a) for a in args]
-            sign = A.field.sign(suspension_exponent(degs))
-            out.set(n, args, vec_scale(vec, sign))
-    return out
+    return m_from_b(A.space, A.field, A.m)
 
 
 def m_from_b(space, field, b):
-    """Inverse of b_from_m; labels keep their unshifted degrees in space."""
+    """Inverse of b_from_m; labels keep their unshifted degrees in space.
+
+    The suspension sign depends only on the input degrees, so the same
+    rescaling goes both ways.
+    """
     out = StructureMaps()
     for n, table in b.entries.items():
         for args, vec in table.items():
@@ -404,6 +404,36 @@ def _compositions(n, s):
             yield (first,) + rest
 
 
+def _block_terms(f, args, arities):
+    """The terms f_{i_1} x ... x f_{i_s} on args, one per split into blocks.
+
+    s runs over the listed arities (ascending) and the blocks of sizes
+    i_1..i_s over the compositions of n.  A split is skipped as soon as
+    one of its pieces vanishes; the surviving ones come with the Koszul
+    exponent of evaluating the tensor of the f's on their blocks.
+    Yields (blocks, exponent, pieces).
+    """
+    n = len(args)
+    degs = [f.source.deg(a) for a in args]
+    for s in arities:
+        if s > n:
+            break
+        for blocks in _compositions(n, s):
+            pieces = []
+            block_degs = []
+            pos = 0
+            for i in blocks:
+                piece = f.eval_f(args[pos:pos + i])
+                if not piece:
+                    break
+                pieces.append(piece)
+                block_degs.append(sum(degs[pos:pos + i]))
+                pos += i
+            else:
+                op_parities = [(1 - i) % 2 for i in blocks]
+                yield blocks, tensor_block_exponent(op_parities, block_degs), pieces
+
+
 def morphism_residual(f, args):
     """Difference of the two sides of the n-th morphism identity.
 
@@ -414,48 +444,28 @@ def morphism_residual(f, args):
     Right side: sum (-1)^(r + st + s) f_{r+1+t} (1^r x m_s x 1^t).
     """
     A1, A2 = f.source, f.target
+    args = tuple(args)
     n = len(args)
-    degs = [A1.deg(a) for a in args]
     out = {}
-    for s in range(1, n + 1):
-        if s > A2.arity_bound:
-            continue
-        for blocks in _compositions(n, s):
-            printed = sum((s - 1 - j) * blocks[j] for j in range(s - 1)) + s * (s + 1) // 2
-            op_parities = [(1 - i) % 2 for i in blocks]
-            block_degs = []
-            pos = 0
-            for i in blocks:
-                block_degs.append(sum(degs[pos:pos + i]))
-                pos += i
-            exponent = printed + tensor_block_exponent(op_parities, block_degs)
-            sign = A1.field.sign(exponent)
-            pos = 0
-            pieces = []
-            for i in blocks:
-                piece = f.eval_f(tuple(args[pos:pos + i]))
-                pos += i
-                if not piece:
-                    pieces = None
-                    break
-                pieces.append(piece)
-            if pieces is None:
-                continue
-            vec_add(out, A2.eval_m_vectors(pieces), sign)
-    for s in range(1, n + 1):
-        if s > A1.arity_bound and s < n:
-            continue
+    for blocks, exponent, pieces in _block_terms(f, args, A2.m.arities()):
+        s = len(blocks)
+        printed = sum((s - 1 - j) * blocks[j] for j in range(s - 1)) + s * (s + 1) // 2
+        vec_add(out, A2.eval_m_vectors(pieces), A1.field.sign(printed + exponent))
+    degs = [A1.deg(a) for a in args]
+    for s in A1.m.arities():
+        if s > n:
+            break
         for r in range(0, n - s + 1):
             t = n - s - r
             if r + 1 + t > f.arity_bound:
                 continue
-            inner = A1.eval_m(tuple(args[r:r + s]))
+            inner = A1.eval_m(args[r:r + s])
             if not inner:
                 continue
             exponent = r + s * t + s + koszul_pass_exponent(s, degs[:r])
             sign = A1.field.sign(exponent)
             for lbl, c in inner.items():
-                piece = f.eval_f(tuple(args[:r]) + (lbl,) + tuple(args[r + s:]))
+                piece = f.eval_f(args[:r] + (lbl,) + args[r + s:])
                 if piece:
                     vec_add(out, piece, -sign * c)
     return vec_clean(out)
@@ -512,34 +522,11 @@ def compose_morphisms(g, f, arity_bound=None):
     A1 = f.source
     for n in range(1, bound + 1):
         for args in iter_product(A1.space.labels, repeat=n):
-            degs = [A1.deg(a) for a in args]
             acc = {}
-            for s in range(1, n + 1):
-                for blocks in _compositions(n, s):
-                    op_parities = [(1 - i) % 2 for i in blocks]
-                    block_degs = []
-                    pos = 0
-                    for i in blocks:
-                        block_degs.append(sum(degs[pos:pos + i]))
-                        pos += i
-                    sign = A1.field.sign(tensor_block_exponent(op_parities, block_degs))
-                    pos = 0
-                    pieces = []
-                    for i in blocks:
-                        piece = f.eval_f(tuple(args[pos:pos + i]))
-                        pos += i
-                        if not piece:
-                            pieces = None
-                            break
-                        pieces.append(piece)
-                    if pieces is None:
-                        continue
-                    gs = g.f.entries.get(s, {})
-                    if not gs:
-                        continue
-                    out = {}
-                    _expand(pieces, 0, (), A1.field.one, gs, out)
-                    vec_add(acc, out, sign)
+            for blocks, exponent, pieces in _block_terms(f, args, g.f.arities()):
+                out = {}
+                _expand(pieces, 0, (), A1.field.one, g.f.entries[len(blocks)], out)
+                vec_add(acc, out, A1.field.sign(exponent))
             if vec_clean(acc):
                 comps.set(n, args, acc)
     return AInfMorphism(f.source, g.target, comps, arity_bound=bound,
@@ -606,7 +593,6 @@ def tensor_with_dg(A, C):
             basis.append((tensor_label(a, c), A.deg(a) + C.deg(c)))
     space = GradedSpace(basis)
     ops = StructureMaps()
-    one = field.one
     # differential
     for a in A.space.labels:
         for c in C.space.labels:
@@ -626,21 +612,11 @@ def tensor_with_dg(A, C):
         if n < 2:
             continue
         for a_args, a_vec in table.items():
+            a_degs = [A.deg(a) for a in a_args]
             for c_args in iter_product(c_labels, repeat=n):
-                prod = _c_product(C, c_args)
-                if not prod:
-                    continue
-                exponent = 0
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        exponent += A.deg(a_args[j]) * C.deg(c_args[i])
-                sign = field.sign(exponent)
-                args = tuple(tensor_label(a, c) for a, c in zip(a_args, c_args))
-                vec = {}
-                for out_a, ca in a_vec.items():
-                    for out_c, cc in prod.items():
-                        vec_add(vec, {tensor_label(out_a, out_c): sign * ca * cc})
-                if vec_clean(vec):
+                vec = _regrouped(a_vec, a_degs, C, c_args)
+                if vec:
+                    args = tuple(tensor_label(a, c) for a, c in zip(a_args, c_args))
                     ops.add(n, args, vec)
     unit = None
     aug = None
@@ -653,17 +629,29 @@ def tensor_with_dg(A, C):
                        complete_to_arity=A.complete_to_arity)
 
 
-def _c_product(C, c_args):
-    """Left-to-right product of basis elements of C."""
-    acc = {c_args[0]: C.field.one}
+def _regrouped(a_vec, a_degs, C, c_args):
+    """a_vec x c_1 ... c_n with the sign of regrouping A x C factors.
+
+    Gathering (a_1 x c_1) ... (a_n x c_n) into (a_1 ... a_n) x (c_1 ... c_n)
+    moves each c_i past the later a_j, which costs
+    sum_{i<j} deg(a_j) deg(c_i); a_vec is the value on a_1 .. a_n of
+    whatever map acts on the A-factors, and the C-factors multiply
+    left to right.  Returns {} when the product in C vanishes.
+    """
+    prod = {c_args[0]: C.field.one}
     for c in c_args[1:]:
         nxt = {}
-        for lbl, coeff in acc.items():
+        for lbl, coeff in prod.items():
             vec_add(nxt, C.m.get(2, (lbl, c)), coeff)
-        acc = vec_clean(nxt)
-        if not acc:
+        prod = vec_clean(nxt)
+        if not prod:
             return {}
-    return acc
+    sign = C.field.sign(tensor_block_exponent(a_degs, [C.deg(c) for c in c_args]))
+    out = {}
+    for out_a, ca in a_vec.items():
+        for out_c, cc in prod.items():
+            vec_add(out, {tensor_label(out_a, out_c): sign * ca * cc})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -696,7 +684,6 @@ def cohomology_algebra(A):
     no operations above arity 2.
     """
     cx = A.complex()
-    field = A.field
     cohs = {}
     reps = {}
     labels = []
@@ -720,7 +707,7 @@ def cohomology_algebra(A):
             if prod:
                 h = cohs.get(d)
                 if h is None:
-                    if not _class_is_zero_in(cx, d, prod):
+                    if not cx.cohomology(d).class_is_zero(prod):
                         raise ValueError("product escapes the computed cohomology")
                 else:
                     for pos, c in h.project(prod).items():
@@ -732,18 +719,10 @@ def cohomology_algebra(A):
             for lx, vx in reps.items():
                 for prod in (A.eval_m_vectors([b, vx]), A.eval_m_vectors([vx, b])):
                     dd = A.space.degree_of_vec(prod)
-                    if dd is None:
-                        continue
-                    hh = cohs.get(dd)
-                    if hh is not None and not hh.class_is_zero(prod):
-                        raise ValueError("a boundary multiplies to a nonzero class")
-                    if hh is None and not _class_is_zero_in(cx, dd, prod):
+                    # cohs holds the same memoised objects as cx.cohomology
+                    if dd is not None and not cx.cohomology(dd).class_is_zero(prod):
                         raise ValueError("a boundary multiplies to a nonzero class")
     return CohomologyAlgebra(hspace, product, reps, cohs)
-
-
-def _class_is_zero_in(cx, degree, v):
-    return cx.cohomology(degree).class_is_zero(v)
 
 
 def degree_certified_arity_bound(A, cap=64):

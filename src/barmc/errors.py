@@ -1,8 +1,8 @@
 """Shared exception types.
 
 HypothesisNotMet separates "the theorem's hypotheses do not hold here,
-so the engine refuses to compute" from genuine mathematical failure;
-the command line maps it to its own exit status.
+so the engine refuses to compute" from MathCheckFailure, a genuine
+mathematical failure: an identity the engine verified came out false.
 """
 
 

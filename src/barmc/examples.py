@@ -15,7 +15,6 @@ from itertools import combinations, product
 
 from .ainfinity import AInfAlgebra, StructureMaps, tensor_with_dg, unitize
 from .artin import (
-    ArtinianDGAlgebra,
     fiber_product,
     square_zero,
     truncated_polynomial,

@@ -510,8 +510,7 @@ class Cohomology:
         d_i, src, _ = cx.matrix_of_d(i)
         e = d_i.row_reduce()
         kernel = e.kernel_basis()  # vectors over positions in src
-        d_prev, src_prev, dst_prev = cx.matrix_of_d(i - 1)
-        idx = {lbl: j for j, lbl in enumerate(src)}
+        d_prev, _, dst_prev = cx.matrix_of_d(i - 1)
         boundaries = []
         ep = d_prev.row_reduce()
         for col in ep.image_basis():

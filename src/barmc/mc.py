@@ -20,6 +20,7 @@ from itertools import product as iter_product
 from random import Random
 
 from .ainfinity import (
+    _regrouped,
     check_ainf_morphism,
     check_strict_unital_morphism,
     tensor_label,
@@ -261,7 +262,6 @@ class HomComplex:
 
     def gauge_image(self):
         """Image of m_1^{alpha,beta} on the degree -1 part of A x m."""
-        one = self.field.one
         vecs = [self.complex.d.get(l, {})
                 for l in self.setup.ideal_labels_of_degree(-1)]
         return Subspace([v for v in vecs if v], self.field)
@@ -781,41 +781,22 @@ def lift_mc(A, R, alpha0, seed=1):
 def _eval_f_tensor(f, R, vecs):
     """(f_n x mu_R)(v_1, .., v_n) with the tensor Koszul sign.
 
-    Same regrouping exponent as the tensor-algebra operations: moving
-    each R-factor past the later A-factors costs deg_A * deg_R.
+    The regrouping is the tensor-algebra one (ainfinity._regrouped),
+    with f_n in place of m_n on the A-factors.
     """
-    n = len(vecs)
     field = f.source.field
     out = {}
     for combo in iter_product(*[sorted(v.items(), key=lambda kv: repr(kv[0]))
                                 for v in vecs]):
-        labels = [l for l, _ in combo]
         coeff = field.one
         for _, c in combo:
             coeff = coeff * c
-        a_args = tuple(a for a, _ in labels)
-        r_args = [r for _, r in labels]
+        a_args = tuple(a for (a, _), _ in combo)
         fvec = f.eval_f(a_args)
-        if not fvec:
-            continue
-        rprod = {r_args[0]: field.one}
-        for r in r_args[1:]:
-            nxt = {}
-            for lbl, c in rprod.items():
-                vec_add(nxt, R.algebra.m.get(2, (lbl, r)), c)
-            rprod = vec_clean(nxt)
-            if not rprod:
-                break
-        if not rprod:
-            continue
-        exponent = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                exponent += f.source.deg(a_args[j]) * R.deg(r_args[i])
-        sign = field.sign(exponent)
-        for out_a, ca in fvec.items():
-            for out_r, cr in rprod.items():
-                vec_add(out, {(out_a, out_r): sign * coeff * ca * cr})
+        if fvec:
+            vec_add(out, _regrouped(fvec, [f.source.deg(a) for a in a_args],
+                                    R.algebra, [r for (_, r), _ in combo]),
+                    coeff)
     return vec_clean(out)
 
 
@@ -925,7 +906,6 @@ def invariance_check(f, R, cap=ENUMERATION_CAP, morphism_check_arity=3):
     setup1 = DeformationSetup(f.source, R)
     setup2 = DeformationSetup(f.target, R)
     mc1 = setup1.enumerate_mc(cap)
-    mc2 = setup2.enumerate_mc(cap)
     g1 = MCGroupoid(setup1)
     g2 = MCGroupoid(setup2)
     problems = []

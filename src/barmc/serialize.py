@@ -1,13 +1,13 @@
 """Canonical JSON descriptions of algebras, elements, and reports.
 
-One description format serves inline scenario input, the `emit`
-round-trip, and the golden files: UTF-8 JSON with every coefficient an
-exact decimal string ("2", "11/3", "-41/9"), basis entries in the
-space's own label order, operations sorted by arity and then by the
-printed input tuple.  Serializing the same object twice yields the
-same bytes; that is what the determinism contract of the command line
-rests on, so nothing here may iterate over an unordered container
-without sorting.
+One description format serves algebras, deformation elements and
+sparse vectors: UTF-8 JSON with every coefficient an exact decimal string
+("2", "11/3", "-41/9"), basis entries in the space's own label order,
+operations sorted by arity and then by the printed input tuple.
+Serializing the same object twice yields the same bytes, so nothing
+here may iterate over an unordered container without sorting.
+Loading a description validates it as the engine would: malformed or
+inconsistent input raises ValueError naming the offending entry.
 
 Labels are strings in user input, but internally produced labels
 (tensor factors, named cohomology classes) are nested tuples of
@@ -45,7 +45,7 @@ def field_from_json(doc):
 
 
 def parse_field_name(text):
-    """Command-line field grammar: Q, or F followed by a prime."""
+    """The short field names: Q, or F followed by a prime."""
     if text == "Q":
         return Field.rationals()
     if text.startswith("F") and text[1:].isdigit():
@@ -176,13 +176,15 @@ def algebra_from_json(doc):
         m.set(n, args, vec_clean(vec))
     unit = doc.get("unit")
     aug = doc.get("aug")
-    return AInfAlgebra(
+    A = AInfAlgebra(
         space, field, m,
         arity_bound=doc.get("arity_bound"),
         unit=label_from_json(unit) if unit is not None else None,
         aug_label=label_from_json(aug) if aug is not None else None,
         complete_to_arity=doc.get("complete_to_arity"),
     )
+    A.complex()  # refuses m_1 m_1 != 0, naming the basis element
+    return A
 
 
 def _fields(entry, keys, what):

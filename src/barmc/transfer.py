@@ -3,15 +3,15 @@
 The builder does not carry a sign table of its own.  At each arity
 the morphism identity for (f_1, ..., f_{n-1}) and the operations
 found so far has exactly two unknown terms left, m_1 f_n on one side
-and f_1 m_n on the other; every other term is a number already.  The
-identity therefore hands us one known vector W_n per argument tuple,
-with d f_n + (-1)^n i m_n = W_n, and the splitting takes it apart:
-m_n is (-1)^n p W_n and f_n is h W_n.  Every sign that enters is the
-sign printed in the identity being solved, read off the same residual
-formula the checker uses, so there is no convention left to get
-wrong; and the result is still not trusted, since the assembled model
-and morphism are replayed through the axiom checkers before being
-returned.
+and f_1 m_n on the other; every other term is a number already.  So
+ainfinity.morphism_residual, evaluated on the model and the morphism
+as far as they are built, hands us one known vector W_n per argument
+tuple, with d f_n + (-1)^n i m_n = W_n, and the splitting takes it
+apart: m_n is (-1)^n p W_n and f_n is h W_n.  Every sign that enters
+is the one morphism_residual prints, the function the checker replays
+too, so there is no convention here to get wrong; and the result is
+still not trusted, since the assembled model and morphism are
+replayed through the axiom checkers before being returned.
 
 The splitting itself is elementary linear algebra, done degree by
 degree through the canonical echelon solvers: representatives for
@@ -33,6 +33,7 @@ from .ainfinity import (
     check_ainf_morphism,
     check_strict_unit,
     degree_certified_arity_bound,
+    morphism_residual,
 )
 from .errors import MathCheckFailure
 from .linalg import (
@@ -285,16 +286,13 @@ def minimal_model(C, arity_max, splitting=None):
     The recursion solves the morphism identity arity by arity.  With
     everything below arity n in hand, the identity on a tuple leaves
     d f_n on the product side and (-1)^n i m_n on the insertion side;
-    the remaining terms form a known vector
-
-        W_n = sum (-1)^(a+1+(1-b) deg-prefix) m_2^C(f_a x f_b)
-            - sum (-1)^(r+st+s+s deg-prefix) f_{r+1+t}(1^r x m_s x 1^t),
-
-    and the splitting disassembles it: m_n = (-1)^n p W_n and
-    f_n = h W_n.  The homotopy identity is what makes this choice
-    close the recursion, and the axiom checkers replay the result
-    before it is returned, so a discrepancy anywhere raises instead
-    of propagating.
+    the remaining terms form a known vector W_n, which is
+    morphism_residual of the partial (A, f) because f_n and m_n are
+    still absent there.  The splitting disassembles it:
+    m_n = (-1)^n p W_n and f_n = h W_n.  The homotopy identity is
+    what makes this choice close the recursion, and the axiom checkers
+    replay the result before it is returned, so a discrepancy anywhere
+    raises instead of propagating.
     """
     if arity_max < 2:
         raise ValueError("arity_max must be at least 2, got %d" % (arity_max,))
@@ -312,32 +310,12 @@ def minimal_model(C, arity_max, splitting=None):
         iv = t.i.get(x, {})
         if iv:
             comps.set(1, (x,), dict(iv))
+    # the model and the morphism as found so far; both grow in place
+    partial = AInfMorphism(AInfAlgebra(H, field, mops, arity_bound=arity_max),
+                           C, comps, arity_bound=arity_max)
     for n in range(2, arity_max + 1):
         for args in iter_product(H.labels, repeat=n):
-            degs = [H.degree[a] for a in args]
-            w = {}
-            for a in range(1, n):
-                fa = comps.get(a, args[:a])
-                fb = comps.get(n - a, args[a:])
-                if not fa or not fb:
-                    continue
-                exponent = a + 1 + (1 - (n - a)) * sum(degs[:a])
-                vec_add(w, C.eval_m_vectors([fa, fb]),
-                        field.sign(exponent))
-            for s in range(2, n):
-                for r in range(0, n - s + 1):
-                    inner = mops.get(s, args[r:r + s])
-                    if not inner:
-                        continue
-                    exponent = r + s * (n - s - r) + s + s * sum(degs[:r])
-                    sign = field.sign(exponent)
-                    for lbl, c in inner.items():
-                        piece = comps.get(
-                            n - s + 1,
-                            args[:r] + (lbl,) + args[r + s:])
-                        if piece:
-                            vec_add(w, piece, -sign * c)
-            w = vec_clean(w)
+            w = morphism_residual(partial, args)
             if not w:
                 continue
             pw = t.apply_p(w)

@@ -857,36 +857,7 @@ def prorep_compare(A, R, N, cap=ENUMERATION_CAP):
     bijection: constant on gauge classes, landing in the enumerated
     map set, injective across classes, and exhaustive.
     """
-    probe = _comparison_gates(A, R, N, commutative_required=True)
-    pres = H0Presentation(A, N, rep=probe.cohomology)
-    maps = algebra_maps(pres, R)
-    keys = [tuple(_vec_key(w) for w in t) for t in maps]
-    index_of = {k: i for i, k in enumerate(keys)}
-    setup = DeformationSetup(A, R)
-    classes = pi0(A, R, cap)
-    problems = []
-    matching = {}
-    for ci, cls in enumerate(classes.classes):
-        images = [induced_map(setup, pres, alpha) for alpha in cls]
-        image_keys = {tuple(_vec_key(w) for w in t) for t in images}
-        if len(image_keys) != 1:
-            problems.append("class %d maps to %d distinct algebra maps"
-                            % (ci, len(image_keys)))
-            continue
-        k = image_keys.pop()
-        if k not in index_of:
-            problems.append("class %d maps outside the enumerated Hom set"
-                            % ci)
-            continue
-        matching[ci] = index_of[k]
-    if len(set(matching.values())) != len(matching):
-        problems.append("induced maps collide across gauge classes")
-    if len(maps) != classes.count:
-        problems.append("counts disagree: %d maps, %d classes"
-                        % (len(maps), classes.count))
-    ok = not problems and len(matching) == classes.count
-    return ProrepReport(len(maps), classes.count, ok, problems, maps,
-                        classes, matching, N, pres)
+    return _compare(A, R, N, cap, conjugation=False)
 
 
 def prorep_compare_noncomm(A, R, N, cap=ENUMERATION_CAP):
@@ -896,12 +867,26 @@ def prorep_compare_noncomm(A, R, N, cap=ENUMERATION_CAP):
     over a commutative base every orbit is a singleton and this
     reduces to the plain comparison.
     """
-    probe = _comparison_gates(A, R, N, commutative_required=False)
+    return _compare(A, R, N, cap, conjugation=True)
+
+
+def _compare(A, R, N, cap, conjugation):
+    """Match gauge classes with orbits of algebra maps.
+
+    Without conjugation every algebra map is its own orbit and the
+    units of R are never enumerated.
+    """
+    probe = _comparison_gates(A, R, N, commutative_required=not conjugation)
     pres = H0Presentation(A, N, rep=probe.cohomology)
     maps = algebra_maps(pres, R)
-    orbits, orbit_of = conjugation_orbits(R, maps)
-    keys = [tuple(_vec_key(w) for w in t) for t in maps]
-    index_of = {k: i for i, k in enumerate(keys)}
+    if conjugation:
+        orbits, orbit_of = conjugation_orbits(R, maps)
+        what = "conjugation orbits"
+    else:
+        orbits = [[i] for i in range(len(maps))]
+        orbit_of = list(range(len(maps)))
+        what = "algebra maps"
+    index_of = {tuple(_vec_key(w) for w in t): i for i, t in enumerate(maps)}
     setup = DeformationSetup(A, R)
     classes = pi0(A, R, cap)
     problems = []
@@ -918,15 +903,16 @@ def prorep_compare_noncomm(A, R, N, cap=ENUMERATION_CAP):
             hit.add(orbit_of[index_of[k]])
         else:
             if len(hit) != 1:
-                problems.append("class %d meets %d conjugation orbits"
-                                % (ci, len(hit)))
+                problems.append("class %d meets %d %s"
+                                % (ci, len(hit), what))
             else:
                 matching[ci] = hit.pop()
     if len(set(matching.values())) != len(matching):
-        problems.append("induced orbits collide across gauge classes")
+        problems.append("induced %s collide across gauge classes" % what)
     if len(orbits) != classes.count:
-        problems.append("counts disagree: %d orbits, %d classes"
-                        % (len(orbits), classes.count))
+        problems.append("counts disagree: %d %s, %d classes"
+                        % (len(orbits), what, classes.count))
     ok = not problems and len(matching) == classes.count
     return ProrepReport(len(orbits), classes.count, ok, problems, maps,
-                        classes, matching, N, pres, orbits=orbits)
+                        classes, matching, N, pres,
+                        orbits=orbits if conjugation else None)

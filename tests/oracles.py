@@ -18,6 +18,11 @@ in its own pass.
 
 ``universal_ops_oracle`` is the universal deformation's own insertion
 loop, from before it became a twisted module over S_N.
+
+``minimal_model_oracle`` is the transfer recursion with its own
+hand-written W_n, and ``eval_f_tensor_oracle`` the pushforward's own
+regrouping loop, both from before they called the shared morphism
+residual and tensor regrouping in ``ainfinity``.
 """
 
 from fractions import Fraction
@@ -26,7 +31,7 @@ from math import gcd
 
 from barmc.ainfinity import StructureMaps, tensor_label, tensor_with_dg
 from barmc.bar import dual_dg_algebra
-from barmc.linalg import Matrix, vec_add, vec_clean
+from barmc.linalg import Matrix, vec_add, vec_clean, vec_scale
 
 DENSE_CUTOFF = 64
 
@@ -403,3 +408,94 @@ def universal_ops_oracle(A, N):
                 if acc:
                     ops.set(n, (x,) + rest, acc)
     return ops
+
+
+def minimal_model_oracle(C, arity_max, t):
+    """(m, f) of the minimal model of C along the splitting t.
+
+    W_n collects the products m_2^C(f_a x f_b) and the insertions
+    f(1^r x m_s x 1^t) with the signs of the morphism identity written
+    out by hand; m_n = (-1)^n p W_n and f_n = h W_n.
+    """
+    field = C.field
+    H = t.space
+    mops = StructureMaps()
+    comps = StructureMaps()
+    for x in H.labels:
+        iv = t.i.get(x, {})
+        if iv:
+            comps.set(1, (x,), dict(iv))
+    for n in range(2, arity_max + 1):
+        for args in product(H.labels, repeat=n):
+            degs = [H.degree[a] for a in args]
+            w = {}
+            for a in range(1, n):
+                fa = comps.get(a, args[:a])
+                fb = comps.get(n - a, args[a:])
+                if not fa or not fb:
+                    continue
+                exponent = a + 1 + (1 - (n - a)) * sum(degs[:a])
+                vec_add(w, C.eval_m_vectors([fa, fb]), field.sign(exponent))
+            for s in range(2, n):
+                for r in range(0, n - s + 1):
+                    inner = mops.get(s, args[r:r + s])
+                    if not inner:
+                        continue
+                    exponent = r + s * (n - s - r) + s + s * sum(degs[:r])
+                    sign = field.sign(exponent)
+                    for lbl, c in inner.items():
+                        piece = comps.get(
+                            n - s + 1, args[:r] + (lbl,) + args[r + s:])
+                        if piece:
+                            vec_add(w, piece, -sign * c)
+            w = vec_clean(w)
+            if not w:
+                continue
+            pw = t.apply_p(w)
+            if pw:
+                mops.set(n, args, vec_scale(pw, field.sign(n)))
+            hw = t.apply_h(w)
+            if hw:
+                comps.set(n, args, hw)
+    return mops, comps
+
+
+def eval_f_tensor_oracle(f, R, vecs):
+    """(f_n x mu_R)(v_1, .., v_n) on A x R.
+
+    The R-factors multiply left to right, and moving each R-factor past
+    the later A-factors costs deg_A * deg_R.
+    """
+    n = len(vecs)
+    field = f.source.field
+    out = {}
+    for combo in product(*[sorted(v.items(), key=lambda kv: repr(kv[0]))
+                           for v in vecs]):
+        labels = [l for l, _ in combo]
+        coeff = field.one
+        for _, c in combo:
+            coeff = coeff * c
+        a_args = tuple(a for a, _ in labels)
+        r_args = [r for _, r in labels]
+        fvec = f.eval_f(a_args)
+        if not fvec:
+            continue
+        rprod = {r_args[0]: field.one}
+        for r in r_args[1:]:
+            nxt = {}
+            for lbl, c in rprod.items():
+                vec_add(nxt, R.algebra.m.get(2, (lbl, r)), c)
+            rprod = vec_clean(nxt)
+            if not rprod:
+                break
+        if not rprod:
+            continue
+        exponent = 0
+        for i in range(n):
+            for j in range(i + 1, n):
+                exponent += f.source.deg(a_args[j]) * R.deg(r_args[i])
+        sign = field.sign(exponent)
+        for out_a, ca in fvec.items():
+            for out_r, cr in rprod.items():
+                vec_add(out, {(out_a, out_r): sign * coeff * ca * cr})
+    return vec_clean(out)

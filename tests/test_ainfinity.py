@@ -42,8 +42,10 @@ from barmc.examples import (
     xy_bare,
 )
 from barmc.artin import truncated_polynomial
+from barmc.bar import dual_dg_algebra
 from barmc.linalg import GradedSpace
 from barmc.scalars import Field
+from barmc.transfer import minimal_model
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -225,6 +227,16 @@ def test_compose_morphisms_identity_absorbs():
     i = identity_morphism(A)
     c = compose_morphisms(i, i)
     assert c.f.entries == i.f.entries
+    # id o f = f o id = f for comparison morphisms with f_2 != 0
+    for field in (F2, F3, Q):
+        for B in (kpoints(field, 2), xy(field)):
+            _, f = minimal_model(dual_dg_algebra(B, 2).algebra, 3)
+            assert 2 in f.f.arities()
+            n = f.arity_bound
+            for g, h in ((identity_morphism(f.target), f),
+                         (f, identity_morphism(f.source))):
+                assert compose_morphisms(g, h, arity_bound=n).f.entries \
+                    == f.f.entries
 
 
 def test_strict_unital_morphism_check():

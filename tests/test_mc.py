@@ -19,8 +19,9 @@ from barmc.ainfinity import (
 )
 from barmc.artin import square_zero, truncated_polynomial
 from barmc.errors import HypothesisNotMet, MathCheckFailure
-from barmc.examples import golden_dg_pair, kpoints, njac, xy
+from barmc.examples import golden_dg_pair, kpoints, njac, random_instance, xy
 from barmc.linalg import GradedSpace, vec_add, vec_clean, vec_eq, vec_sub
+import barmc.mc as mc_module
 from barmc.mc import (
     DeformationSetup,
     HomComplex,
@@ -41,6 +42,8 @@ from barmc.mc import (
     pushforward_morphism,
 )
 from barmc.scalars import Field
+from barmc.transfer import minimal_model
+from oracles import eval_f_tensor_oracle
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -814,6 +817,73 @@ def test_pushforward_morphism_respects_composition():
     comp = groupoid.compose(g1, g2)
     pushed = pushforward_morphism(f, R, a, a, comp.vector())
     assert groupoid.hom(a, a).classify(pushed) == comp
+
+
+def _pushforward_cases():
+    """(f, R) pairs of the pushforward tests, minimal models included."""
+    cases = [(identity_morphism(xy(F2)), truncated_polynomial(F2, 3)),
+             (identity_morphism(pq_algebra(F2)), truncated_polynomial(F2, 3))]
+    for field in (F2, F3):
+        cases.append((cone_inclusion(xy(field), golden_dg_pair(field)[0]),
+                      truncated_polynomial(field, 3)))
+    cases.append((cone_inclusion(kpoints(F2, 1), golden_dg_pair(F2)[1]),
+                  truncated_polynomial(F2, 3)))
+    for C in golden_dg_pair(F2):
+        cases.append((minimal_model(C, 4)[1], truncated_polynomial(F2, 3)))
+    # f_2, f_3 and f_4 are nonzero here, and m^3 = 0 lets f_2 contribute
+    cases.append((minimal_model(random_instance(F3, 1)[0], 4)[1],
+                  truncated_polynomial(F3, 3)))
+    return cases
+
+
+def test_eval_f_tensor_matches_the_regrouping_oracle(monkeypatch):
+    """Every f x mu_R evaluation of the pushforwards equals the old loop."""
+    calls = []
+    real = mc_module._eval_f_tensor
+
+    def spy(f, R, vecs):
+        out = real(f, R, vecs)
+        calls.append((f, R, vecs, out))
+        return out
+
+    monkeypatch.setattr(mc_module, "_eval_f_tensor", spy)
+    for f, R in _pushforward_cases():
+        setup = DeformationSetup(f.source, R)
+        groupoid = MCGroupoid(setup)
+        elements = setup.enumerate_mc()
+        for a in elements:
+            pushforward_mc(f, R, a)
+        for a in elements[:4]:
+            for b in elements[:4]:
+                for orb in groupoid.hom(a, b).orbits():
+                    pushforward_morphism(f, R, a, b, orb.vector())
+    assert any(f.arity_bound > 1 and len(vecs) > 1 and out
+               for f, _, vecs, out in calls)
+    for f, R, vecs, out in calls:
+        assert list(out.items()) == \
+            list(eval_f_tensor_oracle(f, R, vecs).items())
+
+
+@pytest.mark.parametrize("field", [F3, Q], ids=str)
+def test_eval_f_tensor_matches_the_regrouping_oracle_on_a_graded_base(field):
+    """The same on basis tuples over k[t]/t^3 with deg t = -1.
+
+    The bases of the pushforward tests sit in degree 0, where the
+    regrouping sign is always +1; here it is not.
+    """
+    _, f = minimal_model(random_instance(field, 1)[0], 4)
+    R = truncated_polynomial(field, 3, deg=-1)
+    labels = [(a, r) for a in f.source.space.labels
+              for r in R.algebra.space.labels]
+    hits = 0
+    for n in (2, 3):
+        for args in iter_product(labels, repeat=n):
+            vecs = [{l: field(2)} for l in args]
+            out = mc_module._eval_f_tensor(f, R, vecs)
+            assert list(out.items()) == \
+                list(eval_f_tensor_oracle(f, R, vecs).items())
+            hits += bool(out)
+    assert hits
 
 
 def test_invariance_identity():

@@ -1,5 +1,6 @@
-"""Package metadata that pytest would otherwise never touch."""
+"""Package metadata and source hygiene that pytest would otherwise never touch."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -11,6 +12,7 @@ tomllib = pytest.importorskip("tomllib")
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
 TRACER = ROOT / "bench" / "tracer.py"
+SOURCES = sorted((ROOT / "src" / "barmc").glob("*.py"))
 
 
 def test_every_console_script_target_imports():
@@ -33,3 +35,62 @@ def test_every_benchmark_tracer_hook_resolves():
     for dotted in tracer.HOOKS:
         owner, name = tracer.resolve(dotted)
         assert callable(getattr(owner, name)), dotted
+
+
+def _unread_locals(fn):
+    """Names a function assigns in its own scope and never reads.
+
+    Reads inside nested functions count, since closures see the
+    enclosing locals; global and nonlocal declarations count as reads.
+    """
+    stores, loads = {}, set()
+
+    def visit(node, own):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name):
+                if isinstance(child.ctx, ast.Load):
+                    loads.add(child.id)
+                elif own:
+                    stores.setdefault(child.id, child.lineno)
+            elif isinstance(child, (ast.Global, ast.Nonlocal)):
+                loads.update(child.names)
+            nested = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                        ast.Lambda, ast.ClassDef))
+            visit(child, own and not nested)
+
+    visit(fn, True)
+    return [(line, name) for name, line in stores.items()
+            if name not in loads and not name.startswith("_")]
+
+
+def _dead_names(path):
+    tree = ast.parse(path.read_text(), str(path))
+    loads = {n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in loads | exported and not name.startswith("_"):
+                    found.append("%s:%d unused import %s"
+                                 % (path.name, node.lineno, name))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for line, name in _unread_locals(node):
+                found.append("%s:%d local %s of %s is never read"
+                             % (path.name, line, name, node.name))
+    return found
+
+
+def test_sources_have_no_unused_imports_or_unread_locals():
+    """No linter ships with the toolchain; names starting with _ are exempt."""
+    assert SOURCES
+    found = [msg for path in SOURCES for msg in _dead_names(path)]
+    assert found == []

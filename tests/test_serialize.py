@@ -70,6 +70,17 @@ def _drop(path):
     return mutate
 
 
+def _extend(basis, ops):
+    def mutate(doc):
+        doc["basis"].extend(basis)
+        doc["ops"].extend(ops)
+    return mutate
+
+
+def _op(arity, ins, out):
+    return {"arity": arity, "in": ins, "out": [{"label": out, "coeff": "1"}]}
+
+
 @pytest.mark.parametrize("mutate", [
     _set(("ops", 0, "in"), ["x", "z"]),
     _set(("ops", 0, "out", 0, "label"), "z"),
@@ -84,14 +95,27 @@ def _drop(path):
     _drop(("ops", 0, "in")),
     _drop(("ops", 0, "out")),
     _drop(("ops", 0, "out", 0, "coeff")),
+    # m_0 = y would have the right degree 2, but arities start at 1
+    _extend([{"label": "y", "degree": 2}], [_op(0, [], "y")]),
+    # d(1) = x and d(x) = y, so d*d is nonzero on the basis element 1
+    _extend([{"label": "y", "degree": 2}],
+            [_op(1, ["1"], "x"), _op(1, ["x"], "y")]),
 ], ids=["unknown input", "unknown output", "degree true", "degree 1.7",
         "arity true", "no label", "no degree", "no arity", "no in", "no out",
-        "no coeff"])
+        "no coeff", "arity 0", "d squared nonzero"])
 def test_malformed_algebra_description_is_refused(mutate):
     algebra_from_json(_doc())  # the unmutated description loads
     doc = _doc()
     mutate(doc)
     with pytest.raises(ValueError):
+        algebra_from_json(doc)
+
+
+def test_nonzero_d_squared_names_its_witness():
+    doc = _doc()
+    _extend([{"label": "y", "degree": 2}],
+            [_op(1, ["1"], "x"), _op(1, ["x"], "y")])(doc)
+    with pytest.raises(ValueError, match="d\\*d is nonzero on basis element '1'"):
         algebra_from_json(doc)
 
 

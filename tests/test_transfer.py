@@ -35,12 +35,19 @@ from barmc.ainfinity import (
     morphism_residual,
 )
 from barmc.artin import truncated_polynomial
-from barmc.examples import acyclic_cone, golden_dg_pair, random_instance, xy
+from barmc.bar import dual_dg_algebra
+from barmc.examples import (
+    acyclic_cone,
+    golden_dg_pair,
+    kpoints,
+    random_instance,
+    xy,
+)
 from barmc.linalg import GradedSpace, vec_add, vec_clean
 from barmc.mc import DeformationSetup, invariance_check, pushforward_mc
 from barmc.scalars import Field
 from barmc.transfer import TransferData, build_splitting, minimal_model
-from oracles import cohomology_dims_oracle, dense_kernel
+from oracles import cohomology_dims_oracle, dense_kernel, minimal_model_oracle
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -403,6 +410,37 @@ def test_minimal_models_have_no_differential():
             M, f = minimal_model(C, 3)
             assert 1 not in M.m.arities(), tag
             assert check_ainf_morphism(f, 3), tag
+
+
+ORACLE_INPUTS = [
+    ("random(%s,%d)" % (key, seed),
+     lambda key=key, seed=seed: _dg_instance(_field_by_key(key), seed)[0])
+    for key, seeds in TREE_SEEDS.items() for seed in seeds
+] + [
+    ("dual(%s,2)" % name,
+     lambda A=A: dual_dg_algebra(A, 2).algebra)
+    for field in (F2, F3, Q)
+    for name, A in (("kpoints(%s,2)" % field, kpoints(field, 2)),
+                    ("xy(%s)" % field, xy(field)))
+]
+
+
+@pytest.mark.parametrize("make", [m for _, m in ORACLE_INPUTS],
+                         ids=[i for i, _ in ORACLE_INPUTS])
+def test_minimal_model_matches_the_recursion_oracle(make):
+    """The model built on morphism_residual is the hand-signed recursion.
+
+    The duals carry m_3, m_4 and f_2; the random inputs include ones
+    with f_2 through f_4 and, over Q, m_3 and m_4.
+    """
+    C = make()
+    t = build_splitting(C)
+    A, f = minimal_model(C, 4, splitting=t)
+    mops, comps = minimal_model_oracle(C, 4, t)
+    assert [(n, list(tb.items())) for n, tb in A.m.entries.items()] == \
+        [(n, list(tb.items())) for n, tb in mops.entries.items()]
+    assert [(n, list(tb.items())) for n, tb in f.f.entries.items()] == \
+        [(n, list(tb.items())) for n, tb in comps.entries.items()]
 
 
 def test_transferred_units_stay_strict():

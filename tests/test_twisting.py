@@ -730,14 +730,30 @@ def test_noncomm_matches_on_local_noncommutative_base():
     assert sorted(len(o) for o in rep.orbits) == [1, 1, 2, 2, 2]
 
 
-def test_noncomm_reduces_over_commutative_base():
-    A = njac(F2, 1)
-    R = truncated_polynomial(F2, 3)
-    plain = prorep_compare(A, R, 3)
-    twisted = prorep_compare_noncomm(A, R, 3)
-    assert twisted.ok
+# every commutative comparison of this module: (algebra, base, order)
+COMMUTATIVE_CASES = {
+    "njac1-t3-3": (lambda: njac(F2, 1), lambda: truncated_polynomial(F2, 3), 3),
+    "njac1-t1-1": (lambda: njac(F2, 1), lambda: truncated_polynomial(F2, 1), 1),
+    "kpoints2-t2-2": (lambda: kpoints(F2, 2),
+                      lambda: truncated_polynomial(F2, 2), 2),
+    "njac2-t2-2": (lambda: njac(F2, 2), lambda: truncated_polynomial(F2, 2), 2),
+    "njac2-t3-3": (lambda: njac(F2, 2), lambda: truncated_polynomial(F2, 3), 3),
+    "njac1-t3-4": (lambda: njac(F2, 1), lambda: truncated_polynomial(F2, 3), 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMMUTATIVE_CASES))
+def test_noncomm_reduces_over_commutative_base(case):
+    make_a, make_r, N = COMMUTATIVE_CASES[case]
+    A, R = make_a(), make_r()
+    plain = prorep_compare(A, R, N)
+    twisted = prorep_compare_noncomm(A, R, N)
+    assert twisted.ok and plain.ok
     assert (twisted.lhs, twisted.rhs) == (plain.lhs, plain.rhs)
-    assert all(len(o) == 1 for o in twisted.orbits)
+    assert twisted.maps == plain.maps
+    assert twisted.matching == plain.matching
+    assert twisted.orbits == [[i] for i in range(len(plain.maps))]
+    assert plain.orbits is None
 
 
 def test_noncomm_point_base_has_trivial_units():
