@@ -14,6 +14,15 @@ signs from scratch.
 Signs are computed as integer parities first and mapped into the
 ground field at the very end, so prime fields (including F_2) see the
 same bookkeeping as Q.
+
+stasheff_residual and morphism_residual evaluate an identity on one
+basis tuple.  The checkers do not call them tuple by tuple: the
+residuals are sums of composites of table entries (the b o b = 0 form
+of the identities; Stasheff 1963, Keller 2001), so check_ainf_axioms
+and check_ainf_morphism join the tables and visit only the tuples some
+composite produces.  The per-tuple functions name the witness of a
+failure, and replayed over every tuple they are the oracle the joins
+are tested against.
 """
 
 from itertools import product as iter_product
@@ -255,18 +264,95 @@ def stasheff_residual(A, args):
 def check_ainf_axioms(A, n_max):
     """Verify the Stasheff identities on all basis tuples of arity <= n_max.
 
-    Returns a CheckReport; on failure it carries the first offending
-    (n, basis tuple, residual vector).
+    The arity-n residual is a sum of composites m_k o_r m_s with
+    s + k = n + 1, so it is computed by a sparse join over the tables:
+    every entry of m_s meets the entries of m_k that hold one of its
+    output labels at slot r, and the product lands on the tuple it
+    comes from.  A tuple that no composite produces has no term, so
+    this covers exactly the tuples the replay of stasheff_residual over
+    all of them would, and it switches no tuple off.  Returns a
+    CheckReport; on failure it carries the first offending
+    (n, basis tuple, residual vector) in itertools.product order, the
+    residual taken from stasheff_residual on that tuple.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    labels = A.space.labels
-    for n in range(1, n_max + 1):
-        for args in iter_product(labels, repeat=n):
-            res = stasheff_residual(A, args)
-            if res:
-                return CheckReport(False, failure=(n, args, res), checked_to=n_max)
+    failure = _first_stasheff_failure(A, n_max, A.space.index, A.space.index)
+    if failure:
+        return CheckReport(False, failure=failure, checked_to=n_max)
     return CheckReport(True, checked_to=n_max)
+
+
+def _first_stasheff_failure(A, n_max, first_index, rest_index):
+    """(n, tuple, residual) of the first failing tuple, or None.
+
+    Only tuples whose first label is in first_index and whose other
+    labels are in rest_index count; they are ordered as
+    itertools.product orders them.
+    """
+    ops = _live_tables(A.m, A.arity_bound)
+    outer = _slot_index(ops, A.space.degree)
+    for n in range(1, n_max + 1):
+        acc = _insertion_join(ops, outer, n, A.field, 0)
+        args = _first_nonzero(acc, first_index, rest_index)
+        if args is not None:
+            return (n, args, stasheff_residual(A, args))
+    return None
+
+
+def _live_tables(maps, bound):
+    """The tables of arity 1..bound; evaluation ignores anything else."""
+    return {n: t for n, t in maps.entries.items() if 1 <= n <= bound and t}
+
+
+def _slot_index(tables, degree):
+    """arity k -> (slot r, label at r) -> [(args, vec, degree sum of args[:r])]."""
+    index = {}
+    for k, table in tables.items():
+        by_slot = index.setdefault(k, {})
+        for args, vec in table.items():
+            before = 0
+            for r, lbl in enumerate(args):
+                by_slot.setdefault((r, lbl), []).append((args, vec, before))
+                before += degree.get(lbl, 0)
+    return index
+
+
+def _insertion_join(inner, outer, n, field, shift):
+    """sum (-1)^(r + st + shift (s+1) + s deg(a_1..a_r)) outer(1^r x inner_s x 1^t).
+
+    Keyed by (the arity-n tuple each term is evaluated on, output
+    label); inner holds tables by arity and outer is a _slot_index.
+    With shift 0 this is the Stasheff sum; with shift 1 it is minus the
+    insertion side of the morphism identity, as morphism_residual
+    subtracts it.
+    """
+    acc = {}
+    signs = (field.one, -field.one)
+    for s, table in inner.items():
+        k = n + 1 - s
+        by_slot = outer.get(k)
+        if not by_slot:
+            continue
+        for in_args, in_vec in table.items():
+            for lbl, c in in_vec.items():
+                for r in range(k):
+                    base = r + s * (k - 1 - r) + shift * (s + 1)
+                    for out_args, out_vec, before in by_slot.get((r, lbl), ()):
+                        args = out_args[:r] + in_args + out_args[r + 1:]
+                        coeff = signs[(base + s * before) % 2] * c
+                        for o, v in out_vec.items():
+                            acc[args, o] = acc.get((args, o), 0) + coeff * v
+    return acc
+
+
+def _first_nonzero(acc, first_index, rest_index):
+    """The tuple with a nonzero entry in acc that itertools.product
+    reaches first, among those its two label indexes admit."""
+    found = [([first_index[a[0]]] + [rest_index[l] for l in a[1:]], a)
+             for (a, _), c in acc.items()
+             if c and a[0] in first_index and all(l in rest_index for l in a[1:])]
+    return min(found, default=(None, None))[1]
 
 
 def check_strict_unit(A):
@@ -434,6 +520,12 @@ def _block_terms(f, args, arities):
                 yield blocks, tensor_block_exponent(op_parities, block_degs), pieces
 
 
+def _printed_exponent(blocks):
+    """The printed exponent of the product side of morphism_residual."""
+    s = len(blocks)
+    return sum((s - 1 - j) * blocks[j] for j in range(s - 1)) + s * (s + 1) // 2
+
+
 def morphism_residual(f, args):
     """Difference of the two sides of the n-th morphism identity.
 
@@ -448,9 +540,8 @@ def morphism_residual(f, args):
     n = len(args)
     out = {}
     for blocks, exponent, pieces in _block_terms(f, args, A2.m.arities()):
-        s = len(blocks)
-        printed = sum((s - 1 - j) * blocks[j] for j in range(s - 1)) + s * (s + 1) // 2
-        vec_add(out, A2.eval_m_vectors(pieces), A1.field.sign(printed + exponent))
+        vec_add(out, A2.eval_m_vectors(pieces),
+                A1.field.sign(_printed_exponent(blocks) + exponent))
     degs = [A1.deg(a) for a in args]
     for s in A1.m.arities():
         if s > n:
@@ -474,24 +565,82 @@ def morphism_residual(f, args):
 def check_ainf_morphism(f, n_max):
     """Verify the morphism identities on all basis tuples of arity <= n_max.
 
-    Arities above the component bound of f are reported as unchecked
-    rather than failed.
+    Both sides are sparse joins over the tables, as in
+    check_ainf_axioms: f o (1^r x m_s x 1^t) joins the entries of m_s
+    with the f-entries that hold an output label at slot r, and
+    sum m_s(f_{i_1} x ... x f_{i_s}) joins each entry of m_s with the
+    f-entries whose outputs hold its inputs.  This covers exactly the
+    tuples the replay of morphism_residual over all of them would; the
+    first failing tuple in itertools.product order is reported with its
+    morphism_residual.  Arities above the component bound of f are
+    reported as unchecked rather than failed.
     """
     top = min(n_max, f.arity_bound)
     note = None
     if top < n_max:
         note = "arities %d..%d not checked (component bound %d)" % (
             top + 1, n_max, f.arity_bound)
+    A1 = f.source
+    inner = _live_tables(A1.m, A1.arity_bound)
+    comps = _live_tables(f.f, f.arity_bound)
+    ops = _live_tables(f.target.m, f.target.arity_bound)
+    outer = _slot_index(comps, A1.space.degree)
+    by_output = _output_index(comps, A1.space.degree)
+    index = A1.space.index
     for n in range(1, top + 1):
-        for args in iter_product(f.source.space.labels, repeat=n):
-            res = morphism_residual(f, args)
-            if res:
-                return CheckReport(False, failure=(n, args, res), checked_to=top, note=note)
+        acc = _insertion_join(inner, outer, n, A1.field, 1)
+        _block_join(ops, by_output, n, A1.field, acc)
+        args = _first_nonzero(acc, index, index)
+        if args is not None:
+            return CheckReport(False, failure=(n, args, morphism_residual(f, args)),
+                               checked_to=top, note=note)
     if f.strict_unital:
         rep = check_strict_unital_morphism(f)
         if not rep.ok:
             return rep
     return CheckReport(True, checked_to=top, note=note)
+
+
+def _output_index(comps, degree):
+    """output label -> arity i -> [(args, coefficient, degree sum of args)]."""
+    index = {}
+    for i, table in comps.items():
+        for args, vec in table.items():
+            total = sum(degree.get(a, 0) for a in args)
+            for lbl, c in vec.items():
+                index.setdefault(lbl, {}).setdefault(i, []).append((args, c, total))
+    return index
+
+
+def _block_join(ops, by_output, n, field, acc):
+    """Add sum m_s(f_{i_1} x ... x f_{i_s}) with the signs of morphism_residual.
+
+    Each entry m_s(b_1..b_s) meets, block by block, the f-entries of
+    arity i_j whose output holds b_j; the tuple is their inputs
+    concatenated.
+    """
+    for s, table in ops.items():
+        if s > n:
+            continue
+        for blocks in _compositions(n, s):
+            op_parities = [(1 - i) % 2 for i in blocks]
+            printed = _printed_exponent(blocks)
+            for m_args, m_vec in table.items():
+                choices = [by_output.get(b, {}).get(i)
+                           for b, i in zip(m_args, blocks)]
+                if not all(choices):
+                    continue
+                for combo in iter_product(*choices):
+                    args = ()
+                    coeff = field.one
+                    for f_args, c, _ in combo:
+                        args += f_args
+                        coeff = coeff * c
+                    exponent = printed + tensor_block_exponent(
+                        op_parities, [total for _, _, total in combo])
+                    coeff = field.sign(exponent) * coeff
+                    for o, v in m_vec.items():
+                        acc[args, o] = acc.get((args, o), 0) + coeff * v
 
 
 def check_strict_unital_morphism(f):

@@ -42,8 +42,12 @@ class ArtinianReport:
 def validate_artinian(A):
     """Check that an arity <= 2 algebra is augmented local artinian.
 
-    Returns an ArtinianReport; problems carry witness labels.  Nothing
-    raises here, so callers can surface all violations at once.
+    The associativity and Leibniz identities go through
+    check_ainf_axioms up to arity 3, a sparse join over the product and
+    differential tables that covers exactly the tuples a replay over
+    all basis triples would, and names the first failing one.  Returns
+    an ArtinianReport; problems carry witness labels.  Nothing raises
+    here, so callers can surface all violations at once.
     """
     problems = []
     if A.m.max_arity() > 2:

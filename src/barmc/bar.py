@@ -21,7 +21,6 @@ from .ainfinity import (
     koszul_pass_exponent,
     restrict_to_ideal,
     tensor_label,
-    tensor_with_dg,
 )
 from .errors import HypothesisNotMet, MathCheckFailure
 from .linalg import (
@@ -477,51 +476,19 @@ def stabilization_report(A, N, extra=2):
 # the universal twisting cochain
 
 
-class TwistingCochain:
-    """The projection from bar words onto single letters, as a cochain.
-
-    Vanishes on the empty word and on words of length >= 2; sends a
-    length-1 word to its letter.  As a map from words to A it has
-    degree 1 because of the shift.
-    """
-
-    def __init__(self, A):
-        self.A = A
-
-    def evaluate(self, word):
-        if len(word) == 1:
-            return {word[0]: self.A.field.one}
-        return {}
-
-    def element(self, dual):
-        """The same data as the degree-1 element sum_a a x (a)* of A x S_N."""
-        one = self.A.field.one
-        return {tensor_label(a, (a,)): one for a in self.A.ideal_labels()}
-
-
 def universal_twisting_cochain(A):
+    """The universal element tau = sum_a a x (a)* of A x S_N.
+
+    As a cochain it is the projection from bar words onto single
+    letters: it vanishes on the empty word and on words of length >= 2
+    and sends the word (a) to a, a map of degree 1 because of the
+    shift.  The element pairs each ideal label with its one-letter
+    word and lives in every S_N with N >= 1.
+    """
     if not A.augmented:
         raise ValueError("twisting cochains need an augmented algebra")
-    return TwistingCochain(A)
-
-
-def convolution_mc_residual(A, dual, tau_elem=None):
-    """The generalized MC residual of the universal cochain in A x S_N.
-
-    sum over n of (-1)^(n(n+1)/2) m_n(tau, ..., tau), evaluated in the
-    tensor algebra; insertions raise weight so the sum is finite.
-    Exactly zero is the defining property of a twisting cochain at this
-    truncation.
-    """
-    T = tensor_with_dg(A, dual.algebra)
-    if tau_elem is None:
-        tau_elem = universal_twisting_cochain(A).element(dual)
-    out = {}
-    for n in range(1, min(A.arity_bound, dual.N) + 1):
-        term = T.eval_m_vectors([tau_elem] * n)
-        if term:
-            vec_add(out, term, A.field.sign(n * (n + 1) // 2))
-    return vec_clean(out)
+    one = A.field.one
+    return {tensor_label(a, (a,)): one for a in A.ideal_labels()}
 
 
 # ---------------------------------------------------------------------------

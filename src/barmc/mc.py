@@ -483,8 +483,11 @@ class Pi0Report:
 def pi0(A, R, cap=ENUMERATION_CAP):
     """Partition of the MC set by existence of a gauge morphism."""
     setup = DeformationSetup(A, R)
-    elements = setup.enumerate_mc(cap)
-    groupoid = MCGroupoid(setup)
+    return _gauge_classes(setup.enumerate_mc(cap), MCGroupoid(setup))
+
+
+def _gauge_classes(elements, groupoid):
+    """Pi0Report of the listed MC elements, through the groupoid's hom sets."""
     classes = []
     for alpha in elements:
         for cls in classes:
@@ -909,8 +912,8 @@ def invariance_check(f, R, cap=ENUMERATION_CAP, morphism_check_arity=3):
     g1 = MCGroupoid(setup1)
     g2 = MCGroupoid(setup2)
     problems = []
-    report1 = pi0(f.source, R, cap)
-    report2 = pi0(f.target, R, cap)
+    report1 = _gauge_classes(mc1, g1)
+    report2 = _gauge_classes(setup2.enumerate_mc(cap), g2)
     if report1.count != report2.count:
         problems.append("pi0 counts differ: %d vs %d"
                         % (report1.count, report2.count))

@@ -22,7 +22,9 @@ Scalars from different fields never mix:
 cannot combine scalars over Q and F2
 
 Integers are allowed as literals on either side of an operation; they
-map through the canonical ring map Z -> k.
+map through the canonical ring map Z -> k.  Comparison is stricter: an
+integer equals only the canonical value, so F_5(3) == 3 but
+F_5(3) != 8, and equal objects hash alike.
 """
 
 from fractions import Fraction
@@ -233,14 +235,16 @@ class Scalar:
         return Scalar(self.field, pow(self.val, -1, self.field.p))
 
     def __eq__(self, other):
+        # an int equals only the canonical value (F5(3) == 3, F5(3) != 8),
+        # so that equal objects hash alike
         if isinstance(other, int) and not isinstance(other, bool):
-            other = self.field(other)
+            return self.val == other
         if not isinstance(other, Scalar):
             return NotImplemented
         return self.field == other.field and self.val == other.val
 
     def __hash__(self):
-        return hash((self.field, self.val))
+        return hash(self.val)
 
     def __bool__(self):
         return self.val != 0

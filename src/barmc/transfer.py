@@ -8,10 +8,10 @@ ainfinity.morphism_residual, evaluated on the model and the morphism
 as far as they are built, hands us one known vector W_n per argument
 tuple, with d f_n + (-1)^n i m_n = W_n, and the splitting takes it
 apart: m_n is (-1)^n p W_n and f_n is h W_n.  Every sign that enters
-is the one morphism_residual prints, the function the checker replays
+is the one morphism_residual prints, the identity the checker joins
 too, so there is no convention here to get wrong; and the result is
-still not trusted, since the assembled model and morphism are
-replayed through the axiom checkers before being returned.
+still not trusted, since the assembled model and morphism go through
+the axiom checkers before being returned.
 
 The splitting itself is elementary linear algebra, done degree by
 degree through the canonical echelon solvers: representatives for
@@ -291,7 +291,7 @@ def minimal_model(C, arity_max, splitting=None):
     still absent there.  The splitting disassembles it:
     m_n = (-1)^n p W_n and f_n = h W_n.  The homotopy identity is
     what makes this choice close the recursion, and the axiom checkers
-    replay the result before it is returned, so a discrepancy anywhere
+    verify the result before it is returned, so a discrepancy anywhere
     raises instead of propagating.
     """
     if arity_max < 2:

@@ -27,10 +27,10 @@ classes on the other, matched through the corepresenting maps.
 from itertools import product as iter_product
 
 from .ainfinity import (
+    _first_stasheff_failure,
     AInfAlgebra,
     CheckReport,
     StructureMaps,
-    stasheff_residual,
     tensor_label,
 )
 from .bar import (
@@ -353,15 +353,19 @@ class TwistedStructure:
                            arity_bound=self.A.arity_bound)
 
     def check_module_axioms(self, n_max=None):
-        """Stasheff identities on (module element, algebra elements) tuples."""
+        """Stasheff identities on (module element, algebra elements) tuples.
+
+        The same sparse join as check_ainf_axioms, run on the shim and
+        kept to the tuples whose first label is a module label and whose
+        other labels are algebra labels; it covers exactly the tuples a
+        replay of stasheff_residual over all of them would, and reports
+        the first failing one in that replay's order.
+        """
         cap = n_max if n_max is not None else self.A.arity_bound + 1
-        for n in range(1, cap + 1):
-            for x in self.space.labels:
-                for rest in iter_product(self.A.space.labels, repeat=n - 1):
-                    res = stasheff_residual(self._shim, (x,) + rest)
-                    if res:
-                        return CheckReport(False, failure=(n, (x,) + rest, res),
-                                           checked_to=cap)
+        failure = _first_stasheff_failure(self._shim, cap, self.space.index,
+                                          self.A.space.index)
+        if failure:
+            return CheckReport(False, failure=failure, checked_to=cap)
         return CheckReport(True, checked_to=cap)
 
     def differential(self, v):
@@ -444,7 +448,7 @@ class UniversalDeformation(TwistedModule):
                 % (A.arity_bound, A.complete_to_arity))
         self.N = N
         self.S = dual_dg_algebra(A, N)
-        self.tau = universal_twisting_cochain(A).element(self.S)
+        self.tau = universal_twisting_cochain(A)
         super().__init__(DeformationSetup(A, self.S.as_artinian()), self.tau,
                          check=False)
 

@@ -23,13 +23,27 @@ loop, from before it became a twisted module over S_N.
 hand-written W_n, and ``eval_f_tensor_oracle`` the pushforward's own
 regrouping loop, both from before they called the shared morphism
 residual and tensor regrouping in ``ainfinity``.
+
+``check_ainf_axioms_oracle``, ``check_module_axioms_oracle`` and
+``check_ainf_morphism_oracle`` are the identity checkers as they were
+before the sparse joins: they replay ``stasheff_residual`` or
+``morphism_residual`` on every basis tuple in ``itertools.product``
+order and stop at the first nonzero one.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from barmc.ainfinity import StructureMaps, tensor_label, tensor_with_dg
+from barmc.ainfinity import (
+    CheckReport,
+    StructureMaps,
+    check_strict_unital_morphism,
+    morphism_residual,
+    stasheff_residual,
+    tensor_label,
+    tensor_with_dg,
+)
 from barmc.bar import dual_dg_algebra
 from barmc.linalg import Matrix, vec_add, vec_clean, vec_scale
 
@@ -499,3 +513,46 @@ def eval_f_tensor_oracle(f, R, vecs):
             for out_r, cr in rprod.items():
                 vec_add(out, {(out_a, out_r): sign * coeff * ca * cr})
     return vec_clean(out)
+
+
+def check_ainf_axioms_oracle(A, n_max):
+    """The Stasheff replay over all basis tuples of arity <= n_max."""
+    for n in range(1, n_max + 1):
+        for args in product(A.space.labels, repeat=n):
+            res = stasheff_residual(A, args)
+            if res:
+                return CheckReport(False, failure=(n, args, res), checked_to=n_max)
+    return CheckReport(True, checked_to=n_max)
+
+
+def check_module_axioms_oracle(E, n_max=None):
+    """The Stasheff replay on (module label, algebra labels..) tuples."""
+    cap = n_max if n_max is not None else E.A.arity_bound + 1
+    for n in range(1, cap + 1):
+        for x in E.space.labels:
+            for rest in product(E.A.space.labels, repeat=n - 1):
+                res = stasheff_residual(E._shim, (x,) + rest)
+                if res:
+                    return CheckReport(False, failure=(n, (x,) + rest, res),
+                                       checked_to=cap)
+    return CheckReport(True, checked_to=cap)
+
+
+def check_ainf_morphism_oracle(f, n_max):
+    """The morphism-identity replay over all basis tuples of arity <= n_max."""
+    top = min(n_max, f.arity_bound)
+    note = None
+    if top < n_max:
+        note = "arities %d..%d not checked (component bound %d)" % (
+            top + 1, n_max, f.arity_bound)
+    for n in range(1, top + 1):
+        for args in product(f.source.space.labels, repeat=n):
+            res = morphism_residual(f, args)
+            if res:
+                return CheckReport(False, failure=(n, args, res),
+                                   checked_to=top, note=note)
+    if f.strict_unital:
+        rep = check_strict_unital_morphism(f)
+        if not rep.ok:
+            return rep
+    return CheckReport(True, checked_to=top, note=note)

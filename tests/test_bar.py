@@ -19,7 +19,6 @@ from barmc.bar import (
     bar_construction,
     bar_words,
     check_tower_surjection,
-    convolution_mc_residual,
     dual_dg_algebra,
     is_admissible,
     koszul_probe,
@@ -30,6 +29,7 @@ from barmc.bar import (
 from barmc.errors import HypothesisNotMet
 from barmc.examples import golden_dg_pair, kpoints, ngr, njac, xy
 from barmc.linalg import Complex, GradedSpace, vec_add, vec_clean
+from barmc.mc import DeformationSetup
 from barmc.scalars import Field
 from barmc.twisting import universal_deformation
 
@@ -451,12 +451,10 @@ def test_truncation_completeness_gate():
 
 def test_cochain_values_and_degree():
     A = kpoints(Q, 2)
-    tau = universal_twisting_cochain(A)
-    assert tau.evaluate(()) == {}
-    assert tau.evaluate(("e1",)) == {"e1": Q.one}
-    assert tau.evaluate(("e1", "e2")) == {}
+    elem = universal_twisting_cochain(A)
+    # tau sends the one-letter word (a) to a and every other word to 0
+    assert elem == {(a, (a,)): Q.one for a in A.ideal_labels()}
     dual = dual_dg_algebra(A, 2)
-    elem = tau.element(dual)
     for (a, w) in elem:
         assert A.deg(a) - dual.bar.word_degree[w] == 1
 
@@ -472,7 +470,8 @@ def test_cochain_values_and_degree():
 def test_universal_cochain_satisfies_convolution_mc(make, field, N):
     A = make(field)
     dual = dual_dg_algebra(A, N)
-    residual = convolution_mc_residual(A, dual)
+    elem = universal_twisting_cochain(A)
+    residual = DeformationSetup(A, dual.as_artinian()).mc_residual(elem)
     assert residual == {}
     oracle = hom_mc_residual_oracle(A, dual.bar, universal_cochain_table(A))
     assert oracle == {}
@@ -488,9 +487,9 @@ def test_perturbed_cochain_fails_mc_identically_both_ways(make, field):
     dropped = A.ideal_labels()[-1]
     table = universal_cochain_table(A)
     del table[(dropped,)]
-    elem = universal_twisting_cochain(A).element(dual)
+    elem = universal_twisting_cochain(A)
     del elem[(dropped, (dropped,))]
-    engine = convolution_mc_residual(A, dual, tau_elem=elem)
+    engine = DeformationSetup(A, dual.as_artinian()).mc_residual(elem)
     oracle = hom_mc_residual_oracle(A, dual.bar, table)
     assert engine, "perturbation should break the MC equation"
     assert group_by_word(engine) == oracle

@@ -94,3 +94,52 @@ def test_sources_have_no_unused_imports_or_unread_locals():
     assert SOURCES
     found = [msg for path in SOURCES for msg in _dead_names(path)]
     assert found == []
+
+
+# The identity checkers join the structure tables; the tuple replay
+# lives in tests/oracles.py.  minimal_model is exempt: its W_n loop is
+# the transfer recursion itself, and each morphism_residual there
+# computes a term of the model, not a check.
+REPLAY_CALLS = {"stasheff_residual", "morphism_residual"}
+REPLAY_EXEMPT = {"minimal_model"}
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _callee(node):
+    if not isinstance(node, ast.Call):
+        return None
+    if isinstance(node.func, ast.Name):
+        return node.func.id
+    if isinstance(node.func, ast.Attribute):
+        return node.func.attr
+    return None
+
+
+def _replay_loops(path):
+    """Loops over product/iter_product that call a residual function."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                or fn.name in REPLAY_EXEMPT:
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.For):
+                iters = [node.iter]
+            elif isinstance(node, COMPREHENSIONS):
+                iters = [g.iter for g in node.generators]
+            else:
+                continue
+            if not any(_callee(i) in ("product", "iter_product") for i in iters):
+                continue
+            calls = {_callee(n) for n in ast.walk(node)} & REPLAY_CALLS
+            if calls:
+                found.append("%s:%d %s replays %s over a product"
+                             % (path.name, node.lineno, fn.name,
+                                ", ".join(sorted(calls))))
+    return found
+
+
+def test_identity_checks_do_not_replay_tuples():
+    found = [msg for path in SOURCES for msg in _replay_loops(path)]
+    assert found == []

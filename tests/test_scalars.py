@@ -4,6 +4,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from barmc.scalars import (
     Field,
@@ -152,6 +154,29 @@ def test_as_string_round_trips_through_call():
 def test_scalar_hash_consistent_with_eq():
     assert hash(F5(7)) == hash(F5(2))
     assert len({Q(1), Q("2/2"), Q(2)}) == 2
+
+
+def test_int_equals_only_the_canonical_value():
+    assert F5(3) == 3 and 3 == F5(3)
+    assert F5(3) != 8 and F5(4) != -1
+    assert len({F5(3), 3}) == 1
+    assert Q("4/2") == 2 and Q("1/2") != 0
+
+
+SCALARS = st.one_of(
+    st.integers(-20, 20),
+    st.builds(lambda n, d: Q(Fraction(n, d)),
+              st.integers(-20, 20), st.sampled_from([1, 2, 3, 7])),
+    st.builds(lambda f, n: f(n), st.sampled_from([F2, Field.prime(3), F5]),
+              st.integers(-20, 20)),
+)
+
+
+@given(SCALARS, SCALARS)
+def test_equal_scalars_hash_alike(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+    assert (a == b) == (b == a)
 
 
 def test_scalar_repr_mentions_field():
