@@ -407,11 +407,26 @@ class MCGroupoid:
     def __init__(self, setup):
         self.setup = setup
         self._homsets = {}
+        self._certified = set()
+
+    def certify_object(self, alpha, key=None):
+        """Check that alpha is MC, once per object of the groupoid."""
+        if key is None:
+            key = _vec_key(alpha)
+        if key not in self._certified:
+            if self.setup.mc_residual(alpha):
+                raise HypothesisNotMet(
+                    "morphism complexes are defined between MC elements")
+            self._certified.add(key)
 
     def hom(self, alpha, beta):
-        key = (_vec_key(alpha), _vec_key(beta))
+        ka, kb = _vec_key(alpha), _vec_key(beta)
+        key = (ka, kb)
         if key not in self._homsets:
-            self._homsets[key] = HomSet(self.setup, alpha, beta)
+            self.certify_object(alpha, ka)
+            self.certify_object(beta, kb)
+            self._homsets[key] = HomSet(self.setup, alpha, beta,
+                                        check_objects=False)
         return self._homsets[key]
 
     def identity(self, alpha):
@@ -467,13 +482,13 @@ class Pi0Report:
         self.classes = classes
         self.representatives = [cls[0] for cls in classes]
         self.count = len(classes)
+        self._index = {}
+        for i, cls in enumerate(classes):
+            for v in cls:
+                self._index.setdefault(_vec_key(v), i)
 
     def class_index_of(self, alpha):
-        key = _vec_key(alpha)
-        for i, cls in enumerate(self.classes):
-            if any(_vec_key(v) == key for v in cls):
-                return i
-        return None
+        return self._index.get(_vec_key(alpha))
 
     def __repr__(self):
         return "Pi0Report(%d classes, %d elements)" % (
@@ -481,22 +496,70 @@ class Pi0Report:
 
 
 def pi0(A, R, cap=ENUMERATION_CAP):
-    """Partition of the MC set by existence of a gauge morphism."""
+    """Partition of the MC set by existence of a gauge morphism.
+
+    The partition refines along the tower R -> R/m^(nu-1) -> .. ->
+    R/m^2 (see _gauge_classes): a gauge morphism over R projects to
+    one over every quotient R/m^k.
+    """
     setup = DeformationSetup(A, R)
     return _gauge_classes(setup.enumerate_mc(cap), MCGroupoid(setup))
 
 
+def _project(vec, pi):
+    """A x R -> A x Rbar for a base projection pi: label -> Rbar vector."""
+    out = {}
+    for (a, r), c in vec.items():
+        for rbar, cc in pi[r].items():
+            vec_add(out, {(a, rbar): c * cc})
+    return vec_clean(out)
+
+
 def _gauge_classes(elements, groupoid):
-    """Pi0Report of the listed MC elements, through the groupoid's hom sets."""
-    classes = []
+    """Pi0Report of the listed MC elements, through the groupoid's hom sets.
+
+    Base change along R -> Rbar = R/m^(nu-1) is a functor on MC
+    groupoids: a gauge morphism 1 + u: alpha -> beta over R projects to
+    one between the projections over Rbar.  Elements whose projections
+    fall in different classes downstairs (classified the same way, one
+    level lower) are therefore never equivalent, and the pairwise hom
+    test runs only inside each downstairs class.  Every element is
+    certified MC through the groupoid, and every pair still tested
+    builds its full HomSet.  Classes are ordered by their first
+    member's position in elements and keep their members in input
+    order, which is the partition of the plain greedy pairwise loop.
+    """
+    elements = list(elements)
     for alpha in elements:
-        for cls in classes:
-            if not groupoid.hom(cls[0], alpha).is_empty():
-                cls.append(alpha)
-                break
-        else:
-            classes.append([alpha])
-    return Pi0Report(classes)
+        groupoid.certify_object(alpha)
+    setup = groupoid.setup
+    buckets = [range(len(elements))]
+    if setup.nu > 2:
+        Rbar, pi, _ = quotient_by_power(setup.R, setup.nu - 1)
+        images = [_project(alpha, pi) for alpha in elements]
+        distinct = {}
+        for img in images:
+            distinct.setdefault(_vec_key(img), img)
+        below = _gauge_classes(
+            list(distinct.values()),
+            MCGroupoid(DeformationSetup(setup.A, Rbar)))
+        buckets = [[] for _ in below.classes]
+        for i, img in enumerate(images):
+            buckets[below.class_index_of(img)].append(i)
+    classes = []
+    for bucket in buckets:
+        found = []
+        for i in bucket:
+            for cls in found:
+                if not groupoid.hom(elements[cls[0]],
+                                    elements[i]).is_empty():
+                    cls.append(i)
+                    break
+            else:
+                found.append([i])
+        classes.extend(found)
+    classes.sort(key=lambda cls: cls[0])
+    return Pi0Report([[elements[i] for i in cls] for cls in classes])
 
 
 # ---------------------------------------------------------------------------
@@ -520,11 +583,7 @@ class Tower:
         self.Rbar, self._pi, _ = quotient_by_power(R, n)
 
     def project(self, vec):
-        out = {}
-        for (a, r), c in vec.items():
-            for rbar, cc in self._pi[r].items():
-                vec_add(out, {(a, rbar): c * cc})
-        return vec_clean(out)
+        return _project(vec, self._pi)
 
 
 class KernelComplex:

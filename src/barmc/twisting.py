@@ -50,7 +50,13 @@ from .linalg import (
     vec_add,
     vec_clean,
 )
-from .mc import ENUMERATION_CAP, DeformationSetup, _vec_key, pi0
+from .mc import (
+    ENUMERATION_CAP,
+    DeformationSetup,
+    MCGroupoid,
+    _gauge_classes,
+    _vec_key,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -892,7 +898,7 @@ def _compare(A, R, N, cap, conjugation):
         what = "algebra maps"
     index_of = {tuple(_vec_key(w) for w in t): i for i, t in enumerate(maps)}
     setup = DeformationSetup(A, R)
-    classes = pi0(A, R, cap)
+    classes = _gauge_classes(setup.enumerate_mc(cap), MCGroupoid(setup))
     problems = []
     matching = {}
     for ci, cls in enumerate(classes.classes):

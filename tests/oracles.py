@@ -29,6 +29,10 @@ residual and tensor regrouping in ``ainfinity``.
 before the sparse joins: they replay ``stasheff_residual`` or
 ``morphism_residual`` on every basis tuple in ``itertools.product``
 order and stop at the first nonzero one.
+
+``gauge_classes_oracle`` is the pi_0 partition as it was before the
+tower refinement: each element is tested against every earlier class
+representative with the groupoid's hom set, in input order.
 """
 
 from fractions import Fraction
@@ -46,6 +50,7 @@ from barmc.ainfinity import (
 )
 from barmc.bar import dual_dg_algebra
 from barmc.linalg import Matrix, vec_add, vec_clean, vec_scale
+from barmc.mc import Pi0Report
 
 DENSE_CUTOFF = 64
 
@@ -556,3 +561,15 @@ def check_ainf_morphism_oracle(f, n_max):
         if not rep.ok:
             return rep
     return CheckReport(True, checked_to=top, note=note)
+
+
+def gauge_classes_oracle(elements, groupoid):
+    classes = []
+    for alpha in elements:
+        for cls in classes:
+            if not groupoid.hom(cls[0], alpha).is_empty():
+                cls.append(alpha)
+                break
+        else:
+            classes.append([alpha])
+    return Pi0Report(classes)

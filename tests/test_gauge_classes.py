@@ -1,0 +1,165 @@
+"""pi_0 by the tower against the pairwise partition it replaced.
+
+_gauge_classes classifies the projections to R/m^(nu-1) first and
+tests pairs only inside one downstairs class.  The plain greedy loop
+lives on as gauge_classes_oracle in tests/oracles.py; both must give
+the same classes in the same order with the same members.
+"""
+
+import pytest
+
+from barmc.artin import truncated_polynomial
+from barmc.errors import HypothesisNotMet
+from barmc.examples import kpoints, njac, random_instance, xy
+from barmc.mc import (
+    DeformationSetup,
+    MCGroupoid,
+    Pi0Report,
+    _gauge_classes,
+    _vec_key,
+    pi0,
+)
+from barmc.scalars import Field
+
+from oracles import gauge_classes_oracle
+from test_mc import negative_base
+from test_twisting import local_noncommutative
+
+F2 = Field.prime(2)
+F3 = Field.prime(3)
+
+
+def _keys(report):
+    return [[_vec_key(v) for v in cls] for cls in report.classes]
+
+
+def _assert_matches_oracle(setup, elements):
+    got = _gauge_classes(elements, MCGroupoid(setup))
+    want = gauge_classes_oracle(elements, MCGroupoid(setup))
+    assert _keys(got) == _keys(want)
+    assert [_vec_key(v) for v in got.representatives] == \
+        [_vec_key(v) for v in want.representatives]
+    return got
+
+
+# (algebra, base, stride): the oracle runs on every stride-th element
+# of the MC set.  kpoints(F2,2) over t^5 has 256 singleton classes, and
+# the full pairwise oracle builds 32,640 hom sets there; its count is
+# checked on the whole set in test_pi0_kpoints_over_t5_counts_m_squared.
+ORACLE_CASES = {
+    "kpoints(F2,2)/t^4": (lambda: kpoints(F2, 2),
+                          lambda: truncated_polynomial(F2, 4), 1),
+    "kpoints(F2,2)/t^5": (lambda: kpoints(F2, 2),
+                          lambda: truncated_polynomial(F2, 5), 4),
+    "njac(F3,2)/t^3": (lambda: njac(F3, 2),
+                       lambda: truncated_polynomial(F3, 3), 1),
+    "njac(F2,2)/t^4": (lambda: njac(F2, 2),
+                       lambda: truncated_polynomial(F2, 4), 1),
+    "xy(F2)/t^5": (lambda: xy(F2), lambda: truncated_polynomial(F2, 5), 1),
+    "xy(F2)/negative": (lambda: xy(F2), lambda: negative_base(F2), 1),
+    "njac(F2,1)/noncommutative": (lambda: njac(F2, 1),
+                                  lambda: local_noncommutative(F2), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_tower_classes_match_the_pairwise_oracle(case):
+    make_a, make_r, stride = ORACLE_CASES[case]
+    setup = DeformationSetup(make_a(), make_r())
+    elements = setup.enumerate_mc()[::stride]
+    _assert_matches_oracle(setup, elements)
+
+
+def test_tower_classes_match_the_oracle_on_random_draws():
+    compared = deep = merged = 0
+    for field, draws in ((F2, range(24)), (F3, range(9))):
+        for i in draws:
+            A, R, _ = random_instance(field, i)
+            setup = DeformationSetup(A, R)
+            try:
+                elements = setup.enumerate_mc(cap=32)
+            except HypothesisNotMet:
+                continue
+            got = _assert_matches_oracle(setup, elements)
+            compared += 1
+            deep += R.nu > 2
+            merged += got.count < len(elements)
+    assert compared >= 20 and deep >= 5 and merged >= 2
+
+
+def test_tower_keeps_input_order_of_a_shuffled_list():
+    setup = DeformationSetup(njac(F2, 1), local_noncommutative(F2))
+    elements = setup.enumerate_mc()
+    shuffled = elements[1::2] + elements[::2]
+    got = _assert_matches_oracle(setup, shuffled)
+    assert got.count < len(shuffled)
+
+
+def test_tower_prunes_the_pairwise_hom_tests():
+    setup = DeformationSetup(kpoints(F2, 2), truncated_polynomial(F2, 4))
+    groupoid = MCGroupoid(setup)
+    rep = _gauge_classes(setup.enumerate_mc(), groupoid)
+    assert rep.count == 64
+    # 64 * 63 / 2 = 2016 hom sets without the tower
+    assert len(groupoid._homsets) <= 128
+
+
+def test_pi0_kpoints_over_t5_counts_m_squared():
+    # every MC element is its own class: |m_R|^2 = 16^2
+    rep = pi0(kpoints(F2, 2), truncated_polynomial(F2, 5))
+    assert rep.count == 256
+    assert all(len(cls) == 1 for cls in rep.classes)
+
+
+def test_pi0_njac_f3_over_t4_counts_free_h0_maps():
+    # H^0(S) is free on two generators: |m_R|^2 = 27^2
+    rep = pi0(njac(F3, 2), truncated_polynomial(F3, 4))
+    assert rep.count == 729
+
+
+def test_groupoid_certifies_each_object_once(monkeypatch):
+    setup = DeformationSetup(xy(F2), truncated_polynomial(F2, 3))
+    elements = setup.enumerate_mc()
+    groupoid = MCGroupoid(setup)
+    calls = []
+    real = setup.mc_residual
+
+    def counted(alpha):
+        calls.append(_vec_key(alpha))
+        return real(alpha)
+
+    monkeypatch.setattr(setup, "mc_residual", counted)
+    for a in elements:
+        for b in elements:
+            groupoid.hom(a, b)
+    _gauge_classes(elements, groupoid)
+    assert sorted(calls) == sorted(_vec_key(a) for a in elements)
+
+
+def test_groupoid_refuses_a_non_mc_object_every_time():
+    setup = DeformationSetup(xy(F2), truncated_polynomial(F2, 3))
+    groupoid = MCGroupoid(setup)
+    mc = setup.enumerate_mc()[0]
+    bad = {("x", "t"): F2.one}
+    assert setup.mc_residual(bad)
+    groupoid.hom(mc, mc)
+    for pair in ((mc, bad), (bad, mc), (mc, bad)):
+        with pytest.raises(HypothesisNotMet):
+            groupoid.hom(*pair)
+    assert len(groupoid._homsets) == 1
+    for elements in ([mc, bad], [bad]):
+        with pytest.raises(HypothesisNotMet):
+            _gauge_classes(elements, MCGroupoid(setup))
+
+
+def test_class_index_of_agrees_with_a_scan():
+    A, R = njac(F2, 1), local_noncommutative(F2)
+    rep = pi0(A, R)
+    assert rep.count < sum(len(cls) for cls in rep.classes)
+    for alpha in DeformationSetup(A, R).enumerate_mc():
+        (i,) = [i for i, cls in enumerate(rep.classes)
+                if any(_vec_key(v) == _vec_key(alpha) for v in cls)]
+        assert rep.class_index_of(alpha) == i
+    assert rep.class_index_of({("x1", "a"): F2.one,
+                               ("1", "b"): F2.one}) is None
+    assert Pi0Report([]).class_index_of({}) is None
