@@ -128,7 +128,26 @@ class DeformationSetup:
         return not self.mc_residual(alpha)
 
     def enumerate_mc(self, cap=ENUMERATION_CAP):
-        """All MC elements, by exhaustion.  Finite prime fields only."""
+        """All MC elements, lifted along R/m <- R/m^2 <- .. <- R.
+
+        Finite prime fields only, and only when the candidate space
+        p^|labels| is within the cap.  Starting from the single point
+        {} over R/m = k, each small extension R/m^(n+1) -> R/m^n
+        (kernel I = m^n, I m = m I = 0) replaces every point by its
+        fibre of lifts (see LiftStep): residual(alpha~ + eta) =
+        residual(alpha~) - m_1(eta) for eta in (A x I)^1, so the fibre
+        is empty or alpha~ + eta0 + Z^1(A x I), one linear solve per
+        point.  Every element over R projects to an MC element over
+        each R/m^n, so nothing is missed.
+
+        Certificates: below the top level a wrong point shows when the
+        next level's residual leaves A x I (KernelComplex.coordinates
+        raises MathCheckFailure); at the top level the particular lift
+        of every nonempty fibre is checked with one exact mc_residual,
+        and the Z^1 basis is checked to consist of cocycles.  The list
+        is ordered by the coefficient tuple over ideal_labels_of_degree(1),
+        the order of an exhaustive sweep.
+        """
         p = self.field.p
         if not p:
             raise HypothesisNotMet("enumeration needs a finite prime field")
@@ -137,13 +156,39 @@ class DeformationSetup:
             raise HypothesisNotMet(
                 "enumeration space %d^%d exceeds the cap %d"
                 % (p, len(labels), cap))
-        found = []
-        for coeffs in iter_product(range(p), repeat=len(labels)):
-            alpha = vec_clean({l: self.field(c)
-                               for l, c in zip(labels, coeffs)})
-            if not self.mc_residual(alpha):
-                found.append(alpha)
-        return found
+        points = particular = [{}]
+        for step in self._lift_steps():
+            shifts = step.cocycle_span()
+            lifted, particular = [], []
+            for alpha_bar in points:
+                base = step.lift(alpha_bar)
+                if base is None:
+                    continue
+                particular.append(base)
+                lifted.extend(vec_add(dict(base), z) for z in shifts)
+            points = lifted
+        for alpha in particular:
+            if self.mc_residual(alpha):
+                raise MathCheckFailure(
+                    "lifted element fails the MC equation: %r" % (alpha,))
+        zero = self.field.zero
+        points.sort(key=lambda a: tuple(a.get(l, zero).val for l in labels))
+        return [{l: a[l] for l in labels if l in a} for a in points]
+
+    def _lift_steps(self):
+        """LiftSteps R/m^2 -> R/m, .., R -> R/m^(nu-1), bottom first.
+
+        Each level's base is the quotient of the one above, so the
+        point lists of consecutive levels share basis labels by
+        construction; the top step reuses this setup.
+        """
+        steps = []
+        big, setup = self.R, self
+        for n in range(self.nu - 1, 0, -1):
+            tower = Tower(big, n)
+            steps.append(LiftStep(KernelComplex(self.A, tower, setup)))
+            big, setup = tower.Rbar, None
+        return steps[::-1]
 
     def category_op(self, objects, morphisms, check=True):
         """m_n^{a_0..a_n}(x_n, .., x_1) for x_k: a_{k-1} -> a_k.
@@ -594,7 +639,7 @@ class KernelComplex:
     every flavor live here.
     """
 
-    def __init__(self, A, tower):
+    def __init__(self, A, tower, setup=None):
         self.A = A
         self.tower = tower
         self.field = A.field
@@ -607,7 +652,11 @@ class KernelComplex:
                 raise MathCheckFailure("kernel layer row %d is not homogeneous" % k)
             degs.append(d.pop())
         self.row_solver = SpanSolver(rows, self.field)
-        self.setup = DeformationSetup(A, R)
+        if setup is None:
+            setup = DeformationSetup(A, R)
+        elif setup.A is not A or setup.R is not R:
+            raise ValueError("the setup is not over the tower's big base")
+        self.setup = setup
         labels = [(a, k) for a in A.space.labels for k in range(len(rows))]
         self.space = GradedSpace(
             [((a, k), A.deg(a) + degs[k]) for a, k in labels])
@@ -645,6 +694,72 @@ class KernelComplex:
 
     def cohomology(self, degree):
         return self.complex.cohomology(degree)
+
+
+class LiftStep:
+    """Lifting MC elements along one small extension R -> Rbar = R/m^n.
+
+    Write alpha~ for the label-inclusion section of a point alpha_bar of
+    MC(Rbar), and I = m^n.  Since I m = m I = 0, every term of
+    m_k(alpha~ + eta, ..) with k >= 2 and a slot in A x I vanishes, so
+    for eta in (A x I)^1
+
+        residual(alpha~ + eta) = residual(alpha~) - m_1(eta).
+
+    The lifts of alpha_bar are therefore either none or the coset
+    alpha~ + eta0 + Z^1(A x I), where m_1(eta0) = residual(alpha~).
+    residual(alpha~) lies in A x I exactly when alpha_bar is MC over
+    Rbar; otherwise KernelComplex.coordinates raises MathCheckFailure.
+    eta0 is the unique solution on the earliest independent columns of
+    m_1: (A x I)^1 -> (A x I)^2, which is what linalg.solve returns on
+    the matrix of that block.  The column solver is built once per
+    step, over the step's KernelComplex.
+    """
+
+    def __init__(self, kernel_complex):
+        self.kernel_complex = kernel_complex
+        self.setup = kernel_complex.setup
+        cx = kernel_complex.complex
+        self._src = cx.space.labels_of_degree(1)
+        self._solver = SpanSolver([cx.d.get(l, {}) for l in self._src],
+                                  kernel_complex.field)
+
+    def particular(self, alpha_bar):
+        """eta0 in the coordinates of A x I, or None when no lift exists."""
+        kc = self.kernel_complex
+        target = kc.coordinates(self.setup.mc_residual(alpha_bar))
+        sol = self._solver.coordinates(target)
+        if sol is None:
+            return None
+        return {self._src[j]: c for j, c in sol.items()}
+
+    def lift(self, alpha_bar):
+        """alpha~ + eta0 over R, or None when the fibre is empty."""
+        eta = self.particular(alpha_bar)
+        if eta is None:
+            return None
+        return vec_clean(vec_add(dict(alpha_bar),
+                                 self.kernel_complex._embed(eta)))
+
+    def cocycles(self):
+        """A basis of Z^1(A x I) embedded in A x R, each checked d z = 0."""
+        cx = self.kernel_complex.complex
+        m, _, _ = cx.matrix_of_d(1)
+        out = []
+        for kv in m.row_reduce().kernel_basis():
+            z = {self._src[j]: c for j, c in kv.items()}
+            if vec_clean(cx.apply_d(z)):
+                raise MathCheckFailure("Z^1 basis vector is not a cocycle")
+            out.append(self.kernel_complex._embed(z))
+        return out
+
+    def cocycle_span(self):
+        """Every F_p-combination of the Z^1 basis, zero included."""
+        span = [{}]
+        scalars = self.kernel_complex.field.elements()
+        for z in self.cocycles():
+            span = [vec_add(dict(v), z, c) for v in span for c in scalars]
+        return span
 
 
 class ObstructionClass:
@@ -816,22 +931,13 @@ def lift_mc(A, R, alpha0, seed=1):
         trace.append({"level": n, "obstruction_zero": cls.is_zero})
         if not cls.is_zero:
             return LiftOutcome(False, level=n, obstruction=cls, trace=trace)
-        kc = cls.kernel_complex
-        setup = kc.setup
-        lift = dict(current)
-        residual = setup.mc_residual(lift)
-        target = kc.coordinates(residual)
-        m, src, dst = kc.complex.matrix_of_d(1)
-        dst_index = {l: i for i, l in enumerate(dst)}
-        rhs = {dst_index[l]: c for l, c in target.items()}
-        sol = solve(m, rhs)
-        if sol is None:
+        step = LiftStep(cls.kernel_complex)
+        lifted = step.lift(current)
+        if lifted is None:
             raise MathCheckFailure(
                 "zero obstruction but the correction system is inconsistent")
-        eta = kc._embed({src[j]: c for j, c in sol.items()})
-        vec_add(lift, eta)
-        current = vec_clean(lift)
-        if setup.mc_residual(current):
+        current = lifted
+        if step.setup.mc_residual(current):
             raise MathCheckFailure("corrected lift fails the MC equation")
     return LiftOutcome(True, element=current, level=R.nu, trace=trace)
 

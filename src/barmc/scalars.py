@@ -68,9 +68,13 @@ def _is_prime(p):
 
 
 class Field:
-    """Descriptor of the ground field, Q or F_p."""
+    """Descriptor of the ground field, Q or F_p.
 
-    __slots__ = ("kind", "p")
+    The constants zero, one and minus one are built once per instance;
+    a Scalar is never changed after construction, so they are shared.
+    """
+
+    __slots__ = ("kind", "p", "_zero", "_one", "_minus_one")
 
     def __init__(self, kind, p=None):
         if kind == "Q":
@@ -85,6 +89,9 @@ class Field:
             raise ValueError("unknown field kind %r" % (kind,))
         self.kind = kind
         self.p = p
+        self._zero = self(0)
+        self._one = self(1)
+        self._minus_one = self(-1)
 
     @classmethod
     def rationals(cls):
@@ -135,15 +142,15 @@ class Field:
 
     @property
     def zero(self):
-        return self(0)
+        return self._zero
 
     @property
     def one(self):
-        return self(1)
+        return self._one
 
     def sign(self, exponent):
         """(-1)^exponent as a Scalar; exponents are plain integers."""
-        return self(1) if exponent % 2 == 0 else self(-1)
+        return self._one if exponent % 2 == 0 else self._minus_one
 
     def elements(self):
         """All field elements; only available over F_p."""

@@ -33,6 +33,10 @@ order and stop at the first nonzero one.
 ``gauge_classes_oracle`` is the pi_0 partition as it was before the
 tower refinement: each element is tested against every earlier class
 representative with the groupoid's hom set, in input order.
+
+``enumerate_mc_oracle`` is ``DeformationSetup.enumerate_mc`` as it was
+before lifting along the tower: the full residual on every one of the
+p^k candidates, in ``itertools.product`` order, with the same refusals.
 """
 
 from fractions import Fraction
@@ -49,8 +53,9 @@ from barmc.ainfinity import (
     tensor_with_dg,
 )
 from barmc.bar import dual_dg_algebra
+from barmc.errors import HypothesisNotMet
 from barmc.linalg import Matrix, vec_add, vec_clean, vec_scale
-from barmc.mc import Pi0Report
+from barmc.mc import ENUMERATION_CAP, Pi0Report
 
 DENSE_CUTOFF = 64
 
@@ -573,3 +578,21 @@ def gauge_classes_oracle(elements, groupoid):
         else:
             classes.append([alpha])
     return Pi0Report(classes)
+
+
+def enumerate_mc_oracle(setup, cap=ENUMERATION_CAP):
+    p = setup.field.p
+    if not p:
+        raise HypothesisNotMet("enumeration needs a finite prime field")
+    labels = setup.ideal_labels_of_degree(1)
+    if p ** len(labels) > cap:
+        raise HypothesisNotMet(
+            "enumeration space %d^%d exceeds the cap %d"
+            % (p, len(labels), cap))
+    found = []
+    for coeffs in product(range(p), repeat=len(labels)):
+        alpha = vec_clean({l: setup.field(c)
+                           for l, c in zip(labels, coeffs)})
+        if not setup.mc_residual(alpha):
+            found.append(alpha)
+    return found

@@ -115,13 +115,13 @@ def _callee(node):
     return None
 
 
-def _replay_loops(path):
-    """Loops over product/iter_product that call a residual function."""
+def _replay_loops(path, replay_calls=REPLAY_CALLS, exempt=REPLAY_EXEMPT):
+    """Loops over product/iter_product that call one of replay_calls."""
     tree = ast.parse(path.read_text(), str(path))
     found = []
     for fn in ast.walk(tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                or fn.name in REPLAY_EXEMPT:
+                or fn.name in exempt:
             continue
         for node in ast.walk(fn):
             if isinstance(node, ast.For):
@@ -132,7 +132,7 @@ def _replay_loops(path):
                 continue
             if not any(_callee(i) in ("product", "iter_product") for i in iters):
                 continue
-            calls = {_callee(n) for n in ast.walk(node)} & REPLAY_CALLS
+            calls = {_callee(n) for n in ast.walk(node)} & replay_calls
             if calls:
                 found.append("%s:%d %s replays %s over a product"
                              % (path.name, node.lineno, fn.name,
@@ -143,3 +143,9 @@ def _replay_loops(path):
 def test_identity_checks_do_not_replay_tuples():
     found = [msg for path in SOURCES for msg in _replay_loops(path)]
     assert found == []
+
+
+def test_mc_sets_are_not_found_by_sweeping_candidates():
+    """MC(R) is lifted along the tower; the sweep is enumerate_mc_oracle."""
+    path = ROOT / "src" / "barmc" / "mc.py"
+    assert _replay_loops(path, {"mc_residual"}, set()) == []
