@@ -16,6 +16,7 @@ Its n = 1 case is the differential on morphism complexes, and for a DG
 algebra it collapses to d(x) + beta x - (-1)^|x| x alpha.
 """
 
+from functools import cached_property
 from itertools import product as iter_product
 from random import Random
 
@@ -157,7 +158,8 @@ class DeformationSetup:
                 "enumeration space %d^%d exceeds the cap %d"
                 % (p, len(labels), cap))
         points = particular = [{}]
-        for step in self._lift_steps():
+        steps = [setup.lift_step for setup in self.chain() if setup.nu > 1]
+        for step in reversed(steps):
             shifts = step.cocycle_span()
             lifted, particular = [], []
             for alpha_bar in points:
@@ -175,20 +177,32 @@ class DeformationSetup:
         points.sort(key=lambda a: tuple(a.get(l, zero).val for l in labels))
         return [{l: a[l] for l in labels if l in a} for a in points]
 
-    def _lift_steps(self):
-        """LiftSteps R/m^2 -> R/m, .., R -> R/m^(nu-1), bottom first.
+    def chain(self):
+        """Setups over R, R/m^(nu-1), .., R/m^2, each built from the one above.
 
-        Each level's base is the quotient of the one above, so the
-        point lists of consecutive levels share basis labels by
-        construction; the top step reuses this setup.
+        Every walk down the tower (enumerate_mc, _gauge_classes,
+        lift_mc) goes through these shared levels, so each quotient,
+        setup and LiftStep is built once per top setup.
         """
-        steps = []
-        big, setup = self.R, self
-        for n in range(self.nu - 1, 0, -1):
-            tower = Tower(big, n)
-            steps.append(LiftStep(KernelComplex(self.A, tower, setup)))
-            big, setup = tower.Rbar, None
-        return steps[::-1]
+        out = [self]
+        while out[-1].nu > 2:
+            out.append(out[-1].below)
+        return out
+
+    @cached_property
+    def tower(self):
+        """The small extension R -> R/m^(nu-1)."""
+        return Tower(self.R, self.nu - 1)
+
+    @cached_property
+    def below(self):
+        """The setup over R/m^(nu-1), the base of self.tower."""
+        return DeformationSetup(self.A, self.tower.Rbar)
+
+    @cached_property
+    def lift_step(self):
+        """LiftStep along self.tower, over this setup."""
+        return LiftStep(KernelComplex(self.tower, self))
 
     def category_op(self, objects, morphisms, check=True):
         """m_n^{a_0..a_n}(x_n, .., x_1) for x_k: a_{k-1} -> a_k.
@@ -580,14 +594,12 @@ def _gauge_classes(elements, groupoid):
     setup = groupoid.setup
     buckets = [range(len(elements))]
     if setup.nu > 2:
-        Rbar, pi, _ = quotient_by_power(setup.R, setup.nu - 1)
-        images = [_project(alpha, pi) for alpha in elements]
+        images = [setup.tower.project(alpha) for alpha in elements]
         distinct = {}
         for img in images:
             distinct.setdefault(_vec_key(img), img)
-        below = _gauge_classes(
-            list(distinct.values()),
-            MCGroupoid(DeformationSetup(setup.A, Rbar)))
+        below = _gauge_classes(list(distinct.values()),
+                               MCGroupoid(setup.below))
         buckets = [[] for _ in below.classes]
         for i, img in enumerate(images):
             buckets[below.class_index_of(img)].append(i)
@@ -636,12 +648,15 @@ class KernelComplex:
 
     On A x I every twisted differential collapses to this one because
     I m = m I = 0 kills all insertion terms, so obstruction classes of
-    every flavor live here.
+    every flavor live here.  setup is the DeformationSetup over the
+    tower's big base R.
     """
 
-    def __init__(self, A, tower, setup=None):
+    def __init__(self, tower, setup):
+        A = setup.A
         self.A = A
         self.tower = tower
+        self.setup = setup
         self.field = A.field
         rows = tower.kernel_rows
         R = tower.R
@@ -652,11 +667,6 @@ class KernelComplex:
                 raise MathCheckFailure("kernel layer row %d is not homogeneous" % k)
             degs.append(d.pop())
         self.row_solver = SpanSolver(rows, self.field)
-        if setup is None:
-            setup = DeformationSetup(A, R)
-        elif setup.A is not A or setup.R is not R:
-            raise ValueError("the setup is not over the tower's big base")
-        self.setup = setup
         labels = [(a, k) for a in A.space.labels for k in range(len(rows))]
         self.space = GradedSpace(
             [((a, k), A.deg(a) + degs[k]) for a, k in labels])
@@ -806,10 +816,15 @@ def obstruction_o2(A, tower, alpha_bar, seed=1):
     Sits in H^2(A x I); computed from one lift, then recomputed from a
     perturbed second lift to certify independence.
     """
-    setup_bar = DeformationSetup(A, tower.Rbar)
+    return _obstruction_o2(
+        DeformationSetup(A, tower.Rbar),
+        KernelComplex(tower, DeformationSetup(A, tower.R)), alpha_bar, seed)
+
+
+def _obstruction_o2(setup_bar, kc, alpha_bar, seed):
+    """obstruction_o2 over given setups: setup_bar over Rbar, kc over R."""
     if setup_bar.mc_residual(alpha_bar):
         raise HypothesisNotMet("obstruction is defined on MC elements only")
-    kc = KernelComplex(A, tower)
     setup = kc.setup
 
     def phi(lift):
@@ -835,7 +850,7 @@ def obstruction_o1(A, tower, alpha1, alpha2, f_bar):
     set-level lift of f_bar lives in H^1(A x I) and vanishes exactly
     when a morphism lift with these endpoints exists.
     """
-    kc = KernelComplex(A, tower)
+    kc = KernelComplex(tower, DeformationSetup(A, tower.R))
     setup = kc.setup
     for a in (alpha1, alpha2):
         if setup.mc_residual(a):
@@ -867,7 +882,7 @@ def obstruction_o0(A, tower, alpha, beta, f_tilde, f_tilde2):
     big morphism complex is the obstruction, so it vanishes exactly
     when the lifts agree as gauge orbits.
     """
-    kc = KernelComplex(A, tower)
+    kc = KernelComplex(tower, DeformationSetup(A, tower.R))
     setup = kc.setup
     hc = HomComplex(setup, alpha, beta, check_objects=True)
     one_lbl = next(iter(setup.one_vec))
@@ -916,28 +931,28 @@ def lift_mc(A, R, alpha0, seed=1):
         if setup.mc_residual(alpha0):
             raise HypothesisNotMet("the seed element must be MC over R/m^2")
         return LiftOutcome(True, element=vec_clean(dict(alpha0)), level=R.nu)
-    levels = {n: quotient_by_power(R, n)[0] for n in range(2, R.nu + 1)}
-    setup0 = DeformationSetup(A, levels[2])
+    chain = DeformationSetup(A, R).chain()[::-1]
+    setup0 = chain[0]
+    if set(setup0.R.space.labels) != set(
+            quotient_by_power(R, 2)[0].space.labels):
+        raise MathCheckFailure("tower levels disagree on basis labels")
     if setup0.mc_residual(alpha0):
         raise HypothesisNotMet("the seed element must be MC over R/m^2")
     current = dict(alpha0)
     trace = []
-    for n in range(2, R.nu):
-        big = levels[n + 1]
-        tower = Tower(big, n)
-        if set(tower.Rbar.space.labels) != set(levels[n].space.labels):
-            raise MathCheckFailure("tower levels disagree on basis labels")
-        cls = obstruction_o2(A, tower, current)
+    for setup in chain[1:]:
+        n = setup.below.nu
+        step = setup.lift_step
+        cls = _obstruction_o2(setup.below, step.kernel_complex, current, seed)
         trace.append({"level": n, "obstruction_zero": cls.is_zero})
         if not cls.is_zero:
             return LiftOutcome(False, level=n, obstruction=cls, trace=trace)
-        step = LiftStep(cls.kernel_complex)
         lifted = step.lift(current)
         if lifted is None:
             raise MathCheckFailure(
                 "zero obstruction but the correction system is inconsistent")
         current = lifted
-        if step.setup.mc_residual(current):
+        if setup.mc_residual(current):
             raise MathCheckFailure("corrected lift fails the MC equation")
     return LiftOutcome(True, element=current, level=R.nu, trace=trace)
 

@@ -68,13 +68,9 @@ def _is_prime(p):
 
 
 class Field:
-    """Descriptor of the ground field, Q or F_p.
+    """Descriptor of the ground field, Q or F_p."""
 
-    The constants zero, one and minus one are built once per instance;
-    a Scalar is never changed after construction, so they are shared.
-    """
-
-    __slots__ = ("kind", "p", "_zero", "_one", "_minus_one")
+    __slots__ = ("kind", "p")
 
     def __init__(self, kind, p=None):
         if kind == "Q":
@@ -89,9 +85,6 @@ class Field:
             raise ValueError("unknown field kind %r" % (kind,))
         self.kind = kind
         self.p = p
-        self._zero = self(0)
-        self._one = self(1)
-        self._minus_one = self(-1)
 
     @classmethod
     def rationals(cls):
@@ -142,15 +135,15 @@ class Field:
 
     @property
     def zero(self):
-        return self._zero
+        return self(0)
 
     @property
     def one(self):
-        return self._one
+        return self(1)
 
     def sign(self, exponent):
         """(-1)^exponent as a Scalar; exponents are plain integers."""
-        return self._one if exponent % 2 == 0 else self._minus_one
+        return self(1) if exponent % 2 == 0 else self(-1)
 
     def elements(self):
         """All field elements; only available over F_p."""

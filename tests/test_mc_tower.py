@@ -22,6 +22,7 @@ from barmc.mc import (
     Tower,
     enumerate_mc,
     lift_mc,
+    pi0,
 )
 from barmc.scalars import Field
 
@@ -204,7 +205,8 @@ def _lift_by_solve(A, R, alpha0):
     levels = {n: quotient_by_power(R, n)[0] for n in range(2, R.nu + 1)}
     current = dict(alpha0)
     for n in range(2, R.nu):
-        step = LiftStep(KernelComplex(A, Tower(levels[n + 1], n)))
+        tower = Tower(levels[n + 1], n)
+        step = LiftStep(KernelComplex(tower, DeformationSetup(A, tower.R)))
         kc = step.kernel_complex
         target = kc.coordinates(step.setup.mc_residual(current))
         m, src, dst = kc.complex.matrix_of_d(1)
@@ -232,10 +234,32 @@ def test_step_solution_is_the_solve_solution(index):
 
 def test_step_cocycles_span_z1():
     A, R = kpoints(F3, 2), truncated_polynomial(F3, 3)
-    step = LiftStep(KernelComplex(A, Tower(R, 2)))
+    step = DeformationSetup(A, R).lift_step
     cx = step.kernel_complex.complex
     z1 = cx.space.dim_of_degree(1) - cx.matrix_of_d(1)[0].row_reduce().rank
     assert len(step.cocycles()) == z1
     assert len(step.cocycle_span()) == 3 ** z1
     for z in step.cocycles():
         assert not step.setup.mc_residual(z)
+
+
+def test_each_level_is_built_once(monkeypatch):
+    """enumerate_mc, _gauge_classes and lift_mc walk one shared chain.
+
+    One DeformationSetup per level R/m^5, .., R/m^2; before the chain,
+    pi0 built the levels below the top twice and lift_mc built 7.
+    """
+    built = []
+    original = DeformationSetup.__init__
+
+    def counting(self, A, R):
+        built.append(R.nu)
+        original(self, A, R)
+
+    monkeypatch.setattr(DeformationSetup, "__init__", counting)
+    A, R = kpoints(F2, 2), truncated_polynomial(F2, 5)
+    assert pi0(A, R).count == 256
+    assert sorted(built) == [2, 3, 4, 5]
+    built.clear()
+    assert lift_mc(A, R, {("e1", "t"): F2.one})
+    assert sorted(built) == [2, 3, 4, 5]
