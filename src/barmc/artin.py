@@ -217,7 +217,11 @@ def small_extension_kernel(R, n):
     The obstruction calculus steps along R -> R/m^n only when the
     kernel multiplies m to zero on both sides; n = nu - 1 always works.
     """
-    rows = R.ideal_power_subspace(n).rows
+    return check_small_extension(R, n, R.ideal_power_subspace(n).rows)
+
+
+def check_small_extension(R, n, rows):
+    """rows, a basis of I = m^n, checked to satisfy I m = m I = 0."""
     one = R.field.one
     for v in rows:
         for x in R.ideal_labels:

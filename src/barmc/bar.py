@@ -26,10 +26,8 @@ from .errors import HypothesisNotMet, MathCheckFailure
 from .linalg import (
     Complex,
     GradedSpace,
-    Matrix,
     SpanSolver,
     Subspace,
-    solve_linear,
     vec_add,
     vec_clean,
     vec_is_zero,
@@ -232,8 +230,8 @@ class SHatCohomology:
     carries a well-defined weight.
     """
 
-    def __init__(self, A, N, dual=None):
-        self.S = dual if dual is not None else dual_dg_algebra(A, N)
+    def __init__(self, A, N):
+        self.S = dual_dg_algebra(A, N)
         self.N = N
         self.field = self.S.field
         self.cx = self.S.complex
@@ -259,17 +257,9 @@ class SHatCohomology:
 
     def _restricted_kernel(self, labels):
         """Basis of ker(d) on the span of the listed labels."""
-        if not labels:
-            return []
         cols = [self.cx.apply_d({l: self.field.one}) for l in labels]
-        outs = sorted({o for c in cols for o in c}, key=repr)
-        oidx = {o: r for r, o in enumerate(outs)}
-        m = Matrix(max(1, len(outs)), len(labels), self.field)
-        for j, col in enumerate(cols):
-            for o, val in col.items():
-                m.entries[(oidx[o], j)] = val
-        _, kernel, _, _ = solve_linear(m)
-        return [{labels[j]: c for j, c in kv.items()} for kv in kernel]
+        return [{labels[j]: c for j, c in kv.items()}
+                for kv in SpanSolver(cols, self.field).relations]
 
     def _filtered_reps(self, degree):
         """Cocycles adapted to the weight filtration of H^degree, by weight.

@@ -1,22 +1,27 @@
 """Exact sparse linear algebra and graded complexes.
 
 Vectors are dicts mapping a basis key (an integer index, a string
-label, or a structured tuple label) to a nonzero Scalar.  Matrices are
-stored as sparse triplets with a canonical (row, col) ordering.
+label, or a structured tuple label) to a nonzero Scalar.
 
 Every echelon form comes from one kernel, ``Subspace.insert``.  It
 reduces a vector by the rows held so far, scales the remainder to one
 at its smallest key, clears that key from the other rows and files the
 new row by pivot, so the rows are always the reduced row-echelon basis
-for a fixed key order.  ``Subspace`` orders keys by ``repr``, a matrix
-echelon (``Elimination``) by column index, and ``SpanSolver`` puts the
-labels before the coordinate tags through which it tracks
-combinations.  Arithmetic is ordinary division over Q and F_p alike.
+for a fixed key order.  ``Subspace`` orders keys by ``repr``.
+Arithmetic is ordinary division over Q and F_p alike.
+
+Linear systems go through one of two interfaces:
+
+* ``Elimination`` row-reduces a ``Matrix``, the integer-indexed block
+  of a complex's differential (``Complex.matrix_of_d``), for
+  ``Cohomology``; it orders keys by column index.
+* ``SpanSolver`` takes label-keyed vectors as they are and reports the
+  coordinates of a vector in their span, the independent vectors, and
+  the relations among the others; it puts the labels before the
+  coordinate tags through which it tracks combinations.
 """
 
 from bisect import bisect
-
-from .scalars import FieldMismatch, Scalar
 
 
 # ---------------------------------------------------------------------------
@@ -89,37 +94,6 @@ class Matrix:
         self.field = field
         self.entries = {}
 
-    def __setitem__(self, key, value):
-        i, j = key
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError(key)
-        if isinstance(value, Scalar) and value.field != self.field:
-            raise FieldMismatch("entry field differs from matrix field")
-        value = self.field(value)
-        if value:
-            self.entries[(i, j)] = value
-        else:
-            self.entries.pop((i, j), None)
-
-    def __getitem__(self, key):
-        return self.entries.get(key, self.field.zero)
-
-    @classmethod
-    def from_rows(cls, rows, ncols, field):
-        m = cls(len(rows), ncols, field)
-        for i, row in enumerate(rows):
-            for j, c in row.items():
-                m[i, j] = c
-        return m
-
-    @classmethod
-    def from_columns(cls, cols, nrows, field):
-        m = cls(nrows, len(cols), field)
-        for j, col in enumerate(cols):
-            for i, c in col.items():
-                m[i, j] = c
-        return m
-
     def column(self, j):
         return {i: c for (i, jj), c in self.entries.items() if jj == j}
 
@@ -127,65 +101,6 @@ class Matrix:
         out = [dict() for _ in range(self.nrows)]
         for (i, j), c in sorted(self.entries.items()):
             out[i][j] = c
-        return out
-
-    def transpose(self):
-        t = Matrix(self.ncols, self.nrows, self.field)
-        for (i, j), c in self.entries.items():
-            t.entries[(j, i)] = c
-        return t
-
-    def mul_vec(self, v):
-        """Matrix times a sparse column vector (dict j -> Scalar)."""
-        out = {}
-        cols = {}
-        for (i, j), c in self.entries.items():
-            cols.setdefault(j, []).append((i, c))
-        for j, coeff in v.items():
-            if not coeff:
-                continue
-            for i, c in cols.get(j, ()):
-                prod = c * coeff
-                if i in out:
-                    s = out[i] + prod
-                    if s:
-                        out[i] = s
-                    else:
-                        del out[i]
-                elif prod:
-                    out[i] = prod
-        return out
-
-    def is_zero(self):
-        return not self.entries
-
-    def __mul__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        out = Matrix(self.nrows, other.ncols, self.field)
-        by_row = {}
-        for (i, j), c in self.entries.items():
-            by_row.setdefault(i, []).append((j, c))
-        other_rows = {}
-        for (j, k), c in other.entries.items():
-            other_rows.setdefault(j, []).append((k, c))
-        for i, terms in by_row.items():
-            acc = {}
-            for j, c in terms:
-                for k, d in other_rows.get(j, ()):
-                    prod = c * d
-                    if k in acc:
-                        s = acc[k] + prod
-                        if s:
-                            acc[k] = s
-                        else:
-                            del acc[k]
-                    elif prod:
-                        acc[k] = prod
-            for k, c in acc.items():
-                out.entries[(i, k)] = c
         return out
 
     def row_reduce(self):
@@ -227,56 +142,38 @@ class Elimination:
         """The pivot columns of the original matrix (a basis of the image)."""
         return [self.matrix.column(j) for j in self.pivots]
 
-    def nullity(self):
-        return self.matrix.ncols - self.rank
-
-
-def solve_linear(matrix):
-    """Row-reduce and report (rank, kernel basis, image basis, pivots)."""
-    e = matrix.row_reduce()
-    return e.rank, e.kernel_basis(), e.image_basis(), list(e.pivots)
-
-
-def solve(matrix, b):
-    """One solution x of Mx = b, or None when inconsistent.
-
-    Free coordinates are set to zero, so the answer is canonical given
-    the matrix.
-    """
-    aug = Matrix(matrix.nrows, matrix.ncols + 1, matrix.field)
-    for (i, j), c in matrix.entries.items():
-        aug.entries[(i, j)] = c
-    for i, c in b.items():
-        if c:
-            aug[i, matrix.ncols] = c
-    e = aug.row_reduce()
-    x = {}
-    for row, p in zip(e.rows, e.pivots):
-        if p == matrix.ncols:
-            return None
-        c = row.get(matrix.ncols)
-        if c is not None:
-            x[p] = c
-    return x
-
 
 class SpanSolver:
-    """Membership and coordinates relative to a fixed list of spanning vectors.
+    """Membership, coordinates and relations of a fixed list of spanning vectors.
 
-    Each spanning vector v_j is kept as v_j + e_j, where the tag e_j
-    sorts after every label, and only when v_j is new modulo the earlier
-    vectors.  Reducing a vector v then clears all of its labels exactly
-    when v is in the span, and the tags left over are minus the
-    coordinates of v: the unique ones supported on the earliest
-    independent spanning vectors, with every other coordinate zero.
+    Each spanning vector v_j is reduced as v_j + e_j, where the tag e_j
+    sorts after every label, and kept only when v_j is new modulo the
+    earlier vectors; ``independent`` lists those j.  Otherwise the
+    remainder holds only tags: it is the relation e_j - sum c_p e_p
+    with v_j = sum c_p v_p over earlier independent p, which is what
+    ``Elimination.kernel_basis`` gives on the matrix with columns v_j,
+    keys in the same order (j first, then the p ascending).  Reducing
+    a vector v clears all of its labels exactly when v is in the span,
+    and the tags left over are minus the coordinates of v: the unique
+    ones supported on the independent vectors.
     """
 
     def __init__(self, vectors, field):
         self._echelon = _TaggedEchelon((), field)
+        self.independent = []
+        self.relations = []
+        one = field.one
         for j, v in enumerate(vectors):
-            tagged = self._echelon.reduce({**v, _Tag(j): field.one})
-            if not _only_tags(tagged):
-                self._echelon.insert(tagged)
+            # no row holds e_j yet, so v + e_j reduces to reduce(v) + e_j
+            r = self._echelon.reduce(v)
+            if _only_tags(r):
+                relation = {j: one}
+                relation.update(sorted((t.j, c) for t, c in r.items()))
+                self.relations.append(relation)
+            else:
+                r[_Tag(j)] = one
+                self._echelon._add_reduced(r)
+                self.independent.append(j)
 
     def coordinates(self, v):
         """Coefficients expressing v in the spanning set, or None."""
@@ -329,6 +226,11 @@ class Subspace:
         r = self.reduce(v)
         if not r:
             return False
+        self._add_reduced(r)
+        return True
+
+    def _add_reduced(self, r):
+        """File a nonzero vector that is already reduced modulo the rows."""
         order = self._order
         pk = min(r, key=order)
         if r[pk] != self.field.one:
@@ -342,7 +244,6 @@ class Subspace:
         self.rows.insert(at, r)
         self._row_at[pk] = r
         self.dim += 1
-        return True
 
 
 class _ColumnEchelon(Subspace):

@@ -27,16 +27,13 @@ from .ainfinity import (
     tensor_label,
     tensor_with_dg,
 )
-from .artin import quotient_by_power, small_extension_kernel
+from .artin import check_small_extension, quotient_by_power
 from .errors import HypothesisNotMet, MathCheckFailure
 from .linalg import (
     Complex,
     GradedSpace,
-    Matrix,
     SpanSolver,
     Subspace,
-    solve,
-    solve_linear,
     vec_add,
     vec_clean,
     vec_scale,
@@ -372,24 +369,18 @@ class HomSet:
         self.hom_complex = HomComplex(setup, alpha, beta,
                                       check_objects=check_objects)
         deg0 = setup.ideal_labels_of_degree(0)
-        deg1 = setup.ideal_labels_of_degree(1)
-        row_index = {l: i for i, l in enumerate(deg1)}
-        m = Matrix(max(1, len(deg1)), len(deg0), self.field)
-        for j, l in enumerate(deg0):
-            for out, c in self.hom_complex.complex.d.get(l, {}).items():
-                m.entries[(row_index[out], j)] = c
-        for out in self.hom_complex.d_of_one:
-            if out not in row_index:
-                raise MathCheckFailure(
-                    "m_1 of the unit has a component outside (A x m)^1")
-        rhs = {row_index[out]: -c
-               for out, c in self.hom_complex.d_of_one.items()}
-        particular = solve(m, rhs)
-        _, kernel, _, _ = solve_linear(m)
+        deg1 = set(setup.ideal_labels_of_degree(1))
+        if any(out not in deg1 for out in self.hom_complex.d_of_one):
+            raise MathCheckFailure(
+                "m_1 of the unit has a component outside (A x m)^1")
+        d = self.hom_complex.complex.d
+        solver = SpanSolver([d.get(l, {}) for l in deg0], self.field)
+        particular = solver.coordinates(
+            {out: -c for out, c in self.hom_complex.d_of_one.items()})
         self._deg0 = deg0
         self.image = self.hom_complex.gauge_image()
         self.kernel_vecs = [{deg0[j]: c for j, c in kv.items()}
-                            for kv in kernel]
+                            for kv in solver.relations]
         if particular is None:
             self.particular = None
             self.count = 0
@@ -631,13 +622,13 @@ class Tower:
     """
 
     def __init__(self, R, n):
+        self.Rbar, self._pi, rows = quotient_by_power(R, n)
         try:
-            self.kernel_rows = small_extension_kernel(R, n)
+            self.kernel_rows = check_small_extension(R, n, rows)
         except ValueError as e:
             raise HypothesisNotMet(str(e))
         self.R = R
         self.n = n
-        self.Rbar, self._pi, _ = quotient_by_power(R, n)
 
     def project(self, vec):
         return _project(vec, self._pi)
@@ -720,10 +711,10 @@ class LiftStep:
     alpha~ + eta0 + Z^1(A x I), where m_1(eta0) = residual(alpha~).
     residual(alpha~) lies in A x I exactly when alpha_bar is MC over
     Rbar; otherwise KernelComplex.coordinates raises MathCheckFailure.
-    eta0 is the unique solution on the earliest independent columns of
-    m_1: (A x I)^1 -> (A x I)^2, which is what linalg.solve returns on
-    the matrix of that block.  The column solver is built once per
-    step, over the step's KernelComplex.
+    eta0 is the unique solution supported on the earliest independent
+    columns of m_1: (A x I)^1 -> (A x I)^2, and the relations among the
+    other columns are a basis of Z^1(A x I).  The column solver is
+    built once per step, over the step's KernelComplex.
     """
 
     def __init__(self, kernel_complex):
@@ -754,9 +745,8 @@ class LiftStep:
     def cocycles(self):
         """A basis of Z^1(A x I) embedded in A x R, each checked d z = 0."""
         cx = self.kernel_complex.complex
-        m, _, _ = cx.matrix_of_d(1)
         out = []
-        for kv in m.row_reduce().kernel_basis():
+        for kv in self._solver.relations:
             z = {self._src[j]: c for j, c in kv.items()}
             if vec_clean(cx.apply_d(z)):
                 raise MathCheckFailure("Z^1 basis vector is not a cocycle")
@@ -989,7 +979,7 @@ def _require_strictly_unital(f):
         raise HypothesisNotMet("pushforward needs a strictly unital morphism")
 
 
-def pushforward_mc(f, R, alpha, certify=True):
+def pushforward_mc(f, R, alpha):
     """f_R^*(alpha) = sum (-1)^(n(n-1)/2) f_n(alpha, .., alpha)."""
     _require_strictly_unital(f)
     src = DeformationSetup(f.source, R)
@@ -1001,9 +991,8 @@ def pushforward_mc(f, R, alpha, certify=True):
         term = _eval_f_tensor(f, R, [alpha] * n)
         vec_add(out, term, field.sign(n * (n - 1) // 2))
     out = vec_clean(out)
-    if certify:
-        if DeformationSetup(f.target, R).mc_residual(out):
-            raise MathCheckFailure("pushforward violates the MC equation")
+    if DeformationSetup(f.target, R).mc_residual(out):
+        raise MathCheckFailure("pushforward violates the MC equation")
     return out
 
 
@@ -1057,16 +1046,13 @@ def _h_iso_check(f):
             return "H^%d dims differ: %d vs %d" % (i, h1.dim, h2.dim)
         if h1.dim == 0:
             continue
-        m = Matrix(h2.dim, h1.dim, f.source.field)
-        for j, rep in enumerate(h1.representatives):
+        images = []
+        for rep in h1.representatives:
             img = {}
             for l, c in rep.items():
                 vec_add(img, f.eval_f((l,)), c)
-            coords = h2.project(img)
-            for r, c in coords.items():
-                m.entries[(r, j)] = c
-        rank, _, _, _ = solve_linear(m)
-        if rank != h1.dim:
+            images.append(h2.project(img))
+        if Subspace(images, f.source.field).dim != h1.dim:
             return "H^%d map is not invertible" % i
     return None
 

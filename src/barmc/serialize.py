@@ -74,12 +74,17 @@ def scalar_to_str(c):
 
 
 def scalar_from_str(field, text):
-    frac = Fraction(text)
-    if field.kind == "Q":
-        return field(frac)
-    if frac.denominator == 1:
-        return field(frac.numerator)
-    return field(frac.numerator) / field(frac.denominator)
+    """The coefficient written as a decimal string, or ValueError naming it."""
+    if not isinstance(text, str):
+        raise ValueError("coefficient %r is not a string" % (text,))
+    try:
+        frac = Fraction(text)
+        if field.kind == "Q":
+            return field(frac)
+        return field(frac.numerator) / field(frac.denominator)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("coefficient %r is not a number over %s"
+                         % (text, field_name(field))) from None
 
 
 def vector_to_json(vec):

@@ -15,8 +15,8 @@ the axiom checkers before being returned.
 
 The splitting itself is elementary linear algebra, done degree by
 degree through the canonical echelon solvers: representatives for
-cohomology, the zero-free-coordinate preimage for every boundary, and
-a homotopy that kills representatives and preimages.  The side
+cohomology, a basis of boundaries d(x) with the labels x as preimages,
+and a homotopy that kills representatives and preimages.  The side
 conditions hold by construction, because the homotopy lands in the
 span of chosen preimages, on which both the projection and the
 homotopy vanish.  The same algebra over the same field always yields
@@ -40,7 +40,6 @@ from .linalg import (
     Complex,
     GradedSpace,
     SpanSolver,
-    solve,
     vec_add,
     vec_clean,
     vec_scale,
@@ -63,15 +62,14 @@ class TransferData:
     to zero.
     """
 
-    def __init__(self, C, space, i, p, h, check=True):
+    def __init__(self, C, space, i, p, h):
         self.C = C
         self.space = space
         self.field = C.field
         self.i = {k: vec_clean(dict(v)) for k, v in i.items()}
         self.p = {k: vec_clean(dict(v)) for k, v in p.items()}
         self.h = {k: vec_clean(dict(v)) for k, v in h.items()}
-        if check:
-            self._certify()
+        self._certify()
 
     def _apply(self, table, v):
         out = {}
@@ -152,10 +150,10 @@ def build_splitting(C):
     """The canonical exact splitting of a finite DG algebra.
 
     Degree by degree: cohomology representatives come from the
-    echelon solver, each boundary basis vector receives the preimage
-    whose free coordinates are zero, and the homotopy sends that
-    boundary back to its preimage while killing representatives and
-    preimages.  A strict unit is split off first, onto its own line
+    echelon solver, the boundaries d(x) of the labels x whose images
+    are independent of the earlier ones form a basis of the image, each
+    with the preimage x, and the homotopy sends that boundary back to
+    its preimage while killing representatives and preimages.  A strict unit is split off first, onto its own line
     with zero homotopy, which is the discipline that later makes the
     transferred model strictly unital without any cleanup pass; a
     declared unit whose line fails to separate is rejected.
@@ -206,17 +204,11 @@ def build_splitting(C):
             i_tbl[name] = dict(rep)
             named.append((name, rep))
         reps_at[k] = named
-        m, src, dst = cx.matrix_of_d(k)
-        e = m.row_reduce()
-        bnd = []
-        pre = []
-        for col in e.image_basis():
-            x = solve(m, col)
-            if x is None:
-                raise MathCheckFailure(
-                    "no preimage for an image basis vector in degree %d" % k)
-            bnd.append({dst[r]: c for r, c in col.items()})
-            pre.append({src[j]: c for j, c in x.items()})
+        src = space_blk.labels_of_degree(k)
+        cols = [cx.d.get(l, {}) for l in src]
+        image = SpanSolver(cols, field).independent
+        bnd = [cols[j] for j in image]
+        pre = [{src[j]: one} for j in image]
         bnd_into[k + 1] = bnd
         pre_at[k] = pre
     for k in space_blk.degrees_present():

@@ -44,9 +44,8 @@ from .errors import HypothesisNotMet, MathCheckFailure
 from .linalg import (
     Complex,
     GradedSpace,
-    Matrix,
+    SpanSolver,
     Subspace,
-    solve_linear,
     vec_add,
     vec_clean,
 )
@@ -532,13 +531,8 @@ class ModuleIsomorphism:
             if lhs != rhs:
                 raise MathCheckFailure(
                     "gauge transport is not a chain map at %r" % (l,))
-        idx = {l: i for i, l in enumerate(labels)}
-        m = Matrix(len(labels), len(labels), self.field)
-        for j, l in enumerate(labels):
-            for out, c in self.phi.get(l, {}).items():
-                m.entries[(idx[out], j)] = c
-        rank, _, _, _ = solve_linear(m)
-        if rank != len(labels):
+        if Subspace([self.phi.get(l, {}) for l in labels],
+                    self.field).dim != len(labels):
             raise MathCheckFailure("gauge transport is not invertible")
         if self.setup.A.arity_bound <= 2:
             for l in labels:
@@ -664,20 +658,16 @@ class H0Presentation:
         self.values = values
         self.classes = {m: self.rep.class_coords(v)
                         for m, v in values.items()}
-        spanned = Subspace([dict(c) for c in self.classes.values() if c],
-                           self.field)
-        if spanned.dim != self.rep.h0.dim:
+        solver = SpanSolver([self.classes[mono] for mono in monomials],
+                            self.field)
+        spanned = len(solver.independent)
+        if spanned != self.rep.h0.dim:
             raise HypothesisNotMet(
                 "weight-one classes span a %d-dimensional piece of the "
                 "%d-dimensional H^0 at order %d; generation by weight one "
-                "is not established" % (spanned.dim, self.rep.h0.dim, N))
-        m = Matrix(max(1, self.rep.h0.dim), len(monomials), self.field)
-        for j, mono in enumerate(monomials):
-            for i, c in self.classes[mono].items():
-                m.entries[(i, j)] = c
-        _, kernel, _, _ = solve_linear(m)
-        self.relations = [
-            {monomials[j]: c for j, c in kv.items()} for kv in kernel]
+                "is not established" % (spanned, self.rep.h0.dim, N))
+        self.relations = [{monomials[j]: c for j, c in kv.items()}
+                          for kv in solver.relations]
 
     def generator_count(self):
         return len(self.gens)

@@ -291,8 +291,10 @@ class SubspaceOracle:
                     keys.append(k)
         keys.sort(key=repr)
         kidx = {k: i for i, k in enumerate(keys)}
-        m = Matrix.from_rows([{kidx[k]: c for k, c in v.items()} for v in vecs],
-                             len(keys), field)
+        m = Matrix(len(vecs), len(keys), field)
+        for i, v in enumerate(vecs):
+            for k, c in v.items():
+                m.entries[(i, kidx[k])] = c
         rows, pivots = rref_oracle(m)
         self.rows = [{keys[j]: c for j, c in row.items()} for row in rows]
         self.pivot_keys = [keys[p] for p in pivots]
@@ -327,7 +329,7 @@ def span_coordinates_oracle(vectors, field, v):
             aug.entries[(idx[k], j)] = c
     for k, c in v.items():
         if c:
-            aug[idx[k], n] = c
+            aug.entries[(idx[k], n)] = c
     rows, pivots = rref_oracle(aug)
     x = {}
     for row, p in zip(rows, pivots):

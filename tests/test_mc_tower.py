@@ -5,16 +5,22 @@ R/m^2, .., R one small extension at a time (LiftStep).  The exhaustive
 sweep lives on as enumerate_mc_oracle in tests/oracles.py; both must
 give the same elements in the same order, with the same keys in the
 same order.  lift_mc shares the per-level step, whose particular
-solution must be the one linalg.solve gives on the matrix of m_1.
+solution must be the one span_coordinates_oracle gives on the columns
+of m_1.
 """
 
 import pytest
 
 from barmc.ainfinity import AInfAlgebra, StructureMaps
-from barmc.artin import fiber_product, quotient_by_power, truncated_polynomial
+from barmc.artin import (
+    ArtinianDGAlgebra,
+    fiber_product,
+    quotient_by_power,
+    truncated_polynomial,
+)
 from barmc.errors import HypothesisNotMet, MathCheckFailure
 from barmc.examples import kpoints, njac, random_instance, xy
-from barmc.linalg import GradedSpace, solve, vec_add, vec_clean
+from barmc.linalg import GradedSpace, vec_add, vec_clean
 from barmc.mc import (
     DeformationSetup,
     KernelComplex,
@@ -26,7 +32,7 @@ from barmc.mc import (
 )
 from barmc.scalars import Field
 
-from oracles import enumerate_mc_oracle
+from oracles import enumerate_mc_oracle, span_coordinates_oracle
 from test_mc import negative_base
 from test_twisting import local_noncommutative
 
@@ -197,8 +203,8 @@ LIFT_CASES = (
 )
 
 
-def _lift_by_solve(A, R, alpha0):
-    """lift_mc's level loop with linalg.solve, checking LiftStep on the way.
+def _lift_by_oracle(A, R, alpha0):
+    """lift_mc's level loop with the oracle solve, checking LiftStep on the way.
 
     Returns the lifted element, or None at the first empty fibre.
     """
@@ -209,9 +215,9 @@ def _lift_by_solve(A, R, alpha0):
         step = LiftStep(KernelComplex(tower, DeformationSetup(A, tower.R)))
         kc = step.kernel_complex
         target = kc.coordinates(step.setup.mc_residual(current))
-        m, src, dst = kc.complex.matrix_of_d(1)
-        row = {l: i for i, l in enumerate(dst)}
-        sol = solve(m, {row[l]: c for l, c in target.items()})
+        src = kc.complex.space.labels_of_degree(1)
+        sol = span_coordinates_oracle([kc.complex.d.get(l, {}) for l in src],
+                                      kc.field, target)
         want = None if sol is None else {src[j]: c for j, c in sol.items()}
         assert step.particular(current) == want
         if want is None:
@@ -225,7 +231,7 @@ def _lift_by_solve(A, R, alpha0):
 @pytest.mark.parametrize("index", range(len(LIFT_CASES)))
 def test_step_solution_is_the_solve_solution(index):
     A, R, alpha0 = LIFT_CASES[index]
-    want = _lift_by_solve(A, R, alpha0)
+    want = _lift_by_oracle(A, R, alpha0)
     out = lift_mc(A, R, alpha0)
     assert out.ok == (want is not None)
     if out.ok:
@@ -263,3 +269,22 @@ def test_each_level_is_built_once(monkeypatch):
     built.clear()
     assert lift_mc(A, R, {("e1", "t"): F2.one})
     assert sorted(built) == [2, 3, 4, 5]
+
+
+def test_tower_builds_the_ideal_power_once(monkeypatch):
+    """The quotient's kernel rows are the ones checked to kill m."""
+    calls = []
+    original = ArtinianDGAlgebra.ideal_power_subspace
+
+    def counting(self, n):
+        calls.append(n)
+        return original(self, n)
+
+    monkeypatch.setattr(ArtinianDGAlgebra, "ideal_power_subspace", counting)
+    tower = Tower(truncated_polynomial(F3, 4), 3)
+    assert calls == [3]
+    assert tower.kernel_rows == [{"t3": F3.one}]
+    calls.clear()
+    with pytest.raises(HypothesisNotMet, match="not a small extension"):
+        Tower(truncated_polynomial(F3, 4), 2)
+    assert calls == [2]

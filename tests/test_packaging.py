@@ -149,3 +149,20 @@ def test_mc_sets_are_not_found_by_sweeping_candidates():
     """MC(R) is lifted along the tower; the sweep is enumerate_mc_oracle."""
     path = ROOT / "src" / "barmc" / "mc.py"
     assert _replay_loops(path, {"mc_residual"}, set()) == []
+
+
+# Label-keyed systems go through SpanSolver; only linalg.py itself
+# builds and row-reduces an integer-indexed Matrix (for Cohomology).
+MATRIX_CALLS = {"Matrix", "row_reduce", "matrix_of_d"}
+
+
+def _matrix_calls(path):
+    tree = ast.parse(path.read_text(), str(path))
+    return ["%s:%d calls %s" % (path.name, node.lineno, _callee(node))
+            for node in ast.walk(tree) if _callee(node) in MATRIX_CALLS]
+
+
+def test_only_linalg_builds_matrices():
+    found = [msg for path in SOURCES if path.name != "linalg.py"
+             for msg in _matrix_calls(path)]
+    assert found == []

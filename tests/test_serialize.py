@@ -1,6 +1,7 @@
 """Canonical JSON descriptions: round trips and refused input."""
 
 import json
+import re
 
 import pytest
 
@@ -15,7 +16,13 @@ from barmc.examples import (
     xy,
 )
 from barmc.scalars import Field
-from barmc.serialize import algebra_from_json, algebra_to_json, dumps_canonical
+from barmc.serialize import (
+    algebra_from_json,
+    algebra_to_json,
+    dumps_canonical,
+    element_from_json,
+    element_to_json,
+)
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -77,6 +84,13 @@ def _extend(basis, ops):
     return mutate
 
 
+def _chain(*mutations):
+    def mutate(doc):
+        for m in mutations:
+            m(doc)
+    return mutate
+
+
 def _op(arity, ins, out):
     return {"arity": arity, "in": ins, "out": [{"label": out, "coeff": "1"}]}
 
@@ -100,9 +114,21 @@ def _op(arity, ins, out):
     # d(1) = x and d(x) = y, so d*d is nonzero on the basis element 1
     _extend([{"label": "y", "degree": 2}],
             [_op(1, ["1"], "x"), _op(1, ["x"], "y")]),
+    _set(("ops", 0, "out", 0, "coeff"), "1/0"),
+    _set(("ops", 0, "out", 0, "coeff"), "one"),
+    _set(("ops", 0, "out", 0, "coeff"), None),
+    _set(("ops", 0, "out", 0, "coeff"), ["1"]),
+    _set(("ops", 0, "out", 0, "coeff"), 0.5),
+    _set(("ops", 0, "out", 0, "coeff"), True),
+    _set(("ops", 0, "out", 0, "coeff"), 1),
+    # 3 is zero in F_3, so 1/3 names no element
+    _chain(_set(("field",), {"kind": "Fp", "p": 3}),
+           _set(("ops", 0, "out", 0, "coeff"), "1/3")),
 ], ids=["unknown input", "unknown output", "degree true", "degree 1.7",
         "arity true", "no label", "no degree", "no arity", "no in", "no out",
-        "no coeff", "arity 0", "d squared nonzero"])
+        "no coeff", "arity 0", "d squared nonzero", "coeff 1/0",
+        "coeff word", "coeff null", "coeff list", "coeff 0.5", "coeff true",
+        "coeff int", "coeff 1/3 over F3"])
 def test_malformed_algebra_description_is_refused(mutate):
     algebra_from_json(_doc())  # the unmutated description loads
     doc = _doc()
@@ -126,3 +152,40 @@ def test_nonzero_d_squared_names_its_witness():
 def test_unknown_builtin_name_is_refused(build):
     with pytest.raises(ValueError, match="nosuch"):
         build()
+
+
+@pytest.mark.parametrize("coeff", ["1/3", "1/0", None, ["1"], 0.5, True],
+                         ids=["1/3", "1/0", "null", "list", "0.5", "true"])
+def test_malformed_coefficient_is_named(coeff):
+    doc = _doc()
+    doc["field"] = {"kind": "Fp", "p": 3}
+    doc["ops"][0]["out"][0]["coeff"] = coeff
+    with pytest.raises(ValueError, match="coefficient %s" % re.escape(repr(coeff))):
+        algebra_from_json(doc)
+
+
+def test_element_round_trips_with_nested_labels():
+    alpha = {(("x", 1), "t"): F3(2), ("y", ("h", 0, 2)): F3(1),
+             ("x", "t2"): F3(1)}
+    text = dumps_canonical(element_to_json(alpha))
+    back = element_from_json(F3, json.loads(text))
+    assert back == alpha
+    assert dumps_canonical(element_to_json(back)) == text
+    # zero coefficients are dropped on the way in
+    assert element_from_json(F3, [[["x", "t"], "3"]]) == {}
+
+
+@pytest.mark.parametrize("doc", [
+    [["x", "1"]],
+    [[["x", "t", "u"], "1"]],
+    [[["x", "t"]]],
+    [[["x", "t"], "1"], [["x", "t"], "2"]],
+    [[["x", "t"], "1/3"]],
+    [[["x", "t"], 1]],
+    [[["x", "t"], None]],
+    ["x"],
+], ids=["bare label", "triple label", "no coeff", "duplicate label",
+        "coeff 1/3", "coeff int", "coeff null", "not a pair"])
+def test_malformed_element_is_refused(doc):
+    with pytest.raises(ValueError):
+        element_from_json(F3, doc)
