@@ -168,12 +168,6 @@ class AInfAlgebra:
     def augmented(self):
         return self.aug_label is not None
 
-    def aug_of(self, v):
-        """Value of the augmentation functional on a vector."""
-        if self.aug_label is None:
-            raise ValueError("algebra carries no augmentation")
-        return v.get(self.aug_label, self.field.zero)
-
     def ideal_labels(self):
         """Basis labels of the augmentation ideal (everything but the unit line)."""
         if self.aug_label is None:

@@ -211,15 +211,6 @@ def quotient_by_power(R, n):
     return ArtinianDGAlgebra(alg), pi, ideal_n.rows
 
 
-def small_extension_kernel(R, n):
-    """Basis of I = m^n checked to satisfy I m = m I = 0.
-
-    The obstruction calculus steps along R -> R/m^n only when the
-    kernel multiplies m to zero on both sides; n = nu - 1 always works.
-    """
-    return check_small_extension(R, n, R.ideal_power_subspace(n).rows)
-
-
 def check_small_extension(R, n, rows):
     """rows, a basis of I = m^n, checked to satisfy I m = m I = 0."""
     one = R.field.one
@@ -308,10 +299,6 @@ class DualCoalgebra:
                 ops.setdefault((x, y), {})[z] = sign(
                     self.ring.deg(x) * self.ring.deg(y)) * c
         return {k: vec_clean(v) for k, v in ops.items() if vec_clean(v)}
-
-
-def dual_coalgebra(R):
-    return DualCoalgebra(R)
 
 
 # ---------------------------------------------------------------------------

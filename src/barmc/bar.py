@@ -34,6 +34,10 @@ from .linalg import (
 )
 
 
+# ---------------------------------------------------------------------------
+# the bar truncation and its dual
+
+
 def bar_words(letters, weight_bound):
     """All words over the letters up to the weight bound.
 
@@ -129,10 +133,6 @@ class BarTruncation:
                     "bar differential is not a coderivation at %r" % (w,))
 
 
-def bar_construction(A, N):
-    return BarTruncation(A, N)
-
-
 class DualTruncation:
     """Linear dual of a bar truncation: a finite DG algebra.
 
@@ -187,7 +187,7 @@ class DualTruncation:
 
 
 def dual_dg_algebra(A, N):
-    return DualTruncation(bar_construction(A, N))
+    return DualTruncation(BarTruncation(A, N))
 
 
 def check_tower_surjection(big, small):
@@ -346,10 +346,6 @@ class SHatCohomology:
         return table
 
 
-def s_hat_cohomology(A, N):
-    return SHatCohomology(A, N)
-
-
 # ---------------------------------------------------------------------------
 # the Koszulness probe
 
@@ -414,52 +410,35 @@ class KoszulVerdict:
         return "KoszulVerdict(%s, window=%r)" % (self.verdict, (self.window,))
 
 
-def koszul_probe(A, N, window=None):
+def koszul_probe(A, N):
     """Whether graded H^i(S_N) vanishes away from degree 0 where faithful.
 
     The faithful weights are w <= N - r with r the weight raise bound:
     there the cocycle condition on a weight-w functional and all the
     bounding elements it could receive stay inside the truncation, so
-    the graded slice gr_w H^i agrees with every deeper truncation.  An
-    explicit window overrides the cutoff.  A truncation-level
-    certificate only; refuses non-admissible input, where the probe has
-    no degree bounds to work with.
+    the graded slice gr_w H^i agrees with every deeper truncation.  A
+    truncation-level certificate only; refuses non-admissible input,
+    where the probe has no degree bounds to work with.
     """
     if not is_admissible(A):
         raise HypothesisNotMet(
             "koszul probe needs a strictly unital augmented algebra whose "
             "augmentation ideal sits in degrees >= 1")
-    rep = s_hat_cohomology(A, N)
+    rep = SHatCohomology(A, N)
     degrees = sorted(rep.S.space.degrees_present())
     if degrees and max(degrees) > 0:
         raise MathCheckFailure("admissible input produced positive dual degrees")
-    w_hi = N - weight_raise_bound(A, N) if window is None else int(window)
+    w_hi = N - weight_raise_bound(A, N)
     failures = []
     for i in sorted(rep.filtered_dims):
         if i == 0:
             continue
         graded = rep.filtered_dims[i]
-        for w in range(0, min(w_hi, N) + 1):
+        for w in range(0, w_hi + 1):
             if graded[w]:
                 failures.append((i, w, graded[w]))
     return KoszulVerdict(not failures, N, (0, w_hi), failures,
                          dict(rep.total_dims), list(rep.weight_dims), rep)
-
-
-def stabilization_report(A, N, extra=2):
-    """H^0 weight dimensions at orders N..N+extra, with a consistency flag.
-
-    Consistent means the order-M dims agree with order M+1 in every
-    weight M covers, i.e. the claims stabilize along the tower.
-    """
-    tables = {}
-    for order in range(N, N + extra + 1):
-        tables[order] = list(s_hat_cohomology(A, order).weight_dims)
-    consistent = all(
-        tables[order][w] == tables[order + 1][w]
-        for order in range(N, N + extra)
-        for w in range(order + 1))
-    return {"orders": tables, "consistent": consistent}
 
 
 # ---------------------------------------------------------------------------
@@ -479,110 +458,3 @@ def universal_twisting_cochain(A):
         raise ValueError("twisting cochains need an augmented algebra")
     one = A.field.one
     return {tensor_label(a, (a,)): one for a in A.ideal_labels()}
-
-
-# ---------------------------------------------------------------------------
-# the one-sided bar complex
-
-
-class BarComplex:
-    """Words of weight <= N with one module slot from A, in A[1] throughout.
-
-    The differential applies b_s inside the word and folds suffixes
-    into the module slot with b_{j+1}; both families carry only Koszul
-    passage signs because every b has degree +1.
-    """
-
-    def __init__(self, A, N):
-        if not A.augmented or A.unit is None:
-            raise ValueError(
-                "the bar complex needs a strictly unital augmented algebra")
-        needed = min(N + 1, A.arity_bound)
-        if not A.op_complete_for(needed):
-            raise HypothesisNotMet(
-                "weight-%d bar complex applies operations up to arity %d, but "
-                "the algebra is only complete to arity %d"
-                % (N, needed, A.complete_to_arity))
-        self.A = A
-        self.N = N
-        self.field = A.field
-        self.bar = bar_construction(A, N)
-        self.b_full = b_from_m(A)
-        basis = []
-        for w in self.bar.words:
-            for a in A.space.labels:
-                basis.append(((w, a), self.bar.word_degree[w] + A.deg(a) - 1))
-        self.space = GradedSpace(basis)
-        self.d = self._assemble()
-        self.complex = Complex(self.space, self.d, self.field)
-
-    def _assemble(self):
-        A = self.A
-        d = {}
-        for w in self.bar.words:
-            wdegs = [self.bar.sdeg[l] for l in w]
-            for a in A.space.labels:
-                acc = {}
-                for w2, c in self.bar.d.get(w, {}).items():
-                    vec_add(acc, {(w2, a): c})
-                for j in range(min(len(w), A.arity_bound - 1) + 1):
-                    head, tail = w[:len(w) - j], w[len(w) - j:]
-                    out = self.b_full.get(j + 1, tail + (a,))
-                    if not out:
-                        continue
-                    sign = self.field.sign(
-                        koszul_pass_exponent(1, wdegs[:len(w) - j]))
-                    for a2, c in out.items():
-                        vec_add(acc, {(head, a2): sign * c})
-                acc = vec_clean(acc)
-                if acc:
-                    d[(w, a)] = acc
-        return d
-
-    def weight_of(self, label):
-        """Word length plus one for a module slot outside the unit line."""
-        w, a = label
-        return len(w) + (0 if a == self.A.unit else 1)
-
-    def hom_from_k_report(self):
-        """The empty-word slice is a subcomplex matching (A, -m_1) exactly."""
-        A = self.A
-        for a in A.space.labels:
-            img = self.d.get(((), a), {})
-            for w2, _ in img:
-                if w2 != ():
-                    return CheckReport(False, failure=("slice not closed", a))
-            expected = vec_clean({((), l): -c for l, c in A.m.get(1, (a,)).items()})
-            if dict(img) != expected:
-                return CheckReport(False, failure=("slice differential", a))
-        return CheckReport(True, checked_to=self.N)
-
-    def end_k_probe(self):
-        """Functionals on the unit-slot lines against the dual algebra.
-
-        A graded A-linear functional into the augmentation module is
-        determined by its values on the (word, unit) lines, one per
-        word; transporting the bar-complex differential to these
-        functionals must reproduce the dual algebra differential up to
-        the global sign of the degree shift.  Checked entrywise, which
-        exercises the unit and suffix bookkeeping of the assembled
-        differential.
-        """
-        dual = DualTruncation(self.bar)
-        unit = self.A.unit
-        for w1 in self.bar.words:
-            expected = vec_clean(
-                {w: -c for w, c in dual.algebra.m.get(1, (w1,)).items()})
-            got = {}
-            sign = self.field.sign(self.bar.word_degree[w1])
-            for w2 in self.bar.words:
-                c = self.d.get((w2, unit), {}).get((w1, unit))
-                if c:
-                    vec_add(got, {w2: sign * c})
-            if vec_clean(got) != expected:
-                return CheckReport(False, failure=(w1, got, expected))
-        return CheckReport(True, checked_to=self.N)
-
-
-def bar_complex(A, N):
-    return BarComplex(A, N)

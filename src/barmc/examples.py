@@ -181,34 +181,6 @@ def golden_dg_pair(field):
     return c1, c2
 
 
-BUILTIN_ALGEBRAS = {
-    "kpoints": (kpoints, "exterior algebra on n generators; args: n"),
-    "njac": (njac, "trivial-product extension algebra; args: g"),
-    "ngr": (ngr, "quadratic flag-type algebra; args: n m"),
-    "xy": (lambda field: xy(field), "unitized x,y with x*x=y; args: none"),
-}
-
-
-def builtin_algebra(name, field, args=()):
-    if name not in BUILTIN_ALGEBRAS:
-        raise ValueError("unknown builtin algebra %r (have: %s)"
-                         % (name, ", ".join(sorted(BUILTIN_ALGEBRAS))))
-    fn, _ = BUILTIN_ALGEBRAS[name]
-    return fn(field, *[int(a) for a in args])
-
-
-def builtin_base(name, field, args=()):
-    """Artinian coefficient rings by name, for the CLI."""
-    if name == "poly":
-        n = int(args[0])
-        deg = int(args[1]) if len(args) > 1 else 0
-        return truncated_polynomial(field, n, deg=deg)
-    if name == "squarezero":
-        gens = [("m%d" % i, int(d)) for i, d in enumerate(args, start=1)]
-        return square_zero(field, gens)
-    raise ValueError("unknown builtin base %r (have: poly, squarezero)" % (name,))
-
-
 # ---------------------------------------------------------------------------
 # seeded random instances
 

@@ -342,13 +342,12 @@ class Complex:
     homogeneity of every entry and the exact vanishing of d squared.
     """
 
-    def __init__(self, space, d, field, check=True):
+    def __init__(self, space, d, field):
         self.space = space
         self.field = field
         self.d = {k: vec_clean(v) for k, v in d.items() if vec_clean(v)}
         self._cohomology = {}
-        if check:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         for src, v in self.d.items():

@@ -44,15 +44,6 @@ def field_from_json(doc):
     raise ValueError("unknown field kind %r" % (doc["kind"],))
 
 
-def parse_field_name(text):
-    """The short field names: Q, or F followed by a prime."""
-    if text == "Q":
-        return Field.rationals()
-    if text.startswith("F") and text[1:].isdigit():
-        return Field.prime(int(text[1:]))
-    raise ValueError("field must be Q or F<p>, got %r" % (text,))
-
-
 def field_name(field):
     return "Q" if field.kind == "Q" else "F%d" % field.p
 
@@ -215,9 +206,3 @@ def _known(space, label, op):
 def dumps_canonical(doc):
     """The one JSON writer: sorted keys, two-space indent, trailing newline."""
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-
-
-def emit_algebra(name, field, args=()):
-    """Canonical description text of a builtin example, byte-stable."""
-    from .examples import builtin_algebra
-    return dumps_canonical(algebra_to_json(builtin_algebra(name, field, args)))

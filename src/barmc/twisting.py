@@ -34,10 +34,10 @@ from .ainfinity import (
     tensor_label,
 )
 from .bar import (
+    SHatCohomology,
     dual_dg_algebra,
     is_admissible,
     koszul_probe,
-    s_hat_cohomology,
     universal_twisting_cochain,
 )
 from .errors import HypothesisNotMet, MathCheckFailure
@@ -84,14 +84,21 @@ class TwistingCochain:
             if r not in radical:
                 raise ValueError(
                     "cochain value on %r: not an augmentation-ideal label" % (r,))
-            vec = vec_clean(dict(vec))
+            if not isinstance(vec, dict):
+                raise ValueError(
+                    "cochain value on %r: %r is not a vector" % (r, vec))
             want = 1 - self.R.deg(r)
-            for a in vec:
-                if self.A.deg(a) != want:
+            for a, c in vec.items():
+                if a not in self.A.space.index:
+                    raise ValueError(
+                        "tau(%r*) has a component %r that is not a basis "
+                        "label of A" % (r, a))
+                if c and self.A.deg(a) != want:
                     raise ValueError(
                         "tau(%r*) has a component %r of degree %d, "
                         "but a degree-1 cochain needs %d"
                         % (r, a, self.A.deg(a), want))
+            vec = vec_clean(vec)
             if vec:
                 clean[r] = vec
         self.table = clean
@@ -135,14 +142,6 @@ class TwistingCochain:
     def __repr__(self):
         return "TwistingCochain(%d nonzero values%s)" % (
             len(self.table), "" if self.admissible else ", not admissible")
-
-
-def cochain_from_mc(A, R, alpha):
-    return TwistingCochain.from_element(DeformationSetup(A, R), alpha)
-
-
-def mc_from_cochain(tau):
-    return tau.element()
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +244,6 @@ class CorepresentingHom:
     def __repr__(self):
         return "CorepresentingHom(order %d, %d words)" % (
             self.N, len(self.entries))
-
-
-def corepresenting_hom(tau, N, dual=None):
-    return CorepresentingHom(tau, N, dual=dual)
 
 
 def check_tower_compatibility(big, small):
@@ -427,10 +422,6 @@ class TwistedModule(TwistedStructure):
         return self.T.eval_m_vectors([x_vec, embed])
 
 
-def twisted_module(A, alpha, R, check=True):
-    return TwistedModule(DeformationSetup(A, R), alpha, check=check)
-
-
 class UniversalDeformation(TwistedModule):
     """A x S_N with the structure maps twisted by the universal cochain.
 
@@ -473,10 +464,6 @@ class UniversalDeformation(TwistedModule):
         return CheckReport(True, checked_to=A.arity_bound)
 
 
-def universal_deformation(A, N):
-    return UniversalDeformation(A, N)
-
-
 class ModuleIsomorphism:
     """Composition with a gauge morphism, between twisted modules.
 
@@ -488,7 +475,7 @@ class ModuleIsomorphism:
     the chain level is asserted.
     """
 
-    def __init__(self, setup, g, check=True):
+    def __init__(self, setup, g):
         self.setup = setup
         self.field = setup.field
         self.g = g
@@ -502,8 +489,7 @@ class ModuleIsomorphism:
                                     [{l: one}, gvec], check=False)
             if img:
                 self.phi[l] = img
-        if check:
-            self._certify()
+        self._certify()
 
     def apply(self, v):
         out = {}
@@ -543,10 +529,6 @@ class ModuleIsomorphism:
                         raise MathCheckFailure(
                             "gauge transport breaks the action at (%r, %r)"
                             % (l, a))
-
-
-def gauge_module_isomorphism(setup, g, check=True):
-    return ModuleIsomorphism(setup, g, check=check)
 
 
 class TwistedComodule(TwistedStructure):
@@ -614,10 +596,6 @@ class TwistedComodule(TwistedStructure):
         return out
 
 
-def twisted_comodule(A, alpha, R, check=True):
-    return TwistedComodule(DeformationSetup(A, R), alpha, check=check)
-
-
 # ---------------------------------------------------------------------------
 # the classical comparison
 
@@ -634,7 +612,7 @@ class H0Presentation:
     """
 
     def __init__(self, A, N, rep=None):
-        self.rep = rep if rep is not None else s_hat_cohomology(A, N)
+        self.rep = rep if rep is not None else SHatCohomology(A, N)
         self.N = N
         self.field = self.rep.field
         self.S = self.rep.S
@@ -716,7 +694,7 @@ def algebra_maps(pres, R):
     return maps
 
 
-def induced_map(setup, pres, alpha, dual=None):
+def induced_map(setup, pres, alpha):
     """Generator images of g* composed with the adapted section.
 
     Boundaries die under g* because the base has no differential to
@@ -724,8 +702,7 @@ def induced_map(setup, pres, alpha, dual=None):
     representatives; the section-independence tests lean on this.
     """
     tau = TwistingCochain.from_element(setup, alpha)
-    gh = CorepresentingHom(tau, pres.N,
-                           dual=dual if dual is not None else pres.S)
+    gh = CorepresentingHom(tau, pres.N, dual=pres.S)
     return tuple(gh.apply(g) for g in pres.gens)
 
 

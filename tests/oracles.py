@@ -34,6 +34,10 @@ order and stop at the first nonzero one.
 tower refinement: each element is tested against every earlier class
 representative with the groupoid's hom set, in input order.
 
+``BarComplex`` is the one-sided bar complex B(A) x A cut at weight N.
+Nothing in the package builds it; its ``end_k_probe`` recomputes the
+differential of the dual truncation S_N from an independent complex.
+
 ``enumerate_mc_oracle`` is ``DeformationSetup.enumerate_mc`` as it was
 before lifting along the tower: the full residual on every one of the
 p^k candidates, in ``itertools.product`` order, with the same refusals.
@@ -46,15 +50,24 @@ from math import gcd
 from barmc.ainfinity import (
     CheckReport,
     StructureMaps,
+    b_from_m,
     check_strict_unital_morphism,
+    koszul_pass_exponent,
     morphism_residual,
     stasheff_residual,
     tensor_label,
     tensor_with_dg,
 )
-from barmc.bar import dual_dg_algebra
+from barmc.bar import BarTruncation, DualTruncation, dual_dg_algebra
 from barmc.errors import HypothesisNotMet
-from barmc.linalg import Matrix, vec_add, vec_clean, vec_scale
+from barmc.linalg import (
+    Complex,
+    GradedSpace,
+    Matrix,
+    vec_add,
+    vec_clean,
+    vec_scale,
+)
 from barmc.mc import ENUMERATION_CAP, Pi0Report
 
 DENSE_CUTOFF = 64
@@ -598,3 +611,107 @@ def enumerate_mc_oracle(setup, cap=ENUMERATION_CAP):
         if not setup.mc_residual(alpha):
             found.append(alpha)
     return found
+
+
+# ---------------------------------------------------------------------------
+# the one-sided bar complex, a cross-check of the dual differential
+
+
+class BarComplex:
+    """Words of weight <= N with one module slot from A, in A[1] throughout.
+
+    The differential applies b_s inside the word and folds suffixes
+    into the module slot with b_{j+1}; both families carry only Koszul
+    passage signs because every b has degree +1.
+    """
+
+    def __init__(self, A, N):
+        if not A.augmented or A.unit is None:
+            raise ValueError(
+                "the bar complex needs a strictly unital augmented algebra")
+        needed = min(N + 1, A.arity_bound)
+        if not A.op_complete_for(needed):
+            raise HypothesisNotMet(
+                "weight-%d bar complex applies operations up to arity %d, but "
+                "the algebra is only complete to arity %d"
+                % (N, needed, A.complete_to_arity))
+        self.A = A
+        self.N = N
+        self.field = A.field
+        self.bar = BarTruncation(A, N)
+        self.b_full = b_from_m(A)
+        basis = []
+        for w in self.bar.words:
+            for a in A.space.labels:
+                basis.append(((w, a), self.bar.word_degree[w] + A.deg(a) - 1))
+        self.space = GradedSpace(basis)
+        self.d = self._assemble()
+        self.complex = Complex(self.space, self.d, self.field)
+
+    def _assemble(self):
+        A = self.A
+        d = {}
+        for w in self.bar.words:
+            wdegs = [self.bar.sdeg[l] for l in w]
+            for a in A.space.labels:
+                acc = {}
+                for w2, c in self.bar.d.get(w, {}).items():
+                    vec_add(acc, {(w2, a): c})
+                for j in range(min(len(w), A.arity_bound - 1) + 1):
+                    head, tail = w[:len(w) - j], w[len(w) - j:]
+                    out = self.b_full.get(j + 1, tail + (a,))
+                    if not out:
+                        continue
+                    sign = self.field.sign(
+                        koszul_pass_exponent(1, wdegs[:len(w) - j]))
+                    for a2, c in out.items():
+                        vec_add(acc, {(head, a2): sign * c})
+                acc = vec_clean(acc)
+                if acc:
+                    d[(w, a)] = acc
+        return d
+
+    def weight_of(self, label):
+        """Word length plus one for a module slot outside the unit line."""
+        w, a = label
+        return len(w) + (0 if a == self.A.unit else 1)
+
+    def hom_from_k_report(self):
+        """The empty-word slice is a subcomplex matching (A, -m_1) exactly."""
+        A = self.A
+        for a in A.space.labels:
+            img = self.d.get(((), a), {})
+            for w2, _ in img:
+                if w2 != ():
+                    return CheckReport(False, failure=("slice not closed", a))
+            expected = vec_clean({((), l): -c for l, c in A.m.get(1, (a,)).items()})
+            if dict(img) != expected:
+                return CheckReport(False, failure=("slice differential", a))
+        return CheckReport(True, checked_to=self.N)
+
+    def end_k_probe(self):
+        """Functionals on the unit-slot lines against the dual algebra.
+
+        A graded A-linear functional into the augmentation module is
+        determined by its values on the (word, unit) lines, one per
+        word; transporting the bar-complex differential to these
+        functionals must reproduce the dual algebra differential up to
+        the global sign of the degree shift.  Checked entrywise, which
+        exercises the unit and suffix bookkeeping of the assembled
+        differential.
+        """
+        dual = DualTruncation(self.bar)
+        unit = self.A.unit
+        for w1 in self.bar.words:
+            expected = vec_clean(
+                {w: -c for w, c in dual.algebra.m.get(1, (w1,)).items()})
+            got = {}
+            sign = self.field.sign(self.bar.word_degree[w1])
+            for w2 in self.bar.words:
+                c = self.d.get((w2, unit), {}).get((w1, unit))
+                if c:
+                    vec_add(got, {w2: sign * c})
+            if vec_clean(got) != expected:
+                return CheckReport(False, failure=(w1, got, expected))
+        return CheckReport(True, checked_to=self.N)
+

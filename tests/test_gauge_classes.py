@@ -13,6 +13,7 @@ from barmc.errors import HypothesisNotMet
 from barmc.examples import kpoints, njac, random_instance, xy
 from barmc.mc import (
     DeformationSetup,
+    HomSet,
     MCGroupoid,
     Pi0Report,
     _gauge_classes,
@@ -31,6 +32,19 @@ F3 = Field.prime(3)
 
 def _keys(report):
     return [[_vec_key(v) for v in cls] for cls in report.classes]
+
+
+def _count_homset_builds(monkeypatch):
+    """The (alpha, beta) of every HomSet built from now on."""
+    built = []
+    real = HomSet.__init__
+
+    def counted(self, setup, alpha, beta, *args, **kwargs):
+        built.append((_vec_key(alpha), _vec_key(beta)))
+        real(self, setup, alpha, beta, *args, **kwargs)
+
+    monkeypatch.setattr(HomSet, "__init__", counted)
+    return built
 
 
 def _assert_matches_oracle(setup, elements):
@@ -95,13 +109,15 @@ def test_tower_keeps_input_order_of_a_shuffled_list():
     assert got.count < len(shuffled)
 
 
-def test_tower_prunes_the_pairwise_hom_tests():
+def test_tower_prunes_the_pairwise_hom_tests(monkeypatch):
     setup = DeformationSetup(kpoints(F2, 2), truncated_polynomial(F2, 4))
     groupoid = MCGroupoid(setup)
-    rep = _gauge_classes(setup.enumerate_mc(), groupoid)
+    elements = setup.enumerate_mc()
+    built = _count_homset_builds(monkeypatch)
+    rep = _gauge_classes(elements, groupoid)
     assert rep.count == 64
     # 64 * 63 / 2 = 2016 hom sets without the tower
-    assert len(groupoid._homsets) <= 128
+    assert len(built) <= 128
 
 
 def test_pi0_kpoints_over_t5_counts_m_squared():
@@ -136,17 +152,18 @@ def test_groupoid_certifies_each_object_once(monkeypatch):
     assert sorted(calls) == sorted(_vec_key(a) for a in elements)
 
 
-def test_groupoid_refuses_a_non_mc_object_every_time():
+def test_groupoid_refuses_a_non_mc_object_every_time(monkeypatch):
     setup = DeformationSetup(xy(F2), truncated_polynomial(F2, 3))
     groupoid = MCGroupoid(setup)
     mc = setup.enumerate_mc()[0]
     bad = {("x", "t"): F2.one}
     assert setup.mc_residual(bad)
+    built = _count_homset_builds(monkeypatch)
     groupoid.hom(mc, mc)
     for pair in ((mc, bad), (bad, mc), (mc, bad)):
         with pytest.raises(HypothesisNotMet):
             groupoid.hom(*pair)
-    assert len(groupoid._homsets) == 1
+    assert len(built) == 1
     for elements in ([mc, bad], [bad]):
         with pytest.raises(HypothesisNotMet):
             _gauge_classes(elements, MCGroupoid(setup))

@@ -6,6 +6,7 @@ and the two-term residual; morphism sets and components are then
 cross-checked by exhaustive search over finite prime fields.
 """
 
+import re
 from itertools import product as iter_product
 
 import pytest
@@ -29,10 +30,8 @@ from barmc.mc import (
     MCGroupoid,
     Tower,
     enumerate_mc,
-    hom_groupoid,
     invariance_check,
     lift_mc,
-    mc_category_ops,
     mc_residual,
     obstruction_o0,
     obstruction_o1,
@@ -43,6 +42,7 @@ from barmc.mc import (
 )
 from barmc.scalars import Field
 from barmc.transfer import minimal_model
+from barmc.twisting import TwistingCochain
 from oracles import eval_f_tensor_oracle
 
 Q = Field.rationals()
@@ -245,6 +245,24 @@ def test_residual_rejects_wrong_degree_and_support():
         setup.mc_residual({("x", "1"): F2.one})
 
 
+MC_ENTRY_POINTS = {
+    "lift_mc": lambda setup, alpha: lift_mc(setup.A, setup.R, alpha),
+    "mc_residual": lambda setup, alpha: setup.mc_residual(alpha),
+    "from_element": TwistingCochain.from_element,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MC_ENTRY_POINTS))
+@pytest.mark.parametrize("coeff", [2, 0, 0.5, "1", F3.one],
+                         ids=["int", "zero-int", "float", "str", "F3"])
+def test_mc_coefficients_must_be_scalars_over_the_field(entry, coeff):
+    setup = DeformationSetup(kpoints(F2, 2), truncated_polynomial(F2, 4))
+    run = MC_ENTRY_POINTS[entry]
+    run(setup, {("e1", "t"): F2.one})
+    with pytest.raises(ValueError, match=re.escape("('e1', 't')")):
+        run(setup, {("e1", "t"): coeff})
+
+
 def test_enumerate_xy_over_t3():
     found = enumerate_mc(xy(F2), truncated_polynomial(F2, 3))
     assert found == [{}, {("x", "t2"): F2.one}]
@@ -341,7 +359,8 @@ def test_category_op_refuses_non_mc_objects():
     R = truncated_polynomial(F2, 3)
     bad = {("x", "t"): F2.one}
     with pytest.raises(HypothesisNotMet):
-        mc_category_ops(A, R, [bad, bad], [{("1", "t"): F2.one}])
+        DeformationSetup(A, R).category_op([bad, bad],
+                                           [{("1", "t"): F2.one}])
 
 
 def test_hom_complex_squares_to_zero_on_xy_example():
@@ -481,7 +500,8 @@ def test_infinite_hom_sets_over_the_rationals_refuse_counting():
 
 
 def test_hom_groupoid_entry_point():
-    hs = hom_groupoid(njac(F2, 1), truncated_polynomial(F2, 3), {}, {})
+    setup = DeformationSetup(njac(F2, 1), truncated_polynomial(F2, 3))
+    hs = HomSet(setup, {}, {})
     assert hs.count == 4
 
 

@@ -166,3 +166,62 @@ def test_only_linalg_builds_matrices():
     found = [msg for path in SOURCES if path.name != "linalg.py"
              for msg in _matrix_calls(path)]
     assert found == []
+
+
+# One public name per constructor: a top-level function that only
+# forwards its own parameters, in order, to a barmc class is a second
+# name for that class.
+
+
+def _docstring_free_body(fn):
+    body = fn.body
+    if body and isinstance(body[0], ast.Expr) \
+            and isinstance(body[0].value, ast.Constant) \
+            and isinstance(body[0].value.value, str):
+        body = body[1:]
+    return body
+
+
+def _forwarded_names(call):
+    """The argument names of call when each is a bare name, else None."""
+    names = []
+    for arg in call.args:
+        if not isinstance(arg, ast.Name):
+            return None
+        names.append(arg.id)
+    for kw in call.keywords:
+        if kw.arg is None or not isinstance(kw.value, ast.Name) \
+                or kw.value.id != kw.arg:
+            return None
+        names.append(kw.arg)
+    return names
+
+
+def _constructor_aliases(paths):
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    classes = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    found = []
+    for path, tree in trees.items():
+        for fn in tree.body:
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            body = _docstring_free_body(fn)
+            if len(body) != 1 or not isinstance(body[0], ast.Return):
+                continue
+            call = body[0].value
+            if not isinstance(call, ast.Call) \
+                    or not isinstance(call.func, ast.Name) \
+                    or call.func.id not in classes:
+                continue
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args
+                      + args.kwonlyargs]
+            if _forwarded_names(call) == params:
+                found.append("%s:%d %s is an alias of %s"
+                             % (path.name, fn.lineno, fn.name, call.func.id))
+    return found
+
+
+def test_no_function_is_a_second_name_for_a_class():
+    assert _constructor_aliases(SOURCES) == []

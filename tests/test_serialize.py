@@ -8,8 +8,6 @@ import pytest
 from barmc.ainfinity import tensor_with_dg
 from barmc.examples import (
     acyclic_cone,
-    builtin_algebra,
-    builtin_base,
     golden_dg_pair,
     kpoints,
     njac,
@@ -143,15 +141,6 @@ def test_nonzero_d_squared_names_its_witness():
             [_op(1, ["1"], "x"), _op(1, ["x"], "y")])(doc)
     with pytest.raises(ValueError, match="d\\*d is nonzero on basis element '1'"):
         algebra_from_json(doc)
-
-
-@pytest.mark.parametrize("build", [
-    lambda: builtin_algebra("nosuch", Q),
-    lambda: builtin_base("nosuch", Q),
-], ids=["algebra", "base"])
-def test_unknown_builtin_name_is_refused(build):
-    with pytest.raises(ValueError, match="nosuch"):
-        build()
 
 
 @pytest.mark.parametrize("coeff", ["1/3", "1/0", None, ["1"], 0.5, True],

@@ -21,7 +21,7 @@ from barmc.artin import (
     square_zero,
     truncated_polynomial,
 )
-from barmc.bar import s_hat_cohomology
+from barmc.bar import SHatCohomology
 from barmc.errors import HypothesisNotMet, MathCheckFailure
 from barmc.examples import kpoints, njac, xy
 from barmc.linalg import GradedSpace, vec_add, vec_clean
@@ -36,18 +36,12 @@ from barmc.twisting import (
     TwistingCochain,
     algebra_maps,
     check_tower_compatibility,
-    cochain_from_mc,
     conjugation_orbits,
-    corepresenting_hom,
     enumerate_units,
-    gauge_module_isomorphism,
     induced_map,
     invert_unit,
-    mc_from_cochain,
     prorep_compare,
     prorep_compare_noncomm,
-    twisted_comodule,
-    twisted_module,
 )
 
 Q = Field.rationals()
@@ -204,7 +198,8 @@ def upper_triangular_2x2(field):
 def test_cochain_reads_off_the_element():
     A = njac(F2, 1)
     R = truncated_polynomial(F2, 3)
-    tau = cochain_from_mc(A, R, {("x1", "t"): F2.one})
+    setup = DeformationSetup(A, R)
+    tau = TwistingCochain.from_element(setup, {("x1", "t"): F2.one})
     assert tau.table == {"t": {"x1": F2.one}}
     assert tau.admissible
     assert tau.value("t") == {"x1": F2.one}
@@ -214,9 +209,10 @@ def test_cochain_reads_off_the_element():
 def test_zero_element_gives_zero_cochain_and_back():
     A = xy(F2)
     R = truncated_polynomial(F2, 3)
-    tau = cochain_from_mc(A, R, {})
+    setup = DeformationSetup(A, R)
+    tau = TwistingCochain.from_element(setup, {})
     assert tau.table == {}
-    assert mc_from_cochain(tau) == {}
+    assert tau.element() == {}
 
 
 def test_roundtrip_on_every_mc_element():
@@ -227,7 +223,7 @@ def test_roundtrip_on_every_mc_element():
         seen = set()
         for alpha in setup.enumerate_mc():
             tau = TwistingCochain.from_element(setup, alpha)
-            back = mc_from_cochain(tau)
+            back = tau.element()
             assert back == alpha
             key = tuple(sorted((r, tuple(sorted((a, str(c))
                                                 for a, c in v.items())))
@@ -252,6 +248,18 @@ def test_cochain_rejects_unit_functional_key():
         TwistingCochain(setup, {"1": {"x": F2.one}})
 
 
+@pytest.mark.parametrize("table,named", [
+    ({"t": 5}, ("'t'", "5")),
+    ({"t": {"zz": F2.one}}, ("'t'", "'zz'")),
+    ({"t": {"zz": F2.zero}}, ("'t'", "'zz'")),
+], ids=["value-not-a-dict", "unknown-algebra-label", "unknown-label-zero"])
+def test_cochain_rejects_malformed_table_entries(table, named):
+    setup = DeformationSetup(xy(F2), truncated_polynomial(F2, 3))
+    with pytest.raises(ValueError) as e:
+        TwistingCochain(setup, table)
+    assert all(part in str(e.value) for part in named)
+
+
 def test_cochain_rejects_table_failing_mc():
     A = xy(F2)
     R = truncated_polynomial(F2, 3)
@@ -268,8 +276,9 @@ def test_cochain_rejects_table_failing_mc():
 def test_corepresenting_frozen_on_njac():
     A = njac(F2, 1)
     R = truncated_polynomial(F2, 3)
-    tau = cochain_from_mc(A, R, {("x1", "t"): F2.one})
-    gh = corepresenting_hom(tau, 3)
+    setup = DeformationSetup(A, R)
+    tau = TwistingCochain.from_element(setup, {("x1", "t"): F2.one})
+    gh = CorepresentingHom(tau, 3)
     assert gh.entries[()] == {"1": F2.one}
     assert gh.entries[("x1",)] == {"t": F2.one}
     assert gh.entries[("x1", "x1")] == {"t2": F2.one}
@@ -279,7 +288,8 @@ def test_corepresenting_frozen_on_njac():
 def test_zero_cochain_corepresents_the_augmentation():
     A = njac(F2, 2)
     R = truncated_polynomial(F2, 2)
-    gh = corepresenting_hom(cochain_from_mc(A, R, {}), 2)
+    tau = TwistingCochain.from_element(DeformationSetup(A, R), {})
+    gh = CorepresentingHom(tau, 2)
     for w, img in gh.entries.items():
         assert img == ({"1": F2.one} if w == () else {})
 
@@ -298,17 +308,20 @@ def test_weight_one_layer_returns_the_cochain():
 def test_corepresenting_refuses_order_below_nu():
     A = njac(F2, 1)
     R = truncated_polynomial(F2, 3)
-    tau = cochain_from_mc(A, R, {("x1", "t"): F2.one})
+    setup = DeformationSetup(A, R)
+    tau = TwistingCochain.from_element(setup, {("x1", "t"): F2.one})
     with pytest.raises(HypothesisNotMet):
-        corepresenting_hom(tau, 2)
+        CorepresentingHom(tau, 2)
 
 
 def test_corepresenting_tower_compatible():
     A = njac(F2, 2)
     R = truncated_polynomial(F2, 3)
-    tau = cochain_from_mc(A, R, {("x1", "t"): F2.one, ("x2", "t2"): F2.one})
-    big = corepresenting_hom(tau, 4)
-    small = corepresenting_hom(tau, 3)
+    setup = DeformationSetup(A, R)
+    tau = TwistingCochain.from_element(
+        setup, {("x1", "t"): F2.one, ("x2", "t2"): F2.one})
+    big = CorepresentingHom(tau, 4)
+    small = CorepresentingHom(tau, 3)
     assert check_tower_compatibility(big, small)
     with pytest.raises(ValueError):
         check_tower_compatibility(small, big)
@@ -338,7 +351,7 @@ def test_corepresenting_kills_boundaries():
     """Images do not depend on the chosen cocycle representatives."""
     A = njac(F2, 2)
     R = truncated_polynomial(F2, 3)
-    rep = s_hat_cohomology(A, 3)
+    rep = SHatCohomology(A, 3)
     setup = DeformationSetup(A, R)
     for alpha in ({("x1", "t"): F2.one},
                   {("x1", "t2"): F2.one, ("x2", "t"): F2.one}):
@@ -355,7 +368,7 @@ def test_corepresenting_kills_boundaries():
 def test_twisted_module_frozen_differential():
     A = xy(F2)
     R = truncated_polynomial(F2, 3)
-    mod = twisted_module(A, {("x", "t2"): F2.one}, R)
+    mod = TwistedModule(DeformationSetup(A, R), {("x", "t2"): F2.one})
     one = F2.one
     assert mod.differential({("1", "1"): one}) == {("x", "t2"): one}
     assert mod.differential({("x", "1"): one}) == {("y", "t2"): one}
@@ -450,14 +463,15 @@ def test_non_mc_witness_names_the_residue():
     A = xy(F2)
     R = truncated_polynomial(F2, 3)
     with pytest.raises(MathCheckFailure) as e:
-        twisted_module(A, {("x", "t"): F2.one}, R)
+        TwistedModule(DeformationSetup(A, R), {("x", "t"): F2.one})
     assert "'y'" in str(e.value) and "t2" in str(e.value)
 
 
 def test_module_axioms_reported():
     A = njac(F2, 2)
     R = truncated_polynomial(F2, 2)
-    mod = twisted_module(A, {("x1", "t"): F2.one, ("x2", "t"): F2.one}, R)
+    mod = TwistedModule(DeformationSetup(A, R),
+                        {("x1", "t"): F2.one, ("x2", "t"): F2.one})
     rep = mod.check_module_axioms()
     assert rep.ok and rep.checked_to == A.arity_bound + 1
 
@@ -480,7 +494,7 @@ def test_right_action_and_base_linearity():
 def test_twisted_module_on_kpoints():
     A = kpoints(F2, 2)
     R = truncated_polynomial(F2, 2)
-    mod = twisted_module(A, {("e1", "t"): F2.one}, R)
+    mod = TwistedModule(DeformationSetup(A, R), {("e1", "t"): F2.one})
     dims = mod.cohomology_dims()
     assert sum(dims.values()) > 0
 
@@ -489,7 +503,7 @@ def test_twisted_module_rejects_malformed_input():
     A = xy(F2)
     R = truncated_polynomial(F2, 3)
     with pytest.raises(ValueError):
-        twisted_module(A, {("y", "t"): F2.one}, R)
+        TwistedModule(DeformationSetup(A, R), {("y", "t"): F2.one})
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +530,7 @@ def test_transport_certified_for_all_automorphisms():
     morphs = HomSet(setup, alpha, alpha).orbits()
     assert len(morphs) == 4
     for g in morphs:
-        gauge_module_isomorphism(setup, g)
+        ModuleIsomorphism(setup, g)
 
 
 def test_transport_between_distinct_objects():
@@ -563,13 +577,13 @@ def test_comodule_requires_classical_base():
     A = xy(F2)
     R = negative_base(F2)
     with pytest.raises(HypothesisNotMet):
-        twisted_comodule(A, {}, R)
+        TwistedComodule(DeformationSetup(A, R), {})
 
 
 def test_comodule_alpha_zero_has_bare_differential():
     A = xy(F2)
     R = truncated_polynomial(F2, 3)
-    com = twisted_comodule(A, {}, R)
+    com = TwistedComodule(DeformationSetup(A, R), {})
     one = F2.one
     for (a, r) in com.space.labels:
         want = {(a2, r): c for a2, c in A.eval_m((a,)).items()}
@@ -603,14 +617,14 @@ def test_comodule_non_mc_witness():
     A = xy(F2)
     R = truncated_polynomial(F2, 3)
     with pytest.raises(MathCheckFailure) as e:
-        twisted_comodule(A, {("x", "t"): F2.one}, R)
+        TwistedComodule(DeformationSetup(A, R), {("x", "t"): F2.one})
     assert "Maurer-Cartan" in str(e.value)
 
 
 def test_comodule_axioms_reported():
     A = njac(F3, 1)
     R = truncated_polynomial(F3, 2)
-    com = twisted_comodule(A, {("x1", "t"): F3.one}, R)
+    com = TwistedComodule(DeformationSetup(A, R), {("x1", "t"): F3.one})
     assert com.check_module_axioms().ok
 
 
@@ -657,7 +671,7 @@ def test_prorep_njac_two_generators():
 def test_prorep_lhs_agrees_with_basis_enumeration():
     for A, R, N in ((njac(F2, 1), truncated_polynomial(F2, 3), 3),
                     (kpoints(F2, 2), truncated_polynomial(F2, 2), 2)):
-        rep = s_hat_cohomology(A, N)
+        rep = SHatCohomology(A, N)
         pres = H0Presentation(A, N, rep=rep)
         assert len(algebra_maps(pres, R)) == len(brute_h0_maps(rep, R))
 
