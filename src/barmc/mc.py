@@ -23,6 +23,7 @@ from random import Random
 from .ainfinity import (
     _regrouped,
     check_ainf_morphism,
+    check_strict_unit,
     check_strict_unital_morphism,
     tensor_label,
     tensor_with_dg,
@@ -89,9 +90,6 @@ class DeformationSetup:
 
     def ideal_labels_of_degree(self, k):
         return self.ideal_space.labels_of_degree(k)
-
-    def in_ideal(self, v):
-        return all(l in self._ideal_set for l in v)
 
     def check_mc_input(self, alpha):
         for l, c in alpha.items():
@@ -256,6 +254,38 @@ class DeformationSetup:
         if self.one_vec is None:
             raise HypothesisNotMet("the gauge groupoid needs a strict unit")
         return self.category_op([alpha, beta], [self.one_vec], check=False)
+
+    def require_strict_unit(self):
+        """Refuse unless A's unit is strict, so m_1^{alpha,beta}(1) = beta - alpha."""
+        if not self._strict_unit.ok:
+            raise HypothesisNotMet(
+                "the gauge groupoid needs a strict unit: %r" % self._strict_unit)
+
+    @cached_property
+    def _strict_unit(self):
+        return check_strict_unit(self.A)
+
+    def gauge_part(self, g):
+        """u for a gauge element g = 1 + u with u in (A x m)^0.
+
+        Raises ValueError, naming the label, on any other shape.
+        """
+        if self.one_vec is None:
+            raise HypothesisNotMet("the gauge groupoid needs a strict unit")
+        one_lbl = next(iter(self.one_vec))
+        g = vec_clean(dict(g))
+        if g.get(one_lbl) != self.field.one:
+            raise ValueError("a gauge element must have unit coefficient 1")
+        u = {l: c for l, c in g.items() if l != one_lbl}
+        for l in u:
+            if l not in self._ideal_set:
+                raise ValueError(
+                    "gauge element has a component %r outside 1 + A x m" % (l,))
+            if self.T.deg(l) != 0:
+                raise ValueError(
+                    "gauge element has a component %r of degree %d, not 0"
+                    % (l, self.T.deg(l)))
+        return u
 
 
 def mc_residual(A, R, alpha):
@@ -426,27 +456,15 @@ class HomSet:
 
     def classify(self, g):
         """The orbit of an explicit morphism vector g = 1 + u."""
-        one_lbl = next(iter(self.setup.one_vec))
-        g = vec_clean(dict(g))
-        if g.get(one_lbl) != self.field.one:
-            raise ValueError("a gauge element must have unit coefficient 1")
-        u = {l: c for l, c in g.items() if l != one_lbl}
-        if not self.setup.in_ideal(u):
-            raise ValueError("gauge element has components outside 1 + A x m")
-        if any(self.setup.T.deg(l) != 0 for l in u):
-            raise ValueError("the ideal part of a gauge element sits in degree 0")
+        u = self.setup.gauge_part(g)
         if vec_clean(self.hom_complex.apply(g)):
             raise MathCheckFailure("classify() got a non-morphism")
-        return MCMorphism(self, self.image.reduce(vec_clean(u)))
+        return MCMorphism(self, self.image.reduce(u))
 
     def contains_vector(self, g):
-        one_lbl = next(iter(self.setup.one_vec))
-        g = vec_clean(dict(g))
-        if g.get(one_lbl) != self.field.one:
-            return False
-        u = {l: c for l, c in g.items() if l != one_lbl}
-        if not self.setup.in_ideal(u) or \
-                any(self.setup.T.deg(l) != 0 for l in u):
+        try:
+            self.setup.gauge_part(g)
+        except ValueError:
             return False
         return not vec_clean(self.hom_complex.apply(g))
 
@@ -516,12 +534,24 @@ class MCGroupoid:
 
 
 class Pi0Report:
-    """Isomorphism classes of MC elements with their members."""
+    """Isomorphism classes of MC elements with their members.
 
-    def __init__(self, classes):
+    levels has one row of ints per tower level that _gauge_classes
+    walked, the bottom level (nu = 2) first, in the order of
+    LEVEL_FIELDS: the level's nu, its downstairs points, the fibres
+    keyed (those with two or more members), dim B^1(A x I), the rank
+    the stabiliser images added on top of B^1 over all keyed fibres,
+    and the pairwise hom tests run across fibres.
+    """
+
+    LEVEL_FIELDS = ("nu", "downstairs_points", "fibres_keyed", "dim_b1",
+                    "stabiliser_rank", "pairwise_tests")
+
+    def __init__(self, classes, levels=()):
         self.classes = classes
         self.representatives = [cls[0] for cls in classes]
         self.count = len(classes)
+        self.levels = list(levels)
         self._index = {}
         for i, cls in enumerate(classes):
             for v in cls:
@@ -540,7 +570,16 @@ def pi0(A, R, cap=ENUMERATION_CAP):
 
     The partition refines along the tower R -> R/m^(nu-1) -> .. ->
     R/m^2 (see _gauge_classes): a gauge morphism over R projects to
-    one over every quotient R/m^k.
+    one over every quotient R/m^k.  Over each small extension the
+    identity
+
+        m_1^{alpha,beta}(1 + s(u_bar) + w)
+            = eta + m_1^{alpha,alpha}(s(u_bar)) + m_1(w)
+
+    (beta = alpha + eta in one fibre, w in A x I) makes the fibre of
+    pi_0 MC(R) -> pi_0 MC(R/I) over [alpha_bar] the quotient of
+    H^1(A x I) by the stabiliser's image, so each class is read off a
+    canonical key instead of found by search.
     """
     setup = DeformationSetup(A, R)
     return _gauge_classes(setup.enumerate_mc(cap), MCGroupoid(setup))
@@ -550,54 +589,122 @@ def _project(vec, pi):
     """A x R -> A x Rbar for a base projection pi: label -> Rbar vector."""
     out = {}
     for (a, r), c in vec.items():
+        if r not in pi:
+            raise ValueError("label %r has a base component outside R"
+                             % ((a, r),))
         for rbar, cc in pi[r].items():
             vec_add(out, {(a, rbar): c * cc})
     return vec_clean(out)
 
 
 def _gauge_classes(elements, groupoid):
-    """Pi0Report of the listed MC elements, through the groupoid's hom sets.
+    """Pi0Report of the listed MC elements, keyed fibre by fibre.
 
-    Base change along R -> Rbar = R/m^(nu-1) is a functor on MC
-    groupoids: a gauge morphism 1 + u: alpha -> beta over R projects to
-    one between the projections over Rbar.  Elements whose projections
-    fall in different classes downstairs (classified the same way, one
-    level lower) are therefore never equivalent, and the pairwise hom
-    test runs only inside each downstairs class.  Every element is
-    certified MC through the groupoid, and every pair still tested
-    builds its full HomSet.  Classes are ordered by their first
-    member's position in elements and keep their members in input
-    order, which is the partition of the plain greedy pairwise loop.
+    Write Rbar = R/m^(nu-1), I = m^(nu-1) (so I m = m I = 0) and s for
+    the label-inclusion section A x Rbar -> A x R.  Base change to Rbar
+    is a functor on MC groupoids, so elements whose projections fall
+    in different downstairs classes (classified the same way, one
+    level lower, by one groupoid over Rbar) are never equivalent.
+
+    Inside the fibre over one downstairs point alpha_bar, let alpha and
+    beta = alpha + eta be two members (eta in Z^1(A x I)) and write a
+    gauge element as 1 + u with u = s(u_bar) + w, w in (A x I)^0.  The
+    unit is strict and I m = m I = 0 kills every insertion of eta or w
+    next to an element of A x m, so
+
+        m_1^{alpha,beta}(1 + s(u_bar) + w)
+            = eta + m_1^{alpha,alpha}(s(u_bar)) + m_1(w).
+
+    1 + u_bar must be a self-morphism of alpha_bar, and the middle term
+    is linear in u_bar and the same for every point of the fibre.
+    Hence alpha ~ beta exactly when eta lies in B^1(A x I) + Gamma,
+    Gamma spanned by m_1^{alpha,alpha}(s(k)) over the kernel basis k of
+    the self HomSet of alpha_bar over Rbar, each image checked to be a
+    cocycle.  The reduction of alpha - s(alpha_bar) modulo that span
+    is a canonical key of alpha's class in its fibre.  Gamma is zero
+    when nu = 2 (Rbar = k) and is not needed for a one-point fibre.
+
+    One downstairs class can hold several points; the keyed classes of
+    its different fibres are then merged by HomSet tests between their
+    first members, never two classes of one fibre.  Classes are
+    ordered by their first member's position in elements and keep
+    their members in input order, which is the partition of the plain
+    greedy pairwise loop.
     """
     elements = list(elements)
     for alpha in elements:
         groupoid.certify_object(alpha)
     setup = groupoid.setup
-    buckets = [range(len(elements))]
+    if setup.nu < 2:
+        # m = 0: every MC element is zero
+        return Pi0Report([elements] if elements else [])
+    images = [setup.tower.project(alpha) for alpha in elements]
+    fibres = {}
+    for i, img in enumerate(images):
+        fibres.setdefault(_vec_key(img), []).append(i)
+    points = [images[fibre[0]] for fibre in fibres.values()]
+    below_groupoid = None
     if setup.nu > 2:
-        images = [setup.tower.project(alpha) for alpha in elements]
-        distinct = {}
-        for img in images:
-            distinct.setdefault(_vec_key(img), img)
-        below = _gauge_classes(list(distinct.values()),
-                               MCGroupoid(setup.below))
-        buckets = [[] for _ in below.classes]
-        for i, img in enumerate(images):
-            buckets[below.class_index_of(img)].append(i)
+        below_groupoid = MCGroupoid(setup.below)
+        below = _gauge_classes(points, below_groupoid)
+        downstairs, levels = below.classes, below.levels
+    else:
+        downstairs, levels = ([points] if points else []), []
+    kc = setup.lift_step.kernel_complex
+    b1 = Subspace([kc.complex.d.get(l, {})
+                   for l in kc.space.labels_of_degree(0)], setup.field)
+    keyed = added = pairwise = 0
     classes = []
-    for bucket in buckets:
-        found = []
-        for i in bucket:
-            for cls in found:
-                if not groupoid.hom(elements[cls[0]],
-                                    elements[i]).is_empty():
-                    cls.append(i)
-                    break
-            else:
-                found.append([i])
-        classes.extend(found)
+    for cls_points in downstairs:
+        merged = []  # (fibres met, member indices) per class
+        for f, point in enumerate(cls_points):
+            fibre = fibres[_vec_key(point)]
+            found = [fibre]
+            if len(fibre) > 1:
+                found, rank = _key_fibre(elements, fibre, point, kc, b1,
+                                         below_groupoid)
+                keyed += 1
+                added += rank
+            for members in found:
+                for met, cls in merged:
+                    if f in met:
+                        continue
+                    pairwise += 1
+                    if not groupoid.hom(elements[cls[0]],
+                                        elements[members[0]]).is_empty():
+                        met.add(f)
+                        cls.extend(members)
+                        break
+                else:
+                    merged.append(({f}, list(members)))
+        classes.extend(sorted(cls) for _, cls in merged)
     classes.sort(key=lambda cls: cls[0])
-    return Pi0Report([[elements[i] for i in cls] for cls in classes])
+    levels.append([setup.nu, len(points), keyed, b1.dim, added, pairwise])
+    return Pi0Report([[elements[i] for i in cls] for cls in classes], levels)
+
+
+def _key_fibre(elements, fibre, point, kc, b1, below_groupoid):
+    """The classes of one fibre over point, and the rank Gamma adds to B^1.
+
+    below_groupoid is the groupoid over Rbar, or None when Rbar = k.
+    """
+    setup = kc.setup
+    setup.require_strict_unit()
+    span = b1
+    if below_groupoid is not None:
+        span = Subspace(b1.rows, setup.field)
+        alpha = elements[fibre[0]]
+        for k in below_groupoid.hom(point, point).kernel_vecs:
+            gamma = kc.coordinates(
+                setup.category_op([alpha, alpha], [k], check=False))
+            if vec_clean(kc.complex.apply_d(gamma)):
+                raise MathCheckFailure("stabiliser image is not a cocycle")
+            span.insert(gamma)
+    found = {}
+    for i in fibre:
+        eta = kc.coordinates(vec_sub(elements[i], point))
+        found.setdefault(_vec_key(span.reduce(eta)), []).append(i)
+    return list(found.values()), span.dim - b1.dim
 
 
 # ---------------------------------------------------------------------------
@@ -836,6 +943,7 @@ def obstruction_o1(A, tower, alpha1, alpha2, f_bar):
         if setup.mc_residual(a):
             raise HypothesisNotMet("endpoints must be MC over the big base")
     setup_bar = DeformationSetup(A, tower.Rbar)
+    setup_bar.gauge_part(f_bar)
     down = HomComplex(setup_bar, tower.project(alpha1),
                       tower.project(alpha2), check_objects=False)
     if vec_clean(down.apply(f_bar)):
@@ -865,13 +973,8 @@ def obstruction_o0(A, tower, alpha, beta, f_tilde, f_tilde2):
     kc = KernelComplex(tower, DeformationSetup(A, tower.R))
     setup = kc.setup
     hc = HomComplex(setup, alpha, beta, check_objects=True)
-    one_lbl = next(iter(setup.one_vec))
     for g in (f_tilde, f_tilde2):
-        u = {l: c for l, c in vec_clean(g).items() if l != one_lbl}
-        if g.get(one_lbl) != setup.field.one or \
-                any(setup.T.deg(l) != 0 for l in u):
-            raise HypothesisNotMet(
-                "morphism lifts have the shape 1 + u with u in (A x m)^0")
+        setup.gauge_part(g)
         if vec_clean(hc.apply(g)):
             raise HypothesisNotMet("both arguments must be lifted morphisms")
     if vec_clean(vec_sub(tower.project(f_tilde), tower.project(f_tilde2))):

@@ -1,10 +1,15 @@
-"""pi_0 by the tower against the pairwise partition it replaced.
+"""pi_0 by fibre keys against the pairwise partition it replaced.
 
-_gauge_classes classifies the projections to R/m^(nu-1) first and
-tests pairs only inside one downstairs class.  The plain greedy loop
-lives on as gauge_classes_oracle in tests/oracles.py; both must give
-the same classes in the same order with the same members.
+_gauge_classes classifies the projections to R/m^(nu-1) first, keys
+every element of one fibre by its difference from the downstairs point
+modulo B^1(A x I) plus the stabiliser's image, and runs hom tests only
+between keyed classes of different fibres in one downstairs class.
+The plain greedy loop lives on as gauge_classes_oracle in
+tests/oracles.py; both must give the same classes in the same order
+with the same members.
 """
+
+from itertools import product
 
 import pytest
 
@@ -18,14 +23,17 @@ from barmc.mc import (
     Pi0Report,
     _gauge_classes,
     _vec_key,
+    mc_residual,
     pi0,
 )
 from barmc.scalars import Field
+from barmc.twisting import prorep_compare
 
 from oracles import gauge_classes_oracle
 from test_mc import negative_base
 from test_twisting import local_noncommutative
 
+Q = Field.rationals()
 F2 = Field.prime(2)
 F3 = Field.prime(3)
 
@@ -35,12 +43,12 @@ def _keys(report):
 
 
 def _count_homset_builds(monkeypatch):
-    """The (alpha, beta) of every HomSet built from now on."""
+    """The (nu, alpha, beta) of every HomSet built from now on."""
     built = []
     real = HomSet.__init__
 
     def counted(self, setup, alpha, beta, *args, **kwargs):
-        built.append((_vec_key(alpha), _vec_key(beta)))
+        built.append((setup.nu, _vec_key(alpha), _vec_key(beta)))
         real(self, setup, alpha, beta, *args, **kwargs)
 
     monkeypatch.setattr(HomSet, "__init__", counted)
@@ -73,6 +81,12 @@ ORACLE_CASES = {
     "xy(F2)/negative": (lambda: xy(F2), lambda: negative_base(F2), 1),
     "njac(F2,1)/noncommutative": (lambda: njac(F2, 1),
                                   lambda: local_noncommutative(F2), 1),
+    # at nu = 3 both have downstairs classes of two points, so keyed
+    # classes of different fibres are merged by hom tests
+    "random_instance(F2,5)": (lambda: random_instance(F2, 5)[0],
+                              lambda: random_instance(F2, 5)[1], 1),
+    "random_instance(F2,20)": (lambda: random_instance(F2, 20)[0],
+                               lambda: random_instance(F2, 20)[1], 1),
 }
 
 
@@ -109,6 +123,35 @@ def test_tower_keeps_input_order_of_a_shuffled_list():
     assert got.count < len(shuffled)
 
 
+def test_tower_classes_match_the_oracle_over_q():
+    # every coefficient vector in {-1, 0, 1}^3 of njac(Q,1) over the
+    # noncommutative base is MC; the stabiliser images are nonzero
+    A, R = njac(Q, 1), local_noncommutative(Q)
+    setup = DeformationSetup(A, R)
+    labels = setup.ideal_labels_of_degree(1)
+    elements = []
+    for coeffs in product((-1, 0, 1), repeat=len(labels)):
+        alpha = {l: Q(c) for l, c in zip(labels, coeffs) if c}
+        if not mc_residual(A, R, alpha):
+            elements.append(alpha)
+    assert len(elements) == 27
+    got = _assert_matches_oracle(setup, elements)
+    assert got.count == 11
+    assert sum(_column(got, "stabiliser_rank")) > 0
+
+
+def _column(report, name):
+    """One LEVEL_FIELDS column of report.levels, bottom level first."""
+    col = Pi0Report.LEVEL_FIELDS.index(name)
+    return [row[col] for row in report.levels]
+
+
+def _assert_only_downstairs_self_homsets(built, top_nu):
+    assert all(a == b for _, a, b in built)
+    assert all(nu < top_nu for nu, _, _ in built)
+    assert len(set(built)) == len(built)
+
+
 def test_tower_prunes_the_pairwise_hom_tests(monkeypatch):
     setup = DeformationSetup(kpoints(F2, 2), truncated_polynomial(F2, 4))
     groupoid = MCGroupoid(setup)
@@ -117,7 +160,17 @@ def test_tower_prunes_the_pairwise_hom_tests(monkeypatch):
     rep = _gauge_classes(elements, groupoid)
     assert rep.count == 64
     # 64 * 63 / 2 = 2016 hom sets without the tower
-    assert len(built) <= 128
+    _assert_only_downstairs_self_homsets(built, setup.nu)
+    assert _column(rep, "nu") == [2, 3, 4]
+    assert _column(rep, "pairwise_tests") == [0, 0, 0]
+
+
+def test_prorep_compare_builds_only_downstairs_self_homsets(monkeypatch):
+    built = _count_homset_builds(monkeypatch)
+    rep = prorep_compare(njac(F3, 2), truncated_polynomial(F3, 3), 3)
+    assert rep.ok and rep.lhs == rep.rhs == 81
+    _assert_only_downstairs_self_homsets(built, 3)
+    assert _column(rep.classes, "pairwise_tests") == [0, 0]
 
 
 def test_pi0_kpoints_over_t5_counts_m_squared():

@@ -649,6 +649,35 @@ def test_o1_refuses_non_morphism_downstairs():
         obstruction_o1(A, tower, {}, {("x1", "t"): F2.one}, one_bar)
 
 
+def test_o1_refuses_a_downstairs_vector_that_is_not_a_gauge_element():
+    A = xy(F2)
+    tower = Tower(truncated_polynomial(F2, 3), 2)
+    beta = {("x", "t2"): F2.one}
+    assert not mc_residual(A, tower.R, beta)
+    # the true identity downstairs gives a nonzero class
+    assert not obstruction_o1(A, tower, {}, beta, {("1", "1"): F2.one}).is_zero
+    # {} is not 1 + u, and x*t2 does not live over R/t^2
+    for f_bar in ({}, {("1", "1"): F2.one, ("x", "t2"): F2.one}):
+        with pytest.raises(ValueError):
+            obstruction_o1(A, tower, {}, beta, f_bar)
+
+
+def test_o0_refuses_a_foreign_label_by_name():
+    A = njac(F2, 1)
+    tower = Tower(truncated_polynomial(F2, 3), 2)
+    f1 = {("1", "1"): F2.one}
+    f2 = {("1", "1"): F2.one, ("zz", "t"): F2.one}
+    with pytest.raises(ValueError, match="zz"):
+        obstruction_o0(A, tower, {}, {}, f1, f2)
+
+
+def test_tower_projection_refuses_a_base_label_outside_r():
+    tower = Tower(truncated_polynomial(F2, 3), 2)
+    assert tower.project({("x1", "t2"): F2.one}) == {}
+    with pytest.raises(ValueError, match="t9"):
+        tower.project({("x1", "t9"): F2.one})
+
+
 def test_o0_zero_for_equal_lifts_and_nonzero_for_distinct_orbits():
     A = njac(F2, 1)
     tower = Tower(truncated_polynomial(F2, 3), 2)
