@@ -154,6 +154,11 @@ class AInfAlgebra:
             for args, vec in table.items():
                 if len(args) != n:
                     raise ValueError("arity mismatch in stored operation")
+                for l in args + tuple(vec):
+                    if l not in self.space.degree:
+                        raise ValueError(
+                            "m_%d%r uses %r, which is not a basis label"
+                            % (n, args, l))
                 want = sum(self.space.degree[a] for a in args) + 2 - n
                 for out in vec:
                     if self.space.degree[out] != want:
@@ -189,7 +194,7 @@ class AInfAlgebra:
         table = self.m.entries.get(len(vecs), {})
         if not table:
             return out
-        _expand(vecs, 0, (), self.field.one, table, out)
+        _expand(vecs, 0, (), self.field.one, table.get, out)
         return out
 
     def complex(self):
@@ -200,15 +205,20 @@ class AInfAlgebra:
         return self.complete_to_arity is None or arity_needed <= self.complete_to_arity
 
 
-def _expand(vecs, i, args, coeff, table, out):
+def _expand(vecs, i, args, coeff, value, out):
+    """out += the multilinear extension of value(label tuple) to vecs.
+
+    Tuples are visited in itertools.product order over the vectors'
+    own item orders, each with the product of its coefficients.
+    """
     if i == len(vecs):
-        vec = table.get(args)
+        vec = value(args)
         if vec:
             vec_add(out, vec, coeff)
         return
     for lbl, c in vecs[i].items():
         if c:
-            _expand(vecs, i + 1, args + (lbl,), coeff * c, table, out)
+            _expand(vecs, i + 1, args + (lbl,), coeff * c, value, out)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +678,8 @@ def compose_morphisms(g, f, arity_bound=None):
             acc = {}
             for blocks, exponent, pieces in _block_terms(f, args, g.f.arities()):
                 out = {}
-                _expand(pieces, 0, (), A1.field.one, g.f.entries[len(blocks)], out)
+                value = g.f.entries[len(blocks)].get
+                _expand(pieces, 0, (), A1.field.one, value, out)
                 vec_add(acc, out, A1.field.sign(exponent))
             if vec_clean(acc):
                 comps.set(n, args, acc)
@@ -872,30 +883,34 @@ def degree_certified_arity_bound(A, cap=64):
     """Largest arity that degree support cannot rule out, or None.
 
     m_n sends input degrees (d_1..d_n) to sum(d_i) + 2 - n, that is,
-    sum(d_i - 1) + 2.  Strict unitality confines units to the binary
-    operation, so for n >= 3 the slots range over the augmentation
-    ideal; when the shifted slot degrees d - 1 are all of one sign the
-    reachable output window slides monotonically out of the degree
-    support and the first empty window certifies the bound.  Mixed
-    signs certify nothing (returns None).
+    sum(d_i - 1) + 2; see _degree_window_bound.
     """
-    space_degs = set(A.space.degree.values())
-    out_lo, out_hi = min(space_degs), max(space_degs)
-    if A.unit is not None:
-        slot_degs = {A.space.degree[l] for l in A.space.labels if l != A.unit}
-    else:
-        slot_degs = set(space_degs)
+    return _degree_window_bound(A, set(A.space.degree.values()), 2, cap)
+
+
+def _degree_window_bound(A, out_degs, offset, cap=64):
+    """Largest arity of a map out of A that out_degs leaves open, or None.
+
+    The arity-n map has degree offset - n, so it sends input degrees
+    (d_1..d_n) to sum(d_i - 1) + offset.  Strict unitality keeps units
+    out of every arity above offset, so there the slots range over the
+    other labels; when their shifted degrees d - 1 are all of one sign
+    the reachable output window slides monotonically out of out_degs
+    and the first empty window certifies the bound.  When they are all
+    zero the output degree is offset at every arity.  Mixed signs
+    certify nothing (returns None).
+    """
+    out_lo, out_hi = min(out_degs), max(out_degs)
+    slot_degs = {A.space.degree[l] for l in A.space.labels if l != A.unit}
     if not slot_degs:
-        return 2
-    shifted = [d - 1 for d in slot_degs]
-    lo, hi = min(shifted), max(shifted)
-    if lo == 0 and hi == 0:
-        return None if 2 in space_degs else 2
+        return offset
+    lo, hi = min(slot_degs) - 1, max(slot_degs) - 1
+    if lo == hi == 0:
+        return None if offset in out_degs else offset
     if lo <= 0 <= hi:
         return None
-    for n in range(3, cap + 1):
-        if lo > 0 and n * lo + 2 > out_hi:
-            return max(2, n - 1)
-        if hi < 0 and n * hi + 2 < out_lo:
-            return max(2, n - 1)
+    for n in range(offset + 1, cap + 1):
+        if lo > 0 and n * lo + offset > out_hi or \
+                hi < 0 and n * hi + offset < out_lo:
+            return n - 1
     return None

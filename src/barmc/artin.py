@@ -10,6 +10,7 @@ classical (degree 0 only).
 """
 
 from .ainfinity import AInfAlgebra, StructureMaps, check_ainf_axioms
+from .errors import _integer
 from .linalg import GradedSpace, Subspace, vec_add, vec_clean
 
 MAX_NILPOTENCY_SCAN = 64
@@ -79,11 +80,12 @@ def validate_artinian(A):
                     "product %r * %r leaves the augmentation ideal" % (x, y))
     if problems:
         return ArtinianReport(False, problems)
-    nu = _nilpotency_index(A, ideal)
-    if nu is None:
+    powers = list(_ideal_powers(A, ideal))
+    if powers[-1]:
         problems.append("augmentation ideal is not nilpotent "
                         "(no vanishing power up to %d)" % MAX_NILPOTENCY_SCAN)
         return ArtinianReport(False, problems)
+    nu = len(powers)
     degs = set(A.space.degree.values())
     classical = degs == {0} or not ideal and degs <= {0}
     negative = max(degs) <= 0
@@ -92,26 +94,29 @@ def validate_artinian(A):
                           negative=negative, commutative=commutative)
 
 
-def _nilpotency_index(A, ideal):
+def _ideal_powers(A, ideal):
+    """Spanning rows of m, m^2, .., through the first zero power.
+
+    m is spanned by the unit vectors of ideal, and m^(k+1) by the
+    echelon basis of the products of the rows of m^k with ideal labels.
+    The scan stops at m^(MAX_NILPOTENCY_SCAN + 1) even if it is nonzero.
+    """
     one = A.field.one
     power = [{x: one} for x in ideal]
-    n = 1
-    while power and n <= MAX_NILPOTENCY_SCAN:
+    yield power
+    for _ in range(MAX_NILPOTENCY_SCAN):
+        if not power:
+            return
         nxt = []
         for v in power:
             for x in ideal:
                 prod = {}
                 for lbl, c in v.items():
                     vec_add(prod, A.m.get(2, (lbl, x)), c)
-                prod = vec_clean(prod)
                 if prod:
                     nxt.append(prod)
-        sub = Subspace(nxt, A.field)
-        power = sub.rows
-        n += 1
-    if power:
-        return None
-    return n
+        power = Subspace(nxt, A.field).rows
+        yield power
 
 
 def _is_commutative(A):
@@ -163,19 +168,13 @@ class ArtinianDGAlgebra:
 
     def ideal_power(self, n):
         """Spanning vectors of m^n (echelonized); n = 0 gives all of R."""
-        one = self.field.one
         if n <= 0:
-            return [{x: one} for x in self.space.labels]
-        vecs = [{x: one} for x in self.ideal_labels]
-        for _ in range(n - 1):
-            nxt = []
-            for v in vecs:
-                for x in self.ideal_labels:
-                    prod = self.multiply(v, {x: one})
-                    if prod:
-                        nxt.append(prod)
-            vecs = Subspace(nxt, self.field).rows
-        return vecs
+            return [{x: self.field.one} for x in self.space.labels]
+        for k, rows in enumerate(
+                _ideal_powers(self.algebra, self.ideal_labels), 1):
+            if k == n:
+                return rows
+        return []
 
     def ideal_power_subspace(self, n):
         return Subspace(self.ideal_power(n), self.field)
@@ -189,7 +188,7 @@ def quotient_by_power(R, n):
     representative in those labels.  Returns (Rbar, pi, kernel_rows)
     where pi is a dict label -> vector over the quotient labels.
     """
-    if not (1 <= n <= R.nu):
+    if not (1 <= _integer(n, "the power n") <= R.nu):
         raise ValueError("power %d outside 1..nu=%d" % (n, R.nu))
     ideal_n = R.ideal_power_subspace(n)
     dropped = set(ideal_n.pivot_keys)
@@ -307,7 +306,7 @@ class DualCoalgebra:
 
 def truncated_polynomial(field, n, deg=0, var="t"):
     """k[t]/t^n with deg t = deg <= 0; n = 1 gives the ground field."""
-    if n < 1:
+    if _integer(n, "the length n") < 1:
         raise ValueError("length must be at least 1")
     if deg > 0:
         raise ValueError("artinian bases live in degrees <= 0")

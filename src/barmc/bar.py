@@ -22,7 +22,7 @@ from .ainfinity import (
     restrict_to_ideal,
     tensor_label,
 )
-from .errors import HypothesisNotMet, MathCheckFailure
+from .errors import _integer, HypothesisNotMet, MathCheckFailure
 from .linalg import (
     Complex,
     GradedSpace,
@@ -58,7 +58,7 @@ class BarTruncation:
     def __init__(self, A, N):
         if not A.augmented:
             raise ValueError("bar construction needs an augmented algebra")
-        if N < 0:
+        if _integer(N, "the weight bound N") < 0:
             raise ValueError("weight bound must be nonnegative")
         needed = min(N, A.arity_bound)
         if not A.op_complete_for(needed):

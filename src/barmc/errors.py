@@ -12,3 +12,10 @@ class HypothesisNotMet(RuntimeError):
 
 class MathCheckFailure(AssertionError):
     """An exact identity the engine verifies turned out false."""
+
+
+def _integer(value, what):
+    """value when it is an int (a bool is not), else ValueError naming what."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s must be an integer, got %r" % (what, value))
+    return value

@@ -81,6 +81,14 @@ def vec_clean(v):
     return {k: c for k, c in v.items() if c}
 
 
+def _apply_table(table, v):
+    """The linear map label -> table[label] on v; missing labels go to zero."""
+    out = {}
+    for k, c in v.items():
+        vec_add(out, table.get(k, {}), c)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -368,10 +376,7 @@ class Complex:
                 )
 
     def apply_d(self, v):
-        out = {}
-        for k, c in v.items():
-            vec_add(out, self.d.get(k, {}), c)
-        return out
+        return _apply_table(self.d, v)
 
     def matrix_of_d(self, i):
         """The block d: degree i -> degree i+1, with its label lists."""

@@ -13,7 +13,11 @@ The category structure on MC elements follows the insertion formula
 
 with eps = sum_{k>j} (|x_k| + i_k) i_j + sum_k i_k(i_k+1)/2 + sum_k k i_k.
 Its n = 1 case is the differential on morphism complexes, and for a DG
-algebra it collapses to d(x) + beta x - (-1)^|x| x alpha.
+algebra it collapses to d(x) + beta x - (-1)^|x| x alpha.  Its n = 0
+case is the MC residual, and with f in place of m and i_k(i_k-1)/2 in
+place of i_k(i_k+1)/2 it is the pushforward along an A-infinity
+morphism f.  All of them, and the twisted modules, are one insertion
+sum (_insertion_sum), which holds the only copy of eps.
 """
 
 from functools import cached_property
@@ -21,6 +25,7 @@ from itertools import product as iter_product
 from random import Random
 
 from .ainfinity import (
+    _expand,
     _regrouped,
     check_ainf_morphism,
     check_strict_unit,
@@ -28,9 +33,10 @@ from .ainfinity import (
     tensor_label,
     tensor_with_dg,
 )
-from .artin import check_small_extension, quotient_by_power
-from .errors import HypothesisNotMet, MathCheckFailure
+from .artin import ArtinianDGAlgebra, check_small_extension, quotient_by_power
+from .errors import _integer, HypothesisNotMet, MathCheckFailure
 from .linalg import (
+    _apply_table,
     Complex,
     GradedSpace,
     SpanSolver,
@@ -49,12 +55,58 @@ def _vec_key(v):
     return tuple(sorted((repr(l), str(c)) for l, c in v.items()))
 
 
-def _insertion_tuples(slots, budget):
-    if budget < 0:
-        return
-    for counts in iter_product(range(budget + 1), repeat=slots):
-        if sum(counts) <= budget:
-            yield counts
+def _span_points(field, offset, basis):
+    """offset + sum c_i v_i for every coefficient tuple over F_p.
+
+    Listed lexicographically, the first coefficient major.  An empty
+    basis gives [offset] over any field.
+    """
+    points = [dict(offset)]
+    if basis:
+        scalars = field.elements()
+        for v in basis:
+            points = [vec_add(dict(u), v, c) for u in points for c in scalars]
+    return points
+
+
+def _insertion_sum(field, evaluate, objects, degs, budget, nu, lam):
+    """sum (-1)^eps evaluate(counts) over insertion counts (i_0, .., i_n).
+
+    i_k copies of objects[k] sit between x_k and x_(k+1), degs[k - 1] =
+    |x_k|, and
+
+        eps = sum_{k>j} (|x_k| + i_k) i_j + sum_k i_k(i_k+lam)/2
+              + sum_k k i_k,
+
+    lam = +1 for the category operations and -1 for the pushforward
+    functor.  The counts run in itertools.product order with sum at
+    most budget, and zero objects are not inserted.  The objects lie
+    in A x m, so a term with nu insertions lies in m^nu = 0: totals
+    above nu are not evaluated, and those of total nu are and must
+    vanish.
+    """
+    top = min(budget, nu)
+    out = {}
+    for counts in iter_product(*[range(top + 1) if a else (0,)
+                                 for a in objects]):
+        total = sum(counts)
+        if total > top:
+            continue
+        term = evaluate(counts)
+        if total == nu:
+            if vec_clean(term):
+                raise MathCheckFailure(
+                    "nilpotency truncation unsound: a term with %d "
+                    "insertions survives m^%d = 0" % (nu, nu))
+        elif term:
+            eps = before = 0
+            for k, i in enumerate(counts):
+                if before:
+                    eps += (degs[k - 1] + i) * before
+                eps += i * (i + lam) // 2 + k * i
+                before += i
+            vec_add(out, term, field.sign(eps))
+    return out
 
 
 class DeformationSetup:
@@ -67,6 +119,9 @@ class DeformationSetup:
     """
 
     def __init__(self, A, R):
+        if not isinstance(R, ArtinianDGAlgebra):
+            raise ValueError("the base R must be an ArtinianDGAlgebra, got %r"
+                             % (R,))
         if A.field != R.field:
             raise ValueError("algebra and base live over different fields")
         self.A = A
@@ -92,6 +147,9 @@ class DeformationSetup:
         return self.ideal_space.labels_of_degree(k)
 
     def check_mc_input(self, alpha):
+        if not isinstance(alpha, dict):
+            raise ValueError("an element is a dict label -> scalar, got %r"
+                             % (alpha,))
         for l, c in alpha.items():
             if not isinstance(c, Scalar) or c.field != self.field:
                 raise ValueError("coefficient %r at %r is not a scalar over %r"
@@ -107,22 +165,14 @@ class DeformationSetup:
     def mc_residual(self, alpha):
         """Sum (-1)^(n(n+1)/2) m_n(alpha..alpha), truncated and verified.
 
-        Terms with n >= nu vanish because their coefficients land in
-        m^nu = 0; when the arity bound reaches that far the first such
-        term is computed anyway and checked to be zero.
+        The insertion sum with no morphisms.  Terms with n >= nu vanish
+        because their coefficients land in m^nu = 0; when the arity
+        bound reaches that far the first such term is computed anyway
+        and checked to be zero.
         """
         self.check_mc_input(alpha)
-        acc = {}
-        for n in range(1, min(self.A.arity_bound, self.nu) + 1):
-            term = self.T.eval_m_vectors([alpha] * n)
-            if n >= self.nu:
-                if vec_clean(term):
-                    raise MathCheckFailure(
-                        "nilpotency truncation unsound: arity-%d term "
-                        "survives m^%d = 0" % (n, self.nu))
-                break
-            vec_add(acc, term, self.field.sign(n * (n + 1) // 2))
-        return vec_clean(acc)
+        return self._insertions(self.T.eval_m_vectors, self.A.arity_bound,
+                                [alpha], [])
 
     def is_mc(self, alpha):
         return not self.mc_residual(alpha)
@@ -152,7 +202,7 @@ class DeformationSetup:
         if not p:
             raise HypothesisNotMet("enumeration needs a finite prime field")
         labels = self.ideal_labels_of_degree(1)
-        if p ** len(labels) > cap:
+        if p ** len(labels) > _integer(cap, "the cap"):
             raise HypothesisNotMet(
                 "enumeration space %d^%d exceeds the cap %d"
                 % (p, len(labels), cap))
@@ -217,36 +267,32 @@ class DeformationSetup:
                 if self.mc_residual(a):
                     raise HypothesisNotMet(
                         "category operations are defined on MC objects only")
+        return self._insertions(self.T.eval_m_vectors, self.A.arity_bound,
+                                objects, morphisms)
+
+    def _insertions(self, evaluate, bound, objects, morphisms, lam=1):
+        """_insertion_sum of evaluate(a_n^{i_n}, x_n, .., x_1, a_0^{i_0}).
+
+        Each morphism is split into homogeneous parts; bound is the
+        arity past which evaluate vanishes.
+        """
         out = {}
+        budget = bound - len(morphisms)
         parts = [sorted(self.T.space.homogeneous_parts(x).items())
                  for x in morphisms]
-        if not all(parts):
-            return {}
         for choice in iter_product(*parts):
             degs = [deg for deg, _ in choice]
-            vecs = [v for _, v in choice]
-            vec_add(out, self._category_term(objects, vecs, degs))
-        return vec_clean(out)
+            xs = [v for _, v in choice]
 
-    def _category_term(self, objects, xs, degs):
-        n = len(xs)
-        field = self.field
-        out = {}
-        for counts in _insertion_tuples(n + 1, self.A.arity_bound - n):
-            eps = 0
-            for k in range(1, n + 1):
-                for j in range(k):
-                    eps += (degs[k - 1] + counts[k]) * counts[j]
-            for k in range(n + 1):
-                eps += counts[k] * (counts[k] + 1) // 2 + k * counts[k]
-            args = []
-            for k in range(n, 0, -1):
-                args.extend([objects[k]] * counts[k])
-                args.append(xs[k - 1])
-            args.extend([objects[0]] * counts[0])
-            term = self.T.eval_m_vectors(args)
-            if term:
-                vec_add(out, term, field.sign(eps))
+            def term(counts):
+                args = []
+                for k in range(len(xs), 0, -1):
+                    args += [objects[k]] * counts[k] + [xs[k - 1]]
+                args += [objects[0]] * counts[0]
+                return evaluate(args) if args else {}
+
+            vec_add(out, _insertion_sum(self.field, term, objects, degs,
+                                        budget, self.nu, lam))
         return out
 
     def hom_differential_of_one(self, alpha, beta):
@@ -330,18 +376,12 @@ class HomComplex:
                 d[l] = img
         self.complex = Complex(setup.ideal_space, d, setup.field)
         self.d_of_one = setup.hom_differential_of_one(alpha, beta)
+        unit, = setup.one_vec
+        self._d = {**self.complex.d, unit: self.d_of_one}
 
     def apply(self, v):
         """m_1^{alpha,beta} of any element of A x R written as c*1 + u."""
-        unit = None if self.setup.one_vec is None \
-            else next(iter(self.setup.one_vec))
-        out = {}
-        for l, c in v.items():
-            if unit is not None and l == unit:
-                vec_add(out, self.d_of_one, c)
-            else:
-                vec_add(out, self.complex.d.get(l, {}), c)
-        return vec_clean(out)
+        return _apply_table(self._d, v)
 
     def cohomology_dims(self):
         return self.complex.total_cohomology_dims()
@@ -441,15 +481,10 @@ class HomSet:
         for v in self.kernel_vecs:
             if span.insert(v):
                 quotient.append(v)
-        p = self.field.p
-        if not p and quotient:
+        if not self.field.p and quotient:
             raise HypothesisNotMet("infinitely many orbits over this field")
-        reps = []
-        for coeffs in iter_product(range(p or 1), repeat=len(quotient)):
-            u = dict(self.particular)
-            for c, q in zip(coeffs, quotient):
-                vec_add(u, q, self.field(c))
-            reps.append(MCMorphism(self, self.image.reduce(vec_clean(u))))
+        reps = [MCMorphism(self, self.image.reduce(u))
+                for u in _span_points(self.field, self.particular, quotient)]
         if len(reps) != self.count:
             raise MathCheckFailure("orbit enumeration disagrees with the count")
         return reps
@@ -852,11 +887,7 @@ class LiftStep:
 
     def cocycle_span(self):
         """Every F_p-combination of the Z^1 basis, zero included."""
-        span = [{}]
-        scalars = self.kernel_complex.field.elements()
-        for z in self.cocycles():
-            span = [vec_add(dict(v), z, c) for v in span for c in scalars]
-        return span
+        return _span_points(self.kernel_complex.field, {}, self.cocycles())
 
 
 class ObstructionClass:
@@ -1048,22 +1079,21 @@ def _eval_f_tensor(f, R, vecs):
     """(f_n x mu_R)(v_1, .., v_n) with the tensor Koszul sign.
 
     The regrouping is the tensor-algebra one (ainfinity._regrouped),
-    with f_n in place of m_n on the A-factors.
+    with f_n in place of m_n on the A-factors; labels are visited in
+    repr order.
     """
-    field = f.source.field
-    out = {}
-    for combo in iter_product(*[sorted(v.items(), key=lambda kv: repr(kv[0]))
-                                for v in vecs]):
-        coeff = field.one
-        for _, c in combo:
-            coeff = coeff * c
-        a_args = tuple(a for (a, _), _ in combo)
+    def value(args):
+        a_args = tuple(a for a, _ in args)
         fvec = f.eval_f(a_args)
-        if fvec:
-            vec_add(out, _regrouped(fvec, [f.source.deg(a) for a in a_args],
-                                    R.algebra, [r for (_, r), _ in combo]),
-                    coeff)
-    return vec_clean(out)
+        if not fvec:
+            return {}
+        return _regrouped(fvec, [f.source.deg(a) for a in a_args],
+                          R.algebra, [r for _, r in args])
+
+    out = {}
+    _expand([dict(sorted(v.items(), key=lambda kv: repr(kv[0])))
+             for v in vecs], 0, (), f.source.field.one, value, out)
+    return out
 
 
 def _require_strictly_unital(f):
@@ -1073,17 +1103,16 @@ def _require_strictly_unital(f):
 
 
 def pushforward_mc(f, R, alpha):
-    """f_R^*(alpha) = sum (-1)^(n(n-1)/2) f_n(alpha, .., alpha)."""
+    """f_R^*(alpha) = sum (-1)^(n(n-1)/2) f_n(alpha, .., alpha).
+
+    The insertion sum with no morphisms, through f x mu_R, at lam = -1.
+    """
     _require_strictly_unital(f)
     src = DeformationSetup(f.source, R)
     if src.mc_residual(alpha):
         raise HypothesisNotMet("pushforward is defined on MC elements")
-    field = f.source.field
-    out = {}
-    for n in range(1, min(f.arity_bound, R.nu - 1) + 1):
-        term = _eval_f_tensor(f, R, [alpha] * n)
-        vec_add(out, term, field.sign(n * (n - 1) // 2))
-    out = vec_clean(out)
+    out = src._insertions(lambda vecs: _eval_f_tensor(f, R, vecs),
+                          f.arity_bound, [alpha], [], lam=-1)
     if DeformationSetup(f.target, R).mc_residual(out):
         raise MathCheckFailure("pushforward violates the MC equation")
     return out
@@ -1092,21 +1121,13 @@ def pushforward_mc(f, R, alpha):
 def pushforward_morphism(f, R, alpha, beta, g):
     """f_R^* on a morphism vector g: sum of insertions f(beta^i, g, alpha^j).
 
-    The exponent is the morphism-level one, with i(i-1)/2 per slot in
-    place of the object-level i(i+1)/2.
+    The insertion sum through f x mu_R at lam = -1: i(i-1)/2 per slot
+    in place of the object-level i(i+1)/2.
     """
     _require_strictly_unital(f)
-    setup = DeformationSetup(f.source, R)
-    field = setup.field
-    out = {}
-    for deg, part in sorted(setup.T.space.homogeneous_parts(g).items()):
-        for counts in _insertion_tuples(2, f.arity_bound - 1):
-            j, i = counts
-            eps = (deg + i) * j + i * (i - 1) // 2 + j * (j - 1) // 2 + i
-            term = _eval_f_tensor(f, R, [beta] * i + [part] + [alpha] * j)
-            if term:
-                vec_add(out, term, field.sign(eps))
-    return vec_clean(out)
+    return DeformationSetup(f.source, R)._insertions(
+        lambda vecs: _eval_f_tensor(f, R, vecs), f.arity_bound,
+        [alpha, beta], [g], lam=-1)
 
 
 class InvarianceReport:

@@ -29,6 +29,8 @@ F_5(3) != 8, and equal objects hash alike.
 
 from fractions import Fraction
 
+from .errors import _integer
+
 
 class FieldMismatch(TypeError):
     """Raised when scalars over different fields meet in one expression."""
@@ -77,9 +79,7 @@ class Field:
             if p is not None:
                 raise ValueError("Q takes no modulus")
         elif kind == "Fp":
-            if isinstance(p, bool) or not isinstance(p, int):
-                raise ValueError("modulus %r is not an integer" % (p,))
-            if not _is_prime(p):
+            if not _is_prime(_integer(p, "the modulus")):
                 raise ValueError("modulus %r is not prime" % (p,))
         else:
             raise ValueError("unknown field kind %r" % (kind,))

@@ -16,9 +16,9 @@ tuples, so a round trip is exact on both kinds.
 """
 
 import json
-from fractions import Fraction
 
 from .ainfinity import AInfAlgebra, StructureMaps
+from .errors import _integer
 from .linalg import GradedSpace, vec_clean
 from .scalars import Field
 
@@ -37,15 +37,8 @@ def field_from_json(doc):
     if doc["kind"] == "Q":
         return Field.rationals()
     if doc["kind"] == "Fp":
-        p = doc.get("p")
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise ValueError("Fp descriptor needs an integer 'p', got %r" % (p,))
-        return Field.prime(p)
+        return Field.prime(doc.get("p"))  # refuses a non-integer modulus
     raise ValueError("unknown field kind %r" % (doc["kind"],))
-
-
-def field_name(field):
-    return "Q" if field.kind == "Q" else "F%d" % field.p
 
 
 def label_to_json(label):
@@ -69,13 +62,10 @@ def scalar_from_str(field, text):
     if not isinstance(text, str):
         raise ValueError("coefficient %r is not a string" % (text,))
     try:
-        frac = Fraction(text)
-        if field.kind == "Q":
-            return field(frac)
-        return field(frac.numerator) / field(frac.denominator)
+        return field(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError("coefficient %r is not a number over %s"
-                         % (text, field_name(field))) from None
+        raise ValueError("coefficient %r is not a number over %r"
+                         % (text, field)) from None
 
 
 def vector_to_json(vec):
@@ -148,12 +138,13 @@ def algebra_from_json(doc):
     basis = []
     for entry in doc["basis"]:
         label, degree = _fields(entry, ("label", "degree"), "basis entry")
-        basis.append((label_from_json(label), _integer(degree, entry)))
+        basis.append((label_from_json(label),
+                      _integer(degree, "the degree in %r" % (entry,))))
     space = GradedSpace(basis)
     m = StructureMaps()
     for op in doc["ops"]:
         n, ins, outs = _fields(op, ("arity", "in", "out"), "op")
-        n = _integer(n, op)
+        n = _integer(n, "the arity in %r" % (op,))
         args = tuple(_known(space, a, op) for a in ins)
         if len(args) != n:
             raise ValueError("op lists %d inputs but declares arity %d"
@@ -188,12 +179,6 @@ def _fields(entry, keys, what):
     if not isinstance(entry, dict) or not all(k in entry for k in keys):
         raise ValueError("%s %r needs the keys %s" % (what, entry, keys))
     return [entry[k] for k in keys]
-
-
-def _integer(value, entry):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError("%r is not an integer in %r" % (value, entry))
-    return value
 
 
 def _known(space, label, op):

@@ -26,6 +26,7 @@ the same splitting and hence the same model.
 from itertools import product as iter_product
 
 from .ainfinity import (
+    _degree_window_bound,
     AInfAlgebra,
     AInfMorphism,
     StructureMaps,
@@ -37,6 +38,7 @@ from .ainfinity import (
 )
 from .errors import MathCheckFailure
 from .linalg import (
+    _apply_table,
     Complex,
     GradedSpace,
     SpanSolver,
@@ -71,20 +73,14 @@ class TransferData:
         self.h = {k: vec_clean(dict(v)) for k, v in h.items()}
         self._certify()
 
-    def _apply(self, table, v):
-        out = {}
-        for l, c in v.items():
-            vec_add(out, table.get(l, {}), c)
-        return vec_clean(out)
-
     def apply_i(self, v):
-        return self._apply(self.i, v)
+        return _apply_table(self.i, v)
 
     def apply_p(self, v):
-        return self._apply(self.p, v)
+        return _apply_table(self.p, v)
 
     def apply_h(self, v):
-        return self._apply(self.h, v)
+        return _apply_table(self.h, v)
 
     def _certify(self):
         cx = self.C.complex()
@@ -236,34 +232,6 @@ def build_splitting(C):
     return TransferData(C, GradedSpace(basis), i_tbl, p_tbl, h_tbl)
 
 
-def _certified_morphism_bound(A, C, cap=64):
-    """Largest arity a morphism component out of A can occupy, or None.
-
-    Same degree-window argument as for the operations: f_n has degree
-    1 - n, strict unitality keeps units out of components of arity at
-    least 2, and one-signed shifted slot degrees push the output out
-    of the degree support of C at a computable arity.
-    """
-    out_degs = set(C.space.degree.values())
-    out_lo, out_hi = min(out_degs), max(out_degs)
-    if A.unit is not None:
-        slot = {A.space.degree[l] for l in A.space.labels if l != A.unit}
-    else:
-        slot = set(A.space.degree.values())
-    if not slot:
-        return 1
-    shifted = [d - 1 for d in slot]
-    lo, hi = min(shifted), max(shifted)
-    if lo <= 0 <= hi:
-        return None
-    for n in range(2, cap + 1):
-        if lo > 0 and n * lo + 1 > out_hi:
-            return max(1, n - 1)
-        if hi < 0 and n * hi + 1 < out_lo:
-            return max(1, n - 1)
-    return None
-
-
 def minimal_model(C, arity_max, splitting=None):
     """A minimal model of a DG algebra with its comparison morphism.
 
@@ -333,7 +301,8 @@ def minimal_model(C, arity_max, splitting=None):
                 % (dcb,))
         A = AInfAlgebra(H, field, mops, arity_bound=dcb,
                         unit=unit, aug_label=unit)
-    fb = _certified_morphism_bound(A, C) if unit is not None else None
+    fb = None if unit is None else \
+        _degree_window_bound(A, set(C.space.degree.values()), 1)
     if fb is not None and fb <= arity_max:
         if comps.max_arity() > fb:
             raise MathCheckFailure(

@@ -27,6 +27,7 @@ classes on the other, matched through the corepresenting maps.
 from itertools import product as iter_product
 
 from .ainfinity import (
+    _expand,
     _first_stasheff_failure,
     AInfAlgebra,
     CheckReport,
@@ -42,6 +43,7 @@ from .bar import (
 )
 from .errors import HypothesisNotMet, MathCheckFailure
 from .linalg import (
+    _apply_table,
     Complex,
     GradedSpace,
     SpanSolver,
@@ -54,6 +56,7 @@ from .mc import (
     DeformationSetup,
     MCGroupoid,
     _gauge_classes,
+    _insertion_sum,
     _vec_key,
 )
 
@@ -207,10 +210,7 @@ class CorepresentingHom:
         self._certify()
 
     def apply(self, vec):
-        out = {}
-        for w, c in vec.items():
-            vec_add(out, self.entries.get(w, {}), c)
-        return vec_clean(out)
+        return _apply_table(self.entries, vec)
 
     def _certify(self):
         R, S = self.R, self.S
@@ -271,9 +271,11 @@ class TwistedStructure:
             sum over i >= 0 of (-1)^(i(i+1)/2 + n i) insertion_i(x, a_1, ..),
 
     cut at the arity bound of A and at the nilpotency index nu of the
-    base.  When the arity bound reaches past nu, the nu-fold insertion
-    is evaluated anyway and must vanish.  A subclass supplies only the
-    space and the i-fold insertion.
+    base.  This is mc._insertion_sum with objects (0, .., 0, alpha):
+    the twist sits in the last slot only, so the category exponent
+    reduces to i(i+1)/2 + n i, and when the arity bound reaches past nu
+    the nu-fold insertion is evaluated anyway and must vanish.  A
+    subclass supplies only the space and the i-fold insertion.
 
     Construction certifies that the differential squares to zero,
     naming a witness basis element when it does not; that is exactly
@@ -305,24 +307,15 @@ class TwistedStructure:
 
     def _assemble(self):
         bound = self.A.arity_bound
-        nu = self.setup.nu
         ops = StructureMaps()
         for n in range(1, bound + 1):
+            objects = [{}] * n + [self.alpha]
             for x in self.space.labels:
                 for rest in iter_product(self.A.space.labels, repeat=n - 1):
-                    acc = {}
-                    for i in range(min(bound - n, nu) + 1):
-                        term = self._insertion(i, x, rest)
-                        if i >= nu:
-                            if vec_clean(term):
-                                raise MathCheckFailure(
-                                    "nilpotency truncation unsound: %d-fold "
-                                    "insertion survives m^%d = 0" % (i, nu))
-                            break
-                        if term:
-                            vec_add(acc, term,
-                                    self.field.sign(i * (i + 1) // 2 + n * i))
-                    acc = vec_clean(acc)
+                    acc = _insertion_sum(
+                        self.field,
+                        lambda counts: self._insertion(counts[-1], x, rest),
+                        objects, [0] * n, bound - n, self.setup.nu, 1)
                     if acc:
                         ops.set(n, (x,) + rest, acc)
         return ops
@@ -376,16 +369,11 @@ class TwistedStructure:
 
     def op(self, x_vec, a_vecs):
         """m_n(x, a_1, .., a_{n-1}) extended linearly from the tables."""
-        n = 1 + len(a_vecs)
         out = {}
-        for x, cx in x_vec.items():
-            for combo in iter_product(*(sorted(a.items()) for a in a_vecs)):
-                coeff = cx
-                for _, c in combo:
-                    coeff = coeff * c
-                args = (x,) + tuple(l for l, _ in combo)
-                vec_add(out, self.ops.get(n, args), coeff)
-        return vec_clean(out)
+        table = self.ops.entries.get(1 + len(a_vecs), {})
+        _expand([x_vec] + [dict(sorted(a.items())) for a in a_vecs],
+                0, (), self.field.one, table.get, out)
+        return out
 
     def cohomology_dims(self):
         return self.complex.total_cohomology_dims()
@@ -492,10 +480,7 @@ class ModuleIsomorphism:
         self._certify()
 
     def apply(self, v):
-        out = {}
-        for l, c in v.items():
-            vec_add(out, self.phi.get(l, {}), c)
-        return vec_clean(out)
+        return _apply_table(self.phi, v)
 
     def component(self, k, x_vec, a_vecs):
         """The k-th higher piece m_{k+1}(g, x, a_1 x 1, .., a_{k-1} x 1)."""

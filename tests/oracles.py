@@ -41,6 +41,14 @@ differential of the dual truncation S_N from an independent complex.
 ``enumerate_mc_oracle`` is ``DeformationSetup.enumerate_mc`` as it was
 before lifting along the tower: the full residual on every one of the
 p^k candidates, in ``itertools.product`` order, with the same refusals.
+
+``mc_residual_oracle``, ``category_op_oracle``, ``pushforward_mc_oracle``
+and ``pushforward_morphism_oracle`` are the insertion sums as they were
+before they shared one routine, each with its sign exponent written out
+by hand: the residual's n(n+1)/2, the category exponent, the
+pushforward's n(n-1)/2 and the morphism-level exponent with i(i-1)/2
+per slot.  The pushforward oracles evaluate through
+``eval_f_tensor_oracle``.
 """
 
 from fractions import Fraction
@@ -59,7 +67,7 @@ from barmc.ainfinity import (
     tensor_with_dg,
 )
 from barmc.bar import BarTruncation, DualTruncation, dual_dg_algebra
-from barmc.errors import HypothesisNotMet
+from barmc.errors import HypothesisNotMet, MathCheckFailure
 from barmc.linalg import (
     Complex,
     GradedSpace,
@@ -537,6 +545,81 @@ def eval_f_tensor_oracle(f, R, vecs):
         for out_a, ca in fvec.items():
             for out_r, cr in rprod.items():
                 vec_add(out, {(out_a, out_r): sign * coeff * ca * cr})
+    return vec_clean(out)
+
+
+def mc_residual_oracle(setup, alpha):
+    """sum (-1)^(n(n+1)/2) m_n(alpha..alpha), the arity-nu term checked zero."""
+    setup.check_mc_input(alpha)
+    acc = {}
+    for n in range(1, min(setup.A.arity_bound, setup.nu) + 1):
+        term = setup.T.eval_m_vectors([alpha] * n)
+        if n >= setup.nu:
+            if vec_clean(term):
+                raise MathCheckFailure(
+                    "nilpotency truncation unsound: arity-%d term "
+                    "survives m^%d = 0" % (n, setup.nu))
+            break
+        vec_add(acc, term, setup.field.sign(n * (n + 1) // 2))
+    return vec_clean(acc)
+
+
+def _insertion_tuples(slots, budget):
+    if budget < 0:
+        return
+    for counts in product(range(budget + 1), repeat=slots):
+        if sum(counts) <= budget:
+            yield counts
+
+
+def category_op_oracle(setup, objects, morphisms):
+    """m_n^{a_0..a_n}(x_n, .., x_1) with every count up to the arity bound."""
+    n = len(morphisms)
+    out = {}
+    parts = [sorted(setup.T.space.homogeneous_parts(x).items())
+             for x in morphisms]
+    for choice in product(*parts):
+        degs = [deg for deg, _ in choice]
+        xs = [v for _, v in choice]
+        for counts in _insertion_tuples(n + 1, setup.A.arity_bound - n):
+            eps = 0
+            for k in range(1, n + 1):
+                for j in range(k):
+                    eps += (degs[k - 1] + counts[k]) * counts[j]
+            for k in range(n + 1):
+                eps += counts[k] * (counts[k] + 1) // 2 + k * counts[k]
+            args = []
+            for k in range(n, 0, -1):
+                args.extend([objects[k]] * counts[k])
+                args.append(xs[k - 1])
+            args.extend([objects[0]] * counts[0])
+            term = setup.T.eval_m_vectors(args)
+            if term:
+                vec_add(out, term, setup.field.sign(eps))
+    return vec_clean(out)
+
+
+def pushforward_mc_oracle(f, R, alpha):
+    """sum (-1)^(n(n-1)/2) f_n(alpha, .., alpha) for n < nu."""
+    field = f.source.field
+    out = {}
+    for n in range(1, min(f.arity_bound, R.nu - 1) + 1):
+        term = eval_f_tensor_oracle(f, R, [alpha] * n)
+        vec_add(out, term, field.sign(n * (n - 1) // 2))
+    return vec_clean(out)
+
+
+def pushforward_morphism_oracle(setup, f, R, alpha, beta, g):
+    """sum of (-1)^eps f(beta^i, g, alpha^j); setup is over f.source and R."""
+    field = setup.field
+    out = {}
+    for deg, part in sorted(setup.T.space.homogeneous_parts(g).items()):
+        for counts in _insertion_tuples(2, f.arity_bound - 1):
+            j, i = counts
+            eps = (deg + i) * j + i * (i - 1) // 2 + j * (j - 1) // 2 + i
+            term = eval_f_tensor_oracle(f, R, [beta] * i + [part] + [alpha] * j)
+            if term:
+                vec_add(out, term, field.sign(eps))
     return vec_clean(out)
 
 

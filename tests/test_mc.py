@@ -8,6 +8,7 @@ cross-checked by exhaustive search over finite prime fields.
 
 import re
 from itertools import product as iter_product
+from random import Random
 
 import pytest
 
@@ -19,6 +20,7 @@ from barmc.ainfinity import (
     tensor_label,
 )
 from barmc.artin import square_zero, truncated_polynomial
+from barmc.bar import koszul_probe
 from barmc.errors import HypothesisNotMet, MathCheckFailure
 from barmc.examples import golden_dg_pair, kpoints, njac, random_instance, xy
 from barmc.linalg import GradedSpace, vec_add, vec_clean, vec_eq, vec_sub
@@ -43,7 +45,13 @@ from barmc.mc import (
 from barmc.scalars import Field
 from barmc.transfer import minimal_model
 from barmc.twisting import TwistingCochain
-from oracles import eval_f_tensor_oracle
+from oracles import (
+    category_op_oracle,
+    eval_f_tensor_oracle,
+    mc_residual_oracle,
+    pushforward_mc_oracle,
+    pushforward_morphism_oracle,
+)
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -886,7 +894,11 @@ def _pushforward_cases():
 
 
 def test_eval_f_tensor_matches_the_regrouping_oracle(monkeypatch):
-    """Every f x mu_R evaluation of the pushforwards equals the old loop."""
+    """Every f x mu_R evaluation of the pushforwards equals the old loop.
+
+    So does every pushforward, item for item, against the insertion
+    loops it replaced.
+    """
     calls = []
     real = mc_module._eval_f_tensor
 
@@ -901,11 +913,15 @@ def test_eval_f_tensor_matches_the_regrouping_oracle(monkeypatch):
         groupoid = MCGroupoid(setup)
         elements = setup.enumerate_mc()
         for a in elements:
-            pushforward_mc(f, R, a)
+            assert list(pushforward_mc(f, R, a).items()) == \
+                list(pushforward_mc_oracle(f, R, a).items())
         for a in elements[:4]:
             for b in elements[:4]:
                 for orb in groupoid.hom(a, b).orbits():
-                    pushforward_morphism(f, R, a, b, orb.vector())
+                    g = orb.vector()
+                    got = pushforward_morphism(f, R, a, b, g)
+                    want = pushforward_morphism_oracle(setup, f, R, a, b, g)
+                    assert list(got.items()) == list(want.items())
     assert any(f.arity_bound > 1 and len(vecs) > 1 and out
                for f, _, vecs, out in calls)
     for f, R, vecs, out in calls:
@@ -969,3 +985,86 @@ def test_invariance_report_is_deterministic():
     assert rep1.pi0_counts == rep2.pi0_counts
     assert rep1.hom_counts == rep2.hom_counts
     assert rep1.hom_dims == rep2.hom_dims
+
+
+# ---------------------------------------------------------------------------
+# the one insertion sum against the loops it replaced
+
+
+def _draw(rng, field, labels):
+    span = field.p or 5
+    return vec_clean({l: field(rng.randrange(span) - span // 2)
+                      for l in labels if rng.random() < 0.6})
+
+
+@pytest.mark.parametrize("field, seed", [(F3, 1), (Q, 1), (Q, 3)], ids=str)
+def test_pushforwards_match_the_oracles_with_inner_insertions(field, seed):
+    """f(beta^i, g, alpha^j) with i, j > 0 survives only past m^3 = 0.
+
+    Over k[t]/t^4 the minimal models with f_3 nonzero have such terms;
+    g is any vector of A x R and alpha, beta any in (A x m)^1, since
+    the sum is defined on them all.
+    """
+    _, f = minimal_model(random_instance(field, seed)[0], 4)
+    R = truncated_polynomial(field, 4)
+    setup = DeformationSetup(f.source, R)
+    deg1 = setup.ideal_labels_of_degree(1)
+    rng = Random(seed)
+    inner = 0
+    for _ in range(20):
+        a, b = _draw(rng, field, deg1), _draw(rng, field, deg1)
+        g = _draw(rng, field, setup.T.space.labels)
+        got = pushforward_morphism(f, R, a, b, g)
+        want = pushforward_morphism_oracle(setup, f, R, a, b, g)
+        assert list(got.items()) == list(want.items())
+        inner += bool(eval_f_tensor_oracle(f, R, [b, g, a]))
+    assert inner
+    if field.p:
+        for a in setup.enumerate_mc()[:40]:
+            assert list(pushforward_mc(f, R, a).items()) == \
+                list(pushforward_mc_oracle(f, R, a).items())
+
+
+@pytest.mark.parametrize("field", [F2, F3, Q], ids=str)
+def test_mc_residual_and_category_ops_match_the_insertion_loop_oracles(field):
+    """On seeded draws from random_instance, MC or not, up to n = 2."""
+    rng = Random(11)
+    hits = 0
+    for seed in range(12):
+        A, R, _ = random_instance(field, seed)
+        setup = DeformationSetup(A, R)
+        deg1 = setup.ideal_labels_of_degree(1)
+        for _ in range(3):
+            alpha = _draw(rng, field, deg1)
+            res = setup.mc_residual(alpha)
+            assert list(res.items()) == \
+                list(mc_residual_oracle(setup, alpha).items())
+            objects = [_draw(rng, field, deg1) for _ in range(3)]
+            xs = [_draw(rng, field, setup.T.space.labels) for _ in range(2)]
+            for n in (1, 2):
+                got = setup.category_op(objects[:n + 1], xs[:n], check=False)
+                assert list(got.items()) == list(category_op_oracle(
+                    setup, objects[:n + 1], xs[:n]).items())
+                hits += bool(got)
+    assert hits
+
+
+# ---------------------------------------------------------------------------
+# malformed arguments
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: square_zero(F2, [("u", 0)], d={"u": {"zz": 1}}), "'zz'"),
+    (lambda: koszul_probe(kpoints(Q, 2), 1.5), "weight bound N"),
+    (lambda: truncated_polynomial(F2, 2.5), "length n"),
+    (lambda: Tower(truncated_polynomial(F2, 3), 1.5), "power n"),
+    (lambda: enumerate_mc(kpoints(F2, 1), truncated_polynomial(F2, 3),
+                          cap=None), "cap"),
+    (lambda: pi0(kpoints(F2, 1), kpoints(F2, 1)), "base R"),
+    (lambda: lift_mc(xy(F2), truncated_polynomial(F2, 3), [("x", "t")]),
+     "element"),
+], ids=["unknown-label", "float-order", "float-length", "float-power",
+        "cap-none", "base-not-artinian", "element-not-dict"])
+def test_malformed_arguments_raise_value_error_naming_them(call, name):
+    with pytest.raises(ValueError, match=re.escape(name)):
+        call()
