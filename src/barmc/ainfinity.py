@@ -7,9 +7,12 @@ m_n of degree 2 - n obeying the Stasheff identities
 
 where evaluating an operator block inside a tensor power follows the
 Koszul rule: sliding an operator of odd degree past an element of odd
-degree costs a sign.  Every multilinear evaluation in the engine
-routes through the two sign helpers below; nothing else computes
-signs from scratch.
+degree costs a sign.  The Stasheff and morphism residuals and the
+tensor regrouping route through the two sign helpers below.  Other
+signs are still computed where their rule is stated, among them the
+insertion exponent of the Maurer-Cartan category (mc._insertion_sum),
+the signs of the dual truncation (bar.DualTruncation) and the
+coalgebra sign of the dual of an artinian base (artin.DualCoalgebra).
 
 Signs are computed as integer parities first and mapped into the
 ground field at the very end, so prime fields (including F_2) see the
@@ -25,7 +28,7 @@ failure, and replayed over every tuple they are the oracle the joins
 are tested against.
 """
 
-from itertools import product as iter_product
+from itertools import count, product as iter_product
 
 from .linalg import (
     Complex,
@@ -121,8 +124,10 @@ class StructureMaps:
 
 
 class AInfAlgebra:
-    """Graded space plus structure maps plus unit and augmentation markers.
+    """Graded space plus structure maps plus a unit marker.
 
+    An algebra with a unit is augmented by the unit's dual functional,
+    so its augmentation ideal is spanned by the other basis labels.
     arity_bound declares that operations above it vanish identically;
     for algebras defined by explicit tables that is part of the
     definition.  A transfer-produced algebra whose higher operations
@@ -131,19 +136,16 @@ class AInfAlgebra:
     """
 
     def __init__(self, space, field, ops, arity_bound=None, unit=None,
-                 aug_label=None, complete_to_arity=None):
+                 complete_to_arity=None):
         self.space = space
         self.field = field
         self.m = ops
         self.arity_bound = arity_bound if arity_bound is not None else max(2, ops.max_arity())
         self.unit = unit
-        self.aug_label = aug_label
         self.complete_to_arity = complete_to_arity
         self._check_degrees()
         if unit is not None and space.degree.get(unit) != 0:
             raise ValueError("unit %r must have degree 0" % (unit,))
-        if aug_label is not None and aug_label not in space.index:
-            raise ValueError("augmentation label %r is not a basis label" % (aug_label,))
 
     def _check_degrees(self):
         for n, table in self.m.entries.items():
@@ -169,15 +171,11 @@ class AInfAlgebra:
     def deg(self, label):
         return self.space.degree[label]
 
-    @property
-    def augmented(self):
-        return self.aug_label is not None
-
     def ideal_labels(self):
         """Basis labels of the augmentation ideal (everything but the unit line)."""
-        if self.aug_label is None:
+        if self.unit is None:
             raise ValueError("algebra carries no augmentation")
-        return [l for l in self.space.labels if l != self.aug_label]
+        return [l for l in self.space.labels if l != self.unit]
 
     def eval_m(self, args):
         """m_n on a tuple of basis labels."""
@@ -705,7 +703,7 @@ def unitize(A, unit_label="e"):
         ops.set(2, (l, unit_label), {l: one})
     return AInfAlgebra(space, A.field, ops,
                        arity_bound=max(A.arity_bound, 2),
-                       unit=unit_label, aug_label=unit_label,
+                       unit=unit_label,
                        complete_to_arity=A.complete_to_arity)
 
 
@@ -773,13 +771,10 @@ def tensor_with_dg(A, C):
                     args = tuple(tensor_label(a, c) for a, c in zip(a_args, c_args))
                     ops.add(n, args, vec)
     unit = None
-    aug = None
     if A.unit is not None and C.unit is not None:
         unit = tensor_label(A.unit, C.unit)
-    if A.aug_label is not None and C.aug_label is not None:
-        aug = tensor_label(A.aug_label, C.aug_label)
     return AInfAlgebra(space, field, ops, arity_bound=A.arity_bound,
-                       unit=unit, aug_label=aug,
+                       unit=unit,
                        complete_to_arity=A.complete_to_arity)
 
 
@@ -879,16 +874,16 @@ def cohomology_algebra(A):
     return CohomologyAlgebra(hspace, product, reps, cohs)
 
 
-def degree_certified_arity_bound(A, cap=64):
+def degree_certified_arity_bound(A):
     """Largest arity that degree support cannot rule out, or None.
 
     m_n sends input degrees (d_1..d_n) to sum(d_i) + 2 - n, that is,
     sum(d_i - 1) + 2; see _degree_window_bound.
     """
-    return _degree_window_bound(A, set(A.space.degree.values()), 2, cap)
+    return _degree_window_bound(A, set(A.space.degree.values()), 2)
 
 
-def _degree_window_bound(A, out_degs, offset, cap=64):
+def _degree_window_bound(A, out_degs, offset):
     """Largest arity of a map out of A that out_degs leaves open, or None.
 
     The arity-n map has degree offset - n, so it sends input degrees
@@ -909,8 +904,7 @@ def _degree_window_bound(A, out_degs, offset, cap=64):
         return None if offset in out_degs else offset
     if lo <= 0 <= hi:
         return None
-    for n in range(offset + 1, cap + 1):
+    for n in count(offset + 1):
         if lo > 0 and n * lo + offset > out_hi or \
                 hi < 0 and n * hi + offset < out_lo:
             return n - 1
-    return None

@@ -4,9 +4,11 @@ An artinian DG algebra here is an associative unital DG algebra R of
 finite total dimension whose augmentation ideal m is nilpotent.  The
 basis normal form used throughout: one basis label is the unit, the
 remaining labels span m, and the augmentation is the unit's dual
-functional.  Validation checks the algebra axioms exactly, computes the
-nilpotency index, and classifies R as negative (degrees <= 0) or
-classical (degree 0 only).
+functional.  So "augmented" means "has a unit": an AInfAlgebra with a
+unit label is augmented by that label's dual, and one without a unit
+is not augmented.  Validation checks the algebra axioms exactly,
+computes the nilpotency index, and classifies R as negative
+(degrees <= 0) or classical (degree 0 only).
 """
 
 from .ainfinity import AInfAlgebra, StructureMaps, check_ainf_axioms
@@ -53,7 +55,7 @@ def validate_artinian(A):
     problems = []
     if A.m.max_arity() > 2:
         return ArtinianReport(False, ["operations above arity 2 present"])
-    if A.unit is None or A.aug_label != A.unit:
+    if A.unit is None:
         return ArtinianReport(
             False, ["normal form requires a unit label carrying the augmentation"])
     rep = check_ainf_axioms(A, 3)
@@ -205,21 +207,8 @@ def quotient_by_power(R, n):
             prod = ideal_n.reduce(R.multiply({a: R.field.one}, {b: R.field.one}))
             if prod:
                 ops.set(2, (a, b), prod)
-    alg = AInfAlgebra(space, R.field, ops, arity_bound=2, unit=R.unit,
-                      aug_label=R.unit)
+    alg = AInfAlgebra(space, R.field, ops, arity_bound=2, unit=R.unit)
     return ArtinianDGAlgebra(alg), pi, ideal_n.rows
-
-
-def check_small_extension(R, n, rows):
-    """rows, a basis of I = m^n, checked to satisfy I m = m I = 0."""
-    one = R.field.one
-    for v in rows:
-        for x in R.ideal_labels:
-            if R.multiply(v, {x: one}) or R.multiply({x: one}, v):
-                raise ValueError(
-                    "m^%d does not square to zero against m; "
-                    "not a small extension" % n)
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +307,7 @@ def truncated_polynomial(field, n, deg=0, var="t"):
         for j in range(n):
             if i + j < n:
                 ops.set(2, (labels[i], labels[j]), {labels[i + j]: one})
-    alg = AInfAlgebra(space, field, ops, arity_bound=2, unit="1", aug_label="1")
+    alg = AInfAlgebra(space, field, ops, arity_bound=2, unit="1")
     return ArtinianDGAlgebra(alg)
 
 
@@ -338,7 +327,7 @@ def square_zero(field, gens, d=None):
     if d:
         for l, vec in d.items():
             ops.set(1, (l,), {k: field(c) for k, c in vec.items()})
-    alg = AInfAlgebra(space, field, ops, arity_bound=2, unit="1", aug_label="1")
+    alg = AInfAlgebra(space, field, ops, arity_bound=2, unit="1")
     return ArtinianDGAlgebra(alg)
 
 
@@ -377,5 +366,5 @@ def fiber_product(R1, R2):
 
     install(R1, "a")
     install(R2, "b")
-    alg = AInfAlgebra(space, field, ops, arity_bound=2, unit="1", aug_label="1")
+    alg = AInfAlgebra(space, field, ops, arity_bound=2, unit="1")
     return ArtinianDGAlgebra(alg)

@@ -56,7 +56,7 @@ class BarTruncation:
     """Words of weight <= N in Abar[1] with the bar coderivation."""
 
     def __init__(self, A, N):
-        if not A.augmented:
+        if A.unit is None:
             raise ValueError("bar construction needs an augmented algebra")
         if _integer(N, "the weight bound N") < 0:
             raise ValueError("weight bound must be nonnegative")
@@ -170,7 +170,7 @@ class DualTruncation:
                             bar.word_degree[U] * bar.word_degree[V])
                         ops.set(2, (U, V), {U + V: sign * one})
         self.algebra = AInfAlgebra(self.space, self.field, ops, arity_bound=2,
-                                   unit=(), aug_label=())
+                                   unit=())
         self.complex = self.algebra.complex()
 
     def dim_table(self):
@@ -357,7 +357,7 @@ def is_admissible(A):
     nonpositive degrees with finite slices, which the probe and the
     universal deformation rely on.
     """
-    if A.unit is None or A.aug_label is None:
+    if A.unit is None:
         return False
     return all(A.deg(l) >= 1 for l in A.ideal_labels())
 
@@ -454,7 +454,7 @@ def universal_twisting_cochain(A):
     shift.  The element pairs each ideal label with its one-letter
     word and lives in every S_N with N >= 1.
     """
-    if not A.augmented:
+    if A.unit is None:
         raise ValueError("twisting cochains need an augmented algebra")
     one = A.field.one
     return {tensor_label(a, (a,)): one for a in A.ideal_labels()}

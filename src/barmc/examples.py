@@ -43,7 +43,7 @@ def kpoints(field, n):
             ops.set(2, (_e_label(s), _e_label(t)),
                     {_e_label(merged): field.sign(sign)})
     return AInfAlgebra(space, field, ops, arity_bound=2,
-                       unit="1", aug_label="1")
+                       unit="1")
 
 
 def _e_label(subset):
@@ -78,7 +78,7 @@ def njac(field, g):
         if l != "1":
             ops.set(2, (l, "1"), {l: one})
     return AInfAlgebra(space, field, ops, arity_bound=2,
-                       unit="1", aug_label="1")
+                       unit="1")
 
 
 def ngr(field, n, m):
@@ -109,8 +109,7 @@ def ngr(field, n, m):
             ops.set(2, (_ngr_label(mo1, su1), _ngr_label(mo2, su2)),
                     {_ngr_label(mono, merged): field.sign(sign)})
     return AInfAlgebra(space, field, ops, arity_bound=2,
-                       unit=_ngr_label((0,) * m, ()),
-                       aug_label=_ngr_label((0,) * m, ()))
+                       unit=_ngr_label((0,) * m, ()))
 
 
 def _monomials(nvars, total):
@@ -165,7 +164,7 @@ def acyclic_cone(field):
             ops.set(2, (l, "1"), {l: one})
     ops.set(1, ("a",), {"b": one})
     return AInfAlgebra(space, field, ops, arity_bound=2,
-                       unit="1", aug_label="1")
+                       unit="1")
 
 
 def golden_dg_pair(field):

@@ -33,7 +33,7 @@ from .ainfinity import (
     tensor_label,
     tensor_with_dg,
 )
-from .artin import ArtinianDGAlgebra, check_small_extension, quotient_by_power
+from .artin import ArtinianDGAlgebra, quotient_by_power
 from .errors import _integer, HypothesisNotMet, MathCheckFailure
 from .linalg import (
     _apply_table,
@@ -241,7 +241,7 @@ class DeformationSetup:
     @cached_property
     def tower(self):
         """The small extension R -> R/m^(nu-1)."""
-        return Tower(self.R, self.nu - 1)
+        return Tower(self.R)
 
     @cached_property
     def below(self):
@@ -251,7 +251,7 @@ class DeformationSetup:
     @cached_property
     def lift_step(self):
         """LiftStep along self.tower, over this setup."""
-        return LiftStep(KernelComplex(self.tower, self))
+        return LiftStep(KernelComplex(self))
 
     def category_op(self, objects, morphisms, check=True):
         """m_n^{a_0..a_n}(x_n, .., x_1) for x_k: a_{k-1} -> a_k.
@@ -510,11 +510,11 @@ class MCGroupoid:
     def __init__(self, setup):
         self.setup = setup
         self._certified = set()
+        self._homsets = {}
 
-    def certify_object(self, alpha, key=None):
+    def certify_object(self, alpha):
         """Check that alpha is MC, once per object of the groupoid."""
-        if key is None:
-            key = _vec_key(alpha)
+        key = _vec_key(alpha)
         if key not in self._certified:
             if self.setup.mc_residual(alpha):
                 raise HypothesisNotMet(
@@ -526,8 +526,15 @@ class MCGroupoid:
         self.certify_object(beta)
         return HomSet(self.setup, alpha, beta, check_objects=False)
 
+    def _homset(self, alpha, beta):
+        """hom(alpha, beta) kept per pair; hom itself keeps nothing."""
+        key = (_vec_key(alpha), _vec_key(beta))
+        if key not in self._homsets:
+            self._homsets[key] = self.hom(alpha, beta)
+        return self._homsets[key]
+
     def identity(self, alpha):
-        return self.hom(alpha, alpha).classify(self.setup.one_vec)
+        return self._homset(alpha, alpha).classify(self.setup.one_vec)
 
     def compose(self, g, h):
         """h after g for g: a -> b, h: b -> c, via m_2^{a,b,c}(h, g)."""
@@ -535,7 +542,7 @@ class MCGroupoid:
             raise ValueError("morphisms do not compose")
         w = self.setup.category_op(
             [g.alpha, g.beta, h.beta], [g.vector(), h.vector()], check=False)
-        return self.hom(g.alpha, h.beta).classify(w)
+        return self._homset(g.alpha, h.beta).classify(w)
 
     def invert(self, g):
         """Inverse by successive approximation, then exact certification.
@@ -557,7 +564,7 @@ class MCGroupoid:
             gp = vec_clean(gp)
         else:
             raise MathCheckFailure("inverse approximation did not land")
-        back = self.hom(g.beta, g.alpha).classify(gp)
+        back = self._homset(g.beta, g.alpha).classify(gp)
         left = self.setup.category_op([g.alpha, g.beta, g.alpha],
                                       [g.vector(), gp], check=False)
         right = self.setup.category_op([g.beta, g.alpha, g.beta],
@@ -743,24 +750,23 @@ def _key_fibre(elements, fibre, point, kc, b1, below_groupoid):
 
 
 # ---------------------------------------------------------------------------
-# obstruction calculus along a square-zero tower layer
+# obstruction calculus along the top layer of the m-adic tower
 
 
 class Tower:
-    """R -> Rbar = R/m^n with kernel I = m^n, I m = m I = 0.
+    """R -> Rbar = R/m^(nu-1) with kernel I = m^(nu-1), I m = m I = 0.
 
-    Rbar keeps a subset of R's basis labels, so sections are label
-    inclusions and projections reuse the quotient's reduction map.
+    This is the top layer of the m-adic tower R -> R/m^(nu-1) -> .. ->
+    k, and a small extension by construction: I m and m I are spanned
+    by products of nu ideal elements (R is associative), so both lie in
+    m^nu, which validate_artinian found to be zero.  Rbar keeps a
+    subset of R's basis labels, so sections are label inclusions and
+    projections reuse the quotient's reduction map.
     """
 
-    def __init__(self, R, n):
-        self.Rbar, self._pi, rows = quotient_by_power(R, n)
-        try:
-            self.kernel_rows = check_small_extension(R, n, rows)
-        except ValueError as e:
-            raise HypothesisNotMet(str(e))
+    def __init__(self, R):
+        self.Rbar, self._pi, self.kernel_rows = quotient_by_power(R, R.nu - 1)
         self.R = R
-        self.n = n
 
     def project(self, vec):
         return _project(vec, self._pi)
@@ -769,20 +775,19 @@ class Tower:
 class KernelComplex:
     """A x I with the untwisted differential m_1 x 1 +- 1 x d.
 
-    On A x I every twisted differential collapses to this one because
-    I m = m I = 0 kills all insertion terms, so obstruction classes of
-    every flavor live here.  setup is the DeformationSetup over the
-    tower's big base R.
+    I = m^(nu-1) is the kernel of setup.tower, R -> R/m^(nu-1) for the
+    setup's base R.  On A x I every twisted differential collapses to
+    this one because I m = m I = 0 (both lie in m^nu = 0) kills all
+    insertion terms, so obstruction classes of every flavor live here.
     """
 
-    def __init__(self, tower, setup):
+    def __init__(self, setup):
         A = setup.A
         self.A = A
-        self.tower = tower
         self.setup = setup
         self.field = A.field
-        rows = tower.kernel_rows
-        R = tower.R
+        rows = setup.tower.kernel_rows
+        R = setup.R
         degs = []
         for k, row in enumerate(rows):
             d = {R.deg(l) for l in row}
@@ -806,7 +811,7 @@ class KernelComplex:
     def _embed(self, coord_vec):
         out = {}
         for (a, k), c in coord_vec.items():
-            for r, cc in self.tower.kernel_rows[k].items():
+            for r, cc in self.setup.tower.kernel_rows[k].items():
                 vec_add(out, {(a, r): c * cc})
         return vec_clean(out)
 
@@ -830,10 +835,10 @@ class KernelComplex:
 
 
 class LiftStep:
-    """Lifting MC elements along one small extension R -> Rbar = R/m^n.
+    """Lifting MC elements along one small extension R -> Rbar = R/m^(nu-1).
 
     Write alpha~ for the label-inclusion section of a point alpha_bar of
-    MC(Rbar), and I = m^n.  Since I m = m I = 0, every term of
+    MC(Rbar), and I = m^(nu-1).  Since I m = m I = 0, every term of
     m_k(alpha~ + eta, ..) with k >= 2 and a slot in A x I vanishes, so
     for eta in (A x I)^1
 
@@ -928,22 +933,21 @@ def _second_lift_perturbation(kernel_complex, degree, seed):
     return kernel_complex._embed(vec)
 
 
-def obstruction_o2(A, tower, alpha_bar, seed=1):
+def obstruction_o2(A, R, alpha_bar, seed=1):
     """The lifting obstruction [sum (-1)^(n(n+1)/2 + 1) m_n(lift..lift)].
 
-    Sits in H^2(A x I); computed from one lift, then recomputed from a
+    For alpha_bar MC over R/m^(nu-1); sits in H^2(A x I), I = m^(nu-1)
+    (see Tower).  Computed from one lift, then recomputed from a
     perturbed second lift to certify independence.
     """
-    return _obstruction_o2(
-        DeformationSetup(A, tower.Rbar),
-        KernelComplex(tower, DeformationSetup(A, tower.R)), alpha_bar, seed)
+    return _obstruction_o2(DeformationSetup(A, R), alpha_bar, seed)
 
 
-def _obstruction_o2(setup_bar, kc, alpha_bar, seed):
-    """obstruction_o2 over given setups: setup_bar over Rbar, kc over R."""
-    if setup_bar.mc_residual(alpha_bar):
+def _obstruction_o2(setup, alpha_bar, seed):
+    """obstruction_o2 along setup.tower; lift_mc shares the setup chain."""
+    if setup.below.mc_residual(alpha_bar):
         raise HypothesisNotMet("obstruction is defined on MC elements only")
-    setup = kc.setup
+    kc = setup.lift_step.kernel_complex
 
     def phi(lift):
         return vec_scale(setup.mc_residual(lift), -setup.field.one)
@@ -960,27 +964,28 @@ def _obstruction_o2(setup_bar, kc, alpha_bar, seed):
     return cls
 
 
-def obstruction_o1(A, tower, alpha1, alpha2, f_bar):
+def obstruction_o1(A, R, alpha1, alpha2, f_bar):
     """Obstruction to lifting a morphism between chosen MC lifts.
 
     alpha1, alpha2 are MC over R and project to the endpoints of the
-    downstairs morphism f_bar; the class of m_1^{alpha1,alpha2} of any
-    set-level lift of f_bar lives in H^1(A x I) and vanishes exactly
-    when a morphism lift with these endpoints exists.
+    morphism f_bar over R/m^(nu-1); the class of m_1^{alpha1,alpha2}
+    of any set-level lift of f_bar lives in H^1(A x I), I = m^(nu-1)
+    (see Tower), and vanishes exactly when a morphism lift with these
+    endpoints exists.
     """
-    kc = KernelComplex(tower, DeformationSetup(A, tower.R))
-    setup = kc.setup
+    setup = DeformationSetup(A, R)
     for a in (alpha1, alpha2):
         if setup.mc_residual(a):
             raise HypothesisNotMet("endpoints must be MC over the big base")
-    setup_bar = DeformationSetup(A, tower.Rbar)
-    setup_bar.gauge_part(f_bar)
-    down = HomComplex(setup_bar, tower.project(alpha1),
+    tower = setup.tower
+    setup.below.gauge_part(f_bar)
+    down = HomComplex(setup.below, tower.project(alpha1),
                       tower.project(alpha2), check_objects=False)
     if vec_clean(down.apply(f_bar)):
         raise HypothesisNotMet("f is not a morphism downstairs")
     hc = HomComplex(setup, alpha1, alpha2, check_objects=False)
-    return ObstructionClass(kc, hc.apply(dict(f_bar)), 1)
+    return ObstructionClass(setup.lift_step.kernel_complex,
+                            hc.apply(dict(f_bar)), 1)
 
 
 class DifferenceClass:
@@ -994,15 +999,16 @@ class DifferenceClass:
         return "DifferenceClass(%s)" % ("zero" if self.is_zero else "nonzero")
 
 
-def obstruction_o0(A, tower, alpha, beta, f_tilde, f_tilde2):
+def obstruction_o0(A, R, alpha, beta, f_tilde, f_tilde2):
     """Difference class of two morphism lifts with equal projections.
 
-    The difference is a cocycle in (A x I)^0; its image in H^0 of the
-    big morphism complex is the obstruction, so it vanishes exactly
-    when the lifts agree as gauge orbits.
+    The projections go to R/m^(nu-1).  The difference is a cocycle in
+    (A x I)^0, I = m^(nu-1) (see Tower); its image in H^0 of the big
+    morphism complex is the obstruction, so it vanishes exactly when
+    the lifts agree as gauge orbits.
     """
-    kc = KernelComplex(tower, DeformationSetup(A, tower.R))
-    setup = kc.setup
+    setup = DeformationSetup(A, R)
+    tower = setup.tower
     hc = HomComplex(setup, alpha, beta, check_objects=True)
     for g in (f_tilde, f_tilde2):
         setup.gauge_part(g)
@@ -1011,7 +1017,7 @@ def obstruction_o0(A, tower, alpha, beta, f_tilde, f_tilde2):
     if vec_clean(vec_sub(tower.project(f_tilde), tower.project(f_tilde2))):
         raise ValueError("the two lifts project to different morphisms")
     delta = vec_sub(f_tilde2, f_tilde)
-    cls = ObstructionClass(kc, delta, 0)
+    cls = ObstructionClass(setup.lift_step.kernel_complex, delta, 0)
     return DifferenceClass(cls, hc.gauge_image().contains(delta))
 
 
@@ -1057,7 +1063,7 @@ def lift_mc(A, R, alpha0, seed=1):
     for setup in chain[1:]:
         n = setup.below.nu
         step = setup.lift_step
-        cls = _obstruction_o2(setup.below, step.kernel_complex, current, seed)
+        cls = _obstruction_o2(setup, current, seed)
         trace.append({"level": n, "obstruction_zero": cls.is_zero})
         if not cls.is_zero:
             return LiftOutcome(False, level=n, obstruction=cls, trace=trace)
@@ -1108,12 +1114,17 @@ def pushforward_mc(f, R, alpha):
     The insertion sum with no morphisms, through f x mu_R, at lam = -1.
     """
     _require_strictly_unital(f)
-    src = DeformationSetup(f.source, R)
+    return _pushforward_mc(f, DeformationSetup(f.source, R),
+                           DeformationSetup(f.target, R), alpha)
+
+
+def _pushforward_mc(f, src, dst, alpha):
+    """pushforward_mc over given setups of f.source and f.target."""
     if src.mc_residual(alpha):
         raise HypothesisNotMet("pushforward is defined on MC elements")
-    out = src._insertions(lambda vecs: _eval_f_tensor(f, R, vecs),
+    out = src._insertions(lambda vecs: _eval_f_tensor(f, src.R, vecs),
                           f.arity_bound, [alpha], [], lam=-1)
-    if DeformationSetup(f.target, R).mc_residual(out):
+    if dst.mc_residual(out):
         raise MathCheckFailure("pushforward violates the MC equation")
     return out
 
@@ -1198,7 +1209,7 @@ def invariance_check(f, R, cap=ENUMERATION_CAP):
     if report1.count != report2.count:
         problems.append("pi0 counts differ: %d vs %d"
                         % (report1.count, report2.count))
-    images = {i: pushforward_mc(f, R, alpha)
+    images = {i: _pushforward_mc(f, setup1, setup2, alpha)
               for i, alpha in enumerate(mc1)}
     class_map = {}
     for i, alpha in enumerate(mc1):

@@ -120,7 +120,8 @@ def algebra_to_json(A):
                   for l in A.space.labels],
         "ops": ops,
         "unit": label_to_json(A.unit) if A.unit is not None else None,
-        "aug": label_to_json(A.aug_label) if A.aug_label is not None else None,
+        # the augmentation is the unit's dual; kept for the JSON format
+        "aug": label_to_json(A.unit) if A.unit is not None else None,
         "arity_bound": A.arity_bound,
     }
     if A.complete_to_arity is not None:
@@ -162,12 +163,13 @@ def algebra_from_json(doc):
             raise ValueError("duplicate operation entry for m_%d%r" % (n, args))
         m.set(n, args, vec_clean(vec))
     unit = doc.get("unit")
-    aug = doc.get("aug")
+    if doc.get("aug") != unit:
+        raise ValueError("the augmentation %r is not the unit %r"
+                         % (doc.get("aug"), unit))
     A = AInfAlgebra(
         space, field, m,
         arity_bound=doc.get("arity_bound"),
         unit=label_from_json(unit) if unit is not None else None,
-        aug_label=label_from_json(aug) if aug is not None else None,
         complete_to_arity=doc.get("complete_to_arity"),
     )
     A.complex()  # refuses m_1 m_1 != 0, naming the basis element

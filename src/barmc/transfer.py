@@ -291,16 +291,14 @@ def minimal_model(C, arity_max, splitting=None):
                 and not t.h.get(C.unit):
             unit = C.unit
     A = AInfAlgebra(H, field, mops, arity_bound=arity_max,
-                    unit=unit, aug_label=unit,
-                    complete_to_arity=arity_max)
+                    unit=unit, complete_to_arity=arity_max)
     dcb = degree_certified_arity_bound(A)
     if dcb is not None and dcb <= arity_max:
         if mops.max_arity() > dcb:
             raise MathCheckFailure(
                 "an operation survives above the degree-certified bound %d"
                 % (dcb,))
-        A = AInfAlgebra(H, field, mops, arity_bound=dcb,
-                        unit=unit, aug_label=unit)
+        A = AInfAlgebra(H, field, mops, arity_bound=dcb, unit=unit)
     fb = None if unit is None else \
         _degree_window_bound(A, set(C.space.degree.values()), 1)
     if fb is not None and fb <= arity_max:

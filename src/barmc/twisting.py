@@ -32,10 +32,11 @@ from .ainfinity import (
     AInfAlgebra,
     CheckReport,
     StructureMaps,
+    tensor_block_exponent,
     tensor_label,
 )
 from .bar import (
-    SHatCohomology,
+    bar_words,
     dual_dg_algebra,
     is_admissible,
     koszul_probe,
@@ -57,6 +58,7 @@ from .mc import (
     MCGroupoid,
     _gauge_classes,
     _insertion_sum,
+    _span_points,
     _vec_key,
 )
 
@@ -167,15 +169,17 @@ class CorepresentingHom:
     map and that its weight-one layer returns the cochain.  The
     differential compatibility check is where the Maurer-Cartan
     equation for tau re-enters; it can only trip if the upstream
-    validation was unsound.
+    validation was unsound.  S is the dual truncation S_N
+    (bar.dual_dg_algebra); the order N is S.N.
     """
 
-    def __init__(self, tau, N, dual=None):
+    def __init__(self, tau, S):
         if not tau.admissible:
             raise HypothesisNotMet(
                 "the corepresenting map needs an admissible cochain "
                 "(values inside the augmentation ideal of A)")
         R = tau.R
+        N = S.N
         if N < R.nu:
             raise HypothesisNotMet(
                 "truncation order %d is below the nilpotency index %d; "
@@ -185,10 +189,7 @@ class CorepresentingHom:
         self.R = R
         self.N = N
         self.field = tau.field
-        self.S = dual if dual is not None else dual_dg_algebra(tau.A, N)
-        if self.S.N != N:
-            raise ValueError("supplied dual truncation has order %d, not %d"
-                             % (self.S.N, N))
+        self.S = S
         rho = tau.rho()
         sdeg = self.S.bar.sdeg
         entries = {(): {R.unit: self.field.one}}
@@ -201,8 +202,7 @@ class CorepresentingHom:
                 if not acc:
                     break
             degs = [sdeg[l] for l in word]
-            eps = sum(degs[i] * degs[j]
-                      for i in range(len(degs)) for j in range(i + 1, len(degs)))
+            eps = tensor_block_exponent(degs, degs)
             entries[word] = vec_clean(
                 {r: self.field.sign(eps) * c for r, c in acc.items()})
         self._rho = rho
@@ -593,30 +593,22 @@ class H0Presentation:
     adapted representatives.  Relations span the kernel of the
     evaluation from the free span of monomials of length <= N into
     H^0.  Generation by weight one is a hypothesis of the comparison,
-    so it is certified here and refused when not established.
+    so it is certified here and refused when not established.  rep is
+    the SHatCohomology of S_N, and the order N is rep.N.
     """
 
-    def __init__(self, A, N, rep=None):
-        self.rep = rep if rep is not None else SHatCohomology(A, N)
-        self.N = N
-        self.field = self.rep.field
-        self.S = self.rep.S
-        self.gens = self.rep.weight_one_reps()
-        one = self.field.one
-        monomials = [()]
-        values = {(): {(): one}}
-        layer = [()]
-        for _ in range(N):
-            nxt = []
-            for mono in layer:
-                for j in range(len(self.gens)):
-                    new = mono + (j,)
-                    values[new] = self.S.algebra.eval_m_vectors(
-                        [values[mono], self.gens[j]]) if mono else dict(
-                        self.gens[j])
-                    nxt.append(new)
-            layer = nxt
-            monomials.extend(layer)
+    def __init__(self, rep):
+        self.rep = rep
+        self.N = N = rep.N
+        self.field = rep.field
+        self.S = rep.S
+        self.gens = rep.weight_one_reps()
+        monomials = bar_words(range(len(self.gens)), N)
+        values = {(): {(): self.field.one}}
+        for mono in monomials[1:]:
+            head, j = mono[:-1], mono[-1]
+            values[mono] = self.S.algebra.eval_m_vectors(
+                [values[head], self.gens[j]]) if head else dict(self.gens[j])
         self.monomials = monomials
         self.values = values
         self.classes = {m: self.rep.class_coords(v)
@@ -687,7 +679,7 @@ def induced_map(setup, pres, alpha):
     representatives; the section-independence tests lean on this.
     """
     tau = TwistingCochain.from_element(setup, alpha)
-    gh = CorepresentingHom(tau, pres.N, dual=pres.S)
+    gh = CorepresentingHom(tau, pres.S)
     return tuple(gh.apply(g) for g in pres.gens)
 
 
@@ -696,15 +688,9 @@ def enumerate_units(R):
     p = R.field.p
     if not p:
         raise HypothesisNotMet("unit enumeration needs a finite prime field")
-    units = []
-    for c0 in range(1, p):
-        for coeffs in iter_product(range(p), repeat=len(R.ideal_labels)):
-            u = {R.unit: R.field(c0)}
-            for l, c in zip(R.ideal_labels, coeffs):
-                if c:
-                    u[l] = R.field(c)
-            units.append(u)
-    return units
+    basis = [{l: R.field.one} for l in R.ideal_labels]
+    return [u for c0 in R.field.elements()[1:]
+            for u in _span_points(R.field, {R.unit: c0}, basis)]
 
 
 def invert_unit(R, u):
@@ -839,7 +825,7 @@ def _compare(A, R, N, cap, conjugation):
     units of R are never enumerated.
     """
     probe = _comparison_gates(A, R, N, commutative_required=not conjugation)
-    pres = H0Presentation(A, N, rep=probe.cohomology)
+    pres = H0Presentation(probe.cohomology)
     maps = algebra_maps(pres, R)
     if conjugation:
         orbits, orbit_of = conjugation_orbits(R, maps)

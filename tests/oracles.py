@@ -709,7 +709,7 @@ class BarComplex:
     """
 
     def __init__(self, A, N):
-        if not A.augmented or A.unit is None:
+        if A.unit is None:
             raise ValueError(
                 "the bar complex needs a strictly unital augmented algebra")
         needed = min(N + 1, A.arity_bound)

@@ -8,7 +8,6 @@ from barmc.ainfinity import AInfAlgebra, StructureMaps, check_ainf_axioms
 from barmc.artin import (
     ArtinianDGAlgebra,
     DualCoalgebra,
-    check_small_extension,
     fiber_product,
     quotient_by_power,
     square_zero,
@@ -50,7 +49,7 @@ def test_spurious_differential_rejected():
     ops.set(2, ("1", "t"), {"t": one})
     ops.set(2, ("t", "1"), {"t": one})
     ops.set(1, ("t",), {"1": one})
-    alg = AInfAlgebra(space, Q, ops, arity_bound=2, unit="1", aug_label="1")
+    alg = AInfAlgebra(space, Q, ops, arity_bound=2, unit="1")
     report = validate_artinian(alg)
     assert not report.ok
     assert any("unit component" in p for p in report.problems)
@@ -67,7 +66,7 @@ def test_non_nilpotent_ideal_rejected():
     ops.set(2, ("1", "x"), {"x": one})
     ops.set(2, ("x", "1"), {"x": one})
     ops.set(2, ("x", "x"), {"x": one})
-    alg = AInfAlgebra(space, Q, ops, arity_bound=2, unit="1", aug_label="1")
+    alg = AInfAlgebra(space, Q, ops, arity_bound=2, unit="1")
     report = validate_artinian(alg)
     assert not report.ok
     assert any("nilpotent" in p for p in report.problems)
@@ -142,11 +141,12 @@ def test_quotients_stay_artinian(n, k):
 
 def test_small_extension_kernel_at_top_power():
     R = truncated_polynomial(Q, 3)
-    rows = check_small_extension(R, 2, R.ideal_power_subspace(2).rows)
+    rows = quotient_by_power(R, 2)[2]
     assert rows == [{"t2": Q.one}]
+    assert not any(R.multiply(v, {x: Q.one}) or R.multiply({x: Q.one}, v)
+                   for v in rows for x in R.ideal_labels)
     # m^1 = m does not kill m when nu > 2
-    with pytest.raises(ValueError):
-        check_small_extension(R, 1, R.ideal_power_subspace(1).rows)
+    assert R.multiply({"t": Q.one}, {"t": Q.one})
 
 
 # ---------------------------------------------------------------------------

@@ -434,7 +434,7 @@ def test_h0_weight_dims_stabilize_along_the_tower():
 def test_truncation_completeness_gate():
     A = xy(Q)
     incomplete = AInfAlgebra(A.space, A.field, A.m, arity_bound=6,
-                             unit="1", aug_label="1", complete_to_arity=2)
+                             unit="1", complete_to_arity=2)
     with pytest.raises(HypothesisNotMet):
         BarTruncation(incomplete, 4)
     assert BarTruncation(incomplete, 2).words is not None

@@ -19,7 +19,7 @@ from barmc.ainfinity import (
     identity_morphism,
     tensor_label,
 )
-from barmc.artin import square_zero, truncated_polynomial
+from barmc.artin import quotient_by_power, square_zero, truncated_polynomial
 from barmc.bar import koszul_probe
 from barmc.errors import HypothesisNotMet, MathCheckFailure
 from barmc.examples import golden_dg_pair, kpoints, njac, random_instance, xy
@@ -198,7 +198,7 @@ def pq_algebra(field):
             ops.set(2, (l, "1"), {l: one})
     ops.set(1, ("p",), {"q": one})
     return AInfAlgebra(space, field, ops, arity_bound=2,
-                       unit="1", aug_label="1")
+                       unit="1")
 
 
 def negative_base(field):
@@ -520,8 +520,8 @@ def test_hom_groupoid_entry_point():
 def test_o2_on_xy_is_the_y_t2_line():
     for field in (F2, F3):
         A = xy(field)
-        tower = Tower(truncated_polynomial(field, 3), 2)
-        cls = obstruction_o2(A, tower, {("x", "t"): field.one})
+        cls = obstruction_o2(A, truncated_polynomial(field, 3),
+                             {("x", "t"): field.one})
         assert not cls.is_zero
         assert set(cls.vec) == {("y", "t2")}
         h2 = cls.kernel_complex.cohomology(2)
@@ -530,18 +530,17 @@ def test_o2_on_xy_is_the_y_t2_line():
 
 def test_o2_of_zero_vanishes():
     for A in (xy(F2), njac(F2, 1), kpoints(F2, 2)):
-        tower = Tower(truncated_polynomial(F2, 3), 2)
-        assert obstruction_o2(A, tower, {}).is_zero
+        assert obstruction_o2(A, truncated_polynomial(F2, 3), {}).is_zero
 
 
 def test_o2_soundness_against_brute_lifting():
     cases = [(xy, F2), (xy, F3), (njac1, F2), (kpoints2, F2), (kpoints2, F3)]
     for make, field in cases:
         A = make(field)
-        tower = Tower(truncated_polynomial(field, 3), 2)
+        tower = Tower(truncated_polynomial(field, 3))
         setup_bar = DeformationSetup(A, tower.Rbar)
         for alpha_bar in setup_bar.enumerate_mc():
-            cls = obstruction_o2(A, tower, alpha_bar)
+            cls = obstruction_o2(A, tower.R, alpha_bar)
             assert cls.is_zero == brute_lift_exists(A, tower, alpha_bar)
 
 
@@ -556,58 +555,65 @@ def kpoints2(field):
 def test_o2_vanishes_on_exterior_squares_in_every_characteristic():
     """e1 e2 = -e2 e1 makes the quadratic term cancel, so no obstruction."""
     A = kpoints(F3, 2)
-    tower = Tower(truncated_polynomial(F3, 3), 2)
+    tower = Tower(truncated_polynomial(F3, 3))
     sq = {("e1", "t"): F3.one, ("e2", "t"): F3.one}
-    cls = obstruction_o2(A, tower, sq)
+    cls = obstruction_o2(A, tower.R, sq)
     assert cls.is_zero
     assert brute_lift_exists(A, tower, sq)
 
 
+def test_o2_builds_the_tower_quotient_once(monkeypatch):
+    calls = []
+    original = mc_module.quotient_by_power
+
+    def counting(R, n):
+        calls.append(n)
+        return original(R, n)
+
+    monkeypatch.setattr(mc_module, "quotient_by_power", counting)
+    cls = obstruction_o2(xy(F2), truncated_polynomial(F2, 3),
+                         {("x", "t"): F2.one})
+    assert not cls.is_zero
+    assert calls == [2]
+
+
 def test_o2_independent_of_lift_choice_across_seeds():
     A = xy(F3)
-    tower = Tower(truncated_polynomial(F3, 3), 2)
+    R = truncated_polynomial(F3, 3)
     alpha_bar = {("x", "t"): F3.one}
-    classes = [obstruction_o2(A, tower, alpha_bar, seed=s) for s in range(5)]
+    classes = [obstruction_o2(A, R, alpha_bar, seed=s) for s in range(5)]
     for cls in classes[1:]:
         assert classes[0].same_class_as(cls)
-
-
-def test_o2_refuses_non_square_zero_layer():
-    R = truncated_polynomial(F2, 4)
-    with pytest.raises(HypothesisNotMet):
-        Tower(R, 2)  # m^2 inside k[t]/t^4 has m^2 * m != 0
 
 
 def test_o2_verdict_agrees_on_isomorphic_elements():
     A = pq_algebra(F2)
     R = truncated_polynomial(F2, 3)
-    tower = Tower(R, 2)
-    rep = pi0(A, tower.Rbar)
+    rep = pi0(A, Tower(R).Rbar)
     for cls_members in rep.classes:
-        verdicts = {obstruction_o2(A, tower, a).is_zero for a in cls_members}
+        verdicts = {obstruction_o2(A, R, a).is_zero for a in cls_members}
         assert len(verdicts) == 1
 
 
 def test_o1_vanishes_for_identity_with_equal_endpoints():
     A = njac(F2, 1)
-    tower = Tower(truncated_polynomial(F2, 3), 2)
     one_bar = {("1", "1"): F2.one}
-    assert obstruction_o1(A, tower, {}, {}, one_bar).is_zero
+    assert obstruction_o1(A, truncated_polynomial(F2, 3), {}, {},
+                          one_bar).is_zero
 
 
 def test_o1_distinguishes_lifts_differing_by_x_t2():
     A = njac(F2, 1)
-    tower = Tower(truncated_polynomial(F2, 3), 2)
     one_bar = {("1", "1"): F2.one}
     shifted = {("x1", "t2"): F2.one}
-    cls = obstruction_o1(A, tower, {}, shifted, one_bar)
+    cls = obstruction_o1(A, truncated_polynomial(F2, 3), {}, shifted, one_bar)
     assert not cls.is_zero
     assert cls.vec == {("x1", "t2"): F2.one}
 
 
 def test_o1_soundness_against_brute_morphism_lifting():
     A = njac(F2, 1)
-    tower = Tower(truncated_polynomial(F2, 3), 2)
+    tower = Tower(truncated_polynomial(F2, 3))
     setup = DeformationSetup(A, tower.R)
     setup_bar = DeformationSetup(A, tower.Rbar)
     one_bar = {("1", "1"): F2.one}
@@ -620,7 +626,7 @@ def test_o1_soundness_against_brute_morphism_lifting():
             if dg_twisted_oracle(setup_bar, tower.project(a1),
                                  tower.project(a2), f_bar):
                 continue
-            cls = obstruction_o1(A, tower, a1, a2, f_bar)
+            cls = obstruction_o1(A, tower.R, a1, a2, f_bar)
             assert cls.is_zero == \
                 brute_morphism_lift_exists(A, tower, a1, a2, f_bar)
 
@@ -632,17 +638,17 @@ def test_o1_equivariance_under_fiber_translation():
     subtracts it.  Checked over F3 so the two directions differ.
     """
     A = njac(F3, 1)
-    tower = Tower(truncated_polynomial(F3, 3), 2)
+    R = truncated_polynomial(F3, 3)
     one_bar = {("1", "1"): F3.one}
     eta = {("x1", "t2"): F3.one}
-    base = obstruction_o1(A, tower, {}, {}, one_bar)
+    base = obstruction_o1(A, R, {}, {}, one_bar)
     kc = base.kernel_complex
-    moved_target = obstruction_o1(A, tower, {}, eta, one_bar)
+    moved_target = obstruction_o1(A, R, {}, eta, one_bar)
     shifted = dict(base.vec)
     vec_add(shifted, eta)
     assert moved_target.same_class_as(
         type(base)(kc, vec_clean(shifted), 1))
-    moved_source = obstruction_o1(A, tower, eta, {}, one_bar)
+    moved_source = obstruction_o1(A, R, eta, {}, one_bar)
     shifted = dict(base.vec)
     vec_add(shifted, eta, -F3.one)
     assert moved_source.same_class_as(
@@ -651,36 +657,35 @@ def test_o1_equivariance_under_fiber_translation():
 
 def test_o1_refuses_non_morphism_downstairs():
     A = njac(F2, 1)
-    tower = Tower(truncated_polynomial(F2, 3), 2)
     one_bar = {("1", "1"): F2.one}
     with pytest.raises(HypothesisNotMet):
-        obstruction_o1(A, tower, {}, {("x1", "t"): F2.one}, one_bar)
+        obstruction_o1(A, truncated_polynomial(F2, 3), {},
+                       {("x1", "t"): F2.one}, one_bar)
 
 
 def test_o1_refuses_a_downstairs_vector_that_is_not_a_gauge_element():
     A = xy(F2)
-    tower = Tower(truncated_polynomial(F2, 3), 2)
+    R = truncated_polynomial(F2, 3)
     beta = {("x", "t2"): F2.one}
-    assert not mc_residual(A, tower.R, beta)
+    assert not mc_residual(A, R, beta)
     # the true identity downstairs gives a nonzero class
-    assert not obstruction_o1(A, tower, {}, beta, {("1", "1"): F2.one}).is_zero
+    assert not obstruction_o1(A, R, {}, beta, {("1", "1"): F2.one}).is_zero
     # {} is not 1 + u, and x*t2 does not live over R/t^2
     for f_bar in ({}, {("1", "1"): F2.one, ("x", "t2"): F2.one}):
         with pytest.raises(ValueError):
-            obstruction_o1(A, tower, {}, beta, f_bar)
+            obstruction_o1(A, R, {}, beta, f_bar)
 
 
 def test_o0_refuses_a_foreign_label_by_name():
     A = njac(F2, 1)
-    tower = Tower(truncated_polynomial(F2, 3), 2)
     f1 = {("1", "1"): F2.one}
     f2 = {("1", "1"): F2.one, ("zz", "t"): F2.one}
     with pytest.raises(ValueError, match="zz"):
-        obstruction_o0(A, tower, {}, {}, f1, f2)
+        obstruction_o0(A, truncated_polynomial(F2, 3), {}, {}, f1, f2)
 
 
 def test_tower_projection_refuses_a_base_label_outside_r():
-    tower = Tower(truncated_polynomial(F2, 3), 2)
+    tower = Tower(truncated_polynomial(F2, 3))
     assert tower.project({("x1", "t2"): F2.one}) == {}
     with pytest.raises(ValueError, match="t9"):
         tower.project({("x1", "t9"): F2.one})
@@ -688,20 +693,20 @@ def test_tower_projection_refuses_a_base_label_outside_r():
 
 def test_o0_zero_for_equal_lifts_and_nonzero_for_distinct_orbits():
     A = njac(F2, 1)
-    tower = Tower(truncated_polynomial(F2, 3), 2)
+    R = truncated_polynomial(F2, 3)
     f1 = {("1", "1"): F2.one}
     f2 = {("1", "1"): F2.one, ("1", "t2"): F2.one}
-    assert obstruction_o0(A, tower, {}, {}, f1, dict(f1)).is_zero
-    verdict = obstruction_o0(A, tower, {}, {}, f1, f2)
+    assert obstruction_o0(A, R, {}, {}, f1, dict(f1)).is_zero
+    verdict = obstruction_o0(A, R, {}, {}, f1, f2)
     assert not verdict.is_zero
-    setup = DeformationSetup(A, tower.R)
+    setup = DeformationSetup(A, R)
     hs = HomSet(setup, {}, {})
     assert (hs.classify(f1) == hs.classify(f2)) == verdict.is_zero
 
 
 def test_o0_matches_orbit_equality_exhaustively():
     A = pq_algebra(F2)
-    tower = Tower(truncated_polynomial(F2, 3), 2)
+    tower = Tower(truncated_polynomial(F2, 3))
     setup = DeformationSetup(A, tower.R)
     alpha = {}
     hs = HomSet(setup, alpha, alpha)
@@ -711,14 +716,13 @@ def test_o0_matches_orbit_equality_exhaustively():
     assert len(lifts) > 1
     for f1 in lifts:
         for f2 in lifts:
-            verdict = obstruction_o0(A, tower, alpha, alpha, f1, f2)
+            verdict = obstruction_o0(A, tower.R, alpha, alpha, f1, f2)
             assert verdict.is_zero == (hs.classify(f1) == hs.classify(f2))
 
 
 def test_o0_coboundary_translation_fixes_the_orbit():
     A = xy(F2)
     R = negative_base(F2)
-    tower = Tower(R, 1)
     setup = DeformationSetup(A, R)
     f1 = dict(setup.one_vec)
     zeta = {("1", "f"): F2.one}
@@ -726,17 +730,16 @@ def test_o0_coboundary_translation_fixes_the_orbit():
     assert boundary == {("1", "e"): F2.one}
     f2 = dict(f1)
     vec_add(f2, boundary)
-    verdict = obstruction_o0(A, tower, {}, {}, f1, vec_clean(f2))
+    verdict = obstruction_o0(A, R, {}, {}, f1, vec_clean(f2))
     assert verdict.is_zero
 
 
 def test_o0_rejects_lifts_of_different_morphisms():
     A = njac(F2, 1)
-    tower = Tower(truncated_polynomial(F2, 3), 2)
     f1 = {("1", "1"): F2.one}
     f2 = {("1", "1"): F2.one, ("1", "t"): F2.one}
     with pytest.raises(ValueError):
-        obstruction_o0(A, tower, {}, {}, f1, f2)
+        obstruction_o0(A, truncated_polynomial(F2, 3), {}, {}, f1, f2)
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +780,7 @@ def test_lift_agrees_with_brute_force_existence():
     for field in (F2, F3):
         A = kpoints(field, 2)
         R = truncated_polynomial(field, 3)
-        tower = Tower(R, 2)
+        tower = Tower(R)
         seed_setup = DeformationSetup(A, tower.Rbar)
         for alpha0 in seed_setup.enumerate_mc():
             out = lift_mc(A, R, alpha0)
@@ -977,6 +980,27 @@ def test_invariance_refuses_non_quasi_iso():
         invariance_check(collapse, truncated_polynomial(F2, 3))
 
 
+def test_invariance_builds_one_setup_per_side(monkeypatch):
+    """The pushforward of every MC element reuses the two setups.
+
+    Over k[t]/t^2 there is no lower tower level, so that is one setup
+    per side for all 9 elements.  Over k[t]/t^3 the same case builds 4,
+    but its hom-count loop takes about 15 s.
+    """
+    built = []
+    original = DeformationSetup.__init__
+
+    def counting(self, A, R):
+        built.append(R.nu)
+        original(self, A, R)
+
+    _, f = minimal_model(random_instance(F3, 1)[0], 4)
+    monkeypatch.setattr(DeformationSetup, "__init__", counting)
+    rep = invariance_check(f, truncated_polynomial(F3, 2))
+    assert rep.ok and rep.pi0_counts == (9, 9)
+    assert built == [2, 2]
+
+
 def test_invariance_report_is_deterministic():
     R = truncated_polynomial(F2, 3)
     f = cone_inclusion(xy(F2), golden_dg_pair(F2)[0])
@@ -1057,7 +1081,7 @@ def test_mc_residual_and_category_ops_match_the_insertion_loop_oracles(field):
     (lambda: square_zero(F2, [("u", 0)], d={"u": {"zz": 1}}), "'zz'"),
     (lambda: koszul_probe(kpoints(Q, 2), 1.5), "weight bound N"),
     (lambda: truncated_polynomial(F2, 2.5), "length n"),
-    (lambda: Tower(truncated_polynomial(F2, 3), 1.5), "power n"),
+    (lambda: quotient_by_power(truncated_polynomial(F2, 3), 1.5), "power n"),
     (lambda: enumerate_mc(kpoints(F2, 1), truncated_polynomial(F2, 3),
                           cap=None), "cap"),
     (lambda: pi0(kpoints(F2, 1), kpoints(F2, 1)), "base R"),

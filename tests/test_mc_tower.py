@@ -18,6 +18,7 @@ from barmc.artin import (
     quotient_by_power,
     truncated_polynomial,
 )
+from barmc.bar import dual_dg_algebra
 from barmc.errors import HypothesisNotMet, MathCheckFailure
 from barmc.examples import kpoints, njac, random_instance, xy
 from barmc.linalg import GradedSpace, vec_add, vec_clean
@@ -36,6 +37,7 @@ from oracles import enumerate_mc_oracle, span_coordinates_oracle
 from test_mc import negative_base
 from test_twisting import local_noncommutative
 
+Q = Field.rationals()
 F2 = Field.prime(2)
 F3 = Field.prime(3)
 F5 = Field.prime(5)
@@ -62,7 +64,7 @@ def xyz(field):
     ops.set(2, ("x", "x"), {"y": one})
     ops.set(1, ("z",), {"y": one})
     return AInfAlgebra(space, field, ops, arity_bound=2,
-                       unit="1", aug_label="1")
+                       unit="1")
 
 
 ORACLE_CASES = {
@@ -211,8 +213,7 @@ def _lift_by_oracle(A, R, alpha0):
     levels = {n: quotient_by_power(R, n)[0] for n in range(2, R.nu + 1)}
     current = dict(alpha0)
     for n in range(2, R.nu):
-        tower = Tower(levels[n + 1], n)
-        step = LiftStep(KernelComplex(tower, DeformationSetup(A, tower.R)))
+        step = LiftStep(KernelComplex(DeformationSetup(A, levels[n + 1])))
         kc = step.kernel_complex
         target = kc.coordinates(step.setup.mc_residual(current))
         src = kc.complex.space.labels_of_degree(1)
@@ -272,7 +273,7 @@ def test_each_level_is_built_once(monkeypatch):
 
 
 def test_tower_builds_the_ideal_power_once(monkeypatch):
-    """The quotient's kernel rows are the ones checked to kill m."""
+    """The kernel rows are the quotient's, at the top power nu - 1."""
     calls = []
     original = ArtinianDGAlgebra.ideal_power_subspace
 
@@ -281,10 +282,43 @@ def test_tower_builds_the_ideal_power_once(monkeypatch):
         return original(self, n)
 
     monkeypatch.setattr(ArtinianDGAlgebra, "ideal_power_subspace", counting)
-    tower = Tower(truncated_polynomial(F3, 4), 3)
+    tower = Tower(truncated_polynomial(F3, 4))
     assert calls == [3]
     assert tower.kernel_rows == [{"t3": F3.one}]
-    calls.clear()
-    with pytest.raises(HypothesisNotMet, match="not a small extension"):
-        Tower(truncated_polynomial(F3, 4), 2)
-    assert calls == [2]
+
+
+def _small_extension_bases():
+    for field in (Q, F2, F3):
+        for n in range(2, 7):
+            yield truncated_polynomial(field, n)
+    yield negative_base(F2)
+    yield fiber_product(truncated_polynomial(F3, 3),
+                        truncated_polynomial(F3, 2, var="s"))
+    for A in (kpoints(F2, 2), njac(F2, 2)):
+        for N in (3, 4):
+            yield dual_dg_algebra(A, N).as_artinian()
+    for field, seeds in ((F2, 24), (F3, 12)):
+        for seed in range(seeds):
+            yield random_instance(field, seed)[1]
+
+
+def _kills_m(R, rows):
+    """I m = m I = 0 for the span I of rows."""
+    one = R.field.one
+    return not any(R.multiply(v, {x: one}) or R.multiply({x: one}, v)
+                   for v in rows for x in R.ideal_labels)
+
+
+def test_tower_kernel_is_the_first_power_that_kills_m():
+    """I = m^(nu-1) has I m = m I = 0, and no lower power of m has it.
+
+    Tower(R) checks nothing: both products lie in m^nu = 0.
+    """
+    count = 0
+    for R in _small_extension_bases():
+        rows = Tower(R).kernel_rows
+        assert rows and _kills_m(R, rows)
+        for k in range(1, R.nu - 1):
+            assert not _kills_m(R, R.ideal_power(k))
+        count += 1
+    assert count == 15 + 1 + 1 + 4 + 36

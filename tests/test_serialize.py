@@ -43,8 +43,7 @@ def test_algebra_round_trips_through_json_text(make):
     assert B.space.labels == A.space.labels
     assert B.space.degree == A.space.degree
     assert B.m.entries == A.m.entries
-    assert (B.unit, B.aug_label, B.arity_bound) == (A.unit, A.aug_label,
-                                                    A.arity_bound)
+    assert (B.unit, B.arity_bound) == (A.unit, A.arity_bound)
     assert dumps_canonical(algebra_to_json(B)) == text
 
 
@@ -122,11 +121,13 @@ def _op(arity, ins, out):
     # 3 is zero in F_3, so 1/3 names no element
     _chain(_set(("field",), {"kind": "Fp", "p": 3}),
            _set(("ops", 0, "out", 0, "coeff"), "1/3")),
+    # the augmentation is the unit's dual; no other label can carry it
+    _chain(_set(("unit",), "1"), _set(("aug",), "x")),
 ], ids=["unknown input", "unknown output", "degree true", "degree 1.7",
         "arity true", "no label", "no degree", "no arity", "no in", "no out",
         "no coeff", "arity 0", "d squared nonzero", "coeff 1/0",
         "coeff word", "coeff null", "coeff list", "coeff 0.5", "coeff true",
-        "coeff int", "coeff 1/3 over F3"])
+        "coeff int", "coeff 1/3 over F3", "aug not unit"])
 def test_malformed_algebra_description_is_refused(mutate):
     algebra_from_json(_doc())  # the unmutated description loads
     doc = _doc()

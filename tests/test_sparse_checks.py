@@ -162,7 +162,7 @@ def test_mutated_dual_fails_where_the_replay_does(case, field, seed):
     ops = S.algebra.m.copy()
     assert _mutate(ops, random.Random(seed))
     B = AInfAlgebra(S.algebra.space, field, ops, arity_bound=2,
-                    unit=S.algebra.unit, aug_label=S.algebra.aug_label)
+                    unit=S.algebra.unit)
     oracle = check_ainf_axioms_oracle(B, 3)
     _same(check_ainf_axioms(B, 3), oracle)
     problems = validate_artinian(B).problems

@@ -124,7 +124,7 @@ def _reduce_algebra(A, field):
         if rv:
             m.set(n, args, rv)
     return AInfAlgebra(A.space, field, m, arity_bound=A.arity_bound,
-                       unit=A.unit, aug_label=A.aug_label)
+                       unit=A.unit)
 
 
 def _dg_instance(field, seed):
@@ -227,7 +227,7 @@ def test_splitting_refuses_differential_into_the_unit():
     space = GradedSpace([("1", 0), ("y", -1)])
     m = _unit_laws(space, F2, "1")
     m.set(1, ("y",), {"1": F2.one})
-    A = AInfAlgebra(space, F2, m, arity_bound=2, unit="1", aug_label="1")
+    A = AInfAlgebra(space, F2, m, arity_bound=2, unit="1")
     with pytest.raises(ValueError, match="unit line does not split"):
         build_splitting(A)
 
@@ -237,7 +237,7 @@ def test_splitting_refuses_a_nonstrict_unit():
     m = StructureMaps()
     m.set(2, ("1", "1"), {"1": F3.one})
     m.set(2, ("v", "1"), {"v": F3.one})
-    A = AInfAlgebra(space, F3, m, arity_bound=2, unit="1", aug_label="1")
+    A = AInfAlgebra(space, F3, m, arity_bound=2, unit="1")
     with pytest.raises(ValueError, match="declared unit is not strict"):
         build_splitting(A)
 
@@ -312,8 +312,7 @@ def test_cup_product_coefficient_is_forced():
             m = _unit_laws(H, field, unit)
             if assign.get(("e", None)):
                 m.set(2, (xl, xl), {yl: assign[("e", None)]})
-            A = AInfAlgebra(H, field, m, arity_bound=2, unit=unit,
-                            aug_label=unit)
+            A = AInfAlgebra(H, field, m, arity_bound=2, unit=unit)
             comps = StructureMaps()
             for l in H.labels:
                 comps.set(1, (l,), dict(t.i[l]))

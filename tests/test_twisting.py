@@ -21,7 +21,7 @@ from barmc.artin import (
     square_zero,
     truncated_polynomial,
 )
-from barmc.bar import SHatCohomology
+from barmc.bar import SHatCohomology, dual_dg_algebra
 from barmc.errors import HypothesisNotMet, MathCheckFailure
 from barmc.examples import kpoints, njac, xy
 from barmc.linalg import GradedSpace, vec_add, vec_clean
@@ -155,7 +155,7 @@ def pq_algebra(field):
             ops.set(2, (l, "1"), {l: one})
     ops.set(1, ("p",), {"q": one})
     return AInfAlgebra(space, field, ops, arity_bound=2,
-                       unit="1", aug_label="1")
+                       unit="1")
 
 
 def negative_base(field):
@@ -173,7 +173,7 @@ def local_noncommutative(field):
             ops.set(2, (l, "1"), {l: one})
     ops.set(2, ("a", "b"), {"ab": one})
     return ArtinianDGAlgebra(AInfAlgebra(space, field, ops, arity_bound=2,
-                                         unit="1", aug_label="1"))
+                                         unit="1"))
 
 
 def upper_triangular_2x2(field):
@@ -188,7 +188,7 @@ def upper_triangular_2x2(field):
     ops.set(2, ("h", "h"), {"h": one})
     ops.set(2, ("h", "n"), {"n": one})
     return AInfAlgebra(space, field, ops, arity_bound=2,
-                       unit="1", aug_label="1")
+                       unit="1")
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +278,7 @@ def test_corepresenting_frozen_on_njac():
     R = truncated_polynomial(F2, 3)
     setup = DeformationSetup(A, R)
     tau = TwistingCochain.from_element(setup, {("x1", "t"): F2.one})
-    gh = CorepresentingHom(tau, 3)
+    gh = CorepresentingHom(tau, dual_dg_algebra(A, 3))
     assert gh.entries[()] == {"1": F2.one}
     assert gh.entries[("x1",)] == {"t": F2.one}
     assert gh.entries[("x1", "x1")] == {"t2": F2.one}
@@ -289,7 +289,7 @@ def test_zero_cochain_corepresents_the_augmentation():
     A = njac(F2, 2)
     R = truncated_polynomial(F2, 2)
     tau = TwistingCochain.from_element(DeformationSetup(A, R), {})
-    gh = CorepresentingHom(tau, 2)
+    gh = CorepresentingHom(tau, dual_dg_algebra(A, 2))
     for w, img in gh.entries.items():
         assert img == ({"1": F2.one} if w == () else {})
 
@@ -300,7 +300,7 @@ def test_weight_one_layer_returns_the_cochain():
     setup = DeformationSetup(A, R)
     for alpha in setup.enumerate_mc():
         tau = TwistingCochain.from_element(setup, alpha)
-        gh = CorepresentingHom(tau, 2)
+        gh = CorepresentingHom(tau, dual_dg_algebra(A, 2))
         for a in A.ideal_labels():
             assert gh.entries[(a,)] == tau.rho().get(a, {})
 
@@ -311,7 +311,7 @@ def test_corepresenting_refuses_order_below_nu():
     setup = DeformationSetup(A, R)
     tau = TwistingCochain.from_element(setup, {("x1", "t"): F2.one})
     with pytest.raises(HypothesisNotMet):
-        CorepresentingHom(tau, 2)
+        CorepresentingHom(tau, dual_dg_algebra(A, 2))
 
 
 def test_corepresenting_tower_compatible():
@@ -320,8 +320,8 @@ def test_corepresenting_tower_compatible():
     setup = DeformationSetup(A, R)
     tau = TwistingCochain.from_element(
         setup, {("x1", "t"): F2.one, ("x2", "t2"): F2.one})
-    big = CorepresentingHom(tau, 4)
-    small = CorepresentingHom(tau, 3)
+    big = CorepresentingHom(tau, dual_dg_algebra(A, 4))
+    small = CorepresentingHom(tau, dual_dg_algebra(A, 3))
     assert check_tower_compatibility(big, small)
     with pytest.raises(ValueError):
         check_tower_compatibility(small, big)
@@ -334,7 +334,7 @@ def test_corepresenting_certified_on_every_mc_element():
         setup = DeformationSetup(A, R)
         for alpha in setup.enumerate_mc():
             tau = TwistingCochain.from_element(setup, alpha)
-            CorepresentingHom(tau, R.nu)
+            CorepresentingHom(tau, dual_dg_algebra(A, R.nu))
 
 
 def test_corepresenting_over_graded_base():
@@ -343,7 +343,7 @@ def test_corepresenting_over_graded_base():
     setup = DeformationSetup(A, R)
     for alpha in setup.enumerate_mc():
         tau = TwistingCochain.from_element(setup, alpha)
-        gh = CorepresentingHom(tau, 2)
+        gh = CorepresentingHom(tau, dual_dg_algebra(A, 2))
         assert gh.entries[()] == {"1": F2.one}
 
 
@@ -356,7 +356,7 @@ def test_corepresenting_kills_boundaries():
     for alpha in ({("x1", "t"): F2.one},
                   {("x1", "t2"): F2.one, ("x2", "t"): F2.one}):
         tau = TwistingCochain.from_element(setup, alpha)
-        gh = CorepresentingHom(tau, 3, dual=rep.S)
+        gh = CorepresentingHom(tau, rep.S)
         for b in rep.h0.boundaries.rows:
             assert gh.apply(b) == {}
 
@@ -672,7 +672,7 @@ def test_prorep_lhs_agrees_with_basis_enumeration():
     for A, R, N in ((njac(F2, 1), truncated_polynomial(F2, 3), 3),
                     (kpoints(F2, 2), truncated_polynomial(F2, 2), 2)):
         rep = SHatCohomology(A, N)
-        pres = H0Presentation(A, N, rep=rep)
+        pres = H0Presentation(rep)
         assert len(algebra_maps(pres, R)) == len(brute_h0_maps(rep, R))
 
 
@@ -680,7 +680,7 @@ def test_prorep_natural_under_base_quotient():
     A = njac(F2, 1)
     R = truncated_polynomial(F2, 3)
     Rbar, pi_map, _ = quotient_by_power(R, 2)
-    pres = H0Presentation(A, 3)
+    pres = H0Presentation(SHatCohomology(A, 3))
     setup = DeformationSetup(A, R)
     setup_bar = DeformationSetup(A, Rbar)
     for alpha in setup.enumerate_mc():
@@ -726,7 +726,7 @@ def test_prorep_refuses_non_koszul_input_without_refuting():
 
 
 def test_presentation_certifies_generation():
-    pres = H0Presentation(njac(F2, 2), 3)
+    pres = H0Presentation(SHatCohomology(njac(F2, 2), 3))
     assert pres.generator_count() == 2
     assert pres.relations == []
     assert len(pres.monomials) == 1 + 2 + 4 + 8
@@ -794,7 +794,7 @@ def test_unit_inversion_certified_everywhere():
 
 def test_conjugation_orbits_partition_the_maps():
     R = local_noncommutative(F2)
-    pres = H0Presentation(njac(F2, 1), 3)
+    pres = H0Presentation(SHatCohomology(njac(F2, 1), 3))
     maps = algebra_maps(pres, R)
     orbits, orbit_of = conjugation_orbits(R, maps)
     covered = sorted(i for o in orbits for i in o)
