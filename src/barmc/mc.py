@@ -154,11 +154,9 @@ class DeformationSetup:
             if not isinstance(c, Scalar) or c.field != self.field:
                 raise ValueError("coefficient %r at %r is not a scalar over %r"
                                  % (c, l, self.field))
-            if not c:
-                continue
             if l not in self._ideal_set:
                 raise ValueError("element has a component %r outside A x m" % (l,))
-            if self.T.deg(l) != 1:
+            if c and self.T.deg(l) != 1:
                 raise ValueError("element has a component %r of degree %d"
                                  % (l, self.T.deg(l)))
 

@@ -1,11 +1,12 @@
-"""Twisting cochains, twisted modules, and the classical comparison.
+"""Corepresenting maps, twisted modules, and the classical comparison.
 
-A Maurer-Cartan element alpha in (A x m)^1 is the same data as a
-degree-1 map tau: R* -> A that kills the counit functional: tau(r*)
-reads off the A-part of alpha at the base label r.  Pushing tau
-through iterated deconcatenation gives a map from the dual word
-algebra S_N into R, and the same left-insertion sums that twist the
-hom complexes make A x R into an A-infinity module.
+A Maurer-Cartan element alpha in (A x m)^1 is itself the twisting
+cochain: a degree-1 map R* -> A that kills the counit functional,
+r* |-> the A-part of alpha at the base label r.  CorepresentingHom
+reads the cochain off alpha by transposing it, and pushing it through
+iterated deconcatenation gives a map from the dual word algebra S_N
+into R.  The same left-insertion sums that
+twist the hom complexes make A x R into an A-infinity module.
 
 One engine, TwistedStructure, builds every twisted module here, and
 it has three uses: TwistedModule (A x R twisted by alpha), the
@@ -42,7 +43,7 @@ from .bar import (
     koszul_probe,
     universal_twisting_cochain,
 )
-from .errors import HypothesisNotMet, MathCheckFailure
+from .errors import _integer, HypothesisNotMet, MathCheckFailure
 from .linalg import (
     _apply_table,
     Complex,
@@ -64,133 +65,58 @@ from .mc import (
 
 
 # ---------------------------------------------------------------------------
-# the cochain dictionary
-
-
-class TwistingCochain:
-    """tau: R* -> A, stored as the table of values on ideal functionals.
-
-    table[r] is tau(r*); the unit functional and any label outside the
-    table go to zero, so tau passes through the coaugmentation by
-    construction.  Each value must sit in the single degree that makes
-    tau a degree-1 map, and the generalized Maurer-Cartan equation for
-    the corresponding element of A x m is checked at construction:
-    a table that fails it is not a twisting cochain and is rejected.
-    """
-
-    def __init__(self, setup, table):
-        self.setup = setup
-        self.A = setup.A
-        self.R = setup.R
-        self.field = setup.field
-        radical = set(self.R.ideal_labels)
-        clean = {}
-        for r, vec in table.items():
-            if r not in radical:
-                raise ValueError(
-                    "cochain value on %r: not an augmentation-ideal label" % (r,))
-            if not isinstance(vec, dict):
-                raise ValueError(
-                    "cochain value on %r: %r is not a vector" % (r, vec))
-            want = 1 - self.R.deg(r)
-            for a, c in vec.items():
-                if a not in self.A.space.index:
-                    raise ValueError(
-                        "tau(%r*) has a component %r that is not a basis "
-                        "label of A" % (r, a))
-                if c and self.A.deg(a) != want:
-                    raise ValueError(
-                        "tau(%r*) has a component %r of degree %d, "
-                        "but a degree-1 cochain needs %d"
-                        % (r, a, self.A.deg(a), want))
-            vec = vec_clean(vec)
-            if vec:
-                clean[r] = vec
-        self.table = clean
-        self.admissible = all(self.A.unit not in vec
-                              for vec in clean.values())
-        self.residual = setup.mc_residual(self.element())
-        if self.residual:
-            raise ValueError(
-                "the table fails the generalized Maurer-Cartan equation "
-                "(residual %r)" % (self.residual,))
-
-    @classmethod
-    def from_element(cls, setup, alpha):
-        setup.check_mc_input(alpha)
-        table = {}
-        for (a, r), c in vec_clean(dict(alpha)).items():
-            table.setdefault(r, {})[a] = c
-        return cls(setup, table)
-
-    def value(self, r_label):
-        return dict(self.table.get(r_label, {}))
-
-    def element(self):
-        """The corresponding alpha = sum of tau(r*) x r in (A x m)^1."""
-        out = {}
-        for r, vec in self.table.items():
-            for a, c in vec.items():
-                out[tensor_label(a, r)] = c
-        return out
-
-    def rho(self):
-        """The transposed table: for each letter a, the element of m
-        that pairs tau against a.  This is the weight-one layer of the
-        corepresenting map."""
-        out = {}
-        for r, vec in self.table.items():
-            for a, c in vec.items():
-                out.setdefault(a, {})[r] = c
-        return {a: vec_clean(v) for a, v in out.items()}
-
-    def __repr__(self):
-        return "TwistingCochain(%d nonzero values%s)" % (
-            len(self.table), "" if self.admissible else ", not admissible")
-
-
-# ---------------------------------------------------------------------------
 # the corepresenting map S_N -> R
 
 
 class CorepresentingHom:
-    """The word-algebra map g*: S_N -> R induced by a twisting cochain.
+    """The word-algebra map g*: S_N -> R induced by an MC element alpha.
 
-    Multiplicativity forces the whole map from its weight-one layer: a
-    single-letter functional (a)* goes to rho(a), and a longer word to
-    the ordered product of its letters' images, times the sign of
-    moving the shifted letters past each other,
+    alpha in (A x m)^1 is a twisting cochain R* -> A, r* |-> the A-part
+    of alpha at r.  Transposed, it gives the weight-one layer: a
+    single-letter functional (a)* goes to rho(a) = sum_r alpha(a, r) r
+    in m.  Multiplicativity forces the rest, a longer word going to the
+    ordered product of its letters' images times the sign of moving
+    the shifted letters past each other,
 
         (a_1 .. a_k)*  |->  (-1)^(sum_{i<j} s_i s_j) rho(a_1) .. rho(a_k)
 
-    with s_i the shifted degree of a_i.  What makes this THE
-    corepresenting map is certified rather than assumed: construction
-    checks entrywise that the result is a unital augmented DG algebra
-    map and that its weight-one layer returns the cochain.  The
-    differential compatibility check is where the Maurer-Cartan
-    equation for tau re-enters; it can only trip if the upstream
+    with s_i the shifted degree of a_i.  Construction refuses an
+    element that fails the Maurer-Cartan equation (ValueError) or has a
+    component on the unit of A (HypothesisNotMet: the cochain must land
+    in the augmentation ideal).  What makes this THE corepresenting map
+    is certified rather than assumed: the result is checked entrywise
+    to be a unital augmented DG algebra map whose weight-one layer
+    returns alpha.  The differential compatibility check is where the
+    Maurer-Cartan equation re-enters; it can only trip if the upstream
     validation was unsound.  S is the dual truncation S_N
     (bar.dual_dg_algebra); the order N is S.N.
     """
 
-    def __init__(self, tau, S):
-        if not tau.admissible:
-            raise HypothesisNotMet(
-                "the corepresenting map needs an admissible cochain "
-                "(values inside the augmentation ideal of A)")
-        R = tau.R
+    def __init__(self, setup, alpha, S):
+        residual = setup.mc_residual(alpha)
+        if residual:
+            raise ValueError(
+                "the element fails the generalized Maurer-Cartan equation "
+                "(residual %r)" % (residual,))
+        R = setup.R
+        rho = {}
+        for (a, r), c in vec_clean(alpha).items():
+            if a == setup.A.unit:
+                raise HypothesisNotMet(
+                    "the corepresenting map needs an admissible element "
+                    "(no component on the unit of A)")
+            rho.setdefault(a, {})[r] = c
         N = S.N
         if N < R.nu:
             raise HypothesisNotMet(
                 "truncation order %d is below the nilpotency index %d; "
                 "the word algebra would truncate products the base still "
                 "sees, and multiplicativity would fail" % (N, R.nu))
-        self.tau = tau
+        self.A = setup.A
         self.R = R
         self.N = N
-        self.field = tau.field
+        self.field = setup.field
         self.S = S
-        rho = tau.rho()
         sdeg = self.S.bar.sdeg
         entries = {(): {R.unit: self.field.one}}
         for word in self.S.words:
@@ -236,10 +162,10 @@ class CorepresentingHom:
                 raise MathCheckFailure(
                     "differential compatibility fails at %r; the cochain "
                     "does not satisfy the Maurer-Cartan equation" % (w,))
-        for a in self.tau.A.ideal_labels():
+        for a in self.A.ideal_labels():
             if self.entries.get((a,), {}) != self._rho.get(a, {}):
                 raise MathCheckFailure(
-                    "weight-one layer does not return the cochain at %r" % (a,))
+                    "weight-one layer does not return the element at %r" % (a,))
 
     def __repr__(self):
         return "CorepresentingHom(order %d, %d words)" % (
@@ -678,8 +604,7 @@ def induced_map(setup, pres, alpha):
     receive them, so the images do not depend on the chosen cocycle
     representatives; the section-independence tests lean on this.
     """
-    tau = TwistingCochain.from_element(setup, alpha)
-    gh = CorepresentingHom(tau, pres.S)
+    gh = CorepresentingHom(setup, alpha, pres.S)
     return tuple(gh.apply(g) for g in pres.gens)
 
 
@@ -749,10 +674,14 @@ def conjugation_orbits(R, maps):
 
 
 class ProrepReport:
-    """Both enumerations and the matching, for audit."""
+    """Both enumerations and the matching, for audit.
+
+    orbits partitions the indices of maps into conjugation orbits; over
+    a commutative base every orbit is a singleton.
+    """
 
     def __init__(self, lhs, rhs, ok, problems, maps, classes, matching,
-                 order, presentation, orbits=None):
+                 order, presentation, orbits):
         self.lhs = lhs
         self.rhs = rhs
         self.ok = ok
@@ -772,7 +701,7 @@ class ProrepReport:
         return "ProrepReport(lhs=%d, rhs=%d, %s)" % (self.lhs, self.rhs, tag)
 
 
-def _comparison_gates(A, R, N, commutative_required):
+def _comparison_gates(A, R, N):
     if not R.field.p:
         raise HypothesisNotMet(
             "the comparison enumerates both sides; it needs a finite "
@@ -780,10 +709,6 @@ def _comparison_gates(A, R, N, commutative_required):
     if not R.classical:
         raise HypothesisNotMet(
             "gate failed: base not concentrated in degree 0")
-    if commutative_required and not R.commutative:
-        raise HypothesisNotMet(
-            "gate failed: base not commutative; use the conjugation-aware "
-            "comparison")
     if N < R.nu:
         raise HypothesisNotMet(
             "gate failed: order %d below the nilpotency index %d" % (N, R.nu))
@@ -803,40 +728,35 @@ def prorep_compare(A, R, N, cap=ENUMERATION_CAP):
     Both sides are computed by exhaustion over the finite field, and
     the bridge alpha |-> g* o section is verified to induce a genuine
     bijection: constant on gauge classes, landing in the enumerated
-    map set, injective across classes, and exhaustive.
+    map set, injective across classes, and exhaustive.  Over a
+    noncommutative base the Hom side is quotiented by conjugation with
+    the units of R; over a commutative one every algebra map is its
+    own orbit and no unit is enumerated.  The sweeps over generator
+    images, units and MC candidates are each refused past the cap
+    before any of them runs.
     """
-    return _compare(A, R, N, cap, conjugation=False)
-
-
-def prorep_compare_noncomm(A, R, N, cap=ENUMERATION_CAP):
-    """The comparison over a possibly noncommutative classical base.
-
-    The Hom side is quotiented by conjugation with the units of R;
-    over a commutative base every orbit is a singleton and this
-    reduces to the plain comparison.
-    """
-    return _compare(A, R, N, cap, conjugation=True)
-
-
-def _compare(A, R, N, cap, conjugation):
-    """Match gauge classes with orbits of algebra maps.
-
-    Without conjugation every algebra map is its own orbit and the
-    units of R are never enumerated.
-    """
-    probe = _comparison_gates(A, R, N, commutative_required=not conjugation)
+    probe = _comparison_gates(A, R, N)
     pres = H0Presentation(probe.cohomology)
+    p, m = R.field.p, len(R.ideal_labels)
+    e = m * pres.generator_count()
+    if p ** e > _integer(cap, "the cap"):
+        raise HypothesisNotMet(
+            "Hom sweep %d^%d exceeds the cap %d" % (p, e, cap))
+    if not R.commutative and (p - 1) * p ** m > cap:
+        raise HypothesisNotMet(
+            "unit sweep (%d-1)*%d^%d exceeds the cap %d" % (p, p, m, cap))
+    setup = DeformationSetup(A, R)
+    points = setup.enumerate_mc(cap)
     maps = algebra_maps(pres, R)
-    if conjugation:
-        orbits, orbit_of = conjugation_orbits(R, maps)
-        what = "conjugation orbits"
-    else:
+    if R.commutative:
         orbits = [[i] for i in range(len(maps))]
         orbit_of = list(range(len(maps)))
         what = "algebra maps"
+    else:
+        orbits, orbit_of = conjugation_orbits(R, maps)
+        what = "conjugation orbits"
     index_of = {tuple(_vec_key(w) for w in t): i for i, t in enumerate(maps)}
-    setup = DeformationSetup(A, R)
-    classes = _gauge_classes(setup.enumerate_mc(cap), MCGroupoid(setup))
+    classes = _gauge_classes(points, MCGroupoid(setup))
     problems = []
     matching = {}
     for ci, cls in enumerate(classes.classes):
@@ -862,5 +782,4 @@ def _compare(A, R, N, cap, conjugation):
                         % (len(orbits), what, classes.count))
     ok = not problems and len(matching) == classes.count
     return ProrepReport(len(orbits), classes.count, ok, problems, maps,
-                        classes, matching, N, pres,
-                        orbits=orbits if conjugation else None)
+                        classes, matching, N, pres, orbits)

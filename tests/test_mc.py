@@ -20,7 +20,7 @@ from barmc.ainfinity import (
     tensor_label,
 )
 from barmc.artin import quotient_by_power, square_zero, truncated_polynomial
-from barmc.bar import koszul_probe
+from barmc.bar import dual_dg_algebra, koszul_probe
 from barmc.errors import HypothesisNotMet, MathCheckFailure
 from barmc.examples import golden_dg_pair, kpoints, njac, random_instance, xy
 from barmc.linalg import GradedSpace, vec_add, vec_clean, vec_eq, vec_sub
@@ -44,7 +44,7 @@ from barmc.mc import (
 )
 from barmc.scalars import Field
 from barmc.transfer import minimal_model
-from barmc.twisting import TwistingCochain
+from barmc.twisting import CorepresentingHom
 from oracles import (
     category_op_oracle,
     eval_f_tensor_oracle,
@@ -251,12 +251,15 @@ def test_residual_rejects_wrong_degree_and_support():
         setup.mc_residual({("y", "t"): F2.one})
     with pytest.raises(ValueError):
         setup.mc_residual({("x", "1"): F2.one})
+    with pytest.raises(ValueError, match="'zz'"):
+        setup.mc_residual({("zz", "t"): F2.zero})
 
 
 MC_ENTRY_POINTS = {
     "lift_mc": lambda setup, alpha: lift_mc(setup.A, setup.R, alpha),
     "mc_residual": lambda setup, alpha: setup.mc_residual(alpha),
-    "from_element": TwistingCochain.from_element,
+    "CorepresentingHom": lambda setup, alpha: CorepresentingHom(
+        setup, alpha, dual_dg_algebra(setup.A, setup.R.nu)),
 }
 
 

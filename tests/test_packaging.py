@@ -12,6 +12,7 @@ tomllib = pytest.importorskip("tomllib")
 ROOT = Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
 TRACER = ROOT / "bench" / "tracer.py"
+JOBS = ROOT / "bench" / "jobs.py"
 SOURCES = sorted((ROOT / "src" / "barmc").glob("*.py"))
 
 
@@ -35,6 +36,18 @@ def test_every_benchmark_tracer_hook_resolves():
     for dotted in tracer.HOOKS:
         owner, name = tracer.resolve(dotted)
         assert callable(getattr(owner, name)), dotted
+
+
+@pytest.mark.parametrize("workload", ["koszul", "gauge", "certify"])
+def test_every_benchmark_workload_builds(workload):
+    """The benchmark's imports and input builders run; the jobs do not."""
+    spec = importlib.util.spec_from_file_location("bench_jobs", JOBS)
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    plan = jobs.build(workload, 1)
+    assert plan
+    assert all(isinstance(name, str) and callable(thunk)
+               for name, thunk in plan)
 
 
 def _unread_locals(fn):

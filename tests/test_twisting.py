@@ -14,6 +14,7 @@ from itertools import product as iter_product
 
 import pytest
 
+from barmc import twisting
 from barmc.ainfinity import AInfAlgebra, StructureMaps, tensor_label
 from barmc.artin import (
     ArtinianDGAlgebra,
@@ -33,7 +34,6 @@ from barmc.twisting import (
     ModuleIsomorphism,
     TwistedComodule,
     TwistedModule,
-    TwistingCochain,
     algebra_maps,
     check_tower_compatibility,
     conjugation_orbits,
@@ -41,7 +41,6 @@ from barmc.twisting import (
     induced_map,
     invert_unit,
     prorep_compare,
-    prorep_compare_noncomm,
 )
 
 Q = Field.rationals()
@@ -192,80 +191,74 @@ def upper_triangular_2x2(field):
 
 
 # ---------------------------------------------------------------------------
-# the cochain dictionary
+# the cochain is the MC element
 
 
 def test_cochain_reads_off_the_element():
-    A = njac(F2, 1)
+    """The weight-one layer is alpha transposed: (a)* |-> sum_r alpha(a, r) r."""
+    A = njac(F2, 2)
     R = truncated_polynomial(F2, 3)
     setup = DeformationSetup(A, R)
-    tau = TwistingCochain.from_element(setup, {("x1", "t"): F2.one})
-    assert tau.table == {"t": {"x1": F2.one}}
-    assert tau.admissible
-    assert tau.value("t") == {"x1": F2.one}
-    assert tau.value("t2") == {}
+    gh = CorepresentingHom(setup, {("x1", "t"): F2.one, ("x2", "t2"): F2.one},
+                           dual_dg_algebra(A, 3))
+    assert gh.entries[("x1",)] == {"t": F2.one}
+    assert gh.entries[("x2",)] == {"t2": F2.one}
 
 
 def test_zero_element_gives_zero_cochain_and_back():
     A = xy(F2)
     R = truncated_polynomial(F2, 3)
-    setup = DeformationSetup(A, R)
-    tau = TwistingCochain.from_element(setup, {})
-    assert tau.table == {}
-    assert tau.element() == {}
+    gh = CorepresentingHom(DeformationSetup(A, R), {}, dual_dg_algebra(A, 3))
+    assert all(img == {} for w, img in gh.entries.items() if w)
 
 
 def test_roundtrip_on_every_mc_element():
+    """Transposing the weight-one layer back returns alpha, so distinct
+    elements give distinct corepresenting maps."""
     for A, R in ((njac(F2, 1), truncated_polynomial(F2, 3)),
                  (xy(F2), truncated_polynomial(F2, 3)),
                  (kpoints(F3, 2), truncated_polynomial(F3, 2))):
         setup = DeformationSetup(A, R)
-        seen = set()
+        S = dual_dg_algebra(A, R.nu)
         for alpha in setup.enumerate_mc():
-            tau = TwistingCochain.from_element(setup, alpha)
-            back = tau.element()
+            gh = CorepresentingHom(setup, alpha, S)
+            back = {(a, r): c for a in A.ideal_labels()
+                    for r, c in gh.entries[(a,)].items()}
             assert back == alpha
-            key = tuple(sorted((r, tuple(sorted((a, str(c))
-                                                for a, c in v.items())))
-                               for r, v in tau.table.items()))
-            assert key not in seen
-            seen.add(key)
 
 
 def test_cochain_rejects_wrong_degree():
     A = xy(F2)
-    R = truncated_polynomial(F2, 3)
-    setup = DeformationSetup(A, R)
+    setup = DeformationSetup(A, truncated_polynomial(F2, 3))
     with pytest.raises(ValueError):
-        TwistingCochain(setup, {"t": {"y": F2.one}})
+        CorepresentingHom(setup, {("y", "t"): F2.one}, dual_dg_algebra(A, 3))
 
 
 def test_cochain_rejects_unit_functional_key():
     A = xy(F2)
-    R = truncated_polynomial(F2, 3)
-    setup = DeformationSetup(A, R)
+    setup = DeformationSetup(A, truncated_polynomial(F2, 3))
     with pytest.raises(ValueError):
-        TwistingCochain(setup, {"1": {"x": F2.one}})
+        CorepresentingHom(setup, {("x", "1"): F2.one}, dual_dg_algebra(A, 3))
 
 
-@pytest.mark.parametrize("table,named", [
-    ({"t": 5}, ("'t'", "5")),
-    ({"t": {"zz": F2.one}}, ("'t'", "'zz'")),
-    ({"t": {"zz": F2.zero}}, ("'t'", "'zz'")),
+@pytest.mark.parametrize("alpha,named", [
+    ([(("x", "t"), F2.one)], ("('x', 't')",)),
+    ({("zz", "t"): F2.one}, ("'zz'", "'t'")),
+    ({("zz", "t"): F2.zero}, ("'zz'", "'t'")),
 ], ids=["value-not-a-dict", "unknown-algebra-label", "unknown-label-zero"])
-def test_cochain_rejects_malformed_table_entries(table, named):
-    setup = DeformationSetup(xy(F2), truncated_polynomial(F2, 3))
+def test_cochain_rejects_malformed_table_entries(alpha, named):
+    A = xy(F2)
+    setup = DeformationSetup(A, truncated_polynomial(F2, 3))
     with pytest.raises(ValueError) as e:
-        TwistingCochain(setup, table)
+        CorepresentingHom(setup, alpha, dual_dg_algebra(A, 3))
     assert all(part in str(e.value) for part in named)
 
 
 def test_cochain_rejects_table_failing_mc():
     A = xy(F2)
-    R = truncated_polynomial(F2, 3)
-    setup = DeformationSetup(A, R)
+    setup = DeformationSetup(A, truncated_polynomial(F2, 3))
     with pytest.raises(ValueError) as e:
-        TwistingCochain(setup, {"t": {"x": F2.one}})
+        CorepresentingHom(setup, {("x", "t"): F2.one}, dual_dg_algebra(A, 3))
     assert "Maurer-Cartan" in str(e.value)
 
 
@@ -277,8 +270,7 @@ def test_corepresenting_frozen_on_njac():
     A = njac(F2, 1)
     R = truncated_polynomial(F2, 3)
     setup = DeformationSetup(A, R)
-    tau = TwistingCochain.from_element(setup, {("x1", "t"): F2.one})
-    gh = CorepresentingHom(tau, dual_dg_algebra(A, 3))
+    gh = CorepresentingHom(setup, {("x1", "t"): F2.one}, dual_dg_algebra(A, 3))
     assert gh.entries[()] == {"1": F2.one}
     assert gh.entries[("x1",)] == {"t": F2.one}
     assert gh.entries[("x1", "x1")] == {"t2": F2.one}
@@ -288,8 +280,7 @@ def test_corepresenting_frozen_on_njac():
 def test_zero_cochain_corepresents_the_augmentation():
     A = njac(F2, 2)
     R = truncated_polynomial(F2, 2)
-    tau = TwistingCochain.from_element(DeformationSetup(A, R), {})
-    gh = CorepresentingHom(tau, dual_dg_algebra(A, 2))
+    gh = CorepresentingHom(DeformationSetup(A, R), {}, dual_dg_algebra(A, 2))
     for w, img in gh.entries.items():
         assert img == ({"1": F2.one} if w == () else {})
 
@@ -299,29 +290,38 @@ def test_weight_one_layer_returns_the_cochain():
     R = truncated_polynomial(F3, 2)
     setup = DeformationSetup(A, R)
     for alpha in setup.enumerate_mc():
-        tau = TwistingCochain.from_element(setup, alpha)
-        gh = CorepresentingHom(tau, dual_dg_algebra(A, 2))
+        gh = CorepresentingHom(setup, alpha, dual_dg_algebra(A, 2))
         for a in A.ideal_labels():
-            assert gh.entries[(a,)] == tau.rho().get(a, {})
+            assert gh.entries[(a,)] == {r: c for (b, r), c in alpha.items()
+                                        if b == a}
 
 
 def test_corepresenting_refuses_order_below_nu():
     A = njac(F2, 1)
     R = truncated_polynomial(F2, 3)
     setup = DeformationSetup(A, R)
-    tau = TwistingCochain.from_element(setup, {("x1", "t"): F2.one})
     with pytest.raises(HypothesisNotMet):
-        CorepresentingHom(tau, dual_dg_algebra(A, 2))
+        CorepresentingHom(setup, {("x1", "t"): F2.one}, dual_dg_algebra(A, 2))
+
+
+def test_corepresenting_refuses_a_component_on_the_unit():
+    """The element is MC, but its cochain leaves the augmentation ideal."""
+    A = njac(F2, 1)
+    setup = DeformationSetup(A, square_zero(F2, [("s", 1)]))
+    alpha = {("1", "s"): F2.one}
+    assert setup.is_mc(alpha)
+    with pytest.raises(HypothesisNotMet) as e:
+        CorepresentingHom(setup, alpha, dual_dg_algebra(A, 2))
+    assert "unit" in str(e.value)
 
 
 def test_corepresenting_tower_compatible():
     A = njac(F2, 2)
     R = truncated_polynomial(F2, 3)
     setup = DeformationSetup(A, R)
-    tau = TwistingCochain.from_element(
-        setup, {("x1", "t"): F2.one, ("x2", "t2"): F2.one})
-    big = CorepresentingHom(tau, dual_dg_algebra(A, 4))
-    small = CorepresentingHom(tau, dual_dg_algebra(A, 3))
+    alpha = {("x1", "t"): F2.one, ("x2", "t2"): F2.one}
+    big = CorepresentingHom(setup, alpha, dual_dg_algebra(A, 4))
+    small = CorepresentingHom(setup, alpha, dual_dg_algebra(A, 3))
     assert check_tower_compatibility(big, small)
     with pytest.raises(ValueError):
         check_tower_compatibility(small, big)
@@ -333,8 +333,7 @@ def test_corepresenting_certified_on_every_mc_element():
                  (xy(F3), truncated_polynomial(F3, 3))):
         setup = DeformationSetup(A, R)
         for alpha in setup.enumerate_mc():
-            tau = TwistingCochain.from_element(setup, alpha)
-            CorepresentingHom(tau, dual_dg_algebra(A, R.nu))
+            CorepresentingHom(setup, alpha, dual_dg_algebra(A, R.nu))
 
 
 def test_corepresenting_over_graded_base():
@@ -342,8 +341,7 @@ def test_corepresenting_over_graded_base():
     R = negative_base(F2)
     setup = DeformationSetup(A, R)
     for alpha in setup.enumerate_mc():
-        tau = TwistingCochain.from_element(setup, alpha)
-        gh = CorepresentingHom(tau, dual_dg_algebra(A, 2))
+        gh = CorepresentingHom(setup, alpha, dual_dg_algebra(A, 2))
         assert gh.entries[()] == {"1": F2.one}
 
 
@@ -355,8 +353,7 @@ def test_corepresenting_kills_boundaries():
     setup = DeformationSetup(A, R)
     for alpha in ({("x1", "t"): F2.one},
                   {("x1", "t2"): F2.one, ("x2", "t"): F2.one}):
-        tau = TwistingCochain.from_element(setup, alpha)
-        gh = CorepresentingHom(tau, rep.S)
+        gh = CorepresentingHom(setup, alpha, rep.S)
         for b in rep.h0.boundaries.rows:
             assert gh.apply(b) == {}
 
@@ -504,6 +501,8 @@ def test_twisted_module_rejects_malformed_input():
     R = truncated_polynomial(F2, 3)
     with pytest.raises(ValueError):
         TwistedModule(DeformationSetup(A, R), {("y", "t"): F2.one})
+    with pytest.raises(ValueError, match="'zz'"):
+        TwistedModule(DeformationSetup(A, R), {("zz", "t"): F2.zero})
 
 
 # ---------------------------------------------------------------------------
@@ -711,9 +710,6 @@ def test_prorep_gate_messages():
         prorep_compare(A, negative_base(F2), 2)
     assert "degree 0" in str(e.value)
     with pytest.raises(HypothesisNotMet) as e:
-        prorep_compare(A, local_noncommutative(F2), 3)
-    assert "commutative" in str(e.value)
-    with pytest.raises(HypothesisNotMet) as e:
         prorep_compare(njac(Q, 1), truncated_polynomial(Q, 2), 2)
     assert "finite" in str(e.value)
 
@@ -738,7 +734,7 @@ def test_presentation_certifies_generation():
 
 def test_noncomm_matches_on_local_noncommutative_base():
     R = local_noncommutative(F2)
-    rep = prorep_compare_noncomm(njac(F2, 1), R, 3)
+    rep = prorep_compare(njac(F2, 1), R, 3)
     assert rep.ok
     assert rep.lhs == 5 and rep.rhs == 5
     assert sorted(len(o) for o in rep.orbits) == [1, 1, 2, 2, 2]
@@ -758,23 +754,46 @@ COMMUTATIVE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(COMMUTATIVE_CASES))
 def test_noncomm_reduces_over_commutative_base(case):
+    """Conjugating by every unit fixes every map: the singleton orbits
+    the comparison reports without enumerating units are the true ones."""
     make_a, make_r, N = COMMUTATIVE_CASES[case]
     A, R = make_a(), make_r()
-    plain = prorep_compare(A, R, N)
-    twisted = prorep_compare_noncomm(A, R, N)
-    assert twisted.ok and plain.ok
-    assert (twisted.lhs, twisted.rhs) == (plain.lhs, plain.rhs)
-    assert twisted.maps == plain.maps
-    assert twisted.matching == plain.matching
-    assert twisted.orbits == [[i] for i in range(len(plain.maps))]
-    assert plain.orbits is None
+    rep = prorep_compare(A, R, N)
+    assert rep.ok
+    singletons = [[i] for i in range(len(rep.maps))]
+    assert rep.orbits == singletons
+    orbits, orbit_of = conjugation_orbits(R, rep.maps)
+    assert orbits == singletons
+    assert [orbit_of[i] for i in range(len(rep.maps))] == list(
+        range(len(rep.maps)))
 
 
 def test_noncomm_point_base_has_trivial_units():
     R = truncated_polynomial(F2, 1)
     assert enumerate_units(R) == [{R.unit: F2.one}]
-    rep = prorep_compare_noncomm(njac(F2, 1), R, 1)
+    rep = prorep_compare(njac(F2, 1), R, 1)
     assert rep.ok and rep.lhs == 1 and rep.rhs == 1
+
+
+@pytest.mark.parametrize("field,R,cap,named", [
+    (F2, truncated_polynomial(F2, 3), 1, "Hom sweep 2^2 exceeds the cap 1"),
+    (F2, local_noncommutative(F2), 1, "Hom sweep 2^3 exceeds the cap 1"),
+    (F3, local_noncommutative(F3), 27,
+     "unit sweep (3-1)*3^3 exceeds the cap 27"),
+], ids=["hom-commutative", "hom-noncommutative", "units"])
+def test_prorep_refuses_past_cap_before_sweeping(field, R, cap, named,
+                                                 monkeypatch):
+    """The refusal names p, the exponent and the cap, and no sweep runs.
+    With one generator over F3 the (p-1)*p^|m| units outnumber the p^|m|
+    generator images, so the unit sweep alone can pass the cap."""
+    def no_sweep(*args):
+        raise AssertionError("swept past the cap")
+    monkeypatch.setattr(twisting, "algebra_maps", no_sweep)
+    monkeypatch.setattr(twisting, "enumerate_units", no_sweep)
+    monkeypatch.setattr(DeformationSetup, "enumerate_mc", no_sweep)
+    with pytest.raises(HypothesisNotMet) as e:
+        prorep_compare(njac(field, 1), R, 3, cap=cap)
+    assert named in str(e.value)
 
 
 def test_upper_triangular_base_is_refused_as_non_local():
