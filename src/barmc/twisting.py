@@ -17,7 +17,8 @@ and in the i-fold insertion.
 
 Nothing here trusts a dualization sign.  The word-algebra map is
 forced by multiplicativity from its weight-one entries and then
-certified entrywise to be a unital DG algebra map; the engine
+certified to be a DG algebra map on the generators of S_N, which
+extends to every word by induction on word length; the engine
 certifies that the twisted differential squares to zero and that the
 module Stasheff identities hold on every mixed tuple.  The classical
 comparison runs both sides by exhaustion: algebra maps out of a
@@ -39,9 +40,11 @@ from .ainfinity import (
 from .bar import (
     bar_words,
     dual_dg_algebra,
+    first_dg_map_failure,
     is_admissible,
     koszul_probe,
     universal_twisting_cochain,
+    word_products,
 )
 from .errors import _integer, HypothesisNotMet, MathCheckFailure
 from .linalg import (
@@ -80,15 +83,18 @@ class CorepresentingHom:
 
         (a_1 .. a_k)*  |->  (-1)^(sum_{i<j} s_i s_j) rho(a_1) .. rho(a_k)
 
-    with s_i the shifted degree of a_i.  Construction refuses an
-    element that fails the Maurer-Cartan equation (ValueError) or has a
-    component on the unit of A (HypothesisNotMet: the cochain must land
-    in the augmentation ideal).  What makes this THE corepresenting map
-    is certified rather than assumed: the result is checked entrywise
-    to be a unital augmented DG algebra map whose weight-one layer
-    returns alpha.  The differential compatibility check is where the
-    Maurer-Cartan equation re-enters; it can only trip if the upstream
-    validation was unsound.  S is the dual truncation S_N
+    with s_i the shifted degree of a_i, built from each word's prefix
+    (bar.word_products).  Construction refuses an element that fails
+    the Maurer-Cartan equation (ValueError) or has a component on the
+    unit of A (HypothesisNotMet: the cochain must land in the
+    augmentation ideal).  What makes this THE corepresenting map is
+    certified rather than assumed: images are checked for degree and
+    augmentation, and bar.first_dg_map_failure checks products and
+    differentials on the generators of S_N, which both algebras being
+    associative and both differentials derivations extend to all of
+    S_N by induction on word length.  The differential check is where
+    the Maurer-Cartan equation re-enters; it can only trip if the
+    upstream validation was unsound.  S is the dual truncation S_N
     (bar.dual_dg_algebra); the order N is S.N.
     """
 
@@ -99,7 +105,7 @@ class CorepresentingHom:
                 "the element fails the generalized Maurer-Cartan equation "
                 "(residual %r)" % (residual,))
         R = setup.R
-        rho = {}
+        rho = {a: {} for a in S.bar.letters}
         for (a, r), c in vec_clean(alpha).items():
             if a == setup.A.unit:
                 raise HypothesisNotMet(
@@ -117,22 +123,14 @@ class CorepresentingHom:
         self.N = N
         self.field = setup.field
         self.S = S
-        sdeg = self.S.bar.sdeg
-        entries = {(): {R.unit: self.field.one}}
-        for word in self.S.words:
-            if not word:
-                continue
-            acc = {R.unit: self.field.one}
-            for letter in word:
-                acc = R.multiply(acc, rho.get(letter, {}))
-                if not acc:
-                    break
-            degs = [sdeg[l] for l in word]
-            eps = tensor_block_exponent(degs, degs)
-            entries[word] = vec_clean(
-                {r: self.field.sign(eps) * c for r, c in acc.items()})
-        self._rho = rho
-        self.entries = entries
+        self.entries = {}
+        products = word_products(S.words, R.multiply,
+                                 {R.unit: self.field.one}, rho)
+        for word, img in products.items():
+            degs = [S.bar.sdeg[l] for l in word]
+            sign = self.field.sign(tensor_block_exponent(degs, degs))
+            self.entries[word] = vec_clean(
+                {r: sign * c for r, c in img.items()})
         self._certify()
 
     def apply(self, vec):
@@ -148,24 +146,14 @@ class CorepresentingHom:
             if w and R.unit in img:
                 raise MathCheckFailure(
                     "image of %r escapes the augmentation ideal" % (w,))
-        for U in S.words:
-            for V in S.words:
-                lhs = self.apply(S.algebra.m.get(2, (U, V)))
-                rhs = R.multiply(self.entries[U], self.entries[V])
-                if lhs != rhs:
-                    raise MathCheckFailure(
-                        "multiplicativity fails at (%r, %r)" % (U, V))
-        for w in S.words:
-            lhs = self.apply(S.algebra.m.get(1, (w,)))
-            rhs = R.d_of(self.entries[w])
-            if lhs != rhs:
-                raise MathCheckFailure(
-                    "differential compatibility fails at %r; the cochain "
-                    "does not satisfy the Maurer-Cartan equation" % (w,))
-        for a in self.A.ideal_labels():
-            if self.entries.get((a,), {}) != self._rho.get(a, {}):
-                raise MathCheckFailure(
-                    "weight-one layer does not return the element at %r" % (a,))
+        failure = first_dg_map_failure(S, self.entries, R.multiply, R.d_of)
+        if failure and failure[0] == "product":
+            raise MathCheckFailure(
+                "multiplicativity fails at (%r, %r)" % failure[1])
+        if failure:
+            raise MathCheckFailure(
+                "differential compatibility fails at %r; the cochain does "
+                "not satisfy the Maurer-Cartan equation" % (failure[1],))
 
     def __repr__(self):
         return "CorepresentingHom(order %d, %d words)" % (
@@ -529,16 +517,12 @@ class H0Presentation:
         self.field = rep.field
         self.S = rep.S
         self.gens = rep.weight_one_reps()
-        monomials = bar_words(range(len(self.gens)), N)
-        values = {(): {(): self.field.one}}
-        for mono in monomials[1:]:
-            head, j = mono[:-1], mono[-1]
-            values[mono] = self.S.algebra.eval_m_vectors(
-                [values[head], self.gens[j]]) if head else dict(self.gens[j])
-        self.monomials = monomials
-        self.values = values
+        self.monomials = monomials = bar_words(range(len(self.gens)), N)
+        m2 = self.S.algebra.eval_m_vectors
+        self.values = word_products(monomials, lambda u, v: m2([u, v]),
+                                    {(): self.field.one}, self.gens)
         self.classes = {m: self.rep.class_coords(v)
-                        for m, v in values.items()}
+                        for m, v in self.values.items()}
         solver = SpanSolver([self.classes[mono] for mono in monomials],
                             self.field)
         spanned = len(solver.independent)
@@ -554,13 +538,13 @@ class H0Presentation:
         return len(self.gens)
 
 
-def _monomial_images(pres, R, images):
-    """Value in R of every monomial under generator |-> image."""
-    out = {(): {R.unit: R.field.one}}
-    for mono in pres.monomials:
-        if mono:
-            out[mono] = R.multiply(out[mono[:-1]], images[mono[-1]])
-    return out
+def _enumerable(R, sweep):
+    """Refuse a base that the named sweep cannot exhaust."""
+    if not R.field.p:
+        raise HypothesisNotMet("%s needs a finite prime field" % sweep)
+    if not R.classical:
+        raise HypothesisNotMet(
+            "gate failed: base not concentrated in degree 0")
 
 
 def algebra_maps(pres, R):
@@ -568,31 +552,22 @@ def algebra_maps(pres, R):
 
     Enumerated over the finite field: each generator image ranges over
     the augmentation ideal of R, and a candidate survives when every
-    relation evaluates to zero.  The order of enumeration is the
-    canonical coefficient order, so reports are reproducible.
+    relation evaluates to zero.  The sweep runs over coefficients keyed
+    by (generator, ideal label), the first coefficient major, so
+    reports are reproducible.
     """
-    p = R.field.p
-    if not p:
-        raise HypothesisNotMet("map enumeration needs a finite prime field")
-    ideal = R.ideal_labels
+    _enumerable(R, "map enumeration")
+    one = R.field.one
     m = pres.generator_count()
+    basis = [{(g, l): one} for g in range(m) for l in R.ideal_labels]
     maps = []
-    for flat in iter_product(range(p), repeat=len(ideal) * m):
-        images = []
-        for g in range(m):
-            chunk = flat[g * len(ideal):(g + 1) * len(ideal)]
-            images.append(vec_clean(
-                {l: R.field(c) for l, c in zip(ideal, chunk)}))
-        mono_val = _monomial_images(pres, R, images)
-        ok = True
-        for rel in pres.relations:
-            acc = {}
-            for mono, c in rel.items():
-                vec_add(acc, mono_val[mono], c)
-            if vec_clean(acc):
-                ok = False
-                break
-        if ok:
+    for point in _span_points(R.field, {}, basis):
+        images = [{} for _ in range(m)]
+        for (g, l), c in point.items():
+            images[g][l] = c
+        values = word_products(pres.monomials, R.multiply,
+                               {R.unit: one}, images)
+        if not any(_apply_table(values, rel) for rel in pres.relations):
             maps.append(tuple(images))
     return maps
 
@@ -610,9 +585,7 @@ def induced_map(setup, pres, alpha):
 
 def enumerate_units(R):
     """All invertible elements of a classical local artinian base."""
-    p = R.field.p
-    if not p:
-        raise HypothesisNotMet("unit enumeration needs a finite prime field")
+    _enumerable(R, "unit enumeration")
     basis = [{l: R.field.one} for l in R.ideal_labels]
     return [u for c0 in R.field.elements()[1:]
             for u in _span_points(R.field, {R.unit: c0}, basis)]
@@ -702,13 +675,7 @@ class ProrepReport:
 
 
 def _comparison_gates(A, R, N):
-    if not R.field.p:
-        raise HypothesisNotMet(
-            "the comparison enumerates both sides; it needs a finite "
-            "prime field")
-    if not R.classical:
-        raise HypothesisNotMet(
-            "gate failed: base not concentrated in degree 0")
+    _enumerable(R, "the comparison, which enumerates both sides,")
     if N < R.nu:
         raise HypothesisNotMet(
             "gate failed: order %d below the nilpotency index %d" % (N, R.nu))

@@ -38,6 +38,14 @@ representative with the groupoid's hom set, in input order.
 Nothing in the package builds it; its ``end_k_probe`` recomputes the
 differential of the dual truncation S_N from an independent complex.
 
+``all_pairs_dg_map_failure`` is the word-algebra map certificate as it
+was before it checked only the generators of S_N: multiplicativity on
+every ordered pair of words and d-compatibility on every word.
+``tower_surjection_oracle`` is ``check_tower_surjection`` from then,
+which read only the words the quotient keeps.  ``algebra_maps_oracle``
+is ``algebra_maps`` with its own coefficient sweep, chunked into
+generator images, and its own monomial products.
+
 ``enumerate_mc_oracle`` is ``DeformationSetup.enumerate_mc`` as it was
 before lifting along the tower: the full residual on every one of the
 p^k candidates, in ``itertools.product`` order, with the same refusals.
@@ -798,3 +806,75 @@ class BarComplex:
                 return CheckReport(False, failure=(w1, got, expected))
         return CheckReport(True, checked_to=self.N)
 
+
+# ---------------------------------------------------------------------------
+# maps out of S_N, all pairs
+
+
+def all_pairs_dg_map_failure(S, table, multiply, d):
+    """First word pair or word where w |-> table[w] fails to be DG, or None."""
+    def image(vec):
+        out = {}
+        for w, c in vec.items():
+            vec_add(out, table.get(w, {}), c)
+        return vec_clean(out)
+
+    for U in S.words:
+        for V in S.words:
+            lhs = image(S.algebra.m.get(2, (U, V)))
+            if lhs != multiply(table.get(U, {}), table.get(V, {})):
+                return ("product", (U, V))
+    for w in S.words:
+        if image(S.algebra.m.get(1, (w,))) != d(table.get(w, {})):
+            return ("differential", w)
+    return None
+
+
+def tower_surjection_oracle(big, small):
+    keep = set(small.words)
+
+    def trunc(vec):
+        return vec_clean({w: c for w, c in vec.items() if w in keep})
+
+    for w in small.words:
+        if trunc(dict(big.algebra.m.get(1, (w,)))) \
+                != dict(small.algebra.m.get(1, (w,))):
+            return CheckReport(False, failure=("differential", w))
+    for U in small.words:
+        for V in small.words:
+            got = trunc(dict(big.algebra.m.get(2, (U, V))))
+            want = dict(small.algebra.m.get(2, (U, V)))
+            if got != want:
+                return CheckReport(False, failure=("product", (U, V)))
+    return CheckReport(True, checked_to=small.N)
+
+
+def algebra_maps_oracle(pres, R):
+    p = R.field.p
+    if not p:
+        raise HypothesisNotMet("map enumeration needs a finite prime field")
+    ideal = R.ideal_labels
+    m = pres.generator_count()
+    maps = []
+    for flat in product(range(p), repeat=len(ideal) * m):
+        images = []
+        for g in range(m):
+            chunk = flat[g * len(ideal):(g + 1) * len(ideal)]
+            images.append(vec_clean(
+                {l: R.field(c) for l, c in zip(ideal, chunk)}))
+        mono_val = {(): {R.unit: R.field.one}}
+        for mono in pres.monomials:
+            if mono:
+                mono_val[mono] = R.multiply(mono_val[mono[:-1]],
+                                            images[mono[-1]])
+        ok = True
+        for rel in pres.relations:
+            acc = {}
+            for mono, c in rel.items():
+                vec_add(acc, mono_val[mono], c)
+            if vec_clean(acc):
+                ok = False
+                break
+        if ok:
+            maps.append(tuple(images))
+    return maps

@@ -34,12 +34,14 @@ from barmc.twisting import UniversalDeformation
 from oracles import (
     BarComplex,
     adapted_reps_oracle,
+    all_pairs_dg_map_failure,
     cohomology_dims_oracle,
     cohomology_oracle,
     dense_kernel,
     dense_rank,
     filtered_dims_oracle,
     product_table_oracle,
+    tower_surjection_oracle,
     universal_ops_oracle,
 )
 
@@ -405,16 +407,40 @@ def test_h0_product_table_matches_polynomial_multiplication():
 
 
 def test_tower_surjections_hold():
+    """To every lower order; the kept-words check agrees, and the quotient
+    passes the all-pairs certificate on every word of the finer order."""
     cases = [
         (kpoints(F2, 2), 3),
         (njac(Q, 2), 3),
         (golden_dg_pair(F2)[0], 2),
         (xy(Q), 3),
+        (njac(F3, 2), 4),
     ]
     for A, N in cases:
         big = dual_dg_algebra(A, N)
-        small = dual_dg_algebra(A, N - 1)
-        assert check_tower_surjection(big, small).ok
+        for n in range(N):
+            small = dual_dg_algebra(A, n)
+            assert check_tower_surjection(big, small).ok
+            assert tower_surjection_oracle(big, small).ok
+            m = small.algebra.eval_m_vectors
+            table = {w: {w: A.field.one} for w in small.words}
+            assert all_pairs_dg_map_failure(
+                big, table, lambda u, v: m([u, v]), lambda v: m([v])) is None
+
+
+def test_tower_surjection_names_a_mutated_long_product():
+    """One product entry (letter, two-letter word) of the finer truncation
+    is doubled; the generator certificate names exactly that pair."""
+    A = njac(Q, 2)
+    big, small = dual_dg_algebra(A, 4), dual_dg_algebra(A, 3)
+    pair = (("x1",), ("x2", "x1"))
+    entry = big.algebra.m.get(2, pair)
+    assert list(entry) == [("x1", "x2", "x1")]
+    big.algebra.m.set(2, pair, {w: 2 * c for w, c in entry.items()})
+    rep = check_tower_surjection(big, small)
+    assert not rep.ok
+    assert rep.failure == ("product", pair)
+    assert not tower_surjection_oracle(big, small).ok
 
 
 def test_tower_rejects_wrong_direction():

@@ -238,3 +238,38 @@ def _constructor_aliases(paths):
 
 def test_no_function_is_a_second_name_for_a_class():
     assert _constructor_aliases(SOURCES) == []
+
+
+# A map out of S_N is certified on its generators (bar.first_dg_map_failure);
+# the all-pairs word certificate lives in tests/oracles.py.
+
+
+def _word_loops(node):
+    """The loops and comprehension generators of node that run over .words."""
+    if isinstance(node, ast.For):
+        iters = [node.iter]
+    elif isinstance(node, COMPREHENSIONS):
+        iters = [g.iter for g in node.generators]
+    else:
+        return 0
+    return sum(isinstance(i, ast.Attribute) and i.attr == "words"
+               for i in iters)
+
+
+def _nested_word_loops(path):
+    tree = ast.parse(path.read_text(), str(path))
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(fn):
+            own = _word_loops(node)
+            inner = sum(_word_loops(n) for n in ast.walk(node) if n is not node)
+            if own and own + inner > 1:
+                found.append("%s:%d %s nests two loops over .words"
+                             % (path.name, node.lineno, fn.name))
+    return found
+
+
+def test_no_function_certifies_on_all_word_pairs():
+    assert [msg for path in SOURCES for msg in _nested_word_loops(path)] == []

@@ -43,6 +43,8 @@ from barmc.twisting import (
     prorep_compare,
 )
 
+from oracles import algebra_maps_oracle, all_pairs_dg_map_failure
+
 Q = Field.rationals()
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -328,12 +330,32 @@ def test_corepresenting_tower_compatible():
 
 
 def test_corepresenting_certified_on_every_mc_element():
+    """The generator certificate passes, and so does the all-pairs one."""
     for A, R in ((njac(F2, 1), truncated_polynomial(F2, 3)),
+                 (xy(F2), truncated_polynomial(F2, 3)),
                  (kpoints(F2, 2), truncated_polynomial(F2, 2)),
+                 (kpoints(F3, 2), truncated_polynomial(F3, 2)),
                  (xy(F3), truncated_polynomial(F3, 3))):
         setup = DeformationSetup(A, R)
+        S = dual_dg_algebra(A, R.nu)
         for alpha in setup.enumerate_mc():
-            CorepresentingHom(setup, alpha, dual_dg_algebra(A, R.nu))
+            gh = CorepresentingHom(setup, alpha, S)
+            assert all_pairs_dg_map_failure(
+                S, gh.entries, R.multiply, R.d_of) is None
+
+
+def test_generator_certificate_catches_a_wrong_sign_in_a_long_word():
+    """Over F3 the sign shows; it is caught at (letter, two-letter word)."""
+    A = njac(F3, 2)
+    setup = DeformationSetup(A, truncated_polynomial(F3, 4))
+    gh = CorepresentingHom(setup, {("x1", "t"): F3.one, ("x2", "t2"): F3.one},
+                           dual_dg_algebra(A, 4))
+    word = ("x1", "x1", "x1")
+    assert gh.entries[word] == {"t3": F3.one}
+    gh.entries[word] = {"t3": F3(2)}
+    with pytest.raises(MathCheckFailure) as e:
+        gh._certify()
+    assert "multiplicativity fails at (('x1',), ('x1', 'x1'))" in str(e.value)
 
 
 def test_corepresenting_over_graded_base():
@@ -714,6 +736,17 @@ def test_prorep_gate_messages():
     assert "finite" in str(e.value)
 
 
+def test_sweeps_refuse_a_graded_base():
+    """d f = e on this base, so a degree-0 generator sent to f or to e + f
+    is not a chain map; both sweeps refuse the base outright."""
+    R = negative_base(F2)
+    pres = H0Presentation(SHatCohomology(njac(F2, 1), 2))
+    for sweep in (lambda: algebra_maps(pres, R), lambda: enumerate_units(R)):
+        with pytest.raises(HypothesisNotMet) as e:
+            sweep()
+        assert "not concentrated in degree 0" in str(e.value)
+
+
 def test_prorep_refuses_non_koszul_input_without_refuting():
     with pytest.raises(HypothesisNotMet) as e:
         prorep_compare(xy(F2), truncated_polynomial(F2, 3), 3)
@@ -750,6 +783,28 @@ COMMUTATIVE_CASES = {
     "njac2-t3-3": (lambda: njac(F2, 2), lambda: truncated_polynomial(F2, 3), 3),
     "njac1-t3-4": (lambda: njac(F2, 1), lambda: truncated_polynomial(F2, 3), 4),
 }
+
+
+# the commutative cases, a noncommutative base and a bigger field
+SWEEP_CASES = dict(COMMUTATIVE_CASES, **{
+    "njac1-noncomm-3": (lambda: njac(F2, 1),
+                        lambda: local_noncommutative(F2), 3),
+    "njac2-F3-t3-3": (lambda: njac(F3, 2), lambda: truncated_polynomial(F3, 3),
+                      3),
+})
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_algebra_maps_match_the_oracle_sweep(case):
+    """Item for item, and key order within every generator image."""
+    make_a, make_r, N = SWEEP_CASES[case]
+    R = make_r()
+    pres = H0Presentation(SHatCohomology(make_a(), N))
+
+    def listed(maps):
+        return [[list(w.items()) for w in t] for t in maps]
+
+    assert listed(algebra_maps(pres, R)) == listed(algebra_maps_oracle(pres, R))
 
 
 @pytest.mark.parametrize("case", sorted(COMMUTATIVE_CASES))
