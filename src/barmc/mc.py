@@ -151,7 +151,8 @@ class DeformationSetup:
             raise ValueError("an element is a dict label -> scalar, got %r"
                              % (alpha,))
         for l, c in alpha.items():
-            if not isinstance(c, Scalar) or c.field != self.field:
+            if not isinstance(c, Scalar) or (c.field is not self.field
+                                             and c.field != self.field):
                 raise ValueError("coefficient %r at %r is not a scalar over %r"
                                  % (c, l, self.field))
             if l not in self._ideal_set:

@@ -3,7 +3,17 @@
 Every computation in the engine happens over one fixed field, either Q
 (arbitrary-precision rationals) or F_p for a prime p.  A Field instance
 is a descriptor; calling it coerces integers, Fraction objects or
-decimal strings into Scalar values carrying that descriptor.
+decimal strings into Scalar values carrying that descriptor.  Floats
+are refused: they are not exact.
+
+A value over Q is held in canonical form: an int when it is integral,
+a reduced Fraction otherwise, so sums and products of integers never
+reach Fraction arithmetic.  A value over F_p is an int in [0, p).
+
+Field.rationals() and Field.prime(p) hand out one shared instance per
+field, and arithmetic tests that identity before Field.__eq__.  Equal
+fields built directly through Field(...) still combine; they only miss
+the fast path.
 
 >>> Q = Field.rationals()
 >>> a = Q(3) / Q(2)
@@ -88,11 +98,16 @@ class Field:
 
     @classmethod
     def rationals(cls):
-        return cls("Q")
+        return _QQ
 
     @classmethod
     def prime(cls, p):
-        return cls("Fp", p)
+        # checked before the lookup: 5.0 and True hash like 5 and 1
+        p = _integer(p, "the modulus")
+        field = _PRIME_FIELDS.get(p)
+        if field is None:
+            field = _PRIME_FIELDS[p] = cls("Fp", p)
+        return field
 
     def __eq__(self, other):
         return (
@@ -111,27 +126,27 @@ class Field:
 
     def __call__(self, value):
         """Coerce an int, Fraction, Scalar or decimal string into this field."""
+        p = self.p
+        if type(value) is int:
+            return Scalar(self, value if p is None else value % p)
         if isinstance(value, Scalar):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise FieldMismatch(
                     "cannot coerce a scalar over %r into %r" % (value.field, self)
                 )
             return value
-        if isinstance(value, str):
-            value = Fraction(value)
-        if isinstance(value, bool):
-            raise TypeError("refusing to treat bool as a scalar")
-        if self.kind == "Q":
-            return Scalar(self, Fraction(value))
-        if isinstance(value, Fraction):
-            den = value.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError(
-                    "denominator of %s vanishes in %r" % (value, self)
-                )
-            num = value.numerator % self.p
-            return Scalar(self, num * pow(den, -1, self.p) % self.p)
-        return Scalar(self, value % self.p)
+        if isinstance(value, (bool, float)):
+            raise TypeError("refusing to treat %s as a scalar"
+                            % type(value).__name__)
+        value = Fraction(value)
+        num, den = value.numerator, value.denominator
+        if p is None:
+            return Scalar(self, num if den == 1 else value)
+        if den % p == 0:
+            raise ZeroDivisionError(
+                "denominator of %s vanishes in %r" % (value, self)
+            )
+        return Scalar(self, num * pow(den, -1, p) % p)
 
     @property
     def zero(self):
@@ -152,12 +167,17 @@ class Field:
         return [Scalar(self, v) for v in range(self.p)]
 
 
+_QQ = Field("Q")
+_PRIME_FIELDS = {}
+
+
 class Scalar:
     """One exact field element.
 
-    Over Q the value is a Fraction (always reduced, positive
-    denominator, which Fraction guarantees); over F_p it is an int in
-    [0, p).  Arithmetic through the usual operators.
+    Over Q the value is an int when integral and a reduced Fraction
+    (positive denominator, never 1) otherwise; over F_p it is an int in
+    [0, p).  Arithmetic through the usual operators; operands over the
+    same shared Field instance skip the coercion step.
     """
 
     __slots__ = ("field", "val")
@@ -168,7 +188,7 @@ class Scalar:
 
     def _coerce(self, other):
         if isinstance(other, Scalar):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch(
                     "cannot combine scalars over %r and %r"
                     % (self.field, other.field)
@@ -179,19 +199,26 @@ class Scalar:
         return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.field.kind == "Q":
-            return Scalar(self.field, self.val + other.val)
-        return Scalar(self.field, (self.val + other.val) % self.field.p)
+        field = self.field
+        if type(other) is not Scalar or other.field is not field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        p = field.p
+        if p is None:
+            val = self.val + other.val
+            if type(val) is not int and val.denominator == 1:
+                val = val.numerator
+            return Scalar(field, val)
+        return Scalar(field, (self.val + other.val) % p)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.field.kind == "Q":
+        p = self.field.p
+        if p is None:
             return Scalar(self.field, -self.val)
-        return Scalar(self.field, (-self.val) % self.field.p)
+        return Scalar(self.field, -self.val % p)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -206,12 +233,18 @@ class Scalar:
         return other + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.field.kind == "Q":
-            return Scalar(self.field, self.val * other.val)
-        return Scalar(self.field, (self.val * other.val) % self.field.p)
+        field = self.field
+        if type(other) is not Scalar or other.field is not field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        p = field.p
+        if p is None:
+            val = self.val * other.val
+            if type(val) is not int and val.denominator == 1:
+                val = val.numerator
+            return Scalar(field, val)
+        return Scalar(field, self.val * other.val % p)
 
     __rmul__ = __mul__
 
@@ -230,18 +263,23 @@ class Scalar:
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverse of zero")
-        if self.field.kind == "Q":
-            return Scalar(self.field, 1 / self.val)
-        return Scalar(self.field, pow(self.val, -1, self.field.p))
+        p = self.field.p
+        if p is None:
+            val = Fraction(1) / self.val  # 1 / int would be a float
+            if val.denominator == 1:
+                val = val.numerator
+            return Scalar(self.field, val)
+        return Scalar(self.field, pow(self.val, -1, p))
 
     def __eq__(self, other):
         # an int equals only the canonical value (F5(3) == 3, F5(3) != 8),
         # so that equal objects hash alike
+        if isinstance(other, Scalar):
+            return ((other.field is self.field or other.field == self.field)
+                    and self.val == other.val)
         if isinstance(other, int) and not isinstance(other, bool):
             return self.val == other
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.field == other.field and self.val == other.val
+        return NotImplemented
 
     def __hash__(self):
         return hash(self.val)

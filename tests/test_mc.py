@@ -274,6 +274,18 @@ def test_mc_coefficients_must_be_scalars_over_the_field(entry, coeff):
         run(setup, {("e1", "t"): coeff})
 
 
+def test_mc_coefficients_over_an_equal_field_instance_are_accepted():
+    setup = DeformationSetup(kpoints(F2, 2), truncated_polynomial(F2, 4))
+    twin = Field("Fp", 2)
+    assert twin is not F2
+    alpha = {("e1", "t"): F2.one, ("e2", "t2"): F2.one}
+    assert setup.mc_residual({l: twin(c.val) for l, c in alpha.items()}) \
+        == setup.mc_residual(alpha)
+    with pytest.raises(ValueError, match=re.escape(
+            "coefficient Scalar(1, F3) at ('e1', 't') is not a scalar over F2")):
+        setup.mc_residual({("e1", "t"): F3.one})
+
+
 def test_enumerate_xy_over_t3():
     found = enumerate_mc(xy(F2), truncated_polynomial(F2, 3))
     assert found == [{}, {("x", "t2"): F2.one}]

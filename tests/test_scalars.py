@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from barmc.scalars import (
+    _PRIME_FIELDS,
     Field,
     FieldMismatch,
     Scalar,
@@ -88,6 +89,15 @@ def test_non_integer_modulus_rejected():
 def test_bool_is_not_a_scalar():
     with pytest.raises(TypeError):
         Q(True)
+
+
+@pytest.mark.parametrize("field", [Q, F5], ids=repr)
+@pytest.mark.parametrize("value", [2.5, 0.1, 2.0, -0.0])
+def test_float_is_not_a_scalar(field, value):
+    with pytest.raises(TypeError, match="float"):
+        field(value)
+    with pytest.raises(TypeError):
+        field(1) + value
 
 
 def test_mixed_fields_raise():
@@ -194,3 +204,139 @@ def test_scalar_is_not_iterable_junk():
     assert isinstance(Q(1), Scalar)
     d = {Q(1): "a", F5(1): "b"}
     assert d[Q(1)] == "a"
+
+
+# ---------------------------------------------------------------------------
+# canonical values over Q: an int when integral, else a reduced Fraction
+
+RATIONALS = st.builds(Fraction, st.integers(-10**6, 10**6),
+                      st.integers(1, 60))
+
+
+def assert_canonical(s, expected):
+    assert s.field is Q
+    assert s.val == expected
+    assert not isinstance(s.val, float)
+    assert (type(s.val) is int) == (Fraction(expected).denominator == 1)
+    assert s.as_string() == (str(expected.numerator)
+                             if expected.denominator == 1
+                             else "%d/%d" % (expected.numerator,
+                                             expected.denominator))
+
+
+@given(RATIONALS, RATIONALS)
+def test_q_arithmetic_agrees_with_fraction(a, b):
+    x, y = Q(a), Q(b)
+    assert_canonical(x, a)
+    assert_canonical(x + y, a + b)
+    assert_canonical(x - y, a - b)
+    assert_canonical(x * y, a * b)
+    assert_canonical(-x, -a)
+    if b:
+        assert_canonical(x / y, a / b)
+        assert_canonical(y.inverse(), 1 / b)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+
+
+@given(RATIONALS, st.integers(-50, 50))
+def test_q_arithmetic_with_int_literals_agrees_with_fraction(a, n):
+    x = Q(a)
+    assert_canonical(x + n, a + n)
+    assert_canonical(n + x, n + a)
+    assert_canonical(x - n, a - n)
+    assert_canonical(n - x, n - a)
+    assert_canonical(x * n, a * n)
+    assert_canonical(n * x, n * a)
+    if a:
+        assert_canonical(n / x, n / a)
+
+
+def test_q_values_are_ints_exactly_when_integral():
+    third = Q(1) / Q(3)
+    assert type(third.val) is Fraction and third.val == Fraction(1, 3)
+    assert type(Q(1).inverse().val) is int
+    assert type(Q(-1).inverse().val) is int
+    assert type(Q(2).inverse().val) is Fraction
+    assert type((third * 3).val) is int
+    assert type((Q("1/2") + Q("1/2")).val) is int
+    assert type(Q("3/7").inverse().val) is Fraction
+    assert type(Q("1/7").inverse().val) is int
+
+
+def test_integral_rationals_are_one_value_however_built():
+    forms = [Q(2), Q(Fraction(4, 2)), Q("6/3"),
+             Q(1) / Q(2) + Q(1) / Q(2) + Q(1)]
+    for s in forms:
+        assert type(s.val) is int
+        assert s == forms[0] and s == 2
+        assert hash(s) == hash(forms[0]) == hash(2)
+        assert s.as_string() == "2"
+    assert len(set(forms)) == 1
+
+
+# ---------------------------------------------------------------------------
+# the same-field fast path must not weaken the field check
+
+MISMATCHED = [
+    ("+", lambda a, b: a + b),
+    ("-", lambda a, b: a - b),
+    ("*", lambda a, b: a * b),
+    ("/", lambda a, b: a / b),
+    ("radd", lambda a, b: a.__radd__(b)),
+    ("rsub", lambda a, b: a.__rsub__(b)),
+    ("rmul", lambda a, b: a.__rmul__(b)),
+    ("rtruediv", lambda a, b: a.__rtruediv__(b)),
+]
+
+
+@pytest.mark.parametrize("op", [f for _, f in MISMATCHED],
+                         ids=[n for n, _ in MISMATCHED])
+@pytest.mark.parametrize("a, b", [(Q(1), F2(1)), (F2(1), F5(1)),
+                                  (F5(2), Q("1/2"))])
+def test_unequal_fields_raise_in_every_operator(op, a, b):
+    with pytest.raises(FieldMismatch):
+        op(a, b)
+
+
+def test_unequal_fields_raise_in_coercion_and_compare_unequal():
+    with pytest.raises(FieldMismatch):
+        Q(F2(1))
+    with pytest.raises(FieldMismatch):
+        F5(Field.prime(3)(1))
+    assert Q(1) != F2(1) and F2(1) != F5(1)
+
+
+@pytest.mark.parametrize("twin, shared", [
+    (Field("Q"), Q),
+    (Field("Fp", 5), F5),
+], ids=repr)
+def test_equal_but_distinct_field_instances_combine(twin, shared):
+    assert twin is not shared and twin == shared
+    a, b = twin(3), shared(2)
+    assert a + b == shared(5) and b + a == shared(5)
+    assert a - b == shared(1) and b - a == shared(-1)
+    assert a * b == shared(6) and b * a == shared(6)
+    assert a / b == shared(3) / shared(2)
+    assert b / a == shared(2) / shared(3)
+    assert a == shared(3) and hash(a) == hash(shared(3))
+    assert shared(a) is a and twin(b) is b
+
+
+def test_field_constructors_share_one_instance_per_field():
+    assert Field.rationals() is Field.rationals() is Q
+    assert Field.prime(3) is Field.prime(3)
+    assert Field.prime(2**61 - 1) is Field.prime(2**61 - 1)
+    assert field_from_json({"kind": "Fp", "p": 5}) is F5
+    assert field_from_json({"kind": "Q"}) is Q
+    assert Field("Fp", 3) is not Field.prime(3)
+
+
+@pytest.mark.parametrize("p", [6, 1, 0, -5, 561, 5.0, True, "5", None])
+def test_invalid_modulus_is_refused_before_caching(p):
+    assert F5 is Field.prime(5)  # 5.0 must not find this entry
+    before = dict(_PRIME_FIELDS)
+    with pytest.raises(ValueError):
+        Field.prime(p)
+    assert _PRIME_FIELDS == before
