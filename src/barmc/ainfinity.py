@@ -30,6 +30,7 @@ are tested against.
 
 from itertools import count, product as iter_product
 
+from .errors import _integer
 from .linalg import (
     Complex,
     GradedSpace,
@@ -277,7 +278,7 @@ def check_ainf_axioms(A, n_max):
     (n, basis tuple, residual vector) in itertools.product order, the
     residual taken from stasheff_residual on that tuple.
     """
-    if n_max < 1:
+    if _integer(n_max, "n_max") < 1:
         raise ValueError("n_max must be at least 1")
     failure = _first_stasheff_failure(A, n_max, A.space.index, A.space.index)
     if failure:
@@ -577,7 +578,7 @@ def check_ainf_morphism(f, n_max):
     morphism_residual.  Arities above the component bound of f are
     reported as unchecked rather than failed.
     """
-    top = min(n_max, f.arity_bound)
+    top = min(_integer(n_max, "n_max"), f.arity_bound)
     note = None
     if top < n_max:
         note = "arities %d..%d not checked (component bound %d)" % (

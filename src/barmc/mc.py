@@ -52,7 +52,8 @@ ENUMERATION_CAP = 1 << 16
 
 
 def _vec_key(v):
-    return tuple(sorted((repr(l), str(c)) for l, c in v.items()))
+    """A hashable key of v that ignores how its zeros are written."""
+    return tuple(sorted((repr(l), str(c)) for l, c in v.items() if c))
 
 
 def _span_points(field, offset, basis):
@@ -183,14 +184,14 @@ class DeformationSetup:
         p^|labels| is within the cap.  Starting from the single point
         {} over R/m = k, each small extension R/m^(n+1) -> R/m^n
         (kernel I = m^n, I m = m I = 0) replaces every point by its
-        fibre of lifts (see LiftStep): residual(alpha~ + eta) =
+        fibre of lifts (see SmallExtension): residual(alpha~ + eta) =
         residual(alpha~) - m_1(eta) for eta in (A x I)^1, so the fibre
         is empty or alpha~ + eta0 + Z^1(A x I), one linear solve per
         point.  Every element over R projects to an MC element over
         each R/m^n, so nothing is missed.
 
         Certificates: below the top level a wrong point shows when the
-        next level's residual leaves A x I (KernelComplex.coordinates
+        next level's residual leaves A x I (SmallExtension.coordinates
         raises MathCheckFailure); at the top level the particular lift
         of every nonempty fibre is checked with one exact mc_residual,
         and the Z^1 basis is checked to consist of cocycles.  The list
@@ -206,12 +207,12 @@ class DeformationSetup:
                 "enumeration space %d^%d exceeds the cap %d"
                 % (p, len(labels), cap))
         points = particular = [{}]
-        steps = [setup.lift_step for setup in self.chain() if setup.nu > 1]
-        for step in reversed(steps):
-            shifts = step.cocycle_span()
+        exts = [setup.extension for setup in self.chain() if setup.nu > 1]
+        for ext in reversed(exts):
+            shifts = ext.cocycle_span()
             lifted, particular = [], []
             for alpha_bar in points:
-                base = step.lift(alpha_bar)
+                base = ext.lift(alpha_bar, ext.setup.mc_residual(alpha_bar))
                 if base is None:
                     continue
                 particular.append(base)
@@ -229,8 +230,8 @@ class DeformationSetup:
         """Setups over R, R/m^(nu-1), .., R/m^2, each built from the one above.
 
         Every walk down the tower (enumerate_mc, _gauge_classes,
-        lift_mc) goes through these shared levels, so each quotient,
-        setup and LiftStep is built once per top setup.
+        lift_mc) goes through these shared levels, so each setup and
+        its SmallExtension is built once per top setup.
         """
         out = [self]
         while out[-1].nu > 2:
@@ -238,19 +239,14 @@ class DeformationSetup:
         return out
 
     @cached_property
-    def tower(self):
-        """The small extension R -> R/m^(nu-1)."""
-        return Tower(self.R)
+    def extension(self):
+        """The small extension R -> R/m^(nu-1), over this setup."""
+        return SmallExtension(self)
 
     @cached_property
     def below(self):
-        """The setup over R/m^(nu-1), the base of self.tower."""
-        return DeformationSetup(self.A, self.tower.Rbar)
-
-    @cached_property
-    def lift_step(self):
-        """LiftStep along self.tower, over this setup."""
-        return LiftStep(KernelComplex(self))
+        """The setup over R/m^(nu-1), the base of self.extension."""
+        return DeformationSetup(self.A, self.extension.Rbar)
 
     def category_op(self, objects, morphisms, check=True):
         """m_n^{a_0..a_n}(x_n, .., x_1) for x_k: a_{k-1} -> a_k.
@@ -339,6 +335,144 @@ def mc_residual(A, R, alpha):
 
 def enumerate_mc(A, R, cap=ENUMERATION_CAP):
     return DeformationSetup(A, R).enumerate_mc(cap)
+
+
+# ---------------------------------------------------------------------------
+# the small extension at the top of the m-adic tower
+
+
+class SmallExtension:
+    """0 -> I -> R -> Rbar -> 0 with Rbar = R/m^(nu-1) and I = m^(nu-1).
+
+    This is the top layer of the m-adic tower R -> R/m^(nu-1) -> .. ->
+    k for setup's base R, and a small extension by construction: I m
+    and m I are spanned by products of nu ideal elements (R is
+    associative), so both lie in m^nu, which validate_artinian found to
+    be zero.  Rbar keeps a subset of R's basis labels, so the section
+    alpha~ of a point alpha_bar over Rbar is the label inclusion, and
+    project reuses the quotient's reduction map.
+
+    A x I carries the untwisted differential m_1 x 1 +- 1 x d, written
+    over the row basis of I (space, complex).  Every twisted
+    differential collapses to it on A x I, because I m = m I = 0 kills
+    all insertion terms, so obstruction classes of every flavor live in
+    its cohomology.  For the same reason every term of
+    m_k(alpha~ + eta, ..) with k >= 2 and a slot in A x I vanishes, so
+    for eta in (A x I)^1
+
+        residual(alpha~ + eta) = residual(alpha~) - m_1(eta).
+
+    The lifts of alpha_bar are therefore either none or the coset
+    alpha~ + eta0 + Z^1(A x I), where m_1(eta0) = residual(alpha~).
+    residual(alpha~) lies in A x I exactly when alpha_bar is MC over
+    Rbar; otherwise coordinates raises MathCheckFailure.  eta0 is the
+    unique solution supported on the earliest independent columns of
+    m_1: (A x I)^1 -> (A x I)^2, and the relations among the other
+    columns are a basis of Z^1(A x I).
+    """
+
+    def __init__(self, setup):
+        A, R = setup.A, setup.R
+        self.setup = setup
+        self.field = setup.field
+        self.Rbar, self._pi, self.kernel_rows = quotient_by_power(R, R.nu - 1)
+        degs = []
+        for k, row in enumerate(self.kernel_rows):
+            d = {R.deg(l) for l in row}
+            if len(d) != 1:
+                raise MathCheckFailure("kernel layer row %d is not homogeneous" % k)
+            degs.append(d.pop())
+        self._row_solver = SpanSolver(self.kernel_rows, self.field)
+        labels = [(a, k) for a in A.space.labels
+                  for k in range(len(self.kernel_rows))]
+        self.space = GradedSpace(
+            [((a, k), A.deg(a) + degs[k]) for a, k in labels])
+
+    @cached_property
+    def complex(self):
+        """A x I with m_1 x 1 +- 1 x d, built on first use.
+
+        below needs only Rbar, and lift_mc can stop below this level.
+        """
+        d = {}
+        one = self.field.one
+        for l in self.space.labels:
+            coords = self.coordinates(
+                self.setup.T.eval_m_vectors([self.embed({l: one})]))
+            if coords:
+                d[l] = coords
+        return Complex(self.space, d, self.field)
+
+    @cached_property
+    def _columns(self):
+        """The labels of (A x I)^1 and the column solver of m_1 on them."""
+        src = self.space.labels_of_degree(1)
+        return src, SpanSolver([self.complex.d.get(l, {}) for l in src],
+                               self.field)
+
+    def project(self, vec):
+        """A x R -> A x Rbar along the base projection."""
+        out = {}
+        for (a, r), c in vec.items():
+            if r not in self._pi:
+                raise ValueError("label %r has a base component outside R"
+                                 % ((a, r),))
+            for rbar, cc in self._pi[r].items():
+                vec_add(out, {(a, rbar): c * cc})
+        return vec_clean(out)
+
+    def embed(self, coord_vec):
+        """A vector in the coordinates of A x I, written in A x R."""
+        out = {}
+        for (a, k), c in coord_vec.items():
+            for r, cc in self.kernel_rows[k].items():
+                vec_add(out, {(a, r): c * cc})
+        return vec_clean(out)
+
+    def coordinates(self, vec):
+        """Rewrite an A x R vector supported in A x I over the row basis."""
+        by_a = {}
+        for (a, r), c in vec_clean(vec).items():
+            by_a.setdefault(a, {})[r] = c
+        out = {}
+        for a, rvec in by_a.items():
+            coords = self._row_solver.coordinates(rvec)
+            if coords is None:
+                raise MathCheckFailure(
+                    "vector escapes the kernel layer at %r" % (a,))
+            for k, c in coords.items():
+                out[(a, k)] = c
+        return vec_clean(out)
+
+    def cohomology(self, degree):
+        return self.complex.cohomology(degree)
+
+    def lift(self, alpha_bar, residual):
+        """alpha~ + eta0 over R, or None when the fibre is empty.
+
+        residual is residual(alpha~), setup.mc_residual(alpha_bar).
+        """
+        src, solver = self._columns
+        sol = solver.coordinates(self.coordinates(residual))
+        if sol is None:
+            return None
+        eta = {src[j]: c for j, c in sol.items()}
+        return vec_clean(vec_add(dict(alpha_bar), self.embed(eta)))
+
+    def cocycles(self):
+        """A basis of Z^1(A x I) embedded in A x R, each checked d z = 0."""
+        src, solver = self._columns
+        out = []
+        for kv in solver.relations:
+            z = {src[j]: c for j, c in kv.items()}
+            if vec_clean(self.complex.apply_d(z)):
+                raise MathCheckFailure("Z^1 basis vector is not a cocycle")
+            out.append(self.embed(z))
+        return out
+
+    def cocycle_span(self):
+        """Every F_p-combination of the Z^1 basis, zero included."""
+        return _span_points(self.field, {}, self.cocycles())
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +646,11 @@ class MCGroupoid:
         self._homsets = {}
 
     def certify_object(self, alpha):
-        """Check that alpha is MC, once per object of the groupoid."""
+        """Check that alpha is MC, once per object of the groupoid.
+
+        The input is checked on every call: the key ignores zeros.
+        """
+        self.setup.check_mc_input(alpha)
         key = _vec_key(alpha)
         if key not in self._certified:
             if self.setup.mc_residual(alpha):
@@ -626,18 +764,6 @@ def pi0(A, R, cap=ENUMERATION_CAP):
     return _gauge_classes(setup.enumerate_mc(cap), MCGroupoid(setup))
 
 
-def _project(vec, pi):
-    """A x R -> A x Rbar for a base projection pi: label -> Rbar vector."""
-    out = {}
-    for (a, r), c in vec.items():
-        if r not in pi:
-            raise ValueError("label %r has a base component outside R"
-                             % ((a, r),))
-        for rbar, cc in pi[r].items():
-            vec_add(out, {(a, rbar): c * cc})
-    return vec_clean(out)
-
-
 def _gauge_classes(elements, groupoid):
     """Pi0Report of the listed MC elements, keyed fibre by fibre.
 
@@ -679,7 +805,8 @@ def _gauge_classes(elements, groupoid):
     if setup.nu < 2:
         # m = 0: every MC element is zero
         return Pi0Report([elements] if elements else [])
-    images = [setup.tower.project(alpha) for alpha in elements]
+    ext = setup.extension
+    images = [ext.project(alpha) for alpha in elements]
     fibres = {}
     for i, img in enumerate(images):
         fibres.setdefault(_vec_key(img), []).append(i)
@@ -691,9 +818,8 @@ def _gauge_classes(elements, groupoid):
         downstairs, levels = below.classes, below.levels
     else:
         downstairs, levels = ([points] if points else []), []
-    kc = setup.lift_step.kernel_complex
-    b1 = Subspace([kc.complex.d.get(l, {})
-                   for l in kc.space.labels_of_degree(0)], setup.field)
+    b1 = Subspace([ext.complex.d.get(l, {})
+                   for l in ext.space.labels_of_degree(0)], setup.field)
     keyed = added = pairwise = 0
     classes = []
     for cls_points in downstairs:
@@ -702,7 +828,7 @@ def _gauge_classes(elements, groupoid):
             fibre = fibres[_vec_key(point)]
             found = [fibre]
             if len(fibre) > 1:
-                found, rank = _key_fibre(elements, fibre, point, kc, b1,
+                found, rank = _key_fibre(elements, fibre, point, ext, b1,
                                          below_groupoid)
                 keyed += 1
                 added += rank
@@ -724,26 +850,26 @@ def _gauge_classes(elements, groupoid):
     return Pi0Report([[elements[i] for i in cls] for cls in classes], levels)
 
 
-def _key_fibre(elements, fibre, point, kc, b1, below_groupoid):
+def _key_fibre(elements, fibre, point, ext, b1, below_groupoid):
     """The classes of one fibre over point, and the rank Gamma adds to B^1.
 
     below_groupoid is the groupoid over Rbar, or None when Rbar = k.
     """
-    setup = kc.setup
+    setup = ext.setup
     setup.require_strict_unit()
     span = b1
     if below_groupoid is not None:
         span = Subspace(b1.rows, setup.field)
         alpha = elements[fibre[0]]
         for k in below_groupoid.hom(point, point).kernel_vecs:
-            gamma = kc.coordinates(
+            gamma = ext.coordinates(
                 setup.category_op([alpha, alpha], [k], check=False))
-            if vec_clean(kc.complex.apply_d(gamma)):
+            if vec_clean(ext.complex.apply_d(gamma)):
                 raise MathCheckFailure("stabiliser image is not a cocycle")
             span.insert(gamma)
     found = {}
     for i in fibre:
-        eta = kc.coordinates(vec_sub(elements[i], point))
+        eta = ext.coordinates(vec_sub(elements[i], point))
         found.setdefault(_vec_key(span.reduce(eta)), []).append(i)
     return list(found.values()), span.dim - b1.dim
 
@@ -752,159 +878,17 @@ def _key_fibre(elements, fibre, point, kc, b1, below_groupoid):
 # obstruction calculus along the top layer of the m-adic tower
 
 
-class Tower:
-    """R -> Rbar = R/m^(nu-1) with kernel I = m^(nu-1), I m = m I = 0.
-
-    This is the top layer of the m-adic tower R -> R/m^(nu-1) -> .. ->
-    k, and a small extension by construction: I m and m I are spanned
-    by products of nu ideal elements (R is associative), so both lie in
-    m^nu, which validate_artinian found to be zero.  Rbar keeps a
-    subset of R's basis labels, so sections are label inclusions and
-    projections reuse the quotient's reduction map.
-    """
-
-    def __init__(self, R):
-        self.Rbar, self._pi, self.kernel_rows = quotient_by_power(R, R.nu - 1)
-        self.R = R
-
-    def project(self, vec):
-        return _project(vec, self._pi)
-
-
-class KernelComplex:
-    """A x I with the untwisted differential m_1 x 1 +- 1 x d.
-
-    I = m^(nu-1) is the kernel of setup.tower, R -> R/m^(nu-1) for the
-    setup's base R.  On A x I every twisted differential collapses to
-    this one because I m = m I = 0 (both lie in m^nu = 0) kills all
-    insertion terms, so obstruction classes of every flavor live here.
-    """
-
-    def __init__(self, setup):
-        A = setup.A
-        self.A = A
-        self.setup = setup
-        self.field = A.field
-        rows = setup.tower.kernel_rows
-        R = setup.R
-        degs = []
-        for k, row in enumerate(rows):
-            d = {R.deg(l) for l in row}
-            if len(d) != 1:
-                raise MathCheckFailure("kernel layer row %d is not homogeneous" % k)
-            degs.append(d.pop())
-        self.row_solver = SpanSolver(rows, self.field)
-        labels = [(a, k) for a in A.space.labels for k in range(len(rows))]
-        self.space = GradedSpace(
-            [((a, k), A.deg(a) + degs[k]) for a, k in labels])
-        d = {}
-        one = self.field.one
-        for a, k in labels:
-            img = self.setup.T.eval_m_vectors(
-                [self._embed({(a, k): one})])
-            coords = self.coordinates(img)
-            if coords:
-                d[(a, k)] = coords
-        self.complex = Complex(self.space, d, self.field)
-
-    def _embed(self, coord_vec):
-        out = {}
-        for (a, k), c in coord_vec.items():
-            for r, cc in self.setup.tower.kernel_rows[k].items():
-                vec_add(out, {(a, r): c * cc})
-        return vec_clean(out)
-
-    def coordinates(self, vec):
-        """Rewrite an A x R vector supported in A x I over the row basis."""
-        by_a = {}
-        for (a, r), c in vec_clean(vec).items():
-            by_a.setdefault(a, {})[r] = c
-        out = {}
-        for a, rvec in by_a.items():
-            coords = self.row_solver.coordinates(rvec)
-            if coords is None:
-                raise MathCheckFailure(
-                    "vector escapes the kernel layer at %r" % (a,))
-            for k, c in coords.items():
-                out[(a, k)] = c
-        return vec_clean(out)
-
-    def cohomology(self, degree):
-        return self.complex.cohomology(degree)
-
-
-class LiftStep:
-    """Lifting MC elements along one small extension R -> Rbar = R/m^(nu-1).
-
-    Write alpha~ for the label-inclusion section of a point alpha_bar of
-    MC(Rbar), and I = m^(nu-1).  Since I m = m I = 0, every term of
-    m_k(alpha~ + eta, ..) with k >= 2 and a slot in A x I vanishes, so
-    for eta in (A x I)^1
-
-        residual(alpha~ + eta) = residual(alpha~) - m_1(eta).
-
-    The lifts of alpha_bar are therefore either none or the coset
-    alpha~ + eta0 + Z^1(A x I), where m_1(eta0) = residual(alpha~).
-    residual(alpha~) lies in A x I exactly when alpha_bar is MC over
-    Rbar; otherwise KernelComplex.coordinates raises MathCheckFailure.
-    eta0 is the unique solution supported on the earliest independent
-    columns of m_1: (A x I)^1 -> (A x I)^2, and the relations among the
-    other columns are a basis of Z^1(A x I).  The column solver is
-    built once per step, over the step's KernelComplex.
-    """
-
-    def __init__(self, kernel_complex):
-        self.kernel_complex = kernel_complex
-        self.setup = kernel_complex.setup
-        cx = kernel_complex.complex
-        self._src = cx.space.labels_of_degree(1)
-        self._solver = SpanSolver([cx.d.get(l, {}) for l in self._src],
-                                  kernel_complex.field)
-
-    def particular(self, alpha_bar):
-        """eta0 in the coordinates of A x I, or None when no lift exists."""
-        kc = self.kernel_complex
-        target = kc.coordinates(self.setup.mc_residual(alpha_bar))
-        sol = self._solver.coordinates(target)
-        if sol is None:
-            return None
-        return {self._src[j]: c for j, c in sol.items()}
-
-    def lift(self, alpha_bar):
-        """alpha~ + eta0 over R, or None when the fibre is empty."""
-        eta = self.particular(alpha_bar)
-        if eta is None:
-            return None
-        return vec_clean(vec_add(dict(alpha_bar),
-                                 self.kernel_complex._embed(eta)))
-
-    def cocycles(self):
-        """A basis of Z^1(A x I) embedded in A x R, each checked d z = 0."""
-        cx = self.kernel_complex.complex
-        out = []
-        for kv in self._solver.relations:
-            z = {self._src[j]: c for j, c in kv.items()}
-            if vec_clean(cx.apply_d(z)):
-                raise MathCheckFailure("Z^1 basis vector is not a cocycle")
-            out.append(self.kernel_complex._embed(z))
-        return out
-
-    def cocycle_span(self):
-        """Every F_p-combination of the Z^1 basis, zero included."""
-        return _span_points(self.kernel_complex.field, {}, self.cocycles())
-
-
 class ObstructionClass:
     """A cohomology class in A x I with its representative."""
 
-    def __init__(self, kernel_complex, vec, degree):
-        self.kernel_complex = kernel_complex
+    def __init__(self, extension, vec, degree):
+        self.extension = extension
         self.vec = vec_clean(vec)
         self.degree = degree
-        self.coords = kernel_complex.coordinates(self.vec)
-        if vec_clean(kernel_complex.complex.apply_d(self.coords)):
+        self.coords = extension.coordinates(self.vec)
+        if vec_clean(extension.complex.apply_d(self.coords)):
             raise MathCheckFailure("obstruction representative is not a cocycle")
-        self._h = kernel_complex.cohomology(degree)
+        self._h = extension.cohomology(degree)
 
     @property
     def is_zero(self):
@@ -918,46 +902,37 @@ class ObstructionClass:
             self.degree, "zero" if self.is_zero else repr(self.vec))
 
 
-def _second_lift_perturbation(kernel_complex, degree, seed):
-    labels = kernel_complex.space.labels_of_degree(degree)
-    if not labels:
-        return {}
-    rng = Random(seed)
-    field = kernel_complex.field
-    span = field.p if field.p else 7
-    vec = {l: field(rng.randrange(1, span)) for l in labels
-           if rng.random() < 0.7}
-    if not vec:
-        vec = {labels[0]: field.one}
-    return kernel_complex._embed(vec)
-
-
 def obstruction_o2(A, R, alpha_bar, seed=1):
     """The lifting obstruction [sum (-1)^(n(n+1)/2 + 1) m_n(lift..lift)].
 
     For alpha_bar MC over R/m^(nu-1); sits in H^2(A x I), I = m^(nu-1)
-    (see Tower).  Computed from one lift, then recomputed from a
-    perturbed second lift to certify independence.
+    (see SmallExtension).  Computed from one lift, then recomputed from
+    a perturbed second lift to certify independence.
     """
-    return _obstruction_o2(DeformationSetup(A, R), alpha_bar, seed)
-
-
-def _obstruction_o2(setup, alpha_bar, seed):
-    """obstruction_o2 along setup.tower; lift_mc shares the setup chain."""
+    setup = DeformationSetup(A, R)
     if setup.below.mc_residual(alpha_bar):
         raise HypothesisNotMet("obstruction is defined on MC elements only")
-    kc = setup.lift_step.kernel_complex
+    return _obstruction_o2(setup.extension, alpha_bar,
+                           setup.mc_residual(alpha_bar), seed)
 
-    def phi(lift):
-        return vec_scale(setup.mc_residual(lift), -setup.field.one)
 
-    first = dict(alpha_bar)
-    cls = ObstructionClass(kc, phi(first), 2)
-    eta = _second_lift_perturbation(kc, 1, seed)
-    if eta:
-        second = dict(first)
-        vec_add(second, eta)
-        cls2 = ObstructionClass(kc, phi(vec_clean(second)), 2)
+def _obstruction_o2(ext, alpha_bar, residual, seed):
+    """The o2 class of alpha_bar, MC over ext.Rbar, from residual(alpha~).
+
+    lift_mc passes the residual it also solves the correction from.  The
+    class is recomputed at a second lift, perturbed at random by seed.
+    """
+    field, minus = ext.field, -ext.field.one
+    cls = ObstructionClass(ext, vec_scale(residual, minus), 2)
+    labels = ext.space.labels_of_degree(1)
+    if labels:
+        rng = Random(seed)
+        span = field.p if field.p else 7
+        eta = {l: field(rng.randrange(1, span)) for l in labels
+               if rng.random() < 0.7} or {labels[0]: field.one}
+        second = vec_clean(vec_add(dict(alpha_bar), ext.embed(eta)))
+        cls2 = ObstructionClass(
+            ext, vec_scale(ext.setup.mc_residual(second), minus), 2)
         if not cls.same_class_as(cls2):
             raise MathCheckFailure("obstruction class depends on the lift")
     return cls
@@ -969,22 +944,21 @@ def obstruction_o1(A, R, alpha1, alpha2, f_bar):
     alpha1, alpha2 are MC over R and project to the endpoints of the
     morphism f_bar over R/m^(nu-1); the class of m_1^{alpha1,alpha2}
     of any set-level lift of f_bar lives in H^1(A x I), I = m^(nu-1)
-    (see Tower), and vanishes exactly when a morphism lift with these
-    endpoints exists.
+    (see SmallExtension), and vanishes exactly when a morphism lift
+    with these endpoints exists.
     """
     setup = DeformationSetup(A, R)
     for a in (alpha1, alpha2):
         if setup.mc_residual(a):
             raise HypothesisNotMet("endpoints must be MC over the big base")
-    tower = setup.tower
+    ext = setup.extension
     setup.below.gauge_part(f_bar)
-    down = HomComplex(setup.below, tower.project(alpha1),
-                      tower.project(alpha2), check_objects=False)
+    down = HomComplex(setup.below, ext.project(alpha1),
+                      ext.project(alpha2), check_objects=False)
     if vec_clean(down.apply(f_bar)):
         raise HypothesisNotMet("f is not a morphism downstairs")
     hc = HomComplex(setup, alpha1, alpha2, check_objects=False)
-    return ObstructionClass(setup.lift_step.kernel_complex,
-                            hc.apply(dict(f_bar)), 1)
+    return ObstructionClass(ext, hc.apply(dict(f_bar)), 1)
 
 
 class DifferenceClass:
@@ -1002,21 +976,21 @@ def obstruction_o0(A, R, alpha, beta, f_tilde, f_tilde2):
     """Difference class of two morphism lifts with equal projections.
 
     The projections go to R/m^(nu-1).  The difference is a cocycle in
-    (A x I)^0, I = m^(nu-1) (see Tower); its image in H^0 of the big
-    morphism complex is the obstruction, so it vanishes exactly when
-    the lifts agree as gauge orbits.
+    (A x I)^0, I = m^(nu-1) (see SmallExtension); its image in H^0 of
+    the big morphism complex is the obstruction, so it vanishes exactly
+    when the lifts agree as gauge orbits.
     """
     setup = DeformationSetup(A, R)
-    tower = setup.tower
+    ext = setup.extension
     hc = HomComplex(setup, alpha, beta, check_objects=True)
     for g in (f_tilde, f_tilde2):
         setup.gauge_part(g)
         if vec_clean(hc.apply(g)):
             raise HypothesisNotMet("both arguments must be lifted morphisms")
-    if vec_clean(vec_sub(tower.project(f_tilde), tower.project(f_tilde2))):
+    if vec_clean(vec_sub(ext.project(f_tilde), ext.project(f_tilde2))):
         raise ValueError("the two lifts project to different morphisms")
     delta = vec_sub(f_tilde2, f_tilde)
-    cls = ObstructionClass(setup.lift_step.kernel_complex, delta, 0)
+    cls = ObstructionClass(ext, delta, 0)
     return DifferenceClass(cls, hc.gauge_image().contains(delta))
 
 
@@ -1044,6 +1018,9 @@ def lift_mc(A, R, alpha0, seed=1):
     At each layer the obstruction is computed; when it vanishes the
     correction solves an affine-linear system, deterministically.  On
     failure the outcome carries the level and the obstruction class.
+    Each layer evaluates residual(alpha~) once, for both the o2 class
+    and the correction (see SmallExtension); the element it lifts was
+    checked MC one layer down.
     """
     if R.nu < 2:
         setup = DeformationSetup(A, R)
@@ -1061,12 +1038,13 @@ def lift_mc(A, R, alpha0, seed=1):
     trace = []
     for setup in chain[1:]:
         n = setup.below.nu
-        step = setup.lift_step
-        cls = _obstruction_o2(setup, current, seed)
+        ext = setup.extension
+        residual = setup.mc_residual(current)
+        cls = _obstruction_o2(ext, current, residual, seed)
         trace.append({"level": n, "obstruction_zero": cls.is_zero})
         if not cls.is_zero:
             return LiftOutcome(False, level=n, obstruction=cls, trace=trace)
-        lifted = step.lift(current)
+        lifted = ext.lift(current, residual)
         if lifted is None:
             raise MathCheckFailure(
                 "zero obstruction but the correction system is inconsistent")

@@ -166,11 +166,13 @@ def algebra_from_json(doc):
     if doc.get("aug") != unit:
         raise ValueError("the augmentation %r is not the unit %r"
                          % (doc.get("aug"), unit))
+    bounds = {key: _integer(doc[key], "the %s" % key)
+              for key in ("arity_bound", "complete_to_arity")
+              if doc.get(key) is not None}
     A = AInfAlgebra(
         space, field, m,
-        arity_bound=doc.get("arity_bound"),
         unit=label_from_json(unit) if unit is not None else None,
-        complete_to_arity=doc.get("complete_to_arity"),
+        **bounds,
     )
     A.complex()  # refuses m_1 m_1 != 0, naming the basis element
     return A

@@ -36,7 +36,7 @@ from .ainfinity import (
     degree_certified_arity_bound,
     morphism_residual,
 )
-from .errors import MathCheckFailure
+from .errors import _integer, MathCheckFailure
 from .linalg import (
     _apply_table,
     Complex,
@@ -232,7 +232,7 @@ def build_splitting(C):
     return TransferData(C, GradedSpace(basis), i_tbl, p_tbl, h_tbl)
 
 
-def minimal_model(C, arity_max, splitting=None):
+def minimal_model(C, arity_max):
     """A minimal model of a DG algebra with its comparison morphism.
 
     Returns (A, f) where A has m_1 = 0, its binary operation is the
@@ -254,14 +254,12 @@ def minimal_model(C, arity_max, splitting=None):
     verify the result before it is returned, so a discrepancy anywhere
     raises instead of propagating.
     """
-    if arity_max < 2:
+    if _integer(arity_max, "arity_max") < 2:
         raise ValueError("arity_max must be at least 2, got %d" % (arity_max,))
     if C.m.max_arity() > 2:
         raise ValueError(
             "minimal models are transferred from DG algebras (arity <= 2)")
-    t = splitting if splitting is not None else build_splitting(C)
-    if t.C is not C:
-        raise ValueError("the splitting belongs to a different algebra")
+    t = build_splitting(C)
     field = C.field
     H = t.space
     mops = StructureMaps()

@@ -65,6 +65,7 @@ from .mc import (
     _span_points,
     _vec_key,
 )
+from .scalars import Scalar
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +269,8 @@ class TwistedStructure:
         replay of stasheff_residual over all of them would, and reports
         the first failing one in that replay's order.
         """
-        cap = n_max if n_max is not None else self.A.arity_bound + 1
+        cap = (_integer(n_max, "n_max") if n_max is not None
+               else self.A.arity_bound + 1)
         failure = _first_stasheff_failure(self._shim, cap, self.space.index,
                                           self.A.space.index)
         if failure:
@@ -592,7 +594,18 @@ def enumerate_units(R):
 
 
 def invert_unit(R, u):
-    """Inverse through the geometric series, certified two-sided."""
+    """Inverse through the geometric series, certified two-sided.
+
+    R.multiply reads a label outside R as zero, so u is checked first.
+    """
+    if not isinstance(u, dict):
+        raise ValueError("a unit is a dict label -> scalar, got %r" % (u,))
+    for l, c in u.items():
+        if l not in R.space.index:
+            raise ValueError("unit has a label %r outside R" % (l,))
+        if not isinstance(c, Scalar) or c.field != R.field:
+            raise ValueError("coefficient %r at %r is not a scalar over %r"
+                             % (c, l, R.field))
     c0 = u.get(R.unit)
     if not c0:
         raise ValueError("not a unit: no invertible scalar part")
@@ -676,7 +689,7 @@ class ProrepReport:
 
 def _comparison_gates(A, R, N):
     _enumerable(R, "the comparison, which enumerates both sides,")
-    if N < R.nu:
+    if _integer(N, "the order N") < R.nu:
         raise HypothesisNotMet(
             "gate failed: order %d below the nilpotency index %d" % (N, R.nu))
     probe = koszul_probe(A, N)

@@ -233,3 +233,23 @@ def test_class_index_of_agrees_with_a_scan():
     assert rep.class_index_of({("x1", "a"): F2.one,
                                ("1", "b"): F2.one}) is None
     assert Pi0Report([]).class_index_of({}) is None
+
+
+def test_lookups_ignore_how_a_zero_is_written(monkeypatch):
+    """{} and {x t: 0} are one element to class_index_of, certify_object
+    and MCMorphism equality; a zero on a foreign label is still refused."""
+    R = truncated_polynomial(F2, 3)
+    padded = {("x", "t"): F2.zero}
+    rep = pi0(xy(F2), R)
+    assert rep.class_index_of({}) == rep.class_index_of(padded) == 0
+    groupoid = MCGroupoid(DeformationSetup(xy(F2), R))
+    one = groupoid.setup.one_vec
+    assert groupoid.hom(padded, {}).classify(one) == \
+        groupoid.hom({}, {}).classify(one)
+    calls = []
+    monkeypatch.setattr(groupoid.setup, "mc_residual",
+                        lambda alpha: calls.append(alpha) or {})
+    groupoid.certify_object(padded)
+    assert calls == []
+    with pytest.raises(ValueError, match="zz"):
+        groupoid.certify_object({("zz", "t"): F2.zero})

@@ -16,6 +16,8 @@ from barmc.ainfinity import (
     AInfAlgebra,
     AInfMorphism,
     StructureMaps,
+    check_ainf_axioms,
+    check_ainf_morphism,
     identity_morphism,
     tensor_label,
 )
@@ -30,7 +32,6 @@ from barmc.mc import (
     HomComplex,
     HomSet,
     MCGroupoid,
-    Tower,
     enumerate_mc,
     invariance_check,
     lift_mc,
@@ -44,7 +45,7 @@ from barmc.mc import (
 )
 from barmc.scalars import Field
 from barmc.transfer import minimal_model
-from barmc.twisting import CorepresentingHom
+from barmc.twisting import CorepresentingHom, TwistedModule, prorep_compare
 from oracles import (
     category_op_oracle,
     eval_f_tensor_oracle,
@@ -144,13 +145,12 @@ def brute_components(setup, elements):
     return classes
 
 
-def brute_lift_exists(A, tower, alpha_bar):
+def brute_lift_exists(A, R, alpha_bar):
     """Any eta in (A x I)^1 with residual(section + eta) = 0."""
-    setup = DeformationSetup(A, tower.R)
+    setup = DeformationSetup(A, R)
     base = dict(alpha_bar)
-    radical = set(tower.R.ideal_labels)
     kernel_labels = set()
-    for row in tower.kernel_rows:
+    for row in quotient_by_power(R, R.nu - 1)[2]:
         kernel_labels |= set(row)
     labels = [l for l in setup.ideal
               if l[1] in kernel_labels and setup.T.deg(l) == 1]
@@ -162,12 +162,12 @@ def brute_lift_exists(A, tower, alpha_bar):
     return False
 
 
-def brute_morphism_lift_exists(A, tower, alpha1, alpha2, f_bar):
+def brute_morphism_lift_exists(A, R, alpha1, alpha2, f_bar):
     """Any h in (A x I)^0 with the corrected section a morphism upstairs."""
-    setup = DeformationSetup(A, tower.R)
+    setup = DeformationSetup(A, R)
     base = dict(f_bar)
     kernel_labels = set()
-    for row in tower.kernel_rows:
+    for row in quotient_by_power(R, R.nu - 1)[2]:
         kernel_labels |= set(row)
     labels = [l for l in setup.ideal
               if l[1] in kernel_labels and setup.T.deg(l) == 0]
@@ -539,7 +539,7 @@ def test_o2_on_xy_is_the_y_t2_line():
                              {("x", "t"): field.one})
         assert not cls.is_zero
         assert set(cls.vec) == {("y", "t2")}
-        h2 = cls.kernel_complex.cohomology(2)
+        h2 = cls.extension.cohomology(2)
         assert h2.dim == 1
 
 
@@ -552,11 +552,11 @@ def test_o2_soundness_against_brute_lifting():
     cases = [(xy, F2), (xy, F3), (njac1, F2), (kpoints2, F2), (kpoints2, F3)]
     for make, field in cases:
         A = make(field)
-        tower = Tower(truncated_polynomial(field, 3))
-        setup_bar = DeformationSetup(A, tower.Rbar)
+        R = truncated_polynomial(field, 3)
+        setup_bar = DeformationSetup(A, quotient_by_power(R, 2)[0])
         for alpha_bar in setup_bar.enumerate_mc():
-            cls = obstruction_o2(A, tower.R, alpha_bar)
-            assert cls.is_zero == brute_lift_exists(A, tower, alpha_bar)
+            cls = obstruction_o2(A, R, alpha_bar)
+            assert cls.is_zero == brute_lift_exists(A, R, alpha_bar)
 
 
 def njac1(field):
@@ -570,11 +570,11 @@ def kpoints2(field):
 def test_o2_vanishes_on_exterior_squares_in_every_characteristic():
     """e1 e2 = -e2 e1 makes the quadratic term cancel, so no obstruction."""
     A = kpoints(F3, 2)
-    tower = Tower(truncated_polynomial(F3, 3))
+    R = truncated_polynomial(F3, 3)
     sq = {("e1", "t"): F3.one, ("e2", "t"): F3.one}
-    cls = obstruction_o2(A, tower.R, sq)
+    cls = obstruction_o2(A, R, sq)
     assert cls.is_zero
-    assert brute_lift_exists(A, tower, sq)
+    assert brute_lift_exists(A, R, sq)
 
 
 def test_o2_builds_the_tower_quotient_once(monkeypatch):
@@ -604,7 +604,7 @@ def test_o2_independent_of_lift_choice_across_seeds():
 def test_o2_verdict_agrees_on_isomorphic_elements():
     A = pq_algebra(F2)
     R = truncated_polynomial(F2, 3)
-    rep = pi0(A, Tower(R).Rbar)
+    rep = pi0(A, quotient_by_power(R, 2)[0])
     for cls_members in rep.classes:
         verdicts = {obstruction_o2(A, R, a).is_zero for a in cls_members}
         assert len(verdicts) == 1
@@ -628,22 +628,23 @@ def test_o1_distinguishes_lifts_differing_by_x_t2():
 
 def test_o1_soundness_against_brute_morphism_lifting():
     A = njac(F2, 1)
-    tower = Tower(truncated_polynomial(F2, 3))
-    setup = DeformationSetup(A, tower.R)
-    setup_bar = DeformationSetup(A, tower.Rbar)
+    R = truncated_polynomial(F2, 3)
+    setup = DeformationSetup(A, R)
+    ext = setup.extension
+    setup_bar = DeformationSetup(A, ext.Rbar)
     one_bar = {("1", "1"): F2.one}
     upstairs = setup.enumerate_mc()
     for a1 in upstairs:
         for a2 in upstairs:
-            if vec_clean(vec_sub(tower.project(a1), tower.project(a2))):
+            if vec_clean(vec_sub(ext.project(a1), ext.project(a2))):
                 continue
             f_bar = dict(one_bar)
-            if dg_twisted_oracle(setup_bar, tower.project(a1),
-                                 tower.project(a2), f_bar):
+            if dg_twisted_oracle(setup_bar, ext.project(a1),
+                                 ext.project(a2), f_bar):
                 continue
-            cls = obstruction_o1(A, tower.R, a1, a2, f_bar)
+            cls = obstruction_o1(A, R, a1, a2, f_bar)
             assert cls.is_zero == \
-                brute_morphism_lift_exists(A, tower, a1, a2, f_bar)
+                brute_morphism_lift_exists(A, R, a1, a2, f_bar)
 
 
 def test_o1_equivariance_under_fiber_translation():
@@ -657,17 +658,17 @@ def test_o1_equivariance_under_fiber_translation():
     one_bar = {("1", "1"): F3.one}
     eta = {("x1", "t2"): F3.one}
     base = obstruction_o1(A, R, {}, {}, one_bar)
-    kc = base.kernel_complex
+    ext = base.extension
     moved_target = obstruction_o1(A, R, {}, eta, one_bar)
     shifted = dict(base.vec)
     vec_add(shifted, eta)
     assert moved_target.same_class_as(
-        type(base)(kc, vec_clean(shifted), 1))
+        type(base)(ext, vec_clean(shifted), 1))
     moved_source = obstruction_o1(A, R, eta, {}, one_bar)
     shifted = dict(base.vec)
     vec_add(shifted, eta, -F3.one)
     assert moved_source.same_class_as(
-        type(base)(kc, vec_clean(shifted), 1))
+        type(base)(ext, vec_clean(shifted), 1))
 
 
 def test_o1_refuses_non_morphism_downstairs():
@@ -700,10 +701,10 @@ def test_o0_refuses_a_foreign_label_by_name():
 
 
 def test_tower_projection_refuses_a_base_label_outside_r():
-    tower = Tower(truncated_polynomial(F2, 3))
-    assert tower.project({("x1", "t2"): F2.one}) == {}
+    ext = DeformationSetup(njac(F2, 1), truncated_polynomial(F2, 3)).extension
+    assert ext.project({("x1", "t2"): F2.one}) == {}
     with pytest.raises(ValueError, match="t9"):
-        tower.project({("x1", "t9"): F2.one})
+        ext.project({("x1", "t9"): F2.one})
 
 
 def test_o0_zero_for_equal_lifts_and_nonzero_for_distinct_orbits():
@@ -721,17 +722,17 @@ def test_o0_zero_for_equal_lifts_and_nonzero_for_distinct_orbits():
 
 def test_o0_matches_orbit_equality_exhaustively():
     A = pq_algebra(F2)
-    tower = Tower(truncated_polynomial(F2, 3))
-    setup = DeformationSetup(A, tower.R)
+    R = truncated_polynomial(F2, 3)
+    setup = DeformationSetup(A, R)
     alpha = {}
     hs = HomSet(setup, alpha, alpha)
     lifts = [g for g in brute_morphism_vectors(setup, alpha, alpha)
-             if not vec_clean(vec_sub(tower.project(g),
+             if not vec_clean(vec_sub(setup.extension.project(g),
                                       {("1", "1"): F2.one}))]
     assert len(lifts) > 1
     for f1 in lifts:
         for f2 in lifts:
-            verdict = obstruction_o0(A, tower.R, alpha, alpha, f1, f2)
+            verdict = obstruction_o0(A, R, alpha, alpha, f1, f2)
             assert verdict.is_zero == (hs.classify(f1) == hs.classify(f2))
 
 
@@ -795,11 +796,10 @@ def test_lift_agrees_with_brute_force_existence():
     for field in (F2, F3):
         A = kpoints(field, 2)
         R = truncated_polynomial(field, 3)
-        tower = Tower(R)
-        seed_setup = DeformationSetup(A, tower.Rbar)
+        seed_setup = DeformationSetup(A, quotient_by_power(R, 2)[0])
         for alpha0 in seed_setup.enumerate_mc():
             out = lift_mc(A, R, alpha0)
-            assert out.ok == brute_lift_exists(A, tower, alpha0)
+            assert out.ok == brute_lift_exists(A, R, alpha0)
 
 
 def test_lift_over_the_ground_field_is_trivial():
@@ -1102,8 +1102,22 @@ def test_mc_residual_and_category_ops_match_the_insertion_loop_oracles(field):
     (lambda: pi0(kpoints(F2, 1), kpoints(F2, 1)), "base R"),
     (lambda: lift_mc(xy(F2), truncated_polynomial(F2, 3), [("x", "t")]),
      "element"),
+    (lambda: check_ainf_axioms(kpoints(F2, 1), "3"), "n_max"),
+    (lambda: check_ainf_axioms(kpoints(F2, 1), 2.5), "n_max"),
+    (lambda: check_ainf_morphism(identity_morphism(kpoints(F2, 1)), "3"),
+     "n_max"),
+    (lambda: TwistedModule(DeformationSetup(
+        xy(F2), truncated_polynomial(F2, 3)), {}).check_module_axioms("3"),
+     "n_max"),
+    (lambda: minimal_model(golden_dg_pair(F2)[0], "3"), "arity_max"),
+    (lambda: minimal_model(golden_dg_pair(F2)[0], 2.5), "arity_max"),
+    (lambda: prorep_compare(njac(F2, 1), truncated_polynomial(F2, 3), "3"),
+     "order N"),
 ], ids=["unknown-label", "float-order", "float-length", "float-power",
-        "cap-none", "base-not-artinian", "element-not-dict"])
+        "cap-none", "base-not-artinian", "element-not-dict",
+        "axioms-str-arity", "axioms-float-arity", "morphism-str-arity",
+        "module-str-arity", "model-str-arity", "model-float-arity",
+        "compare-str-order"])
 def test_malformed_arguments_raise_value_error_naming_them(call, name):
     with pytest.raises(ValueError, match=re.escape(name)):
         call()

@@ -1,10 +1,10 @@
 """MC(R) lifted along the tower against the exhaustive sweep it replaced.
 
 DeformationSetup.enumerate_mc lifts {} over R/m = k through
-R/m^2, .., R one small extension at a time (LiftStep).  The exhaustive
+R/m^2, .., R one small extension at a time (SmallExtension).  The exhaustive
 sweep lives on as enumerate_mc_oracle in tests/oracles.py; both must
 give the same elements in the same order, with the same keys in the
-same order.  lift_mc shares the per-level step, whose particular
+same order.  lift_mc shares the per-level extension, whose particular
 solution must be the one span_coordinates_oracle gives on the columns
 of m_1.
 """
@@ -24,9 +24,7 @@ from barmc.examples import kpoints, njac, random_instance, xy
 from barmc.linalg import GradedSpace, vec_add, vec_clean
 from barmc.mc import (
     DeformationSetup,
-    KernelComplex,
-    LiftStep,
-    Tower,
+    SmallExtension,
     enumerate_mc,
     lift_mc,
     pi0,
@@ -162,6 +160,30 @@ def test_enumeration_evaluates_few_residuals(monkeypatch):
     assert len(calls) <= 1200
 
 
+@pytest.mark.parametrize("A, R, alpha0, lifted, want", [
+    (kpoints(F2, 2), truncated_polynomial(F2, 6), {("e1", "t"): F2.one},
+     True, 13),
+    (xy(F2), truncated_polynomial(F2, 4), {("x", "t"): F2.one}, False, 3),
+], ids=["lifted", "obstructed"])
+def test_lift_evaluates_each_residual_once(monkeypatch, A, R, alpha0, lifted,
+                                           want):
+    """The seed's check, then per level residual(alpha~), the seeded
+    second lift and the lifted element's check: 1 + 3 * 4 over t^6.
+
+    Over t^4, xy is obstructed at the first level, before its check.
+    """
+    calls = []
+    original = DeformationSetup.mc_residual
+
+    def counted(self, alpha):
+        calls.append(1)
+        return original(self, alpha)
+
+    monkeypatch.setattr(DeformationSetup, "mc_residual", counted)
+    assert lift_mc(A, R, alpha0).ok == lifted
+    assert len(calls) == want
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_a_skipped_correction_is_caught(monkeypatch, n):
     """A step that forgets eta0 leaves non-MC points and a certificate fires.
@@ -169,22 +191,22 @@ def test_a_skipped_correction_is_caught(monkeypatch, n):
     Over t^3 the top-level residual check catches x t; over t^4 the
     residual of x t at the next level leaves A x I first.
     """
-    original = LiftStep.particular
+    original = SmallExtension.lift
 
-    def lazy(self, alpha_bar):
-        eta = original(self, alpha_bar)
-        return None if eta is None else {}
+    def lazy(self, alpha_bar, residual):
+        lifted = original(self, alpha_bar, residual)
+        return None if lifted is None else vec_clean(dict(alpha_bar))
 
     setup = DeformationSetup(xyz(F3), truncated_polynomial(F3, n))
     # the honest lifts of x t carry a z t^2 correction
     assert any(a == "z" for alpha in setup.enumerate_mc() for a, _ in alpha)
-    monkeypatch.setattr(LiftStep, "particular", lazy)
+    monkeypatch.setattr(SmallExtension, "lift", lazy)
     with pytest.raises(MathCheckFailure):
         setup.enumerate_mc()
 
 
 # ---------------------------------------------------------------------------
-# lift_mc runs on the same step
+# lift_mc runs on the same extensions
 
 
 def _seeds(A, R):
@@ -206,26 +228,27 @@ LIFT_CASES = (
 
 
 def _lift_by_oracle(A, R, alpha0):
-    """lift_mc's level loop with the oracle solve, checking LiftStep on the way.
+    """lift_mc's level loop with the oracle solve, checking SmallExtension.lift.
 
     Returns the lifted element, or None at the first empty fibre.
     """
     levels = {n: quotient_by_power(R, n)[0] for n in range(2, R.nu + 1)}
     current = dict(alpha0)
     for n in range(2, R.nu):
-        step = LiftStep(KernelComplex(DeformationSetup(A, levels[n + 1])))
-        kc = step.kernel_complex
-        target = kc.coordinates(step.setup.mc_residual(current))
-        src = kc.complex.space.labels_of_degree(1)
-        sol = span_coordinates_oracle([kc.complex.d.get(l, {}) for l in src],
-                                      kc.field, target)
-        want = None if sol is None else {src[j]: c for j, c in sol.items()}
-        assert step.particular(current) == want
-        if want is None:
+        setup = DeformationSetup(A, levels[n + 1])
+        ext = setup.extension
+        residual = setup.mc_residual(current)
+        src = ext.space.labels_of_degree(1)
+        sol = span_coordinates_oracle([ext.complex.d.get(l, {}) for l in src],
+                                      ext.field, ext.coordinates(residual))
+        got = ext.lift(current, residual)
+        if sol is None:
+            assert got is None
             return None
         lift = dict(current)
-        vec_add(lift, kc._embed(want))
+        vec_add(lift, ext.embed({src[j]: c for j, c in sol.items()}))
         current = vec_clean(lift)
+        assert list(got.items()) == list(current.items())
     return current
 
 
@@ -241,35 +264,49 @@ def test_step_solution_is_the_solve_solution(index):
 
 def test_step_cocycles_span_z1():
     A, R = kpoints(F3, 2), truncated_polynomial(F3, 3)
-    step = DeformationSetup(A, R).lift_step
-    cx = step.kernel_complex.complex
+    ext = DeformationSetup(A, R).extension
+    cx = ext.complex
     z1 = cx.space.dim_of_degree(1) - cx.matrix_of_d(1)[0].row_reduce().rank
-    assert len(step.cocycles()) == z1
-    assert len(step.cocycle_span()) == 3 ** z1
-    for z in step.cocycles():
-        assert not step.setup.mc_residual(z)
+    assert len(ext.cocycles()) == z1
+    assert len(ext.cocycle_span()) == 3 ** z1
+    for z in ext.cocycles():
+        assert not ext.setup.mc_residual(z)
 
 
 def test_each_level_is_built_once(monkeypatch):
     """enumerate_mc, _gauge_classes and lift_mc walk one shared chain.
 
-    One DeformationSetup per level R/m^5, .., R/m^2; before the chain,
-    pi0 built the levels below the top twice and lift_mc built 7.
+    One DeformationSetup per level R/m^5, .., R/m^2, and at most one
+    SmallExtension; before the chain, pi0 built the levels below the
+    top twice and lift_mc built 7.  lift_mc needs no extension over
+    R/m^2, whose points it is given.
     """
-    built = []
+    built, extended = [], []
     original = DeformationSetup.__init__
+    original_ext = SmallExtension.__init__
 
     def counting(self, A, R):
         built.append(R.nu)
         original(self, A, R)
 
+    def counting_ext(self, setup):
+        extended.append(setup.nu)
+        original_ext(self, setup)
+
     monkeypatch.setattr(DeformationSetup, "__init__", counting)
+    monkeypatch.setattr(SmallExtension, "__init__", counting_ext)
     A, R = kpoints(F2, 2), truncated_polynomial(F2, 5)
     assert pi0(A, R).count == 256
-    assert sorted(built) == [2, 3, 4, 5]
+    assert sorted(built) == sorted(extended) == [2, 3, 4, 5]
     built.clear()
+    extended.clear()
+    assert len(enumerate_mc(A, R)) == 256
+    assert sorted(built) == sorted(extended) == [2, 3, 4, 5]
+    built.clear()
+    extended.clear()
     assert lift_mc(A, R, {("e1", "t"): F2.one})
     assert sorted(built) == [2, 3, 4, 5]
+    assert sorted(extended) == [3, 4, 5]
 
 
 def test_tower_builds_the_ideal_power_once(monkeypatch):
@@ -281,10 +318,11 @@ def test_tower_builds_the_ideal_power_once(monkeypatch):
         calls.append(n)
         return original(self, n)
 
+    R = truncated_polynomial(F3, 4)
     monkeypatch.setattr(ArtinianDGAlgebra, "ideal_power_subspace", counting)
-    tower = Tower(truncated_polynomial(F3, 4))
+    ext = DeformationSetup(xy(F3), R).extension
     assert calls == [3]
-    assert tower.kernel_rows == [{"t3": F3.one}]
+    assert ext.kernel_rows == [{"t3": F3.one}]
 
 
 def _small_extension_bases():
@@ -312,11 +350,11 @@ def _kills_m(R, rows):
 def test_tower_kernel_is_the_first_power_that_kills_m():
     """I = m^(nu-1) has I m = m I = 0, and no lower power of m has it.
 
-    Tower(R) checks nothing: both products lie in m^nu = 0.
+    SmallExtension checks nothing: both products lie in m^nu = 0.
     """
     count = 0
     for R in _small_extension_bases():
-        rows = Tower(R).kernel_rows
+        rows = quotient_by_power(R, R.nu - 1)[2]
         assert rows and _kills_m(R, rows)
         for k in range(1, R.nu - 1):
             assert not _kills_m(R, R.ideal_power(k))

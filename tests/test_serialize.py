@@ -123,11 +123,16 @@ def _op(arity, ins, out):
            _set(("ops", 0, "out", 0, "coeff"), "1/3")),
     # the augmentation is the unit's dual; no other label can carry it
     _chain(_set(("unit",), "1"), _set(("aug",), "x")),
+    _set(("arity_bound",), 2.5),
+    _set(("arity_bound",), "3"),
+    _set(("complete_to_arity",), "x"),
+    _set(("complete_to_arity",), 1.5),
 ], ids=["unknown input", "unknown output", "degree true", "degree 1.7",
         "arity true", "no label", "no degree", "no arity", "no in", "no out",
         "no coeff", "arity 0", "d squared nonzero", "coeff 1/0",
         "coeff word", "coeff null", "coeff list", "coeff 0.5", "coeff true",
-        "coeff int", "coeff 1/3 over F3", "aug not unit"])
+        "coeff int", "coeff 1/3 over F3", "aug not unit", "arity bound 2.5",
+        "arity bound string", "complete to x", "complete to 1.5"])
 def test_malformed_algebra_description_is_refused(mutate):
     algebra_from_json(_doc())  # the unmutated description loads
     doc = _doc()

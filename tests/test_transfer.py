@@ -346,7 +346,7 @@ def test_tree_sums_agree_on_the_golden_pair_to_arity_four():
     for field in (F2, F3, Q):
         for C in golden_dg_pair(field):
             t = build_splitting(C)
-            A, _ = minimal_model(C, 4, splitting=t)
+            A, _ = minimal_model(C, 4)
             bprime = tree_operations(C, t, 4)
             mprime = m_from_b(A.space, field, bprime)
             assert _table(mprime) == _table(A.m)
@@ -361,7 +361,7 @@ def test_tree_sums_agree_at_arity_three():
         for seed in seeds:
             C, tag = _dg_instance(field, seed)
             t = build_splitting(C)
-            A, _ = minimal_model(C, 3, splitting=t)
+            A, _ = minimal_model(C, 3)
             mprime = m_from_b(A.space, field, tree_operations(C, t, 3))
             assert _table(mprime) == _table(A.m), tag
 
@@ -434,7 +434,7 @@ def test_minimal_model_matches_the_recursion_oracle(make):
     """
     C = make()
     t = build_splitting(C)
-    A, f = minimal_model(C, 4, splitting=t)
+    A, f = minimal_model(C, 4)
     mops, comps = minimal_model_oracle(C, 4, t)
     assert [(n, list(tb.items())) for n, tb in A.m.entries.items()] == \
         [(n, list(tb.items())) for n, tb in mops.entries.items()]
@@ -464,12 +464,6 @@ def test_rejects_inputs_with_higher_operations():
     M, _ = minimal_model(A, 3)
     with pytest.raises(ValueError, match="DG algebras"):
         minimal_model(M, 3)
-
-
-def test_rejects_a_splitting_of_a_different_algebra():
-    c1, c2 = golden_dg_pair(F2)
-    with pytest.raises(ValueError, match="different algebra"):
-        minimal_model(c1, 3, splitting=build_splitting(c2))
 
 
 # ---------------------------------------------------------------------------

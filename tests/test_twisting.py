@@ -10,6 +10,7 @@ cross-checked by enumerating algebra maps directly on the adapted
 basis of H^0 instead of through the presentation.
 """
 
+import re
 from itertools import product as iter_product
 
 import pytest
@@ -864,6 +865,18 @@ def test_unit_inversion_certified_everywhere():
         one = {R.unit: R.field.one}
         for u in units:
             assert R.multiply(u, invert_unit(R, u)) == one
+
+
+@pytest.mark.parametrize("u, named", [
+    ({"1": F2(1), "zz": F2(1)}, "'zz'"),
+    ({"1": 1}, "'1'"),
+    ({"1": F3(1)}, "'1'"),
+    ([("1", 1)], "dict"),
+], ids=["foreign-label", "int-coefficient", "other-field", "not-a-dict"])
+def test_unit_inversion_refuses_what_the_certificate_cannot_see(u, named):
+    """R.multiply reads a label outside its table as zero."""
+    with pytest.raises(ValueError, match=re.escape(named)):
+        invert_unit(truncated_polynomial(F2, 3), u)
 
 
 def test_conjugation_orbits_partition_the_maps():
