@@ -26,9 +26,18 @@ and check_ainf_morphism join the tables and visit only the tuples some
 composite produces.  The per-tuple functions name the witness of a
 failure, and replayed over every tuple they are the oracle the joins
 are tested against.
+
+Every multilinear evaluation (eval_m_vectors, compose_morphisms, the
+twisted operations and the pushforward's f x mu_R) runs through one
+kernel, _expand.  Values are raw inside it, ints mod p or ints and
+Fractions over Q, and Scalar at its edge: inputs are read once and
+each output coefficient is wrapped once.  tensor_with_dg regroups each
+entry of A only against the words of C whose product is nonzero
+(_base_words), built once per arity.
 """
 
 from itertools import count, product as iter_product
+from math import prod
 
 from .errors import _integer
 from .linalg import (
@@ -39,6 +48,7 @@ from .linalg import (
     vec_is_zero,
     vec_scale,
 )
+from .scalars import Scalar
 
 
 # ---------------------------------------------------------------------------
@@ -187,14 +197,10 @@ class AInfAlgebra:
 
     def eval_m_vectors(self, vecs):
         """Multilinear extension of m_n to sparse vectors (no extra signs)."""
-        out = {}
-        if len(vecs) > self.arity_bound:
-            return out
-        table = self.m.entries.get(len(vecs), {})
-        if not table:
-            return out
-        _expand(vecs, 0, (), self.field.one, table.get, out)
-        return out
+        table = self.m.entries.get(len(vecs))
+        if not table or len(vecs) > self.arity_bound:
+            return {}
+        return _expand(self.field, vecs, table.get)
 
     def complex(self):
         d = {args[0]: vec for args, vec in self.m.entries.get(1, {}).items()}
@@ -204,20 +210,72 @@ class AInfAlgebra:
         return self.complete_to_arity is None or arity_needed <= self.complete_to_arity
 
 
-def _expand(vecs, i, args, coeff, value, out):
-    """out += the multilinear extension of value(label tuple) to vecs.
+def _expand(field, vecs, value):
+    """The multilinear extension of value(label tuple) to vecs, fresh.
 
     Tuples are visited in itertools.product order over the vectors'
-    own item orders, each with the product of its coefficients.
+    own item orders, each with the product of its coefficients, and
+    the sum accumulates by vec_add's rule (a key that cancels is
+    deleted), so the output keys come in the same order as summing
+    Scalar by Scalar would give them.
+
+    Values are raw inside the kernel: ints mod p over F_p (left
+    unreduced until the end), ints and Fractions over Q.  Each
+    coefficient is read once; a Scalar over field itself passes as it
+    is and anything else goes through _raw.  The edge wraps one
+    canonical Scalar per output key.
     """
-    if i == len(vecs):
+    rows = []
+    for vec in vecs:
+        row = [(k, c.val if type(c) is Scalar and c.field is field
+                else _raw(field, c))
+               for k, c in vec.items() if c]
+        if not row:
+            return {}
+        rows.append(row)
+    if len(rows) == 1:
+        terms = (((k,), c) for k, c in rows[0])
+    elif len(rows) == 2:
+        last = rows[1]
+        terms = (((k1, k2), c1 * c2) for k1, c1 in rows[0] for k2, c2 in last)
+    else:
+        terms = ((tuple(k for k, _ in combo), prod(c for _, c in combo))
+                 for combo in iter_product(*rows))
+    p = field.p
+    acc = {}
+    for args, coeff in terms:
         vec = value(args)
-        if vec:
-            vec_add(out, vec, coeff)
-        return
-    for lbl, c in vecs[i].items():
-        if c:
-            _expand(vecs, i + 1, args + (lbl,), coeff * c, value, out)
+        if not vec:
+            continue
+        for k, v in vec.items():
+            w = coeff * (v.val if type(v) is Scalar and v.field is field
+                         else _raw(field, v))
+            if k in acc:
+                s = acc[k] + w
+                if s % p if p else s:
+                    acc[k] = s
+                else:
+                    del acc[k]
+            elif w:
+                acc[k] = w
+    if p:
+        return {k: Scalar(field, s % p) for k, s in acc.items()}
+    return {k: Scalar(field, s if type(s) is int or s.denominator != 1
+                      else s.numerator)
+            for k, s in acc.items()}
+
+
+def _raw(field, c):
+    """The raw value of a coefficient that is not a Scalar over field.
+
+    Ints and Scalars over an equal field are coerced; a Scalar over
+    another field raises FieldMismatch and anything else TypeError, as
+    Scalar arithmetic does.
+    """
+    if isinstance(c, Scalar) or (isinstance(c, int)
+                                 and not isinstance(c, bool)):
+        return field(c).val
+    raise TypeError("coefficient %r is not a scalar over %r" % (c, field))
 
 
 # ---------------------------------------------------------------------------
@@ -676,9 +734,7 @@ def compose_morphisms(g, f, arity_bound=None):
         for args in iter_product(A1.space.labels, repeat=n):
             acc = {}
             for blocks, exponent, pieces in _block_terms(f, args, g.f.arities()):
-                out = {}
-                value = g.f.entries[len(blocks)].get
-                _expand(pieces, 0, (), A1.field.one, value, out)
+                out = _expand(A1.field, pieces, g.f.entries[len(blocks)].get)
                 vec_add(acc, out, A1.field.sign(exponent))
             if vec_clean(acc):
                 comps.set(n, args, acc)
@@ -734,7 +790,14 @@ def tensor_with_dg(A, C):
     m_1 is m_1 x 1 + 1 x d_C; for n >= 2,
     m_n(a_1 x c_1, ..., a_n x c_n) =
         (-1)^(sum_{i<j} deg(a_j) deg(c_i)) m_n(a_1..a_n) x c_1...c_n.
+
+    Each entry of A is regrouped only against the words c_1 .. c_n
+    whose product is nonzero (_base_words), in itertools.product order.
     """
+    if not isinstance(C, AInfAlgebra):
+        raise ValueError(
+            "the tensor factor must be an AInfAlgebra, got a %s; for an "
+            "artinian base pass its .algebra" % type(C).__name__)
     if C.m.max_arity() > 2:
         raise ValueError("tensor factor must be a DG algebra (arity <= 2)")
     field = A.field
@@ -760,17 +823,15 @@ def tensor_with_dg(A, C):
             if vec_clean(vec):
                 ops.set(1, (tensor_label(a, c),), vec)
     # higher operations
-    c_labels = C.space.labels
+    words = _base_words(C, A.m.max_arity())
     for n, table in A.m.entries.items():
         if n < 2:
             continue
         for a_args, a_vec in table.items():
             a_degs = [A.deg(a) for a in a_args]
-            for c_args in iter_product(c_labels, repeat=n):
-                vec = _regrouped(a_vec, a_degs, C, c_args)
-                if vec:
-                    args = tuple(tensor_label(a, c) for a, c in zip(a_args, c_args))
-                    ops.add(n, args, vec)
+            for c_args, c_prod in words[n - 1].items():
+                args = tuple(map(tensor_label, a_args, c_args))
+                ops.set(n, args, _regrouped(a_vec, a_degs, C, c_args, c_prod))
     unit = None
     if A.unit is not None and C.unit is not None:
         unit = tensor_label(A.unit, C.unit)
@@ -779,28 +840,45 @@ def tensor_with_dg(A, C):
                        complete_to_arity=A.complete_to_arity)
 
 
-def _regrouped(a_vec, a_degs, C, c_args):
-    """a_vec x c_1 ... c_n with the sign of regrouping A x C factors.
+def _base_words(C, n):
+    """The nonzero ordered products of basis labels of C, by length.
+
+    Entry k of the list is a dict from each word of length k + 1 whose
+    product is nonzero to that product, in itertools.product order over
+    C's labels.  Words are built by prefix extension, as
+    bar.word_products builds them for S_N: a word whose prefix product
+    vanishes vanishes too, so only nonzero prefixes are extended.
+    """
+    one = C.field.one
+    layers = [{(c,): {c: one} for c in C.space.labels}]
+    m2 = C.m.entries.get(2, {}).get
+    while len(layers) < n:
+        longer = {}
+        for word, product in layers[-1].items():
+            for letter, letter_vec in layers[0].items():
+                vec = _expand(C.field, [product, letter_vec], m2)
+                if vec:
+                    longer[word + letter] = vec
+        layers.append(longer)
+    return layers
+
+
+def _regrouped(a_vec, a_degs, C, c_args, c_prod):
+    """a_vec x c_prod with the sign of regrouping A x C factors.
 
     Gathering (a_1 x c_1) ... (a_n x c_n) into (a_1 ... a_n) x (c_1 ... c_n)
     moves each c_i past the later a_j, which costs
     sum_{i<j} deg(a_j) deg(c_i); a_vec is the value on a_1 .. a_n of
-    whatever map acts on the A-factors, and the C-factors multiply
-    left to right.  Returns {} when the product in C vanishes.
+    whatever map acts on the A-factors, and c_prod is the nonzero
+    product c_1 ... c_n in C (_base_words).
     """
-    prod = {c_args[0]: C.field.one}
-    for c in c_args[1:]:
-        nxt = {}
-        for lbl, coeff in prod.items():
-            vec_add(nxt, C.m.get(2, (lbl, c)), coeff)
-        prod = vec_clean(nxt)
-        if not prod:
-            return {}
     sign = C.field.sign(tensor_block_exponent(a_degs, [C.deg(c) for c in c_args]))
     out = {}
     for out_a, ca in a_vec.items():
-        for out_c, cc in prod.items():
-            vec_add(out, {tensor_label(out_a, out_c): sign * ca * cc})
+        for out_c, cc in c_prod.items():
+            w = sign * ca * cc
+            if w:
+                out[tensor_label(out_a, out_c)] = w
     return out
 
 

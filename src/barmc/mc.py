@@ -25,6 +25,7 @@ from itertools import product as iter_product
 from random import Random
 
 from .ainfinity import (
+    _base_words,
     _expand,
     _regrouped,
     check_ainf_morphism,
@@ -148,19 +149,25 @@ class DeformationSetup:
         return self.ideal_space.labels_of_degree(k)
 
     def check_mc_input(self, alpha):
-        if not isinstance(alpha, dict):
-            raise ValueError("an element is a dict label -> scalar, got %r"
-                             % (alpha,))
+        self._check_vector(alpha, "element", self._ideal_set, "A x m")
         for l, c in alpha.items():
+            if c and self.T.deg(l) != 1:
+                raise ValueError("element has a component %r of degree %d"
+                                 % (l, self.T.deg(l)))
+
+    def _check_vector(self, v, what, labels, where):
+        """v is a dict from labels to Scalars over the field; ValueError if not."""
+        if not isinstance(v, dict):
+            raise ValueError("%s %r is not a dict label -> scalar"
+                             % (what, v))
+        for l, c in v.items():
             if not isinstance(c, Scalar) or (c.field is not self.field
                                              and c.field != self.field):
                 raise ValueError("coefficient %r at %r is not a scalar over %r"
                                  % (c, l, self.field))
-            if l not in self._ideal_set:
-                raise ValueError("element has a component %r outside A x m" % (l,))
-            if c and self.T.deg(l) != 1:
-                raise ValueError("element has a component %r of degree %d"
-                                 % (l, self.T.deg(l)))
+            if l not in labels:
+                raise ValueError("%s has a component %r outside %s"
+                                 % (what, l, where))
 
     def mc_residual(self, alpha):
         """Sum (-1)^(n(n+1)/2) m_n(alpha..alpha), truncated and verified.
@@ -262,6 +269,9 @@ class DeformationSetup:
                 if self.mc_residual(a):
                     raise HypothesisNotMet(
                         "category operations are defined on MC objects only")
+            for x in morphisms:
+                self._check_vector(x, "morphism", self.T.space.index,
+                                   "A x R")
         return self._insertions(self.T.eval_m_vectors, self.A.arity_bound,
                                 objects, morphisms)
 
@@ -1029,9 +1039,6 @@ def lift_mc(A, R, alpha0, seed=1):
         return LiftOutcome(True, element=vec_clean(dict(alpha0)), level=R.nu)
     chain = DeformationSetup(A, R).chain()[::-1]
     setup0 = chain[0]
-    if set(setup0.R.space.labels) != set(
-            quotient_by_power(R, 2)[0].space.labels):
-        raise MathCheckFailure("tower levels disagree on basis labels")
     if setup0.mc_residual(alpha0):
         raise HypothesisNotMet("the seed element must be MC over R/m^2")
     current = dict(alpha0)
@@ -1062,21 +1069,27 @@ def _eval_f_tensor(f, R, vecs):
     """(f_n x mu_R)(v_1, .., v_n) with the tensor Koszul sign.
 
     The regrouping is the tensor-algebra one (ainfinity._regrouped),
-    with f_n in place of m_n on the A-factors; labels are visited in
-    repr order.
+    with f_n in place of m_n on the A-factors, against the nonzero
+    words of R that tensor_with_dg reads (ainfinity._base_words);
+    labels are visited in repr order.
     """
+    words = _base_words(R.algebra, len(vecs))[-1]
+
     def value(args):
+        r_args = tuple(r for _, r in args)
+        r_prod = words.get(r_args)
+        if not r_prod:
+            return {}
         a_args = tuple(a for a, _ in args)
         fvec = f.eval_f(a_args)
         if not fvec:
             return {}
         return _regrouped(fvec, [f.source.deg(a) for a in a_args],
-                          R.algebra, [r for _, r in args])
+                          R.algebra, r_args, r_prod)
 
-    out = {}
-    _expand([dict(sorted(v.items(), key=lambda kv: repr(kv[0])))
-             for v in vecs], 0, (), f.source.field.one, value, out)
-    return out
+    return _expand(f.source.field,
+                   [dict(sorted(v.items(), key=lambda kv: repr(kv[0])))
+                    for v in vecs], value)
 
 
 def _require_strictly_unital(f):

@@ -285,11 +285,10 @@ class TwistedStructure:
 
     def op(self, x_vec, a_vecs):
         """m_n(x, a_1, .., a_{n-1}) extended linearly from the tables."""
-        out = {}
         table = self.ops.entries.get(1 + len(a_vecs), {})
-        _expand([x_vec] + [dict(sorted(a.items())) for a in a_vecs],
-                0, (), self.field.one, table.get, out)
-        return out
+        return _expand(self.field,
+                       [x_vec] + [dict(sorted(a.items())) for a in a_vecs],
+                       table.get)
 
     def cohomology_dims(self):
         return self.complex.total_cohomology_dims()

@@ -46,6 +46,13 @@ which read only the words the quotient keeps.  ``algebra_maps_oracle``
 is ``algebra_maps`` with its own coefficient sweep, chunked into
 generator images, and its own monomial products.
 
+``expand_oracle`` is the multilinear evaluation kernel as it was
+before it ran on raw values: a recursion over the vectors that
+multiplies Scalars along each tuple and adds with ``vec_add``.
+``tensor_with_dg_oracle`` is ``tensor_with_dg`` from then, which
+regrouped every entry of A against all |C|^n base tuples and
+multiplied each tuple's product afresh.
+
 ``enumerate_mc_oracle`` is ``DeformationSetup.enumerate_mc`` as it was
 before lifting along the tower: the full residual on every one of the
 p^k candidates, in ``itertools.product`` order, with the same refusals.
@@ -64,6 +71,7 @@ from itertools import product
 from math import gcd
 
 from barmc.ainfinity import (
+    AInfAlgebra,
     CheckReport,
     StructureMaps,
     b_from_m,
@@ -71,6 +79,7 @@ from barmc.ainfinity import (
     koszul_pass_exponent,
     morphism_residual,
     stasheff_residual,
+    tensor_block_exponent,
     tensor_label,
     tensor_with_dg,
 )
@@ -878,3 +887,81 @@ def algebra_maps_oracle(pres, R):
         if ok:
             maps.append(tuple(images))
     return maps
+
+
+def expand_oracle(field, vecs, value):
+    """The multilinear extension of value(label tuple) to vecs.
+
+    Tuples in itertools.product order over the vectors' item orders,
+    skipping zero coefficients, each with the Scalar product of its
+    coefficients starting from field.one.
+    """
+    out = {}
+
+    def walk(i, args, coeff):
+        if i == len(vecs):
+            vec = value(args)
+            if vec:
+                vec_add(out, vec, coeff)
+            return
+        for lbl, c in vecs[i].items():
+            if c:
+                walk(i + 1, args + (lbl,), coeff * c)
+
+    walk(0, (), field.one)
+    return out
+
+
+def tensor_with_dg_oracle(A, C):
+    """A x C with every entry of A regrouped against all |C|^n tuples."""
+    field = A.field
+    basis = []
+    for a in A.space.labels:
+        for c in C.space.labels:
+            basis.append((tensor_label(a, c), A.deg(a) + C.deg(c)))
+    space = GradedSpace(basis)
+    ops = StructureMaps()
+    for a in A.space.labels:
+        for c in C.space.labels:
+            vec = {}
+            for out_a, coeff in A.m.get(1, (a,)).items():
+                vec_add(vec, {tensor_label(out_a, c): coeff})
+            dc = C.m.get(1, (c,))
+            if dc:
+                sgn = field.sign(A.deg(a))
+                for out_c, coeff in dc.items():
+                    vec_add(vec, {tensor_label(a, out_c): sgn * coeff})
+            if vec_clean(vec):
+                ops.set(1, (tensor_label(a, c),), vec)
+    for n, table in A.m.entries.items():
+        if n < 2:
+            continue
+        for a_args, a_vec in table.items():
+            a_degs = [A.deg(a) for a in a_args]
+            for c_args in product(C.space.labels, repeat=n):
+                prod = {c_args[0]: C.field.one}
+                for c in c_args[1:]:
+                    nxt = {}
+                    for lbl, coeff in prod.items():
+                        vec_add(nxt, C.m.get(2, (lbl, c)), coeff)
+                    prod = vec_clean(nxt)
+                    if not prod:
+                        break
+                if not prod:
+                    continue
+                sign = C.field.sign(tensor_block_exponent(
+                    a_degs, [C.deg(c) for c in c_args]))
+                vec = {}
+                for out_a, ca in a_vec.items():
+                    for out_c, cc in prod.items():
+                        vec_add(vec, {tensor_label(out_a, out_c):
+                                      sign * ca * cc})
+                if vec:
+                    args = tuple(tensor_label(a, c)
+                                 for a, c in zip(a_args, c_args))
+                    ops.add(n, args, vec)
+    unit = None
+    if A.unit is not None and C.unit is not None:
+        unit = tensor_label(A.unit, C.unit)
+    return AInfAlgebra(space, field, ops, arity_bound=A.arity_bound,
+                       unit=unit, complete_to_arity=A.complete_to_arity)

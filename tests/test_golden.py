@@ -1,4 +1,4 @@
-"""Golden digest of canonical outputs over Q.
+"""Golden digests of canonical outputs over Q and over F_p.
 
 Pins a SHA-256 of the canonical JSON that probes and one minimal model
 produce, so any change to scalar arithmetic or elimination that is
@@ -6,21 +6,40 @@ meant to compute the same thing must leave every byte in place.  The
 digest was taken before integral rationals were stored as ints; if a
 change moves it, the outputs below differ and the change is not a pure
 speed-up.
+
+The second digest covers the Maurer-Cartan side over F_2 and F_3: the
+enumerated MC set, the pi_0 classes with their tower levels, a full
+comparison report and the tables of one tensor product.  Vectors and
+tables are written in their dict order, not sorted, so a change that
+reorders keys moves it too.  It was taken before multilinear
+evaluation ran on raw field values.
 """
 
 import hashlib
 
 from barmc.ainfinity import tensor_with_dg
+from barmc.artin import truncated_polynomial
 from barmc.bar import koszul_probe
-from barmc.examples import acyclic_cone, kpoints, xy
+from barmc.examples import acyclic_cone, kpoints, njac, xy
+from barmc.mc import enumerate_mc, pi0
 from barmc.scalars import Field
-from barmc.serialize import algebra_to_json, dumps_canonical, vector_to_json
+from barmc.serialize import (
+    algebra_to_json,
+    dumps_canonical,
+    label_to_json,
+    vector_to_json,
+)
 from barmc.transfer import minimal_model
+from barmc.twisting import prorep_compare
 
 Q = Field.rationals()
+F2 = Field.prime(2)
+F3 = Field.prime(3)
 
 GOLDEN_SHA256 = (
     "c39dd7c5ee0db21c57c596f89d1c7b1f59014ff710a10243154dcac7a19c7cf1")
+GOLDEN_FP_SHA256 = (
+    "137a25be5f46755cc1e978b1c6678e038d5297060bcc8f7980f5d7ef264f8c5d")
 
 
 def probe_doc(A, N):
@@ -52,3 +71,45 @@ def golden_digest():
 
 def test_canonical_outputs_over_q_are_byte_identical():
     assert golden_digest() == GOLDEN_SHA256
+
+
+def ordered(vec):
+    """A sparse vector as [label, coefficient] pairs in its dict order."""
+    return [[label_to_json(l), c.as_string()] for l, c in vec.items()]
+
+
+def classes_doc(report):
+    return {
+        "classes": [[ordered(v) for v in cls] for cls in report.classes],
+        "levels": report.levels,
+    }
+
+
+def golden_fp_docs():
+    k2, k3, j2 = kpoints(F2, 2), kpoints(F2, 3), njac(F3, 2)
+    docs = [[ordered(v) for v in enumerate_mc(k3, truncated_polynomial(F2, 5))],
+            classes_doc(pi0(k2, truncated_polynomial(F2, 4)))]
+    rep = prorep_compare(j2, truncated_polynomial(F3, 3), 3)
+    pres = rep.presentation
+    docs.append({
+        "lhs": rep.lhs, "rhs": rep.rhs, "ok": rep.ok,
+        "problems": rep.problems,
+        "maps": [[ordered(w) for w in t] for t in rep.maps],
+        "classes": classes_doc(rep.classes),
+        "matching": sorted(rep.matching.items()),
+        "order": rep.order,
+        "orbits": rep.orbits,
+        "values": [[list(m), ordered(v)] for m, v in pres.values.items()],
+        "relations": [[[list(m), c.as_string()] for m, c in r.items()]
+                      for r in pres.relations],
+    })
+    T = tensor_with_dg(k2, truncated_polynomial(F2, 4).algebra)
+    docs.append([[n, [[label_to_json(args), ordered(vec)]
+                      for args, vec in table.items()]]
+                 for n, table in T.m.entries.items()])
+    return docs
+
+
+def test_canonical_outputs_over_fp_are_byte_identical():
+    text = "".join(dumps_canonical(doc) for doc in golden_fp_docs())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_FP_SHA256

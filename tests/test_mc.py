@@ -274,6 +274,23 @@ def test_mc_coefficients_must_be_scalars_over_the_field(entry, coeff):
         run(setup, {("e1", "t"): coeff})
 
 
+@pytest.mark.parametrize("bad, name", [
+    ({("zz", "t"): F2.one}, "('zz', 't')"),
+    ({("e1", "t"): 1}, "('e1', 't')"),
+    ({("e1", "t"): F3.one}, "('e1', 't')"),
+    ([(("e1", "t"), F2.one)], "('e1', 't')"),
+], ids=["label", "int", "F3", "list"])
+def test_category_op_refuses_a_malformed_morphism(bad, name):
+    """A ValueError naming the label, not a KeyError or AttributeError."""
+    setup = DeformationSetup(kpoints(F2, 2), truncated_polynomial(F2, 3))
+    good = {("e1", "t"): F2.one}
+    assert setup.category_op([{}, {}, {}], [good, {("e2", "t"): F2.one}])
+    with pytest.raises(ValueError, match=re.escape(name)):
+        setup.category_op([{}, {}], [bad])
+    with pytest.raises(ValueError, match=re.escape(name)):
+        setup.category_op([{}, {}, {}], [good, bad])
+
+
 def test_mc_coefficients_over_an_equal_field_instance_are_accepted():
     setup = DeformationSetup(kpoints(F2, 2), truncated_polynomial(F2, 4))
     twin = Field("Fp", 2)

@@ -22,6 +22,7 @@ from barmc.bar import dual_dg_algebra
 from barmc.errors import HypothesisNotMet, MathCheckFailure
 from barmc.examples import kpoints, njac, random_instance, xy
 from barmc.linalg import GradedSpace, vec_add, vec_clean
+import barmc.mc as mc_module
 from barmc.mc import (
     DeformationSetup,
     SmallExtension,
@@ -182,6 +183,26 @@ def test_lift_evaluates_each_residual_once(monkeypatch, A, R, alpha0, lifted,
     monkeypatch.setattr(DeformationSetup, "mc_residual", counted)
     assert lift_mc(A, R, alpha0).ok == lifted
     assert len(calls) == want
+
+
+def test_lift_builds_each_quotient_once(monkeypatch):
+    """One quotient per level of the chain: R/m^5, .., R/m^2 over t^6.
+
+    lift_mc also built R/m^2 directly, only to compare its labels with
+    the chain's bottom; test_the_chain_bottom_is_the_direct_quotient
+    makes that comparison instead.
+    """
+    calls = []
+    original = mc_module.quotient_by_power
+
+    def counted(R, n):
+        calls.append((R.nu, n))
+        return original(R, n)
+
+    monkeypatch.setattr(mc_module, "quotient_by_power", counted)
+    assert lift_mc(kpoints(F2, 2), truncated_polynomial(F2, 6),
+                   {("e1", "t"): F2.one})
+    assert calls == [(6, 5), (5, 4), (4, 3), (3, 2)]
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -360,3 +381,27 @@ def test_tower_kernel_is_the_first_power_that_kills_m():
             assert not _kills_m(R, R.ideal_power(k))
         count += 1
     assert count == 15 + 1 + 1 + 4 + 36
+
+
+def _tables(R):
+    return {n: table for n, table in R.algebra.m.entries.items() if table}
+
+
+def test_the_chain_bottom_is_the_direct_quotient():
+    """R/m^(nu-1)/.../m^2 along the chain equals quotient_by_power(R, 2).
+
+    Same labels in the same order, degrees, unit and tables, on every
+    base of this module.  At nu = 2 the chain's bottom is R itself.
+    """
+    bases = [(make_a(), make_r()) for make_a, make_r in ORACLE_CASES.values()]
+    bases += [(kpoints(R.field, 1), R) for R in _small_extension_bases()]
+    deep = 0
+    for A, R in bases:
+        chain = DeformationSetup(A, R).chain()
+        bottom, direct = chain[-1].R, quotient_by_power(R, 2)[0]
+        assert bottom.space.labels == direct.space.labels
+        assert bottom.space.degree == direct.space.degree
+        assert bottom.unit == direct.unit and bottom.nu == direct.nu
+        assert _tables(bottom) == _tables(direct)
+        deep += len(chain) > 2
+    assert len(bases) == len(ORACLE_CASES) + 57 and deep >= 10
