@@ -122,15 +122,19 @@ def _ideal_powers(A, ideal):
 
 
 def _is_commutative(A):
-    sign = A.field.sign
-    for x in A.space.labels:
-        for y in A.space.labels:
-            xy = A.m.get(2, (x, y))
-            yx = A.m.get(2, (y, x))
-            s = sign(A.deg(x) * A.deg(y))
-            if vec_clean({k: xy.get(k, A.field.zero) - s * yx.get(k, A.field.zero)
-                          for k in set(xy) | set(yx)}):
-                return False
+    """m_2(x, y) = (-1)^(|x||y|) m_2(y, x), read off the m_2 entries.
+
+    A pair with neither product stored commutes trivially, and a pair
+    with one stored is met from that entry.
+    """
+    sign, zero = A.field.sign, A.field.zero
+    table = A.m.entries.get(2, {})
+    for (x, y), xy in table.items():
+        yx = table.get((y, x), {})
+        s = sign(A.deg(x) * A.deg(y))
+        if vec_clean({k: xy.get(k, zero) - s * yx.get(k, zero)
+                      for k in set(xy) | set(yx)}):
+            return False
     return True
 
 

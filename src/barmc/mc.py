@@ -16,8 +16,12 @@ Its n = 1 case is the differential on morphism complexes, and for a DG
 algebra it collapses to d(x) + beta x - (-1)^|x| x alpha.  Its n = 0
 case is the MC residual, and with f in place of m and i_k(i_k-1)/2 in
 place of i_k(i_k+1)/2 it is the pushforward along an A-infinity
-morphism f.  All of them, and the twisted modules, are one insertion
-sum (_insertion_sum), which holds the only copy of eps.
+morphism f.  All of them are one insertion sum (_insertion_sum), which
+holds the only copy of eps and the check that a term with nu
+insertions vanishes.  The twisted modules of twisting.py run it once
+per arity, with the twist in the last slot only and terms that are
+whole tables rather than vectors; their dual-side comodules transpose
+those tables and do not sum again.
 """
 
 from functools import cached_property

@@ -5,28 +5,27 @@ cochain: a degree-1 map R* -> A that kills the counit functional,
 r* |-> the A-part of alpha at the base label r.  CorepresentingHom
 reads the cochain off alpha by transposing it, and pushing it through
 iterated deconcatenation gives a map from the dual word algebra S_N
-into R.  The same left-insertion sums that
-twist the hom complexes make A x R into an A-infinity module.
+into R.  The same left-insertion sums that twist the hom complexes
+make A x R into an A-infinity module.
 
-One engine, TwistedStructure, builds every twisted module here, and
-it has three uses: TwistedModule (A x R twisted by alpha), the
-UniversalDeformation (the same module over the base S_N, twisted by
-the universal cochain), and TwistedComodule (A x R* for a classical
-base, twisted through contraction).  They differ only in their space
-and in the i-fold insertion.
+Every twisted table here comes from one join (TwistedModule._tables):
+per arity, one mc._insertion_sum whose terms are read off the tensor
+algebra's tables for all arguments at once.  TwistedModule holds A x R
+twisted by alpha; UniversalDeformation is the same module over the
+base S_N, twisted by the universal cochain; and TwistedComodule, A x R*
+for a classical base, takes the module tables transposed on the base
+factor.
 
 Nothing here trusts a dualization sign.  The word-algebra map is
 forced by multiplicativity from its weight-one entries and then
 certified to be a DG algebra map on the generators of S_N, which
-extends to every word by induction on word length; the engine
+extends to every word by induction on word length; TwistedModule
 certifies that the twisted differential squares to zero and that the
 module Stasheff identities hold on every mixed tuple.  The classical
 comparison runs both sides by exhaustion: algebra maps out of a
 generators-and-relations presentation of H^0(S_N) on one side, gauge
 classes on the other, matched through the corepresenting maps.
 """
-
-from itertools import product as iter_product
 
 from .ainfinity import (
     _expand,
@@ -175,28 +174,22 @@ def check_tower_compatibility(big, small):
 # twisted modules
 
 
-class TwistedStructure:
-    """The twisted-module engine: a space over A x R and its twisted maps.
+class TwistedModule:
+    """A x R carrying the structure maps twisted by alpha.
 
-    The n-th map takes one element of the twisted space and n - 1
-    elements of A.  Its value is a signed sum over the number i of
-    twist insertions,
+    The n-th map takes one element of A x R and n - 1 elements of A,
+    with the twist inserted on the left through the tensor algebra:
 
         m_n(x, a_1, .., a_{n-1}) =
-            sum over i >= 0 of (-1)^(i(i+1)/2 + n i) insertion_i(x, a_1, ..),
+            sum over i >= 0 of (-1)^(i(i+1)/2 + n i)
+                m_{n+i}(alpha, .., alpha, x, a_1 x 1, .., a_{n-1} x 1).
 
-    cut at the arity bound of A and at the nilpotency index nu of the
-    base.  This is mc._insertion_sum with objects (0, .., 0, alpha):
-    the twist sits in the last slot only, so the category exponent
-    reduces to i(i+1)/2 + n i, and when the arity bound reaches past nu
-    the nu-fold insertion is evaluated anyway and must vanish.  A
-    subclass supplies only the space and the i-fold insertion.
-
-    Construction certifies that the differential squares to zero,
-    naming a witness basis element when it does not; that is exactly
-    how a non-Maurer-Cartan twist surfaces.  The module Stasheff
-    identities are checked on every mixed tuple through a shim that
-    merges the twisted maps with the operations of A.
+    Setting alpha = 0 recovers the tensor algebra operations on the
+    nose.  Construction certifies that the differential squares to
+    zero, naming a witness basis element when it does not; that is
+    exactly how a non-Maurer-Cartan twist surfaces.  The module
+    Stasheff identities are checked on every mixed tuple through a shim
+    that merges the twisted maps with the operations of A.
     """
 
     def __init__(self, setup, alpha, check=True):
@@ -207,12 +200,12 @@ class TwistedStructure:
         self.T = setup.T
         self.field = setup.field
         self.alpha = vec_clean(dict(alpha))
-        self.space = self._space()
-        self.ops = self._assemble()
+        self.space = self.T.space
+        self.ops = self._tables()
+        self._d = {args[0]: vec
+                   for args, vec in self.ops.entries.get(1, {}).items()}
         self._certify_d_squared()
-        d = {l: dict(self.ops.get(1, (l,))) for l in self.space.labels
-             if self.ops.get(1, (l,))}
-        self.complex = Complex(self.space, d, self.field)
+        self.complex = Complex(self.space, self._d, self.field)
         self._shim = self._build_shim()
         if check:
             rep = self.check_module_axioms()
@@ -220,25 +213,50 @@ class TwistedStructure:
                 raise MathCheckFailure(
                     "module axioms fail on %r" % (rep.failure,))
 
-    def _assemble(self):
+    def _tables(self):
+        """One mc._insertion_sum per arity n, with objects (0, .., 0, alpha).
+
+        The sum holds the sign, the cut at the arity bound and at nu,
+        and the check that the nu-fold term vanishes.  Its term for i
+        insertions covers every (x, a_1, .., a_{n-1}) at once, keyed by
+        (that tuple, output label): the entries of the tensor algebra's
+        m_{n+i} whose first i slots lie in the support of alpha and
+        whose last n - 1 slots sit on the unit of R.
+        """
+        field, alpha = self.field, self.alpha
+        T_m, unit = self.T.m.entries, self.R.unit
         bound = self.A.arity_bound
-        ops = StructureMaps()
+        tables = {}
         for n in range(1, bound + 1):
-            objects = [{}] * n + [self.alpha]
-            for x in self.space.labels:
-                for rest in iter_product(self.A.space.labels, repeat=n - 1):
-                    acc = _insertion_sum(
-                        self.field,
-                        lambda counts: self._insertion(counts[-1], x, rest),
-                        objects, [0] * n, bound - n, self.setup.nu, 1)
-                    if acc:
-                        ops.set(n, (x,) + rest, acc)
-        return ops
+
+            def insertions(counts, n=n):
+                i = counts[-1]
+                flat = {}
+                for args, vec in T_m.get(n + i, {}).items():
+                    coeff = None
+                    for l in args[:i]:
+                        c = alpha.get(l)
+                        if c is None:
+                            break
+                        coeff = c if coeff is None else coeff * c
+                    else:
+                        tail = args[i + 1:]
+                        if all(r == unit for _, r in tail):
+                            key = (args[i],) + tuple(a for a, _ in tail)
+                            vec_add(flat, {(key, o): v
+                                           for o, v in vec.items()}, coeff)
+                return flat
+
+            table = tables.setdefault(n, {})
+            flat = _insertion_sum(field, insertions, [{}] * n + [alpha],
+                                  [0] * n, bound - n, self.setup.nu, 1)
+            for (args, o), c in flat.items():
+                table.setdefault(args, {})[o] = c
+        return StructureMaps(tables)
 
     def _certify_d_squared(self):
-        one = self.field.one
         for l in self.space.labels:
-            w = self.differential(self.differential({l: one}))
+            w = _apply_table(self._d, self._d.get(l, {}))
             if w:
                 raise MathCheckFailure(
                     "twisted differential fails to square to zero at %r "
@@ -267,10 +285,13 @@ class TwistedStructure:
         kept to the tuples whose first label is a module label and whose
         other labels are algebra labels; it covers exactly the tuples a
         replay of stasheff_residual over all of them would, and reports
-        the first failing one in that replay's order.
+        the first failing one in that replay's order.  n_max below 1 is
+        refused with ValueError.
         """
         cap = (_integer(n_max, "n_max") if n_max is not None
                else self.A.arity_bound + 1)
+        if cap < 1:
+            raise ValueError("n_max must be at least 1")
         failure = _first_stasheff_failure(self._shim, cap, self.space.index,
                                           self.A.space.index)
         if failure:
@@ -278,49 +299,31 @@ class TwistedStructure:
         return CheckReport(True, checked_to=cap)
 
     def differential(self, v):
-        out = {}
-        for l, c in v.items():
-            vec_add(out, self.ops.get(1, (l,)), c)
-        return vec_clean(out)
+        self.setup._check_vector(v, "vector", self.space.index, "the module")
+        return _apply_table(self._d, v)
 
     def op(self, x_vec, a_vecs):
-        """m_n(x, a_1, .., a_{n-1}) extended linearly from the tables."""
+        """m_n(x, a_1, .., a_{n-1}) extended linearly from the tables.
+
+        ValueError names any label outside the space or outside A.
+        """
+        check = self.setup._check_vector
+        check(x_vec, "module element", self.space.index, "the module")
+        for a in a_vecs:
+            check(a, "algebra element", self.A.space.index, "A")
         table = self.ops.entries.get(1 + len(a_vecs), {})
-        return _expand(self.field,
-                       [x_vec] + [dict(sorted(a.items())) for a in a_vecs],
-                       table.get)
+        return _expand(self.field, [x_vec] + list(a_vecs), table.get)
 
     def cohomology_dims(self):
         return self.complex.total_cohomology_dims()
-
-
-class TwistedModule(TwistedStructure):
-    """A x R carrying the structure maps twisted by alpha.
-
-    The twist is inserted on the left through the tensor algebra:
-
-        insertion_i(x, a_1, ..) =
-            m_{n+i}(alpha, .., alpha, x, a_1 x 1, .., a_{n-1} x 1).
-
-    Setting alpha = 0 recovers the tensor algebra operations on the
-    nose.  This is one of three uses of the engine: the twisted module
-    over an artinian base, the universal deformation (the same module
-    over the base S_N, twisted by the universal cochain), and the
-    dual-side TwistedComodule.
-    """
-
-    def _space(self):
-        return self.T.space
-
-    def _insertion(self, i, x, rest):
-        one = self.field.one
-        tail = [{tensor_label(a, self.R.unit): one} for a in rest]
-        return self.T.eval_m_vectors([self.alpha] * i + [{x: one}] + tail)
 
     def right_action(self, x_vec, r_vec):
         """x . r through the tensor algebra; needs the strict unit of A."""
         if self.A.unit is None:
             raise HypothesisNotMet("the base action needs a strict unit")
+        check = self.setup._check_vector
+        check(x_vec, "module element", self.space.index, "the module")
+        check(r_vec, "base element", self.R.space.index, "R")
         embed = {tensor_label(self.A.unit, r): c for r, c in r_vec.items()}
         return self.T.eval_m_vectors([x_vec, embed])
 
@@ -352,18 +355,25 @@ class UniversalDeformation(TwistedModule):
                          check=False)
 
     def check_base_change(self):
-        """Killing positive weight returns the operations of A exactly."""
+        """Killing positive weight returns the operations of A exactly.
+
+        Compared entry by entry against A.m, reporting the first
+        failing tuple in itertools.product order, arity by arity.
+        """
         A = self.A
         for n in range(1, A.arity_bound + 1):
-            for a0 in A.space.labels:
-                for rest in iter_product(A.space.labels, repeat=n - 1):
-                    full = self.ops.get(n, (tensor_label(a0, ()),) + rest)
-                    got = vec_clean({a2: c for (a2, w2), c in full.items()
-                                     if w2 == ()})
-                    want = vec_clean(dict(A.m.get(n, (a0,) + rest)))
-                    if got != want:
-                        return CheckReport(
-                            False, failure=(n, (a0,) + rest, got, want))
+            got = {}
+            for args, vec in self.ops.entries.get(n, {}).items():
+                if args[0][1] == ():
+                    got[(args[0][0],) + args[1:]] = {
+                        a2: c for (a2, w2), c in vec.items() if w2 == ()}
+            want = A.m.entries.get(n, {})
+            bad = [t for t in set(got) | set(want)
+                   if got.get(t, {}) != want.get(t, {})]
+            if bad:
+                t = min(bad, key=lambda t: [A.space.index[l] for l in t])
+                return CheckReport(False, failure=(
+                    n, t, got.get(t, {}), dict(want.get(t, {}))))
         return CheckReport(True, checked_to=A.arity_bound)
 
 
@@ -431,16 +441,17 @@ class ModuleIsomorphism:
                             % (l, a))
 
 
-class TwistedComodule(TwistedStructure):
+class TwistedComodule(TwistedModule):
     """A x R* for a classical base, twisted through contraction.
 
-    The label (a, r) stands for a x r*.  Each insertion multiplies its
-    A-parts on the left exactly as in the twisted module, while the
-    base side transposes left multiplication into a contraction of
-    functionals.  Classical bases only: their dual carries no
-    differential and no Koszul signs, so the transpose introduces no
-    second sign convention to trust.  The engine runs the same
-    certifications as for the module.
+    The label (a, r) stands for a x r*.  Insertions multiply A-parts on
+    the left as in the module, while left multiplication on the base
+    becomes contraction of functionals, so the tables are the module's
+    transposed on the base factor: ((a, u),) + rest -> (a2, r) becomes
+    ((a, r),) + rest -> (a2, u).  Classical bases only: their dual has
+    no differential and every regrouping sign is +1, so the transpose
+    brings no second sign convention.  R* is no right R-module through
+    the tensor algebra, so right_action is refused.
     """
 
     def __init__(self, setup, alpha, check=True):
@@ -450,50 +461,19 @@ class TwistedComodule(TwistedStructure):
                 "in degree 0")
         super().__init__(setup, alpha, check=check)
 
-    def _space(self):
-        return GradedSpace(
-            [(tensor_label(a, r), self.A.deg(a))
-             for a in self.A.space.labels for r in self.R.space.labels])
+    def _tables(self):
+        tables = {}
+        for n, table in super()._tables().entries.items():
+            out = tables.setdefault(n, {})
+            for args, vec in table.items():
+                (a, u), rest = args[0], args[1:]
+                for (a2, r), c in vec.items():
+                    out.setdefault(((a, r),) + rest, {})[(a2, u)] = c
+        return StructureMaps(tables)
 
-    def _contract(self, s_vec, r):
-        """The functional u |-> r*(s u), as a vector of functionals."""
-        out = {}
-        for s, cs in s_vec.items():
-            for u in self.R.space.labels:
-                c = self.R.algebra.m.get(2, (s, u)).get(r)
-                if c:
-                    vec_add(out, {u: cs * c})
-        return vec_clean(out)
-
-    def _insertion(self, i, x, rest):
-        """i-fold twist of m_n on a x r*, summed over ordered choices."""
-        A = self.A
-        a, r = x
-        out = {}
-        if i == 0:
-            avec = A.eval_m((a,) + rest)
-            for a2, c in avec.items():
-                vec_add(out, {tensor_label(a2, r): c})
-            return out
-        comps = sorted(self.alpha.items())
-        for combo in iter_product(comps, repeat=i):
-            coeff = self.field.one
-            for _, c in combo:
-                coeff = coeff * c
-            xs = tuple(l[0] for l, _ in combo)
-            sprod = {combo[0][0][1]: self.field.one}
-            for (lbl, _) in combo[1:]:
-                sprod = self.R.multiply(sprod, {lbl[1]: self.field.one})
-            if not sprod:
-                continue
-            avec = A.eval_m(xs + (a,) + rest)
-            if not avec:
-                continue
-            dual = self._contract(sprod, r)
-            for a2, ca in avec.items():
-                for u, cu in dual.items():
-                    vec_add(out, {tensor_label(a2, u): coeff * ca * cu})
-        return out
+    def right_action(self, x_vec, r_vec):
+        raise HypothesisNotMet("the dual-side module carries no right "
+                               "action through the tensor algebra")
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,14 @@ in its own pass.
 
 ``universal_ops_oracle`` is the universal deformation's own insertion
 loop, from before it became a twisted module over S_N.
+``comodule_ops_oracle`` is the dual-side comodule's own insertion,
+with ordered products of the twist's base parts contracted against
+each functional, from before its tables were the module's transposed
+on the base factor.  ``is_commutative_oracle`` and
+``check_base_change_oracle`` are ``artin._is_commutative`` and
+``UniversalDeformation.check_base_change`` from before they read the
+table entries: one comparison per basis pair or tuple, in
+``itertools.product`` order.
 
 ``minimal_model_oracle`` is the transfer recursion with its own
 hand-written W_n, and ``eval_f_tensor_oracle`` the pushforward's own
@@ -965,3 +973,94 @@ def tensor_with_dg_oracle(A, C):
         unit = tensor_label(A.unit, C.unit)
     return AInfAlgebra(space, field, ops, arity_bound=A.arity_bound,
                        unit=unit, complete_to_arity=A.complete_to_arity)
+
+
+# ---------------------------------------------------------------------------
+# twisted tables and base checks, one tuple at a time
+
+
+def comodule_ops_oracle(setup, alpha):
+    """TwistedComodule's tables by its own insertion, one tuple at a time.
+
+    The label (a, r) stands for a x r*.  The i-fold twist multiplies
+    the A-parts of i components of alpha on the left, in every order,
+    and contracts r* against the ordered product s of their base
+    parts, giving the functional u |-> r*(s u).  Insertions stop below
+    the nilpotency index; the sign is (-1)^(i(i+1)/2 + n i).
+    """
+    A, R, field = setup.A, setup.R, setup.field
+    one = field.one
+    comps = sorted(vec_clean(alpha).items())
+
+    def contract(s_vec, r):
+        out = {}
+        for s, cs in s_vec.items():
+            for u in R.space.labels:
+                c = R.algebra.m.get(2, (s, u)).get(r)
+                if c:
+                    vec_add(out, {u: cs * c})
+        return vec_clean(out)
+
+    def insertion(i, a, r, rest):
+        out = {}
+        if i == 0:
+            for a2, c in A.eval_m((a,) + rest).items():
+                vec_add(out, {tensor_label(a2, r): c})
+            return out
+        for combo in product(comps, repeat=i):
+            coeff = one
+            for _, c in combo:
+                coeff = coeff * c
+            sprod = {combo[0][0][1]: one}
+            for lbl, _ in combo[1:]:
+                sprod = R.multiply(sprod, {lbl[1]: one})
+            avec = A.eval_m(tuple(l[0] for l, _ in combo) + (a,) + rest)
+            if not sprod or not avec:
+                continue
+            dual = contract(sprod, r)
+            for a2, ca in avec.items():
+                for u, cu in dual.items():
+                    vec_add(out, {tensor_label(a2, u): coeff * ca * cu})
+        return out
+
+    bound = A.arity_bound
+    ops = StructureMaps()
+    for n in range(1, bound + 1):
+        for a in A.space.labels:
+            for r in R.space.labels:
+                for rest in product(A.space.labels, repeat=n - 1):
+                    acc = {}
+                    for i in range(min(bound - n, setup.nu - 1) + 1):
+                        vec_add(acc, insertion(i, a, r, rest),
+                                field.sign(i * (i + 1) // 2 + n * i))
+                    ops.set(n, (tensor_label(a, r),) + rest, acc)
+    return ops
+
+
+def is_commutative_oracle(A):
+    """Graded commutativity of m_2 on all |A|^2 ordered label pairs."""
+    sign = A.field.sign
+    zero = A.field.zero
+    for x in A.space.labels:
+        for y in A.space.labels:
+            xy = A.m.get(2, (x, y))
+            yx = A.m.get(2, (y, x))
+            s = sign(A.deg(x) * A.deg(y))
+            if vec_clean({k: xy.get(k, zero) - s * yx.get(k, zero)
+                          for k in set(xy) | set(yx)}):
+                return False
+    return True
+
+
+def check_base_change_oracle(E):
+    """UniversalDeformation.check_base_change over every basis tuple of A."""
+    A = E.A
+    for n in range(1, A.arity_bound + 1):
+        for args in product(A.space.labels, repeat=n):
+            full = E.ops.get(n, (tensor_label(args[0], ()),) + args[1:])
+            got = vec_clean({a2: c for (a2, w2), c in full.items()
+                             if w2 == ()})
+            want = vec_clean(dict(A.m.get(n, args)))
+            if got != want:
+                return CheckReport(False, failure=(n, args, got, want))
+    return CheckReport(True, checked_to=A.arity_bound)

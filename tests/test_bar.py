@@ -6,6 +6,7 @@ the convolution algebra of word functionals instead of the tensor
 model, and cohomology by dense division-based Gauss.
 """
 
+import copy
 import random
 from itertools import combinations
 
@@ -25,7 +26,14 @@ from barmc.bar import (
     universal_twisting_cochain,
 )
 from barmc.errors import HypothesisNotMet
-from barmc.examples import golden_dg_pair, kpoints, ngr, njac, xy
+from barmc.examples import (
+    golden_dg_pair,
+    kpoints,
+    ngr,
+    njac,
+    random_instance,
+    xy,
+)
 from barmc.linalg import Complex, GradedSpace, vec_add, vec_clean
 from barmc.mc import DeformationSetup
 from barmc.scalars import Field
@@ -35,6 +43,7 @@ from oracles import (
     BarComplex,
     adapted_reps_oracle,
     all_pairs_dg_map_failure,
+    check_base_change_oracle,
     cohomology_dims_oracle,
     cohomology_oracle,
     dense_kernel,
@@ -619,6 +628,49 @@ def test_universal_deformation_matches_the_insertion_oracle(make, field, N):
     A = make(field)
     E = UniversalDeformation(A, N)
     assert E.ops.entries == universal_ops_oracle(A, N).entries
+
+
+def _universal_draws():
+    """Universal deformations of seeded random algebras, m_4 among them."""
+    for field, seeds in ((F2, (0, 1, 10, 16)), (F3, (3, 9)), (Q, (6, 11))):
+        for seed in seeds:
+            A = random_instance(field, seed)[0]
+            yield A, UniversalDeformation(A, 2)
+
+
+def test_universal_deformation_matches_the_oracle_on_random_draws():
+    for A, E in _universal_draws():
+        assert E.ops.entries == universal_ops_oracle(A, 2).entries
+
+
+def _planted(E, rng):
+    """E with its tables copied and three weight-zero entries disturbed."""
+    F = copy.copy(E)
+    F.ops = E.ops.copy()
+    n = rng.randint(1, E.A.arity_bound)
+    for _ in range(3):
+        args = tuple(rng.choice(E.A.space.labels) for _ in range(n))
+        key = ((args[0], ()),) + args[1:]
+        out = (rng.choice(E.A.space.labels), ())
+        F.ops.add(n, key, {out: E.field.one})
+    return F
+
+
+def test_base_change_reads_the_entries_like_the_sweep():
+    """Same verdict and witness as the all-tuple sweep, planted or not."""
+    rng = random.Random(5)
+    cases = [E for _, E in _universal_draws()]
+    cases += [UniversalDeformation(kpoints(F2, 2), 2),
+              UniversalDeformation(njac(F3, 2), 2)]
+    failures = 0
+    for E in cases:
+        assert E.check_base_change().ok and check_base_change_oracle(E).ok
+        for _ in range(6):
+            F = _planted(E, rng)
+            got, want = F.check_base_change(), check_base_change_oracle(F)
+            assert (got.ok, got.failure) == (want.ok, want.failure)
+            failures += not got.ok
+    assert failures >= 40
 
 
 def test_universal_deformation_refuses_non_admissible():

@@ -13,6 +13,15 @@ comparison report and the tables of one tensor product.  Vectors and
 tables are written in their dict order, not sorted, so a change that
 reorders keys moves it too.  It was taken before multilinear
 evaluation ran on raw field values.
+
+The third digest covers the twisted tables: the universal deformation
+of kpoints(Q,2) at order 3, and two twisted modules with their
+dual-side comodules, one over the noncommutative base
+k<a,b>/(a^2, b^2, ba) and one of an algebra with m_4 over k[t]/t^4,
+where up to three insertions survive.  Entries and vectors are
+sorted, so only the tables count, not the order they were built in.
+It was taken before the tables were read off the tensor algebra in
+one join.
 """
 
 import hashlib
@@ -20,8 +29,8 @@ import hashlib
 from barmc.ainfinity import tensor_with_dg
 from barmc.artin import truncated_polynomial
 from barmc.bar import koszul_probe
-from barmc.examples import acyclic_cone, kpoints, njac, xy
-from barmc.mc import enumerate_mc, pi0
+from barmc.examples import acyclic_cone, kpoints, njac, random_instance, xy
+from barmc.mc import DeformationSetup, enumerate_mc, pi0
 from barmc.scalars import Field
 from barmc.serialize import (
     algebra_to_json,
@@ -30,7 +39,14 @@ from barmc.serialize import (
     vector_to_json,
 )
 from barmc.transfer import minimal_model
-from barmc.twisting import prorep_compare
+
+from test_twisting import local_noncommutative
+from barmc.twisting import (
+    TwistedComodule,
+    TwistedModule,
+    UniversalDeformation,
+    prorep_compare,
+)
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -40,6 +56,8 @@ GOLDEN_SHA256 = (
     "c39dd7c5ee0db21c57c596f89d1c7b1f59014ff710a10243154dcac7a19c7cf1")
 GOLDEN_FP_SHA256 = (
     "137a25be5f46755cc1e978b1c6678e038d5297060bcc8f7980f5d7ef264f8c5d")
+GOLDEN_TWIST_SHA256 = (
+    "5e905015ae9240a9cfe8efb9ad4ceab158d988adb0b3fc07282cd6f7279d057c")
 
 
 def probe_doc(A, N):
@@ -113,3 +131,32 @@ def golden_fp_docs():
 def test_canonical_outputs_over_fp_are_byte_identical():
     text = "".join(dumps_canonical(doc) for doc in golden_fp_docs())
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_FP_SHA256
+
+
+def sorted_tables(ops):
+    """Every entry of a StructureMaps, entries and vectors sorted."""
+    rows = [[n, label_to_json(args),
+             sorted([[label_to_json(l), c.as_string()]
+                     for l, c in vec.items()], key=dumps_canonical)]
+            for n, table in ops.entries.items()
+            for args, vec in table.items()]
+    return sorted(rows, key=dumps_canonical)
+
+
+def golden_twist_docs():
+    docs = [sorted_tables(UniversalDeformation(kpoints(Q, 2), 3).ops)]
+    A, R, _ = random_instance(F3, 9)
+    for setup, alpha in (
+            (DeformationSetup(kpoints(F2, 2), local_noncommutative(F2)),
+             {(e, r): F2.one for e in ("e1", "e2") for r in ("a", "b", "ab")}),
+            (DeformationSetup(A, R),
+             {("x1", "t"): F3.one, ("x2", "t"): F3(2), ("x1", "t2"): F3.one})):
+        docs += [sorted_tables(TwistedModule(setup, alpha).ops),
+                 sorted_tables(TwistedComodule(setup, alpha).ops)]
+    return docs
+
+
+def test_twisted_tables_are_byte_identical():
+    text = "".join(dumps_canonical(doc) for doc in golden_twist_docs())
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_TWIST_SHA256

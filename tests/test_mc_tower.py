@@ -9,11 +9,14 @@ solution must be the one span_coordinates_oracle gives on the columns
 of m_1.
 """
 
+import random
+
 import pytest
 
 from barmc.ainfinity import AInfAlgebra, StructureMaps
 from barmc.artin import (
     ArtinianDGAlgebra,
+    _is_commutative,
     fiber_product,
     quotient_by_power,
     truncated_polynomial,
@@ -32,7 +35,11 @@ from barmc.mc import (
 )
 from barmc.scalars import Field
 
-from oracles import enumerate_mc_oracle, span_coordinates_oracle
+from oracles import (
+    enumerate_mc_oracle,
+    is_commutative_oracle,
+    span_coordinates_oracle,
+)
 from test_mc import negative_base
 from test_twisting import local_noncommutative
 
@@ -405,3 +412,32 @@ def test_the_chain_bottom_is_the_direct_quotient():
         assert _tables(bottom) == _tables(direct)
         deep += len(chain) > 2
     assert len(bases) == len(ORACLE_CASES) + 57 and deep >= 10
+
+
+def test_commutativity_reads_the_m2_entries_like_the_sweep():
+    """artin._is_commutative against all |R|^2 label pairs.
+
+    On every base of this module, the algebras of its cases, and seeded
+    random draws of both, plus a copy of each with one m_2 entry
+    planted so that it no longer commutes.
+    """
+    algebras = [make_r().algebra for _, make_r in ORACLE_CASES.values()]
+    algebras += [make_a() for make_a, _ in ORACLE_CASES.values()]
+    algebras += [R.algebra for R in _small_extension_bases()]
+    for field in (Q, F2, F3):
+        for seed in range(12):
+            A, R, _ = random_instance(field, seed)
+            algebras += [A, R.algebra]
+    rng = random.Random(2)
+    verdicts = []
+    for A in algebras:
+        verdicts.append(_is_commutative(A))
+        assert verdicts[-1] == is_commutative_oracle(A)
+        ops = A.m.copy()
+        x, y, out = (rng.choice(A.space.labels) for _ in range(3))
+        if x != y and A.deg(out) == A.deg(x) + A.deg(y):
+            ops.add(2, (x, y), {out: A.field.one})
+            B = AInfAlgebra(A.space, A.field, ops, arity_bound=A.arity_bound)
+            assert _is_commutative(B) == is_commutative_oracle(B)
+            verdicts.append(_is_commutative(B))
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 80

@@ -158,6 +158,27 @@ def test_identity_checks_do_not_replay_tuples():
     assert found == []
 
 
+# The twisted tables are read off the tensor algebra in one join per
+# arity; sweeping every tuple of basis labels is what the oracles do.
+
+
+def _label_sweeps(path):
+    """Calls of product/iter_product with repeat= over some x.space.labels."""
+    tree = ast.parse(path.read_text(), str(path))
+    return ["%s:%d %s" % (path.name, node.lineno, ast.unparse(node))
+            for node in ast.walk(tree)
+            if _callee(node) in ("product", "iter_product")
+            and any(k.arg == "repeat" for k in node.keywords)
+            and any(isinstance(a, ast.Attribute) and a.attr == "labels"
+                    and isinstance(a.value, ast.Attribute)
+                    and a.value.attr == "space" for a in node.args)]
+
+
+def test_twisted_tables_do_not_sweep_label_tuples():
+    assert _label_sweeps(ROOT / "tests" / "oracles.py")
+    assert _label_sweeps(ROOT / "src" / "barmc" / "twisting.py") == []
+
+
 def test_mc_sets_are_not_found_by_sweeping_candidates():
     """MC(R) is lifted along the tower; the sweep is enumerate_mc_oracle."""
     path = ROOT / "src" / "barmc" / "mc.py"

@@ -1,6 +1,6 @@
 """The sparse identity checks against the tuple replay they replaced.
 
-check_ainf_axioms, check_ainf_morphism, TwistedStructure's
+check_ainf_axioms, check_ainf_morphism, TwistedModule's
 check_module_axioms and validate_artinian join the structure tables
 instead of evaluating the identities on every basis tuple.  The replay
 lives on in tests/oracles.py; here both run on valid and on mutated

@@ -10,6 +10,7 @@ cross-checked by enumerating algebra maps directly on the adapted
 basis of H^0 instead of through the presentation.
 """
 
+import random
 import re
 from itertools import product as iter_product
 
@@ -19,22 +20,25 @@ from barmc import twisting
 from barmc.ainfinity import AInfAlgebra, StructureMaps, tensor_label
 from barmc.artin import (
     ArtinianDGAlgebra,
+    fiber_product,
     quotient_by_power,
     square_zero,
     truncated_polynomial,
 )
 from barmc.bar import SHatCohomology, dual_dg_algebra
 from barmc.errors import HypothesisNotMet, MathCheckFailure
-from barmc.examples import kpoints, njac, xy
+from barmc.examples import kpoints, njac, random_instance, xy
 from barmc.linalg import GradedSpace, vec_add, vec_clean
 from barmc.mc import DeformationSetup, HomComplex, HomSet, pi0
 from barmc.scalars import Field
+from barmc.transfer import minimal_model
 from barmc.twisting import (
     CorepresentingHom,
     H0Presentation,
     ModuleIsomorphism,
     TwistedComodule,
     TwistedModule,
+    UniversalDeformation,
     algebra_maps,
     check_tower_compatibility,
     conjugation_orbits,
@@ -44,7 +48,11 @@ from barmc.twisting import (
     prorep_compare,
 )
 
-from oracles import algebra_maps_oracle, all_pairs_dg_map_failure
+from oracles import (
+    algebra_maps_oracle,
+    all_pairs_dg_map_failure,
+    comodule_ops_oracle,
+)
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -648,6 +656,141 @@ def test_comodule_axioms_reported():
     R = truncated_polynomial(F3, 2)
     com = TwistedComodule(DeformationSetup(A, R), {("x1", "t"): F3.one})
     assert com.check_module_axioms().ok
+
+
+def test_comodule_refuses_the_right_action():
+    setup = DeformationSetup(xy(F2), truncated_polynomial(F2, 3))
+    com = TwistedComodule(setup, {})
+    with pytest.raises(HypothesisNotMet):
+        com.right_action({("x", "t"): F2.one}, {"t": F2.one})
+
+
+# ---------------------------------------------------------------------------
+# the one join against the per-tuple paths
+
+
+def module_ops_by_category(setup, alpha):
+    """The twisted tables tuple by tuple through category_op."""
+    ops = StructureMaps()
+    for n in range(1, setup.A.arity_bound + 1):
+        for x in setup.T.space.labels:
+            for rest in iter_product(setup.A.space.labels, repeat=n - 1):
+                ops.set(n, (x,) + rest,
+                        category_module_op(setup, alpha, n, x, rest))
+    return ops
+
+
+def _drawn_mc(setup, rng):
+    """A degree-one element with coefficients in {0, 1, 2}, else 0.
+
+    Up to four draws; the first that satisfies the MC equation wins.
+    """
+    labels = setup.ideal_labels_of_degree(1)
+    for _ in range(4):
+        alpha = vec_clean({l: setup.field(rng.randrange(3)) for l in labels})
+        if setup.is_mc(alpha):
+            return alpha
+    return {}
+
+
+def twist_cases():
+    """Seeded (setup, alpha) pairs over F2, F3 and Q.
+
+    Over F2 and F3, two MC elements sampled per pair of xy, njac(1) or
+    kpoints(2) with k[t]/t^3, the noncommutative base or a fiber
+    product.  Over F2, F3 and Q, random draws of every family, m_4
+    (up to three insertions) among them, each with an element drawn
+    from its seed.
+    """
+    rng = random.Random(20)
+    cases = []
+    for field in (F2, F3):
+        bases = (truncated_polynomial(field, 3), local_noncommutative(field),
+                 fiber_product(truncated_polynomial(field, 3),
+                               truncated_polynomial(field, 2, var="s")))
+        for A in (xy(field), njac(field, 1), kpoints(field, 2)):
+            for R in bases:
+                setup = DeformationSetup(A, R)
+                elements = setup.enumerate_mc()
+                cases += [(setup, a) for a in
+                          rng.sample(elements, min(2, len(elements)))]
+    for field, seeds in ((F2, (0, 1, 5, 16)), (F3, (3, 5, 9, 11)),
+                         (Q, (0, 5, 8, 11))):
+        for seed in seeds:
+            A, R, _ = random_instance(field, seed)
+            setup = DeformationSetup(A, R)
+            cases.append((setup, _drawn_mc(setup, random.Random(seed))))
+    return cases
+
+
+def test_twist_cases_reach_past_one_insertion():
+    cases = twist_cases()
+    assert len(cases) == 48
+    assert sum(bool(a) for _, a in cases) == 43
+    assert any(s.A.arity_bound == 4 and s.R.nu >= 3 and a for s, a in cases)
+    assert any(not s.R.commutative and a for s, a in cases)
+
+
+def test_module_tables_match_the_category_insertions():
+    for setup, alpha in twist_cases():
+        got = TwistedModule(setup, alpha).ops.entries
+        assert got == module_ops_by_category(setup, alpha).entries
+
+
+def test_comodule_tables_match_the_contraction_oracle():
+    for setup, alpha in twist_cases():
+        got = TwistedComodule(setup, alpha).ops.entries
+        assert got == comodule_ops_oracle(setup, alpha).entries
+
+
+# ---------------------------------------------------------------------------
+# malformed input
+
+
+def test_op_takes_labels_of_mixed_types():
+    """A minimal model's labels mix strings and tuples; op does not sort."""
+    A, _, _ = random_instance(F2, 17)
+    M, _ = minimal_model(A, 3)
+    assert {type(l) for l in M.space.labels} == {str, tuple}
+    mod = TwistedModule(DeformationSetup(M, truncated_polynomial(F2, 2)), {})
+    one = F2.one
+    both = {"1": one, ("h", 1, 0): one}
+    for x in mod.space.labels:
+        want = {}
+        for a in both:
+            vec_add(want, mod.op({x: one}, [{a: one}]))
+        assert mod.op({x: one}, [both]) == vec_clean(want)
+    assert mod.op({("1", "t"): one}, [both]) == {
+        ("1", "t"): one, (("h", 1, 0), "t"): one}
+
+
+def test_twisted_maps_refuse_labels_outside_their_spaces():
+    setup = DeformationSetup(njac(F2, 1), truncated_polynomial(F2, 3))
+    one = F2.one
+    for mod in (TwistedModule(setup, {("x1", "t"): one}),
+                TwistedComodule(setup, {("x1", "t"): one})):
+        with pytest.raises(ValueError, match="'zz', 't'"):
+            mod.differential({("zz", "t"): one})
+        with pytest.raises(ValueError, match="'zz', 't'"):
+            mod.op({("zz", "t"): one}, [{"x1": one}])
+        with pytest.raises(ValueError, match="'zz'"):
+            mod.op({("x1", "t"): one}, [{"zz": one}])
+        with pytest.raises(ValueError, match="not a scalar"):
+            mod.differential({("x1", "t"): 1})
+    mod = TwistedModule(setup, {("x1", "t"): one})
+    with pytest.raises(ValueError, match="'zz', 't'"):
+        mod.right_action({("zz", "t"): one}, {"t": one})
+    with pytest.raises(ValueError, match="'zz'"):
+        mod.right_action({("x1", "t"): one}, {"zz": one})
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_module_axioms_refuse_an_empty_check(n_max):
+    setup = DeformationSetup(njac(F2, 1), truncated_polynomial(F2, 3))
+    for mod in (TwistedModule(setup, {}), TwistedComodule(setup, {}),
+                UniversalDeformation(njac(F2, 1), 2)):
+        with pytest.raises(ValueError, match="at least 1"):
+            mod.check_module_axioms(n_max)
 
 
 # ---------------------------------------------------------------------------
