@@ -10,9 +10,8 @@ Koszul rule: sliding an operator of odd degree past an element of odd
 degree costs a sign.  The Stasheff and morphism residuals and the
 tensor regrouping route through the two sign helpers below.  Other
 signs are still computed where their rule is stated, among them the
-insertion exponent of the Maurer-Cartan category (mc._insertion_sum),
-the signs of the dual truncation (bar.DualTruncation) and the
-coalgebra sign of the dual of an artinian base (artin.DualCoalgebra).
+insertion exponent of the Maurer-Cartan category (mc._insertion_sum)
+and the signs of the dual truncation (bar.DualTruncation).
 
 Signs are computed as integer parities first and mapped into the
 ground field at the very end, so prime fields (including F_2) see the
@@ -23,17 +22,18 @@ basis tuple.  The checkers do not call them tuple by tuple: the
 residuals are sums of composites of table entries (the b o b = 0 form
 of the identities; Stasheff 1963, Keller 2001), so check_ainf_axioms
 and check_ainf_morphism join the tables and visit only the tuples some
-composite produces.  The per-tuple functions name the witness of a
-failure, and replayed over every tuple they are the oracle the joins
-are tested against.
+composite produces; compose_morphisms reads its components off the
+same join.  The per-tuple functions name the witness of a failure, and
+replayed over every tuple they are the oracle the joins are tested
+against.
 
-Every multilinear evaluation (eval_m_vectors, compose_morphisms, the
-twisted operations and the pushforward's f x mu_R) runs through one
-kernel, _expand.  Values are raw inside it, ints mod p or ints and
-Fractions over Q, and Scalar at its edge: inputs are read once and
-each output coefficient is wrapped once.  tensor_with_dg regroups each
-entry of A only against the words of C whose product is nonzero
-(_base_words), built once per arity.
+Every multilinear evaluation (eval_m_vectors, the twisted operations
+and the pushforward's f x mu_R) runs through one kernel, _expand.
+Values are raw inside it, ints mod p or ints and Fractions over Q, and
+Scalar at its edge: inputs are read once and each output coefficient
+is wrapped once.  tensor_with_dg regroups each entry of A only against
+the words of C whose product is nonzero (_base_words), built once per
+arity.
 """
 
 from itertools import count, product as iter_product
@@ -650,7 +650,7 @@ def check_ainf_morphism(f, n_max):
     index = A1.space.index
     for n in range(1, top + 1):
         acc = _insertion_join(inner, outer, n, A1.field, 1)
-        _block_join(ops, by_output, n, A1.field, acc)
+        _block_join(ops, by_output, n, A1.field, acc, _printed_exponent)
         args = _first_nonzero(acc, index, index)
         if args is not None:
             return CheckReport(False, failure=(n, args, morphism_residual(f, args)),
@@ -673,19 +673,22 @@ def _output_index(comps, degree):
     return index
 
 
-def _block_join(ops, by_output, n, field, acc):
-    """Add sum m_s(f_{i_1} x ... x f_{i_s}) with the signs of morphism_residual.
+def _block_join(ops, by_output, n, field, acc, printed_exponent):
+    """Add sum (-1)^e m_s(f_{i_1} x ... x f_{i_s}) on the arity-n tuples.
 
-    Each entry m_s(b_1..b_s) meets, block by block, the f-entries of
-    arity i_j whose output holds b_j; the tuple is their inputs
-    concatenated.
+    e is printed_exponent(blocks) plus the Koszul cost of evaluating
+    the tensor of the f's on their blocks: _printed_exponent gives the
+    product side of morphism_residual, and no printed sign gives a
+    composite of morphisms.  Each entry m_s(b_1..b_s) meets, block by
+    block, the f-entries of arity i_j whose output holds b_j; the tuple
+    is their inputs concatenated.
     """
     for s, table in ops.items():
         if s > n:
             continue
         for blocks in _compositions(n, s):
             op_parities = [(1 - i) % 2 for i in blocks]
-            printed = _printed_exponent(blocks)
+            printed = printed_exponent(blocks)
             for m_args, m_vec in table.items():
                 choices = [by_output.get(b, {}).get(i)
                            for b, i in zip(m_args, blocks)]
@@ -723,21 +726,30 @@ def compose_morphisms(g, f, arity_bound=None):
     """g after f, with components (g . f)_n = sum g_s (f_{i_1} x ... x f_{i_s}).
 
     The composite of two A-infinity morphisms; signs are pure Koszul
-    block signs since no operations move past arguments.
+    block signs since no operations move past arguments.  Each
+    component is read off _block_join, with g in place of m and no
+    printed sign, so only the tuples some composite produces are
+    visited.  Entries come in itertools.product order over the source
+    labels and outputs in the target's label order.
     """
     if f.target is not g.source:
         raise ValueError("morphisms do not compose")
     bound = arity_bound or min(f.arity_bound, g.arity_bound)
-    comps = StructureMaps()
     A1 = f.source
+    ops = _live_tables(g.f, g.f.max_arity())
+    by_output = _output_index(_live_tables(f.f, f.arity_bound),
+                              A1.space.degree)
+    index, out_index = A1.space.index, g.target.space.index
+    comps = StructureMaps()
     for n in range(1, bound + 1):
-        for args in iter_product(A1.space.labels, repeat=n):
-            acc = {}
-            for blocks, exponent, pieces in _block_terms(f, args, g.f.arities()):
-                out = _expand(A1.field, pieces, g.f.entries[len(blocks)].get)
-                vec_add(acc, out, A1.field.sign(exponent))
-            if vec_clean(acc):
-                comps.set(n, args, acc)
+        acc = {}
+        _block_join(ops, by_output, n, A1.field, acc, lambda blocks: 0)
+        entries = {}
+        for (args, o), c in acc.items():
+            if c:
+                entries.setdefault(args, []).append((out_index[o], o, c))
+        for args in sorted(entries, key=lambda a: [index[l] for l in a]):
+            comps.set(n, args, {o: c for _, o, c in sorted(entries[args])})
     return AInfMorphism(f.source, g.target, comps, arity_bound=bound,
                         strict_unital=f.strict_unital and g.strict_unital)
 

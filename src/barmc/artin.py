@@ -186,6 +186,14 @@ class ArtinianDGAlgebra:
         return Subspace(self.ideal_power(n), self.field)
 
 
+def _artinian(R):
+    """R when it is an ArtinianDGAlgebra, else ValueError naming it."""
+    if not isinstance(R, ArtinianDGAlgebra):
+        raise ValueError("the base R must be an ArtinianDGAlgebra, got %r"
+                         % (R,))
+    return R
+
+
 def quotient_by_power(R, n):
     """R/m^n together with the projection and a basis of the kernel.
 
@@ -194,8 +202,9 @@ def quotient_by_power(R, n):
     representative in those labels.  Returns (Rbar, pi, kernel_rows)
     where pi is a dict label -> vector over the quotient labels.
     """
-    if not (1 <= _integer(n, "the power n") <= R.nu):
-        raise ValueError("power %d outside 1..nu=%d" % (n, R.nu))
+    nu = _artinian(R).nu
+    if not (1 <= _integer(n, "the power n") <= nu):
+        raise ValueError("power %d outside 1..nu=%d" % (n, nu))
     ideal_n = R.ideal_power_subspace(n)
     dropped = set(ideal_n.pivot_keys)
     kept = [l for l in R.space.labels if l not in dropped]
@@ -216,84 +225,6 @@ def quotient_by_power(R, n):
 
 
 # ---------------------------------------------------------------------------
-# dual coalgebras
-
-
-class DualCoalgebra:
-    """The graded dual of an artinian algebra, as a counital coalgebra.
-
-    Labels are reused; the element labeled x stands for the dual
-    functional x* and carries degree -deg(x).  The comultiplication is
-    the transpose of the product under the pairing
-    (u* x v*)(x x y) = (-1)^(deg v * deg x) u*(x) v*(y),
-    so Delta(z*) carries (-1)^(deg x deg y) times the structure
-    constant of x y at z.  The dual differential follows the same
-    transpose convention: (d phi)(x) = -(-1)^(deg phi) phi(d x).
-    """
-
-    def __init__(self, R):
-        self.ring = R
-        self.field = R.field
-        self.space = GradedSpace([(l, -R.deg(l)) for l in R.space.labels])
-        sign = R.field.sign
-        delta = {z: [] for z in R.space.labels}
-        for (n, table) in R.algebra.m.entries.items():
-            if n != 2:
-                continue
-            for (x, y), vec in table.items():
-                s = sign(R.deg(x) * R.deg(y))
-                for z, c in vec.items():
-                    delta[z].append((x, y, s * c))
-        self.delta = {z: sorted(terms, key=lambda t: (repr(t[0]), repr(t[1])))
-                      for z, terms in delta.items()}
-        d = {}
-        for z in R.space.labels:
-            row = {}
-            for x in R.space.labels:
-                dv = R.algebra.m.get(1, (x,))
-                c = dv.get(z)
-                if c:
-                    # phi = z* has degree -deg z; the transpose sign is
-                    # -(-1)^(deg phi) = -(-1)^(deg z)
-                    row[x] = sign(R.deg(z) + 1) * c
-            if row:
-                d[z] = row
-        self.d = d
-        self.counit_label = R.unit
-
-    def comultiply(self, label):
-        return list(self.delta.get(label, []))
-
-    def check_coassociative(self):
-        """(Delta x 1) Delta = (1 x Delta) Delta on every basis functional."""
-        for z in self.space.labels:
-            lhs = {}
-            rhs = {}
-            for (x, y, c) in self.delta[z]:
-                for (u, v, c2) in self.delta[x]:
-                    key = (u, v, y)
-                    lhs[key] = lhs.get(key, self.field.zero) + c * c2
-                for (u, v, c2) in self.delta[y]:
-                    key = (x, u, v)
-                    rhs[key] = rhs.get(key, self.field.zero) + c * c2
-            keys = set(lhs) | set(rhs)
-            for k in keys:
-                if lhs.get(k, self.field.zero) != rhs.get(k, self.field.zero):
-                    return False
-        return True
-
-    def redualize(self):
-        """Structure constants of the double dual, for the involution check."""
-        sign = self.field.sign
-        ops = {}
-        for z, terms in self.delta.items():
-            for (x, y, c) in terms:
-                ops.setdefault((x, y), {})[z] = sign(
-                    self.ring.deg(x) * self.ring.deg(y)) * c
-        return {k: vec_clean(v) for k, v in ops.items() if vec_clean(v)}
-
-
-# ---------------------------------------------------------------------------
 # the standard zoo
 
 
@@ -301,8 +232,10 @@ def truncated_polynomial(field, n, deg=0, var="t"):
     """k[t]/t^n with deg t = deg <= 0; n = 1 gives the ground field."""
     if _integer(n, "the length n") < 1:
         raise ValueError("length must be at least 1")
-    if deg > 0:
+    if _integer(deg, "the degree of t") > 0:
         raise ValueError("artinian bases live in degrees <= 0")
+    if not isinstance(var, str):
+        raise ValueError("the variable name %r is not a string" % (var,))
     labels = ["1"] + [var if i == 1 else "%s%d" % (var, i) for i in range(1, n)]
     space = GradedSpace([(labels[i], deg * i) for i in range(n)])
     ops = StructureMaps()
@@ -316,12 +249,20 @@ def truncated_polynomial(field, n, deg=0, var="t"):
 
 
 def square_zero(field, gens, d=None):
-    """k + M with M^2 = 0; gens is a list of (label, degree <= 0).
+    """k + M with M^2 = 0; gens is a list of (label, integer degree).
 
-    d, if given, maps labels of M to vectors in M and must have degree
-    +1 with d of d zero; both are validated downstream.
+    A base in degrees <= 0 is what the deformation functors take; a
+    generator of positive degree is accepted and makes a base that is
+    neither negative nor classical.  d, if given, maps labels of M to
+    vectors in M and must have degree +1 with d of d zero; both are
+    validated downstream.
     """
-    space = GradedSpace([("1", 0)] + [(l, int(g)) for l, g in gens])
+    if not isinstance(gens, (list, tuple)) or not all(
+            isinstance(gen, (list, tuple)) and len(gen) == 2 for gen in gens):
+        raise ValueError("gens must be a list of (label, degree) pairs, got %r"
+                         % (gens,))
+    space = GradedSpace([("1", 0)] + [(l, _integer(g, "the degree of %r" % (l,)))
+                                      for l, g in gens])
     ops = StructureMaps()
     one = field.one
     ops.set(2, ("1", "1"), {"1": one})
@@ -341,7 +282,7 @@ def fiber_product(R1, R2):
     Basis: the shared unit plus both ideals, labeled a.x and b.y; the
     two ideals multiply to zero against each other.
     """
-    if R1.field != R2.field:
+    if _artinian(R1).field != _artinian(R2).field:
         raise ValueError("factors live over different fields")
     field = R1.field
     basis = [("1", 0)]

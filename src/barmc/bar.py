@@ -13,6 +13,8 @@ presentations of H^0 is an order-N certificate about these finite
 truncations.  No statement here is a claim about the inverse limit.
 """
 
+from functools import cached_property
+
 from .ainfinity import (
     AInfAlgebra,
     CheckReport,
@@ -277,10 +279,16 @@ class SHatCohomology:
                 self.weight_reps = [(w, v) for w, vs in enumerate(reps)
                                     for v in vs]
         self.weight_dims = self.filtered_dims.get(0, [0] * (N + 1))
-        basis = list(self.h0.boundaries.rows) + [v for _, v in self.weight_reps]
-        self._n_boundaries = len(self.h0.boundaries.rows)
-        self._solver = SpanSolver(basis, self.field) if basis else None
         self._check_product_well_defined()
+
+    @cached_property
+    def _solver(self):
+        """Coordinates over the H^0 boundary rows, then the adapted reps.
+
+        Built on the first class_coords; koszul_probe never asks.
+        """
+        return SpanSolver(self.h0.boundaries.rows +
+                          [v for _, v in self.weight_reps], self.field)
 
     def _labels_at(self, degree, min_weight=0):
         return [w for w in self.S.space.labels_of_degree(degree)
@@ -331,13 +339,11 @@ class SHatCohomology:
         vec = vec_clean(dict(vec))
         if not vec:
             return {}
-        if self._solver is None:
-            raise ValueError("vector does not represent a class in H^0")
         coords = self._solver.coordinates(vec)
         if coords is None:
             raise ValueError("vector does not represent a class in H^0")
-        return {j - self._n_boundaries: c for j, c in coords.items()
-                if j >= self._n_boundaries and c}
+        nb = self.h0.boundaries.dim
+        return {j - nb: c for j, c in coords.items() if j >= nb and c}
 
     def product_class(self, u, v):
         """Class of u v for degree-0 cocycles u, v, in adapted coordinates."""

@@ -19,6 +19,7 @@ from .artin import (
     square_zero,
     truncated_polynomial,
 )
+from .errors import _integer
 from .linalg import GradedSpace
 
 
@@ -29,6 +30,8 @@ def kpoints(field, n):
     n-dimensional variety; labels are 'e' followed by the strictly
     increasing index word, with '1' for the unit.
     """
+    if _integer(n, "the number of generators n") < 0:
+        raise ValueError("the number of generators must be nonnegative")
     labels = []
     for w in range(n + 1):
         for subset in combinations(range(1, n + 1), w):
@@ -70,6 +73,8 @@ def njac(field, g):
     noncommutative Jacobian-type algebra: Ext^0 = k, Ext^1 = k^g and
     nothing above, so the bar dual is free on g letters.
     """
+    if _integer(g, "the number of classes g") < 0:
+        raise ValueError("the number of classes must be nonnegative")
     space = GradedSpace([("1", 0)] + [("x%d" % i, 1) for i in range(1, g + 1)])
     ops = StructureMaps()
     one = field.one
@@ -88,7 +93,7 @@ def ngr(field, n, m):
     multiply the symmetric and exterior parts separately.  Quadratic,
     and Koszul in the cases the engine probes.
     """
-    if not (0 < m <= n):
+    if not (0 < _integer(m, "dim W = m") <= _integer(n, "dim V = n")):
         raise ValueError("need 0 < m <= n")
     q = n - m
     pieces = []
@@ -192,7 +197,7 @@ def random_instance(field, seed):
     one m_k is free, and square-zero complexes; each family satisfies
     its identities for arbitrary structure constants.
     """
-    rng = random.Random(seed)
+    rng = random.Random(_integer(seed, "the seed"))
     kind = rng.choice(["square_top", "single_arity", "complex_alg"])
     if kind == "square_top":
         algebra = _random_square_top(field, rng)

@@ -19,9 +19,15 @@ Linear systems go through one of two interfaces:
   coordinates of a vector in their span, the independent vectors, and
   the relations among the others; it puts the labels before the
   coordinate tags through which it tracks combinations.
+
+``Cohomology`` and ``bar.SHatCohomology`` build the ``SpanSolver`` that
+gives class coordinates on the first ``project`` or ``class_coords``
+call, so a caller that only reads dimensions and representatives, such
+as the Koszul probe, never builds it.
 """
 
 from bisect import bisect
+from functools import cached_property
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +437,19 @@ class Cohomology:
                 reps.append(v)
         self.representatives = reps
         self.dim = len(reps)
-        self._n_boundaries = len(boundaries)
-        if reps or boundaries:
-            self._solver = SpanSolver(boundaries + reps, field)
-        else:
-            self._solver = None
         self.field = field
         self.labels = src
+
+    @cached_property
+    def _solver(self):
+        """Coordinates over the boundary rows, then the representatives.
+
+        Built on the first project: the rows are a basis of the same
+        boundary space, so the coordinates on the representatives are
+        the unique ones whatever basis the boundaries are given in.
+        """
+        return SpanSolver(self.boundaries.rows + self.representatives,
+                          self.field)
 
     def project(self, v):
         """Coordinates of the class of a cocycle v in the representatives.
@@ -448,16 +460,11 @@ class Cohomology:
         v = vec_clean(v)
         if not v:
             return {}
-        if self._solver is None:
-            raise ValueError("vector is not a cocycle representative here")
         coords = self._solver.coordinates(v)
         if coords is None:
             raise ValueError("vector does not represent a class in H^%d" % self.i)
-        return {
-            j - self._n_boundaries: c
-            for j, c in coords.items()
-            if j >= self._n_boundaries and c
-        }
+        nb = self.boundaries.dim
+        return {j - nb: c for j, c in coords.items() if j >= nb and c}
 
     def class_is_zero(self, v):
         return self.boundaries.contains(v)

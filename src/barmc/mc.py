@@ -38,7 +38,7 @@ from .ainfinity import (
     tensor_label,
     tensor_with_dg,
 )
-from .artin import ArtinianDGAlgebra, quotient_by_power
+from .artin import _artinian, quotient_by_power
 from .errors import _integer, HypothesisNotMet, MathCheckFailure
 from .linalg import (
     _apply_table,
@@ -125,10 +125,7 @@ class DeformationSetup:
     """
 
     def __init__(self, A, R):
-        if not isinstance(R, ArtinianDGAlgebra):
-            raise ValueError("the base R must be an ArtinianDGAlgebra, got %r"
-                             % (R,))
-        if A.field != R.field:
+        if _artinian(R).field != A.field:
             raise ValueError("algebra and base live over different fields")
         self.A = A
         self.R = R
@@ -233,8 +230,11 @@ class DeformationSetup:
             if self.mc_residual(alpha):
                 raise MathCheckFailure(
                     "lifted element fails the MC equation: %r" % (alpha,))
-        zero = self.field.zero
-        points.sort(key=lambda a: tuple(a.get(l, zero).val for l in labels))
+        # the coefficient tuple read as base-p digits is one int, which
+        # each point's sparse items give and which orders as the tuples
+        weight = {l: p ** k for k, l in enumerate(reversed(labels))}
+        points.sort(key=lambda a: sum([weight[l] * c.val
+                                       for l, c in a.items()]))
         return [{l: a[l] for l in labels if l in a} for a in points]
 
     def chain(self):
@@ -304,12 +304,6 @@ class DeformationSetup:
                                         budget, self.nu, lam))
         return out
 
-    def hom_differential_of_one(self, alpha, beta):
-        """m_1^{alpha,beta}(1); equals beta - alpha under strict unitality."""
-        if self.one_vec is None:
-            raise HypothesisNotMet("the gauge groupoid needs a strict unit")
-        return self.category_op([alpha, beta], [self.one_vec], check=False)
-
     def require_strict_unit(self):
         """Refuse unless A's unit is strict, so m_1^{alpha,beta}(1) = beta - alpha."""
         if not self._strict_unit.ok:
@@ -327,6 +321,8 @@ class DeformationSetup:
         """
         if self.one_vec is None:
             raise HypothesisNotMet("the gauge groupoid needs a strict unit")
+        self._check_vector(g, "gauge element", self.T.space.index,
+                           "1 + A x m")
         one_lbl = next(iter(self.one_vec))
         g = vec_clean(dict(g))
         if g.get(one_lbl) != self.field.one:
@@ -496,8 +492,10 @@ class SmallExtension:
 class HomComplex:
     """(A x m, m_1^{alpha,beta}) for an MC pair.
 
-    Construction assembles the differential on the ideal part and
-    certifies exactly that it squares to zero and never leaves A x m.
+    Construction assembles the differential on the ideal part and on
+    the unit, whose image d_of_one is beta - alpha under strict
+    unitality, and certifies exactly that the ideal part squares to
+    zero and never leaves A x m.  Refused without a unit.
     """
 
     def __init__(self, setup, alpha, beta, check_objects=True):
@@ -506,24 +504,26 @@ class HomComplex:
                 if setup.mc_residual(a):
                     raise HypothesisNotMet(
                         "morphism complexes are defined between MC elements")
+        if setup.one_vec is None:
+            raise HypothesisNotMet("the gauge groupoid needs a strict unit")
         self.setup = setup
         self.field = setup.field
         self.alpha = alpha
         self.beta = beta
         one = setup.field.one
+        unit, = setup.one_vec
         d = {}
-        for l in setup.ideal:
+        for l in setup.ideal + [unit]:
             img = setup.category_op([alpha, beta], [{l: one}], check=False)
             for out in img:
-                if out not in setup._ideal_set:
+                if l != unit and out not in setup._ideal_set:
                     raise MathCheckFailure(
                         "twisted differential leaves A x m at %r -> %r"
                         % (l, out))
             if img:
                 d[l] = img
+        self.d_of_one = d.pop(unit, {})
         self.complex = Complex(setup.ideal_space, d, setup.field)
-        self.d_of_one = setup.hom_differential_of_one(alpha, beta)
-        unit, = setup.one_vec
         self._d = {**self.complex.d, unit: self.d_of_one}
 
     def apply(self, v):
@@ -923,6 +923,7 @@ def obstruction_o2(A, R, alpha_bar, seed=1):
     (see SmallExtension).  Computed from one lift, then recomputed from
     a perturbed second lift to certify independence.
     """
+    _integer(seed, "the seed")
     setup = DeformationSetup(A, R)
     if setup.below.mc_residual(alpha_bar):
         raise HypothesisNotMet("obstruction is defined on MC elements only")
@@ -1036,16 +1037,11 @@ def lift_mc(A, R, alpha0, seed=1):
     and the correction (see SmallExtension); the element it lifts was
     checked MC one layer down.
     """
-    if R.nu < 2:
-        setup = DeformationSetup(A, R)
-        if setup.mc_residual(alpha0):
-            raise HypothesisNotMet("the seed element must be MC over R/m^2")
-        return LiftOutcome(True, element=vec_clean(dict(alpha0)), level=R.nu)
+    _integer(seed, "the seed")
     chain = DeformationSetup(A, R).chain()[::-1]
-    setup0 = chain[0]
-    if setup0.mc_residual(alpha0):
+    if chain[0].mc_residual(alpha0):
         raise HypothesisNotMet("the seed element must be MC over R/m^2")
-    current = dict(alpha0)
+    current = vec_clean(dict(alpha0))
     trace = []
     for setup in chain[1:]:
         n = setup.below.nu

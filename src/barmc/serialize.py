@@ -50,6 +50,9 @@ def label_to_json(label):
 def label_from_json(doc):
     if isinstance(doc, list):
         return tuple(label_from_json(part) for part in doc)
+    if isinstance(doc, dict):
+        raise ValueError("label %r is a JSON object, not a string or list"
+                         % (doc,))
     return doc
 
 
@@ -76,7 +79,7 @@ def vector_to_json(vec):
 
 def vector_from_json(field, doc):
     out = {}
-    for entry in doc:
+    for entry in _list(doc, "vector"):
         if not isinstance(entry, list) or len(entry) != 2:
             raise ValueError("vector entries are [label, coeff] pairs")
         lbl = label_from_json(entry[0])
@@ -137,21 +140,21 @@ def algebra_from_json(doc):
             raise ValueError("algebra description misses %r" % (key,))
     field = field_from_json(doc["field"])
     basis = []
-    for entry in doc["basis"]:
+    for entry in _list(doc["basis"], "basis"):
         label, degree = _fields(entry, ("label", "degree"), "basis entry")
         basis.append((label_from_json(label),
                       _integer(degree, "the degree in %r" % (entry,))))
     space = GradedSpace(basis)
     m = StructureMaps()
-    for op in doc["ops"]:
+    for op in _list(doc["ops"], "ops"):
         n, ins, outs = _fields(op, ("arity", "in", "out"), "op")
         n = _integer(n, "the arity in %r" % (op,))
-        args = tuple(_known(space, a, op) for a in ins)
+        args = tuple(_known(space, a, op) for a in _list(ins, "op input"))
         if len(args) != n:
             raise ValueError("op lists %d inputs but declares arity %d"
                              % (len(args), n))
         vec = {}
-        for term in outs:
+        for term in _list(outs, "op output"):
             lbl, coeff = _fields(term, ("label", "coeff"), "output term")
             lbl = _known(space, lbl, op)
             c = scalar_from_str(field, coeff)
@@ -176,6 +179,13 @@ def algebra_from_json(doc):
     )
     A.complex()  # refuses m_1 m_1 != 0, naming the basis element
     return A
+
+
+def _list(value, what):
+    """value when it is a JSON array, else ValueError naming it."""
+    if not isinstance(value, list):
+        raise ValueError("%s %r is not a list" % (what, value))
+    return value
 
 
 def _fields(entry, keys, what):

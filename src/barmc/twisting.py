@@ -36,6 +36,7 @@ from .ainfinity import (
     tensor_block_exponent,
     tensor_label,
 )
+from .artin import _artinian
 from .bar import (
     bar_words,
     dual_dg_algebra,
@@ -158,16 +159,6 @@ class CorepresentingHom:
     def __repr__(self):
         return "CorepresentingHom(order %d, %d words)" % (
             self.N, len(self.entries))
-
-
-def check_tower_compatibility(big, small):
-    """The corepresenting maps at two orders agree on shared words."""
-    if big.N < small.N:
-        raise ValueError("pass the finer truncation first")
-    for w in small.S.words:
-        if big.entries.get(w, {}) != small.entries.get(w, {}):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +300,9 @@ class TwistedModule:
         """
         check = self.setup._check_vector
         check(x_vec, "module element", self.space.index, "the module")
+        if not isinstance(a_vecs, (list, tuple)):
+            raise ValueError("the algebra slots %r are not a list of vectors"
+                             % (a_vecs,))
         for a in a_vecs:
             check(a, "algebra element", self.A.space.index, "A")
         table = self.ops.entries.get(1 + len(a_vecs), {})
@@ -521,7 +515,7 @@ class H0Presentation:
 
 def _enumerable(R, sweep):
     """Refuse a base that the named sweep cannot exhaust."""
-    if not R.field.p:
+    if not _artinian(R).field.p:
         raise HypothesisNotMet("%s needs a finite prime field" % sweep)
     if not R.classical:
         raise HypothesisNotMet(
@@ -605,33 +599,26 @@ def invert_unit(R, u):
 
 
 def conjugation_orbits(R, maps):
-    """Orbits of generator-image tuples under conjugation by units."""
+    """Orbits of generator-image tuples under conjugation by units.
+
+    The units form a group, so the orbit of a tuple is the set of its
+    conjugates by every unit: one pass from each orbit's first tuple.
+    """
     units = [(u, invert_unit(R, u)) for u in enumerate_units(R)]
     index_of = {tuple(_vec_key(w) for w in t): i for i, t in enumerate(maps)}
-    seen = set()
     orbits = []
     orbit_of = {}
     for i, t in enumerate(maps):
-        if i in seen:
+        if i in orbit_of:
             continue
-        frontier = [i]
-        orbit = []
-        while frontier:
-            j = frontier.pop()
-            if j in seen:
-                continue
-            seen.add(j)
-            orbit.append(j)
-            for u, uinv in units:
-                moved = tuple(R.multiply(R.multiply(u, w), uinv)
-                              for w in maps[j])
-                k = index_of.get(tuple(_vec_key(w) for w in moved))
-                if k is None:
-                    raise MathCheckFailure(
-                        "conjugation left the enumerated map set")
-                if k not in seen:
-                    frontier.append(k)
-        orbit.sort()
+        orbit = set()
+        for u, uinv in units:
+            moved = tuple(R.multiply(R.multiply(u, w), uinv) for w in t)
+            k = index_of.get(tuple(_vec_key(w) for w in moved))
+            if k is None:
+                raise MathCheckFailure("conjugation left the enumerated map set")
+            orbit.add(k)
+        orbit = sorted(orbit)
         for j in orbit:
             orbit_of[j] = len(orbits)
         orbits.append(orbit)

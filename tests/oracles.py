@@ -53,6 +53,15 @@ every ordered pair of words and d-compatibility on every word.
 which read only the words the quotient keeps.  ``algebra_maps_oracle``
 is ``algebra_maps`` with its own coefficient sweep, chunked into
 generator images, and its own monomial products.
+``check_tower_compatibility`` compares the corepresenting maps of one
+element at two orders word by word; nothing in the package needs it.
+
+``compose_morphisms_oracle`` is ``compose_morphisms`` as it was before
+it read its components off the morphism join: the block terms of every
+|A|^n label tuple, in ``itertools.product`` order.
+``conjugation_orbits_oracle`` is ``conjugation_orbits`` from before it
+made one pass over the units per orbit: a breadth-first search over
+the map set.
 
 ``expand_oracle`` is the multilinear evaluation kernel as it was
 before it ran on raw values: a recursion over the vectors that
@@ -79,7 +88,10 @@ from itertools import product
 from math import gcd
 
 from barmc.ainfinity import (
+    _block_terms,
+    _expand,
     AInfAlgebra,
+    AInfMorphism,
     CheckReport,
     StructureMaps,
     b_from_m,
@@ -101,7 +113,8 @@ from barmc.linalg import (
     vec_clean,
     vec_scale,
 )
-from barmc.mc import ENUMERATION_CAP, Pi0Report
+from barmc.mc import ENUMERATION_CAP, Pi0Report, _vec_key
+from barmc.twisting import enumerate_units, invert_unit
 
 DENSE_CUTOFF = 64
 
@@ -866,6 +879,16 @@ def tower_surjection_oracle(big, small):
     return CheckReport(True, checked_to=small.N)
 
 
+def check_tower_compatibility(big, small):
+    """The corepresenting maps at two orders agree on shared words."""
+    if big.N < small.N:
+        raise ValueError("pass the finer truncation first")
+    for w in small.S.words:
+        if big.entries.get(w, {}) != small.entries.get(w, {}):
+            return False
+    return True
+
+
 def algebra_maps_oracle(pres, R):
     p = R.field.p
     if not p:
@@ -1064,3 +1087,60 @@ def check_base_change_oracle(E):
             if got != want:
                 return CheckReport(False, failure=(n, args, got, want))
     return CheckReport(True, checked_to=A.arity_bound)
+
+
+# ---------------------------------------------------------------------------
+# composites of morphisms and conjugation orbits, tuple by tuple
+
+
+def compose_morphisms_oracle(g, f, arity_bound=None):
+    """compose_morphisms over all |A|^n label tuples, one at a time."""
+    if f.target is not g.source:
+        raise ValueError("morphisms do not compose")
+    bound = arity_bound or min(f.arity_bound, g.arity_bound)
+    comps = StructureMaps()
+    A1 = f.source
+    for n in range(1, bound + 1):
+        for args in product(A1.space.labels, repeat=n):
+            acc = {}
+            for blocks, exponent, pieces in _block_terms(f, args, g.f.arities()):
+                out = _expand(A1.field, pieces, g.f.entries[len(blocks)].get)
+                vec_add(acc, out, A1.field.sign(exponent))
+            if vec_clean(acc):
+                comps.set(n, args, acc)
+    return AInfMorphism(f.source, g.target, comps, arity_bound=bound,
+                        strict_unital=f.strict_unital and g.strict_unital)
+
+
+def conjugation_orbits_oracle(R, maps):
+    """conjugation_orbits by breadth-first search over the map set."""
+    units = [(u, invert_unit(R, u)) for u in enumerate_units(R)]
+    index_of = {tuple(_vec_key(w) for w in t): i for i, t in enumerate(maps)}
+    seen = set()
+    orbits = []
+    orbit_of = {}
+    for i in range(len(maps)):
+        if i in seen:
+            continue
+        frontier = [i]
+        orbit = []
+        while frontier:
+            j = frontier.pop()
+            if j in seen:
+                continue
+            seen.add(j)
+            orbit.append(j)
+            for u, uinv in units:
+                moved = tuple(R.multiply(R.multiply(u, w), uinv)
+                              for w in maps[j])
+                k = index_of.get(tuple(_vec_key(w) for w in moved))
+                if k is None:
+                    raise MathCheckFailure(
+                        "conjugation left the enumerated map set")
+                if k not in seen:
+                    frontier.append(k)
+        orbit.sort()
+        for j in orbit:
+            orbit_of[j] = len(orbits)
+        orbits.append(orbit)
+    return orbits, orbit_of

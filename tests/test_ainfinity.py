@@ -7,6 +7,8 @@ shifted space.  A wrong global or transposition sign breaks that check
 on the algebras below with nontrivial chained products.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +48,8 @@ from barmc.bar import dual_dg_algebra
 from barmc.linalg import GradedSpace
 from barmc.scalars import Field
 from barmc.transfer import minimal_model
+
+from oracles import compose_morphisms_oracle
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -237,6 +241,45 @@ def test_compose_morphisms_identity_absorbs():
                          (f, identity_morphism(f.source))):
                 assert compose_morphisms(g, h, arity_bound=n).f.entries \
                     == f.f.entries
+
+
+def random_morphism(rng, source, target, max_arity, arity_bound=None):
+    """Seeded components of degree 1 - n; AInfMorphism checks only degrees."""
+    field = source.field
+    nonzero = range(1, field.p) if field.p else (-2, -1, 1, 2)
+    by_degree = {}
+    for l in target.space.labels:
+        by_degree.setdefault(target.deg(l), []).append(l)
+    comps = StructureMaps()
+    for n in range(1, max_arity + 1):
+        for args in all_tuples(source.space.labels, n):
+            outs = by_degree.get(sum(source.deg(a) for a in args) + 1 - n)
+            if outs and rng.random() < 0.7:
+                vec = {o: field(rng.choice(nonzero)) for o in outs
+                       if rng.random() < 0.7}
+                if vec:
+                    comps.set(n, args, vec)
+    return AInfMorphism(source, target, comps, arity_bound=arity_bound)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_compose_morphisms_matches_the_tuple_sweep(seed):
+    """Entry for entry, in the same entry order, against the all-tuple
+    composite, over seeded components of consistent degree, with the
+    component bounds and the composite's own bound varied."""
+    rng = random.Random(seed)
+    field = (F2, F3, Q)[seed % 3]
+    A, B, C = kpoints(field, 2), xy(field), kpoints(field, 1)
+    f = random_morphism(rng, A, B, 3, arity_bound=rng.choice([None, 2]))
+    g = random_morphism(rng, B, C, 3, arity_bound=rng.choice([None, 2, 3]))
+    bound = rng.choice([None, 2, 4])
+    got = compose_morphisms(g, f, arity_bound=bound)
+    want = compose_morphisms_oracle(g, f, arity_bound=bound)
+    assert [(n, list(t)) for n, t in got.f.entries.items()] == \
+        [(n, list(t)) for n, t in want.f.entries.items()]
+    assert got.f.entries == want.f.entries
+    assert got.arity_bound == want.arity_bound
+    assert got.f.entries  # a composite with entries in every draw
 
 
 def test_strict_unital_morphism_check():

@@ -1,4 +1,4 @@
-"""Artinian DG algebras, quotient towers, dual coalgebras."""
+"""Artinian DG algebras and quotient towers."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from barmc.ainfinity import AInfAlgebra, StructureMaps, check_ainf_axioms
 from barmc.artin import (
     ArtinianDGAlgebra,
-    DualCoalgebra,
     fiber_product,
     quotient_by_power,
     square_zero,
     truncated_polynomial,
     validate_artinian,
 )
-from barmc.linalg import Complex, GradedSpace
+from barmc.linalg import GradedSpace
 from barmc.scalars import Field
 
 Q = Field.rationals()
@@ -147,54 +146,3 @@ def test_small_extension_kernel_at_top_power():
                    for v in rows for x in R.ideal_labels)
     # m^1 = m does not kill m when nu > 2
     assert R.multiply({"t": Q.one}, {"t": Q.one})
-
-
-# ---------------------------------------------------------------------------
-# dual coalgebras
-
-
-def test_dual_of_dual_numbers():
-    R = truncated_polynomial(Q, 2)
-    C = DualCoalgebra(R)
-    # Delta(t*) = t* x 1* + 1* x t*
-    assert C.comultiply("t") == [("1", "t", Q.one), ("t", "1", Q.one)]
-    assert C.check_coassociative()
-
-
-def test_dual_of_t_cubed_has_quadratic_term():
-    R = truncated_polynomial(Q, 3)
-    C = DualCoalgebra(R)
-    terms = C.comultiply("t2")
-    assert ("t", "t", Q.one) in terms
-    assert C.check_coassociative()
-
-
-def test_dual_of_ground_field_trivial():
-    C = DualCoalgebra(truncated_polynomial(Q, 1))
-    assert C.comultiply("1") == [("1", "1", Q.one)]
-
-
-def test_double_dual_returns_structure_constants():
-    for R in (truncated_polynomial(Q, 4),
-              fiber_product(truncated_polynomial(Q, 2),
-                            truncated_polynomial(Q, 2, var="s")),
-              truncated_polynomial(Q, 2, deg=-1, var="eps")):
-        C = DualCoalgebra(R)
-        assert C.redualize() == {
-            args: vec for (args, vec) in R.algebra.m.entries.get(2, {}).items()
-        }
-        assert C.check_coassociative()
-
-
-def test_dual_differential_squares_to_zero():
-    R = square_zero(Q, [("m1", -1), ("m2", 0)], d={"m1": {"m2": 1}})
-    C = DualCoalgebra(R)
-    # the dual complex is a genuine complex (degree +1, d*d = 0)
-    Complex(C.space, {k: dict(v) for k, v in C.d.items()}, Q)
-    assert C.d["m2"] == {"m1": Q(-1)}
-
-
-def test_dual_degrees_are_negated():
-    R = truncated_polynomial(Q, 2, deg=-1, var="eps")
-    C = DualCoalgebra(R)
-    assert C.space.degree["eps"] == 1

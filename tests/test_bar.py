@@ -50,6 +50,7 @@ from oracles import (
     dense_rank,
     filtered_dims_oracle,
     product_table_oracle,
+    span_coordinates_oracle,
     tower_surjection_oracle,
     universal_ops_oracle,
 )
@@ -692,3 +693,66 @@ def test_dual_truncation_is_artinian():
     assert T.nu == 3
     assert T.classical
     assert not T.commutative
+
+
+# ---------------------------------------------------------------------------
+# coordinate solvers, built on the first query
+
+
+# the probes of tests/test_golden.py
+GOLDEN_PROBES = [(lambda: kpoints(Q, 2), 5), (lambda: xy(Q), 4),
+                 (lambda: kpoints(Q, 3), 3)]
+
+
+def test_koszul_probe_leaves_the_coordinate_solvers_unbuilt():
+    """The probe reads dimensions and representatives, never coordinates;
+    the first class_coords or project builds the solver it asks."""
+    rep = koszul_probe(kpoints(Q, 2), 4).cohomology
+    built = list(rep.cx._cohomology.values())
+    assert 0 in rep.cx._cohomology and len(built) > 1
+    assert "_solver" not in vars(rep)
+    assert not any("_solver" in vars(h) for h in built)
+    _, v = rep.weight_reps[-1]
+    assert rep.class_coords(v) == {len(rep.weight_reps) - 1: Q.one}
+    assert "_solver" in vars(rep)
+    h = rep.h0
+    assert h.project(h.representatives[0]) == {0: Q.one}
+    assert "_solver" in vars(h)
+
+
+def combinations_of(rng, field, reps, boundaries):
+    """A random class combination plus a random boundary, and its coordinates."""
+    coords = {j: field(rng.randint(-2, 2)) for j in range(len(reps))}
+    v = {}
+    for j, c in coords.items():
+        vec_add(v, reps[j], c)
+    for b in boundaries:
+        vec_add(v, b, field(rng.randint(-2, 2)))
+    return vec_clean(v), {j: c for j, c in coords.items() if c}
+
+
+@pytest.mark.parametrize("case", range(len(GOLDEN_PROBES)))
+def test_class_coordinates_match_the_eager_solvers(case):
+    """project and class_coords give the coordinates an eager solve over
+    the parent's basis gives: the image basis of d for Cohomology, the
+    boundary rows for SHatCohomology, then the representatives."""
+    make, N = GOLDEN_PROBES[case]
+    rep = koszul_probe(make(), N).cohomology
+    rng = random.Random(case)
+    for i, h in sorted(rep.cx._cohomology.items()):
+        if not h.dim:
+            continue
+        d_prev, _, dst = rep.cx.matrix_of_d(i - 1)
+        image = [{dst[r]: c for r, c in col.items()}
+                 for col in d_prev.row_reduce().image_basis()]
+        for _ in range(3):
+            v, want = combinations_of(rng, Q, h.representatives, image)
+            eager = span_coordinates_oracle(image + h.representatives, Q, v)
+            assert {j - len(image): c for j, c in eager.items()
+                    if j >= len(image) and c} == want
+            assert h.project(v) == want
+    reps = [v for _, v in rep.weight_reps]
+    bounds = rep.h0.boundaries.rows
+    for _ in range(3):
+        v, want = combinations_of(rng, Q, reps, bounds)
+        assert rep.class_coords(v) == want

@@ -1,0 +1,337 @@
+"""Seeded fuzzing of the public entry points, and the refusals it pins.
+
+Mutated JSON descriptions, constructor arguments, Maurer-Cartan
+elements and gauge vectors go to the entry points that take them.
+Every call must return a value or raise ValueError, HypothesisNotMet or
+MathCheckFailure.  Scalar's own refusals are exempt: the TypeError it
+raises on a float or a bool and the FieldMismatch it raises on mixed
+fields.  Field arguments and algebra arguments are not replaced by
+junk (their documented types are Field and AInfAlgebra); a base may be
+swapped for the bare algebra under it, which is the mistake a caller
+makes.
+
+The mutations come from random.Random with fixed seeds and the inputs
+stay small, so the file runs in seconds in one process.
+"""
+
+import copy
+import random
+import re
+
+import pytest
+
+from barmc.ainfinity import check_ainf_axioms, tensor_with_dg
+from barmc.artin import (
+    fiber_product,
+    quotient_by_power,
+    square_zero,
+    truncated_polynomial,
+)
+from barmc.bar import SHatCohomology, dual_dg_algebra, koszul_probe
+from barmc.errors import HypothesisNotMet, MathCheckFailure
+from barmc.examples import (
+    acyclic_cone,
+    kpoints,
+    ngr,
+    njac,
+    random_instance,
+    xy,
+)
+from barmc.mc import (
+    DeformationSetup,
+    HomComplex,
+    MCGroupoid,
+    enumerate_mc,
+    lift_mc,
+    obstruction_o0,
+    obstruction_o1,
+    obstruction_o2,
+    pi0,
+)
+from barmc.scalars import Field, FieldMismatch
+from barmc.serialize import (
+    algebra_from_json,
+    algebra_to_json,
+    element_from_json,
+    element_to_json,
+    vector_from_json,
+)
+from barmc.transfer import minimal_model
+from barmc.twisting import (
+    CorepresentingHom,
+    TwistedModule,
+    UniversalDeformation,
+    prorep_compare,
+)
+
+Q = Field.rationals()
+F2 = Field.prime(2)
+F3 = Field.prime(3)
+
+ALLOWED = (ValueError, HypothesisNotMet, MathCheckFailure)
+
+# values a mutation puts where something else was due
+JUNK = (None, True, -1, 0, 1, 2, 3, 1.5, "x", "2", "", [], [1, "x"], {},
+        {"x": 1}, ("x", "t"))
+
+
+def settles(call, *args):
+    """call(*args), or None when it raises an allowed exception.
+
+    Anything else fails the test, naming the call and its arguments.
+    """
+    try:
+        return call(*args)
+    except ALLOWED + (FieldMismatch,):
+        return None
+    except Exception as exc:
+        if type(exc) is TypeError and str(exc).startswith("refusing to treat"):
+            return None
+        raise AssertionError("%s%r raised %r" % (
+            getattr(call, "__name__", call), args, exc)) from exc
+
+
+# ---------------------------------------------------------------------------
+# JSON descriptions
+
+
+def _slots(doc):
+    """Every (container, key) in a JSON document, depth first."""
+    out = []
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        keys = (sorted(node) if isinstance(node, dict)
+                else range(len(node)) if isinstance(node, list) else ())
+        for k in keys:
+            out.append((node, k))
+            stack.append(node[k])
+    return out
+
+
+def _strings(doc):
+    return sorted({v for c, k in _slots(doc) for v in [c[k]]
+                   if isinstance(v, str)})
+
+
+def mutate_json(rng, doc):
+    """One to three edits: replace, delete, duplicate or relabel a slot."""
+    doc = copy.deepcopy(doc)
+    strings = _strings(doc) + ["zz"]
+    for _ in range(rng.randint(1, 3)):
+        slots = _slots(doc)
+        if not slots:
+            return rng.choice(JUNK)
+        node, key = rng.choice(slots)
+        op = rng.randrange(4)
+        if op == 0:
+            node[key] = copy.deepcopy(rng.choice(JUNK))
+        elif op == 1:
+            del node[key]
+        elif op == 2 and isinstance(node, list):
+            node.insert(key, copy.deepcopy(node[key]))
+        else:
+            node[key] = rng.choice(strings)
+    return doc
+
+
+ALGEBRAS = [lambda: kpoints(F2, 1), lambda: njac(F3, 2), lambda: xy(Q),
+            lambda: truncated_polynomial(F3, 3).algebra,
+            lambda: tensor_with_dg(kpoints(F2, 1), acyclic_cone(F2))]
+
+
+def test_mutated_algebra_descriptions():
+    loaded = 0
+    for case, make in enumerate(ALGEBRAS):
+        doc = algebra_to_json(make())
+        rng = random.Random(case)
+        for _ in range(200):
+            B = settles(algebra_from_json, mutate_json(rng, doc))
+            if B is None:
+                continue
+            loaded += 1
+            settles(check_ainf_axioms, B, 3)
+            settles(koszul_probe, B, 2)
+            settles(enumerate_mc, B, truncated_polynomial(B.field, 2), 64)
+    assert loaded  # some mutants are valid descriptions and go further
+
+
+def test_mutated_vector_and_element_documents():
+    alpha = {(("x", 1), "t"): F3(2), ("y", ("h", 0, 2)): F3(1),
+             ("x", "t2"): F3(1)}
+    doc = element_to_json(alpha)
+    rng = random.Random(11)
+    for _ in range(500):
+        mutant = mutate_json(rng, doc)
+        settles(vector_from_json, F3, mutant)
+        settles(element_from_json, F3, mutant)
+
+
+# ---------------------------------------------------------------------------
+# constructor and entry-point arguments
+
+
+def _calls():
+    """(entry point, arguments, positions that may be mutated)."""
+    R3 = truncated_polynomial(F3, 3)
+    R2 = truncated_polynomial(F2, 3)
+    A1, A2 = njac(F2, 1), kpoints(F2, 1)
+    return [
+        (kpoints, (F2, 2), (1,)),
+        (njac, (F3, 2), (1,)),
+        (ngr, (F2, 3, 1), (1, 2)),
+        (truncated_polynomial, (F2, 3, 0, "t"), (1, 2, 3)),
+        (square_zero, (F3, [("m1", 0), ("m2", -1)]), (1,)),
+        (random_instance, (F3, 4), (1,)),
+        (Field.prime, (5,), (0,)),
+        (quotient_by_power, (R3, 2), (0, 1)),
+        (fiber_product, (R2, truncated_polynomial(F2, 2, var="s")), (0, 1)),
+        (dual_dg_algebra, (A2, 2), (1,)),
+        (koszul_probe, (A2, 2), (1,)),
+        (SHatCohomology, (A2, 2), (1,)),
+        (check_ainf_axioms, (A2, 3), (1,)),
+        (DeformationSetup, (A1, R2), (1,)),
+        (enumerate_mc, (A1, R2, 64), (1, 2)),
+        (pi0, (A1, R2, 64), (1, 2)),
+        (lift_mc, (xy(F2), R2, {}, 1), (1, 2, 3)),
+        (obstruction_o2, (xy(F2), R2, {}, 1), (1, 2, 3)),
+        (prorep_compare, (A1, R2, 3, 64), (1, 2, 3)),
+        (UniversalDeformation, (kpoints(Q, 1), 2), (1,)),
+        (minimal_model, (tensor_with_dg(kpoints(F2, 1), acyclic_cone(F2)),
+                         3), (1,)),
+    ]
+
+
+def _replacements(value):
+    """What a mutation may put in place of value."""
+    out = list(JUNK)
+    if hasattr(value, "algebra"):  # a base: offer the bare algebra too
+        out.append(value.algebra)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mutated_entry_point_arguments(seed):
+    rng = random.Random(seed)
+    for call, args, mutable in _calls():
+        settles(call, *args)  # the unmutated call settles as well
+        for _ in range(30):
+            mutant = list(args)
+            for pos in rng.sample(mutable, rng.randint(1, len(mutable))):
+                mutant[pos] = rng.choice(_replacements(args[pos]))
+            settles(call, *mutant)
+
+
+# ---------------------------------------------------------------------------
+# Maurer-Cartan elements and gauge vectors
+
+
+def mutate_vector(rng, v, labels):
+    """One to three edits of a label -> F3 scalar dict, or a non-dict."""
+    if rng.random() < 0.1:
+        return rng.choice(JUNK)
+    v = dict(v)
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(5)
+        if op == 0 and v:
+            l = rng.choice(sorted(v, key=repr))
+            v[l] = F3(rng.randrange(3))
+        elif op == 1:
+            v[rng.choice(labels)] = F3(rng.randrange(1, 3))
+        elif op == 2:
+            v[rng.choice([("zz", "t"), ("x1", "zz"), "x1", 3])] = F3.one
+        elif op == 3 and v:
+            l = rng.choice(sorted(v, key=repr))
+            v[l] = rng.choice([1, 1.5, None, "1", F2.one, Q.one])
+        elif v:
+            del v[rng.choice(sorted(v, key=repr))]
+    return v
+
+
+def test_mutated_mc_elements():
+    A, R = njac(F3, 1), truncated_polynomial(F3, 3)
+    setup = DeformationSetup(A, R)
+    labels = list(setup.T.space.labels)
+    elements = setup.enumerate_mc()
+    groupoid = MCGroupoid(setup)
+    S = dual_dg_algebra(A, 3)
+    module = TwistedModule(setup, {}, check=False)
+    rng = random.Random(5)
+    for _ in range(150):
+        alpha = mutate_vector(rng, rng.choice(elements), labels)
+        beta = rng.choice(elements)
+        settles(setup.mc_residual, alpha)
+        settles(setup.is_mc, alpha)
+        settles(lift_mc, A, R, alpha)
+        settles(obstruction_o2, A, R, alpha)
+        settles(CorepresentingHom, setup, alpha, S)
+        settles(TwistedModule, setup, alpha, False)
+        settles(HomComplex, setup, alpha, beta)
+        settles(groupoid.hom, alpha, beta)
+        x = mutate_vector(rng, {labels[1]: F3.one}, labels)
+        a_vecs = rng.choice([[{"x1": F3.one}], [x], x, 3, None, ()])
+        settles(module.op, x, a_vecs)
+        settles(module.differential, x)
+        settles(module.right_action, x, rng.choice([{"t": F3.one}, x, 3]))
+
+
+def test_mutated_gauge_vectors():
+    A, R = njac(F3, 1), truncated_polynomial(F3, 3)
+    setup = DeformationSetup(A, R)
+    below = setup.below
+    labels = list(setup.T.space.labels)
+    elements = setup.enumerate_mc()
+    groupoid = MCGroupoid(setup)
+    rng = random.Random(7)
+    for _ in range(150):
+        a, b = rng.choice(elements), rng.choice(elements)
+        homset = groupoid.hom(a, b)
+        g = mutate_vector(rng, setup.one_vec, labels)
+        g_bar = mutate_vector(rng, below.one_vec, list(below.T.space.labels))
+        settles(setup.gauge_part, g)
+        settles(homset.classify, g)
+        settles(homset.contains_vector, g)
+        settles(obstruction_o1, A, R, a, b, g_bar)
+        settles(obstruction_o0, A, R, a, a, setup.one_vec, g)
+
+
+# ---------------------------------------------------------------------------
+# refusals that used to surface as TypeError or AttributeError
+
+
+def _prorep_on_bare_algebra():
+    R = truncated_polynomial(F2, 3)
+    prorep_compare(njac(F2, 1), R.algebra, 3)
+
+
+def _gauge_part_of_int():
+    DeformationSetup(njac(F2, 1), truncated_polynomial(F2, 3)).gauge_part(3)
+
+
+def _o1_of_int():
+    obstruction_o1(njac(F2, 1), truncated_polynomial(F2, 3), {}, {}, 5)
+
+
+def _op_on_int_slots():
+    setup = DeformationSetup(njac(F2, 1), truncated_polynomial(F2, 2))
+    TwistedModule(setup, {}).op({("x1", "1"): F2.one}, 3)
+
+
+@pytest.mark.parametrize("call, named", [
+    (_prorep_on_bare_algebra, "ArtinianDGAlgebra"),
+    (_gauge_part_of_int, "3"),
+    (_o1_of_int, "5"),
+    (_op_on_int_slots, "3"),
+    (lambda: kpoints(F2, "2"), "'2'"),
+    (lambda: random_instance(F2, "x"), "'x'"),
+    (lambda: truncated_polynomial(F2, 3, deg="a"), "'a'"),
+    (lambda: njac(F2, -1), "nonnegative"),
+    (lambda: kpoints(F2, -1), "nonnegative"),
+    (lambda: ngr(F2, "3", 1), "'3'"),
+    (lambda: square_zero(F2, [("e", "a")]), "'a'"),
+], ids=["prorep-bare-algebra", "gauge-part-int", "o1-int", "op-int-slots",
+        "kpoints-str", "random-instance-str", "poly-degree-str",
+        "njac-negative", "kpoints-negative", "ngr-str", "square-zero-str"])
+def test_entry_point_refuses_with_value_error(call, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        call()

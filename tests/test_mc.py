@@ -24,7 +24,14 @@ from barmc.ainfinity import (
 from barmc.artin import quotient_by_power, square_zero, truncated_polynomial
 from barmc.bar import dual_dg_algebra, koszul_probe
 from barmc.errors import HypothesisNotMet, MathCheckFailure
-from barmc.examples import golden_dg_pair, kpoints, njac, random_instance, xy
+from barmc.examples import (
+    golden_dg_pair,
+    kpoints,
+    njac,
+    random_instance,
+    xy,
+    xy_bare,
+)
 from barmc.linalg import GradedSpace, vec_add, vec_clean, vec_eq, vec_sub
 import barmc.mc as mc_module
 from barmc.mc import (
@@ -822,6 +829,34 @@ def test_lift_agrees_with_brute_force_existence():
 def test_lift_over_the_ground_field_is_trivial():
     out = lift_mc(xy(F2), truncated_polynomial(F2, 1), {})
     assert out.ok and out.element == {}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lift_cleans_the_seed_at_every_order(n):
+    """A seed written with an explicit zero comes back clean, whether the
+    chain has one level or several."""
+    out = lift_mc(njac(F2, 1), truncated_polynomial(F2, n),
+                  {("x1", "t"): F2.zero})
+    assert out.ok and out.element == {} and list(out.element) == []
+    assert out.level == n and len(out.trace) == n - 2
+
+
+def test_hom_complex_reads_the_unit_image_as_the_difference():
+    """m_1^{alpha,beta}(1) = beta - alpha under a strict unit, on every
+    ordered pair of MC elements."""
+    setup = DeformationSetup(njac(F3, 1), truncated_polynomial(F3, 3))
+    elements = setup.enumerate_mc()
+    for alpha in elements:
+        for beta in elements:
+            hc = HomComplex(setup, alpha, beta)
+            assert hc.d_of_one == vec_clean(vec_sub(beta, alpha))
+            assert hc.apply(dict(setup.one_vec)) == hc.d_of_one
+
+
+def test_hom_complex_refuses_an_algebra_without_a_unit():
+    setup = DeformationSetup(xy_bare(F2), truncated_polynomial(F2, 3))
+    with pytest.raises(HypothesisNotMet, match="strict unit"):
+        HomComplex(setup, {}, {})
 
 
 # ---------------------------------------------------------------------------

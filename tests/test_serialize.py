@@ -20,6 +20,7 @@ from barmc.serialize import (
     dumps_canonical,
     element_from_json,
     element_to_json,
+    vector_from_json,
 )
 
 Q = Field.rationals()
@@ -184,3 +185,38 @@ def test_element_round_trips_with_nested_labels():
 def test_malformed_element_is_refused(doc):
     with pytest.raises(ValueError):
         element_from_json(F3, doc)
+
+
+OBJECT = {"x": 1}
+
+
+@pytest.mark.parametrize("load, named", [
+    (lambda: algebra_from_json(dict(_doc(), basis={"label": "1"})),
+     "basis {'label': '1'}"),
+    (lambda: algebra_from_json(dict(_doc(), ops=5)), "ops 5"),
+    (lambda: _loaded(_set(("ops", 0, "in"), "x1")), "op input 'x1'"),
+    (lambda: _loaded(_set(("ops", 0, "out"), 7)), "op output 7"),
+    (lambda: _loaded(_set(("basis", 1, "label"), OBJECT)), repr(OBJECT)),
+    (lambda: _loaded(_set(("ops", 0, "in", 0), OBJECT)), repr(OBJECT)),
+    (lambda: _loaded(_set(("ops", 0, "out", 0, "label"), OBJECT)),
+     repr(OBJECT)),
+    (lambda: _loaded(_set(("unit",), OBJECT)), repr(OBJECT)),
+    (lambda: vector_from_json(F3, 5), "vector 5"),
+    (lambda: vector_from_json(F3, {"x": "1"}), "vector {'x': '1'}"),
+    (lambda: vector_from_json(F3, [[OBJECT, "1"]]), repr(OBJECT)),
+    (lambda: element_from_json(F3, "x"), "vector 'x'"),
+    (lambda: element_from_json(F3, [[[OBJECT, "t"], "1"]]), repr(OBJECT)),
+], ids=["basis object", "ops int", "in string", "out int", "basis label",
+        "input label", "output label", "unit label", "vector int",
+        "vector object", "vector label", "element string", "element label"])
+def test_non_list_documents_and_object_labels_are_named(load, named):
+    """Where a list or a label is due, anything else is a ValueError that
+    quotes it, not a TypeError from iterating or hashing it."""
+    with pytest.raises(ValueError, match=re.escape(named)):
+        load()
+
+
+def _loaded(mutate):
+    doc = _doc()
+    mutate(doc)
+    return algebra_from_json(doc)

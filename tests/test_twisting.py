@@ -40,7 +40,6 @@ from barmc.twisting import (
     TwistedModule,
     UniversalDeformation,
     algebra_maps,
-    check_tower_compatibility,
     conjugation_orbits,
     enumerate_units,
     induced_map,
@@ -51,7 +50,9 @@ from barmc.twisting import (
 from oracles import (
     algebra_maps_oracle,
     all_pairs_dg_map_failure,
+    check_tower_compatibility,
     comodule_ops_oracle,
+    conjugation_orbits_oracle,
 )
 
 Q = Field.rationals()
@@ -1030,3 +1031,25 @@ def test_conjugation_orbits_partition_the_maps():
     covered = sorted(i for o in orbits for i in o)
     assert covered == list(range(len(maps)))
     assert all(orbit_of[i] == k for k, o in enumerate(orbits) for i in o)
+
+
+# the noncommutative comparison of this module and more algebras over
+# its base and over F3, run on their map sets without the Koszul gate
+NONCOMMUTATIVE_CASES = {
+    "njac1-noncomm-F2-3": (lambda: njac(F2, 1), 3, F2),
+    "njac2-noncomm-F2-3": (lambda: njac(F2, 2), 3, F2),
+    "kpoints2-noncomm-F2-3": (lambda: kpoints(F2, 2), 3, F2),
+    "xy-noncomm-F2-3": (lambda: xy(F2), 3, F2),
+    "njac1-noncomm-F3-3": (lambda: njac(F3, 1), 3, F3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NONCOMMUTATIVE_CASES))
+def test_conjugation_orbits_match_the_search(case):
+    """One pass over the units per orbit gives the breadth-first orbits."""
+    make_a, N, field = NONCOMMUTATIVE_CASES[case]
+    R = local_noncommutative(field)
+    maps = algebra_maps(H0Presentation(SHatCohomology(make_a(), N)), R)
+    orbits, orbit_of = conjugation_orbits(R, maps)
+    assert (orbits, orbit_of) == conjugation_orbits_oracle(R, maps)
+    assert any(len(o) > 1 for o in orbits)
