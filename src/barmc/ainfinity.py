@@ -901,18 +901,14 @@ def _regrouped(a_vec, a_degs, C, c_args, c_prod):
 class CohomologyAlgebra:
     """H(A) with the induced product, on chosen representative cocycles."""
 
-    def __init__(self, space, product, reps, cohomologies):
-        self.space = space
-        self.product = product  # dict (label, label) -> vec
+    def __init__(self, algebra, reps, cohomologies):
+        self.algebra = algebra  # H(A) with the induced m_2 as its only map
+        self.space = algebra.space
         self.representatives = reps  # dict label -> vec in A
         self.cohomologies = cohomologies
 
     def multiply(self, x, y):
-        out = {}
-        for lx, cx in x.items():
-            for ly, cy in y.items():
-                vec_add(out, self.product.get((lx, ly), {}), cx * cy)
-        return vec_clean(out)
+        return self.algebra.eval_m_vectors([x, y])
 
 
 def cohomology_algebra(A):
@@ -936,7 +932,7 @@ def cohomology_algebra(A):
                 labels.append((lbl, d))
                 reps[lbl] = rep
     hspace = GradedSpace(labels)
-    product = {}
+    product = StructureMaps()
     for lx, vx in reps.items():
         for ly, vy in reps.items():
             prod = A.eval_m_vectors([vx, vy])
@@ -952,8 +948,7 @@ def cohomology_algebra(A):
                 else:
                     for pos, c in h.project(prod).items():
                         vec[("h", d, pos)] = c
-            if vec_clean(vec):
-                product[(lx, ly)] = vec
+            product.set(2, (lx, ly), vec)
     for d, h in cohs.items():
         for b in h.boundaries.rows:
             for lx, vx in reps.items():
@@ -962,7 +957,8 @@ def cohomology_algebra(A):
                     # cohs holds the same memoised objects as cx.cohomology
                     if dd is not None and not cx.cohomology(dd).class_is_zero(prod):
                         raise ValueError("a boundary multiplies to a nonzero class")
-    return CohomologyAlgebra(hspace, product, reps, cohs)
+    return CohomologyAlgebra(
+        AInfAlgebra(hspace, A.field, product, arity_bound=2), reps, cohs)
 
 
 def degree_certified_arity_bound(A):

@@ -13,17 +13,18 @@ computes the nilpotency index, and classifies R as negative
 
 from .ainfinity import AInfAlgebra, StructureMaps, check_ainf_axioms
 from .errors import _integer
-from .linalg import GradedSpace, Subspace, vec_add, vec_clean
+from .linalg import GradedSpace, Subspace, vec_clean
 
 MAX_NILPOTENCY_SCAN = 64
 
 
 class ArtinianReport:
     def __init__(self, ok, problems, nu=None, classical=False, negative=False,
-                 commutative=False):
+                 commutative=False, powers=()):
         self.ok = ok
         self.problems = problems
         self.nu = nu
+        self.powers = powers  # echelon rows of m, .., m^nu (= 0) if ok
         self.classical = classical
         self.negative = negative
         self.commutative = commutative
@@ -93,7 +94,8 @@ def validate_artinian(A):
     negative = max(degs) <= 0
     commutative = _is_commutative(A)
     return ArtinianReport(True, [], nu=nu, classical=classical,
-                          negative=negative, commutative=commutative)
+                          negative=negative, commutative=commutative,
+                          powers=powers)
 
 
 def _ideal_powers(A, ideal):
@@ -112,9 +114,7 @@ def _ideal_powers(A, ideal):
         nxt = []
         for v in power:
             for x in ideal:
-                prod = {}
-                for lbl, c in v.items():
-                    vec_add(prod, A.m.get(2, (lbl, x)), c)
+                prod = A.eval_m_vectors([v, {x: one}])
                 if prod:
                     nxt.append(prod)
         power = Subspace(nxt, A.field).rows
@@ -154,33 +154,24 @@ class ArtinianDGAlgebra:
         self.classical = report.classical
         self.negative = report.negative
         self.commutative = report.commutative
+        self._powers = report.powers
         self.ideal_labels = algebra.ideal_labels()
 
     def deg(self, label):
         return self.algebra.deg(label)
 
     def d_of(self, v):
-        out = {}
-        for lbl, c in v.items():
-            vec_add(out, self.algebra.m.get(1, (lbl,)), c)
-        return vec_clean(out)
+        return self.algebra.eval_m_vectors([v])
 
     def multiply(self, u, v):
-        out = {}
-        for lu, cu in u.items():
-            for lv, cv in v.items():
-                vec_add(out, self.algebra.m.get(2, (lu, lv)), cu * cv)
-        return vec_clean(out)
+        return self.algebra.eval_m_vectors([u, v])
 
     def ideal_power(self, n):
-        """Spanning vectors of m^n (echelonized); n = 0 gives all of R."""
+        """Echelon rows of m^n, as validation found them; n = 0 gives R."""
         if n <= 0:
             return [{x: self.field.one} for x in self.space.labels]
-        for k, rows in enumerate(
-                _ideal_powers(self.algebra, self.ideal_labels), 1):
-            if k == n:
-                return rows
-        return []
+        return next((rows for k, rows in enumerate(self._powers, 1) if k == n),
+                    [])
 
     def ideal_power_subspace(self, n):
         return Subspace(self.ideal_power(n), self.field)

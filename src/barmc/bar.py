@@ -306,13 +306,18 @@ class SHatCohomology:
         One pass from the top weight down: Z(F^w) grows as w falls, and
         each cocycle of Z(F^w) that is new modulo the boundaries and the
         cocycles already taken is a class of weight w.  The count taken
-        at weight w is dim F^w H - dim F^(w+1) H.
+        at weight w is dim F^w H - dim F^(w+1) H.  Z(F^0), the whole
+        kernel, is read off ``Complex.block``, as H^degree read it.
         """
         h = self.cx.cohomology(degree)
         span = Subspace(h.boundaries.rows, self.field)
         reps = [[] for _ in range(self.N + 1)]
+        block = self.cx.block(degree)
         for w in range(self.N, -1, -1):
-            for v in self._restricted_kernel(self._labels_at(degree, w)):
+            kernel = (self._restricted_kernel(self._labels_at(degree, w)) if w
+                      else [{block.labels[j]: c for j, c in kv.items()}
+                            for kv in block.kernel_basis()])
+            for v in kernel:
                 if span.insert(v):
                     reps[w].append(v)
         if span.dim - h.boundaries.dim != h.dim:

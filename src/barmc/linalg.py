@@ -12,9 +12,12 @@ Arithmetic is ordinary division over Q and F_p alike.
 
 Linear systems go through one of two interfaces:
 
-* ``Elimination`` row-reduces a ``Matrix``, the integer-indexed block
-  of a complex's differential (``Complex.matrix_of_d``), for
-  ``Cohomology``; it orders keys by column index.
+* ``Elimination`` is the reduced echelon form of a ``Matrix``, the
+  integer-indexed block of a complex's differential; it orders keys by
+  column index.  ``Complex.block(i)`` builds it once per degree, and
+  ``Cohomology``, ``bar.SHatCohomology`` and
+  ``transfer.build_splitting`` all read their kernels and pivot
+  columns off that one elimination.
 * ``SpanSolver`` takes label-keyed vectors as they are and reports the
   coordinates of a vector in their span, the independent vectors, and
   the relations among the others; it puts the labels before the
@@ -108,30 +111,25 @@ class Matrix:
         self.field = field
         self.entries = {}
 
-    def column(self, j):
-        return {i: c for (i, jj), c in self.entries.items() if jj == j}
-
     def rows(self):
         out = [dict() for _ in range(self.nrows)]
         for (i, j), c in sorted(self.entries.items()):
             out[i][j] = c
         return out
 
-    def row_reduce(self):
-        return Elimination(self)
-
 
 class Elimination:
     """Reduced row-echelon data for one matrix.
 
     ``rows`` is the reduced echelon basis of the row space, columns in
-    index order, built by ``Subspace.insert``.  Exposes rank, pivot
-    positions, a kernel basis (columns = domain) read off the free
-    columns, and the original pivot columns as an image basis.
+    index order, built by ``Subspace.insert``.  Exposes rank, the pivot
+    columns (the earliest columns independent of the ones before them,
+    so the matching columns of the matrix are a basis of its image) and
+    a kernel basis (columns = domain) read off the free columns.
     """
 
     def __init__(self, matrix):
-        self.matrix = matrix
+        self.ncols = matrix.ncols
         self.field = matrix.field
         echelon = _ColumnEchelon(matrix.rows(), self.field)
         self.rows = echelon.rows
@@ -141,7 +139,7 @@ class Elimination:
     def kernel_basis(self):
         """Basis of {x : Mx = 0}, one vector per free column, canonical order."""
         pivot_set = set(self.pivots)
-        free = [j for j in range(self.matrix.ncols) if j not in pivot_set]
+        free = [j for j in range(self.ncols) if j not in pivot_set]
         basis = []
         for f in free:
             v = {f: self.field.one}
@@ -151,10 +149,6 @@ class Elimination:
                     v[p] = -c
             basis.append(v)
         return basis
-
-    def image_basis(self):
-        """The pivot columns of the original matrix (a basis of the image)."""
-        return [self.matrix.column(j) for j in self.pivots]
 
 
 class SpanSolver:
@@ -360,6 +354,7 @@ class Complex:
         self.space = space
         self.field = field
         self.d = {k: vec_clean(v) for k, v in d.items() if vec_clean(v)}
+        self._blocks = {}
         self._cohomology = {}
         self._validate()
 
@@ -395,6 +390,17 @@ class Complex:
                 m.entries[(dst_index[out_lbl], j)] = c
         return m, src, dst
 
+    def block(self, i):
+        """The elimination of d: degree i -> i+1, computed once per degree.
+
+        Its ``labels`` are the degree-i labels, one per column.
+        """
+        if i not in self._blocks:
+            m, src, _ = self.matrix_of_d(i)
+            e = self._blocks[i] = Elimination(m)
+            e.labels = src
+        return self._blocks[i]
+
     def cohomology(self, i):
         """H^i, computed once per degree; d is never changed after construction."""
         if i not in self._cohomology:
@@ -412,33 +418,32 @@ class Complex:
 
 
 class Cohomology:
-    """H^i of a Complex: dimension, representative cocycles, projection."""
+    """H^i of a Complex: dimension, representative cocycles, projection.
+
+    Both blocks come from the complex: the kernel of d_i is read off
+    ``cx.block(i)``, and the boundaries are d(x) for the pivot labels x
+    of ``cx.block(i - 1)``, a basis of the image of d_(i-1).
+    """
 
     def __init__(self, cx, i):
         self.cx = cx
         self.i = i
         field = cx.field
-        d_i, src, _ = cx.matrix_of_d(i)
-        e = d_i.row_reduce()
-        kernel = e.kernel_basis()  # vectors over positions in src
-        d_prev, _, dst_prev = cx.matrix_of_d(i - 1)
-        boundaries = []
-        ep = d_prev.row_reduce()
-        for col in ep.image_basis():
-            boundaries.append({dst_prev[r]: c for r, c in col.items()})
-        self.boundaries = Subspace(boundaries, field)
+        prev = cx.block(i - 1)
+        self.boundaries = Subspace([cx.d[prev.labels[j]] for j in prev.pivots],
+                                   field)
         # pick representatives: kernel vectors whose reductions mod the
         # boundary space stay independent
+        block = cx.block(i)
         reps = []
         span = Subspace(self.boundaries.rows, field)
-        for kv in kernel:
-            v = {src[j]: c for j, c in kv.items()}
+        for kv in block.kernel_basis():
+            v = {block.labels[j]: c for j, c in kv.items()}
             if span.insert(v):
                 reps.append(v)
         self.representatives = reps
         self.dim = len(reps)
         self.field = field
-        self.labels = src
 
     @cached_property
     def _solver(self):

@@ -56,6 +56,19 @@ from .scalars import Scalar
 ENUMERATION_CAP = 1 << 16
 
 
+def _check_vector(v, field, what, labels, where):
+    """v is a dict from labels to Scalars over field; ValueError if not."""
+    if not isinstance(v, dict):
+        raise ValueError("%s %r is not a dict label -> scalar" % (what, v))
+    for l, c in v.items():
+        if not isinstance(c, Scalar) or (c.field is not field
+                                         and c.field != field):
+            raise ValueError("coefficient %r at %r is not a scalar over %r"
+                             % (c, l, field))
+        if l not in labels:
+            raise ValueError("%s has a component %r outside %s"
+                             % (what, l, where))
+
 def _vec_key(v):
     """A hashable key of v that ignores how its zeros are written."""
     return tuple(sorted((repr(l), str(c)) for l, c in v.items() if c))
@@ -150,25 +163,11 @@ class DeformationSetup:
         return self.ideal_space.labels_of_degree(k)
 
     def check_mc_input(self, alpha):
-        self._check_vector(alpha, "element", self._ideal_set, "A x m")
+        _check_vector(alpha, self.field, "element", self._ideal_set, "A x m")
         for l, c in alpha.items():
             if c and self.T.deg(l) != 1:
                 raise ValueError("element has a component %r of degree %d"
                                  % (l, self.T.deg(l)))
-
-    def _check_vector(self, v, what, labels, where):
-        """v is a dict from labels to Scalars over the field; ValueError if not."""
-        if not isinstance(v, dict):
-            raise ValueError("%s %r is not a dict label -> scalar"
-                             % (what, v))
-        for l, c in v.items():
-            if not isinstance(c, Scalar) or (c.field is not self.field
-                                             and c.field != self.field):
-                raise ValueError("coefficient %r at %r is not a scalar over %r"
-                                 % (c, l, self.field))
-            if l not in labels:
-                raise ValueError("%s has a component %r outside %s"
-                                 % (what, l, where))
 
     def mc_residual(self, alpha):
         """Sum (-1)^(n(n+1)/2) m_n(alpha..alpha), truncated and verified.
@@ -274,8 +273,8 @@ class DeformationSetup:
                     raise HypothesisNotMet(
                         "category operations are defined on MC objects only")
             for x in morphisms:
-                self._check_vector(x, "morphism", self.T.space.index,
-                                   "A x R")
+                _check_vector(x, self.field, "morphism", self.T.space.index,
+                              "A x R")
         return self._insertions(self.T.eval_m_vectors, self.A.arity_bound,
                                 objects, morphisms)
 
@@ -321,8 +320,8 @@ class DeformationSetup:
         """
         if self.one_vec is None:
             raise HypothesisNotMet("the gauge groupoid needs a strict unit")
-        self._check_vector(g, "gauge element", self.T.space.index,
-                           "1 + A x m")
+        _check_vector(g, self.field, "gauge element", self.T.space.index,
+                      "1 + A x m")
         one_lbl = next(iter(self.one_vec))
         g = vec_clean(dict(g))
         if g.get(one_lbl) != self.field.one:
@@ -422,11 +421,10 @@ class SmallExtension:
 
     def project(self, vec):
         """A x R -> A x Rbar along the base projection."""
+        _check_vector(vec, self.field, "vector", self.setup.T.space.index,
+                      "A x R")
         out = {}
         for (a, r), c in vec.items():
-            if r not in self._pi:
-                raise ValueError("label %r has a base component outside R"
-                                 % ((a, r),))
             for rbar, cc in self._pi[r].items():
                 vec_add(out, {(a, rbar): c * cc})
         return vec_clean(out)

@@ -145,14 +145,17 @@ def _h_label(rep, degree, idx, seen, one):
 def build_splitting(C):
     """The canonical exact splitting of a finite DG algebra.
 
-    Degree by degree: cohomology representatives come from the
-    echelon solver, the boundaries d(x) of the labels x whose images
-    are independent of the earlier ones form a basis of the image, each
-    with the preimage x, and the homotopy sends that boundary back to
-    its preimage while killing representatives and preimages.  A strict unit is split off first, onto its own line
-    with zero homotopy, which is the discipline that later makes the
-    transferred model strictly unital without any cleanup pass; a
-    declared unit whose line fails to separate is rejected.
+    Degree by degree, everything is read off the complex's one
+    elimination of each block d_k (``Complex.block``): the cohomology
+    representatives, and the boundaries d(x) of its pivot labels x,
+    which form a basis of the image, each with the preimage x.  The
+    homotopy sends that boundary back to its preimage while killing
+    representatives and preimages.
+
+    A strict unit is split off first, onto its own line with zero
+    homotopy, which is the discipline that later makes the transferred
+    model strictly unital without any cleanup pass; a declared unit
+    whose line fails to separate is rejected.
     """
     if C.m.max_arity() > 2:
         raise ValueError("splittings are built for DG algebras (arity <= 2)")
@@ -200,13 +203,10 @@ def build_splitting(C):
             i_tbl[name] = dict(rep)
             named.append((name, rep))
         reps_at[k] = named
-        src = space_blk.labels_of_degree(k)
-        cols = [cx.d.get(l, {}) for l in src]
-        image = SpanSolver(cols, field).independent
-        bnd = [cols[j] for j in image]
-        pre = [{src[j]: one} for j in image]
-        bnd_into[k + 1] = bnd
-        pre_at[k] = pre
+        elim = cx.block(k)
+        pivots = [elim.labels[j] for j in elim.pivots]
+        bnd_into[k + 1] = [cx.d[l] for l in pivots]
+        pre_at[k] = [{l: one} for l in pivots]
     for k in space_blk.degrees_present():
         named = reps_at[k]
         bnd = bnd_into.get(k, [])

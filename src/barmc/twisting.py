@@ -61,11 +61,11 @@ from .mc import (
     DeformationSetup,
     MCGroupoid,
     _gauge_classes,
+    _check_vector,
     _insertion_sum,
     _span_points,
     _vec_key,
 )
-from .scalars import Scalar
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +290,7 @@ class TwistedModule:
         return CheckReport(True, checked_to=cap)
 
     def differential(self, v):
-        self.setup._check_vector(v, "vector", self.space.index, "the module")
+        _check_vector(v, self.field, "vector", self.space.index, "the module")
         return _apply_table(self._d, v)
 
     def op(self, x_vec, a_vecs):
@@ -298,13 +298,14 @@ class TwistedModule:
 
         ValueError names any label outside the space or outside A.
         """
-        check = self.setup._check_vector
-        check(x_vec, "module element", self.space.index, "the module")
+        _check_vector(x_vec, self.field, "module element", self.space.index,
+                      "the module")
         if not isinstance(a_vecs, (list, tuple)):
             raise ValueError("the algebra slots %r are not a list of vectors"
                              % (a_vecs,))
         for a in a_vecs:
-            check(a, "algebra element", self.A.space.index, "A")
+            _check_vector(a, self.field, "algebra element", self.A.space.index,
+                          "A")
         table = self.ops.entries.get(1 + len(a_vecs), {})
         return _expand(self.field, [x_vec] + list(a_vecs), table.get)
 
@@ -315,9 +316,10 @@ class TwistedModule:
         """x . r through the tensor algebra; needs the strict unit of A."""
         if self.A.unit is None:
             raise HypothesisNotMet("the base action needs a strict unit")
-        check = self.setup._check_vector
-        check(x_vec, "module element", self.space.index, "the module")
-        check(r_vec, "base element", self.R.space.index, "R")
+        _check_vector(x_vec, self.field, "module element", self.space.index,
+                      "the module")
+        _check_vector(r_vec, self.field, "base element", self.R.space.index,
+                      "R")
         embed = {tensor_label(self.A.unit, r): c for r, c in r_vec.items()}
         return self.T.eval_m_vectors([x_vec, embed])
 
@@ -571,14 +573,7 @@ def invert_unit(R, u):
 
     R.multiply reads a label outside R as zero, so u is checked first.
     """
-    if not isinstance(u, dict):
-        raise ValueError("a unit is a dict label -> scalar, got %r" % (u,))
-    for l, c in u.items():
-        if l not in R.space.index:
-            raise ValueError("unit has a label %r outside R" % (l,))
-        if not isinstance(c, Scalar) or c.field != R.field:
-            raise ValueError("coefficient %r at %r is not a scalar over %r"
-                             % (c, l, R.field))
+    _check_vector(u, R.field, "unit", R.space.index, "R")
     c0 = u.get(R.unit)
     if not c0:
         raise ValueError("not a unit: no invertible scalar part")

@@ -11,6 +11,10 @@ sparse cores above it (fraction-free over Q, division-based over F_p),
 then back-substitution; a batch ``Subspace`` built on that; and
 coordinates by one augmented solve per query.
 
+``kernel_oracle`` and ``pivot_columns_oracle`` read a kernel basis and
+an image basis off ``rref_oracle``, as ``Elimination`` does off its
+own echelon form.
+
 The rebuild-loop oracles are the cohomology code as it was before
 ``Subspace.insert``: they rebuild a batch ``SubspaceOracle`` after
 every accepted vector and compute each step of the weight filtration
@@ -68,7 +72,10 @@ before it ran on raw values: a recursion over the vectors that
 multiplies Scalars along each tuple and adds with ``vec_add``.
 ``tensor_with_dg_oracle`` is ``tensor_with_dg`` from then, which
 regrouped every entry of A against all |C|^n base tuples and
-multiplied each tuple's product afresh.
+multiplied each tuple's product afresh.  ``base_product_oracle`` is
+the loop that ``ArtinianDGAlgebra.d_of`` and ``multiply`` and
+``CohomologyAlgebra.multiply`` each wrote out before they called
+``eval_m_vectors``: ``vec_add`` over the labels or label pairs.
 
 ``enumerate_mc_oracle`` is ``DeformationSetup.enumerate_mc`` as it was
 before lifting along the tower: the full residual on every one of the
@@ -230,6 +237,26 @@ def rref_oracle(matrix):
             if coeff is not None:
                 vec_add(echelon[b], echelon[a], -coeff)
     return echelon, [min(r) for r in echelon]
+
+
+def kernel_oracle(matrix):
+    """Kernel basis off rref_oracle: e_f minus the rows at f, per free column f."""
+    rows, pivots = rref_oracle(matrix)
+    kernel = []
+    for f in sorted(set(range(matrix.ncols)) - set(pivots)):
+        v = {f: matrix.field.one}
+        for row, p in zip(rows, pivots):
+            if f in row:
+                v[p] = -row[f]
+        kernel.append(v)
+    return kernel
+
+
+def pivot_columns_oracle(matrix):
+    """The columns of a Matrix at the pivots of rref_oracle, a basis of its image."""
+    _, pivots = rref_oracle(matrix)
+    return [{i: c for (i, j), c in matrix.entries.items() if j == p}
+            for p in pivots]
 
 
 def _reduce_dense(rows, ncols, field):
@@ -408,10 +435,10 @@ def cohomology_oracle(cx, i):
     """(boundary rows, representatives) of H^i(cx), rebuilding the span."""
     field = cx.field
     d_i, src, _ = cx.matrix_of_d(i)
-    kernel = d_i.row_reduce().kernel_basis()
+    kernel = kernel_oracle(d_i)
     d_prev, _, dst_prev = cx.matrix_of_d(i - 1)
     boundaries = [{dst_prev[r]: c for r, c in col.items()}
-                  for col in d_prev.row_reduce().image_basis()]
+                  for col in pivot_columns_oracle(d_prev)]
     reps = []
     span = list(boundaries)
     sub = SubspaceOracle(span, field)
@@ -941,6 +968,20 @@ def expand_oracle(field, vecs, value):
 
     walk(0, (), field.one)
     return out
+
+
+def base_product_oracle(A, *vecs):
+    """m_1(v) or m_2(u, v) of A, one vec_add per label or label pair."""
+    out = {}
+    if len(vecs) == 1:
+        for lbl, c in vecs[0].items():
+            vec_add(out, A.m.get(1, (lbl,)), c)
+    else:
+        u, v = vecs
+        for lu, cu in u.items():
+            for lv, cv in v.items():
+                vec_add(out, A.m.get(2, (lu, lv)), cu * cv)
+    return vec_clean(out)
 
 
 def tensor_with_dg_oracle(A, C):

@@ -49,7 +49,7 @@ from barmc.linalg import GradedSpace
 from barmc.scalars import Field
 from barmc.transfer import minimal_model
 
-from oracles import compose_morphisms_oracle
+from oracles import base_product_oracle, compose_morphisms_oracle
 
 Q = Field.rationals()
 F2 = Field.prime(2)
@@ -420,6 +420,23 @@ def test_induced_product_associative_on_golden_pair():
                     lhs = H.multiply(H.multiply(va, vb), vc)
                     rhs = H.multiply(va, H.multiply(vb, vc))
                     assert lhs == rhs, (a, b, c)
+
+
+def test_induced_product_matches_the_pair_loop():
+    """H.multiply runs on eval_m_vectors; same items, same order."""
+    rng = random.Random(3)
+    for A in golden_dg_pair(Q) + (kpoints(Q, 2), kpoints(F3, 3)):
+        H = cohomology_algebra(A)
+        field = A.field
+        labels = list(H.space.labels)
+        vecs = [{l: field.one} for l in labels]
+        for _ in range(8):
+            vecs.append({l: field(rng.randint(-2, 2))
+                         for l in rng.sample(labels, min(3, len(labels)))})
+        for x in vecs:
+            for y in vecs:
+                assert list(H.multiply(x, y).items()) == \
+                    list(base_product_oracle(H.algebra, x, y).items())
 
 
 # ---------------------------------------------------------------------------

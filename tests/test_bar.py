@@ -12,7 +12,12 @@ from itertools import combinations
 
 import pytest
 
-from barmc.ainfinity import AInfAlgebra, check_ainf_axioms, check_strict_unit
+from barmc.ainfinity import (
+    AInfAlgebra,
+    check_ainf_axioms,
+    check_strict_unit,
+    tensor_with_dg,
+)
 from barmc.artin import truncated_polynomial
 from barmc.bar import (
     BarTruncation,
@@ -27,6 +32,7 @@ from barmc.bar import (
 )
 from barmc.errors import HypothesisNotMet
 from barmc.examples import (
+    acyclic_cone,
     golden_dg_pair,
     kpoints,
     ngr,
@@ -34,9 +40,10 @@ from barmc.examples import (
     random_instance,
     xy,
 )
-from barmc.linalg import Complex, GradedSpace, vec_add, vec_clean
+from barmc.linalg import Complex, Elimination, GradedSpace, vec_add, vec_clean
 from barmc.mc import DeformationSetup
 from barmc.scalars import Field
+from barmc.transfer import minimal_model
 from barmc.twisting import UniversalDeformation
 
 from oracles import (
@@ -49,6 +56,7 @@ from oracles import (
     dense_kernel,
     dense_rank,
     filtered_dims_oracle,
+    pivot_columns_oracle,
     product_table_oracle,
     span_coordinates_oracle,
     tower_surjection_oracle,
@@ -720,6 +728,30 @@ def test_koszul_probe_leaves_the_coordinate_solvers_unbuilt():
     assert "_solver" in vars(h)
 
 
+def test_each_block_is_eliminated_once_per_complex(monkeypatch):
+    """Cohomology, the weight filtration and build_splitting read one
+    elimination per block: over the golden probes and one minimal
+    model, every Elimination built is a distinct block asked for."""
+    built = []
+    asked = {}
+    init, block = Elimination.__init__, Complex.block
+
+    def counted_init(self, matrix):
+        built.append(matrix)
+        init(self, matrix)
+
+    def recorded_block(self, i):
+        asked[(id(self), i)] = self  # holds the complex, so ids stay unique
+        return block(self, i)
+
+    monkeypatch.setattr(Elimination, "__init__", counted_init)
+    monkeypatch.setattr(Complex, "block", recorded_block)
+    for make, N in GOLDEN_PROBES:
+        koszul_probe(make(), N)
+    minimal_model(tensor_with_dg(kpoints(Q, 2), acyclic_cone(Q)), 5)
+    assert built and len(built) == len(asked)
+
+
 def combinations_of(rng, field, reps, boundaries):
     """A random class combination plus a random boundary, and its coordinates."""
     coords = {j: field(rng.randint(-2, 2)) for j in range(len(reps))}
@@ -744,7 +776,7 @@ def test_class_coordinates_match_the_eager_solvers(case):
             continue
         d_prev, _, dst = rep.cx.matrix_of_d(i - 1)
         image = [{dst[r]: c for r, c in col.items()}
-                 for col in d_prev.row_reduce().image_basis()]
+                 for col in pivot_columns_oracle(d_prev)]
         for _ in range(3):
             v, want = combinations_of(rng, Q, h.representatives, image)
             eager = span_coordinates_oracle(image + h.representatives, Q, v)

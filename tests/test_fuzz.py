@@ -256,12 +256,14 @@ def test_mutated_mc_elements():
     groupoid = MCGroupoid(setup)
     S = dual_dg_algebra(A, 3)
     module = TwistedModule(setup, {}, check=False)
+    extension = setup.extension
     rng = random.Random(5)
     for _ in range(150):
         alpha = mutate_vector(rng, rng.choice(elements), labels)
         beta = rng.choice(elements)
         settles(setup.mc_residual, alpha)
         settles(setup.is_mc, alpha)
+        settles(extension.project, alpha)
         settles(lift_mc, A, R, alpha)
         settles(obstruction_o2, A, R, alpha)
         settles(CorepresentingHom, setup, alpha, S)
@@ -312,6 +314,11 @@ def _o1_of_int():
     obstruction_o1(njac(F2, 1), truncated_polynomial(F2, 3), {}, {}, 5)
 
 
+def _project_none_coefficient():
+    ext = DeformationSetup(njac(F3, 1), truncated_polynomial(F3, 3)).extension
+    ext.project({("1", "1"): None, ("x1", "t"): F3.one})
+
+
 def _op_on_int_slots():
     setup = DeformationSetup(njac(F2, 1), truncated_polynomial(F2, 2))
     TwistedModule(setup, {}).op({("x1", "1"): F2.one}, 3)
@@ -322,6 +329,7 @@ def _op_on_int_slots():
     (_gauge_part_of_int, "3"),
     (_o1_of_int, "5"),
     (_op_on_int_slots, "3"),
+    (_project_none_coefficient, "None at ('1', '1')"),
     (lambda: kpoints(F2, "2"), "'2'"),
     (lambda: random_instance(F2, "x"), "'x'"),
     (lambda: truncated_polynomial(F2, 3, deg="a"), "'a'"),
@@ -330,6 +338,7 @@ def _op_on_int_slots():
     (lambda: ngr(F2, "3", 1), "'3'"),
     (lambda: square_zero(F2, [("e", "a")]), "'a'"),
 ], ids=["prorep-bare-algebra", "gauge-part-int", "o1-int", "op-int-slots",
+        "project-none",
         "kpoints-str", "random-instance-str", "poly-degree-str",
         "njac-negative", "kpoints-negative", "ngr-str", "square-zero-str"])
 def test_entry_point_refuses_with_value_error(call, named):

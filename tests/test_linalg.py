@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from barmc.linalg import (
     Complex,
+    Elimination,
     GradedSpace,
     Matrix,
     SpanSolver,
@@ -30,6 +31,7 @@ from barmc.scalars import Field
 from oracles import (
     SubspaceOracle,
     dense_rank,
+    kernel_oracle,
     rref_oracle,
     span_coordinates_oracle,
 )
@@ -83,7 +85,10 @@ def as_matrix(rows, ncols, field):
 
 
 def columns(m):
-    return [m.column(j) for j in range(m.ncols)]
+    cols = [{} for _ in range(m.ncols)]
+    for (i, j), c in sorted(m.entries.items()):
+        cols[j][i] = c
+    return cols
 
 
 def mul_vec(m, x):
@@ -96,8 +101,8 @@ def mul_vec(m, x):
 
 
 def eliminate(m):
-    e = m.row_reduce()
-    return e.rank, e.kernel_basis(), e.image_basis(), e.pivots
+    e = Elimination(m)
+    return e.rank, e.kernel_basis(), e.pivots
 
 
 def span_solve(m, b):
@@ -111,7 +116,7 @@ def span_solve(m, b):
 
 def test_proportional_rows_over_q():
     m = as_matrix([{0: 1, 1: 2}, {0: 2, 1: 4}], 2, Q)
-    rank, kernel, image, pivots = eliminate(m)
+    rank, kernel, pivots = eliminate(m)
     assert rank == 1
     assert len(kernel) == 1
     assert pivots == [0]
@@ -120,13 +125,13 @@ def test_proportional_rows_over_q():
 
 def test_identity_three_by_three():
     m = as_matrix([{0: 1}, {1: 1}, {2: 1}], 3, Q)
-    rank, kernel, image, pivots = eliminate(m)
+    rank, kernel, pivots = eliminate(m)
     assert rank == 3 and kernel == [] and pivots == [0, 1, 2]
 
 
 def test_all_ones_over_f2():
     m = as_matrix([{0: 1, 1: 1}, {0: 1, 1: 1}], 2, F2)
-    rank, kernel, _, _ = eliminate(m)
+    rank, kernel, _ = eliminate(m)
     assert rank == 1
     assert kernel == [{1: F2(1), 0: F2(1)}]
 
@@ -157,13 +162,12 @@ def int_rows(draw, max_dim=6):
 def test_rank_matches_sympy_over_q(data):
     rows, nrows, ncols = data
     m = as_matrix(rows, ncols, Q)
-    rank, kernel, image, _ = eliminate(m)
+    rank, kernel, _ = eliminate(m)
     want_rank, want_nullity = sympy_rank_and_nullity(rows, nrows, ncols)
     assert rank == want_rank
     assert len(kernel) == want_nullity
     for k in kernel:
         assert vec_is_zero(mul_vec(m, k))
-    assert len(image) == rank
 
 
 @settings(max_examples=80, deadline=None)
@@ -172,7 +176,7 @@ def test_rank_matches_dense_oracle_mod_p(data, p):
     rows, nrows, ncols = data
     field = Field.prime(p)
     m = as_matrix(rows, ncols, field)
-    rank, kernel, _, _ = eliminate(m)
+    rank, kernel, _ = eliminate(m)
     assert rank == dense_rank_mod_p(rows, nrows, ncols, p)
     assert rank + len(kernel) == ncols
     for k in kernel:
@@ -183,7 +187,7 @@ def test_rank_matches_dense_oracle_mod_p(data, p):
 @given(int_rows())
 def test_rank_plus_nullity_is_column_count(data):
     rows, _, ncols = data
-    e = as_matrix(rows, ncols, Q).row_reduce()
+    e = Elimination(as_matrix(rows, ncols, Q))
     assert e.rank + len(e.kernel_basis()) == ncols
 
 
@@ -200,11 +204,11 @@ def test_sparse_path_agrees_with_oracle_above_cutoff():
         rows.append(row)
     rows[69] = {j: v * 2 for j, v in rows[33].items()}  # force a dependency
     m = as_matrix(rows, 70, Q)
-    rank, kernel, _, _ = eliminate(m)
+    rank, kernel, _ = eliminate(m)
     want_rank, want_nullity = sympy_rank_and_nullity(rows, 70, 70)
     assert (rank, len(kernel)) == (want_rank, want_nullity)
     mp = as_matrix(rows, 70, F3)
-    rank_p, _, _, _ = eliminate(mp)
+    rank_p, _, _ = eliminate(mp)
     assert rank_p == dense_rank_mod_p(rows, 70, 70, 3)
 
 
@@ -367,31 +371,65 @@ def eliminated_matrices(draw):
 @settings(max_examples=40, deadline=None)
 @given(eliminated_matrices())
 def test_elimination_matches_rref_oracle(m):
-    e = m.row_reduce()
+    e = Elimination(m)
     rows, pivots = rref_oracle(m)
     assert e.rows == rows
     assert e.pivots == pivots and e.rank == len(pivots)
-    kernel = []
-    for f in sorted(set(range(m.ncols)) - set(pivots)):
-        v = {f: m.field.one}
-        for row, p in zip(rows, pivots):
-            if f in row:
-                v[p] = -row[f]
-        kernel.append(v)
-    assert e.kernel_basis() == kernel
-    assert e.image_basis() == [m.column(j) for j in pivots]
+    assert e.kernel_basis() == kernel_oracle(m)
 
 
 @settings(max_examples=40, deadline=None)
 @given(eliminated_matrices())
 def test_span_solver_relations_are_the_kernel_basis(m):
     """Same vectors, same order, same key order as the matrix echelon."""
-    e = m.row_reduce()
+    e = Elimination(m)
     solver = SpanSolver(columns(m), m.field)
     assert solver.independent == e.pivots
     assert [list(r.items()) for r in solver.relations] == \
         [list(k.items()) for k in e.kernel_basis()]
 
+
+def matrix_complex(m):
+    """0 -> C^0 -> C^1 -> 0 with d the matrix m.
+
+    Column j is the label ("c", j) and row i the label ("r", i); by
+    repr ("r", 10) sorts before ("r", 2), so the span solver's label
+    order is not the row order.
+    """
+    space = GradedSpace([(("c", j), 0) for j in range(m.ncols)]
+                        + [(("r", i), 1) for i in range(m.nrows)])
+    d = {}
+    for (i, j), c in m.entries.items():
+        d.setdefault(("c", j), {})[("r", i)] = c
+    return Complex(space, d, m.field)
+
+
+@settings(max_examples=40, deadline=None)
+@given(eliminated_matrices())
+def test_block_is_the_span_solver_on_its_columns(m):
+    """The pivots are the earliest independent columns, and the kernel
+    is the solver's relations, vector by vector and key by key."""
+    cx = matrix_complex(m)
+    block = cx.block(0)
+    assert block.labels == [("c", j) for j in range(m.ncols)]
+    solver = SpanSolver([cx.d.get(l, {}) for l in block.labels], m.field)
+    assert block.pivots == solver.independent
+    assert [[(block.labels[j], c) for j, c in k.items()]
+            for k in block.kernel_basis()] == \
+        [[(block.labels[j], c) for j, c in r.items()]
+         for r in solver.relations]
+
+
+def test_each_block_is_eliminated_once():
+    sp = GradedSpace([("x", 0), ("y", 1), ("y2", 1), ("z", 2)])
+    cx = Complex(sp, {"x": {"y": Q(1)}, "y2": {"z": Q(2)}}, Q)
+    for i in (-1, 0, 1, 2):
+        assert cx.block(i) is cx.block(i)
+    assert cx.block(1).labels == ["y", "y2"]
+    assert cx.block(1).pivots == [1]
+    h1 = cx.cohomology(1)
+    assert h1.dim == 0
+    assert sorted(cx._blocks) == [-1, 0, 1, 2]
 
 # ---------------------------------------------------------------------------
 # graded spaces

@@ -16,6 +16,7 @@ import pytest
 from barmc.ainfinity import AInfAlgebra, StructureMaps
 from barmc.artin import (
     ArtinianDGAlgebra,
+    _ideal_powers,
     _is_commutative,
     fiber_product,
     quotient_by_power,
@@ -36,8 +37,10 @@ from barmc.mc import (
 from barmc.scalars import Field
 
 from oracles import (
+    base_product_oracle,
     enumerate_mc_oracle,
     is_commutative_oracle,
+    kernel_oracle,
     span_coordinates_oracle,
 )
 from test_mc import negative_base
@@ -294,7 +297,7 @@ def test_step_cocycles_span_z1():
     A, R = kpoints(F3, 2), truncated_polynomial(F3, 3)
     ext = DeformationSetup(A, R).extension
     cx = ext.complex
-    z1 = cx.space.dim_of_degree(1) - cx.matrix_of_d(1)[0].row_reduce().rank
+    z1 = len(kernel_oracle(cx.matrix_of_d(1)[0]))
     assert len(ext.cocycles()) == z1
     assert len(ext.cocycle_span()) == 3 ** z1
     for z in ext.cocycles():
@@ -366,6 +369,48 @@ def _small_extension_bases():
     for field, seeds in ((F2, 24), (F3, 12)):
         for seed in range(seeds):
             yield random_instance(field, seed)[1]
+
+
+def _product_bases():
+    """The bases of this file: the small-extension ones and the sweep's."""
+    yield from _small_extension_bases()
+    for _, make_r in ORACLE_CASES.values():
+        yield make_r()
+
+
+def _random_vectors(rng, R, count):
+    labels = list(R.space.labels)
+    field = R.field
+    out = []
+    for _ in range(count):
+        picked = rng.sample(labels, min(len(labels), rng.randint(1, 4)))
+        out.append({l: field(rng.randint(-2, 2)) for l in picked})
+    return out
+
+
+def test_base_products_match_the_pair_loop():
+    """multiply and d_of run on eval_m_vectors; same items, same order."""
+    rng = random.Random(11)
+    for R in _product_bases():
+        units = [{l: R.field.one} for l in R.space.labels][:12]
+        vecs = units + _random_vectors(rng, R, 12)
+        for u in vecs:
+            assert list(R.d_of(u).items()) == \
+                list(base_product_oracle(R.algebra, u).items())
+            for v in vecs:
+                assert list(R.multiply(u, v).items()) == \
+                    list(base_product_oracle(R.algebra, u, v).items())
+
+
+def test_ideal_powers_are_the_ones_validation_found():
+    for R in _product_bases():
+        scan = list(_ideal_powers(R.algebra, R.ideal_labels))
+        assert len(scan) == R.nu and scan[-1] == []
+        assert R.ideal_power(0) == [{l: R.field.one} for l in R.space.labels]
+        for n in range(1, R.nu + 3):
+            want = scan[n - 1] if n <= len(scan) else []
+            assert [list(v.items()) for v in R.ideal_power(n)] == \
+                [list(v.items()) for v in want]
 
 
 def _kills_m(R, rows):

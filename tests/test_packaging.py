@@ -28,14 +28,23 @@ def test_every_console_script_target_imports():
 
 
 def test_every_benchmark_tracer_hook_resolves():
-    """A renamed hooked symbol would otherwise surface only in the bench."""
+    """A renamed hooked or counted symbol would otherwise surface only in
+    the bench: the layer hooks, and the elementwise primitives the tracer
+    counts (vector helpers in linalg, Scalar dunders, Field.__call__)."""
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    assert tracer.HOOKS
+    assert tracer.HOOKS and tracer.VECTOR_OPS and tracer.SCALAR_OPS
     for dotted in tracer.HOOKS:
         owner, name = tracer.resolve(dotted)
         assert callable(getattr(owner, name)), dotted
+    linalg = tracer.layer_module("linalg")
+    scalars = tracer.layer_module("scalars")
+    for name in tracer.VECTOR_OPS:
+        assert callable(vars(linalg).get(name)), name
+    for name in tracer.SCALAR_OPS:
+        assert callable(vars(scalars.Scalar).get(name)), name
+    assert callable(vars(scalars.Field).get("__call__"))
 
 
 @pytest.mark.parametrize("workload", ["koszul", "gauge", "certify"])
@@ -186,8 +195,8 @@ def test_mc_sets_are_not_found_by_sweeping_candidates():
 
 
 # Label-keyed systems go through SpanSolver; only linalg.py itself
-# builds and row-reduces an integer-indexed Matrix (for Cohomology).
-MATRIX_CALLS = {"Matrix", "row_reduce", "matrix_of_d"}
+# builds and eliminates an integer-indexed Matrix (in Complex.block).
+MATRIX_CALLS = {"Matrix", "Elimination", "matrix_of_d"}
 
 
 def _matrix_calls(path):
