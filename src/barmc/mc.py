@@ -22,6 +22,16 @@ insertions vanishes.  The twisted modules of twisting.py run it once
 per arity, with the twist in the last slot only and terms that are
 whole tables rather than vectors; their dual-side comodules transpose
 those tables and do not sum again.
+
+Every operation here starts from the fact that its objects are MC
+over R, and DeformationSetup.is_mc is the one place that decides it.
+It remembers each element it accepted, zeros ignored, and each exact
+input it validated, so the category operations, hom complexes, the
+groupoid, the gauge classes, the obstructions, lifting and the
+pushforward (and the corepresenting map in twisting.py) check their
+objects on every call at the cost of one key once an object passed.
+What enumerate_mc and lift_mc compute themselves is certified by its
+own residual, as a MathCheckFailure, not asked of is_mc.
 """
 
 from functools import cached_property
@@ -72,6 +82,19 @@ def _check_vector(v, field, what, labels, where):
 def _vec_key(v):
     """A hashable key of v that ignores how its zeros are written."""
     return tuple(sorted((repr(l), str(c)) for l, c in v.items() if c))
+
+
+def _input_key(v, field):
+    """The labels and values of v, if v is a dict of Scalars over this
+    very field object, else None; equal keys are equal inputs."""
+    if type(v) is not dict:
+        return None
+    key = []
+    for l, c in v.items():
+        if type(c) is not Scalar or c.field is not field:
+            return None
+        key += l, c.val
+    return tuple(key)
 
 
 def _span_points(field, offset, basis):
@@ -134,7 +157,7 @@ class DeformationSetup:
     Holds the tensor algebra on A x R, the ideal part A x m where
     Maurer-Cartan elements live, and the nilpotency index that bounds
     every sum.  All MC operations for the pair (A, R) route through
-    one instance.
+    one instance, and is_mc is where they learn that an object is MC.
     """
 
     def __init__(self, A, R):
@@ -158,6 +181,8 @@ class DeformationSetup:
         self.one_vec = (
             {tensor_label(A.unit, R.unit): self.field.one}
             if A.unit is not None else None)
+        self._mc = set()  # _vec_key of every element found MC
+        self._mc_inputs = set()  # _input_key of every input that passed
 
     def ideal_labels_of_degree(self, k):
         return self.ideal_space.labels_of_degree(k)
@@ -182,7 +207,32 @@ class DeformationSetup:
                                 [alpha], [])
 
     def is_mc(self, alpha):
-        return not self.mc_residual(alpha)
+        """Whether alpha is MC over R, decided once per element.
+
+        A malformed input raises ValueError as check_mc_input does,
+        unless the very same input (labels, and values over this
+        setup's field object) already passed.  The residual is
+        evaluated once per element, zeros ignored (_vec_key); only
+        positive answers are kept, so a non-MC object is refused on
+        every call.
+        """
+        key = _input_key(alpha, self.field)
+        if key in self._mc_inputs:
+            return True
+        self.check_mc_input(alpha)
+        element = _vec_key(alpha)
+        if element not in self._mc:
+            if self.mc_residual(alpha):
+                return False
+            self._mc.add(element)
+        if key is not None:
+            self._mc_inputs.add(key)
+        return True
+
+    def require_mc(self, objects, refusal):
+        """HypothesisNotMet(refusal) unless every object passes is_mc."""
+        if not all(self.is_mc(a) for a in objects):
+            raise HypothesisNotMet(refusal)
 
     def enumerate_mc(self, cap=ENUMERATION_CAP):
         """All MC elements, lifted along R/m <- R/m^2 <- .. <- R.
@@ -258,23 +308,21 @@ class DeformationSetup:
         """The setup over R/m^(nu-1), the base of self.extension."""
         return DeformationSetup(self.A, self.extension.Rbar)
 
-    def category_op(self, objects, morphisms, check=True):
+    def category_op(self, objects, morphisms):
         """m_n^{a_0..a_n}(x_n, .., x_1) for x_k: a_{k-1} -> a_k.
 
         morphisms is [x_1, .., x_n], objects [a_0, .., a_n]; the
         insertion sum is finite by the arity bound and nilpotency.
+        Objects must pass is_mc (HypothesisNotMet otherwise).
         """
         n = len(morphisms)
         if len(objects) != n + 1:
             raise ValueError("an n-ary operation needs n+1 objects")
-        if check:
-            for a in objects:
-                if self.mc_residual(a):
-                    raise HypothesisNotMet(
+        self.require_mc(objects,
                         "category operations are defined on MC objects only")
-            for x in morphisms:
-                _check_vector(x, self.field, "morphism", self.T.space.index,
-                              "A x R")
+        for x in morphisms:
+            _check_vector(x, self.field, "morphism", self.T.space.index,
+                          "A x R")
         return self._insertions(self.T.eval_m_vectors, self.A.arity_bound,
                                 objects, morphisms)
 
@@ -493,15 +541,11 @@ class HomComplex:
     Construction assembles the differential on the ideal part and on
     the unit, whose image d_of_one is beta - alpha under strict
     unitality, and certifies exactly that the ideal part squares to
-    zero and never leaves A x m.  Refused without a unit.
+    zero and never leaves A x m.  Refused without a unit, and, by its
+    first category_op, unless both ends pass setup.is_mc.
     """
 
-    def __init__(self, setup, alpha, beta, check_objects=True):
-        if check_objects:
-            for a in (alpha, beta):
-                if setup.mc_residual(a):
-                    raise HypothesisNotMet(
-                        "morphism complexes are defined between MC elements")
+    def __init__(self, setup, alpha, beta):
         if setup.one_vec is None:
             raise HypothesisNotMet("the gauge groupoid needs a strict unit")
         self.setup = setup
@@ -512,7 +556,7 @@ class HomComplex:
         unit, = setup.one_vec
         d = {}
         for l in setup.ideal + [unit]:
-            img = setup.category_op([alpha, beta], [{l: one}], check=False)
+            img = setup.category_op([alpha, beta], [{l: one}])
             for out in img:
                 if l != unit and out not in setup._ideal_set:
                     raise MathCheckFailure(
@@ -574,15 +618,15 @@ class HomSet:
 
     The equation is affine-linear, so the solution set is a coset of a
     kernel and the orbit space a coset quotient; no search happens.
+    Its HomComplex refuses ends that fail setup.is_mc.
     """
 
-    def __init__(self, setup, alpha, beta, check_objects=True):
+    def __init__(self, setup, alpha, beta):
         self.setup = setup
         self.field = setup.field
         self.alpha = alpha
         self.beta = beta
-        self.hom_complex = HomComplex(setup, alpha, beta,
-                                      check_objects=check_objects)
+        self.hom_complex = HomComplex(setup, alpha, beta)
         deg0 = setup.ideal_labels_of_degree(0)
         deg1 = set(setup.ideal_labels_of_degree(1))
         if any(out not in deg1 for out in self.hom_complex.d_of_one):
@@ -650,30 +694,20 @@ class HomSet:
 
 
 class MCGroupoid:
-    """The groupoid of MC elements and gauge orbits over one setup."""
+    """The groupoid of MC elements and gauge orbits over one setup.
+
+    Its objects are the elements that pass setup.is_mc; hom refuses any
+    other (HypothesisNotMet) before it builds a HomSet.
+    """
 
     def __init__(self, setup):
         self.setup = setup
-        self._certified = set()
         self._homsets = {}
 
-    def certify_object(self, alpha):
-        """Check that alpha is MC, once per object of the groupoid.
-
-        The input is checked on every call: the key ignores zeros.
-        """
-        self.setup.check_mc_input(alpha)
-        key = _vec_key(alpha)
-        if key not in self._certified:
-            if self.setup.mc_residual(alpha):
-                raise HypothesisNotMet(
-                    "morphism complexes are defined between MC elements")
-            self._certified.add(key)
-
     def hom(self, alpha, beta):
-        self.certify_object(alpha)
-        self.certify_object(beta)
-        return HomSet(self.setup, alpha, beta, check_objects=False)
+        self.setup.require_mc(
+            (alpha, beta), "morphism complexes are defined between MC elements")
+        return HomSet(self.setup, alpha, beta)
 
     def _homset(self, alpha, beta):
         """hom(alpha, beta) kept per pair; hom itself keeps nothing."""
@@ -687,10 +721,10 @@ class MCGroupoid:
 
     def compose(self, g, h):
         """h after g for g: a -> b, h: b -> c, via m_2^{a,b,c}(h, g)."""
-        if g.beta != h.alpha:
+        if g.key[1] != h.key[0]:
             raise ValueError("morphisms do not compose")
         w = self.setup.category_op(
-            [g.alpha, g.beta, h.beta], [g.vector(), h.vector()], check=False)
+            [g.alpha, g.beta, h.beta], [g.vector(), h.vector()])
         return self._homset(g.alpha, h.beta).classify(w)
 
     def invert(self, g):
@@ -705,7 +739,7 @@ class MCGroupoid:
         gp = dict(setup.one_vec)
         for _ in range(setup.nu + 1):
             w = setup.category_op([g.alpha, g.beta, g.alpha],
-                                  [g.vector(), gp], check=False)
+                                  [g.vector(), gp])
             defect = vec_clean(vec_sub(setup.one_vec, w))
             if not defect:
                 break
@@ -715,9 +749,9 @@ class MCGroupoid:
             raise MathCheckFailure("inverse approximation did not land")
         back = self._homset(g.beta, g.alpha).classify(gp)
         left = self.setup.category_op([g.alpha, g.beta, g.alpha],
-                                      [g.vector(), gp], check=False)
+                                      [g.vector(), gp])
         right = self.setup.category_op([g.beta, g.alpha, g.beta],
-                                       [gp, g.vector()], check=False)
+                                       [gp, g.vector()])
         if vec_clean(vec_sub(left, setup.one_vec)) or \
                 vec_clean(vec_sub(right, setup.one_vec)):
             raise MathCheckFailure("certified inverse is not two-sided")
@@ -749,6 +783,17 @@ class Pi0Report:
                 self._index.setdefault(_vec_key(v), i)
 
     def class_index_of(self, alpha):
+        """The index of alpha's class, or None if alpha is in none.
+
+        ValueError for a non-dict or a coefficient that is not a Scalar.
+        """
+        if not isinstance(alpha, dict):
+            raise ValueError("element %r is not a dict label -> scalar"
+                             % (alpha,))
+        for l, c in alpha.items():
+            if not isinstance(c, Scalar):
+                raise ValueError("coefficient %r at %r is not a scalar"
+                                 % (c, l))
         return self._index.get(_vec_key(alpha))
 
     def __repr__(self):
@@ -811,9 +856,8 @@ def _gauge_classes(elements, groupoid):
     greedy pairwise loop.
     """
     elements = list(elements)
-    for alpha in elements:
-        groupoid.certify_object(alpha)
     setup = groupoid.setup
+    setup.require_mc(elements, "gauge classes are defined on MC elements only")
     if setup.nu < 2:
         # m = 0: every MC element is zero
         return Pi0Report([elements] if elements else [])
@@ -875,7 +919,7 @@ def _key_fibre(elements, fibre, point, ext, b1, below_groupoid):
         alpha = elements[fibre[0]]
         for k in below_groupoid.hom(point, point).kernel_vecs:
             gamma = ext.coordinates(
-                setup.category_op([alpha, alpha], [k], check=False))
+                setup.category_op([alpha, alpha], [k]))
             if vec_clean(ext.complex.apply_d(gamma)):
                 raise MathCheckFailure("stabiliser image is not a cocycle")
             span.insert(gamma)
@@ -907,6 +951,17 @@ class ObstructionClass:
         return self._h.class_is_zero(self.coords)
 
     def same_class_as(self, other):
+        """Whether other is this class; ValueError unless other lies in
+        the same group, H^degree of an equal complex A x I."""
+        mine = self.extension
+        theirs = getattr(other, "extension", None)
+        if not isinstance(other, ObstructionClass) \
+                or other.degree != self.degree \
+                or theirs is not mine and (
+                    theirs.space.degree != mine.space.degree
+                    or theirs.complex.d != mine.complex.d):
+            raise ValueError("%r and %r lie in different cohomology groups"
+                             % (self, other))
         return self._h.classes_equal(self.coords, other.coords)
 
     def __repr__(self):
@@ -923,8 +978,8 @@ def obstruction_o2(A, R, alpha_bar, seed=1):
     """
     _integer(seed, "the seed")
     setup = DeformationSetup(A, R)
-    if setup.below.mc_residual(alpha_bar):
-        raise HypothesisNotMet("obstruction is defined on MC elements only")
+    setup.below.require_mc([alpha_bar],
+                           "obstruction is defined on MC elements only")
     return _obstruction_o2(setup.extension, alpha_bar,
                            setup.mc_residual(alpha_bar), seed)
 
@@ -961,16 +1016,12 @@ def obstruction_o1(A, R, alpha1, alpha2, f_bar):
     with these endpoints exists.
     """
     setup = DeformationSetup(A, R)
-    for a in (alpha1, alpha2):
-        if setup.mc_residual(a):
-            raise HypothesisNotMet("endpoints must be MC over the big base")
+    hc = HomComplex(setup, alpha1, alpha2)
     ext = setup.extension
     setup.below.gauge_part(f_bar)
-    down = HomComplex(setup.below, ext.project(alpha1),
-                      ext.project(alpha2), check_objects=False)
+    down = HomComplex(setup.below, ext.project(alpha1), ext.project(alpha2))
     if vec_clean(down.apply(f_bar)):
         raise HypothesisNotMet("f is not a morphism downstairs")
-    hc = HomComplex(setup, alpha1, alpha2, check_objects=False)
     return ObstructionClass(ext, hc.apply(dict(f_bar)), 1)
 
 
@@ -995,7 +1046,7 @@ def obstruction_o0(A, R, alpha, beta, f_tilde, f_tilde2):
     """
     setup = DeformationSetup(A, R)
     ext = setup.extension
-    hc = HomComplex(setup, alpha, beta, check_objects=True)
+    hc = HomComplex(setup, alpha, beta)
     for g in (f_tilde, f_tilde2):
         setup.gauge_part(g)
         if vec_clean(hc.apply(g)):
@@ -1037,8 +1088,7 @@ def lift_mc(A, R, alpha0, seed=1):
     """
     _integer(seed, "the seed")
     chain = DeformationSetup(A, R).chain()[::-1]
-    if chain[0].mc_residual(alpha0):
-        raise HypothesisNotMet("the seed element must be MC over R/m^2")
+    chain[0].require_mc([alpha0], "the seed element must be MC over R/m^2")
     current = vec_clean(dict(alpha0))
     trace = []
     for setup in chain[1:]:
@@ -1108,11 +1158,10 @@ def pushforward_mc(f, R, alpha):
 
 def _pushforward_mc(f, src, dst, alpha):
     """pushforward_mc over given setups of f.source and f.target."""
-    if src.mc_residual(alpha):
-        raise HypothesisNotMet("pushforward is defined on MC elements")
+    src.require_mc([alpha], "pushforward is defined on MC elements")
     out = src._insertions(lambda vecs: _eval_f_tensor(f, src.R, vecs),
                           f.arity_bound, [alpha], [], lam=-1)
-    if dst.mc_residual(out):
+    if not dst.is_mc(out):
         raise MathCheckFailure("pushforward violates the MC equation")
     return out
 

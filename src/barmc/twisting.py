@@ -86,8 +86,8 @@ class CorepresentingHom:
 
     with s_i the shifted degree of a_i, built from each word's prefix
     (bar.word_products).  Construction refuses an element that fails
-    the Maurer-Cartan equation (ValueError) or has a component on the
-    unit of A (HypothesisNotMet: the cochain must land in the
+    setup.is_mc (ValueError carrying the residual) or has a component
+    on the unit of A (HypothesisNotMet: the cochain must land in the
     augmentation ideal).  What makes this THE corepresenting map is
     certified rather than assumed: images are checked for degree and
     augmentation, and bar.first_dg_map_failure checks products and
@@ -100,11 +100,10 @@ class CorepresentingHom:
     """
 
     def __init__(self, setup, alpha, S):
-        residual = setup.mc_residual(alpha)
-        if residual:
+        if not setup.is_mc(alpha):
             raise ValueError(
                 "the element fails the generalized Maurer-Cartan equation "
-                "(residual %r)" % (residual,))
+                "(residual %r)" % (setup.mc_residual(alpha),))
         R = setup.R
         rho = {a: {} for a in S.bar.letters}
         for (a, r), c in vec_clean(alpha).items():
@@ -395,7 +394,7 @@ class ModuleIsomorphism:
         self.phi = {}
         for l in setup.T.space.labels:
             img = setup.category_op([{}, g.alpha, g.beta],
-                                    [{l: one}, gvec], check=False)
+                                    [{l: one}, gvec])
             if img:
                 self.phi[l] = img
         self._certify()
@@ -412,7 +411,7 @@ class ModuleIsomorphism:
                     for v in a_vecs]
         morphisms = list(reversed(embedded)) + [x_vec, self.g.vector()]
         objects = [{}] * k + [self.g.alpha, self.g.beta]
-        return self.setup.category_op(objects, morphisms, check=False)
+        return self.setup.category_op(objects, morphisms)
 
     def _certify(self):
         labels = self.setup.T.space.labels

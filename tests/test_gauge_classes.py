@@ -9,6 +9,7 @@ tests/oracles.py; both must give the same classes in the same order
 with the same members.
 """
 
+import re
 from itertools import product
 
 import pytest
@@ -236,8 +237,8 @@ def test_class_index_of_agrees_with_a_scan():
 
 
 def test_lookups_ignore_how_a_zero_is_written(monkeypatch):
-    """{} and {x t: 0} are one element to class_index_of, certify_object
-    and MCMorphism equality; a zero on a foreign label is still refused."""
+    """{} and {x t: 0} are one element to class_index_of, is_mc and
+    MCMorphism equality; a zero on a foreign label is still refused."""
     R = truncated_polynomial(F2, 3)
     padded = {("x", "t"): F2.zero}
     rep = pi0(xy(F2), R)
@@ -249,7 +250,26 @@ def test_lookups_ignore_how_a_zero_is_written(monkeypatch):
     calls = []
     monkeypatch.setattr(groupoid.setup, "mc_residual",
                         lambda alpha: calls.append(alpha) or {})
-    groupoid.certify_object(padded)
+    assert groupoid.setup.is_mc(padded)
     assert calls == []
     with pytest.raises(ValueError, match="zz"):
-        groupoid.certify_object({("zz", "t"): F2.zero})
+        groupoid.setup.is_mc({("zz", "t"): F2.zero})
+    # composable when the shared end is written with an extra zero
+    groupoid = MCGroupoid(DeformationSetup(kpoints(F2, 2), R))
+    a = {("e1", "t"): F2.one}
+    a_padded = {("e1", "t"): F2.one, ("e1", "t2"): F2.zero}
+    loop = groupoid.hom(a, a).orbits()[0]
+    composed = groupoid.compose(loop, groupoid.hom(a_padded, a).orbits()[0])
+    assert composed in groupoid.hom(a, a).orbits()
+
+
+@pytest.mark.parametrize("bad, name", [
+    ([(("x", "t"), F2.one)], "is not a dict"),
+    (None, "is not a dict"),
+    ({("x", "t"): None}, "('x', 't')"),
+    ({("x", "t"): 1}, "('x', 't')"),
+], ids=["list", "None", "None-coefficient", "int-coefficient"])
+def test_class_index_of_refuses_malformed_input(bad, name):
+    rep = pi0(xy(F2), truncated_polynomial(F2, 3))
+    with pytest.raises(ValueError, match=re.escape(name)):
+        rep.class_index_of(bad)

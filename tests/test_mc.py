@@ -265,6 +265,10 @@ def test_residual_rejects_wrong_degree_and_support():
 MC_ENTRY_POINTS = {
     "lift_mc": lambda setup, alpha: lift_mc(setup.A, setup.R, alpha),
     "mc_residual": lambda setup, alpha: setup.mc_residual(alpha),
+    "is_mc": lambda setup, alpha: setup.is_mc(alpha),
+    "category_op": lambda setup, alpha: setup.category_op(
+        [alpha, alpha], [{("1", "t"): setup.field.one}]),
+    "HomSet": lambda setup, alpha: HomSet(setup, alpha, alpha),
     "CorepresentingHom": lambda setup, alpha: CorepresentingHom(
         setup, alpha, dual_dg_algebra(setup.A, setup.R.nu)),
 }
@@ -296,6 +300,66 @@ def test_category_op_refuses_a_malformed_morphism(bad, name):
         setup.category_op([{}, {}], [bad])
     with pytest.raises(ValueError, match=re.escape(name)):
         setup.category_op([{}, {}, {}], [good, bad])
+
+
+@pytest.mark.parametrize("entry", sorted(MC_ENTRY_POINTS))
+def test_a_certified_element_does_not_vouch_for_a_lookalike(entry):
+    """is_mc remembers exact inputs: after {e1 t: 1} passed, an int
+    coefficient or a zero on a foreign label is still refused, and a
+    twin field instance is still accepted."""
+    setup = DeformationSetup(kpoints(F2, 2), truncated_polynomial(F2, 3))
+    run = MC_ENTRY_POINTS[entry]
+    run(setup, {("e1", "t"): F2.one})
+    for bad, name in (({("e1", "t"): 1}, "('e1', 't')"),
+                      ({("e1", "t"): F2.one, ("zz", "t"): F2.zero},
+                       "('zz', 't')")):
+        with pytest.raises(ValueError, match=re.escape(name)):
+            run(setup, bad)
+    run(setup, {("e1", "t"): Field("Fp", 2)(1)})
+
+
+def test_is_mc_remembers_only_positive_answers(monkeypatch):
+    setup = DeformationSetup(xy(F2), truncated_polynomial(F2, 3))
+    calls = []
+    real = setup.mc_residual
+    monkeypatch.setattr(setup, "mc_residual",
+                        lambda alpha: calls.append(alpha) or real(alpha))
+    bad = {("x", "t"): F2.one}
+    for _ in range(3):
+        assert not setup.is_mc(bad)
+        with pytest.raises(HypothesisNotMet):
+            setup.category_op([bad, bad], [{("1", "t"): F2.one}])
+    assert len(calls) == 6
+    good = {("x", "t2"): F2.one}
+    assert setup.is_mc(good)
+    assert setup.is_mc({("x", "t2"): F2.one, ("x", "t"): F2.zero})
+    assert setup.is_mc(dict(good))
+    assert len(calls) == 7
+
+
+def test_prorep_compare_certifies_no_element_twice(monkeypatch):
+    """The gauge classes certify every element on the comparison's
+    setup, so the corepresenting maps evaluate no residual of their own."""
+    inside, calls = [], []
+    real_residual = DeformationSetup.mc_residual
+    real_init = CorepresentingHom.__init__
+
+    def residual(self, alpha):
+        calls.append(bool(inside))
+        return real_residual(self, alpha)
+
+    def init(self, *args):
+        inside.append(True)
+        try:
+            real_init(self, *args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(DeformationSetup, "mc_residual", residual)
+    monkeypatch.setattr(CorepresentingHom, "__init__", init)
+    rep = prorep_compare(njac(F3, 2), truncated_polynomial(F3, 3), 3)
+    assert rep.ok and rep.rhs == 81
+    assert calls and not any(calls)
 
 
 def test_mc_coefficients_over_an_equal_field_instance_are_accepted():
@@ -381,7 +445,7 @@ def test_twisted_differential_matches_dg_formula():
             {("y", "t"): field(2)},
         ]
         for x in samples:
-            assert setup.category_op([alpha, beta], [x], check=False) == \
+            assert setup.category_op([alpha, beta], [x]) == \
                 dg_twisted_oracle(setup, alpha, beta, x)
 
 
@@ -397,7 +461,7 @@ def test_twisted_differential_on_negative_base():
         {("y", "f"): field.one},
     ]
     for x in samples:
-        assert setup.category_op([alpha, beta], [x], check=False) == \
+        assert setup.category_op([alpha, beta], [x]) == \
             dg_twisted_oracle(setup, alpha, beta, x)
 
 
@@ -614,6 +678,21 @@ def test_o2_builds_the_tower_quotient_once(monkeypatch):
                          {("x", "t"): F2.one})
     assert not cls.is_zero
     assert calls == [2]
+
+
+def test_obstruction_classes_of_different_groups_are_not_compared():
+    """Two zero o2 classes, of kpoints(F2,2) over t^3 and of njac(F2,1)
+    over t^4, lie in different H^2(A x I); a degree-1 class on the same
+    extension lies in H^1."""
+    z = obstruction_o2(kpoints(F2, 2), truncated_polynomial(F2, 3), {})
+    w = obstruction_o2(njac(F2, 1), truncated_polynomial(F2, 4), {})
+    assert z.is_zero and w.is_zero
+    with pytest.raises(ValueError, match="different cohomology groups"):
+        z.same_class_as(w)
+    with pytest.raises(ValueError, match="different cohomology groups"):
+        z.same_class_as(type(z)(z.extension, {}, 1))
+    twin = obstruction_o2(kpoints(F2, 2), truncated_polynomial(F2, 3), {})
+    assert z.same_class_as(twin)
 
 
 def test_o2_independent_of_lift_choice_across_seeds():
@@ -1133,7 +1212,9 @@ def test_mc_residual_and_category_ops_match_the_insertion_loop_oracles(field):
             objects = [_draw(rng, field, deg1) for _ in range(3)]
             xs = [_draw(rng, field, setup.T.space.labels) for _ in range(2)]
             for n in (1, 2):
-                got = setup.category_op(objects[:n + 1], xs[:n], check=False)
+                # objects may fail the MC equation: call the engine
+                got = setup._insertions(setup.T.eval_m_vectors,
+                                        A.arity_bound, objects[:n + 1], xs[:n])
                 assert list(got.items()) == list(category_op_oracle(
                     setup, objects[:n + 1], xs[:n]).items())
                 hits += bool(got)

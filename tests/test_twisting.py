@@ -89,7 +89,7 @@ def category_module_op(setup, alpha, n, x, rest):
     one = setup.field.one
     embedded = [{tensor_label(a, setup.R.unit): one} for a in rest]
     morphisms = list(reversed(embedded)) + [{x: one}]
-    return setup.category_op([{}] * n + [alpha], morphisms, check=False)
+    return setup.category_op([{}] * n + [alpha], morphisms)
 
 
 def frobenius_pairing(n):
