@@ -2,11 +2,20 @@
 
 For an augmented strictly unital algebra A with augmentation ideal
 Abar, the tensor coalgebra on Abar[1] carries the coderivation d_bar
-assembled from the suspended operations b_n.  Applying b_s shortens a
-word by s - 1 letters, so d_bar never raises the word length; cutting
-at weight N therefore leaves an honest finite complex, and its linear
+assembled from the suspended operations b_n.  Applying b_s replaces s
+letters by one, so d_bar never raises the word length; cutting at
+weight N therefore leaves an honest finite complex, and its linear
 dual is a finite DG algebra S_N whose product transposes
 deconcatenation.
+
+Two certificates guard the construction.  BarTruncation builds a
+Complex, which checks d_bar^2 = 0 exactly and so refuses an A that
+fails the Stasheff identities.  DualTruncation then checks that S_N is
+a DG algebra, d^2 = 0 and the Leibniz rule, with check_ainf_axioms at
+arity 2 on its own tables, transposition and product signs included;
+this is the transpose of d_bar being a coderivation (Keller 2001).  A
+failure raises MathCheckFailure naming the (n, tuple, residual)
+witness.
 
 Everything this module reports about cohomology, Koszulness, or
 presentations of H^0 is an order-N certificate about these finite
@@ -20,6 +29,7 @@ from .ainfinity import (
     CheckReport,
     StructureMaps,
     b_from_m,
+    check_ainf_axioms,
     koszul_pass_exponent,
     restrict_to_ideal,
     tensor_label,
@@ -33,7 +43,6 @@ from .linalg import (
     Subspace,
     vec_add,
     vec_clean,
-    vec_is_zero,
 )
 
 
@@ -69,7 +78,12 @@ def word_products(words, multiply, unit, image):
 
 
 class BarTruncation:
-    """Words of weight <= N in Abar[1] with the bar coderivation."""
+    """Words of weight <= N in Abar[1] with the bar coderivation.
+
+    Construction certifies, through Complex, that d_bar is homogeneous
+    and squares to zero; that d_bar is a coderivation is certified on
+    the dual, where it is the Leibniz rule of S_N (DualTruncation).
+    """
 
     def __init__(self, A, N):
         if A.unit is None:
@@ -97,7 +111,6 @@ class BarTruncation:
         self.d = self._assemble()
         # Complex() certifies homogeneity and d_bar^2 = 0 exactly.
         self.complex = Complex(self.space, self.d, self.field)
-        self._check_coderivation()
 
     def _assemble(self):
         d = {}
@@ -114,39 +127,11 @@ class BarTruncation:
                         continue
                     sign = self.field.sign(koszul_pass_exponent(1, degs[:r]))
                     for lbl, c in out.items():
-                        new = word[:r] + (lbl,) + word[r + s:]
-                        if len(new) > len(word):
-                            raise MathCheckFailure("bar differential raised weight")
-                        vec_add(acc, {new: sign * c})
+                        vec_add(acc, {word[:r] + (lbl,) + word[r + s:]: sign * c})
             acc = vec_clean(acc)
             if acc:
                 d[word] = acc
         return d
-
-    def deconcatenations(self, word):
-        return [(word[:i], word[i:]) for i in range(len(word) + 1)]
-
-    def _check_coderivation(self):
-        """d_bar is a coderivation: Delta d = (d x 1 + 1 x d) Delta, exactly.
-
-        Together with d_bar^2 = 0 this is what makes the transposed
-        product on the dual both associative and Leibniz.
-        """
-        for w in self.words:
-            lhs = {}
-            for big, c in self.d.get(w, {}).items():
-                for u, v in self.deconcatenations(big):
-                    vec_add(lhs, {(u, v): c})
-            rhs = {}
-            for u, v in self.deconcatenations(w):
-                for u2, c in self.d.get(u, {}).items():
-                    vec_add(rhs, {(u2, v): c})
-                sgn = self.field.sign(self.word_degree[u])
-                for v2, c in self.d.get(v, {}).items():
-                    vec_add(rhs, {(u, v2): sgn * c})
-            if vec_clean(lhs) != vec_clean(rhs):
-                raise MathCheckFailure(
-                    "bar differential is not a coderivation at %r" % (w,))
 
 
 class DualTruncation:
@@ -157,6 +142,13 @@ class DualTruncation:
     differential transposes d_bar via (d phi)(w) = -(-1)^|phi| phi(d w).
     The empty-word functional is a strict unit and the longer words
     span a nilpotent DG ideal.
+
+    Construction certifies that these tables make a DG algebra: d^2 = 0
+    and the Leibniz rule, check_ainf_axioms at arity 2 over every
+    basis pair the tables reach.  Associativity needs no check, since
+    the product concatenates words and its sign exponent |U||V| is
+    additive in each factor.  A failure raises MathCheckFailure naming
+    the first failing (n, tuple, residual) in itertools.product order.
     """
 
     def __init__(self, bar):
@@ -164,7 +156,6 @@ class DualTruncation:
         self.N = bar.N
         self.field = bar.field
         self.words = bar.words
-        self.weight = {w: len(w) for w in self.words}
         self.space = GradedSpace([(w, -bar.word_degree[w]) for w in self.words])
         ops = StructureMaps()
         transposed = {}
@@ -187,6 +178,12 @@ class DualTruncation:
                         ops.set(2, (U, V), {U + V: sign * one})
         self.algebra = AInfAlgebra(self.space, self.field, ops, arity_bound=2,
                                    unit=())
+        rep = check_ainf_axioms(self.algebra, 2)
+        if not rep.ok:
+            n, args, residual = rep.failure
+            raise MathCheckFailure(
+                "S_%d is not a DG algebra: the arity-%d identity fails on %r "
+                "(residual %r)" % (self.N, n, args, residual))
         self.complex = self.algebra.complex()
 
     def dim_table(self):
@@ -261,6 +258,13 @@ class SHatCohomology:
     is the image of H^i(F^w) in H^i.  Degree-0 representatives are
     chosen adapted to the filtration, top weight first, so each class
     carries a well-defined weight.
+
+    The product on H^0 is well defined because S_N is a DG algebra,
+    which its construction certified (DualTruncation raises
+    MathCheckFailure with the failing tuple otherwise).  By Leibniz a
+    product of cocycles is a cocycle, and for a cocycle v and any b,
+    (db) v = d(b v) and v (db) = +-d(v b), so boundaries form an ideal
+    in the cocycles.  Nothing further is checked here.
     """
 
     def __init__(self, A, N):
@@ -279,7 +283,6 @@ class SHatCohomology:
                 self.weight_reps = [(w, v) for w, vs in enumerate(reps)
                                     for v in vs]
         self.weight_dims = self.filtered_dims.get(0, [0] * (N + 1))
-        self._check_product_well_defined()
 
     @cached_property
     def _solver(self):
@@ -307,10 +310,10 @@ class SHatCohomology:
         each cocycle of Z(F^w) that is new modulo the boundaries and the
         cocycles already taken is a class of weight w.  The count taken
         at weight w is dim F^w H - dim F^(w+1) H.  Z(F^0), the whole
-        kernel, is read off ``Complex.block``, as H^degree read it.
+        kernel, is read off ``Complex.block``, as H^degree read it, so
+        the classes taken exhaust H^degree.
         """
-        h = self.cx.cohomology(degree)
-        span = Subspace(h.boundaries.rows, self.field)
+        span = Subspace(self.cx.cohomology(degree).boundaries.rows, self.field)
         reps = [[] for _ in range(self.N + 1)]
         block = self.cx.block(degree)
         for w in range(self.N, -1, -1):
@@ -320,24 +323,7 @@ class SHatCohomology:
             for v in kernel:
                 if span.insert(v):
                     reps[w].append(v)
-        if span.dim - h.boundaries.dim != h.dim:
-            raise MathCheckFailure("weight filtration does not exhaust H^%d" % degree)
         return reps
-
-    def _check_product_well_defined(self):
-        alg = self.S.algebra
-        for _, v in self.weight_reps:
-            for _, u in self.weight_reps:
-                prod = alg.eval_m_vectors([u, v])
-                if not vec_is_zero(self.cx.apply_d(prod)):
-                    raise MathCheckFailure("product of cocycles is not a cocycle")
-        for b in self.h0.boundaries.rows:
-            for _, v in self.weight_reps:
-                for prod in (alg.eval_m_vectors([b, v]), alg.eval_m_vectors([v, b])):
-                    prod = vec_clean(prod)
-                    if prod and not self.h0.class_is_zero(prod):
-                        raise MathCheckFailure(
-                            "H^0 product is not well defined on classes")
 
     def class_coords(self, vec):
         """Coordinates of a degree-0 cocycle's class in the adapted basis."""
@@ -494,7 +480,7 @@ def universal_twisting_cochain(A):
     letters: it vanishes on the empty word and on words of length >= 2
     and sends the word (a) to a, a map of degree 1 because of the
     shift.  The element pairs each ideal label with its one-letter
-    word and lives in every S_N with N >= 1.
+    word, so it lives in S_N for every N >= 1 and in no S_0.
     """
     if A.unit is None:
         raise ValueError("twisting cochains need an augmented algebra")

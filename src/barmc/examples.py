@@ -107,8 +107,6 @@ def ngr(field, n, m):
         for mo2, su2 in pieces:
             if set(su1) & set(su2):
                 continue
-            if len(su1) + len(su2) > q:
-                continue
             sign, merged = _shuffle_sign_and_merge(su1, su2)
             mono = tuple(a + b for a, b in zip(mo1, mo2))
             ops.set(2, (_ngr_label(mo1, su1), _ngr_label(mo2, su2)),

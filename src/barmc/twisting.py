@@ -330,7 +330,8 @@ class UniversalDeformation(TwistedModule):
     element tau = sum_a a x (a)*.  Each insertion raises weight, so the
     sums are finite (S_N has nilpotency index N + 1); killing positive
     weight recovers the operations of A on the nose.  The module
-    axioms are checked on demand, not at construction.
+    axioms are checked on demand, not at construction.  The order N
+    must be at least 1, since tau lives in S_N only for N >= 1.
     """
 
     def __init__(self, A, N):
@@ -343,6 +344,10 @@ class UniversalDeformation(TwistedModule):
                 "the universal deformation inserts the cochain up to the full "
                 "arity bound %d, but the algebra is only complete to arity %d"
                 % (A.arity_bound, A.complete_to_arity))
+        if _integer(N, "the order N") < 1:
+            raise ValueError(
+                "the universal deformation needs order N >= 1, got N = %d: "
+                "tau pairs each letter with its one-letter word" % N)
         self.N = N
         self.S = dual_dg_algebra(A, N)
         self.tau = universal_twisting_cochain(A)

@@ -50,6 +50,11 @@ representative with the groupoid's hom set, in input order.
 Nothing in the package builds it; its ``end_k_probe`` recomputes the
 differential of the dual truncation S_N from an independent complex.
 
+``coderivation_failure_oracle`` is the bar truncation's own
+coderivation check from before the dual certified its DG algebra
+structure: Delta d = (d x 1 + 1 x d) Delta replayed on every word's
+deconcatenations, on the bar side, without the dual's signs.
+
 ``all_pairs_dg_map_failure`` is the word-algebra map certificate as it
 was before it checked only the generators of S_N: multiplicativity on
 every ordered pair of words and d-compatibility on every word.
@@ -862,6 +867,33 @@ class BarComplex:
             if vec_clean(got) != expected:
                 return CheckReport(False, failure=(w1, got, expected))
         return CheckReport(True, checked_to=self.N)
+
+
+def coderivation_failure_oracle(bar):
+    """First word where d_bar is not a coderivation, or None.
+
+    Compares Delta d(w) with (d x 1 + 1 x d) Delta(w) exactly, Delta
+    splitting a word at every position and (1 x d)(u x v) carrying the
+    sign (-1)^|u|.
+    """
+    def splits(word):
+        return [(word[:i], word[i:]) for i in range(len(word) + 1)]
+
+    for w in bar.words:
+        lhs = {}
+        for big, c in bar.d.get(w, {}).items():
+            for u, v in splits(big):
+                vec_add(lhs, {(u, v): c})
+        rhs = {}
+        for u, v in splits(w):
+            for u2, c in bar.d.get(u, {}).items():
+                vec_add(rhs, {(u2, v): c})
+            sign = bar.field.sign(bar.word_degree[u])
+            for v2, c in bar.d.get(v, {}).items():
+                vec_add(rhs, {(u, v2): sign * c})
+        if vec_clean(lhs) != vec_clean(rhs):
+            return w
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ model, and cohomology by dense division-based Gauss.
 
 import copy
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -30,7 +31,7 @@ from barmc.bar import (
     koszul_probe,
     universal_twisting_cochain,
 )
-from barmc.errors import HypothesisNotMet
+from barmc.errors import HypothesisNotMet, MathCheckFailure
 from barmc.examples import (
     acyclic_cone,
     golden_dg_pair,
@@ -44,13 +45,14 @@ from barmc.linalg import Complex, Elimination, GradedSpace, vec_add, vec_clean
 from barmc.mc import DeformationSetup
 from barmc.scalars import Field
 from barmc.transfer import minimal_model
-from barmc.twisting import UniversalDeformation
+from barmc.twisting import UniversalDeformation, prorep_compare
 
 from oracles import (
     BarComplex,
     adapted_reps_oracle,
     all_pairs_dg_map_failure,
     check_base_change_oracle,
+    coderivation_failure_oracle,
     cohomology_dims_oracle,
     cohomology_oracle,
     dense_kernel,
@@ -82,7 +84,7 @@ def deconcat_product_oracle(dual, phi, psi):
     out = {}
     for w in dual.words:
         total = field.zero
-        for u, v in dual.bar.deconcatenations(w):
+        for u, v in ((w[:i], w[i:]) for i in range(len(w) + 1)):
             cu = phi.get(u)
             cv = psi.get(v)
             if cu and cv:
@@ -256,6 +258,67 @@ def test_dual_is_a_dg_algebra_on_small_truncations():
         dual = dual_dg_algebra(A, N)
         assert check_ainf_axioms(dual.algebra, 3).ok
         assert check_strict_unit(dual.algebra).ok
+
+
+def _admissible_draws():
+    for field in (F2, F3, Q):
+        for seed in range(16):
+            A = random_instance(field, seed)[0]
+            if is_admissible(A):
+                yield A
+
+
+def test_bar_differential_is_a_coderivation_by_the_replay_oracle():
+    """The bar-side fact the dual's DG check transposes, replayed word by
+    word on the golden probe inputs and the admissible random draws."""
+    cases = [(kpoints(Q, 2), 5), (xy(Q), 4), (kpoints(Q, 3), 3)]
+    cases += [(A, 3) for A in _admissible_draws()]
+    assert len(cases) > 30
+    for A, N in cases:
+        assert coderivation_failure_oracle(BarTruncation(A, N)) is None
+
+
+@pytest.mark.parametrize("A, witness", [
+    (kpoints(Q, 2), "(('e1',), ('e12',)) (residual {('e1', 'e1', 'e2'): "),
+    (xy(Q), "(('x',), ('y',)) (residual {('x', 'x', 'x'): "),
+], ids=["kpoints2", "xy"])
+def test_dual_refuses_a_bar_differential_that_is_not_a_coderivation(
+        A, witness):
+    """One length-2 entry of d_bar negated after construction: d_bar is no
+    longer a coderivation, the replay oracle sees it on the bar side, and
+    the dual refuses with the failing Leibniz tuple and its residual."""
+    bar = BarTruncation(A, 3)
+    w = next(w for w in bar.words if len(w) == 2 and w in bar.d)
+    bar.d[w] = {k: -c for k, c in bar.d[w].items()}
+    assert coderivation_failure_oracle(bar) is not None
+    with pytest.raises(MathCheckFailure, match="arity-2 identity fails on "
+                       + re.escape(witness)):
+        DualTruncation(bar)
+
+
+def test_each_dual_is_certified_once_at_arity_two(monkeypatch):
+    """check_ainf_axioms(S_N, 2) runs once per DualTruncation, on its own
+    algebra, over the koszul benchmark jobs and the comparison."""
+    import barmc.bar as bar_module
+    checked, built = [], []
+    real_check, real_init = bar_module.check_ainf_axioms, DualTruncation.__init__
+
+    def counting_check(A, n_max):
+        checked.append((A, n_max))
+        return real_check(A, n_max)
+
+    def recording_init(self, bar):
+        real_init(self, bar)
+        built.append(self)
+
+    monkeypatch.setattr(bar_module, "check_ainf_axioms", counting_check)
+    monkeypatch.setattr(DualTruncation, "__init__", recording_init)
+    koszul_probe(kpoints(Q, 2), 5)
+    koszul_probe(kpoints(F3, 3), 3)
+    koszul_probe(xy(Q), 4)
+    assert prorep_compare(njac(F3, 2), truncated_polynomial(F3, 3), 3).ok
+    assert len(built) == 4
+    assert checked == [(S.algebra, 2) for S in built]
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,28 @@ import re
 
 import pytest
 
-from barmc.ainfinity import check_ainf_axioms, tensor_with_dg
+from barmc.ainfinity import (
+    AInfAlgebra,
+    StructureMaps,
+    check_ainf_axioms,
+    compose_morphisms,
+    identity_morphism,
+    tensor_with_dg,
+    unitize,
+)
 from barmc.artin import (
     fiber_product,
     quotient_by_power,
     square_zero,
     truncated_polynomial,
 )
-from barmc.bar import SHatCohomology, dual_dg_algebra, koszul_probe
+from barmc.bar import (
+    BarTruncation,
+    SHatCohomology,
+    dual_dg_algebra,
+    koszul_probe,
+    universal_twisting_cochain,
+)
 from barmc.errors import HypothesisNotMet, MathCheckFailure
 from barmc.examples import (
     acyclic_cone,
@@ -36,7 +50,9 @@ from barmc.examples import (
     njac,
     random_instance,
     xy,
+    xy_bare,
 )
+from barmc.linalg import GradedSpace
 from barmc.mc import (
     DeformationSetup,
     HomComplex,
@@ -61,6 +77,7 @@ from barmc.twisting import (
     CorepresentingHom,
     TwistedModule,
     UniversalDeformation,
+    invert_unit,
     prorep_compare,
 )
 
@@ -324,6 +341,16 @@ def _op_on_int_slots():
     TwistedModule(setup, {}).op({("x1", "1"): F2.one}, 3)
 
 
+def _category_op_short_of_objects():
+    setup = DeformationSetup(njac(F2, 1), truncated_polynomial(F2, 2))
+    setup.category_op([{}], [{}, {}])
+
+
+def _algebra_with_op_above_bound():
+    ops = StructureMaps({3: {("a", "a", "a"): {"a": Q.one}}})
+    AInfAlgebra(GradedSpace([("a", 1)]), Q, ops, arity_bound=2)
+
+
 @pytest.mark.parametrize("call, named", [
     (_prorep_on_bare_algebra, "ArtinianDGAlgebra"),
     (_gauge_part_of_int, "3"),
@@ -337,10 +364,34 @@ def _op_on_int_slots():
     (lambda: kpoints(F2, -1), "nonnegative"),
     (lambda: ngr(F2, "3", 1), "'3'"),
     (lambda: square_zero(F2, [("e", "a")]), "'a'"),
+    (lambda: UniversalDeformation(kpoints(Q, 1), 0), "order N >= 1, got N = 0"),
+    (lambda: DeformationSetup(njac(F2, 1), truncated_polynomial(F3, 2)),
+     "different fields"),
+    (_category_op_short_of_objects, "needs n+1 objects"),
+    (lambda: invert_unit(truncated_polynomial(F3, 3), {"t": F3.one}),
+     "not a unit"),
+    (lambda: fiber_product(truncated_polynomial(F2, 2),
+                           truncated_polynomial(F3, 2)), "different fields"),
+    (lambda: tensor_with_dg(kpoints(F2, 2), truncated_polynomial(F3, 2).algebra),
+     "different fields"),
+    (lambda: unitize(kpoints(F2, 2), "e1"), "already used"),
+    (lambda: BarTruncation(xy_bare(Q), 2), "augmented"),
+    (lambda: universal_twisting_cochain(xy_bare(Q)), "augmented"),
+    (lambda: compose_morphisms(identity_morphism(kpoints(F2, 2)),
+                               identity_morphism(njac(F2, 1))),
+     "do not compose"),
+    (lambda: AInfAlgebra(GradedSpace([("u", 1)]), Q, StructureMaps(), unit="u"),
+     "must have degree 0"),
+    (_algebra_with_op_above_bound, "above the declared bound"),
 ], ids=["prorep-bare-algebra", "gauge-part-int", "o1-int", "op-int-slots",
         "project-none",
         "kpoints-str", "random-instance-str", "poly-degree-str",
-        "njac-negative", "kpoints-negative", "ngr-str", "square-zero-str"])
+        "njac-negative", "kpoints-negative", "ngr-str", "square-zero-str",
+        "universal-order-zero", "setup-across-fields", "category-op-objects",
+        "invert-non-unit", "fiber-product-across-fields",
+        "tensor-across-fields", "unitize-used-label", "bar-of-bare",
+        "tau-of-bare", "compose-non-composable", "unit-of-degree-one",
+        "op-above-arity-bound"])
 def test_entry_point_refuses_with_value_error(call, named):
     with pytest.raises(ValueError, match=re.escape(named)):
         call()

@@ -51,10 +51,16 @@ def test_every_benchmark_tracer_hook_resolves():
     assert callable(vars(scalars.Field).get("__call__"))
 
 
-# The counters bench/selftest.py requires on gauge: a refactor that routed
-# these calls around their hooked names would otherwise pass here.
-GAUGE_COUNTERS = ("mc.category_ops", "mc.candidates", "mc.homsets",
-                  "twisting.induced_maps", "twisting.algebra_maps")
+# The counters bench/selftest.py requires on each workload: a refactor that
+# routed these calls around their hooked names would otherwise pass here.
+POSITIVE_COUNTERS = {
+    "koszul": ("linalg.eliminations", "linalg.subspace_builds",
+               "linalg.span_queries", "bar.duals_built", "bar.dual_dim"),
+    "gauge": ("mc.category_ops", "mc.candidates", "mc.homsets",
+              "twisting.induced_maps", "twisting.algebra_maps"),
+    "certify": ("ainfinity.residual_tuples", "ainfinity.tensor_builds",
+                "ainfinity.tensor_entries", "transfer.splittings"),
+}
 
 
 @pytest.mark.parametrize("workload", ["koszul", "gauge", "certify"])
@@ -67,8 +73,12 @@ def test_every_benchmark_workload_runs_traced(workload):
     out = json.loads(done.stdout)
     assert [(job["job"], job["error"]) for job in out["jobs"]
             if job["error"]] == []
-    if workload == "gauge":
-        assert [c for c in GAUGE_COUNTERS if not out["metrics"][c]] == []
+    metrics = out["metrics"]
+    assert [c for c in POSITIVE_COUNTERS[workload] if not metrics[c]] == []
+    if workload != "gauge":
+        # every mc counter reads 0 where no MC work runs; mc.self_s is a time
+        assert [c for c in metrics if c.startswith("mc.")
+                and not c.endswith("_s") and metrics[c]] == []
 
 
 @pytest.mark.parametrize("workload", ["koszul", "gauge", "certify"])
