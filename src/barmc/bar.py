@@ -15,7 +15,10 @@ a DG algebra, d^2 = 0 and the Leibniz rule, with check_ainf_axioms at
 arity 2 on its own tables, transposition and product signs included;
 this is the transpose of d_bar being a coderivation (Keller 2001).  A
 failure raises MathCheckFailure naming the (n, tuple, residual)
-witness.
+witness.  A third certificate runs on first use only, when a map out
+of S_N is built from a letter assignment: DualTruncation.word_signs
+checks the product table on the generators against the word signs,
+once per S_N, so that each such map certifies only what depends on it.
 
 Everything this module reports about cohomology, Koszulness, or
 presentations of H^0 is an order-N certificate about these finite
@@ -149,6 +152,10 @@ class DualTruncation:
     the product concatenates words and its sign exponent |U||V| is
     additive in each factor.  A failure raises MathCheckFailure naming
     the first failing (n, tuple, residual) in itertools.product order.
+    What a map out of S_N needs of the product table beyond that is
+    certified on first use, once per S_N, by word_signs.  generators
+    lists the empty word and the letters, which generate S_N as an
+    algebra.
     """
 
     def __init__(self, bar):
@@ -156,6 +163,8 @@ class DualTruncation:
         self.N = bar.N
         self.field = bar.field
         self.words = bar.words
+        # length-lexicographic words start with () and the letters
+        self.generators = self.words[:1 + len(bar.letters)]
         self.space = GradedSpace([(w, -bar.word_degree[w]) for w in self.words])
         ops = StructureMaps()
         transposed = {}
@@ -186,6 +195,40 @@ class DualTruncation:
                 "(residual %r)" % (self.N, n, args, residual))
         self.complex = self.algebra.complex()
 
+    @cached_property
+    def word_signs(self):
+        """sigma(w) = (-1)^(sum_{i<j} s_i s_j) per word, certified once.
+
+        s_i is the shifted degree of the i-th letter.  The certificate
+        walks every generator u and every word V and checks
+        m_2(u, V) = sigma(u) sigma(V) sigma(uV) (uV)* when |uV| <= N,
+        and m_2(u, V) = 0 beyond N; the first failing pair raises
+        MathCheckFailure("multiplicativity fails at (u, V)").  With it,
+        the signed letter products w |-> sigma(w) rho(a_1) .. rho(a_k)
+        of any letter assignment rho into an associative base R, graded
+        with m an ideal and m^(N+1) = 0, are multiplicative on
+        generators times words, and so on all of S_N by associativity
+        and induction on word length.  Nothing here depends on rho, so
+        a CorepresentingHom certifies only its letters and its
+        differential.  Computed on first use: koszul_probe never asks.
+        """
+        sdeg, degree = self.bar.sdeg, self.bar.word_degree
+        signs = {(): self.field.one}
+        for w in self.words:
+            if w:
+                signs[w] = signs[w[:-1]] * self.field.sign(
+                    sdeg[w[-1]] * degree[w[:-1]])
+        m = self.algebra.m
+        for u in self.generators:
+            for V in self.words:
+                uV = u + V
+                want = ({uV: signs[u] * signs[V] * signs[uV]}
+                        if len(uV) <= self.N else {})
+                if m.get(2, (u, V)) != want:
+                    raise MathCheckFailure(
+                        "multiplicativity fails at (%r, %r)" % (u, V))
+        return signs
+
     def dim_table(self):
         """Dimensions by (degree, weight)."""
         table = {}
@@ -206,22 +249,24 @@ def dual_dg_algebra(A, N):
 def first_dg_map_failure(S, table, multiply, d):
     """First witness that w |-> table[w] is not a DG map out of S_N, or None.
 
-    For each generator u of S_N (the empty word and the letters) it
-    checks g(u V) = g(u) g(V) on every word V, u V = 0 past weight N
-    included, and d g(u) = g(d u); multiply and d act on the target.
-    Every word is +- a letter times a shorter word, both algebras are
-    associative and both differentials are derivations, so induction on
-    word length extends these checks to all pairs and all words.  The
-    witness is ("product", (u, V)) or ("differential", u).
+    For a map given by a full word table: for each generator u of S_N
+    (the empty word and the letters) it checks g(u V) = g(u) g(V) on
+    every word V, u V = 0 past weight N included, and d g(u) = g(d u);
+    multiply and d act on the target.  Every word is +- a letter times a
+    shorter word, both algebras are associative and both differentials
+    are derivations, so induction on word length extends these checks
+    to all pairs and all words.  The witness is ("product", (u, V)) or
+    ("differential", u).  check_tower_surjection uses it; a
+    CorepresentingHom, given by its letters, takes the product half
+    from S.word_signs once per S_N instead.
     """
-    generators = [w for w in S.words if len(w) <= 1]
     m = S.algebra.m
-    for u in generators:
+    for u in S.generators:
         for V in S.words:
             if _apply_table(table, m.get(2, (u, V))) != multiply(
                     table.get(u, {}), table.get(V, {})):
                 return ("product", (u, V))
-    for u in generators:
+    for u in S.generators:
         if _apply_table(table, m.get(1, (u,))) != d(table.get(u, {})):
             return ("differential", u)
     return None

@@ -17,15 +17,22 @@ for a classical base, takes the module tables transposed on the base
 factor.
 
 Nothing here trusts a dualization sign.  The word-algebra map is
-forced by multiplicativity from its weight-one entries and then
-certified to be a DG algebra map on the generators of S_N, which
-extends to every word by induction on word length; TwistedModule
-certifies that the twisted differential squares to zero and that the
-module Stasheff identities hold on every mixed tuple.  The classical
-comparison runs both sides by exhaustion: algebra maps out of a
-generators-and-relations presentation of H^0(S_N) on one side, gauge
-classes on the other, matched through the corepresenting maps.
+forced by multiplicativity from its weight-one entries and certified
+to be a DG algebra map on the generators of S_N, which extends to
+every word by induction on word length.  The product half does not
+depend on the element: it is certified once per S_N
+(bar.DualTruncation.word_signs) for every letter assignment at once.
+Each element certifies its letter images and the differential on the
+generators, and computes a word's image only when it is read.
+TwistedModule certifies that the twisted differential squares to zero
+and that the module Stasheff identities hold on every mixed tuple.
+The classical comparison runs both sides by exhaustion: algebra maps
+out of a generators-and-relations presentation of H^0(S_N) on one
+side, gauge classes on the other, matched through the corepresenting
+maps.
 """
+
+from functools import cached_property
 
 from .ainfinity import (
     _expand,
@@ -33,14 +40,12 @@ from .ainfinity import (
     AInfAlgebra,
     CheckReport,
     StructureMaps,
-    tensor_block_exponent,
     tensor_label,
 )
 from .artin import _artinian
 from .bar import (
     bar_words,
     dual_dg_algebra,
-    first_dg_map_failure,
     is_admissible,
     koszul_probe,
     universal_twisting_cochain,
@@ -84,22 +89,38 @@ class CorepresentingHom:
 
         (a_1 .. a_k)*  |->  (-1)^(sum_{i<j} s_i s_j) rho(a_1) .. rho(a_k)
 
-    with s_i the shifted degree of a_i, built from each word's prefix
-    (bar.word_products).  Construction refuses an element that fails
-    setup.is_mc (ValueError carrying the residual) or has a component
-    on the unit of A (HypothesisNotMet: the cochain must land in the
-    augmentation ideal).  What makes this THE corepresenting map is
-    certified rather than assumed: images are checked for degree and
-    augmentation, and bar.first_dg_map_failure checks products and
-    differentials on the generators of S_N, which both algebras being
-    associative and both differentials derivations extend to all of
-    S_N by induction on word length.  The differential check is where
-    the Maurer-Cartan equation re-enters; it can only trip if the
-    upstream validation was unsound.  S is the dual truncation S_N
-    (bar.dual_dg_algebra); the order N is S.N.
+    with s_i the shifted degree of a_i.  Only rho is stored: a word's
+    image is computed when apply asks for it, by the prefix recursion
+    of bar.word_products, and memoised; entries is the full table,
+    computed on access.  S is the dual truncation S_N
+    (bar.dual_dg_algebra) of setup.A; the order N is S.N.
+
+    What makes this THE corepresenting map is certified rather than
+    assumed, in two halves.  Once per S_N, S.word_signs checks the
+    product table on generators times words against the word signs;
+    with R associative, graded with m an ideal (validate_artinian), and
+    m^(N+1) = 0 (the guard N >= nu below), this makes the signed letter
+    products of any rho multiplicative.  Per element, construction
+    refuses an S_N dual to another algebra (ValueError), an element
+    that fails setup.is_mc (ValueError carrying the residual), a
+    component on the unit of A and an order below nu
+    (HypothesisNotMet); it checks each letter image for degree and
+    augmentation, and g(du) = d g(u) on every generator, which reads
+    only the words in d(letters) and extends to all of S_N because
+    both differentials are derivations.  The differential check is
+    where the Maurer-Cartan equation re-enters; it can only trip if
+    the upstream validation was unsound.
     """
 
     def __init__(self, setup, alpha, S):
+        A, B = setup.A, S.bar.A
+        if B is not A and (B.field != A.field
+                           or S.bar.letters != A.ideal_labels()
+                           or B.space.degree != A.space.degree
+                           or B.m.entries != A.m.entries):
+            raise ValueError(
+                "S_%d is not the dual of the setup's algebra: its field, "
+                "letters or tables differ" % S.N)
         if not setup.is_mc(alpha):
             raise ValueError(
                 "the element fails the generalized Maurer-Cartan equation "
@@ -107,57 +128,73 @@ class CorepresentingHom:
         R = setup.R
         rho = {a: {} for a in S.bar.letters}
         for (a, r), c in vec_clean(alpha).items():
-            if a == setup.A.unit:
+            if a == A.unit:
                 raise HypothesisNotMet(
                     "the corepresenting map needs an admissible element "
                     "(no component on the unit of A)")
-            rho.setdefault(a, {})[r] = c
-        N = S.N
-        if N < R.nu:
+            rho[a][r] = c
+        if S.N < R.nu:
             raise HypothesisNotMet(
                 "truncation order %d is below the nilpotency index %d; "
                 "the word algebra would truncate products the base still "
-                "sees, and multiplicativity would fail" % (N, R.nu))
-        self.A = setup.A
+                "sees, and multiplicativity would fail" % (S.N, R.nu))
+        self.A = A
         self.R = R
-        self.N = N
+        self.N = S.N
         self.field = setup.field
         self.S = S
-        self.entries = {}
-        products = word_products(S.words, R.multiply,
-                                 {R.unit: self.field.one}, rho)
-        for word, img in products.items():
-            degs = [S.bar.sdeg[l] for l in word]
-            sign = self.field.sign(tensor_block_exponent(degs, degs))
-            self.entries[word] = vec_clean(
-                {r: sign * c for r, c in img.items()})
+        self._rho = rho
+        self._products = {(): {R.unit: self.field.one}}
+        # the first map out of S certifies its products, once (word_signs)
+        self._signs = S.word_signs
         self._certify()
 
+    def _image(self, word):
+        """g*((a_1 .. a_k)*): the signed product of the letter images."""
+        sign = self._signs[word]
+        return {r: sign * c for r, c in self._product(word).items()}
+
+    def _product(self, word):
+        """rho(a_1) .. rho(a_k), memoised along the prefixes of word."""
+        out = self._products.get(word)
+        if out is None:
+            out = self._products[word] = self.R.multiply(
+                self._product(word[:-1]), self._rho[word[-1]])
+        return out
+
+    @cached_property
+    def entries(self):
+        """The full table word -> image over every word of S_N."""
+        return {w: self._image(w) for w in self.S.words}
+
     def apply(self, vec):
-        return _apply_table(self.entries, vec)
+        """g* on a vector of S_N; ValueError names an entry outside it."""
+        _check_vector(vec, self.field, "vector", self.S.space.index,
+                      "S_%d" % self.N)
+        return self._push(vec)
+
+    def _push(self, vec):
+        return _apply_table({w: self._image(w) for w in vec}, vec)
 
     def _certify(self):
         R, S = self.R, self.S
-        for w, img in self.entries.items():
+        for a, img in self._rho.items():
             for r in img:
-                if R.deg(r) != S.space.degree[w]:
+                if R.deg(r) != S.space.degree[(a,)]:
                     raise MathCheckFailure(
-                        "image of %r lands in the wrong degree" % (w,))
-            if w and R.unit in img:
+                        "image of %r lands in the wrong degree" % ((a,),))
+            if R.unit in img:
                 raise MathCheckFailure(
-                    "image of %r escapes the augmentation ideal" % (w,))
-        failure = first_dg_map_failure(S, self.entries, R.multiply, R.d_of)
-        if failure and failure[0] == "product":
-            raise MathCheckFailure(
-                "multiplicativity fails at (%r, %r)" % failure[1])
-        if failure:
-            raise MathCheckFailure(
-                "differential compatibility fails at %r; the cochain does "
-                "not satisfy the Maurer-Cartan equation" % (failure[1],))
+                    "image of %r escapes the augmentation ideal" % ((a,),))
+        for u in S.generators:
+            if self._push(S.algebra.m.get(1, (u,))) != R.d_of(self._image(u)):
+                raise MathCheckFailure(
+                    "differential compatibility fails at %r; the cochain does "
+                    "not satisfy the Maurer-Cartan equation" % (u,))
 
     def __repr__(self):
         return "CorepresentingHom(order %d, %d words)" % (
-            self.N, len(self.entries))
+            self.N, len(self.S.words))
 
 
 # ---------------------------------------------------------------------------

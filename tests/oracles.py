@@ -64,6 +64,10 @@ is ``algebra_maps`` with its own coefficient sweep, chunked into
 generator images, and its own monomial products.
 ``check_tower_compatibility`` compares the corepresenting maps of one
 element at two orders word by word; nothing in the package needs it.
+``corepresenting_table_oracle`` is ``CorepresentingHom`` as it was
+before it certified products once per S_N and computed images on
+demand: every word's signed letter product up front (``word_products``)
+and ``first_dg_map_failure`` on the whole table.
 
 ``compose_morphisms_oracle`` is ``compose_morphisms`` as it was before
 it read its components off the morphism join: the block terms of every
@@ -115,7 +119,13 @@ from barmc.ainfinity import (
     tensor_label,
     tensor_with_dg,
 )
-from barmc.bar import BarTruncation, DualTruncation, dual_dg_algebra
+from barmc.bar import (
+    BarTruncation,
+    DualTruncation,
+    dual_dg_algebra,
+    first_dg_map_failure,
+    word_products,
+)
 from barmc.errors import HypothesisNotMet, MathCheckFailure
 from barmc.linalg import (
     Complex,
@@ -936,6 +946,33 @@ def tower_surjection_oracle(big, small):
             if got != want:
                 return CheckReport(False, failure=("product", (U, V)))
     return CheckReport(True, checked_to=small.N)
+
+
+def corepresenting_table_oracle(setup, alpha, S):
+    """Every word's image under the corepresenting map of alpha, eagerly.
+
+    The signed letter products of the transposed cochain, certified as
+    a DG map out of S_N on its generators; MathCheckFailure names the
+    first failing (u, V) or generator.
+    """
+    R, field = setup.R, setup.field
+    rho = {a: {} for a in S.bar.letters}
+    for (a, r), c in vec_clean(alpha).items():
+        rho[a][r] = c
+    table = {}
+    for w, img in word_products(S.words, R.multiply, {R.unit: field.one},
+                                rho).items():
+        degs = [S.bar.sdeg[l] for l in w]
+        sign = field.sign(tensor_block_exponent(degs, degs))
+        table[w] = vec_clean({r: sign * c for r, c in img.items()})
+    failure = first_dg_map_failure(S, table, R.multiply, R.d_of)
+    if failure and failure[0] == "product":
+        raise MathCheckFailure(
+            "multiplicativity fails at (%r, %r)" % failure[1])
+    if failure:
+        raise MathCheckFailure(
+            "differential compatibility fails at %r" % (failure[1],))
+    return table
 
 
 def check_tower_compatibility(big, small):

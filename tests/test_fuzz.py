@@ -346,6 +346,15 @@ def _category_op_short_of_objects():
     setup.category_op([{}], [{}, {}])
 
 
+def _corepresenting_on(S):
+    setup = DeformationSetup(njac(F2, 2), truncated_polynomial(F2, 3))
+    return CorepresentingHom(setup, {("x1", "t"): F2.one}, S)
+
+
+def _corepresenting_apply(vec):
+    _corepresenting_on(dual_dg_algebra(njac(F2, 2), 3)).apply(vec)
+
+
 def _algebra_with_op_above_bound():
     ops = StructureMaps({3: {("a", "a", "a"): {"a": Q.one}}})
     AInfAlgebra(GradedSpace([("a", 1)]), Q, ops, arity_bound=2)
@@ -383,6 +392,17 @@ def _algebra_with_op_above_bound():
     (lambda: AInfAlgebra(GradedSpace([("u", 1)]), Q, StructureMaps(), unit="u"),
      "must have degree 0"),
     (_algebra_with_op_above_bound, "above the declared bound"),
+    (lambda: _corepresenting_on(dual_dg_algebra(xy(F2), 3)),
+     "not the dual of the setup's algebra"),
+    (lambda: _corepresenting_on(dual_dg_algebra(kpoints(F2, 2), 3)),
+     "not the dual of the setup's algebra"),
+    (lambda: _corepresenting_on(dual_dg_algebra(njac(F3, 2), 3)),
+     "not the dual of the setup's algebra"),
+    (lambda: _corepresenting_apply({("x1",) * 4: F2.one}),
+     "('x1', 'x1', 'x1', 'x1') outside S_3"),
+    (lambda: _corepresenting_apply({("zz",): F2.one}), "('zz',) outside S_3"),
+    (lambda: _corepresenting_apply({("x1",): None}), "None at ('x1',)"),
+    (lambda: _corepresenting_apply({("x1",): 1}), "1 at ('x1',)"),
 ], ids=["prorep-bare-algebra", "gauge-part-int", "o1-int", "op-int-slots",
         "project-none",
         "kpoints-str", "random-instance-str", "poly-degree-str",
@@ -391,7 +411,10 @@ def _algebra_with_op_above_bound():
         "invert-non-unit", "fiber-product-across-fields",
         "tensor-across-fields", "unitize-used-label", "bar-of-bare",
         "tau-of-bare", "compose-non-composable", "unit-of-degree-one",
-        "op-above-arity-bound"])
+        "op-above-arity-bound", "corepresenting-foreign-xy",
+        "corepresenting-foreign-kpoints", "corepresenting-foreign-field",
+        "apply-word-too-long", "apply-unknown-word", "apply-none-coefficient",
+        "apply-int-coefficient"])
 def test_entry_point_refuses_with_value_error(call, named):
     with pytest.raises(ValueError, match=re.escape(named)):
         call()

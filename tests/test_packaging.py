@@ -304,8 +304,11 @@ def test_no_function_is_a_second_name_for_a_class():
     assert _constructor_aliases(SOURCES) == []
 
 
-# A map out of S_N is certified on its generators (bar.first_dg_map_failure);
-# the all-pairs word certificate lives in tests/oracles.py.
+# A map out of S_N is certified on its generators: a corepresenting map
+# checks its letters and d on the generators per element, and its products
+# through DualTruncation.word_signs once per S_N; a full word table goes
+# through bar.first_dg_map_failure.  The all-pairs word certificate and the
+# eager corepresenting table live in tests/oracles.py.
 
 
 def _word_loops(node):

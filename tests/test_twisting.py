@@ -12,6 +12,7 @@ basis of H^0 instead of through the presentation.
 
 import random
 import re
+from functools import cached_property
 from itertools import product as iter_product
 
 import pytest
@@ -25,7 +26,12 @@ from barmc.artin import (
     square_zero,
     truncated_polynomial,
 )
-from barmc.bar import SHatCohomology, dual_dg_algebra
+from barmc.bar import (
+    DualTruncation,
+    SHatCohomology,
+    dual_dg_algebra,
+    koszul_probe,
+)
 from barmc.errors import HypothesisNotMet, MathCheckFailure
 from barmc.examples import kpoints, njac, random_instance, xy
 from barmc.linalg import GradedSpace, vec_add, vec_clean
@@ -52,6 +58,7 @@ from oracles import (
     all_pairs_dg_map_failure,
     check_tower_compatibility,
     comodule_ops_oracle,
+    corepresenting_table_oracle,
     conjugation_orbits_oracle,
 )
 
@@ -340,7 +347,8 @@ def test_corepresenting_tower_compatible():
 
 
 def test_corepresenting_certified_on_every_mc_element():
-    """The generator certificate passes, and so does the all-pairs one."""
+    """The lazy images are the eager oracle's, which the generator
+    certificate passes, and the all-pairs certificate passes too."""
     for A, R in ((njac(F2, 1), truncated_polynomial(F2, 3)),
                  (xy(F2), truncated_polynomial(F2, 3)),
                  (kpoints(F2, 2), truncated_polynomial(F2, 2)),
@@ -350,22 +358,86 @@ def test_corepresenting_certified_on_every_mc_element():
         S = dual_dg_algebra(A, R.nu)
         for alpha in setup.enumerate_mc():
             gh = CorepresentingHom(setup, alpha, S)
+            assert gh.entries == corepresenting_table_oracle(setup, alpha, S)
             assert all_pairs_dg_map_failure(
                 S, gh.entries, R.multiply, R.d_of) is None
 
 
+def test_lazy_images_match_the_oracle_on_every_compared_element():
+    """All 81 elements of the comparison, each word of S_3 through apply."""
+    A, R = njac(F3, 2), truncated_polynomial(F3, 3)
+    rep = prorep_compare(A, R, 3)
+    setup, S = DeformationSetup(A, R), rep.presentation.S
+    elements = [alpha for cls in rep.classes.classes for alpha in cls]
+    assert len(elements) == 81
+    for alpha in elements:
+        gh = CorepresentingHom(setup, alpha, S)
+        want = corepresenting_table_oracle(setup, alpha, S)
+        assert {w: gh.apply({w: F3.one}) for w in S.words} == want
+
+
+def test_comparison_multiplies_only_the_words_it_reads(monkeypatch):
+    """The S_3 certificate runs once on its one S_N object, and the
+    81 corepresenting maps make at most two products each."""
+    A, R = njac(F3, 2), truncated_polynomial(F3, 3)
+    runs, inside, products = {}, [], []
+    real_signs = DualTruncation.word_signs.func
+    real_multiply = R.multiply
+    real_induced = twisting.induced_map
+
+    def word_signs(S):
+        runs[id(S)] = runs.get(id(S), 0) + 1
+        return real_signs(S)
+
+    def multiply(u, v):
+        products.append(bool(inside))
+        return real_multiply(u, v)
+
+    def induced(*args):
+        inside.append(True)
+        try:
+            return real_induced(*args)
+        finally:
+            inside.pop()
+
+    counted = cached_property(word_signs)
+    counted.__set_name__(DualTruncation, "word_signs")
+    monkeypatch.setattr(DualTruncation, "word_signs", counted)
+    monkeypatch.setattr(R, "multiply", multiply)
+    monkeypatch.setattr(twisting, "induced_map", induced)
+    rep = prorep_compare(A, R, 3)
+    assert rep.ok and rep.rhs == 81
+    assert list(runs.values()) == [1]
+    assert 0 < sum(products) <= 162
+    probe = koszul_probe(A, 3)
+    assert "word_signs" not in vars(probe.cohomology.S)
+
+
 def test_generator_certificate_catches_a_wrong_sign_in_a_long_word():
-    """Over F3 the sign shows; it is caught at (letter, two-letter word)."""
+    """A flipped product sign in S_4 is caught by its once-per-S_N
+    certificate, at (letter, two-letter word); over F3 the sign shows."""
     A = njac(F3, 2)
     setup = DeformationSetup(A, truncated_polynomial(F3, 4))
-    gh = CorepresentingHom(setup, {("x1", "t"): F3.one, ("x2", "t2"): F3.one},
-                           dual_dg_algebra(A, 4))
-    word = ("x1", "x1", "x1")
-    assert gh.entries[word] == {"t3": F3.one}
-    gh.entries[word] = {"t3": F3(2)}
+    S = dual_dg_algebra(A, 4)
+    pair, word = (("x1",), ("x1", "x1")), ("x1", "x1", "x1")
+    assert S.algebra.m.get(2, pair) == {word: F3.one}
+    S.algebra.m.set(2, pair, {word: F3(2)})
     with pytest.raises(MathCheckFailure) as e:
-        gh._certify()
+        CorepresentingHom(setup, {("x1", "t"): F3.one, ("x2", "t2"): F3.one},
+                          S)
     assert "multiplicativity fails at (('x1',), ('x1', 'x1'))" in str(e.value)
+
+
+def test_each_element_certifies_the_differential_of_its_letters(monkeypatch):
+    """A non-MC cochain that slips past is_mc is caught per element."""
+    A = xy(F2)
+    setup = DeformationSetup(A, truncated_polynomial(F2, 3))
+    alpha = {("x", "t"): F2.one}
+    assert not setup.is_mc(alpha)
+    monkeypatch.setattr(setup, "is_mc", lambda alpha: True)
+    with pytest.raises(MathCheckFailure) as e:
+        CorepresentingHom(setup, alpha, dual_dg_algebra(A, 3))
+    assert "differential compatibility fails at" in str(e.value)
 
 
 def test_corepresenting_over_graded_base():
