@@ -33,7 +33,9 @@ Values are raw inside it, ints mod p or ints and Fractions over Q, and
 Scalar at its edge: inputs are read once and each output coefficient
 is wrapped once.  tensor_with_dg regroups each entry of A only against
 the words of C whose product is nonzero (_base_words), built once per
-arity.
+arity by prefix extension; _right_products multiplies a vector by every
+label at once through the m_2 entries indexed by their first slot, so
+that costs one _expand per prefix, not one per (prefix, label) pair.
 """
 
 from itertools import count, product as iter_product
@@ -861,18 +863,35 @@ def _base_words(C, n):
     bar.word_products builds them for S_N: a word whose prefix product
     vanishes vanishes too, so only nonzero prefixes are extended.
     """
-    one = C.field.one
-    layers = [{(c,): {c: one} for c in C.space.labels}]
-    m2 = C.m.entries.get(2, {}).get
+    layers = [{(c,): {c: C.field.one} for c in C.space.labels}]
     while len(layers) < n:
-        longer = {}
-        for word, product in layers[-1].items():
-            for letter, letter_vec in layers[0].items():
-                vec = _expand(C.field, [product, letter_vec], m2)
-                if vec:
-                    longer[word + letter] = vec
-        layers.append(longer)
+        last = layers[-1]
+        layers.append({word + (c,): vec for word, products in zip(
+            last, _right_products(C, last.values(), C.space.labels))
+                       for c, vec in products})
     return layers
+
+
+def _right_products(C, vecs, labels):
+    """Yield for each v in vecs [(y, v y)] over the listed labels y, in order.
+
+    Zero products are left out.  The m_2 entries of C are indexed by
+    their first slot, so each v takes one _expand, whose output keys
+    (i, k), i the position of y in labels, carry every v y at once; each
+    product comes out with the keys and values of
+    _expand(C.field, [v, {y: 1}], m_2).
+    """
+    rank = {y: i for i, y in enumerate(labels)}
+    by_first = {}
+    for (x, y), vec in C.m.entries.get(2, {}).items():
+        if y in rank:
+            by_first.setdefault((x,), {}).update(
+                ((rank[y], k), c) for k, c in vec.items())
+    for v in vecs:
+        split = {}
+        for (i, k), c in _expand(C.field, [v], by_first.get).items():
+            split.setdefault(i, {})[k] = c
+        yield [(labels[i], split[i]) for i in sorted(split)]
 
 
 def _regrouped(a_vec, a_degs, C, c_args, c_prod):

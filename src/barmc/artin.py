@@ -11,7 +11,7 @@ computes the nilpotency index, and classifies R as negative
 (degrees <= 0) or classical (degree 0 only).
 """
 
-from .ainfinity import AInfAlgebra, StructureMaps, check_ainf_axioms
+from .ainfinity import _right_products, AInfAlgebra, StructureMaps, check_ainf_axioms
 from .errors import _integer
 from .linalg import GradedSpace, Subspace, vec_clean
 
@@ -49,8 +49,11 @@ def validate_artinian(A):
     The associativity and Leibniz identities go through
     check_ainf_axioms up to arity 3, a sparse join over the product and
     differential tables that covers exactly the tuples a replay over
-    all basis triples would, and names the first failing one.  Returns
-    an ArtinianReport; problems carry witness labels.  Nothing raises
+    all basis triples would, and names the first failing one.  The
+    closure of the ideal is read off the stored m_1 and m_2 entries: an
+    entry on ideal labels with a unit component is a problem, listed in
+    the order of a sweep over the ideal labels.  Returns an
+    ArtinianReport; problems carry witness labels.  Nothing raises
     here, so callers can surface all violations at once.
     """
     problems = []
@@ -72,52 +75,42 @@ def validate_artinian(A):
         if A.m.get(2, (e, a)) != {a: one} or A.m.get(2, (a, e)) != {a: one}:
             problems.append("unit laws fail on %r" % (a,))
             break
-    ideal = A.ideal_labels()
-    for x in ideal:
-        dv = A.m.get(1, (x,))
-        if e in dv:
-            problems.append("d(%r) has a unit component" % (x,))
-        for y in ideal:
-            if e in A.m.get(2, (x, y)):
-                problems.append(
-                    "product %r * %r leaves the augmentation ideal" % (x, y))
+    leaks = sorted(([A.space.index[l] for l in args], args) for n in (1, 2)
+                   for args, vec in A.m.entries.get(n, {}).items()
+                   if e in vec and e not in args)
+    problems += ["d(%r) has a unit component" % args if len(args) == 1 else
+                 "product %r * %r leaves the augmentation ideal" % args
+                 for _, args in leaks]
     if problems:
         return ArtinianReport(False, problems)
+    ideal = A.ideal_labels()
     powers = list(_ideal_powers(A, ideal))
     if powers[-1]:
         problems.append("augmentation ideal is not nilpotent "
                         "(no vanishing power up to %d)" % MAX_NILPOTENCY_SCAN)
         return ArtinianReport(False, problems)
-    nu = len(powers)
     degs = set(A.space.degree.values())
-    classical = degs == {0} or not ideal and degs <= {0}
-    negative = max(degs) <= 0
-    commutative = _is_commutative(A)
-    return ArtinianReport(True, [], nu=nu, classical=classical,
-                          negative=negative, commutative=commutative,
-                          powers=powers)
+    return ArtinianReport(True, [], nu=len(powers), powers=powers,
+                          classical=degs == {0} or not ideal and degs <= {0},
+                          negative=max(degs) <= 0,
+                          commutative=_is_commutative(A))
 
 
 def _ideal_powers(A, ideal):
     """Spanning rows of m, m^2, .., through the first zero power.
 
     m is spanned by the unit vectors of ideal, and m^(k+1) by the
-    echelon basis of the products of the rows of m^k with ideal labels.
-    The scan stops at m^(MAX_NILPOTENCY_SCAN + 1) even if it is nonzero.
+    echelon basis of the products of the rows of m^k with ideal labels,
+    each row multiplied by all of them at once (_right_products).  The
+    scan stops at m^(MAX_NILPOTENCY_SCAN + 1) even if it is nonzero.
     """
-    one = A.field.one
-    power = [{x: one} for x in ideal]
+    power = [{x: A.field.one} for x in ideal]
     yield power
     for _ in range(MAX_NILPOTENCY_SCAN):
         if not power:
             return
-        nxt = []
-        for v in power:
-            for x in ideal:
-                prod = A.eval_m_vectors([v, {x: one}])
-                if prod:
-                    nxt.append(prod)
-        power = Subspace(nxt, A.field).rows
+        power = Subspace([vec for products in _right_products(A, power, ideal)
+                          for _, vec in products], A.field).rows
         yield power
 
 
@@ -206,11 +199,10 @@ def quotient_by_power(R, n):
         dv = ideal_n.reduce(R.d_of({l: R.field.one}))
         if dv:
             ops.set(1, (l,), dv)
-    for a in kept:
-        for b in kept:
-            prod = ideal_n.reduce(R.multiply({a: R.field.one}, {b: R.field.one}))
-            if prod:
-                ops.set(2, (a, b), prod)
+    units = [{a: R.field.one} for a in kept]
+    for a, products in zip(kept, _right_products(R.algebra, units, kept)):
+        for b, prod in products:
+            ops.set(2, (a, b), ideal_n.reduce(prod))
     alg = AInfAlgebra(space, R.field, ops, arity_bound=2, unit=R.unit)
     return ArtinianDGAlgebra(alg), pi, ideal_n.rows
 

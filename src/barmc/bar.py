@@ -10,15 +10,17 @@ deconcatenation.
 
 Two certificates guard the construction.  BarTruncation builds a
 Complex, which checks d_bar^2 = 0 exactly and so refuses an A that
-fails the Stasheff identities.  DualTruncation then checks that S_N is
-a DG algebra, d^2 = 0 and the Leibniz rule, with check_ainf_axioms at
-arity 2 on its own tables, transposition and product signs included;
-this is the transpose of d_bar being a coderivation (Keller 2001).  A
-failure raises MathCheckFailure naming the (n, tuple, residual)
-witness.  A third certificate runs on first use only, when a map out
-of S_N is built from a letter assignment: DualTruncation.word_signs
-checks the product table on the generators against the word signs,
-once per S_N, so that each such map certifies only what depends on it.
+fails the Stasheff identities.  DualTruncation writes the product of
+S_N from the word sign sigma(w) = (-1)^(sum_{i<j} s_i s_j), which makes
+it associative by construction, and certifies once, on the generators
+of S_N (the empty word and the letters) against every word, that d is
+a derivation; this is the transpose of d_bar being a coderivation
+(Keller 2001).  A failure raises MathCheckFailure naming the failing
+(u, V) tuple and its Stasheff residual.  A map out of S_N given by a
+full word table is certified on the generators too
+(first_dg_map_failure); a map given by its letters takes its products
+from sigma and checks only the differential of the generators
+(twisting.CorepresentingHom).
 
 Everything this module reports about cohomology, Koszulness, or
 presentations of H^0 is an order-N certificate about these finite
@@ -26,15 +28,16 @@ truncations.  No statement here is a claim about the inverse limit.
 """
 
 from functools import cached_property
+from itertools import groupby, takewhile
 
 from .ainfinity import (
     AInfAlgebra,
     CheckReport,
     StructureMaps,
     b_from_m,
-    check_ainf_axioms,
     koszul_pass_exponent,
     restrict_to_ideal,
+    stasheff_residual,
     tensor_label,
 )
 from .errors import _integer, HypothesisNotMet, MathCheckFailure
@@ -141,21 +144,27 @@ class DualTruncation:
     """Linear dual of a bar truncation: a finite DG algebra.
 
     Word functionals multiply by transposed deconcatenation,
-    U* V* = (-1)^(|U||V|) (UV)*, vanishing past the weight bound; the
-    differential transposes d_bar via (d phi)(w) = -(-1)^|phi| phi(d w).
+    U* V* = sigma(U) sigma(V) sigma(UV) (UV)*, vanishing past the weight
+    bound, where sigma(w) = (-1)^(sum_{i<j} s_i s_j) over the shifted
+    letter degrees s_i of w (word_signs).  That is the Koszul sign
+    (-1)^(|U||V|), since sigma(UV) = sigma(U) sigma(V) (-1)^(|U||V|).
+    The differential transposes d_bar via (d phi)(w) = -(-1)^|phi| phi(d w).
     The empty-word functional is a strict unit and the longer words
     span a nilpotent DG ideal.
 
-    Construction certifies that these tables make a DG algebra: d^2 = 0
-    and the Leibniz rule, check_ainf_axioms at arity 2 over every
-    basis pair the tables reach.  Associativity needs no check, since
-    the product concatenates words and its sign exponent |U||V| is
-    additive in each factor.  A failure raises MathCheckFailure naming
-    the first failing (n, tuple, residual) in itertools.product order.
-    What a map out of S_N needs of the product table beyond that is
-    certified on first use, once per S_N, by word_signs.  generators
-    lists the empty word and the letters, which generate S_N as an
-    algebra.
+    Construction certifies that these tables make a DG algebra, on the
+    generators: generators lists the empty word and the letters, which
+    generate S_N, and the Leibniz rule
+    d(u V) = d(u) V + (-1)^|u| u d(V) is checked on every generator u
+    and word V.  Associativity holds by construction, because the sign
+    exponent is additive in each factor, so Leibniz extends to every
+    pair by induction on word length; d^2 = 0 is certified first, by
+    the Complex.  This is the transpose of d_bar being a coderivation
+    (Keller 2001).  Leibniz fails on some pair only if it fails on a
+    generator pair, and those come first in itertools.product order, so
+    a failure raises MathCheckFailure naming the same first failing
+    arity-2 tuple, with its stasheff_residual, as a check over all pairs
+    would.
     """
 
     def __init__(self, bar):
@@ -166,68 +175,49 @@ class DualTruncation:
         # length-lexicographic words start with () and the letters
         self.generators = self.words[:1 + len(bar.letters)]
         self.space = GradedSpace([(w, -bar.word_degree[w]) for w in self.words])
+        sign = self.field.sign
+        signs = self.word_signs = {(): self.field.one}
+        for w in self.words[1:]:
+            signs[w] = signs[w[:-1]] * sign(
+                bar.sdeg[w[-1]] * bar.word_degree[w[:-1]])
         ops = StructureMaps()
-        transposed = {}
         for w, img in bar.d.items():
             for big, c in img.items():
-                sign = self.field.sign(1 + bar.word_degree[big])
-                vec_add(transposed.setdefault(big, {}), {w: sign * c})
-        for big, vec in transposed.items():
-            ops.set(1, (big,), vec)
-        one = self.field.one
-        by_len = {}
-        for w in self.words:
-            by_len.setdefault(len(w), []).append(w)
+                ops.add(1, (big,), {w: sign(1 + bar.word_degree[big]) * c})
+        by_len = {n: list(ws) for n, ws in groupby(self.words, len)}
         for lu in range(self.N + 1):
             for lv in range(self.N + 1 - lu):
                 for U in by_len.get(lu, ()):
                     for V in by_len.get(lv, ()):
-                        sign = self.field.sign(
-                            bar.word_degree[U] * bar.word_degree[V])
-                        ops.set(2, (U, V), {U + V: sign * one})
+                        ops.set(2, (U, V),
+                                {U + V: signs[U] * signs[V] * signs[U + V]})
         self.algebra = AInfAlgebra(self.space, self.field, ops, arity_bound=2,
                                    unit=())
-        rep = check_ainf_axioms(self.algebra, 2)
-        if not rep.ok:
-            n, args, residual = rep.failure
-            raise MathCheckFailure(
-                "S_%d is not a DG algebra: the arity-%d identity fails on %r "
-                "(residual %r)" % (self.N, n, args, residual))
         self.complex = self.algebra.complex()
+        failure = self._leibniz_failure()
+        if failure:
+            raise MathCheckFailure(
+                "S_%d is not a DG algebra: the arity-2 identity fails on %r "
+                "(residual %r)" % (self.N, failure,
+                                   stasheff_residual(self.algebra, failure)))
 
-    @cached_property
-    def word_signs(self):
-        """sigma(w) = (-1)^(sum_{i<j} s_i s_j) per word, certified once.
+    def _leibniz_failure(self):
+        """The first generator pair (u, V) where Leibniz fails, or None.
 
-        s_i is the shifted degree of the i-th letter.  The certificate
-        walks every generator u and every word V and checks
-        m_2(u, V) = sigma(u) sigma(V) sigma(uV) (uV)* when |uV| <= N,
-        and m_2(u, V) = 0 beyond N; the first failing pair raises
-        MathCheckFailure("multiplicativity fails at (u, V)").  With it,
-        the signed letter products w |-> sigma(w) rho(a_1) .. rho(a_k)
-        of any letter assignment rho into an associative base R, graded
-        with m an ideal and m^(N+1) = 0, are multiplicative on
-        generators times words, and so on all of S_N by associativity
-        and induction on word length.  Nothing here depends on rho, so
-        a CorepresentingHom certifies only its letters and its
-        differential.  Computed on first use: koszul_probe never asks.
+        Pairs past weight N are skipped: d never lowers word length and
+        products vanish past N, so there every term is zero.
         """
-        sdeg, degree = self.bar.sdeg, self.bar.word_degree
-        signs = {(): self.field.one}
-        for w in self.words:
-            if w:
-                signs[w] = signs[w[:-1]] * self.field.sign(
-                    sdeg[w[-1]] * degree[w[:-1]])
-        m = self.algebra.m
+        d, product = self.complex.d, self.algebra.m.entries.get(2, {})
         for u in self.generators:
-            for V in self.words:
-                uV = u + V
-                want = ({uV: signs[u] * signs[V] * signs[uV]}
-                        if len(uV) <= self.N else {})
-                if m.get(2, (u, V)) != want:
-                    raise MathCheckFailure(
-                        "multiplicativity fails at (%r, %r)" % (u, V))
-        return signs
+            sign = self.field.sign(self.space.degree[u])
+            for V in takewhile(lambda V: len(u) + len(V) <= self.N, self.words):
+                acc = _apply_table(d, product.get((u, V), {}))
+                for x, c in d.get(u, {}).items():
+                    vec_add(acc, product.get((x, V), {}), -c)
+                for y, c in d.get(V, {}).items():
+                    vec_add(acc, product.get((u, y), {}), -sign * c)
+                if vec_clean(acc):
+                    return (u, V)
 
     def dim_table(self):
         """Dimensions by (degree, weight)."""
@@ -257,8 +247,9 @@ def first_dg_map_failure(S, table, multiply, d):
     are derivations, so induction on word length extends these checks
     to all pairs and all words.  The witness is ("product", (u, V)) or
     ("differential", u).  check_tower_surjection uses it; a
-    CorepresentingHom, given by its letters, takes the product half
-    from S.word_signs once per S_N instead.
+    CorepresentingHom, given by its letters, needs only the second
+    half, since the signed letter products of S.word_signs multiply as
+    the product of S_N, which is written from the same signs.
     """
     m = S.algebra.m
     for u in S.generators:

@@ -31,7 +31,8 @@ groupoid, the gauge classes, the obstructions, lifting and the
 pushforward (and the corepresenting map in twisting.py) check their
 objects on every call at the cost of one key once an object passed.
 What enumerate_mc and lift_mc compute themselves is certified by its
-own residual, as a MathCheckFailure, not asked of is_mc.
+own residual, as a MathCheckFailure, not asked of is_mc; enumerate_mc
+then enters the points it certified into is_mc's memory.
 """
 
 from functools import cached_property
@@ -182,6 +183,7 @@ class DeformationSetup:
             {tensor_label(A.unit, R.unit): self.field.one}
             if A.unit is not None else None)
         self._mc = set()  # _vec_key of every element found MC
+        self._certified = []  # point lists enumerate_mc certified, unkeyed
         self._mc_inputs = set()  # _input_key of every input that passed
 
     def ideal_labels_of_degree(self, k):
@@ -214,7 +216,8 @@ class DeformationSetup:
         setup's field object) already passed.  The residual is
         evaluated once per element, zeros ignored (_vec_key); only
         positive answers are kept, so a non-MC object is refused on
-        every call.
+        every call.  The points enumerate_mc certified are keyed on the
+        first element not yet known, and need no residual.
         """
         key = _input_key(alpha, self.field)
         if key in self._mc_inputs:
@@ -222,7 +225,9 @@ class DeformationSetup:
         self.check_mc_input(alpha)
         element = _vec_key(alpha)
         if element not in self._mc:
-            if self.mc_residual(alpha):
+            while self._certified:
+                self._mc.update(map(_vec_key, self._certified.pop()))
+            if element not in self._mc and self.mc_residual(alpha):
                 return False
             self._mc.add(element)
         if key is not None:
@@ -251,9 +256,13 @@ class DeformationSetup:
         next level's residual leaves A x I (SmallExtension.coordinates
         raises MathCheckFailure); at the top level the particular lift
         of every nonempty fibre is checked with one exact mc_residual,
-        and the Z^1 basis is checked to consist of cocycles.  The list
-        is ordered by the coefficient tuple over ideal_labels_of_degree(1),
-        the order of an exhaustive sweep.
+        and the Z^1 basis is checked to consist of cocycles.  The points
+        so certified, at every level, enter the is_mc memory of that
+        level's setup in chain(), unkeyed until is_mc first meets an
+        element it does not know, so _gauge_classes evaluates no
+        residual of them again.  The list is ordered by the coefficient
+        tuple over ideal_labels_of_degree(1), the order of an
+        exhaustive sweep.
         """
         p = self.field.p
         if not p:
@@ -265,6 +274,7 @@ class DeformationSetup:
                 % (p, len(labels), cap))
         points = particular = [{}]
         exts = [setup.extension for setup in self.chain() if setup.nu > 1]
+        levels = []
         for ext in reversed(exts):
             shifts = ext.cocycle_span()
             lifted, particular = [], []
@@ -275,10 +285,13 @@ class DeformationSetup:
                 particular.append(base)
                 lifted.extend(vec_add(dict(base), z) for z in shifts)
             points = lifted
+            levels.append((ext.setup, points))
         for alpha in particular:
             if self.mc_residual(alpha):
                 raise MathCheckFailure(
                     "lifted element fails the MC equation: %r" % (alpha,))
+        for setup, found in levels:
+            setup._certified.append(found)
         # the coefficient tuple read as base-p digits is one int, which
         # each point's sparse items give and which orders as the tuples
         weight = {l: p ** k for k, l in enumerate(reversed(labels))}

@@ -16,14 +16,16 @@ base S_N, twisted by the universal cochain; and TwistedComodule, A x R*
 for a classical base, takes the module tables transposed on the base
 factor.
 
-Nothing here trusts a dualization sign.  The word-algebra map is
-forced by multiplicativity from its weight-one entries and certified
-to be a DG algebra map on the generators of S_N, which extends to
-every word by induction on word length.  The product half does not
-depend on the element: it is certified once per S_N
-(bar.DualTruncation.word_signs) for every letter assignment at once.
-Each element certifies its letter images and the differential on the
-generators, and computes a word's image only when it is read.
+The word-algebra map is forced by multiplicativity from its
+weight-one entries and certified to be a DG algebra map on the
+generators of S_N, which extends to every word by induction on word
+length.  The product half does not depend on the element: the product
+of S_N is written from the word sign sigma (bar.DualTruncation, which
+certifies its Leibniz rule on the generators once per S_N), and the
+signed letter products w |-> sigma(w) rho(a_1) .. rho(a_k) multiply by
+the same signs for every letter assignment.  Each element certifies
+its letter images and the differential on the generators, and
+computes a word's image only when it is read.
 TwistedModule certifies that the twisted differential squares to zero
 and that the module Stasheff identities hold on every mixed tuple.
 The classical comparison runs both sides by exhaustion: algebra maps
@@ -95,12 +97,12 @@ class CorepresentingHom:
     computed on access.  S is the dual truncation S_N
     (bar.dual_dg_algebra) of setup.A; the order N is S.N.
 
-    What makes this THE corepresenting map is certified rather than
-    assumed, in two halves.  Once per S_N, S.word_signs checks the
-    product table on generators times words against the word signs;
-    with R associative, graded with m an ideal (validate_artinian), and
-    m^(N+1) = 0 (the guard N >= nu below), this makes the signed letter
-    products of any rho multiplicative.  Per element, construction
+    What makes this THE corepresenting map holds in two halves.  The
+    product of S_N is U* V* = sigma(U) sigma(V) sigma(UV) (UV)*, written
+    from the same signs S.word_signs this map reads; with R
+    associative, graded with m an ideal (validate_artinian), and
+    m^(N+1) = 0 (the guard N >= nu below), the signed letter products
+    of any rho are therefore multiplicative.  Per element, construction
     refuses an S_N dual to another algebra (ValueError), an element
     that fails setup.is_mc (ValueError carrying the residual), a
     component on the unit of A and an order below nu
@@ -145,13 +147,11 @@ class CorepresentingHom:
         self.S = S
         self._rho = rho
         self._products = {(): {R.unit: self.field.one}}
-        # the first map out of S certifies its products, once (word_signs)
-        self._signs = S.word_signs
         self._certify()
 
     def _image(self, word):
         """g*((a_1 .. a_k)*): the signed product of the letter images."""
-        sign = self._signs[word]
+        sign = self.S.word_signs[word]
         return {r: sign * c for r, c in self._product(word).items()}
 
     def _product(self, word):
@@ -369,6 +369,13 @@ class UniversalDeformation(TwistedModule):
     weight recovers the operations of A on the nose.  The module
     axioms are checked on demand, not at construction.  The order N
     must be at least 1, since tau lives in S_N only for N >= 1.
+
+    tau is certified to be MC (setup.is_mc) before any table is built.
+    Where it is not and A has operations of arity >= 3 over a field of
+    characteristic other than 2, the sign conventions of those
+    operations and of S_N disagree, and the construction is refused as
+    HypothesisNotMet with the residual; any other failure is a
+    MathCheckFailure carrying the residual.
     """
 
     def __init__(self, A, N):
@@ -388,8 +395,14 @@ class UniversalDeformation(TwistedModule):
         self.N = N
         self.S = dual_dg_algebra(A, N)
         self.tau = universal_twisting_cochain(A)
-        super().__init__(DeformationSetup(A, self.S.as_artinian()), self.tau,
-                         check=False)
+        setup = DeformationSetup(A, self.S.as_artinian())
+        if not setup.is_mc(self.tau):
+            known = A.m.max_arity() >= 3 and A.field.p != 2
+            raise (HypothesisNotMet if known else MathCheckFailure)(
+                "the universal element is not Maurer-Cartan over S_%d (residual "
+                "%r)%s" % (N, setup.mc_residual(self.tau), known * "; a known "
+                "sign defect of operations of arity >= 3 (ROADMAP item 1)"))
+        super().__init__(setup, self.tau, check=False)
 
     def check_base_change(self):
         """Killing positive weight returns the operations of A exactly.

@@ -55,6 +55,15 @@ coderivation check from before the dual certified its DG algebra
 structure: Delta d = (d x 1 + 1 x d) Delta replayed on every word's
 deconcatenations, on the bar side, without the dual's signs.
 
+``dual_tables_oracle`` is ``DualTruncation`` as it was before it wrote
+its product from the word signs and certified the Leibniz rule on its
+generators: the product sign (-1)^(|U||V|) on every pair of words and
+``check_ainf_axioms`` at arity 2 over all of them.
+``ideal_powers_oracle`` and ``base_words_oracle`` are
+``artin._ideal_powers`` and ``ainfinity._base_words`` from before they
+read the m_2 entries through a first-slot index: one product per
+(row or word, label) pair.
+
 ``all_pairs_dg_map_failure`` is the word-algebra map certificate as it
 was before it checked only the generators of S_N: multiplicativity on
 every ordered pair of words and d-compatibility on every word.
@@ -111,6 +120,7 @@ from barmc.ainfinity import (
     CheckReport,
     StructureMaps,
     b_from_m,
+    check_ainf_axioms,
     check_strict_unital_morphism,
     koszul_pass_exponent,
     morphism_residual,
@@ -119,6 +129,7 @@ from barmc.ainfinity import (
     tensor_label,
     tensor_with_dg,
 )
+from barmc.artin import MAX_NILPOTENCY_SCAN
 from barmc.bar import (
     BarTruncation,
     DualTruncation,
@@ -131,6 +142,7 @@ from barmc.linalg import (
     Complex,
     GradedSpace,
     Matrix,
+    Subspace,
     vec_add,
     vec_clean,
     vec_scale,
@@ -904,6 +916,59 @@ def coderivation_failure_oracle(bar):
         if vec_clean(lhs) != vec_clean(rhs):
             return w
     return None
+
+
+def dual_tables_oracle(bar):
+    """S_N's algebra with the all-pairs product sign, and its arity-2 check.
+
+    Returns (algebra, check_ainf_axioms(algebra, 2)).
+    """
+    field, degree = bar.field, bar.word_degree
+    ops = StructureMaps()
+    for w, img in bar.d.items():
+        for big, c in img.items():
+            ops.add(1, (big,), {w: field.sign(1 + degree[big]) * c})
+    for U in bar.words:
+        for V in bar.words:
+            if len(U) + len(V) <= bar.N:
+                ops.set(2, (U, V), {U + V: field.sign(degree[U] * degree[V])})
+    space = GradedSpace([(w, -degree[w]) for w in bar.words])
+    algebra = AInfAlgebra(space, field, ops, arity_bound=2, unit=())
+    return algebra, check_ainf_axioms(algebra, 2)
+
+
+def ideal_powers_oracle(A, ideal):
+    """Spanning rows of m, m^2, .. through the first zero power, pair by pair."""
+    one = A.field.one
+    power = [{x: one} for x in ideal]
+    yield power
+    for _ in range(MAX_NILPOTENCY_SCAN):
+        if not power:
+            return
+        nxt = []
+        for v in power:
+            for x in ideal:
+                prod = A.eval_m_vectors([v, {x: one}])
+                if prod:
+                    nxt.append(prod)
+        power = Subspace(nxt, A.field).rows
+        yield power
+
+
+def base_words_oracle(C, n):
+    """The nonzero ordered products of basis labels of C, word by letter."""
+    one = C.field.one
+    layers = [{(c,): {c: one} for c in C.space.labels}]
+    m2 = C.m.entries.get(2, {}).get
+    while len(layers) < n:
+        longer = {}
+        for word, product in layers[-1].items():
+            for letter, letter_vec in layers[0].items():
+                vec = _expand(C.field, [product, letter_vec], m2)
+                if vec:
+                    longer[word + letter] = vec
+        layers.append(longer)
+    return layers
 
 
 # ---------------------------------------------------------------------------

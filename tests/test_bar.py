@@ -15,8 +15,10 @@ import pytest
 
 from barmc.ainfinity import (
     AInfAlgebra,
+    StructureMaps,
     check_ainf_axioms,
     check_strict_unit,
+    tensor_block_exponent,
     tensor_with_dg,
 )
 from barmc.artin import truncated_polynomial
@@ -45,6 +47,7 @@ from barmc.linalg import Complex, Elimination, GradedSpace, vec_add, vec_clean
 from barmc.mc import DeformationSetup
 from barmc.scalars import Field
 from barmc.transfer import minimal_model
+import barmc.twisting as twisting_module
 from barmc.twisting import UniversalDeformation, prorep_compare
 
 from oracles import (
@@ -57,6 +60,7 @@ from oracles import (
     cohomology_oracle,
     dense_kernel,
     dense_rank,
+    dual_tables_oracle,
     filtered_dims_oracle,
     pivot_columns_oracle,
     product_table_oracle,
@@ -297,28 +301,103 @@ def test_dual_refuses_a_bar_differential_that_is_not_a_coderivation(
 
 
 def test_each_dual_is_certified_once_at_arity_two(monkeypatch):
-    """check_ainf_axioms(S_N, 2) runs once per DualTruncation, on its own
-    algebra, over the koszul benchmark jobs and the comparison."""
+    """The Leibniz certificate on the generators runs once per
+    DualTruncation, over the koszul benchmark jobs and the comparison;
+    bar.py no longer runs the all-pairs check_ainf_axioms."""
     import barmc.bar as bar_module
+    assert not hasattr(bar_module, "check_ainf_axioms")
     checked, built = [], []
-    real_check, real_init = bar_module.check_ainf_axioms, DualTruncation.__init__
+    real_check, real_init = DualTruncation._leibniz_failure, \
+        DualTruncation.__init__
 
-    def counting_check(A, n_max):
-        checked.append((A, n_max))
-        return real_check(A, n_max)
+    def counting_check(self):
+        checked.append(self)
+        return real_check(self)
 
     def recording_init(self, bar):
         real_init(self, bar)
         built.append(self)
 
-    monkeypatch.setattr(bar_module, "check_ainf_axioms", counting_check)
+    monkeypatch.setattr(DualTruncation, "_leibniz_failure", counting_check)
     monkeypatch.setattr(DualTruncation, "__init__", recording_init)
     koszul_probe(kpoints(Q, 2), 5)
     koszul_probe(kpoints(F3, 3), 3)
     koszul_probe(xy(Q), 4)
     assert prorep_compare(njac(F3, 2), truncated_polynomial(F3, 3), 3).ok
     assert len(built) == 4
-    assert checked == [(S.algebra, 2) for S in built]
+    assert checked == built
+
+
+def _dual_cases():
+    """The golden probes and the admissible random draws at N = 3."""
+    return [(make(), N) for make, N in GOLDEN_PROBES] + [
+        (A, 3) for A in _admissible_draws()]
+
+
+def test_dual_tables_match_the_all_pairs_oracle():
+    """The product written from the word signs is the (-1)^(|U||V|)
+    product, the word signs are the prefix products of the Koszul
+    signs, and the all-pairs arity-2 check accepts what the generator
+    certificate accepts."""
+    for A, N in _dual_cases():
+        bar = BarTruncation(A, N)
+        S = DualTruncation(bar)
+        algebra, rep = dual_tables_oracle(bar)
+        assert rep.ok
+        assert S.algebra.m.entries == algebra.m.entries
+        for w in S.words:
+            degs = [bar.sdeg[l] for l in w]
+            assert S.word_signs[w] == S.field.sign(
+                tensor_block_exponent(degs, degs))
+
+
+def test_dual_refuses_what_the_all_pairs_oracle_refuses():
+    """One d_bar entry negated after construction, over every word of
+    length 2 and 3 of the smaller cases: the generator certificate and
+    the all-pairs check agree on the verdict, and on a refusal name the
+    same tuple and residual."""
+    refused = 0
+    for A, N in _dual_cases()[1:]:
+        bar = BarTruncation(A, N)
+        for w in [w for w in bar.words if 2 <= len(w) <= 3 and w in bar.d][:6]:
+            mutant = copy.copy(bar)
+            mutant.d = dict(bar.d)
+            mutant.d[w] = {k: -c for k, c in bar.d[w].items()}
+            _, rep = dual_tables_oracle(mutant)
+            if not rep.ok and rep.failure[0] == 1:
+                continue  # d^2 = 0 fails too; the Complex refuses that
+            if rep.ok:
+                DualTruncation(mutant)
+                continue
+            n, args, residual = rep.failure
+            with pytest.raises(MathCheckFailure) as e:
+                DualTruncation(mutant)
+            assert str(e.value) == (
+                "S_%d is not a DG algebra: the arity-%d identity fails on %r "
+                "(residual %r)" % (N, n, args, residual))
+            refused += 1
+    assert refused >= 60
+
+
+class _UnsignedProducts(StructureMaps):
+    """Every product entry written with coefficient +1."""
+
+    def set(self, n, args, vec):
+        if n == 2:
+            vec = {k: c * c for k, c in vec.items()}
+        super().set(n, args, vec)
+
+
+@pytest.mark.parametrize("A, N", [
+    (kpoints(Q, 2), 4), (xy(Q), 4), (kpoints(F3, 3), 3), (ngr(Q, 3, 1), 3),
+], ids=["kpoints2", "xy", "kpoints3-F3", "ngr"])
+def test_dual_refuses_products_without_their_sign(monkeypatch, A, N):
+    """S_N with the product sign dropped at construction is still
+    associative, and its Leibniz certificate refuses it."""
+    import barmc.bar as bar_module
+    monkeypatch.setattr(bar_module, "StructureMaps", _UnsignedProducts)
+    with pytest.raises(MathCheckFailure, match="arity-2 identity fails on"):
+        dual_dg_algebra(A, N)
 
 
 # ---------------------------------------------------------------------------
@@ -743,6 +822,20 @@ def test_base_change_reads_the_entries_like_the_sweep():
             assert (got.ok, got.failure) == (want.ok, want.failure)
             failures += not got.ok
     assert failures >= 40
+
+
+def test_universal_deformation_refuses_a_twist_that_is_not_mc(monkeypatch):
+    """tau is certified MC before any table is built; over an m_2-only
+    algebra a twist that fails is a MathCheckFailure with the residual."""
+    def doubled(A):
+        return {k: c + c for k, c in universal_twisting_cochain(A).items()}
+
+    monkeypatch.setattr(twisting_module, "universal_twisting_cochain", doubled)
+    # building a table would now raise TypeError
+    monkeypatch.setattr(twisting_module.TwistedModule, "_tables", None)
+    with pytest.raises(MathCheckFailure,
+                       match=re.escape("not Maurer-Cartan over S_2 (residual {")):
+        UniversalDeformation(kpoints(Q, 2), 2)
 
 
 def test_universal_deformation_refuses_non_admissible():

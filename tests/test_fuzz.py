@@ -214,6 +214,7 @@ def _calls():
         (obstruction_o2, (xy(F2), R2, {}, 1), (1, 2, 3)),
         (prorep_compare, (A1, R2, 3, 64), (1, 2, 3)),
         (UniversalDeformation, (kpoints(Q, 1), 2), (1,)),
+        (UniversalDeformation, (random_instance(F3, 7)[0], 3), (1,)),
         (minimal_model, (tensor_with_dg(kpoints(F2, 1), acyclic_cone(F2)),
                          3), (1,)),
     ]
@@ -418,3 +419,15 @@ def _algebra_with_op_above_bound():
 def test_entry_point_refuses_with_value_error(call, named):
     with pytest.raises(ValueError, match=re.escape(named)):
         call()
+
+
+@pytest.mark.parametrize("seed, N", [(7, 3), (9, 4), (12, 4)],
+                         ids=["m3-seed7", "m4-seed9", "m4-seed12"])
+def test_universal_deformation_refuses_the_higher_arity_sign_defect(seed, N):
+    """Draws with an m_3 or an m_4 over F3, where tau is not MC over S_N:
+    the known sign defect is a refusal naming it with the residual, not
+    a MathCheckFailure about the engine's own construction."""
+    with pytest.raises(HypothesisNotMet,
+                       match=r"not Maurer-Cartan over S_%d \(residual \{.*"
+                       r"ROADMAP item 1" % N):
+        UniversalDeformation(random_instance(F3, seed)[0], N)

@@ -188,8 +188,10 @@ def test_pi0_njac_f3_over_t4_counts_free_h0_maps():
 
 
 def test_groupoid_certifies_each_object_once(monkeypatch):
-    setup = DeformationSetup(xy(F2), truncated_polynomial(F2, 3))
-    elements = setup.enumerate_mc()
+    R = truncated_polynomial(F2, 3)
+    # enumerated over a setup of their own, so none is certified here yet
+    elements = DeformationSetup(xy(F2), R).enumerate_mc()
+    setup = DeformationSetup(xy(F2), R)
     groupoid = MCGroupoid(setup)
     calls = []
     real = setup.mc_residual
@@ -204,6 +206,26 @@ def test_groupoid_certifies_each_object_once(monkeypatch):
             groupoid.hom(a, b)
     _gauge_classes(elements, groupoid)
     assert sorted(calls) == sorted(_vec_key(a) for a in elements)
+
+
+def test_pi0_evaluates_no_residual_past_the_enumeration(monkeypatch):
+    """enumerate_mc enters the points it certified at every level into
+    is_mc's memory, so _gauge_classes evaluates no residual of its own:
+    pi0(kpoints(F2,2), poly 4) made 121 residuals, 84 of them repeats."""
+    A, R = kpoints(F2, 2), truncated_polynomial(F2, 4)
+    calls = []
+    real = DeformationSetup.mc_residual
+
+    def counted(self, alpha):
+        calls.append(1)
+        return real(self, alpha)
+
+    monkeypatch.setattr(DeformationSetup, "mc_residual", counted)
+    assert len(DeformationSetup(A, R).enumerate_mc()) == 64
+    enumerated = len(calls)
+    calls.clear()
+    assert pi0(A, R).count == 64
+    assert len(calls) == enumerated == 37
 
 
 def test_groupoid_refuses_a_non_mc_object_every_time(monkeypatch):

@@ -13,7 +13,8 @@ import random
 
 import pytest
 
-from barmc.ainfinity import AInfAlgebra, StructureMaps
+import barmc.ainfinity as ainfinity_module
+from barmc.ainfinity import AInfAlgebra, StructureMaps, _base_words
 from barmc.artin import (
     ArtinianDGAlgebra,
     _ideal_powers,
@@ -22,7 +23,7 @@ from barmc.artin import (
     quotient_by_power,
     truncated_polynomial,
 )
-from barmc.bar import dual_dg_algebra
+from barmc.bar import dual_dg_algebra, is_admissible
 from barmc.errors import HypothesisNotMet, MathCheckFailure
 from barmc.examples import kpoints, njac, random_instance, xy
 from barmc.linalg import GradedSpace, vec_add, vec_clean
@@ -38,7 +39,9 @@ from barmc.scalars import Field
 
 from oracles import (
     base_product_oracle,
+    base_words_oracle,
     enumerate_mc_oracle,
+    ideal_powers_oracle,
     is_commutative_oracle,
     kernel_oracle,
     span_coordinates_oracle,
@@ -411,6 +414,67 @@ def test_ideal_powers_are_the_ones_validation_found():
             want = scan[n - 1] if n <= len(scan) else []
             assert [list(v.items()) for v in R.ideal_power(n)] == \
                 [list(v.items()) for v in want]
+
+
+def _dual_algebras():
+    """S_N of the golden probes and of the admissible random draws at N = 2."""
+    for A, N in ((kpoints(Q, 2), 5), (xy(Q), 4), (kpoints(Q, 3), 3)):
+        yield dual_dg_algebra(A, N).algebra
+    for field in (F2, F3, Q):
+        for seed in range(16):
+            A = random_instance(field, seed)[0]
+            if is_admissible(A):
+                yield dual_dg_algebra(A, 2).algebra
+
+
+def _listed(layers):
+    """Nested lists of items, so that comparisons see the key order."""
+    if isinstance(layers, dict):
+        return [(k, list(v.items())) for k, v in layers.items()]
+    return [[list(v.items()) for v in rows] for rows in layers]
+
+
+def test_first_slot_products_match_the_pair_loops():
+    """_ideal_powers and _base_words read the m_2 entries through a
+    first-slot index; the per-pair loops they replaced give the same
+    rows and words, with the same items in the same order."""
+    algebras = [R.algebra for R in _small_extension_bases()]
+    algebras += list(_dual_algebras())
+    for C in algebras:
+        ideal = C.ideal_labels()
+        assert _listed(list(_ideal_powers(C, ideal))) == \
+            _listed(list(ideal_powers_oracle(C, ideal)))
+        n = 3 if len(C.space.labels) < 150 else 2
+        assert [_listed(layer) for layer in _base_words(C, n)] == \
+            [_listed(layer) for layer in base_words_oracle(C, n)]
+
+
+def test_universal_base_reads_each_product_a_bounded_number_of_times(
+        monkeypatch):
+    """Validating S_5 of kpoints(Q, 2) and tensoring with it make at most
+    (N + 1) _expand and StructureMaps.get calls per m_2 entry of S_5;
+    the per-pair scans made 595,683 and 132,496 _expand calls."""
+    counts = {"_expand": 0, "get": 0}
+    real_expand, real_get = ainfinity_module._expand, StructureMaps.get
+
+    def expand(*args):
+        counts["_expand"] += 1
+        return real_expand(*args)
+
+    def get(self, n, args):
+        counts["get"] += 1
+        return real_get(self, n, args)
+
+    monkeypatch.setattr(ainfinity_module, "_expand", expand)
+    monkeypatch.setattr(StructureMaps, "get", get)
+    A, N = kpoints(Q, 2), 5
+    R = dual_dg_algebra(A, N).as_artinian()
+    bound = (N + 1) * len(R.algebra.m.entries[2])
+    assert bound == 6 * 2005
+    assert counts["_expand"] <= bound and counts["get"] <= bound
+    counts.update(_expand=0, get=0)
+    DeformationSetup(A, R)
+    assert counts["_expand"] <= bound and counts["get"] <= bound
 
 
 def _kills_m(R, rows):

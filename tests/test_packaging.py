@@ -304,11 +304,14 @@ def test_no_function_is_a_second_name_for_a_class():
     assert _constructor_aliases(SOURCES) == []
 
 
-# A map out of S_N is certified on its generators: a corepresenting map
-# checks its letters and d on the generators per element, and its products
-# through DualTruncation.word_signs once per S_N; a full word table goes
-# through bar.first_dg_map_failure.  The all-pairs word certificate and the
-# eager corepresenting table live in tests/oracles.py.
+# S_N and the maps out of it are certified on the generators of S_N.
+# DualTruncation writes its product from the word sign sigma, so it is
+# associative by construction, and checks the Leibniz rule on generators
+# times words once per build.  A corepresenting map checks its letters and
+# d on the generators per element; its products follow from sigma.  A full
+# word table goes through bar.first_dg_map_failure.  The all-pairs checks
+# of S_N and of maps out of it, and the eager corepresenting table, live in
+# tests/oracles.py.
 
 
 def _word_loops(node):

@@ -12,7 +12,6 @@ basis of H^0 instead of through the presentation.
 
 import random
 import re
-from functools import cached_property
 from itertools import product as iter_product
 
 import pytest
@@ -377,17 +376,17 @@ def test_lazy_images_match_the_oracle_on_every_compared_element():
 
 
 def test_comparison_multiplies_only_the_words_it_reads(monkeypatch):
-    """The S_3 certificate runs once on its one S_N object, and the
-    81 corepresenting maps make at most two products each."""
+    """The comparison builds its one S_3 once, and the 81 corepresenting
+    maps make at most two products each."""
     A, R = njac(F3, 2), truncated_polynomial(F3, 3)
-    runs, inside, products = {}, [], []
-    real_signs = DualTruncation.word_signs.func
+    built, inside, products = [], [], []
+    real_init = DualTruncation.__init__
     real_multiply = R.multiply
     real_induced = twisting.induced_map
 
-    def word_signs(S):
-        runs[id(S)] = runs.get(id(S), 0) + 1
-        return real_signs(S)
+    def init(S, bar):
+        built.append(S)
+        real_init(S, bar)
 
     def multiply(u, v):
         products.append(bool(inside))
@@ -400,32 +399,37 @@ def test_comparison_multiplies_only_the_words_it_reads(monkeypatch):
         finally:
             inside.pop()
 
-    counted = cached_property(word_signs)
-    counted.__set_name__(DualTruncation, "word_signs")
-    monkeypatch.setattr(DualTruncation, "word_signs", counted)
+    monkeypatch.setattr(DualTruncation, "__init__", init)
     monkeypatch.setattr(R, "multiply", multiply)
     monkeypatch.setattr(twisting, "induced_map", induced)
     rep = prorep_compare(A, R, 3)
     assert rep.ok and rep.rhs == 81
-    assert list(runs.values()) == [1]
+    assert len(built) == 1
     assert 0 < sum(products) <= 162
-    probe = koszul_probe(A, 3)
-    assert "word_signs" not in vars(probe.cohomology.S)
 
 
-def test_generator_certificate_catches_a_wrong_sign_in_a_long_word():
-    """A flipped product sign in S_4 is caught by its once-per-S_N
-    certificate, at (letter, two-letter word); over F3 the sign shows."""
-    A = njac(F3, 2)
-    setup = DeformationSetup(A, truncated_polynomial(F3, 4))
+def test_generator_certificate_catches_a_wrong_sign_in_a_long_word(
+        monkeypatch):
+    """A flipped product sign on (x)(x x), written into S_4 at
+    construction, is refused by its Leibniz certificate on the
+    generators: d(y) reaches (x x), so the pair ((x), (y)) fails.  Over
+    F3 the sign shows."""
+    import barmc.bar as bar_module
+    A, pair = xy(F3), (("x",), ("x", "x"))
     S = dual_dg_algebra(A, 4)
-    pair, word = (("x1",), ("x1", "x1")), ("x1", "x1", "x1")
-    assert S.algebra.m.get(2, pair) == {word: F3.one}
-    S.algebra.m.set(2, pair, {word: F3(2)})
+    assert S.algebra.m.get(2, pair) == {("x", "x", "x"): F3.one}
+    assert ("x", "x") in S.algebra.m.get(1, (("y",),))
+
+    class FlippedEntry(StructureMaps):
+        def set(self, n, args, vec):
+            if n == 2 and tuple(args) == pair:
+                vec = {k: -c for k, c in vec.items()}
+            super().set(n, args, vec)
+
+    monkeypatch.setattr(bar_module, "StructureMaps", FlippedEntry)
     with pytest.raises(MathCheckFailure) as e:
-        CorepresentingHom(setup, {("x1", "t"): F3.one, ("x2", "t2"): F3.one},
-                          S)
-    assert "multiplicativity fails at (('x1',), ('x1', 'x1'))" in str(e.value)
+        dual_dg_algebra(A, 4)
+    assert "arity-2 identity fails on (('x',), ('y',))" in str(e.value)
 
 
 def test_each_element_certifies_the_differential_of_its_letters(monkeypatch):
