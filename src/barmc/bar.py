@@ -22,6 +22,11 @@ full word table is certified on the generators too
 from sigma and checks only the differential of the generators
 (twisting.CorepresentingHom).
 
+SHatCohomology computes H^0(S_N) when it is built and every other
+degree when first read: the classical comparison reads H^0 alone
+(twisting.prorep_compare), the Koszulness probe reads every degree.
+Both refuse an A that is not admissible before S_N is built.
+
 Everything this module reports about cohomology, Koszulness, or
 presentations of H^0 is an order-N certificate about these finite
 truncations.  No statement here is a claim about the inverse limit.
@@ -295,6 +300,11 @@ class SHatCohomology:
     chosen adapted to the filtration, top weight first, so each class
     carries a well-defined weight.
 
+    H^0 is computed at construction, from the blocks of d in degrees -1
+    and 0 only; it is all the comparison reads.  The other degrees are
+    computed when filtered_dims or total_dims is first read, as the
+    Koszulness probe does.
+
     The product on H^0 is well defined because S_N is a DG algebra,
     which its construction certified (DualTruncation raises
     MathCheckFailure with the failing tuple otherwise).  By Leibniz a
@@ -308,17 +318,21 @@ class SHatCohomology:
         self.N = N
         self.field = self.S.field
         self.cx = self.S.complex
-        self.total_dims = self.cx.total_cohomology_dims()
         self.h0 = self.cx.cohomology(0)
-        self.filtered_dims = {}
-        self.weight_reps = []
-        for i in sorted(self.S.space.degrees_present()):
-            reps = self._filtered_reps(i)
-            self.filtered_dims[i] = [len(vs) for vs in reps]
-            if i == 0:
-                self.weight_reps = [(w, v) for w, vs in enumerate(reps)
-                                    for v in vs]
-        self.weight_dims = self.filtered_dims.get(0, [0] * (N + 1))
+        reps = self._filtered_reps(0)
+        self.weight_dims = [len(vs) for vs in reps]
+        self.weight_reps = [(w, v) for w, vs in enumerate(reps) for v in vs]
+
+    @cached_property
+    def total_dims(self):
+        """Nonzero dim H^i by degree, every degree of S_N."""
+        return self.cx.total_cohomology_dims()
+
+    @cached_property
+    def filtered_dims(self):
+        """Weight-graded dims of H^i, one list per degree of S_N."""
+        return {i: [len(vs) for vs in self._filtered_reps(i)] if i else
+                self.weight_dims for i in self.S.space.degrees_present()}
 
     @cached_property
     def _solver(self):
@@ -439,6 +453,23 @@ def weight_raise_bound(A, N):
     return r
 
 
+def _admissible_cohomology(A, N, needs):
+    """SHatCohomology(A, N) for an admissible A, refused before S_N is built.
+
+    needs names the caller in the refusal.  An admissible A puts S_N in
+    degrees <= 0, which the probe's windows and the comparison's H^0
+    argument rely on; a positive degree is an engine fault.
+    """
+    if not is_admissible(A):
+        raise HypothesisNotMet(
+            "%s needs a strictly unital augmented algebra whose "
+            "augmentation ideal sits in degrees >= 1" % needs)
+    rep = SHatCohomology(A, N)
+    if rep.S.space.degrees_present()[-1] > 0:
+        raise MathCheckFailure("admissible input produced positive dual degrees")
+    return rep
+
+
 class KoszulVerdict:
     """Order-N certificate: graded H^i vanishes for i != 0 in the window.
 
@@ -484,23 +515,10 @@ def koszul_probe(A, N):
     truncation-level certificate only; refuses non-admissible input,
     where the probe has no degree bounds to work with.
     """
-    if not is_admissible(A):
-        raise HypothesisNotMet(
-            "koszul probe needs a strictly unital augmented algebra whose "
-            "augmentation ideal sits in degrees >= 1")
-    rep = SHatCohomology(A, N)
-    degrees = sorted(rep.S.space.degrees_present())
-    if degrees and max(degrees) > 0:
-        raise MathCheckFailure("admissible input produced positive dual degrees")
+    rep = _admissible_cohomology(A, N, "koszul probe")
     w_hi = N - weight_raise_bound(A, N)
-    failures = []
-    for i in sorted(rep.filtered_dims):
-        if i == 0:
-            continue
-        graded = rep.filtered_dims[i]
-        for w in range(0, w_hi + 1):
-            if graded[w]:
-                failures.append((i, w, graded[w]))
+    failures = [(i, w, dims[w]) for i, dims in sorted(rep.filtered_dims.items())
+                if i for w in range(w_hi + 1) if dims[w]]
     return KoszulVerdict(not failures, N, (0, w_hi), failures,
                          dict(rep.total_dims), list(rep.weight_dims), rep)
 

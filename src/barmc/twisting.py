@@ -31,7 +31,10 @@ and that the module Stasheff identities hold on every mixed tuple.
 The classical comparison runs both sides by exhaustion: algebra maps
 out of a generators-and-relations presentation of H^0(S_N) on one
 side, gauge classes on the other, matched through the corepresenting
-maps.
+maps.  It reads H^0(S_N) alone: for an admissible A and a base in
+degree 0, a DG map S_N -> R is exactly an algebra map out of H^0(S_N),
+so neither Koszulness nor an order beyond nu - 1 is a hypothesis of
+it, and it never runs the Koszulness probe.
 """
 
 from functools import cached_property
@@ -46,10 +49,11 @@ from .ainfinity import (
 )
 from .artin import _artinian
 from .bar import (
+    _admissible_cohomology,
+    SHatCohomology,
     bar_words,
     dual_dg_algebra,
     is_admissible,
-    koszul_probe,
     universal_twisting_cochain,
     word_products,
 )
@@ -99,13 +103,17 @@ class CorepresentingHom:
 
     What makes this THE corepresenting map holds in two halves.  The
     product of S_N is U* V* = sigma(U) sigma(V) sigma(UV) (UV)*, written
-    from the same signs S.word_signs this map reads; with R
-    associative, graded with m an ideal (validate_artinian), and
-    m^(N+1) = 0 (the guard N >= nu below), the signed letter products
-    of any rho are therefore multiplicative.  Per element, construction
+    from the same signs S.word_signs this map reads, and it vanishes
+    when |U| + |V| > N.  The signed letter products of any rho
+    therefore multiply as S_N does when R is associative, graded with m
+    an ideal (validate_artinian), and m^(N+1) = 0: a word of length
+    N + 1 or more maps to a product of that many elements of m.  The
+    guard N >= nu - 1 below is exactly that, since validate_artinian
+    found m^nu = 0; at N = nu - 1 a word of length nu maps to a product
+    of nu elements of m, which is 0.  Per element, construction
     refuses an S_N dual to another algebra (ValueError), an element
     that fails setup.is_mc (ValueError carrying the residual), a
-    component on the unit of A and an order below nu
+    component on the unit of A and an order below nu - 1
     (HypothesisNotMet); it checks each letter image for degree and
     augmentation, and g(du) = d g(u) on every generator, which reads
     only the words in d(letters) and extends to all of S_N because
@@ -135,11 +143,11 @@ class CorepresentingHom:
                     "the corepresenting map needs an admissible element "
                     "(no component on the unit of A)")
             rho[a][r] = c
-        if S.N < R.nu:
+        if S.N < R.nu - 1:
             raise HypothesisNotMet(
-                "truncation order %d is below the nilpotency index %d; "
-                "the word algebra would truncate products the base still "
-                "sees, and multiplicativity would fail" % (S.N, R.nu))
+                "truncation order %d is below nu - 1 for the nilpotency index "
+                "nu = %d; S_N would kill products of letters that the base "
+                "still sees, and multiplicativity would fail" % (S.N, R.nu))
         self.A = A
         self.R = R
         self.N = S.N
@@ -539,10 +547,15 @@ class H0Presentation:
     evaluation from the free span of monomials of length <= N into
     H^0.  Generation by weight one is a hypothesis of the comparison,
     so it is certified here and refused when not established.  rep is
-    the SHatCohomology of S_N, and the order N is rep.N.
+    the SHatCohomology of S_N, and the order N is rep.N; only its H^0,
+    which rep computed when it was built, is read.  Anything else as
+    rep is refused with ValueError naming its type.
     """
 
     def __init__(self, rep):
+        if not isinstance(rep, SHatCohomology):
+            raise ValueError("H0Presentation needs an SHatCohomology, got %s"
+                             % type(rep).__name__)
         self.rep = rep
         self.N = N = rep.N
         self.field = rep.field
@@ -585,9 +598,16 @@ def algebra_maps(pres, R):
     the augmentation ideal of R, and a candidate survives when every
     relation evaluates to zero.  The sweep runs over coefficients keyed
     by (generator, ideal label), the first coefficient major, so
-    reports are reproducible.
+    reports are reproducible.  ValueError names the type of a pres that
+    is no H0Presentation, and both fields when pres and R differ.
     """
+    if not isinstance(pres, H0Presentation):
+        raise ValueError("algebra_maps needs an H0Presentation, got %s"
+                         % type(pres).__name__)
     _enumerable(R, "map enumeration")
+    if pres.field != R.field:
+        raise ValueError("the presentation lives over %r and the base over %r"
+                         % (pres.field, R.field))
     one = R.field.one
     m = pres.generator_count()
     basis = [{(g, l): one} for g in range(m) for l in R.ideal_labels]
@@ -703,18 +723,20 @@ class ProrepReport:
 
 
 def _comparison_gates(A, R, N):
+    """The hypotheses the comparison uses, then H^0(S_N).
+
+    The base is over a finite field and sits in degree 0, A is
+    admissible, and N >= nu - 1, so that m^(N+1) = 0
+    (CorepresentingHom).  All are refused with HypothesisNotMet before
+    S_N is built.  Then a DG map S_N -> R kills S_N below degree 0 and
+    d of degree -1, which is an algebra map out of H^0(S_N); only H^0
+    is computed.
+    """
     _enumerable(R, "the comparison, which enumerates both sides,")
-    if _integer(N, "the order N") < R.nu:
-        raise HypothesisNotMet(
-            "gate failed: order %d below the nilpotency index %d" % (N, R.nu))
-    probe = koszul_probe(A, N)
-    if not probe.ok:
-        i, w, d = probe.failures[0]
-        raise HypothesisNotMet(
-            "gate failed: Koszulness at order %d not established (graded "
-            "H^%d has dimension %d at weight %d); the comparison is "
-            "refused, not refuted" % (N, i, d, w))
-    return probe
+    if _integer(N, "the order N") < R.nu - 1:
+        raise HypothesisNotMet("gate failed: order %d below nu - 1 for the "
+                               "nilpotency index nu = %d" % (N, R.nu))
+    return _admissible_cohomology(A, N, "the comparison")
 
 
 def prorep_compare(A, R, N, cap=ENUMERATION_CAP):
@@ -729,9 +751,13 @@ def prorep_compare(A, R, N, cap=ENUMERATION_CAP):
     own orbit and no unit is enumerated.  The sweeps over generator
     images, units and MC candidates are each refused past the cap
     before any of them runs.
+
+    The hypotheses are those _comparison_gates names: an admissible A,
+    a base over a finite field in degree 0, and N >= nu - 1.  Neither
+    Koszulness nor N >= nu is one; every answer is certified by the
+    matching itself.
     """
-    probe = _comparison_gates(A, R, N)
-    pres = H0Presentation(probe.cohomology)
+    pres = H0Presentation(_comparison_gates(A, R, N))
     p, m = R.field.p, len(R.ideal_labels)
     e = m * pres.generator_count()
     if p ** e > _integer(cap, "the cap"):

@@ -75,8 +75,10 @@ from barmc.serialize import (
 from barmc.transfer import minimal_model
 from barmc.twisting import (
     CorepresentingHom,
+    H0Presentation,
     TwistedModule,
     UniversalDeformation,
+    algebra_maps,
     invert_unit,
     prorep_compare,
 )
@@ -356,6 +358,12 @@ def _corepresenting_apply(vec):
     _corepresenting_on(dual_dg_algebra(njac(F2, 2), 3)).apply(vec)
 
 
+def _maps_into_poly_f2(A):
+    """A presentation of H^0(S_3) of A against a base over F2."""
+    return algebra_maps(H0Presentation(SHatCohomology(A, 3)),
+                        truncated_polynomial(F2, 3))
+
+
 def _algebra_with_op_above_bound():
     ops = StructureMaps({3: {("a", "a", "a"): {"a": Q.one}}})
     AInfAlgebra(GradedSpace([("a", 1)]), Q, ops, arity_bound=2)
@@ -404,6 +412,12 @@ def _algebra_with_op_above_bound():
     (lambda: _corepresenting_apply({("zz",): F2.one}), "('zz',) outside S_3"),
     (lambda: _corepresenting_apply({("x1",): None}), "None at ('x1',)"),
     (lambda: _corepresenting_apply({("x1",): 1}), "1 at ('x1',)"),
+    (lambda: _maps_into_poly_f2(njac(F3, 2)), "over F3 and the base over F2"),
+    (lambda: _maps_into_poly_f2(kpoints(F3, 2)),
+     "over F3 and the base over F2"),
+    (lambda: algebra_maps(None, truncated_polynomial(F2, 3)),
+     "needs an H0Presentation, got NoneType"),
+    (lambda: H0Presentation(None), "needs an SHatCohomology, got NoneType"),
 ], ids=["prorep-bare-algebra", "gauge-part-int", "o1-int", "op-int-slots",
         "project-none",
         "kpoints-str", "random-instance-str", "poly-degree-str",
@@ -415,7 +429,8 @@ def _algebra_with_op_above_bound():
         "op-above-arity-bound", "corepresenting-foreign-xy",
         "corepresenting-foreign-kpoints", "corepresenting-foreign-field",
         "apply-word-too-long", "apply-unknown-word", "apply-none-coefficient",
-        "apply-int-coefficient"])
+        "apply-int-coefficient", "maps-across-fields-free",
+        "maps-across-fields-related", "maps-of-none", "presentation-of-none"])
 def test_entry_point_refuses_with_value_error(call, named):
     with pytest.raises(ValueError, match=re.escape(named)):
         call()

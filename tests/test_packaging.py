@@ -343,3 +343,20 @@ def _nested_word_loops(path):
 
 def test_no_function_certifies_on_all_word_pairs():
     assert [msg for path in SOURCES for msg in _nested_word_loops(path)] == []
+
+
+# The comparison reads H^0(S_N) alone (twisting._comparison_gates); the
+# Koszulness probe computes every degree and is no hypothesis of it.
+
+
+def _imported_names(path):
+    tree = ast.parse(path.read_text(), str(path))
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names}
+
+
+def test_the_comparison_does_not_import_the_koszul_probe():
+    assert "koszul_probe" in _imported_names(ROOT / "tests" / "test_golden.py")
+    assert "koszul_probe" not in _imported_names(
+        ROOT / "src" / "barmc" / "twisting.py")

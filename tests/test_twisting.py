@@ -29,11 +29,12 @@ from barmc.bar import (
     DualTruncation,
     SHatCohomology,
     dual_dg_algebra,
+    is_admissible,
     koszul_probe,
 )
 from barmc.errors import HypothesisNotMet, MathCheckFailure
 from barmc.examples import kpoints, njac, random_instance, xy
-from barmc.linalg import GradedSpace, vec_add, vec_clean
+from barmc.linalg import Complex, GradedSpace, vec_add, vec_clean
 from barmc.mc import DeformationSetup, HomComplex, HomSet, pi0
 from barmc.scalars import Field
 from barmc.transfer import minimal_model
@@ -314,12 +315,23 @@ def test_weight_one_layer_returns_the_cochain():
                                         if b == a}
 
 
-def test_corepresenting_refuses_order_below_nu():
+def test_corepresenting_accepts_nu_minus_one_and_refuses_below():
+    """m^3 = 0 in k[t]/t^3, so S_2 is deep enough: its words of length 3
+    vanish, and so do their images, products of three elements of m.
+    S_1 would kill (x1)(x1), whose image t^2 is not 0."""
     A = njac(F2, 1)
     R = truncated_polynomial(F2, 3)
     setup = DeformationSetup(A, R)
-    with pytest.raises(HypothesisNotMet):
-        CorepresentingHom(setup, {("x1", "t"): F2.one}, dual_dg_algebra(A, 2))
+    alpha = {("x1", "t"): F2.one}
+    gh = CorepresentingHom(setup, alpha, dual_dg_algebra(A, 2))
+    assert gh.entries == {(): {"1": F2.one}, ("x1",): {"t": F2.one},
+                          ("x1", "x1"): {"t2": F2.one}}
+    assert gh.entries == corepresenting_table_oracle(setup, alpha, gh.S)
+    assert all_pairs_dg_map_failure(
+        gh.S, gh.entries, R.multiply, R.d_of) is None
+    with pytest.raises(HypothesisNotMet) as e:
+        CorepresentingHom(setup, alpha, dual_dg_algebra(A, 1))
+    assert "nilpotency" in str(e.value)
 
 
 def test_corepresenting_refuses_a_component_on_the_unit():
@@ -947,7 +959,7 @@ def test_prorep_stable_at_next_order():
 def test_prorep_gate_messages():
     A = njac(F2, 1)
     with pytest.raises(HypothesisNotMet) as e:
-        prorep_compare(A, truncated_polynomial(F2, 3), 2)
+        prorep_compare(A, truncated_polynomial(F2, 3), 1)
     assert "nilpotency" in str(e.value)
     with pytest.raises(HypothesisNotMet) as e:
         prorep_compare(A, negative_base(F2), 2)
@@ -968,11 +980,151 @@ def test_sweeps_refuse_a_graded_base():
         assert "not concentrated in degree 0" in str(e.value)
 
 
-def test_prorep_refuses_non_koszul_input_without_refuting():
+def test_prorep_answers_non_koszul_input():
+    """xy fails the Koszulness probe at order 3, which the comparison
+    does not need: a DG map S_3 -> R is an algebra map out of H^0(S_3)."""
+    A, R = xy(F2), truncated_polynomial(F2, 3)
+    assert not koszul_probe(A, 3).ok
+    rep = prorep_compare(A, R, 3)
+    assert rep.ok and rep.lhs == 2 and rep.rhs == 2
+
+
+def test_prorep_refuses_a_non_admissible_algebra_before_building_s_n(
+        monkeypatch):
+    def no_dual(*args):
+        raise AssertionError("built S_N")
+    monkeypatch.setattr(DualTruncation, "__init__", no_dual)
+    R = truncated_polynomial(F2, 3)
     with pytest.raises(HypothesisNotMet) as e:
-        prorep_compare(xy(F2), truncated_polynomial(F2, 3), 3)
-    msg = str(e.value)
-    assert "not established" in msg and "refused" in msg
+        prorep_compare(R.algebra, R, 3)
+    assert "the comparison needs a strictly unital" in str(e.value)
+
+
+def test_prorep_certifies_that_s_n_sits_in_degrees_at_most_zero(monkeypatch):
+    """The H^0 argument needs S_N in degrees <= 0, which admissibility
+    gives; an admissibility test that let a degree-0 ideal through would
+    put S_N in positive degrees, and that is an engine fault."""
+    import barmc.bar as bar_module
+    monkeypatch.setattr(bar_module, "is_admissible", lambda A: True)
+    R = truncated_polynomial(F2, 3)
+    with pytest.raises(MathCheckFailure) as e:
+        prorep_compare(R.algebra, R, 3)
+    assert "positive dual degrees" in str(e.value)
+
+
+def test_prorep_refuses_orders_below_nu_minus_one():
+    """N = nu - 2 is refused for each base; nu - 1 is not (below)."""
+    for A, R in ((njac(F2, 1), truncated_polynomial(F2, 3)),
+                 (kpoints(F2, 2), truncated_polynomial(F2, 4)),
+                 (njac(F3, 2), fiber_product(truncated_polynomial(F3, 3),
+                                             truncated_polynomial(F3, 2,
+                                                                  var="s")))):
+        with pytest.raises(HypothesisNotMet) as e:
+            prorep_compare(A, R, R.nu - 2)
+        assert "nilpotency index nu = %d" % R.nu in str(e.value)
+
+
+# (algebra, base, N = nu - 1, |Hom| = |pi_0|)
+NU_MINUS_ONE_CASES = {
+    "njac2-F3-t3-2": (lambda: njac(F3, 2), lambda: truncated_polynomial(F3, 3),
+                      2, 81),
+    "kpoints2-F2-t4-3": (lambda: kpoints(F2, 2),
+                         lambda: truncated_polynomial(F2, 4), 3, 64),
+    "kpoints3-F3-t2-1": (lambda: kpoints(F3, 3),
+                         lambda: truncated_polynomial(F3, 2), 1, 27),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NU_MINUS_ONE_CASES))
+def test_prorep_agrees_at_nu_minus_one(case):
+    make_a, make_r, N, count = NU_MINUS_ONE_CASES[case]
+    A, R = make_a(), make_r()
+    assert N == R.nu - 1
+    rep = prorep_compare(A, R, N)
+    assert rep.ok and rep.lhs == count and rep.rhs == count
+    assert len(rep.matching) == count
+
+
+def _presentation_cases():
+    """This module's comparisons, then the admissible random draws."""
+    for make_a, make_r, N in SWEEP_CASES.values():
+        yield make_a(), make_r(), N
+    for make_a, make_r, N, _ in NU_MINUS_ONE_CASES.values():
+        yield make_a(), make_r(), N
+    yield xy(F2), truncated_polynomial(F2, 3), 3
+    for field in (F2, F3):
+        for seed in range(16):
+            A, R, _ = random_instance(field, seed)
+            if is_admissible(A):
+                for N in (R.nu - 1, R.nu):
+                    yield A, R, N
+
+
+def test_comparison_presentation_is_the_probes_where_the_probe_passes():
+    """The comparison computes only H^0; its presentation is the one the
+    full probe's cohomology gives, generator for generator."""
+    checked = 0
+    for A, R, N in _presentation_cases():
+        probe = koszul_probe(A, N)
+        if not probe.ok:
+            continue
+        try:
+            got = prorep_compare(A, R, N, cap=2 ** 14).presentation
+        except HypothesisNotMet as e:
+            assert "exceeds the cap" in str(e)
+            continue
+        want = H0Presentation(probe.cohomology)
+        for vecs in ("gens", "relations"):
+            assert [list(v.items()) for v in getattr(got, vecs)] == \
+                [list(v.items()) for v in getattr(want, vecs)]
+        assert [(m, list(v.items())) for m, v in got.values.items()] == \
+            [(m, list(v.items())) for m, v in want.values.items()]
+        checked += 1
+    assert checked == 25
+
+
+def test_prorep_reads_only_h0_and_never_runs_the_probe(monkeypatch):
+    """Only the blocks d^-1 and d^0 of S_4 are eliminated (the full
+    probe eliminates blocks -9 to 0), and koszul_probe is not called."""
+    import barmc.bar as bar_module
+    asked = set()
+    real_block = Complex.block
+
+    def block(cx, i):
+        asked.add(i)
+        return real_block(cx, i)
+
+    def no_probe(*args):
+        raise AssertionError("the comparison ran the Koszulness probe")
+
+    monkeypatch.setattr(Complex, "block", block)
+    monkeypatch.setattr(bar_module, "koszul_probe", no_probe)
+    rep = prorep_compare(kpoints(F3, 3), truncated_polynomial(F3, 2), 4)
+    assert rep.ok and rep.lhs == 27
+    assert asked == {-1, 0}
+
+
+def test_prorep_random_corpus():
+    """Admissible or not, every random draw over F2 and F3 at N = nu - 1
+    and N = nu is answered, and in agreement, or refused for a reason
+    that stays true: A is not admissible, or a sweep passes the cap."""
+    answered, refused = 0, {"admissible": 0, "cap": 0}
+    for field in (F2, F3):
+        for seed in range(40):
+            A, R, _ = random_instance(field, seed)
+            for N in (R.nu - 1, R.nu):
+                try:
+                    rep = prorep_compare(A, R, N, cap=2 ** 14)
+                except HypothesisNotMet as e:
+                    msg = str(e)
+                    assert "exceeds the cap" in msg or (
+                        not is_admissible(A) and "strictly unital" in msg), msg
+                    refused["cap" if "cap" in msg else "admissible"] += 1
+                    continue
+                assert rep.ok, (field, seed, N, rep.problems)
+                answered += 1
+    assert answered == 126
+    assert refused == {"admissible": 28, "cap": 6}
 
 
 def test_presentation_certifies_generation():
