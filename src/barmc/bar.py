@@ -51,7 +51,6 @@ from .linalg import (
     Complex,
     GradedSpace,
     SpanSolver,
-    Subspace,
     vec_add,
     vec_clean,
 )
@@ -157,6 +156,13 @@ class DualTruncation:
     The empty-word functional is a strict unit and the longer words
     span a nilpotent DG ideal.
 
+    space, the algebra and their serialization are length-lexicographic
+    (bar_words).  complex has the same labels, degrees and differential
+    but lists each degree's words longest first, so that the words of
+    length >= w are a prefix of the columns of each block of d, and one
+    elimination per degree serves every step F^w of the weight
+    filtration (SHatCohomology).
+
     Construction certifies that these tables make a DG algebra, on the
     generators: generators lists the empty word and the letters, which
     generate S_N, and the Leibniz rule
@@ -198,7 +204,12 @@ class DualTruncation:
                                 {U + V: signs[U] * signs[V] * signs[U + V]})
         self.algebra = AInfAlgebra(self.space, self.field, ops, arity_bound=2,
                                    unit=())
-        self.complex = self.algebra.complex()
+        # Complex() certifies d^2 = 0; sorted() is stable, so words of one
+        # length keep their length-lexicographic order
+        self.complex = Complex(
+            GradedSpace([(w, self.space.degree[w])
+                         for w in sorted(self.words, key=len, reverse=True)]),
+            {u: v for (u,), v in ops.entries.get(1, {}).items()}, self.field)
         failure = self._leibniz_failure()
         if failure:
             raise MathCheckFailure(
@@ -268,13 +279,30 @@ def first_dg_map_failure(S, table, multiply, d):
     return None
 
 
+def is_dual_of(S, A):
+    """Whether S is a DualTruncation of A: A itself, or an algebra with
+    the same field, letters, degrees and structure tables."""
+    if not isinstance(S, DualTruncation):
+        return False
+    B = S.bar.A
+    return B is A or (B.field == A.field
+                      and S.bar.letters == A.ideal_labels()
+                      and B.space.degree == A.space.degree
+                      and B.m.entries == A.m.entries)
+
+
 def check_tower_surjection(big, small):
     """The quotient S_{N'} -> S_N that kills words longer than N.
 
     Certified on the generators of S_{N'} (first_dg_map_failure), which
     covers the killed words too; surjectivity is by construction (kept
-    words map to themselves).
+    words map to themselves).  Refuses, with ValueError and before any
+    check, two truncations that are not duals of one algebra
+    (is_dual_of), where kept words need not be words of both.
     """
+    if not (isinstance(big, DualTruncation) and is_dual_of(small, big.bar.A)):
+        raise ValueError("a tower map needs two dual truncations of one "
+                         "algebra: their field, letters or tables differ")
     if small.N > big.N:
         raise ValueError("tower maps go from finer to coarser truncations")
     m = small.algebra.eval_m_vectors
@@ -290,15 +318,39 @@ def check_tower_surjection(big, small):
 # cohomology of the dual, weight-filtered
 
 
+def _weight(v):
+    """Weight of a cocycle of the longest-first complex: its shortest word."""
+    return min(map(len, v))
+
+
 class SHatCohomology:
     """Cohomology of S_N with its weight filtration.
 
     The differential never lowers word weight, so functionals on words
     of length >= w form a subcomplex F^w.  The reported weight-w
     dimension of H^i is dim(F^w H^i) - dim(F^{w+1} H^i) where F^w H^i
-    is the image of H^i(F^w) in H^i.  Degree-0 representatives are
-    chosen adapted to the filtration, top weight first, so each class
-    carries a well-defined weight.
+    is the image of H^i(F^w) in H^i.
+
+    Everything is read off the representatives of cx.cohomology(i), one
+    elimination per degree.  S.complex lists each degree's words
+    longest first, so the columns of length >= w are a prefix of the
+    block of d, and the kernel vectors whose free column lies in that
+    prefix are a basis of Z(F^w): the reduced echelon form of the block
+    restricts to the echelon form of the prefix.  Cohomology takes
+    representatives greedily in free-column order, so those of weight
+    >= w are a basis of F^w H^i, and each class carries a well-defined
+    weight.  A kernel vector is supported on its free column and on
+    pivot columns before it, whose words are no shorter, so the weight
+    of a representative is the length of its shortest word.
+    weight_reps lists the degree-0 representatives by weight, stably.
+
+    For an admissible A, S_N sits in degrees <= 0, so d vanishes on
+    degree 0 and the degree-0 kernel basis is the unit vectors of the
+    degree-0 words, longest first and in length-lexicographic order
+    within a length.  Those are the cocycles a separate pass per weight
+    w = N..0 would insert into the same boundary span in the same
+    order, so weight_reps, and the product table read off them, are
+    that per-weight choice.
 
     H^0 is computed at construction, from the blocks of d in degrees -1
     and 0 only; it is all the comparison reads.  The other degrees are
@@ -319,9 +371,10 @@ class SHatCohomology:
         self.field = self.S.field
         self.cx = self.S.complex
         self.h0 = self.cx.cohomology(0)
-        reps = self._filtered_reps(0)
-        self.weight_dims = [len(vs) for vs in reps]
-        self.weight_reps = [(w, v) for w, vs in enumerate(reps) for v in vs]
+        self.weight_reps = sorted(
+            ((_weight(v), v) for v in self.h0.representatives),
+            key=lambda wv: wv[0])
+        self.weight_dims = self._weight_dims(0)
 
     @cached_property
     def total_dims(self):
@@ -331,8 +384,13 @@ class SHatCohomology:
     @cached_property
     def filtered_dims(self):
         """Weight-graded dims of H^i, one list per degree of S_N."""
-        return {i: [len(vs) for vs in self._filtered_reps(i)] if i else
-                self.weight_dims for i in self.S.space.degrees_present()}
+        return {i: self._weight_dims(i) for i in self.S.space.degrees_present()}
+
+    def _weight_dims(self, degree):
+        dims = [0] * (self.N + 1)
+        for v in self.cx.cohomology(degree).representatives:
+            dims[_weight(v)] += 1
+        return dims
 
     @cached_property
     def _solver(self):
@@ -342,38 +400,6 @@ class SHatCohomology:
         """
         return SpanSolver(self.h0.boundaries.rows +
                           [v for _, v in self.weight_reps], self.field)
-
-    def _labels_at(self, degree, min_weight=0):
-        return [w for w in self.S.space.labels_of_degree(degree)
-                if len(w) >= min_weight]
-
-    def _restricted_kernel(self, labels):
-        """Basis of ker(d) on the span of the listed labels."""
-        cols = [self.cx.apply_d({l: self.field.one}) for l in labels]
-        return [{labels[j]: c for j, c in kv.items()}
-                for kv in SpanSolver(cols, self.field).relations]
-
-    def _filtered_reps(self, degree):
-        """Cocycles adapted to the weight filtration of H^degree, by weight.
-
-        One pass from the top weight down: Z(F^w) grows as w falls, and
-        each cocycle of Z(F^w) that is new modulo the boundaries and the
-        cocycles already taken is a class of weight w.  The count taken
-        at weight w is dim F^w H - dim F^(w+1) H.  Z(F^0), the whole
-        kernel, is read off ``Complex.block``, as H^degree read it, so
-        the classes taken exhaust H^degree.
-        """
-        span = Subspace(self.cx.cohomology(degree).boundaries.rows, self.field)
-        reps = [[] for _ in range(self.N + 1)]
-        block = self.cx.block(degree)
-        for w in range(self.N, -1, -1):
-            kernel = (self._restricted_kernel(self._labels_at(degree, w)) if w
-                      else [{block.labels[j]: c for j, c in kv.items()}
-                            for kv in block.kernel_basis()])
-            for v in kernel:
-                if span.insert(v):
-                    reps[w].append(v)
-        return reps
 
     def class_coords(self, vec):
         """Coordinates of a degree-0 cocycle's class in the adapted basis."""

@@ -54,6 +54,7 @@ from .bar import (
     bar_words,
     dual_dg_algebra,
     is_admissible,
+    is_dual_of,
     universal_twisting_cochain,
     word_products,
 )
@@ -111,26 +112,23 @@ class CorepresentingHom:
     guard N >= nu - 1 below is exactly that, since validate_artinian
     found m^nu = 0; at N = nu - 1 a word of length nu maps to a product
     of nu elements of m, which is 0.  Per element, construction
-    refuses an S_N dual to another algebra (ValueError), an element
-    that fails setup.is_mc (ValueError carrying the residual), a
-    component on the unit of A and an order below nu - 1
-    (HypothesisNotMet); it checks each letter image for degree and
-    augmentation, and g(du) = d g(u) on every generator, which reads
-    only the words in d(letters) and extends to all of S_N because
-    both differentials are derivations.  The differential check is
-    where the Maurer-Cartan equation re-enters; it can only trip if
-    the upstream validation was unsound.
+    refuses an S that is not the dual of setup.A (bar.is_dual_of, as
+    check_tower_surjection does; ValueError), an element that fails
+    setup.is_mc (ValueError carrying the residual), a component on the
+    unit of A and an order below nu - 1 (HypothesisNotMet); it checks
+    each letter image for degree and augmentation, and g(du) = d g(u)
+    on every generator, which reads only the words in d(letters) and
+    extends to all of S_N because both differentials are derivations.
+    The differential check is where the Maurer-Cartan equation
+    re-enters; it can only trip if the upstream validation was unsound.
     """
 
     def __init__(self, setup, alpha, S):
-        A, B = setup.A, S.bar.A
-        if B is not A and (B.field != A.field
-                           or S.bar.letters != A.ideal_labels()
-                           or B.space.degree != A.space.degree
-                           or B.m.entries != A.m.entries):
+        A = setup.A
+        if not is_dual_of(S, A):
             raise ValueError(
-                "S_%d is not the dual of the setup's algebra: its field, "
-                "letters or tables differ" % S.N)
+                "S is not the dual of the setup's algebra: it is no "
+                "DualTruncation, or its field, letters or tables differ")
         if not setup.is_mc(alpha):
             raise ValueError(
                 "the element fails the generalized Maurer-Cartan equation "

@@ -9,7 +9,8 @@ the package's batch elimination as it was before every echelon form
 came from ``Subspace.insert``: a dense core below 64 rows and columns,
 sparse cores above it (fraction-free over Q, division-based over F_p),
 then back-substitution; a batch ``Subspace`` built on that; and
-coordinates by one augmented solve per query.
+coordinates by one augmented solve per query, or for many queries at
+once (``span_coordinates_all_oracle``).
 
 ``kernel_oracle`` and ``pivot_columns_oracle`` read a kernel basis and
 an image basis off ``rref_oracle``, as ``Elimination`` does off its
@@ -18,7 +19,10 @@ own echelon form.
 The rebuild-loop oracles are the cohomology code as it was before
 ``Subspace.insert``: they rebuild a batch ``SubspaceOracle`` after
 every accepted vector and compute each step of the weight filtration
-in its own pass.
+in its own pass.  ``restricted_kernel_oracle`` is that pass's kernel,
+as ``SHatCohomology`` computed it before it read every step off one
+elimination per degree: a ``SpanSolver`` over d of the degree's words
+of length >= w, in the length-lexicographic order of ``S.space``.
 
 ``universal_ops_oracle`` is the universal deformation's own insertion
 loop, from before it became a twisted module over S_N.
@@ -142,6 +146,7 @@ from barmc.linalg import (
     Complex,
     GradedSpace,
     Matrix,
+    SpanSolver,
     Subspace,
     vec_add,
     vec_clean,
@@ -430,28 +435,44 @@ def span_coordinates_oracle(vectors, field, v):
     The unique solution supported on the earliest independent vectors
     (free coordinates zero), or None when v is not in the span.
     """
+    return span_coordinates_all_oracle(vectors, field, [v])[0]
+
+
+def span_coordinates_all_oracle(vectors, field, targets):
+    """span_coordinates_oracle for every target, by one augmented solve.
+
+    The targets are columns after the spanning vectors.  A target in the
+    span is not a pivot column, and its reduced column is supported on
+    pivot columns among the spanning vectors: those entries are its
+    coordinates.  Any other target gets None.
+    """
     vectors = [vec_clean(u) for u in vectors]
     keys = sorted({k for u in vectors for k in u}, key=repr)
     idx = {k: i for i, k in enumerate(keys)}
-    for k in sorted((k for k in v if k not in idx), key=repr):
+    for k in sorted({k for v in targets for k in v if k not in idx}, key=repr):
         idx[k] = len(idx)
     n = len(vectors)
-    aug = Matrix(len(idx), n + 1, field)
+    aug = Matrix(len(idx), n + len(targets), field)
     for j, col in enumerate(vectors):
         for k, c in col.items():
             aug.entries[(idx[k], j)] = c
-    for k, c in v.items():
-        if c:
-            aug.entries[(idx[k], n)] = c
+    for t, v in enumerate(targets):
+        for k, c in v.items():
+            if c:
+                aug.entries[(idx[k], n + t)] = c
     rows, pivots = rref_oracle(aug)
-    x = {}
-    for row, p in zip(rows, pivots):
-        if p == n:
-            return None
-        c = row.get(n)
-        if c is not None:
-            x[p] = c
-    return x
+    out = []
+    for t in range(n, n + len(targets)):
+        x = {}
+        for row, p in zip(rows, pivots):
+            c = row.get(t)
+            if p >= n and (p == t or c is not None):
+                x = None
+                break
+            if c is not None:
+                x[p] = c
+        out.append(x)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +499,15 @@ def cohomology_oracle(cx, i):
     return SubspaceOracle(boundaries, field).rows, reps
 
 
+def restricted_kernel_oracle(rep, degree, min_weight):
+    """Basis of ker(d) on the degree's words of length >= min_weight."""
+    labels = [w for w in rep.S.space.labels_of_degree(degree)
+              if len(w) >= min_weight]
+    cols = [rep.cx.apply_d({l: rep.field.one}) for l in labels]
+    return [{labels[j]: c for j, c in kv.items()}
+            for kv in SpanSolver(cols, rep.field).relations]
+
+
 def filtered_dims_oracle(rep, degree):
     """Weight-graded dims of H^degree of an SHatCohomology, one pass per w."""
     h = rep.cx.cohomology(degree)
@@ -485,7 +515,7 @@ def filtered_dims_oracle(rep, degree):
     bdim = h.boundaries.dim
     ranks = []
     for w in range(rep.N + 2):
-        kernel = rep._restricted_kernel(rep._labels_at(degree, w))
+        kernel = restricted_kernel_oracle(rep, degree, w)
         ranks.append(SubspaceOracle(brows + kernel, rep.field).dim - bdim)
     assert ranks[0] == h.dim
     return [ranks[w] - ranks[w + 1] for w in range(rep.N + 1)]
@@ -497,7 +527,7 @@ def adapted_reps_oracle(rep):
     base = list(rep.h0.boundaries.rows)
     sub = SubspaceOracle(base, rep.field)
     for w in range(rep.N, -1, -1):
-        for v in rep._restricted_kernel(rep._labels_at(0, w)):
+        for v in restricted_kernel_oracle(rep, 0, w):
             if not sub.contains(v):
                 per_weight[w].append(v)
                 base.append(v)
@@ -509,15 +539,18 @@ def product_table_oracle(rep, weight_reps):
     """Products of the given H^0 representatives in their class coordinates."""
     brows = rep.h0.boundaries.rows
     basis = list(brows) + [v for _, v in weight_reps]
+    pairs = [(i, j) for i in range(len(weight_reps))
+             for j in range(len(weight_reps))]
+    products = [rep.S.algebra.eval_m_vectors([weight_reps[i][1],
+                                              weight_reps[j][1]])
+                for i, j in pairs]
     table = {}
-    for i, (_, u) in enumerate(weight_reps):
-        for j, (_, v) in enumerate(weight_reps):
-            coords = span_coordinates_oracle(
-                basis, rep.field, rep.S.algebra.eval_m_vectors([u, v]))
-            coords = {k - len(brows): c for k, c in coords.items()
-                      if k >= len(brows) and c}
-            if coords:
-                table[(i, j)] = coords
+    for pair, coords in zip(pairs, span_coordinates_all_oracle(
+            basis, rep.field, products)):
+        coords = {k - len(brows): c for k, c in coords.items()
+                  if k >= len(brows) and c}
+        if coords:
+            table[pair] = coords
     return table
 
 

@@ -43,15 +43,24 @@ from barmc.examples import (
     random_instance,
     xy,
 )
-from barmc.linalg import Complex, Elimination, GradedSpace, vec_add, vec_clean
+from barmc.linalg import (
+    Complex,
+    Elimination,
+    GradedSpace,
+    SpanSolver,
+    vec_add,
+    vec_clean,
+)
 from barmc.mc import DeformationSetup
 from barmc.scalars import Field
+from barmc.serialize import algebra_to_json, label_to_json
 from barmc.transfer import minimal_model
 import barmc.twisting as twisting_module
 from barmc.twisting import UniversalDeformation, prorep_compare
 
 from oracles import (
     BarComplex,
+    SubspaceOracle,
     adapted_reps_oracle,
     all_pairs_dg_map_failure,
     check_base_change_oracle,
@@ -64,6 +73,7 @@ from oracles import (
     filtered_dims_oracle,
     pivot_columns_oracle,
     product_table_oracle,
+    restricted_kernel_oracle,
     span_coordinates_oracle,
     tower_surjection_oracle,
     universal_ops_oracle,
@@ -529,6 +539,70 @@ def test_filtered_cohomology_matches_rebuild_loop_oracles(make, field, N):
     assert rep.product_table() == product_table_oracle(rep, weight_reps)
 
 
+def _filtration_cases():
+    """The golden probes and every admissible F_2 and F_3 draw at N = 2, 3."""
+    cases = [(make(), N) for make, N in GOLDEN_PROBES]
+    for field in (F2, F3):
+        for seed in range(40):
+            A = random_instance(field, seed)[0]
+            if is_admissible(A):
+                cases += [(A, 2), (A, 3)]
+    return cases
+
+
+def test_weight_filtration_from_one_elimination_matches_the_per_weight_oracle():
+    """Reading the filtration off cx.cohomology(i) gives the dims, the
+    adapted H^0 representatives and the product table of one restricted
+    kernel per weight; each representative of weight w, its shortest
+    word, lies in Z(F^w) as that kernel computes it."""
+    cases = _filtration_cases()
+    assert len(cases) > 60
+    for A, N in cases:
+        rep = SHatCohomology(A, N)
+        for i in rep.S.space.degrees_present():
+            assert rep.filtered_dims[i] == filtered_dims_oracle(rep, i)
+            for v in rep.cx.cohomology(i).representatives:
+                w = min(map(len, v))
+                z = SubspaceOracle(restricted_kernel_oracle(rep, i, w), A.field)
+                assert z.contains(v), (A, N, i, v)
+        weight_reps = adapted_reps_oracle(rep)
+        assert rep.weight_reps == weight_reps
+        assert rep.product_table() == product_table_oracle(rep, weight_reps)
+
+
+def test_koszul_probe_builds_no_span_solver(monkeypatch):
+    """The koszul benchmark jobs read every step of the filtration off
+    the block eliminations: no SpanSolver is built."""
+    built = []
+    init = SpanSolver.__init__
+
+    def counted_init(self, vectors, field):
+        built.append(self)
+        init(self, vectors, field)
+
+    monkeypatch.setattr(SpanSolver, "__init__", counted_init)
+    koszul_probe(kpoints(Q, 2), 5)
+    koszul_probe(kpoints(F3, 3), 3)
+    koszul_probe(xy(Q), 4)
+    assert built == []
+
+
+def test_dual_complex_lists_each_degree_longest_first():
+    """S.complex has the labels and degrees of S.space, stably sorted by
+    descending word length; S.space and the serialized algebra stay
+    length-lexicographic."""
+    for A, N in [(kpoints(Q, 2), 3), (xy(F2), 4), (njac(F3, 2), 3)]:
+        S = dual_dg_algebra(A, N)
+        words = bar_words(A.ideal_labels(), N)
+        assert S.space.labels == tuple(words)
+        assert [b["label"] for b in algebra_to_json(S.algebra)["basis"]] == \
+            [label_to_json(w) for w in words]
+        space = S.complex.space
+        assert space.labels == tuple(sorted(words, key=lambda w: -len(w)))
+        assert space.degree == S.space.degree
+        assert S.complex.d == S.algebra.complex().d
+
+
 def test_koszul_probe_refuses_non_admissible_input():
     R = truncated_polynomial(F2, 3)
     with pytest.raises(HypothesisNotMet):
@@ -607,6 +681,28 @@ def test_tower_rejects_wrong_direction():
     A = kpoints(Q, 2)
     with pytest.raises(ValueError):
         check_tower_surjection(dual_dg_algebra(A, 1), dual_dg_algebra(A, 2))
+
+
+def test_tower_accepts_duals_of_equal_algebras():
+    assert check_tower_surjection(dual_dg_algebra(kpoints(Q, 2), 3),
+                                  dual_dg_algebra(kpoints(Q, 2), 2)).ok
+
+
+@pytest.mark.parametrize("big, small", [
+    (lambda: dual_dg_algebra(kpoints(Q, 2), 3),
+     lambda: dual_dg_algebra(xy(Q), 2)),
+    (lambda: dual_dg_algebra(xy(Q), 3), lambda: dual_dg_algebra(xy(F2), 2)),
+    (lambda: dual_dg_algebra(xy(Q), 3),
+     lambda: dual_dg_algebra(xy(Q), 2).algebra),
+    (lambda: dual_dg_algebra(xy(Q), 3).algebra,
+     lambda: dual_dg_algebra(xy(Q), 2)),
+], ids=["foreign-letters", "foreign-field", "small-not-a-dual",
+        "big-not-a-dual"])
+def test_tower_refuses_truncations_of_different_algebras(big, small):
+    """Refused before any check, with the shared is_dual_of test that
+    CorepresentingHom refuses with."""
+    with pytest.raises(ValueError, match="two dual truncations of one"):
+        check_tower_surjection(big(), small())
 
 
 def test_h0_weight_dims_stabilize_along_the_tower():

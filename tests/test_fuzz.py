@@ -407,6 +407,8 @@ def _algebra_with_op_above_bound():
      "not the dual of the setup's algebra"),
     (lambda: _corepresenting_on(dual_dg_algebra(njac(F3, 2), 3)),
      "not the dual of the setup's algebra"),
+    (lambda: _corepresenting_on(dual_dg_algebra(njac(F2, 2), 3).algebra),
+     "not the dual of the setup's algebra"),
     (lambda: _corepresenting_apply({("x1",) * 4: F2.one}),
      "('x1', 'x1', 'x1', 'x1') outside S_3"),
     (lambda: _corepresenting_apply({("zz",): F2.one}), "('zz',) outside S_3"),
@@ -428,6 +430,7 @@ def _algebra_with_op_above_bound():
         "tau-of-bare", "compose-non-composable", "unit-of-degree-one",
         "op-above-arity-bound", "corepresenting-foreign-xy",
         "corepresenting-foreign-kpoints", "corepresenting-foreign-field",
+        "corepresenting-not-a-dual",
         "apply-word-too-long", "apply-unknown-word", "apply-none-coefficient",
         "apply-int-coefficient", "maps-across-fields-free",
         "maps-across-fields-related", "maps-of-none", "presentation-of-none"])
