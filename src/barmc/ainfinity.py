@@ -934,9 +934,9 @@ def cohomology_algebra(A):
     """The graded algebra H(A) with the product induced by m_2.
 
     Checks, exactly: products of cocycle representatives are cocycles,
-    boundaries multiply to boundaries (so the product is well defined
-    on classes), and the induced product is associative whenever A has
-    no operations above arity 2.
+    and boundaries multiply to boundaries (so the product is well
+    defined on classes).  Associativity of the induced product is not
+    checked.
     """
     cx = A.complex()
     cohs = {}

@@ -11,7 +11,8 @@ computes the nilpotency index, and classifies R as negative
 (degrees <= 0) or classical (degree 0 only).
 """
 
-from .ainfinity import _right_products, AInfAlgebra, StructureMaps, check_ainf_axioms
+from .ainfinity import (_right_products, AInfAlgebra, StructureMaps,
+                        check_ainf_axioms, check_strict_unit)
 from .errors import _integer
 from .linalg import GradedSpace, Subspace, vec_clean
 
@@ -49,10 +50,11 @@ def validate_artinian(A):
     The associativity and Leibniz identities go through
     check_ainf_axioms up to arity 3, a sparse join over the product and
     differential tables that covers exactly the tuples a replay over
-    all basis triples would, and names the first failing one.  The
-    closure of the ideal is read off the stored m_1 and m_2 entries: an
-    entry on ideal labels with a unit component is a problem, listed in
-    the order of a sweep over the ideal labels.  Returns an
+    all basis triples would, and names the first failing one; the unit
+    laws and d(1) = 0 go through check_strict_unit.  The closure of the
+    ideal is read off the stored m_1 and m_2 entries: an entry on ideal
+    labels with a unit component is a problem, listed in the order of a
+    sweep over the ideal labels.  Returns an
     ArtinianReport; problems carry witness labels.  Nothing raises
     here, so callers can surface all violations at once.
     """
@@ -67,14 +69,10 @@ def validate_artinian(A):
         n, args, res = rep.failure
         problems.append(
             "algebra axioms fail at n=%d on %r (residual %r)" % (n, args, res))
-    one = A.field.one
+    unit = check_strict_unit(A)
+    if not unit.ok:
+        problems.append("strict unit fails at n=%d on %r (%r)" % unit.failure)
     e = A.unit
-    if A.m.get(1, (e,)):
-        problems.append("d does not kill the unit")
-    for a in A.space.labels:
-        if A.m.get(2, (e, a)) != {a: one} or A.m.get(2, (a, e)) != {a: one}:
-            problems.append("unit laws fail on %r" % (a,))
-            break
     leaks = sorted(([A.space.index[l] for l in args], args) for n in (1, 2)
                    for args, vec in A.m.entries.get(n, {}).items()
                    if e in vec and e not in args)

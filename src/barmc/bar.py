@@ -50,7 +50,6 @@ from .linalg import (
     _apply_table,
     Complex,
     GradedSpace,
-    SpanSolver,
     vec_add,
     vec_clean,
 )
@@ -342,7 +341,8 @@ class SHatCohomology:
     weight.  A kernel vector is supported on its free column and on
     pivot columns before it, whose words are no shorter, so the weight
     of a representative is the length of its shortest word.
-    weight_reps lists the degree-0 representatives by weight, stably.
+    weight_reps lists the degree-0 representatives by weight, stably,
+    and class_coords is h0.project renumbered into that order.
 
     For an admissible A, S_N sits in degrees <= 0, so d vanishes on
     degree 0 and the degree-0 kernel basis is the unit vectors of the
@@ -371,9 +371,10 @@ class SHatCohomology:
         self.field = self.S.field
         self.cx = self.S.complex
         self.h0 = self.cx.cohomology(0)
-        self.weight_reps = sorted(
-            ((_weight(v), v) for v in self.h0.representatives),
-            key=lambda wv: wv[0])
+        reps = self.h0.representatives
+        order = sorted(range(len(reps)), key=lambda j: _weight(reps[j]))
+        self.weight_reps = [(_weight(reps[j]), reps[j]) for j in order]
+        self._slot = {j: i for i, j in enumerate(order)}
         self.weight_dims = self._weight_dims(0)
 
     @cached_property
@@ -392,25 +393,11 @@ class SHatCohomology:
             dims[_weight(v)] += 1
         return dims
 
-    @cached_property
-    def _solver(self):
-        """Coordinates over the H^0 boundary rows, then the adapted reps.
-
-        Built on the first class_coords; koszul_probe never asks.
-        """
-        return SpanSolver(self.h0.boundaries.rows +
-                          [v for _, v in self.weight_reps], self.field)
-
     def class_coords(self, vec):
-        """Coordinates of a degree-0 cocycle's class in the adapted basis."""
-        vec = vec_clean(dict(vec))
-        if not vec:
-            return {}
-        coords = self._solver.coordinates(vec)
-        if coords is None:
-            raise ValueError("vector does not represent a class in H^0")
-        nb = self.h0.boundaries.dim
-        return {j - nb: c for j, c in coords.items() if j >= nb and c}
+        """Coordinates of a degree-0 cocycle's class in the adapted basis:
+        h0.project, renumbered into weight_reps order."""
+        return dict(sorted((self._slot[j], c)
+                           for j, c in self.h0.project(vec).items()))
 
     def product_class(self, u, v):
         """Class of u v for degree-0 cocycles u, v, in adapted coordinates."""

@@ -23,10 +23,10 @@ Linear systems go through one of two interfaces:
   the relations among the others; it puts the labels before the
   coordinate tags through which it tracks combinations.
 
-``Cohomology`` and ``bar.SHatCohomology`` build the ``SpanSolver`` that
-gives class coordinates on the first ``project`` or ``class_coords``
-call, so a caller that only reads dimensions and representatives, such
-as the Koszul probe, never builds it.
+``Cohomology`` builds the ``SpanSolver`` that gives class coordinates
+on the first ``project`` call (``bar.SHatCohomology.class_coords``
+reads it), so a caller that only reads dimensions and representatives,
+such as the Koszul probe, never builds it.
 """
 
 from bisect import bisect
@@ -137,18 +137,19 @@ class Elimination:
         self.rank = echelon.dim
 
     def kernel_basis(self):
-        """Basis of {x : Mx = 0}, one vector per free column, canonical order."""
+        """Basis of {x : Mx = 0}, one vector per free column, canonical order.
+
+        One pass over the rows: a reduced row vanishes at the other
+        pivots, so each of its other keys is a free column.
+        """
         pivot_set = set(self.pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
-        basis = []
-        for f in free:
-            v = {f: self.field.one}
-            for row, p in zip(self.rows, self.pivots):
-                c = row.get(f)
-                if c is not None:
-                    v[p] = -c
-            basis.append(v)
-        return basis
+        one = self.field.one
+        basis = {j: {j: one} for j in range(self.ncols) if j not in pivot_set}
+        for row, p in zip(self.rows, self.pivots):
+            for f, c in row.items():
+                if f != p:
+                    basis[f][p] = -c
+        return list(basis.values())
 
 
 class SpanSolver:
@@ -353,7 +354,7 @@ class Complex:
     def __init__(self, space, d, field):
         self.space = space
         self.field = field
-        self.d = {k: vec_clean(v) for k, v in d.items() if vec_clean(v)}
+        self.d = {k: w for k, v in d.items() if (w := vec_clean(v))}
         self._blocks = {}
         self._cohomology = {}
         self._validate()

@@ -25,11 +25,11 @@ those tables and do not sum again.
 
 Every operation here starts from the fact that its objects are MC
 over R, and DeformationSetup.is_mc is the one place that decides it.
-It remembers each element it accepted, zeros ignored, and each exact
-input it validated, so the category operations, hom complexes, the
-groupoid, the gauge classes, the obstructions, lifting and the
-pushforward (and the corepresenting map in twisting.py) check their
-objects on every call at the cost of one key once an object passed.
+It remembers each element it accepted, zeros ignored, so the category
+operations, hom complexes, the groupoid, the gauge classes, the
+obstructions, lifting and the pushforward (and the corepresenting map
+in twisting.py) check their objects on every call at the cost of one
+key once an object passed.
 What enumerate_mc and lift_mc compute themselves is certified by its
 own residual, as a MathCheckFailure, not asked of is_mc; enumerate_mc
 then enters the points it certified into is_mc's memory.
@@ -81,21 +81,12 @@ def _check_vector(v, field, what, labels, where):
                              % (what, l, where))
 
 def _vec_key(v):
-    """A hashable key of v that ignores how its zeros are written."""
-    return tuple(sorted((repr(l), str(c)) for l, c in v.items() if c))
+    """A hashable key of v that ignores how its zeros are written.
 
-
-def _input_key(v, field):
-    """The labels and values of v, if v is a dict of Scalars over this
-    very field object, else None; equal keys are equal inputs."""
-    if type(v) is not dict:
-        return None
-    key = []
-    for l, c in v.items():
-        if type(c) is not Scalar or c.field is not field:
-            return None
-        key += l, c.val
-    return tuple(key)
+    It holds labels and raw values, not the field: vectors over
+    different fields can share a key.
+    """
+    return frozenset([(l, c.val) for l, c in v.items() if c])
 
 
 def _span_points(field, offset, basis):
@@ -184,7 +175,6 @@ class DeformationSetup:
             if A.unit is not None else None)
         self._mc = set()  # _vec_key of every element found MC
         self._certified = []  # point lists enumerate_mc certified, unkeyed
-        self._mc_inputs = set()  # _input_key of every input that passed
 
     def ideal_labels_of_degree(self, k):
         return self.ideal_space.labels_of_degree(k)
@@ -211,16 +201,19 @@ class DeformationSetup:
     def is_mc(self, alpha):
         """Whether alpha is MC over R, decided once per element.
 
-        A malformed input raises ValueError as check_mc_input does,
-        unless the very same input (labels, and values over this
-        setup's field object) already passed.  The residual is
-        evaluated once per element, zeros ignored (_vec_key); only
-        positive answers are kept, so a non-MC object is refused on
-        every call.  The points enumerate_mc certified are keyed on the
-        first element not yet known, and need no residual.
+        A dict of nonzero Scalars over this setup's field object whose
+        key (_vec_key) is known passes at once: its labels and values
+        are those of an input that passed.  Any other input is checked
+        by check_mc_input (ValueError), and its residual is evaluated
+        once per key.  Only positive answers are kept, so a non-MC
+        object is refused on every call.  The points enumerate_mc
+        certified are keyed on the first element not yet known, and
+        need no residual.
         """
-        key = _input_key(alpha, self.field)
-        if key in self._mc_inputs:
+        field = self.field
+        if type(alpha) is dict and all(
+                type(c) is Scalar and c.field is field and c
+                for c in alpha.values()) and _vec_key(alpha) in self._mc:
             return True
         self.check_mc_input(alpha)
         element = _vec_key(alpha)
@@ -230,8 +223,6 @@ class DeformationSetup:
             if element not in self._mc and self.mc_residual(alpha):
                 return False
             self._mc.add(element)
-        if key is not None:
-            self._mc_inputs.add(key)
         return True
 
     def require_mc(self, objects, refusal):
@@ -435,7 +426,9 @@ class SmallExtension:
     The lifts of alpha_bar are therefore either none or the coset
     alpha~ + eta0 + Z^1(A x I), where m_1(eta0) = residual(alpha~).
     residual(alpha~) lies in A x I exactly when alpha_bar is MC over
-    Rbar; otherwise coordinates raises MathCheckFailure.  eta0 is the
+    Rbar; otherwise coordinates raises MathCheckFailure.  The kernel
+    rows are a reduced echelon basis of I, so the coordinates of a
+    vector in their span are its values at their pivots.  eta0 is the
     unique solution supported on the earliest independent columns of
     m_1: (A x I)^1 -> (A x I)^2, and the relations among the other
     columns are a basis of Z^1(A x I).
@@ -445,14 +438,15 @@ class SmallExtension:
         A, R = setup.A, setup.R
         self.setup = setup
         self.field = setup.field
-        self.Rbar, self._pi, self.kernel_rows = quotient_by_power(R, R.nu - 1)
+        self.Rbar, self._pi, rows = quotient_by_power(R, R.nu - 1)
+        self._rows = Subspace(rows, self.field)
+        self.kernel_rows = self._rows.rows
         degs = []
         for k, row in enumerate(self.kernel_rows):
             d = {R.deg(l) for l in row}
             if len(d) != 1:
                 raise MathCheckFailure("kernel layer row %d is not homogeneous" % k)
             degs.append(d.pop())
-        self._row_solver = SpanSolver(self.kernel_rows, self.field)
         labels = [(a, k) for a in A.space.labels
                   for k in range(len(self.kernel_rows))]
         self.space = GradedSpace(
@@ -504,14 +498,15 @@ class SmallExtension:
         for (a, r), c in vec_clean(vec).items():
             by_a.setdefault(a, {})[r] = c
         out = {}
+        pivots = self._rows.pivot_keys
         for a, rvec in by_a.items():
-            coords = self._row_solver.coordinates(rvec)
-            if coords is None:
+            if self._rows.reduce(rvec):
                 raise MathCheckFailure(
                     "vector escapes the kernel layer at %r" % (a,))
-            for k, c in coords.items():
-                out[(a, k)] = c
-        return vec_clean(out)
+            for k, r in enumerate(pivots):
+                if r in rvec:
+                    out[(a, k)] = rvec[r]
+        return out
 
     def cohomology(self, degree):
         return self.complex.cohomology(degree)
@@ -706,6 +701,11 @@ class HomSet:
         return not vec_clean(self.hom_complex.apply(g))
 
 
+def _require_morphism(g):
+    if not isinstance(g, MCMorphism):
+        raise ValueError("expected an MCMorphism, got %s" % type(g).__name__)
+
+
 class MCGroupoid:
     """The groupoid of MC elements and gauge orbits over one setup.
 
@@ -718,15 +718,19 @@ class MCGroupoid:
         self._homsets = {}
 
     def hom(self, alpha, beta):
-        self.setup.require_mc(
-            (alpha, beta), "morphism complexes are defined between MC elements")
+        self._require_objects(alpha, beta)
         return HomSet(self.setup, alpha, beta)
 
+    def _require_objects(self, alpha, beta):
+        self.setup.require_mc(
+            (alpha, beta), "morphism complexes are defined between MC elements")
+
     def _homset(self, alpha, beta):
-        """hom(alpha, beta) kept per pair; hom itself keeps nothing."""
+        """hom(alpha, beta) kept per pair, keyed once both ends pass is_mc."""
+        self._require_objects(alpha, beta)
         key = (_vec_key(alpha), _vec_key(beta))
         if key not in self._homsets:
-            self._homsets[key] = self.hom(alpha, beta)
+            self._homsets[key] = HomSet(self.setup, alpha, beta)
         return self._homsets[key]
 
     def identity(self, alpha):
@@ -734,6 +738,8 @@ class MCGroupoid:
 
     def compose(self, g, h):
         """h after g for g: a -> b, h: b -> c, via m_2^{a,b,c}(h, g)."""
+        _require_morphism(g)
+        _require_morphism(h)
         if g.key[1] != h.key[0]:
             raise ValueError("morphisms do not compose")
         w = self.setup.category_op(
@@ -748,6 +754,7 @@ class MCGroupoid:
         the result is certified to be a genuine morphism and a
         two-sided inverse.
         """
+        _require_morphism(g)
         setup = self.setup
         gp = dict(setup.one_vec)
         for _ in range(setup.nu + 1):
@@ -794,6 +801,9 @@ class Pi0Report:
         for i, cls in enumerate(classes):
             for v in cls:
                 self._index.setdefault(_vec_key(v), i)
+        # the keys omit the field, so class_index_of compares it
+        self._field = next((c.field for cls in classes for v in cls
+                            for c in v.values()), None)
 
     def class_index_of(self, alpha):
         """The index of alpha's class, or None if alpha is in none.
@@ -807,6 +817,8 @@ class Pi0Report:
             if not isinstance(c, Scalar):
                 raise ValueError("coefficient %r at %r is not a scalar"
                                  % (c, l))
+        if any(c and c.field != self._field for c in alpha.values()):
+            return None
         return self._index.get(_vec_key(alpha))
 
     def __repr__(self):

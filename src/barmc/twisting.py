@@ -23,11 +23,12 @@ length.  The product half does not depend on the element: the product
 of S_N is written from the word sign sigma (bar.DualTruncation, which
 certifies its Leibniz rule on the generators once per S_N), and the
 signed letter products w |-> sigma(w) rho(a_1) .. rho(a_k) multiply by
-the same signs for every letter assignment.  Each element certifies
-its letter images and the differential on the generators, and
-computes a word's image only when it is read.
-TwistedModule certifies that the twisted differential squares to zero
-and that the module Stasheff identities hold on every mixed tuple.
+the same signs for every letter assignment.  Each element passes
+is_mc, which places its letter images, and certifies the
+differential on the generators; a word's image is computed only when
+it is read.  TwistedModule's complex certifies that the twisted
+differential squares to zero, and the module Stasheff identities are
+checked on every mixed tuple.
 The classical comparison runs both sides by exhaustion: algebra maps
 out of a generators-and-relations presentation of H^0(S_N) on one
 side, gauge classes on the other, matched through the corepresenting
@@ -115,10 +116,13 @@ class CorepresentingHom:
     refuses an S that is not the dual of setup.A (bar.is_dual_of, as
     check_tower_surjection does; ValueError), an element that fails
     setup.is_mc (ValueError carrying the residual), a component on the
-    unit of A and an order below nu - 1 (HypothesisNotMet); it checks
-    each letter image for degree and augmentation, and g(du) = d g(u)
-    on every generator, which reads only the words in d(letters) and
-    extends to all of S_N because both differentials are derivations.
+    unit of A and an order below nu - 1 (HypothesisNotMet).  is_mc
+    has checked each letter image for degree and augmentation
+    (check_mc_input): alpha lies in (A x m)^1, so rho(a) lies in m in
+    degree 1 - |a|, the degree of (a,) in S_N.  Construction checks
+    g(du) = d g(u) on every generator, which reads only the words in
+    d(letters) and extends to all of S_N because both differentials
+    are derivations.
     The differential check is where the Maurer-Cartan equation
     re-enters; it can only trip if the upstream validation was unsound.
     """
@@ -184,14 +188,6 @@ class CorepresentingHom:
 
     def _certify(self):
         R, S = self.R, self.S
-        for a, img in self._rho.items():
-            for r in img:
-                if R.deg(r) != S.space.degree[(a,)]:
-                    raise MathCheckFailure(
-                        "image of %r lands in the wrong degree" % ((a,),))
-            if R.unit in img:
-                raise MathCheckFailure(
-                    "image of %r escapes the augmentation ideal" % ((a,),))
         for u in S.generators:
             if self._push(S.algebra.m.get(1, (u,))) != R.d_of(self._image(u)):
                 raise MathCheckFailure(
@@ -218,11 +214,12 @@ class TwistedModule:
                 m_{n+i}(alpha, .., alpha, x, a_1 x 1, .., a_{n-1} x 1).
 
     Setting alpha = 0 recovers the tensor algebra operations on the
-    nose.  Construction certifies that the differential squares to
-    zero, naming a witness basis element when it does not; that is
-    exactly how a non-Maurer-Cartan twist surfaces.  The module
-    Stasheff identities are checked on every mixed tuple through a shim
-    that merges the twisted maps with the operations of A.
+    nose.  Construction builds the complex, whose d*d = 0 check names a
+    witness basis element (MathCheckFailure); that is exactly how a
+    non-Maurer-Cartan twist surfaces.  The module Stasheff identities
+    are checked on every mixed tuple through a shim, built on the first
+    check_module_axioms, that merges the twisted maps with the
+    operations of A.
     """
 
     def __init__(self, setup, alpha, check=True):
@@ -237,9 +234,16 @@ class TwistedModule:
         self.ops = self._tables()
         self._d = {args[0]: vec
                    for args, vec in self.ops.entries.get(1, {}).items()}
-        self._certify_d_squared()
-        self.complex = Complex(self.space, self._d, self.field)
-        self._shim = self._build_shim()
+        try:
+            self.complex = Complex(self.space, self._d, self.field)
+        except ValueError as exc:
+            raise MathCheckFailure(
+                "twisted differential: %s; the twist does not satisfy the "
+                "Maurer-Cartan equation" % (exc,)) from None
+        for a in self.A.space.labels:
+            if a in self.space.index:
+                raise ValueError(
+                    "module and algebra labels collide at %r" % (a,))
         if check:
             rep = self.check_module_axioms()
             if not rep.ok:
@@ -287,22 +291,10 @@ class TwistedModule:
                 table.setdefault(args, {})[o] = c
         return StructureMaps(tables)
 
-    def _certify_d_squared(self):
-        for l in self.space.labels:
-            w = _apply_table(self._d, self._d.get(l, {}))
-            if w:
-                raise MathCheckFailure(
-                    "twisted differential fails to square to zero at %r "
-                    "(residue %r); the twist does not satisfy the "
-                    "Maurer-Cartan equation" % (l, w))
-
-    def _build_shim(self):
+    @cached_property
+    def _shim(self):
         basis = [(l, self.space.degree[l]) for l in self.space.labels]
-        for a in self.A.space.labels:
-            if a in self.space.index:
-                raise ValueError(
-                    "module and algebra labels collide at %r" % (a,))
-            basis.append((a, self.A.deg(a)))
+        basis += [(a, self.A.deg(a)) for a in self.A.space.labels]
         space = GradedSpace(basis)
         ops = self.ops.copy()
         for n, table in self.A.m.entries.items():

@@ -110,6 +110,13 @@ by hand: the residual's n(n+1)/2, the category exponent, the
 pushforward's n(n-1)/2 and the morphism-level exponent with i(i-1)/2
 per slot.  The pushforward oracles evaluate through
 ``eval_f_tensor_oracle``.
+
+``tower_coordinates_oracle`` is ``SmallExtension.coordinates`` and
+``class_coords_oracle`` is ``SHatCohomology.class_coords`` as they were
+before they read their coordinates off an echelon form the package
+already held: a tagged ``SpanSolver`` over the kernel rows of the
+layer, and one over the H^0 boundary rows followed by the adapted
+representatives.
 """
 
 from fractions import Fraction
@@ -1352,3 +1359,35 @@ def conjugation_orbits_oracle(R, maps):
             orbit_of[j] = len(orbits)
         orbits.append(orbit)
     return orbits, orbit_of
+
+
+def tower_coordinates_oracle(ext, vec):
+    """An A x R vector supported in A x I over the kernel rows of ext."""
+    solver = SpanSolver(ext.kernel_rows, ext.field)
+    by_a = {}
+    for (a, r), c in vec_clean(vec).items():
+        by_a.setdefault(a, {})[r] = c
+    out = {}
+    for a, rvec in by_a.items():
+        coords = solver.coordinates(rvec)
+        if coords is None:
+            raise MathCheckFailure(
+                "vector escapes the kernel layer at %r" % (a,))
+        for k, c in coords.items():
+            out[(a, k)] = c
+    return vec_clean(out)
+
+
+def class_coords_oracle(rep, vecs):
+    """Class coordinates of each degree-0 vector in rep's adapted basis."""
+    solver = SpanSolver(rep.h0.boundaries.rows +
+                        [v for _, v in rep.weight_reps], rep.field)
+    nb = rep.h0.boundaries.dim
+    out = []
+    for vec in vecs:
+        vec = vec_clean(dict(vec))
+        coords = solver.coordinates(vec) if vec else {}
+        if coords is None:
+            raise ValueError("vector does not represent a class in H^0")
+        out.append({j - nb: c for j, c in coords.items() if j >= nb and c})
+    return out

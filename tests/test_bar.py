@@ -63,6 +63,7 @@ from oracles import (
     SubspaceOracle,
     adapted_reps_oracle,
     all_pairs_dg_map_failure,
+    class_coords_oracle,
     check_base_change_oracle,
     coderivation_failure_oracle,
     cohomology_dims_oracle,
@@ -966,16 +967,17 @@ GOLDEN_PROBES = [(lambda: kpoints(Q, 2), 5), (lambda: xy(Q), 4),
 
 def test_koszul_probe_leaves_the_coordinate_solvers_unbuilt():
     """The probe reads dimensions and representatives, never coordinates;
-    the first class_coords or project builds the solver it asks."""
+    the first class_coords or project builds the solver of the H^i it
+    asks, and class_coords asks H^0."""
     rep = koszul_probe(kpoints(Q, 2), 4).cohomology
     built = list(rep.cx._cohomology.values())
     assert 0 in rep.cx._cohomology and len(built) > 1
-    assert "_solver" not in vars(rep)
     assert not any("_solver" in vars(h) for h in built)
     _, v = rep.weight_reps[-1]
     assert rep.class_coords(v) == {len(rep.weight_reps) - 1: Q.one}
-    assert "_solver" in vars(rep)
-    h = rep.h0
+    assert "_solver" in vars(rep.h0)
+    h = rep.cx.cohomology(-1)
+    assert h.dim and "_solver" not in vars(h)
     assert h.project(h.representatives[0]) == {0: Q.one}
     assert "_solver" in vars(h)
 
@@ -1040,3 +1042,41 @@ def test_class_coordinates_match_the_eager_solvers(case):
     for _ in range(3):
         v, want = combinations_of(rng, Q, reps, bounds)
         assert rep.class_coords(v) == want
+
+
+def _class_coords_cases():
+    cases = [(make(), N) for make, N in GOLDEN_PROBES]
+    for field in (F2, F3):
+        for seed in range(40):
+            A = random_instance(field, seed)[0]
+            if is_admissible(A):
+                cases += [(A, 2), (A, 3)]
+    return cases
+
+
+def test_class_coords_match_the_tagged_solver():
+    """class_coords reads h0.project; the tagged solver over the boundary
+    rows and the adapted representatives gives the same coordinates, key
+    by key, on every representative, every product of two, and random
+    combinations plus boundaries.  A vector off degree 0 is refused by
+    both with the same message."""
+    cases = _class_coords_cases()
+    assert len(cases) == 3 + 132
+    for i, (A, N) in enumerate(cases):
+        rep = SHatCohomology(A, N)
+        rng = random.Random(i)
+        reps = [v for _, v in rep.weight_reps]
+        vecs = reps + [rep.S.algebra.eval_m_vectors([u, v])
+                       for u in reps[:8] for v in reps[:8]]
+        vecs += [combinations_of(rng, A.field, reps, rep.h0.boundaries.rows)[0]
+                 for _ in range(3)]
+        assert [list(rep.class_coords(v).items()) for v in vecs] == \
+            [list(c.items()) for c in class_coords_oracle(rep, vecs)]
+        off = [w for w in rep.S.words if rep.S.space.degree[w] != 0]
+        if off:
+            v = {off[0]: A.field.one}
+            for coords in (rep.class_coords,
+                           lambda v: class_coords_oracle(rep, [v])):
+                with pytest.raises(ValueError, match="does not represent a "
+                                   "class in H\\^0"):
+                    coords(v)

@@ -297,6 +297,44 @@ def test_mutated_mc_elements():
         settles(module.right_action, x, rng.choice([{"t": F3.one}, x, 3]))
 
 
+def test_mc_memory_refuses_what_check_mc_input_refuses(monkeypatch):
+    """A known element passes is_mc at once, even up to dict order and
+    explicit zeros on valid labels, with no second residual; a copy with
+    an int value, an F2 value or a zero outside A x m is still refused."""
+    A, R = njac(F3, 2), truncated_polynomial(F3, 3)
+    setup = DeformationSetup(A, R)
+    labels = setup.ideal_labels_of_degree(1)
+    alpha = next(a for a in enumerate_mc(A, R) if 2 <= len(a) < len(labels)
+                 and F3.one in a.values())
+    calls = []
+    residual = DeformationSetup.mc_residual
+
+    def counted(self, a):
+        calls.append(a)
+        return residual(self, a)
+
+    monkeypatch.setattr(DeformationSetup, "mc_residual", counted)
+    assert len(alpha) >= 2 and setup.is_mc(alpha) and len(calls) == 1
+    first = next(l for l, c in alpha.items() if c == F3.one)
+    spare = next(l for l in labels if l not in alpha)
+    outside = next(l for l in setup.T.space.labels if l not in labels)
+    for bad in ({**alpha, first: alpha[first].val},
+                {**alpha, first: F2.one},
+                {**alpha, outside: F3.zero}):
+        with pytest.raises(ValueError):
+            setup.is_mc(bad)
+    assert setup.is_mc(dict(reversed(alpha.items())))
+    assert setup.is_mc({**alpha, spare: F3.zero})
+    assert setup.is_mc({spare: F3.zero, **alpha})
+    assert len(calls) == 1
+    report = pi0(A, R)
+    member = next(a for cls in report.classes for a in cls if a)
+    assert report.class_index_of(member) is not None
+    for field in (Q, Field.prime(5)):
+        assert report.class_index_of(
+            {l: field(c.val) for l, c in member.items()}) is None
+
+
 def test_mutated_gauge_vectors():
     A, R = njac(F3, 1), truncated_polynomial(F3, 3)
     setup = DeformationSetup(A, R)
@@ -364,6 +402,10 @@ def _maps_into_poly_f2(A):
                         truncated_polynomial(F2, 3))
 
 
+def _groupoid():
+    return MCGroupoid(DeformationSetup(njac(F2, 1), truncated_polynomial(F2, 3)))
+
+
 def _algebra_with_op_above_bound():
     ops = StructureMaps({3: {("a", "a", "a"): {"a": Q.one}}})
     AInfAlgebra(GradedSpace([("a", 1)]), Q, ops, arity_bound=2)
@@ -420,6 +462,9 @@ def _algebra_with_op_above_bound():
     (lambda: algebra_maps(None, truncated_polynomial(F2, 3)),
      "needs an H0Presentation, got NoneType"),
     (lambda: H0Presentation(None), "needs an SHatCohomology, got NoneType"),
+    (lambda: _groupoid().identity(5), "element 5 is not a dict"),
+    (lambda: _groupoid().compose("x", "y"), "MCMorphism, got str"),
+    (lambda: _groupoid().invert(None), "MCMorphism, got NoneType"),
 ], ids=["prorep-bare-algebra", "gauge-part-int", "o1-int", "op-int-slots",
         "project-none",
         "kpoints-str", "random-instance-str", "poly-degree-str",
@@ -433,7 +478,8 @@ def _algebra_with_op_above_bound():
         "corepresenting-not-a-dual",
         "apply-word-too-long", "apply-unknown-word", "apply-none-coefficient",
         "apply-int-coefficient", "maps-across-fields-free",
-        "maps-across-fields-related", "maps-of-none", "presentation-of-none"])
+        "maps-across-fields-related", "maps-of-none", "presentation-of-none",
+        "identity-of-int", "compose-of-str", "invert-of-none"])
 def test_entry_point_refuses_with_value_error(call, named):
     with pytest.raises(ValueError, match=re.escape(named)):
         call()

@@ -379,6 +379,23 @@ def test_elimination_matches_rref_oracle(m):
 
 
 @settings(max_examples=40, deadline=None)
+@given(st.sampled_from([Q, F3]), st.integers(0, 2**32))
+def test_kernel_basis_is_the_oracle_key_by_key(field, seed):
+    """One pass over the rows gives the kernel the per-column scan of
+    kernel_oracle gives: the same vectors with keys in the same order."""
+    rng = random.Random(seed)
+    m = Matrix(rng.randint(1, 30), rng.randint(1, 30), field)
+    for i in range(m.nrows):
+        for j in range(m.ncols):
+            if rng.random() < 0.15:
+                c = field(rng.randint(-3, 3))
+                if c:
+                    m.entries[(i, j)] = c
+    assert [list(k.items()) for k in Elimination(m).kernel_basis()] == \
+        [list(k.items()) for k in kernel_oracle(m)]
+
+
+@settings(max_examples=40, deadline=None)
 @given(eliminated_matrices())
 def test_span_solver_relations_are_the_kernel_basis(m):
     """Same vectors, same order, same key order as the matrix echelon."""

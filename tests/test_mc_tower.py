@@ -21,6 +21,7 @@ from barmc.artin import (
     _is_commutative,
     fiber_product,
     quotient_by_power,
+    square_zero,
     truncated_polynomial,
 )
 from barmc.bar import dual_dg_algebra, is_admissible
@@ -45,6 +46,7 @@ from oracles import (
     is_commutative_oracle,
     kernel_oracle,
     span_coordinates_oracle,
+    tower_coordinates_oracle,
 )
 from test_mc import negative_base
 from test_twisting import local_noncommutative
@@ -100,6 +102,48 @@ ORACLE_CASES = {
         lambda: fiber_product(truncated_polynomial(F2, 4),
                               truncated_polynomial(F2, 2))),
 }
+
+
+COORDINATE_CASES = dict(ORACLE_CASES, **{
+    "xy(F2)/square_zero": (
+        lambda: xy(F2), lambda: square_zero(F2, [("m1", 0), ("m2", -1)])),
+    "njac(F3,1)/square_zero_d": (
+        lambda: njac(F3, 1),
+        lambda: square_zero(F3, [("u", -1), ("v", 0)], d={"u": {"v": 1}})),
+})
+
+
+@pytest.mark.parametrize("case", sorted(COORDINATE_CASES))
+def test_tower_coordinates_match_the_tagged_solver(case):
+    """On every level of the tower, coordinates over the kernel rows are
+    the tagged solver's, key by key: on random vectors of A x I, on the
+    images of m_1 and on the residuals of sections of downstairs MC
+    points.  A vector off A x I is refused by both alike."""
+    make_a, make_r = COORDINATE_CASES[case]
+    rng = random.Random(case)
+    for setup in DeformationSetup(make_a(), make_r()).chain():
+        ext, field = setup.extension, setup.field
+        one = field.one
+        vecs = [ext.embed({l: field(rng.randint(0, 4))
+                           for l in rng.sample(ext.space.labels,
+                                               min(3, ext.space.dim()))})
+                for _ in range(8)]
+        vecs += [setup.T.eval_m_vectors([ext.embed({l: one})])
+                 for l in ext.space.labels]
+        points = setup.below.enumerate_mc(1 << 12) if setup.nu > 2 else [{}]
+        vecs += [setup.mc_residual(a) for a in points[:12]]
+        assert [list(ext.coordinates(v).items()) for v in vecs] == \
+            [list(tower_coordinates_oracle(ext, v).items()) for v in vecs]
+        kept = [r for r in ext.Rbar.space.labels if r != setup.R.unit]
+        a = setup.A.space.labels[-1]
+        off = [{(a, setup.R.unit): one}]
+        off += [vec_add({(a, kept[0]): one}, vecs[0])] if kept else []
+        for v in off:
+            for coords in (ext.coordinates,
+                           lambda v: tower_coordinates_oracle(ext, v)):
+                with pytest.raises(MathCheckFailure,
+                                   match="escapes the kernel layer"):
+                    coords(v)
 
 
 def _items(elements):
