@@ -212,6 +212,15 @@ class AInfAlgebra:
         return self.complete_to_arity is None or arity_needed <= self.complete_to_arity
 
 
+def _algebra(A):
+    """A when it is an AInfAlgebra, else ValueError naming its type."""
+    if not isinstance(A, AInfAlgebra):
+        raise ValueError("expected an AInfAlgebra, got %s%s" % (
+            type(A).__name__, "; for an artinian base pass its .algebra"
+            * hasattr(A, "algebra")))
+    return A
+
+
 def _expand(field, vecs, value):
     """The multilinear extension of value(label tuple) to vecs, fresh.
 
@@ -340,7 +349,8 @@ def check_ainf_axioms(A, n_max):
     """
     if _integer(n_max, "n_max") < 1:
         raise ValueError("n_max must be at least 1")
-    failure = _first_stasheff_failure(A, n_max, A.space.index, A.space.index)
+    index = _algebra(A).space.index
+    failure = _first_stasheff_failure(A, n_max, index, index)
     if failure:
         return CheckReport(False, failure=failure, checked_to=n_max)
     return CheckReport(True, checked_to=n_max)
@@ -808,13 +818,9 @@ def tensor_with_dg(A, C):
     Each entry of A is regrouped only against the words c_1 .. c_n
     whose product is nonzero (_base_words), in itertools.product order.
     """
-    if not isinstance(C, AInfAlgebra):
-        raise ValueError(
-            "the tensor factor must be an AInfAlgebra, got a %s; for an "
-            "artinian base pass its .algebra" % type(C).__name__)
-    if C.m.max_arity() > 2:
+    if _algebra(C).m.max_arity() > 2:
         raise ValueError("tensor factor must be a DG algebra (arity <= 2)")
-    field = A.field
+    field = _algebra(A).field
     if C.field != field:
         raise ValueError("tensor factors live over different fields")
     basis = []

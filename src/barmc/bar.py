@@ -8,19 +8,17 @@ weight N therefore leaves an honest finite complex, and its linear
 dual is a finite DG algebra S_N whose product transposes
 deconcatenation.
 
-Two certificates guard the construction.  BarTruncation builds a
-Complex, which checks d_bar^2 = 0 exactly and so refuses an A that
-fails the Stasheff identities.  DualTruncation writes the product of
-S_N from the word sign sigma(w) = (-1)^(sum_{i<j} s_i s_j), which makes
-it associative by construction, and certifies once, on the generators
-of S_N (the empty word and the letters) against every word, that d is
-a derivation; this is the transpose of d_bar being a coderivation
-(Keller 2001).  A failure raises MathCheckFailure naming the failing
-(u, V) tuple and its Stasheff residual.  A map out of S_N given by a
-full word table is certified on the generators too
+DualTruncation certifies S_N once.  Its Complex checks d^2 = 0, which
+is -(d_bar^2) transposed, and so refuses an A that fails the Stasheff
+identities.  The product U* V* = (-1)^(|U||V|) (UV)* is associative
+by construction, and d is certified a derivation on the letters
+against every word; this is the transpose of d_bar being a
+coderivation (Keller 2001).  A failure raises MathCheckFailure naming
+the failing (u, V) tuple and its Stasheff residual.  A map out of S_N
+given by a full word table is certified on the generators too
 (first_dg_map_failure); a map given by its letters takes its products
-from sigma and checks only the differential of the generators
-(twisting.CorepresentingHom).
+from the word signs and checks only the differential of the
+generators (twisting.CorepresentingHom).
 
 SHatCohomology computes H^0(S_N) when it is built and every other
 degree when first read: the classical comparison reads H^0 alone
@@ -36,11 +34,12 @@ from functools import cached_property
 from itertools import groupby, takewhile
 
 from .ainfinity import (
+    _algebra,
     AInfAlgebra,
     CheckReport,
     StructureMaps,
-    b_from_m,
     koszul_pass_exponent,
+    m_from_b,
     restrict_to_ideal,
     stasheff_residual,
     tensor_label,
@@ -87,15 +86,15 @@ def word_products(words, multiply, unit, image):
 
 
 class BarTruncation:
-    """Words of weight <= N in Abar[1] with the bar coderivation.
+    """Words of weight <= N in Abar[1] with the bar coderivation d.
 
-    Construction certifies, through Complex, that d_bar is homogeneous
-    and squares to zero; that d_bar is a coderivation is certified on
-    the dual, where it is the Leibniz rule of S_N (DualTruncation).
+    Nothing is certified here: d^2 = 0 and the coderivation property
+    are certified on the dual, as d^2 = 0 and the Leibniz rule of S_N
+    (DualTruncation).
     """
 
     def __init__(self, A, N):
-        if A.unit is None:
+        if _algebra(A).unit is None:
             raise ValueError("bar construction needs an augmented algebra")
         if _integer(N, "the weight bound N") < 0:
             raise ValueError("weight bound must be nonnegative")
@@ -109,17 +108,12 @@ class BarTruncation:
         self.N = N
         self.field = A.field
         self.letters = A.ideal_labels()
-        ideal_space = GradedSpace([(l, A.deg(l)) for l in self.letters])
-        bare = AInfAlgebra(ideal_space, A.field, restrict_to_ideal(A),
-                           arity_bound=A.arity_bound)
-        self.b = b_from_m(bare)
+        # the suspension rescaling b_from_m applies; it is its own inverse
+        self.b = m_from_b(A.space, A.field, restrict_to_ideal(A))
         self.sdeg = {l: A.deg(l) - 1 for l in self.letters}
         self.words = bar_words(self.letters, N)
         self.word_degree = {w: sum(self.sdeg[l] for l in w) for w in self.words}
-        self.space = GradedSpace([(w, self.word_degree[w]) for w in self.words])
         self.d = self._assemble()
-        # Complex() certifies homogeneity and d_bar^2 = 0 exactly.
-        self.complex = Complex(self.space, self.d, self.field)
 
     def _assemble(self):
         d = {}
@@ -147,13 +141,13 @@ class DualTruncation:
     """Linear dual of a bar truncation: a finite DG algebra.
 
     Word functionals multiply by transposed deconcatenation,
-    U* V* = sigma(U) sigma(V) sigma(UV) (UV)*, vanishing past the weight
-    bound, where sigma(w) = (-1)^(sum_{i<j} s_i s_j) over the shifted
-    letter degrees s_i of w (word_signs).  That is the Koszul sign
-    (-1)^(|U||V|), since sigma(UV) = sigma(U) sigma(V) (-1)^(|U||V|).
-    The differential transposes d_bar via (d phi)(w) = -(-1)^|phi| phi(d w).
-    The empty-word functional is a strict unit and the longer words
-    span a nilpotent DG ideal.
+    U* V* = (-1)^(|U||V|) (UV)*, vanishing past the weight bound.  The
+    word sign sigma(w) = (-1)^(sum_{i<j} s_i s_j) over the shifted letter
+    degrees s_i of w (word_signs) obeys sigma(UV) = sigma(U) sigma(V)
+    (-1)^(|U||V|), so the signed letter products sigma(w) w_1* .. w_k*
+    are the word functionals.  The differential transposes d_bar via
+    (d phi)(w) = -(-1)^|phi| phi(d w).  The empty-word functional is a
+    strict unit and the longer words span a nilpotent DG ideal.
 
     space, the algebra and their serialization are length-lexicographic
     (bar_words).  complex has the same labels, degrees and differential
@@ -162,19 +156,20 @@ class DualTruncation:
     elimination per degree serves every step F^w of the weight
     filtration (SHatCohomology).
 
-    Construction certifies that these tables make a DG algebra, on the
-    generators: generators lists the empty word and the letters, which
-    generate S_N, and the Leibniz rule
-    d(u V) = d(u) V + (-1)^|u| u d(V) is checked on every generator u
-    and word V.  Associativity holds by construction, because the sign
-    exponent is additive in each factor, so Leibniz extends to every
-    pair by induction on word length; d^2 = 0 is certified first, by
-    the Complex.  This is the transpose of d_bar being a coderivation
-    (Keller 2001).  Leibniz fails on some pair only if it fails on a
-    generator pair, and those come first in itertools.product order, so
-    a failure raises MathCheckFailure naming the same first failing
-    arity-2 tuple, with its stasheff_residual, as a check over all pairs
-    would.
+    Construction certifies that these tables make a DG algebra.  The
+    Complex checks d^2 = 0 first; along any two steps of d the signs
+    (-1)^(1+|w|) multiply to -1, so d^2 = -(d_bar^2) transposed, and this
+    is the one d^2 check of S_N.  generators lists the empty word and
+    the letters, which generate S_N, and the Leibniz rule
+    d(u V) = d(u) V + (-1)^|u| u d(V) is checked on every letter u and
+    word V (_leibniz_failure).  Associativity holds by construction,
+    because the sign exponent is additive in each factor, so Leibniz
+    extends to every pair by induction on word length.  This is the
+    transpose of d_bar being a coderivation (Keller 2001).  Leibniz
+    fails on some pair only if it fails on a generator pair, and those
+    come first in itertools.product order, so a failure raises
+    MathCheckFailure naming the same first failing arity-2 tuple, with
+    its stasheff_residual, as a check over all pairs would.
     """
 
     def __init__(self, bar):
@@ -195,12 +190,13 @@ class DualTruncation:
             for big, c in img.items():
                 ops.add(1, (big,), {w: sign(1 + bar.word_degree[big]) * c})
         by_len = {n: list(ws) for n, ws in groupby(self.words, len)}
+        degree = bar.word_degree
         for lu in range(self.N + 1):
             for lv in range(self.N + 1 - lu):
                 for U in by_len.get(lu, ()):
                     for V in by_len.get(lv, ()):
                         ops.set(2, (U, V),
-                                {U + V: signs[U] * signs[V] * signs[U + V]})
+                                {U + V: sign(degree[U] * degree[V])})
         self.algebra = AInfAlgebra(self.space, self.field, ops, arity_bound=2,
                                    unit=())
         # Complex() certifies d^2 = 0; sorted() is stable, so words of one
@@ -219,11 +215,13 @@ class DualTruncation:
     def _leibniz_failure(self):
         """The first generator pair (u, V) where Leibniz fails, or None.
 
+        The empty word is skipped: it is the unit and d(()) = 0 (each b_s
+        turns s >= 1 letters into one), so its rows read d(V) - d(V).
         Pairs past weight N are skipped: d never lowers word length and
         products vanish past N, so there every term is zero.
         """
         d, product = self.complex.d, self.algebra.m.entries.get(2, {})
-        for u in self.generators:
+        for u in self.generators[1:]:
             sign = self.field.sign(self.space.degree[u])
             for V in takewhile(lambda V: len(u) + len(V) <= self.N, self.words):
                 acc = _apply_table(d, product.get((u, V), {}))
@@ -264,7 +262,7 @@ def first_dg_map_failure(S, table, multiply, d):
     ("differential", u).  check_tower_surjection uses it; a
     CorepresentingHom, given by its letters, needs only the second
     half, since the signed letter products of S.word_signs multiply as
-    the product of S_N, which is written from the same signs.
+    the product of S_N (DualTruncation).
     """
     m = S.algebra.m
     for u in S.generators:
@@ -448,7 +446,7 @@ def is_admissible(A):
     nonpositive degrees with finite slices, which the probe and the
     universal deformation rely on.
     """
-    if A.unit is None:
+    if _algebra(A).unit is None:
         return False
     return all(A.deg(l) >= 1 for l in A.ideal_labels())
 

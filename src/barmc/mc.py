@@ -40,6 +40,7 @@ from itertools import product as iter_product
 from random import Random
 
 from .ainfinity import (
+    _algebra,
     _base_words,
     _expand,
     _regrouped,
@@ -153,7 +154,7 @@ class DeformationSetup:
     """
 
     def __init__(self, A, R):
-        if _artinian(R).field != A.field:
+        if _artinian(R).field != _algebra(A).field:
             raise ValueError("algebra and base live over different fields")
         self.A = A
         self.R = R
@@ -546,16 +547,19 @@ class SmallExtension:
 class HomComplex:
     """(A x m, m_1^{alpha,beta}) for an MC pair.
 
-    Construction assembles the differential on the ideal part and on
-    the unit, whose image d_of_one is beta - alpha under strict
-    unitality, and certifies exactly that the ideal part squares to
-    zero and never leaves A x m.  Refused without a unit, and, by its
-    first category_op, unless both ends pass setup.is_mc.
+    Construction checks both ends with setup.is_mc once, then assembles
+    the differential on the ideal part and on the unit, whose image
+    d_of_one is beta - alpha under strict unitality; its Complex
+    certifies that the ideal part squares to zero.  That it stays in
+    A x m is validate_artinian's: m is a two-sided DG ideal.  Refused
+    without a unit.
     """
 
     def __init__(self, setup, alpha, beta):
         if setup.one_vec is None:
             raise HypothesisNotMet("the gauge groupoid needs a strict unit")
+        setup.require_mc((alpha, beta),
+                         "category operations are defined on MC objects only")
         self.setup = setup
         self.field = setup.field
         self.alpha = alpha
@@ -564,12 +568,9 @@ class HomComplex:
         unit, = setup.one_vec
         d = {}
         for l in setup.ideal + [unit]:
-            img = setup.category_op([alpha, beta], [{l: one}])
-            for out in img:
-                if l != unit and out not in setup._ideal_set:
-                    raise MathCheckFailure(
-                        "twisted differential leaves A x m at %r -> %r"
-                        % (l, out))
+            img = setup._insertions(setup.T.eval_m_vectors,
+                                    setup.A.arity_bound, [alpha, beta],
+                                    [{l: one}])
             if img:
                 d[l] = img
         self.d_of_one = d.pop(unit, {})
@@ -626,7 +627,8 @@ class HomSet:
 
     The equation is affine-linear, so the solution set is a coset of a
     kernel and the orbit space a coset quotient; no search happens.
-    Its HomComplex refuses ends that fail setup.is_mc.
+    Its HomComplex refuses ends that fail setup.is_mc, and its Complex
+    certifies d_0 d_(-1) = 0, which puts the gauge image in the kernel.
     """
 
     def __init__(self, setup, alpha, beta):
@@ -655,8 +657,6 @@ class HomSet:
             self.particular = vec_clean(
                 {deg0[j]: c for j, c in particular.items()})
             quotient_dim = len(self.kernel_vecs) - self.image.dim
-            if quotient_dim < 0:
-                raise MathCheckFailure("gauge image escapes the kernel")
             p = self.field.p
             self.count = p ** quotient_dim if p else (
                 1 if quotient_dim == 0 else None)
@@ -680,11 +680,8 @@ class HomSet:
                 quotient.append(v)
         if not self.field.p and quotient:
             raise HypothesisNotMet("infinitely many orbits over this field")
-        reps = [MCMorphism(self, self.image.reduce(u))
+        return [MCMorphism(self, self.image.reduce(u))
                 for u in _span_points(self.field, self.particular, quotient)]
-        if len(reps) != self.count:
-            raise MathCheckFailure("orbit enumeration disagrees with the count")
-        return reps
 
     def classify(self, g):
         """The orbit of an explicit morphism vector g = 1 + u."""
@@ -1195,12 +1192,16 @@ def pushforward_morphism(f, R, alpha, beta, g):
     """f_R^* on a morphism vector g: sum of insertions f(beta^i, g, alpha^j).
 
     The insertion sum through f x mu_R at lam = -1: i(i-1)/2 per slot
-    in place of the object-level i(i+1)/2.
+    in place of the object-level i(i+1)/2.  Both ends must pass is_mc
+    over the source (HypothesisNotMet), and g must be a vector on
+    A x R (ValueError).
     """
     _require_strictly_unital(f)
-    return DeformationSetup(f.source, R)._insertions(
-        lambda vecs: _eval_f_tensor(f, R, vecs), f.arity_bound,
-        [alpha, beta], [g], lam=-1)
+    src = DeformationSetup(f.source, R)
+    src.require_mc([alpha, beta], "pushforward is defined on MC elements")
+    _check_vector(g, src.field, "morphism", src.T.space.index, "A x R")
+    return src._insertions(lambda vecs: _eval_f_tensor(f, R, vecs),
+                           f.arity_bound, [alpha, beta], [g], lam=-1)
 
 
 class InvarianceReport:

@@ -26,6 +26,7 @@ the same splitting and hence the same model.
 from itertools import product as iter_product
 
 from .ainfinity import (
+    _algebra,
     _degree_window_bound,
     AInfAlgebra,
     AInfMorphism,
@@ -256,7 +257,7 @@ def minimal_model(C, arity_max):
     """
     if _integer(arity_max, "arity_max") < 2:
         raise ValueError("arity_max must be at least 2, got %d" % (arity_max,))
-    if C.m.max_arity() > 2:
+    if _algebra(C).m.max_arity() > 2:
         raise ValueError(
             "minimal models are transferred from DG algebras (arity <= 2)")
     t = build_splitting(C)

@@ -20,10 +20,10 @@ The word-algebra map is forced by multiplicativity from its
 weight-one entries and certified to be a DG algebra map on the
 generators of S_N, which extends to every word by induction on word
 length.  The product half does not depend on the element: the product
-of S_N is written from the word sign sigma (bar.DualTruncation, which
-certifies its Leibniz rule on the generators once per S_N), and the
+of S_N is U* V* = (-1)^(|U||V|) (UV)* (bar.DualTruncation, which
+certifies its Leibniz rule on the letters once per S_N), and the
 signed letter products w |-> sigma(w) rho(a_1) .. rho(a_k) multiply by
-the same signs for every letter assignment.  Each element passes
+that sign for every letter assignment.  Each element passes
 is_mc, which places its letter images, and certifies the
 differential on the generators; a word's image is computed only when
 it is read.  TwistedModule's complex certifies that the twisted
@@ -76,6 +76,7 @@ from .mc import (
     _gauge_classes,
     _check_vector,
     _insertion_sum,
+    _require_morphism,
     _span_points,
     _vec_key,
 )
@@ -104,9 +105,9 @@ class CorepresentingHom:
     (bar.dual_dg_algebra) of setup.A; the order N is S.N.
 
     What makes this THE corepresenting map holds in two halves.  The
-    product of S_N is U* V* = sigma(U) sigma(V) sigma(UV) (UV)*, written
-    from the same signs S.word_signs this map reads, and it vanishes
-    when |U| + |V| > N.  The signed letter products of any rho
+    product of S_N is U* V* = (-1)^(|U||V|) (UV)*, the sign by which
+    the signs S.word_signs this map reads multiply, sigma(UV) =
+    sigma(U) sigma(V) (-1)^(|U||V|), and it vanishes when |U| + |V| > N.  The signed letter products of any rho
     therefore multiply as S_N does when R is associative, graded with m
     an ideal (validate_artinian), and m^(N+1) = 0: a word of length
     N + 1 or more maps to a product of that many elements of m.  The
@@ -437,6 +438,7 @@ class ModuleIsomorphism:
     """
 
     def __init__(self, setup, g):
+        _require_morphism(g)
         self.setup = setup
         self.field = setup.field
         self.g = g

@@ -313,11 +313,12 @@ def test_dual_refuses_a_bar_differential_that_is_not_a_coderivation(
 
 def test_each_dual_is_certified_once_at_arity_two(monkeypatch):
     """The Leibniz certificate on the generators runs once per
-    DualTruncation, over the koszul benchmark jobs and the comparison;
-    bar.py no longer runs the all-pairs check_ainf_axioms."""
+    DualTruncation, and bar.py builds one Complex, the one d^2 check,
+    per DualTruncation, over the koszul benchmark jobs and the
+    comparison; bar.py no longer runs the all-pairs check_ainf_axioms."""
     import barmc.bar as bar_module
     assert not hasattr(bar_module, "check_ainf_axioms")
-    checked, built = [], []
+    checked, built, complexes = [], [], []
     real_check, real_init = DualTruncation._leibniz_failure, \
         DualTruncation.__init__
 
@@ -329,14 +330,35 @@ def test_each_dual_is_certified_once_at_arity_two(monkeypatch):
         real_init(self, bar)
         built.append(self)
 
+    def counting_complex(*args):
+        complexes.append(Complex(*args))
+        return complexes[-1]
+
     monkeypatch.setattr(DualTruncation, "_leibniz_failure", counting_check)
     monkeypatch.setattr(DualTruncation, "__init__", recording_init)
+    monkeypatch.setattr(bar_module, "Complex", counting_complex)
     koszul_probe(kpoints(Q, 2), 5)
     koszul_probe(kpoints(F3, 3), 3)
     koszul_probe(xy(Q), 4)
     assert prorep_compare(njac(F3, 2), truncated_polynomial(F3, 3), 3).ok
     assert len(built) == 4
     assert checked == built
+    assert [S.complex for S in built] == complexes
+
+
+def test_dual_refuses_an_algebra_that_is_not_associative():
+    """kpoints(Q, 3) with m_2(e12, e3) negated fails associativity on
+    (e1, e2, e3), so d_bar^2 != 0; the dual's Complex, the one d^2 check
+    of S_N, refuses it with ValueError.  (kpoints(Q, 2) has no nonzero
+    associator on its ideal, so negating one of its entries does not.)"""
+    A = kpoints(Q, 3)
+    ops = A.m.copy()
+    ops.set(2, ("e12", "e3"), {"e123": -Q.one})
+    B = AInfAlgebra(A.space, Q, ops, arity_bound=2, unit=A.unit)
+    assert not check_ainf_axioms(B, 3).ok
+    for refuse in (dual_dg_algebra, koszul_probe):
+        with pytest.raises(ValueError, match=re.escape("d*d is nonzero")):
+            refuse(B, 3)
 
 
 def _dual_cases():
@@ -346,10 +368,10 @@ def _dual_cases():
 
 
 def test_dual_tables_match_the_all_pairs_oracle():
-    """The product written from the word signs is the (-1)^(|U||V|)
-    product, the word signs are the prefix products of the Koszul
-    signs, and the all-pairs arity-2 check accepts what the generator
-    certificate accepts."""
+    """The product written from the word degrees is the oracle's
+    (-1)^(|U||V|) product, the word signs are the prefix products of
+    the Koszul signs, and the all-pairs arity-2 check accepts what the
+    generator certificate accepts."""
     for A, N in _dual_cases():
         bar = BarTruncation(A, N)
         S = DualTruncation(bar)
@@ -360,6 +382,30 @@ def test_dual_tables_match_the_all_pairs_oracle():
             degs = [bar.sdeg[l] for l in w]
             assert S.word_signs[w] == S.field.sign(
                 tensor_block_exponent(degs, degs))
+
+
+def test_empty_word_leibniz_rows_are_zero():
+    """The Leibniz rows the certificate skips, u = (), are zero: d(()) = 0
+    and d(() V) = d(V), over the golden probes, the other two duals the
+    benchmark builds and the admissible F_2 and F_3 draws (seeds 0-39)
+    at N = 3."""
+    cases = [(make(), N) for make, N in GOLDEN_PROBES]
+    cases += [(kpoints(F3, 3), 3), (njac(F3, 2), 3)]
+    cases += [(A, 3) for field in (F2, F3) for seed in range(40)
+              for A in [random_instance(field, seed)[0]] if is_admissible(A)]
+    assert len(cases) == 71
+    rows = 0
+    for A, N in cases:
+        S = dual_dg_algebra(A, N)
+        d, product = S.complex.d, S.algebra.m.entries[2]
+        assert () not in d and all(() not in v for v in d.values())
+        for V in S.words:
+            acc = S.complex.apply_d(product[((), V)])
+            for y, c in d.get(V, {}).items():
+                vec_add(acc, product[((), y)], -c)
+            assert vec_clean(acc) == {}, (A, N, V)
+            rows += 1
+    assert rows == 4060
 
 
 def test_dual_refuses_what_the_all_pairs_oracle_refuses():

@@ -5,10 +5,10 @@ elements and gauge vectors go to the entry points that take them.
 Every call must return a value or raise ValueError, HypothesisNotMet or
 MathCheckFailure.  Scalar's own refusals are exempt: the TypeError it
 raises on a float or a bool and the FieldMismatch it raises on mixed
-fields.  Field arguments and algebra arguments are not replaced by
-junk (their documented types are Field and AInfAlgebra); a base may be
-swapped for the bare algebra under it, which is the mistake a caller
-makes.
+fields.  Field arguments are not replaced by junk (their documented
+type is Field).  An algebra argument may be replaced by junk, a base,
+its StructureMaps or its Field, and a base may be swapped for the bare
+algebra under it: those are the mistakes a caller makes.
 
 The mutations come from random.Random with fixed seeds and the inputs
 stay small, so the file runs in seconds in one process.
@@ -59,10 +59,12 @@ from barmc.mc import (
     MCGroupoid,
     enumerate_mc,
     lift_mc,
+    mc_residual,
     obstruction_o0,
     obstruction_o1,
     obstruction_o2,
     pi0,
+    pushforward_morphism,
 )
 from barmc.scalars import Field, FieldMismatch
 from barmc.serialize import (
@@ -76,6 +78,7 @@ from barmc.transfer import minimal_model
 from barmc.twisting import (
     CorepresentingHom,
     H0Presentation,
+    ModuleIsomorphism,
     TwistedModule,
     UniversalDeformation,
     algebra_maps,
@@ -205,20 +208,23 @@ def _calls():
         (Field.prime, (5,), (0,)),
         (quotient_by_power, (R3, 2), (0, 1)),
         (fiber_product, (R2, truncated_polynomial(F2, 2, var="s")), (0, 1)),
-        (dual_dg_algebra, (A2, 2), (1,)),
-        (koszul_probe, (A2, 2), (1,)),
-        (SHatCohomology, (A2, 2), (1,)),
-        (check_ainf_axioms, (A2, 3), (1,)),
-        (DeformationSetup, (A1, R2), (1,)),
-        (enumerate_mc, (A1, R2, 64), (1, 2)),
-        (pi0, (A1, R2, 64), (1, 2)),
-        (lift_mc, (xy(F2), R2, {}, 1), (1, 2, 3)),
-        (obstruction_o2, (xy(F2), R2, {}, 1), (1, 2, 3)),
-        (prorep_compare, (A1, R2, 3, 64), (1, 2, 3)),
-        (UniversalDeformation, (kpoints(Q, 1), 2), (1,)),
-        (UniversalDeformation, (random_instance(F3, 7)[0], 3), (1,)),
+        (dual_dg_algebra, (A2, 2), (0, 1)),
+        (BarTruncation, (A2, 2), (0, 1)),
+        (koszul_probe, (A2, 2), (0, 1)),
+        (SHatCohomology, (A2, 2), (0, 1)),
+        (check_ainf_axioms, (A2, 3), (0, 1)),
+        (DeformationSetup, (A1, R2), (0, 1)),
+        (mc_residual, (A1, R2, {}), (0, 1, 2)),
+        (enumerate_mc, (A1, R2, 64), (0, 1, 2)),
+        (pi0, (A1, R2, 64), (0, 1, 2)),
+        (lift_mc, (xy(F2), R2, {}, 1), (0, 1, 2, 3)),
+        (obstruction_o2, (xy(F2), R2, {}, 1), (0, 1, 2, 3)),
+        (prorep_compare, (A1, R2, 3, 64), (0, 1, 2, 3)),
+        (UniversalDeformation, (kpoints(Q, 1), 2), (0, 1)),
+        (UniversalDeformation, (random_instance(F3, 7)[0], 3), (0, 1)),
         (minimal_model, (tensor_with_dg(kpoints(F2, 1), acyclic_cone(F2)),
-                         3), (1,)),
+                         3), (0, 1)),
+        (tensor_with_dg, (A2, acyclic_cone(F2)), (0, 1)),
     ]
 
 
@@ -227,6 +233,8 @@ def _replacements(value):
     out = list(JUNK)
     if hasattr(value, "algebra"):  # a base: offer the bare algebra too
         out.append(value.algebra)
+    if isinstance(value, AInfAlgebra):  # an algebra: offer a base too
+        out += [truncated_polynomial(value.field, 2), value.m, value.field]
     return out
 
 
@@ -406,6 +414,20 @@ def _groupoid():
     return MCGroupoid(DeformationSetup(njac(F2, 1), truncated_polynomial(F2, 3)))
 
 
+def _pushforward_identity(A, R, alpha, g):
+    return pushforward_morphism(identity_morphism(A), R, alpha, alpha, g)
+
+
+def test_pushforward_morphism_refuses_ends_that_are_not_mc():
+    """alpha = x t is not MC over k[t]/t^3 (pushforward_mc refuses it
+    too); pushforward_morphism refuses it before evaluating anything."""
+    A, R = xy(F2), truncated_polynomial(F2, 3)
+    alpha = {("x", "t"): F2.one}
+    assert not DeformationSetup(A, R).is_mc(alpha)
+    with pytest.raises(HypothesisNotMet, match="defined on MC elements"):
+        _pushforward_identity(A, R, alpha, {("1", "1"): F2.one})
+
+
 def _algebra_with_op_above_bound():
     ops = StructureMaps({3: {("a", "a", "a"): {"a": Q.one}}})
     AInfAlgebra(GradedSpace([("a", 1)]), Q, ops, arity_bound=2)
@@ -465,6 +487,28 @@ def _algebra_with_op_above_bound():
     (lambda: _groupoid().identity(5), "element 5 is not a dict"),
     (lambda: _groupoid().compose("x", "y"), "MCMorphism, got str"),
     (lambda: _groupoid().invert(None), "MCMorphism, got NoneType"),
+    (lambda: _pushforward_identity(xy(F2), truncated_polynomial(F2, 3), {},
+                                   {("zz", "1"): F2.one}),
+     "component ('zz', '1') outside A x R"),
+    (lambda: _pushforward_identity(xy(F3), truncated_polynomial(F3, 3), {},
+                                   {("1", "1"): F2.one}),
+     "is not a scalar over F3"),
+    (lambda: koszul_probe(truncated_polynomial(F2, 3), 2),
+     "AInfAlgebra, got ArtinianDGAlgebra; for an artinian base pass its "
+     ".algebra"),
+    (lambda: BarTruncation(None, 2), "AInfAlgebra, got NoneType"),
+    (lambda: check_ainf_axioms(StructureMaps(), 2),
+     "AInfAlgebra, got StructureMaps"),
+    (lambda: DeformationSetup(F2, truncated_polynomial(F2, 3)),
+     "AInfAlgebra, got Field"),
+    (lambda: pi0("x", truncated_polynomial(F2, 3)), "AInfAlgebra, got str"),
+    (lambda: minimal_model(3, 3), "AInfAlgebra, got int"),
+    (lambda: tensor_with_dg({}, acyclic_cone(F2)), "AInfAlgebra, got dict"),
+    (lambda: tensor_with_dg(kpoints(F2, 1), truncated_polynomial(F2, 2)),
+     "AInfAlgebra, got ArtinianDGAlgebra; for an artinian base pass its "
+     ".algebra"),
+    (lambda: ModuleIsomorphism(_groupoid().setup, None),
+     "MCMorphism, got NoneType"),
 ], ids=["prorep-bare-algebra", "gauge-part-int", "o1-int", "op-int-slots",
         "project-none",
         "kpoints-str", "random-instance-str", "poly-degree-str",
@@ -479,7 +523,11 @@ def _algebra_with_op_above_bound():
         "apply-word-too-long", "apply-unknown-word", "apply-none-coefficient",
         "apply-int-coefficient", "maps-across-fields-free",
         "maps-across-fields-related", "maps-of-none", "presentation-of-none",
-        "identity-of-int", "compose-of-str", "invert-of-none"])
+        "identity-of-int", "compose-of-str", "invert-of-none",
+        "pushforward-foreign-label", "pushforward-foreign-field",
+        "probe-of-base", "bar-of-none", "axioms-of-maps", "setup-of-field",
+        "pi0-of-str", "minimal-model-of-int", "tensor-of-dict",
+        "tensor-with-base", "module-iso-of-none"])
 def test_entry_point_refuses_with_value_error(call, named):
     with pytest.raises(ValueError, match=re.escape(named)):
         call()

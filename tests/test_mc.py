@@ -474,6 +474,29 @@ def test_category_op_refuses_non_mc_objects():
                                            [{("1", "t"): F2.one}])
 
 
+def test_hom_complex_checks_its_ends_once(monkeypatch):
+    """One HomComplex asks is_mc once per end, not once per label, and a
+    non-MC end is refused with the category-operation message."""
+    A, R = njac(F3, 1), truncated_polynomial(F3, 3)
+    setup = DeformationSetup(A, R)
+    alpha, beta = setup.enumerate_mc()[:2]
+    calls = []
+    real = DeformationSetup.is_mc
+
+    def counted(self, a):
+        calls.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(DeformationSetup, "is_mc", counted)
+    HomComplex(setup, alpha, beta)
+    assert calls == [alpha, beta] and len(setup.ideal) > 2
+    bad = {("x", "t"): F2.one}
+    xy_setup = DeformationSetup(xy(F2), truncated_polynomial(F2, 3))
+    with pytest.raises(HypothesisNotMet, match="^category operations are "
+                       "defined on MC objects only$"):
+        HomComplex(xy_setup, bad, bad)
+
+
 def test_hom_complex_squares_to_zero_on_xy_example():
     A = xy(F2)
     R = truncated_polynomial(F2, 3)

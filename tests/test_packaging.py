@@ -305,13 +305,34 @@ def test_no_function_is_a_second_name_for_a_class():
 
 
 # S_N and the maps out of it are certified on the generators of S_N.
-# DualTruncation writes its product from the word sign sigma, so it is
-# associative by construction, and checks the Leibniz rule on generators
-# times words once per build.  A corepresenting map checks its letters and
-# d on the generators per element; its products follow from sigma.  A full
-# word table goes through bar.first_dg_map_failure.  The all-pairs checks
-# of S_N and of maps out of it, and the eager corepresenting table, live in
-# tests/oracles.py.
+# DualTruncation writes its product from the word-degree sign
+# (-1)^(|U||V|), so it is associative by construction, checks d^2 = 0
+# once through its Complex, and checks the Leibniz rule on letters times
+# words once per build.  A corepresenting map checks its letters and d on
+# the generators per element; its products follow from the word signs.  A
+# full word table goes through bar.first_dg_map_failure.  The all-pairs
+# checks of S_N and of maps out of it, and the eager corepresenting table,
+# live in tests/oracles.py.
+
+
+def _calls_outside(path, cls, names):
+    """Calls to names in path that are not inside the class cls."""
+    tree = ast.parse(path.read_text(), str(path))
+    inside = {id(node) for c in ast.walk(tree)
+              if isinstance(c, ast.ClassDef) and c.name == cls
+              for node in ast.walk(c)}
+    return ["%s:%d calls %s" % (path.name, node.lineno, _callee(node))
+            for node in ast.walk(tree)
+            if _callee(node) in names and id(node) not in inside]
+
+
+def test_only_the_dual_builds_a_complex_or_an_algebra_in_bar():
+    """bar.py certifies S_N once: the Complex and the AInfAlgebra of S_N
+    are built in DualTruncation, and nowhere else in the module."""
+    path = ROOT / "src" / "barmc" / "bar.py"
+    names = {"Complex", "AInfAlgebra"}
+    assert _calls_outside(path, "DualTruncation", names) == []
+    assert len(_calls_outside(path, None, names)) == 2  # one each, there
 
 
 def _word_loops(node):
