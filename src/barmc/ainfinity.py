@@ -221,6 +221,13 @@ def _algebra(A):
     return A
 
 
+def _morphism(f):
+    """f when it is an AInfMorphism, else ValueError naming its type."""
+    if not isinstance(f, AInfMorphism):
+        raise ValueError("expected an AInfMorphism, got %s" % type(f).__name__)
+    return f
+
+
 def _expand(field, vecs, value):
     """The multilinear extension of value(label tuple) to vecs, fresh.
 
@@ -648,7 +655,7 @@ def check_ainf_morphism(f, n_max):
     morphism_residual.  Arities above the component bound of f are
     reported as unchecked rather than failed.
     """
-    top = min(_integer(n_max, "n_max"), f.arity_bound)
+    top = min(_integer(n_max, "n_max"), _morphism(f).arity_bound)
     note = None
     if top < n_max:
         note = "arities %d..%d not checked (component bound %d)" % (
@@ -744,7 +751,7 @@ def compose_morphisms(g, f, arity_bound=None):
     visited.  Entries come in itertools.product order over the source
     labels and outputs in the target's label order.
     """
-    if f.target is not g.source:
+    if _morphism(f).target is not _morphism(g).source:
         raise ValueError("morphisms do not compose")
     bound = arity_bound or min(f.arity_bound, g.arity_bound)
     A1 = f.source
@@ -772,7 +779,7 @@ def compose_morphisms(g, f, arity_bound=None):
 
 def unitize(A, unit_label="e"):
     """Adjoin a strict unit: k 1 + A with the unit laws and nothing else."""
-    if unit_label in A.space.index:
+    if unit_label in _algebra(A).space.index:
         raise ValueError("label %r already used" % (unit_label,))
     basis = [(unit_label, 0)] + [(l, A.space.degree[l]) for l in A.space.labels]
     space = GradedSpace(basis)
@@ -865,9 +872,9 @@ def _base_words(C, n):
 
     Entry k of the list is a dict from each word of length k + 1 whose
     product is nonzero to that product, in itertools.product order over
-    C's labels.  Words are built by prefix extension, as
-    bar.word_products builds them for S_N: a word whose prefix product
-    vanishes vanishes too, so only nonzero prefixes are extended.
+    C's labels.  Words are built by prefix extension: a word whose
+    prefix product vanishes vanishes too, so only nonzero prefixes are
+    extended.
     """
     layers = [{(c,): {c: C.field.one} for c in C.space.labels}]
     while len(layers) < n:
@@ -944,7 +951,7 @@ def cohomology_algebra(A):
     defined on classes).  Associativity of the induced product is not
     checked.
     """
-    cx = A.complex()
+    cx = _algebra(A).complex()
     cohs = {}
     reps = {}
     labels = []

@@ -11,7 +11,7 @@ computes the nilpotency index, and classifies R as negative
 (degrees <= 0) or classical (degree 0 only).
 """
 
-from .ainfinity import (_right_products, AInfAlgebra, StructureMaps,
+from .ainfinity import (_algebra, _right_products, AInfAlgebra, StructureMaps,
                         check_ainf_axioms, check_strict_unit)
 from .errors import _integer
 from .linalg import GradedSpace, Subspace, vec_clean
@@ -59,7 +59,7 @@ def validate_artinian(A):
     here, so callers can surface all violations at once.
     """
     problems = []
-    if A.m.max_arity() > 2:
+    if _algebra(A).m.max_arity() > 2:
         return ArtinianReport(False, ["operations above arity 2 present"])
     if A.unit is None:
         return ArtinianReport(

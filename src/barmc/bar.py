@@ -20,10 +20,10 @@ given by a full word table is certified on the generators too
 from the word signs and checks only the differential of the
 generators (twisting.CorepresentingHom).
 
-SHatCohomology computes H^0(S_N) when it is built and every other
-degree when first read: the classical comparison reads H^0 alone
-(twisting.prorep_compare), the Koszulness probe reads every degree.
-Both refuse an A that is not admissible before S_N is built.
+SHatCohomology computes each degree of H(S_N) when it is first read;
+the Koszulness probe reads every degree, and refuses an A that is not
+admissible before S_N is built.  The classical comparison builds no
+S_N: it reads H^0(S_N) off the tables of A (twisting.H0Presentation).
 
 Everything this module reports about cohomology, Koszulness, or
 presentations of H^0 is an order-N certificate about these finite
@@ -72,17 +72,26 @@ def bar_words(letters, weight_bound):
     return words
 
 
-def word_products(words, multiply, unit, image):
-    """Every word's ordered letter product, out[w[:-1]] . image[w[-1]].
+def bar_tables(A, N):
+    """The components b_n on the augmentation ideal of A, for weight N.
 
-    words is length-lexicographic (bar_words), so each prefix is ready
-    before its extensions; the empty word goes to unit.
+    The suspension rescaling b_from_m applies, which is its own
+    inverse, on restrict_to_ideal(A) (ValueError when the ideal is not
+    closed).  Refused first: an A that is no augmented AInfAlgebra and
+    a negative N (ValueError), and an A not complete to the arities a
+    weight-N word can merge (HypothesisNotMet).
     """
-    out = {(): unit}
-    for w in words:
-        if w:
-            out[w] = multiply(out[w[:-1]], image[w[-1]])
-    return out
+    if _algebra(A).unit is None:
+        raise ValueError("bar construction needs an augmented algebra")
+    if _integer(N, "the weight bound N") < 0:
+        raise ValueError("weight bound must be nonnegative")
+    needed = min(N, A.arity_bound)
+    if not A.op_complete_for(needed):
+        raise HypothesisNotMet(
+            "weight-%d truncation applies operations up to arity %d, but "
+            "the algebra is only complete to arity %d"
+            % (N, needed, A.complete_to_arity))
+    return m_from_b(A.space, A.field, restrict_to_ideal(A))
 
 
 class BarTruncation:
@@ -94,22 +103,11 @@ class BarTruncation:
     """
 
     def __init__(self, A, N):
-        if _algebra(A).unit is None:
-            raise ValueError("bar construction needs an augmented algebra")
-        if _integer(N, "the weight bound N") < 0:
-            raise ValueError("weight bound must be nonnegative")
-        needed = min(N, A.arity_bound)
-        if not A.op_complete_for(needed):
-            raise HypothesisNotMet(
-                "weight-%d truncation applies operations up to arity %d, but "
-                "the algebra is only complete to arity %d"
-                % (N, needed, A.complete_to_arity))
+        self.b = bar_tables(A, N)
         self.A = A
         self.N = N
         self.field = A.field
         self.letters = A.ideal_labels()
-        # the suspension rescaling b_from_m applies; it is its own inverse
-        self.b = m_from_b(A.space, A.field, restrict_to_ideal(A))
         self.sdeg = {l: A.deg(l) - 1 for l in self.letters}
         self.words = bar_words(self.letters, N)
         self.word_degree = {w: sum(self.sdeg[l] for l in w) for w in self.words}
@@ -262,7 +260,9 @@ def first_dg_map_failure(S, table, multiply, d):
     ("differential", u).  check_tower_surjection uses it; a
     CorepresentingHom, given by its letters, needs only the second
     half, since the signed letter products of S.word_signs multiply as
-    the product of S_N (DualTruncation).
+    the product of S_N (DualTruncation).  The classical comparison
+    needs neither: it certifies its maps on the relations of H^0 read
+    off A (twisting.induced_map).
     """
     m = S.algebra.m
     for u in S.generators:
@@ -339,28 +339,21 @@ class SHatCohomology:
     weight.  A kernel vector is supported on its free column and on
     pivot columns before it, whose words are no shorter, so the weight
     of a representative is the length of its shortest word.
-    weight_reps lists the degree-0 representatives by weight, stably,
-    and class_coords is h0.project renumbered into that order.
+    weight_reps lists the degree-0 representatives by weight, stably.
 
     For an admissible A, S_N sits in degrees <= 0, so d vanishes on
     degree 0 and the degree-0 kernel basis is the unit vectors of the
     degree-0 words, longest first and in length-lexicographic order
     within a length.  Those are the cocycles a separate pass per weight
     w = N..0 would insert into the same boundary span in the same
-    order, so weight_reps, and the product table read off them, are
-    that per-weight choice.
+    order, so weight_reps is that per-weight choice.
 
-    H^0 is computed at construction, from the blocks of d in degrees -1
-    and 0 only; it is all the comparison reads.  The other degrees are
-    computed when filtered_dims or total_dims is first read, as the
-    Koszulness probe does.
-
-    The product on H^0 is well defined because S_N is a DG algebra,
-    which its construction certified (DualTruncation raises
-    MathCheckFailure with the failing tuple otherwise).  By Leibniz a
-    product of cocycles is a cocycle, and for a cocycle v and any b,
-    (db) v = d(b v) and v (db) = +-d(v b), so boundaries form an ideal
-    in the cocycles.  Nothing further is checked here.
+    Every degree is computed when it is first read: H^0 (h0,
+    weight_reps, weight_dims) from the blocks of d in degrees -1 and 0,
+    the others through filtered_dims or total_dims, as the Koszulness
+    probe reads them.  Nothing here multiplies classes; the classical
+    comparison reads H^0 as an algebra off the tables of A
+    (twisting.H0Presentation).
     """
 
     def __init__(self, A, N):
@@ -368,12 +361,19 @@ class SHatCohomology:
         self.N = N
         self.field = self.S.field
         self.cx = self.S.complex
-        self.h0 = self.cx.cohomology(0)
-        reps = self.h0.representatives
-        order = sorted(range(len(reps)), key=lambda j: _weight(reps[j]))
-        self.weight_reps = [(_weight(reps[j]), reps[j]) for j in order]
-        self._slot = {j: i for i, j in enumerate(order)}
-        self.weight_dims = self._weight_dims(0)
+
+    @cached_property
+    def h0(self):
+        return self.cx.cohomology(0)
+
+    @cached_property
+    def weight_reps(self):
+        return sorted(((_weight(v), v) for v in self.h0.representatives),
+                      key=lambda wv: wv[0])
+
+    @cached_property
+    def weight_dims(self):
+        return self._weight_dims(0)
 
     @cached_property
     def total_dims(self):
@@ -390,40 +390,6 @@ class SHatCohomology:
         for v in self.cx.cohomology(degree).representatives:
             dims[_weight(v)] += 1
         return dims
-
-    def class_coords(self, vec):
-        """Coordinates of a degree-0 cocycle's class in the adapted basis:
-        h0.project, renumbered into weight_reps order."""
-        return dict(sorted((self._slot[j], c)
-                           for j, c in self.h0.project(vec).items()))
-
-    def product_class(self, u, v):
-        """Class of u v for degree-0 cocycles u, v, in adapted coordinates."""
-        return self.class_coords(self.S.algebra.eval_m_vectors([u, v]))
-
-    def weight_one_reps(self):
-        return [v for w, v in self.weight_reps if w == 1]
-
-    def weight1_commutators_vanish(self):
-        reps = self.weight_one_reps()
-        alg = self.S.algebra
-        for i, u in enumerate(reps):
-            for v in reps[i + 1:]:
-                c = alg.eval_m_vectors([u, v])
-                vec_add(c, alg.eval_m_vectors([v, u]), -self.field.one)
-                if not self.h0.class_is_zero(vec_clean(c)):
-                    return False
-        return True
-
-    def product_table(self):
-        """Products of adapted representatives, as class coordinates."""
-        table = {}
-        for i, (_, u) in enumerate(self.weight_reps):
-            for j, (_, v) in enumerate(self.weight_reps):
-                coords = self.product_class(u, v)
-                if coords:
-                    table[(i, j)] = coords
-        return table
 
     def h_dim_table(self):
         """Nonzero filtered dimensions by (degree, weight)."""
@@ -462,23 +428,6 @@ def weight_raise_bound(A, N):
         if 2 <= s <= N and any(v for v in table.values()):
             r = max(r, s - 1)
     return r
-
-
-def _admissible_cohomology(A, N, needs):
-    """SHatCohomology(A, N) for an admissible A, refused before S_N is built.
-
-    needs names the caller in the refusal.  An admissible A puts S_N in
-    degrees <= 0, which the probe's windows and the comparison's H^0
-    argument rely on; a positive degree is an engine fault.
-    """
-    if not is_admissible(A):
-        raise HypothesisNotMet(
-            "%s needs a strictly unital augmented algebra whose "
-            "augmentation ideal sits in degrees >= 1" % needs)
-    rep = SHatCohomology(A, N)
-    if rep.S.space.degrees_present()[-1] > 0:
-        raise MathCheckFailure("admissible input produced positive dual degrees")
-    return rep
 
 
 class KoszulVerdict:
@@ -524,9 +473,17 @@ def koszul_probe(A, N):
     bounding elements it could receive stay inside the truncation, so
     the graded slice gr_w H^i agrees with every deeper truncation.  A
     truncation-level certificate only; refuses non-admissible input,
-    where the probe has no degree bounds to work with.
+    where the probe has no degree bounds to work with, before S_N is
+    built.  An admissible A puts S_N in degrees <= 0, which the
+    windows rely on; a positive degree is an engine fault.
     """
-    rep = _admissible_cohomology(A, N, "koszul probe")
+    if not is_admissible(A):
+        raise HypothesisNotMet(
+            "koszul probe needs a strictly unital augmented algebra whose "
+            "augmentation ideal sits in degrees >= 1")
+    rep = SHatCohomology(A, N)
+    if rep.S.space.degrees_present()[-1] > 0:
+        raise MathCheckFailure("admissible input produced positive dual degrees")
     w_hi = N - weight_raise_bound(A, N)
     failures = [(i, w, dims[w]) for i, dims in sorted(rep.filtered_dims.items())
                 if i for w in range(w_hi + 1) if dims[w]]

@@ -24,9 +24,11 @@ Linear systems go through one of two interfaces:
   coordinate tags through which it tracks combinations.
 
 ``Cohomology`` builds the ``SpanSolver`` that gives class coordinates
-on the first ``project`` call (``bar.SHatCohomology.class_coords``
-reads it), so a caller that only reads dimensions and representatives,
-such as the Koszul probe, never builds it.
+on the first ``project`` call, so a caller that only reads dimensions
+and representatives, such as the Koszul probe, never builds it.
+Nothing in the package asks for class coordinates in S_N: the
+classical comparison reads H^0 as a presentation off the algebra
+(``twisting.H0Presentation``).
 """
 
 from bisect import bisect

@@ -43,6 +43,7 @@ from .ainfinity import (
     _algebra,
     _base_words,
     _expand,
+    _morphism,
     _regrouped,
     check_ainf_morphism,
     check_strict_unit,
@@ -552,12 +553,12 @@ class HomComplex:
     d_of_one is beta - alpha under strict unitality; its Complex
     certifies that the ideal part squares to zero.  That it stays in
     A x m is validate_artinian's: m is a two-sided DG ideal.  Refused
-    without a unit.
+    unless the unit of A is strict (setup.require_strict_unit), the
+    one gate that MCGroupoid.hom, HomSet and pi_0 all pass through.
     """
 
     def __init__(self, setup, alpha, beta):
-        if setup.one_vec is None:
-            raise HypothesisNotMet("the gauge groupoid needs a strict unit")
+        setup.require_strict_unit()
         setup.require_mc((alpha, beta),
                          "category operations are defined on MC objects only")
         self.setup = setup
@@ -1163,7 +1164,7 @@ def _eval_f_tensor(f, R, vecs):
 
 
 def _require_strictly_unital(f):
-    rep = check_strict_unital_morphism(f)
+    rep = check_strict_unital_morphism(_morphism(f))
     if not rep.ok:
         raise HypothesisNotMet("pushforward needs a strictly unital morphism")
 

@@ -158,7 +158,7 @@ def build_splitting(C):
     model strictly unital without any cleanup pass; a declared unit
     whose line fails to separate is rejected.
     """
-    if C.m.max_arity() > 2:
+    if _algebra(C).m.max_arity() > 2:
         raise ValueError("splittings are built for DG algebras (arity <= 2)")
     field = C.field
     one = field.one

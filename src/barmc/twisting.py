@@ -30,12 +30,14 @@ it is read.  TwistedModule's complex certifies that the twisted
 differential squares to zero, and the module Stasheff identities are
 checked on every mixed tuple.
 The classical comparison runs both sides by exhaustion: algebra maps
-out of a generators-and-relations presentation of H^0(S_N) on one
-side, gauge classes on the other, matched through the corepresenting
-maps.  It reads H^0(S_N) alone: for an admissible A and a base in
-degree 0, a DG map S_N -> R is exactly an algebra map out of H^0(S_N),
-so neither Koszulness nor an order beyond nu - 1 is a hypothesis of
-it, and it never runs the Koszulness probe.
+out of a presentation of H^0(S_N) on one side, gauge classes on the
+other, matched through the maps g_alpha each element induces.  It
+builds no S_N: for an admissible A, H^0(S_N) is T_{<=N}(V)/(r_c), with
+V dual to the A^1 letters and r_c the transposed bar differential on
+an A^2 letter c, read straight off the tables of A (H0Presentation).
+For a base in degree 0 a DG map S_N -> R is exactly an algebra map out
+of H^0(S_N), so neither Koszulness nor an order beyond nu - 1 is a
+hypothesis of it, and it never runs the Koszulness probe.
 """
 
 from functools import cached_property
@@ -50,24 +52,22 @@ from .ainfinity import (
 )
 from .artin import _artinian
 from .bar import (
-    _admissible_cohomology,
-    SHatCohomology,
-    bar_words,
+    bar_tables,
     dual_dg_algebra,
     is_admissible,
     is_dual_of,
     universal_twisting_cochain,
-    word_products,
 )
 from .errors import _integer, HypothesisNotMet, MathCheckFailure
 from .linalg import (
     _apply_table,
+    _ColumnEchelon,
     Complex,
     GradedSpace,
-    SpanSolver,
     Subspace,
     vec_add,
     vec_clean,
+    vec_scale,
 )
 from .mc import (
     ENUMERATION_CAP,
@@ -100,16 +100,18 @@ class CorepresentingHom:
 
     with s_i the shifted degree of a_i.  Only rho is stored: a word's
     image is computed when apply asks for it, by the prefix recursion
-    of bar.word_products, and memoised; entries is the full table,
+    over its letters that the comparison's evaluator runs
+    (_word_values), and memoised; entries is the full table,
     computed on access.  S is the dual truncation S_N
     (bar.dual_dg_algebra) of setup.A; the order N is S.N.
 
     What makes this THE corepresenting map holds in two halves.  The
     product of S_N is U* V* = (-1)^(|U||V|) (UV)*, the sign by which
     the signs S.word_signs this map reads multiply, sigma(UV) =
-    sigma(U) sigma(V) (-1)^(|U||V|), and it vanishes when |U| + |V| > N.  The signed letter products of any rho
-    therefore multiply as S_N does when R is associative, graded with m
-    an ideal (validate_artinian), and m^(N+1) = 0: a word of length
+    sigma(U) sigma(V) (-1)^(|U||V|), and it vanishes when
+    |U| + |V| > N.  The signed letter products of any rho therefore
+    multiply as S_N does when R is associative, graded with m an ideal
+    (validate_artinian), and m^(N+1) = 0: a word of length
     N + 1 or more maps to a product of that many elements of m.  The
     guard N >= nu - 1 below is exactly that, since validate_artinian
     found m^nu = 0; at N = nu - 1 a word of length nu maps to a product
@@ -156,27 +158,13 @@ class CorepresentingHom:
         self.N = S.N
         self.field = setup.field
         self.S = S
-        self._rho = rho
-        self._products = {(): {R.unit: self.field.one}}
+        self._value = _word_values(R, rho)
         self._certify()
-
-    def _image(self, word):
-        """g*((a_1 .. a_k)*): the signed product of the letter images."""
-        sign = self.S.word_signs[word]
-        return {r: sign * c for r, c in self._product(word).items()}
-
-    def _product(self, word):
-        """rho(a_1) .. rho(a_k), memoised along the prefixes of word."""
-        out = self._products.get(word)
-        if out is None:
-            out = self._products[word] = self.R.multiply(
-                self._product(word[:-1]), self._rho[word[-1]])
-        return out
 
     @cached_property
     def entries(self):
         """The full table word -> image over every word of S_N."""
-        return {w: self._image(w) for w in self.S.words}
+        return {w: self._push({w: self.field.one}) for w in self.S.words}
 
     def apply(self, vec):
         """g* on a vector of S_N; ValueError names an entry outside it."""
@@ -185,12 +173,15 @@ class CorepresentingHom:
         return self._push(vec)
 
     def _push(self, vec):
-        return _apply_table({w: self._image(w) for w in vec}, vec)
+        """sum c g*(w*): the letter products, each times its word sign."""
+        signs = self.S.word_signs
+        return self._value({w: signs[w] * c for w, c in vec.items()})
 
     def _certify(self):
         R, S = self.R, self.S
         for u in S.generators:
-            if self._push(S.algebra.m.get(1, (u,))) != R.d_of(self._image(u)):
+            if (self._push(S.algebra.m.get(1, (u,)))
+                    != R.d_of(self._push({u: self.field.one}))):
                 raise MathCheckFailure(
                     "differential compatibility fails at %r; the cochain does "
                     "not satisfy the Maurer-Cartan equation" % (u,))
@@ -531,47 +522,109 @@ class TwistedComodule(TwistedModule):
 
 
 class H0Presentation:
-    """Generators and relations for H^0(S_N), at a stated order.
+    """H^0(S_N) as T_{<=N}(V)/(r_c), read off the tables of A.
 
-    Generators are the weight-one classes; a monomial is a tuple of
-    generator indices whose value is the ordered product of the
-    adapted representatives.  Relations span the kernel of the
-    evaluation from the free span of monomials of length <= N into
-    H^0.  Generation by weight one is a hypothesis of the comparison,
-    so it is certified here and refused when not established.  rep is
-    the SHatCohomology of S_N, and the order N is rep.N; only its H^0,
-    which rep computed when it was built, is read.  Anything else as
-    rep is refused with ValueError naming its type.
+    For an admissible A every letter of S_N has shifted degree
+    |a| - 1 >= 0, so S_N sits in degrees <= 0.  Degree 0 is spanned by
+    the words in the A^1 letters, whose shifted degree is 0: it is the
+    tensor algebra T_{<=N}(V) cut at weight N, with V dual to A^1, and
+    no sign enters its product.  A word of degree -1 holds exactly one
+    A^2 letter c.  S^1 = 0, so d kills the degree-0 letters, and by
+    Leibniz d(S^-1) is the two-sided ideal generated by the d(c*), cut
+    at weight N.  Only a whole word of A^1 letters merges into the
+    single letter c, and for such words the transposition sign and the
+    word sign are both +1, so
+
+        d(c*) = r_c = sum_{n <= N} sum_{w in (A^1)^n} b_n(w)[c] w,
+
+    read off the bar's own tables, m_from_b of restrict_to_ideal(A).
+    Hence H^0(S_N) = T_{<=N}(V)/(r_c), the noncommutative hull of the
+    MC functor (Laudal 2002; Segal 2008).  relations maps each A^2
+    letter c with r_c != 0 to r_c, in letter order; words are tuples
+    of A^1 letters.
+
+    The linear parts of the r_c are brought to reduced echelon form
+    with each pivot on its last letter; pivots maps each pivot letter p
+    to its row minus the word (p,).  Modulo longer words the boundaries
+    of degree 0 are those linear parts, so a letter is a pivot exactly
+    when it lies in their span plus the earlier letters: the
+    non-pivots, gens in letter order, are the weight-one
+    representatives that a greedy pass over H^0 picks.  They generate:
+    each row gives p = -(its rest) modulo the relations, and the words
+    of that rest are either generators or longer.
+
+    Refused: an A that is not admissible or not complete to the
+    arities the order reads (HypothesisNotMet), an augmentation ideal
+    that is not closed, and an A that fails a Stasheff identity among
+    ideal letters up to arity N, the d^2 = 0 of S_N (ValueError naming
+    the tuple).
     """
 
-    def __init__(self, rep):
-        if not isinstance(rep, SHatCohomology):
-            raise ValueError("H0Presentation needs an SHatCohomology, got %s"
-                             % type(rep).__name__)
-        self.rep = rep
-        self.N = N = rep.N
-        self.field = rep.field
-        self.S = rep.S
-        self.gens = rep.weight_one_reps()
-        self.monomials = monomials = bar_words(range(len(self.gens)), N)
-        m2 = self.S.algebra.eval_m_vectors
-        self.values = word_products(monomials, lambda u, v: m2([u, v]),
-                                    {(): self.field.one}, self.gens)
-        self.classes = {m: self.rep.class_coords(v)
-                        for m, v in self.values.items()}
-        solver = SpanSolver([self.classes[mono] for mono in monomials],
-                            self.field)
-        spanned = len(solver.independent)
-        if spanned != self.rep.h0.dim:
+    def __init__(self, A, N):
+        if not is_admissible(A):
             raise HypothesisNotMet(
-                "weight-one classes span a %d-dimensional piece of the "
-                "%d-dimensional H^0 at order %d; generation by weight one "
-                "is not established" % (spanned, self.rep.h0.dim, N))
-        self.relations = [{monomials[j]: c for j, c in kv.items()}
-                          for kv in solver.relations]
+                "the comparison needs a strictly unital augmented algebra "
+                "whose augmentation ideal sits in degrees >= 1")
+        b = bar_tables(A, N)
+        ideal = {l: A.space.index[l] for l in A.ideal_labels()}
+        failure = _first_stasheff_failure(A, N, ideal, ideal)
+        if failure:
+            raise ValueError("the Stasheff identity of arity %d fails on %r "
+                             "(residual %r)" % failure)
+        self.A, self.N, self.field = A, N, A.field
+        self.letters = [l for l in ideal if A.deg(l) == 1] if N else []
+        # a word goes to degree 2 exactly when its letters sit in degree 1
+        relations = {c: {} for c in ideal if A.deg(c) == 2}
+        for n in range(1, min(N, A.arity_bound) + 1):
+            for w, vec in b.entries.get(n, {}).items():
+                for c, x in vec.items():
+                    if c in relations:
+                        relations[c][w] = x
+        self.relations = {c: r for c, r in relations.items() if r}
+        # columns: the one-letter words, last letter first, then the rest
+        words = [(a,) for a in reversed(self.letters)]
+        words += {w: 0 for r in self.relations.values() for w in r
+                  if len(w) > 1}
+        col = {w: j for j, w in enumerate(words)}
+        echelon = _ColumnEchelon([{col[w]: c for w, c in r.items()}
+                                  for r in self.relations.values()], self.field)
+        self.pivots = {
+            words[k][0]: {words[j]: c for j, c in row.items() if j != k}
+            for k, row in zip(echelon.pivot_keys, echelon.rows)
+            if len(words[k]) == 1}
+        self.gens = [a for a in self.letters if a not in self.pivots]
 
-    def generator_count(self):
-        return len(self.gens)
+    def evaluator(self, R, images):
+        """phi on word vectors, for the letter images that extend images.
+
+        images maps each generator to its image in the ideal of R; each
+        pivot p goes to -phi(its rest), found by iterating from 0.  An
+        error in m^k leaves one in m^(k+1), because every word of a rest
+        is a generator or has length >= 2, so at most nu rounds reach
+        the fixed point (m^nu = 0).
+        """
+        phi = {**images, **dict.fromkeys(self.pivots, {})}
+        for _ in range(R.nu):
+            value = _word_values(R, phi)
+            solved = {p: vec_scale(value(rest), -R.field.one)
+                      for p, rest in self.pivots.items()}
+            if solved == {p: phi[p] for p in solved}:
+                break
+            phi.update(solved)
+        return value
+
+
+def _word_values(R, images):
+    """sum c w |-> sum c images[w_1] .. images[w_k] in R, each word's
+    product memoised along its prefixes."""
+    products = {(): {R.unit: R.field.one}}
+
+    def product(w):
+        if w not in products:
+            products[w] = R.multiply(product(w[:-1]), images[w[-1]])
+        return products[w]
+
+    return lambda vec: _apply_table({w: product(w) for w in vec}, vec)
 
 
 def _enumerable(R, sweep):
@@ -583,13 +636,30 @@ def _enumerable(R, sweep):
             "gate failed: base not concentrated in degree 0")
 
 
+def _comparison_gates(R, N, what):
+    """The base gates of the comparison, for what names the caller.
+
+    The base is over a finite field and sits in degree 0, and
+    N >= nu - 1, so that m^(N+1) = 0 and an algebra map out of
+    T_{<=N}(V) is one into R; all are refused with HypothesisNotMet.
+    H0Presentation refuses the rest.
+    """
+    _enumerable(R, what)
+    if _integer(N, "the order N") < R.nu - 1:
+        raise HypothesisNotMet("gate failed: order %d below nu - 1 for the "
+                               "nilpotency index nu = %d" % (N, R.nu))
+
+
 def algebra_maps(pres, R):
     """Augmented algebra maps H^0(S_N) -> R, as generator image tuples.
 
     Enumerated over the finite field: each generator image ranges over
-    the augmentation ideal of R, and a candidate survives when every
-    relation evaluates to zero.  The sweep runs over coefficients keyed
-    by (generator, ideal label), the first coefficient major, so
+    the augmentation ideal of R, the pivot letters take the images the
+    relations force (H0Presentation.evaluator), and a candidate survives
+    when every r_c evaluates to zero.  An algebra map out of T_{<=N}(V)
+    kills the ideal (r_c) exactly when it kills each r_c, and words
+    past N die in R once m^(N+1) = 0.  The sweep runs over coefficients
+    keyed by (generator, ideal label), the first coefficient major, so
     reports are reproducible.  ValueError names the type of a pres that
     is no H0Presentation, and both fields when pres and R differ.
     """
@@ -601,29 +671,46 @@ def algebra_maps(pres, R):
         raise ValueError("the presentation lives over %r and the base over %r"
                          % (pres.field, R.field))
     one = R.field.one
-    m = pres.generator_count()
+    m = len(pres.gens)
     basis = [{(g, l): one} for g in range(m) for l in R.ideal_labels]
     maps = []
     for point in _span_points(R.field, {}, basis):
         images = [{} for _ in range(m)]
         for (g, l), c in point.items():
             images[g][l] = c
-        values = word_products(pres.monomials, R.multiply,
-                               {R.unit: one}, images)
-        if not any(_apply_table(values, rel) for rel in pres.relations):
+        value = pres.evaluator(R, dict(zip(pres.gens, images)))
+        if not any(map(value, pres.relations.values())):
             maps.append(tuple(images))
     return maps
 
 
 def induced_map(setup, pres, alpha):
-    """Generator images of g* composed with the adapted section.
+    """The generator images of g_alpha: H^0(S_N) -> R, certified.
 
-    Boundaries die under g* because the base has no differential to
-    receive them, so the images do not depend on the chosen cocycle
-    representatives; the section-independence tests lean on this.
+    alpha in (A x m)^1 over a base in degree 0 lies on the A^1 letters,
+    and transposed it sends the letter a* to sum_r alpha(a, r) r;
+    multiplicativity forces the rest.  That is an algebra map out of
+    H^0(S_N) exactly when it kills every r_c, which is the
+    Maurer-Cartan equation of alpha read through the bar: checked with
+    the evaluator of algebra_maps, and a failure is a MathCheckFailure
+    naming (c,).  Refused: the base gates of the comparison
+    (HypothesisNotMet), and a setup over another algebra or an element
+    that fails setup.is_mc (ValueError).
     """
-    gh = CorepresentingHom(setup, alpha, pres.S)
-    return tuple(gh.apply(g) for g in pres.gens)
+    _comparison_gates(setup.R, pres.N, "the induced map")
+    if setup.A is not pres.A or not setup.is_mc(alpha):
+        raise ValueError("the induced map needs an MC element over the "
+                         "presentation's algebra")
+    rho = {a: {} for a in pres.letters}
+    for (a, r), c in vec_clean(alpha).items():
+        rho[a][r] = c
+    value = _word_values(setup.R, rho)
+    for c, r in pres.relations.items():
+        if value(r):
+            raise MathCheckFailure(
+                "differential compatibility fails at %r; the cochain does "
+                "not satisfy the Maurer-Cartan equation" % ((c,),))
+    return tuple(rho[g] for g in pres.gens)
 
 
 def enumerate_units(R):
@@ -714,23 +801,6 @@ class ProrepReport:
         return "ProrepReport(lhs=%d, rhs=%d, %s)" % (self.lhs, self.rhs, tag)
 
 
-def _comparison_gates(A, R, N):
-    """The hypotheses the comparison uses, then H^0(S_N).
-
-    The base is over a finite field and sits in degree 0, A is
-    admissible, and N >= nu - 1, so that m^(N+1) = 0
-    (CorepresentingHom).  All are refused with HypothesisNotMet before
-    S_N is built.  Then a DG map S_N -> R kills S_N below degree 0 and
-    d of degree -1, which is an algebra map out of H^0(S_N); only H^0
-    is computed.
-    """
-    _enumerable(R, "the comparison, which enumerates both sides,")
-    if _integer(N, "the order N") < R.nu - 1:
-        raise HypothesisNotMet("gate failed: order %d below nu - 1 for the "
-                               "nilpotency index nu = %d" % (N, R.nu))
-    return _admissible_cohomology(A, N, "the comparison")
-
-
 def prorep_compare(A, R, N, cap=ENUMERATION_CAP):
     """|Hom_alg(H^0(S_N), R)| against |pi_0| with the matching checked.
 
@@ -744,14 +814,15 @@ def prorep_compare(A, R, N, cap=ENUMERATION_CAP):
     images, units and MC candidates are each refused past the cap
     before any of them runs.
 
-    The hypotheses are those _comparison_gates names: an admissible A,
-    a base over a finite field in degree 0, and N >= nu - 1.  Neither
-    Koszulness nor N >= nu is one; every answer is certified by the
-    matching itself.
+    The hypotheses are those _comparison_gates and H0Presentation
+    name: an admissible A, a base over a finite field in degree 0, and
+    N >= nu - 1.  Neither Koszulness nor N >= nu is one; every answer
+    is certified by the matching itself.
     """
-    pres = H0Presentation(_comparison_gates(A, R, N))
+    _comparison_gates(R, N, "the comparison, which enumerates both sides,")
+    pres = H0Presentation(A, N)
     p, m = R.field.p, len(R.ideal_labels)
-    e = m * pres.generator_count()
+    e = m * len(pres.gens)
     if p ** e > _integer(cap, "the cap"):
         raise HypothesisNotMet(
             "Hom sweep %d^%d exceeds the cap %d" % (p, e, cap))

@@ -73,14 +73,21 @@ was before it checked only the generators of S_N: multiplicativity on
 every ordered pair of words and d-compatibility on every word.
 ``tower_surjection_oracle`` is ``check_tower_surjection`` from then,
 which read only the words the quotient keeps.  ``algebra_maps_oracle``
-is ``algebra_maps`` with its own coefficient sweep, chunked into
-generator images, and its own monomial products.
+is ``algebra_maps`` as it was on an ``H0PresentationOracle``, with its
+own coefficient sweep, chunked into generator images, and its own
+monomial products.
 ``check_tower_compatibility`` compares the corepresenting maps of one
 element at two orders word by word; nothing in the package needs it.
 ``corepresenting_table_oracle`` is ``CorepresentingHom`` as it was
 before it certified products once per S_N and computed images on
 demand: every word's signed letter product up front (``word_products``)
 and ``first_dg_map_failure`` on the whole table.
+``H0PresentationOracle`` is ``twisting.H0Presentation`` as it was
+before it read T_{<=N}(V)/(r_c) off the tables of A: it builds S_N,
+eliminates H^0, takes the weight-one classes as generators and spans
+the relations among the products of their representatives.
+``induced_map_oracle`` is ``induced_map`` from then, the
+``CorepresentingHom`` of each element applied to those generators.
 
 ``compose_morphisms_oracle`` is ``compose_morphisms`` as it was before
 it read its components off the morphism join: the block terms of every
@@ -111,8 +118,18 @@ pushforward's n(n-1)/2 and the morphism-level exponent with i(i-1)/2
 per slot.  The pushforward oracles evaluate through
 ``eval_f_tensor_oracle``.
 
+``class_coords``, ``product_class``, ``product_table``,
+``weight_one_reps`` and ``weight1_commutators_vanish`` read the H^0
+algebra of an ``SHatCohomology`` off its adapted representatives and
+``h0.project``.  They were its methods while the comparison read H^0
+off S_N; nothing in the package multiplies classes of S_N now.  The
+product is well defined because S_N is a DG algebra: by Leibniz a
+product of cocycles is a cocycle, and for a cocycle v and any b,
+(db) v = d(b v) and v (db) = +-d(v b), so boundaries form an ideal in
+the cocycles.
+
 ``tower_coordinates_oracle`` is ``SmallExtension.coordinates`` and
-``class_coords_oracle`` is ``SHatCohomology.class_coords`` as they were
+``class_coords_oracle`` is ``class_coords`` as they were
 before they read their coordinates off an echelon form the package
 already held: a tagged ``SpanSolver`` over the kernel rows of the
 layer, and one over the H^0 boundary rows followed by the adapted
@@ -144,9 +161,10 @@ from barmc.artin import MAX_NILPOTENCY_SCAN
 from barmc.bar import (
     BarTruncation,
     DualTruncation,
+    SHatCohomology,
+    bar_words,
     dual_dg_algebra,
     first_dg_map_failure,
-    word_products,
 )
 from barmc.errors import HypothesisNotMet, MathCheckFailure
 from barmc.linalg import (
@@ -160,7 +178,7 @@ from barmc.linalg import (
     vec_scale,
 )
 from barmc.mc import ENUMERATION_CAP, Pi0Report, _vec_key
-from barmc.twisting import enumerate_units, invert_unit
+from barmc.twisting import CorepresentingHom, enumerate_units, invert_unit
 
 DENSE_CUTOFF = 64
 
@@ -540,6 +558,48 @@ def adapted_reps_oracle(rep):
                 base.append(v)
                 sub = SubspaceOracle(base, rep.field)
     return [(w, v) for w in range(rep.N + 1) for v in per_weight[w]]
+
+
+def class_coords(rep, vec):
+    """Coordinates of a degree-0 cocycle's class in rep's adapted basis:
+    h0.project, renumbered into weight_reps order."""
+    reps = rep.h0.representatives
+    order = sorted(range(len(reps)), key=lambda j: min(map(len, reps[j])))
+    slot = {j: i for i, j in enumerate(order)}
+    return dict(sorted((slot[j], c) for j, c in rep.h0.project(vec).items()))
+
+
+def product_class(rep, u, v):
+    """Class of u v for degree-0 cocycles u, v, in adapted coordinates."""
+    return class_coords(rep, rep.S.algebra.eval_m_vectors([u, v]))
+
+
+def weight_one_reps(rep):
+    return [v for w, v in rep.weight_reps if w == 1]
+
+
+def weight1_commutators_vanish(rep):
+    """Whether u v - v u is a boundary for all weight-one representatives."""
+    reps = weight_one_reps(rep)
+    alg = rep.S.algebra
+    for i, u in enumerate(reps):
+        for v in reps[i + 1:]:
+            c = alg.eval_m_vectors([u, v])
+            vec_add(c, alg.eval_m_vectors([v, u]), -rep.field.one)
+            if not rep.h0.class_is_zero(vec_clean(c)):
+                return False
+    return True
+
+
+def product_table(rep):
+    """Products of adapted representatives, as class coordinates."""
+    table = {}
+    for i, (_, u) in enumerate(rep.weight_reps):
+        for j, (_, v) in enumerate(rep.weight_reps):
+            coords = product_class(rep, u, v)
+            if coords:
+                table[(i, j)] = coords
+    return table
 
 
 def product_table_oracle(rep, weight_reps):
@@ -1053,6 +1113,19 @@ def tower_surjection_oracle(big, small):
     return CheckReport(True, checked_to=small.N)
 
 
+def word_products(words, multiply, unit, image):
+    """Every word's ordered letter product, out[w[:-1]] . image[w[-1]].
+
+    words is length-lexicographic (bar_words), so each prefix is ready
+    before its extensions; the empty word goes to unit.
+    """
+    out = {(): unit}
+    for w in words:
+        if w:
+            out[w] = multiply(out[w[:-1]], image[w[-1]])
+    return out
+
+
 def corepresenting_table_oracle(setup, alpha, S):
     """Every word's image under the corepresenting map of alpha, eagerly.
 
@@ -1088,6 +1161,51 @@ def check_tower_compatibility(big, small):
         if big.entries.get(w, {}) != small.entries.get(w, {}):
             return False
     return True
+
+
+class H0PresentationOracle:
+    """Generators and relations for H^0(S_N), read off S_N itself.
+
+    Generators are the weight-one classes of SHatCohomology(A, N); a
+    monomial is a tuple of generator indices whose value is the ordered
+    product of the adapted representatives.  Relations span the kernel
+    of the evaluation from the free span of monomials of length <= N
+    into H^0, and generation by weight one is certified
+    (HypothesisNotMet otherwise).
+    """
+
+    def __init__(self, A, N):
+        self.rep = rep = SHatCohomology(A, N)
+        self.N = N
+        self.field = rep.field
+        self.S = rep.S
+        self.gens = weight_one_reps(rep)
+        self.monomials = monomials = bar_words(range(len(self.gens)), N)
+        m2 = self.S.algebra.eval_m_vectors
+        self.values = word_products(monomials, lambda u, v: m2([u, v]),
+                                    {(): self.field.one}, self.gens)
+        self.classes = {m: class_coords(rep, v)
+                        for m, v in self.values.items()}
+        solver = SpanSolver([self.classes[mono] for mono in monomials],
+                            self.field)
+        spanned = len(solver.independent)
+        if spanned != rep.h0.dim:
+            raise HypothesisNotMet(
+                "weight-one classes span a %d-dimensional piece of the "
+                "%d-dimensional H^0 at order %d; generation by weight one "
+                "is not established" % (spanned, rep.h0.dim, N))
+        self.relations = [{monomials[j]: c for j, c in kv.items()}
+                          for kv in solver.relations]
+
+    def generator_count(self):
+        return len(self.gens)
+
+
+def induced_map_oracle(setup, pres, alpha):
+    """The corepresenting map of alpha on S_N, applied to the generators
+    of an H0PresentationOracle."""
+    gh = CorepresentingHom(setup, alpha, pres.S)
+    return tuple(gh.apply(g) for g in pres.gens)
 
 
 def algebra_maps_oracle(pres, R):

@@ -63,6 +63,7 @@ from oracles import (
     SubspaceOracle,
     adapted_reps_oracle,
     all_pairs_dg_map_failure,
+    class_coords,
     class_coords_oracle,
     check_base_change_oracle,
     coderivation_failure_oracle,
@@ -73,11 +74,15 @@ from oracles import (
     dual_tables_oracle,
     filtered_dims_oracle,
     pivot_columns_oracle,
+    product_class,
+    product_table,
     product_table_oracle,
     restricted_kernel_oracle,
     span_coordinates_oracle,
     tower_surjection_oracle,
     universal_ops_oracle,
+    weight1_commutators_vanish,
+    weight_one_reps,
 )
 
 Q = Field.rationals()
@@ -314,8 +319,9 @@ def test_dual_refuses_a_bar_differential_that_is_not_a_coderivation(
 def test_each_dual_is_certified_once_at_arity_two(monkeypatch):
     """The Leibniz certificate on the generators runs once per
     DualTruncation, and bar.py builds one Complex, the one d^2 check,
-    per DualTruncation, over the koszul benchmark jobs and the
-    comparison; bar.py no longer runs the all-pairs check_ainf_axioms."""
+    per DualTruncation, over the koszul benchmark jobs; the comparison
+    builds none, and bar.py no longer runs the all-pairs
+    check_ainf_axioms."""
     import barmc.bar as bar_module
     assert not hasattr(bar_module, "check_ainf_axioms")
     checked, built, complexes = [], [], []
@@ -341,7 +347,7 @@ def test_each_dual_is_certified_once_at_arity_two(monkeypatch):
     koszul_probe(kpoints(F3, 3), 3)
     koszul_probe(xy(Q), 4)
     assert prorep_compare(njac(F3, 2), truncated_polynomial(F3, 3), 3).ok
-    assert len(built) == 4
+    assert len(built) == 3
     assert checked == built
     assert [S.complex for S in built] == complexes
 
@@ -514,11 +520,11 @@ def test_lambda2_h0_weight_dims_resolve_to_symmetric_algebra():
         assert rep3.weight_dims == [1, 2, 3, 4]
         assert sum(rep3.weight_dims) == 10
         assert rep3.weight_dims == h0_weight_dims_oracle(rep3.S, 3)
-        assert rep3.weight1_commutators_vanish()
+        assert weight1_commutators_vanish(rep3)
     rep4 = SHatCohomology(kpoints(F2, 2), 4)
     assert rep4.weight_dims == [1, 2, 3, 4, 5]
     assert rep4.weight_dims == h0_weight_dims_oracle(rep4.S, 4)
-    assert rep4.weight1_commutators_vanish()
+    assert weight1_commutators_vanish(rep4)
     assert rep4.total_dims == total_dims_oracle(rep4.S)
 
 
@@ -526,7 +532,7 @@ def test_njac_h0_weight_dims_are_free_and_noncommutative():
     rep = SHatCohomology(njac(F2, 2), 3)
     assert rep.weight_dims == [1, 2, 4, 8]
     assert rep.weight_dims == h0_weight_dims_oracle(rep.S, 3)
-    assert not rep.weight1_commutators_vanish()
+    assert not weight1_commutators_vanish(rep)
     assert rep.total_dims == {0: 15}
 
 
@@ -583,7 +589,7 @@ def test_filtered_cohomology_matches_rebuild_loop_oracles(make, field, N):
     assert rep.weight_dims == filtered_dims_oracle(rep, 0)
     weight_reps = adapted_reps_oracle(rep)
     assert rep.weight_reps == weight_reps
-    assert rep.product_table() == product_table_oracle(rep, weight_reps)
+    assert product_table(rep) == product_table_oracle(rep, weight_reps)
 
 
 def _filtration_cases():
@@ -614,7 +620,7 @@ def test_weight_filtration_from_one_elimination_matches_the_per_weight_oracle():
                 assert z.contains(v), (A, N, i, v)
         weight_reps = adapted_reps_oracle(rep)
         assert rep.weight_reps == weight_reps
-        assert rep.product_table() == product_table_oracle(rep, weight_reps)
+        assert product_table(rep) == product_table_oracle(rep, weight_reps)
 
 
 def test_koszul_probe_builds_no_span_solver(monkeypatch):
@@ -658,6 +664,18 @@ def test_koszul_probe_refuses_non_admissible_input():
     assert is_admissible(kpoints(Q, 2))
 
 
+def test_probe_certifies_that_s_n_sits_in_degrees_at_most_zero(monkeypatch):
+    """The probe's windows need S_N in degrees <= 0, which admissibility
+    gives; an admissibility test that let a degree-0 ideal through would
+    put S_N in positive degrees, and that is an engine fault."""
+    import barmc.bar as bar_module
+    monkeypatch.setattr(bar_module, "is_admissible", lambda A: True)
+    R = truncated_polynomial(F2, 3)
+    with pytest.raises(MathCheckFailure) as e:
+        koszul_probe(R.algebra, 3)
+    assert "positive dual degrees" in str(e.value)
+
+
 def test_h_dim_tables_are_consistent():
     rep = SHatCohomology(kpoints(F2, 2), 3)
     table = rep.h_dim_table()
@@ -671,11 +689,11 @@ def test_h_dim_tables_are_consistent():
 
 def test_h0_product_table_matches_polynomial_multiplication():
     rep = SHatCohomology(kpoints(Q, 2), 3)
-    reps1 = rep.weight_one_reps()
+    reps1 = weight_one_reps(rep)
     assert len(reps1) == 2
     u, v = reps1
-    uv = rep.product_class(u, v)
-    vu = rep.product_class(v, u)
+    uv = product_class(rep, u, v)
+    vu = product_class(rep, v, u)
     assert uv == vu
     assert uv
     weights = [w for w, _ in rep.weight_reps]
@@ -1020,7 +1038,7 @@ def test_koszul_probe_leaves_the_coordinate_solvers_unbuilt():
     assert 0 in rep.cx._cohomology and len(built) > 1
     assert not any("_solver" in vars(h) for h in built)
     _, v = rep.weight_reps[-1]
-    assert rep.class_coords(v) == {len(rep.weight_reps) - 1: Q.one}
+    assert class_coords(rep, v) == {len(rep.weight_reps) - 1: Q.one}
     assert "_solver" in vars(rep.h0)
     h = rep.cx.cohomology(-1)
     assert h.dim and "_solver" not in vars(h)
@@ -1087,7 +1105,7 @@ def test_class_coordinates_match_the_eager_solvers(case):
     bounds = rep.h0.boundaries.rows
     for _ in range(3):
         v, want = combinations_of(rng, Q, reps, bounds)
-        assert rep.class_coords(v) == want
+        assert class_coords(rep, v) == want
 
 
 def _class_coords_cases():
@@ -1116,12 +1134,12 @@ def test_class_coords_match_the_tagged_solver():
                        for u in reps[:8] for v in reps[:8]]
         vecs += [combinations_of(rng, A.field, reps, rep.h0.boundaries.rows)[0]
                  for _ in range(3)]
-        assert [list(rep.class_coords(v).items()) for v in vecs] == \
+        assert [list(class_coords(rep, v).items()) for v in vecs] == \
             [list(c.items()) for c in class_coords_oracle(rep, vecs)]
         off = [w for w in rep.S.words if rep.S.space.degree[w] != 0]
         if off:
             v = {off[0]: A.field.one}
-            for coords in (rep.class_coords,
+            for coords in (lambda v: class_coords(rep, v),
                            lambda v: class_coords_oracle(rep, [v])):
                 with pytest.raises(ValueError, match="does not represent a "
                                    "class in H\\^0"):

@@ -24,6 +24,8 @@ from barmc.ainfinity import (
     AInfAlgebra,
     StructureMaps,
     check_ainf_axioms,
+    check_ainf_morphism,
+    cohomology_algebra,
     compose_morphisms,
     identity_morphism,
     tensor_with_dg,
@@ -34,6 +36,7 @@ from barmc.artin import (
     quotient_by_power,
     square_zero,
     truncated_polynomial,
+    validate_artinian,
 )
 from barmc.bar import (
     BarTruncation,
@@ -58,12 +61,14 @@ from barmc.mc import (
     HomComplex,
     MCGroupoid,
     enumerate_mc,
+    invariance_check,
     lift_mc,
     mc_residual,
     obstruction_o0,
     obstruction_o1,
     obstruction_o2,
     pi0,
+    pushforward_mc,
     pushforward_morphism,
 )
 from barmc.scalars import Field, FieldMismatch
@@ -74,7 +79,7 @@ from barmc.serialize import (
     element_to_json,
     vector_from_json,
 )
-from barmc.transfer import minimal_model
+from barmc.transfer import build_splitting, minimal_model
 from barmc.twisting import (
     CorepresentingHom,
     H0Presentation,
@@ -212,6 +217,7 @@ def _calls():
         (BarTruncation, (A2, 2), (0, 1)),
         (koszul_probe, (A2, 2), (0, 1)),
         (SHatCohomology, (A2, 2), (0, 1)),
+        (H0Presentation, (A2, 2), (0, 1)),
         (check_ainf_axioms, (A2, 3), (0, 1)),
         (DeformationSetup, (A1, R2), (0, 1)),
         (mc_residual, (A1, R2, {}), (0, 1, 2)),
@@ -406,8 +412,7 @@ def _corepresenting_apply(vec):
 
 def _maps_into_poly_f2(A):
     """A presentation of H^0(S_3) of A against a base over F2."""
-    return algebra_maps(H0Presentation(SHatCohomology(A, 3)),
-                        truncated_polynomial(F2, 3))
+    return algebra_maps(H0Presentation(A, 3), truncated_polynomial(F2, 3))
 
 
 def _groupoid():
@@ -483,7 +488,7 @@ def _algebra_with_op_above_bound():
      "over F3 and the base over F2"),
     (lambda: algebra_maps(None, truncated_polynomial(F2, 3)),
      "needs an H0Presentation, got NoneType"),
-    (lambda: H0Presentation(None), "needs an SHatCohomology, got NoneType"),
+    (lambda: H0Presentation(None, 3), "AInfAlgebra, got NoneType"),
     (lambda: _groupoid().identity(5), "element 5 is not a dict"),
     (lambda: _groupoid().compose("x", "y"), "MCMorphism, got str"),
     (lambda: _groupoid().invert(None), "MCMorphism, got NoneType"),
@@ -509,6 +514,19 @@ def _algebra_with_op_above_bound():
      ".algebra"),
     (lambda: ModuleIsomorphism(_groupoid().setup, None),
      "MCMorphism, got NoneType"),
+    (lambda: unitize(5), "AInfAlgebra, got int"),
+    (lambda: validate_artinian(5), "AInfAlgebra, got int"),
+    (lambda: cohomology_algebra(5), "AInfAlgebra, got int"),
+    (lambda: build_splitting(5), "AInfAlgebra, got int"),
+    (lambda: compose_morphisms(5, identity_morphism(njac(F2, 1))),
+     "AInfMorphism, got int"),
+    (lambda: check_ainf_morphism(5, 3), "AInfMorphism, got int"),
+    (lambda: pushforward_mc(5, truncated_polynomial(F2, 3), {}),
+     "AInfMorphism, got int"),
+    (lambda: pushforward_morphism(5, truncated_polynomial(F2, 3), {}, {}, {}),
+     "AInfMorphism, got int"),
+    (lambda: invariance_check(5, truncated_polynomial(F2, 3)),
+     "AInfMorphism, got int"),
 ], ids=["prorep-bare-algebra", "gauge-part-int", "o1-int", "op-int-slots",
         "project-none",
         "kpoints-str", "random-instance-str", "poly-degree-str",
@@ -527,7 +545,11 @@ def _algebra_with_op_above_bound():
         "pushforward-foreign-label", "pushforward-foreign-field",
         "probe-of-base", "bar-of-none", "axioms-of-maps", "setup-of-field",
         "pi0-of-str", "minimal-model-of-int", "tensor-of-dict",
-        "tensor-with-base", "module-iso-of-none"])
+        "tensor-with-base", "module-iso-of-none", "unitize-of-int",
+        "validate-artinian-of-int", "cohomology-algebra-of-int",
+        "splitting-of-int", "compose-of-int", "morphism-axioms-of-int",
+        "pushforward-mc-of-int", "pushforward-morphism-of-int",
+        "invariance-of-int"])
 def test_entry_point_refuses_with_value_error(call, named):
     with pytest.raises(ValueError, match=re.escape(named)):
         call()

@@ -12,7 +12,11 @@ enumerated MC set, the pi_0 classes with their tower levels, a full
 comparison report and the tables of one tensor product.  Vectors and
 tables are written in their dict order, not sorted, so a change that
 reorders keys moves it too.  It was taken before multilinear
-evaluation ran on raw field values.
+evaluation ran on raw field values, and re-taken when the comparison
+read H^0(S_N) as T_{<=N}(V)/(r_c) off the tables of A: the report's
+presentation now gives its generators and relations in place of the
+values and relations of monomials in S_N, and every other field kept
+its bytes.
 
 The third digest covers the twisted tables: the universal deformation
 of kpoints(Q,2) at order 3, and two twisted modules with their
@@ -40,6 +44,7 @@ from barmc.serialize import (
 )
 from barmc.transfer import minimal_model
 
+from oracles import product_table
 from test_twisting import local_noncommutative
 from barmc.twisting import (
     TwistedComodule,
@@ -55,7 +60,7 @@ F3 = Field.prime(3)
 GOLDEN_SHA256 = (
     "c39dd7c5ee0db21c57c596f89d1c7b1f59014ff710a10243154dcac7a19c7cf1")
 GOLDEN_FP_SHA256 = (
-    "137a25be5f46755cc1e978b1c6678e038d5297060bcc8f7980f5d7ef264f8c5d")
+    "90891038d1eeecdfb956ec0c4124f126121087262879b75542594fab2840fa4a")
 GOLDEN_TWIST_SHA256 = (
     "5e905015ae9240a9cfe8efb9ad4ceab158d988adb0b3fc07282cd6f7279d057c")
 
@@ -70,7 +75,7 @@ def probe_doc(A, N):
         "weight_reps": [[w, vector_to_json(v)] for w, v in rep.weight_reps],
         "product_table": [
             [i, j, sorted([k, c.as_string()] for k, c in coords.items())]
-            for (i, j), coords in sorted(rep.product_table().items())],
+            for (i, j), coords in sorted(product_table(rep).items())],
     }
 
 
@@ -117,9 +122,9 @@ def golden_fp_docs():
         "matching": sorted(rep.matching.items()),
         "order": rep.order,
         "orbits": rep.orbits,
-        "values": [[list(m), ordered(v)] for m, v in pres.values.items()],
-        "relations": [[[list(m), c.as_string()] for m, c in r.items()]
-                      for r in pres.relations],
+        "generators": pres.gens,
+        "relations": [[c, [[list(w), x.as_string()] for w, x in r.items()]]
+                      for c, r in pres.relations.items()],
     })
     T = tensor_with_dg(k2, truncated_polynomial(F2, 4).algebra)
     docs.append([[n, [[label_to_json(args), ordered(vec)]

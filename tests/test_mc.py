@@ -52,6 +52,7 @@ from barmc.mc import (
 )
 from barmc.scalars import Field
 from barmc.transfer import minimal_model
+import barmc.twisting as twisting_module
 from barmc.twisting import CorepresentingHom, TwistedModule, prorep_compare
 from oracles import (
     category_op_oracle,
@@ -339,26 +340,27 @@ def test_is_mc_remembers_only_positive_answers(monkeypatch):
 
 def test_prorep_compare_certifies_no_element_twice(monkeypatch):
     """The gauge classes certify every element on the comparison's
-    setup, so the corepresenting maps evaluate no residual of their own."""
-    inside, calls = [], []
+    setup, so the induced maps evaluate no residual of their own."""
+    inside, calls, induced = [], [], []
     real_residual = DeformationSetup.mc_residual
-    real_init = CorepresentingHom.__init__
+    real_induced = twisting_module.induced_map
 
     def residual(self, alpha):
         calls.append(bool(inside))
         return real_residual(self, alpha)
 
-    def init(self, *args):
+    def induced_map(*args):
         inside.append(True)
         try:
-            real_init(self, *args)
+            induced.append(real_induced(*args))
+            return induced[-1]
         finally:
             inside.pop()
 
     monkeypatch.setattr(DeformationSetup, "mc_residual", residual)
-    monkeypatch.setattr(CorepresentingHom, "__init__", init)
+    monkeypatch.setattr(twisting_module, "induced_map", induced_map)
     rep = prorep_compare(njac(F3, 2), truncated_polynomial(F3, 3), 3)
-    assert rep.ok and rep.rhs == 81
+    assert rep.ok and rep.rhs == 81 and len(induced) == 81
     assert calls and not any(calls)
 
 
@@ -959,6 +961,28 @@ def test_hom_complex_refuses_an_algebra_without_a_unit():
     setup = DeformationSetup(xy_bare(F2), truncated_polynomial(F2, 3))
     with pytest.raises(HypothesisNotMet, match="strict unit"):
         HomComplex(setup, {}, {})
+
+
+def test_hom_refuses_an_algebra_whose_unit_is_not_strict():
+    """kpoints(F2,1) without its m_2(e1, 1) entry declares a unit that
+    is not strict, so m_1^{alpha,beta}(1) is not beta - alpha: the hom
+    set from 0 to e1 t^2 is refused, as pi_0 refuses the setup, where
+    reading the unit image as the difference counted 4 morphisms (the
+    strictly unital algebra has none between them)."""
+    A = kpoints(F2, 1)
+    ops = A.m.copy()
+    ops.set(2, ("e1", A.unit), {})
+    B = AInfAlgebra(A.space, F2, ops, arity_bound=A.arity_bound, unit=A.unit)
+    R = truncated_polynomial(F2, 3)
+    beta = {("e1", "t2"): F2.one}
+    assert MCGroupoid(DeformationSetup(A, R)).hom({}, beta).is_empty()
+    setup = DeformationSetup(B, R)
+    assert setup.is_mc({}) and setup.is_mc(beta)
+    for refused in (lambda: MCGroupoid(setup).hom({}, beta),
+                    lambda: HomSet(setup, {}, beta),
+                    lambda: pi0(B, R)):
+        with pytest.raises(HypothesisNotMet, match="strict unit"):
+            refused()
 
 
 # ---------------------------------------------------------------------------

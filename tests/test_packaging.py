@@ -366,8 +366,8 @@ def test_no_function_certifies_on_all_word_pairs():
     assert [msg for path in SOURCES for msg in _nested_word_loops(path)] == []
 
 
-# The comparison reads H^0(S_N) alone (twisting._comparison_gates); the
-# Koszulness probe computes every degree and is no hypothesis of it.
+# The comparison reads H^0(S_N) off the tables of A (twisting.H0Presentation);
+# it builds no S_N, and the Koszulness probe is no hypothesis of it.
 
 
 def _imported_names(path):
@@ -379,5 +379,7 @@ def _imported_names(path):
 
 def test_the_comparison_does_not_import_the_koszul_probe():
     assert "koszul_probe" in _imported_names(ROOT / "tests" / "test_golden.py")
-    assert "koszul_probe" not in _imported_names(
-        ROOT / "src" / "barmc" / "twisting.py")
+    imported = _imported_names(ROOT / "src" / "barmc" / "twisting.py")
+    assert "SHatCohomology" in _imported_names(ROOT / "tests" / "oracles.py")
+    for name in ("koszul_probe", "SHatCohomology", "_admissible_cohomology"):
+        assert name not in imported, name

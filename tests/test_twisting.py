@@ -17,7 +17,13 @@ from itertools import product as iter_product
 import pytest
 
 from barmc import twisting
-from barmc.ainfinity import AInfAlgebra, StructureMaps, tensor_label
+from barmc.ainfinity import (
+    AInfAlgebra,
+    StructureMaps,
+    check_ainf_axioms,
+    tensor_label,
+    unitize,
+)
 from barmc.artin import (
     ArtinianDGAlgebra,
     fiber_product,
@@ -28,13 +34,14 @@ from barmc.artin import (
 from barmc.bar import (
     DualTruncation,
     SHatCohomology,
+    bar_words,
     dual_dg_algebra,
     is_admissible,
     koszul_probe,
 )
 from barmc.errors import HypothesisNotMet, MathCheckFailure
 from barmc.examples import kpoints, njac, random_instance, xy
-from barmc.linalg import Complex, GradedSpace, vec_add, vec_clean
+from barmc.linalg import Complex, GradedSpace, Subspace, vec_add, vec_clean
 from barmc.mc import DeformationSetup, HomComplex, HomSet, pi0
 from barmc.scalars import Field
 from barmc.transfer import minimal_model
@@ -54,12 +61,16 @@ from barmc.twisting import (
 )
 
 from oracles import (
+    H0PresentationOracle,
     algebra_maps_oracle,
     all_pairs_dg_map_failure,
     check_tower_compatibility,
+    class_coords,
     comodule_ops_oracle,
     corepresenting_table_oracle,
     conjugation_orbits_oracle,
+    induced_map_oracle,
+    product_table,
 )
 
 Q = Field.rationals()
@@ -114,11 +125,11 @@ def brute_h0_maps(rep, R):
     when it multiplies through the full product table.
     """
     field = R.field
-    unit_coords = rep.class_coords({(): field.one})
+    unit_coords = class_coords(rep, {(): field.one})
     assert list(unit_coords.values()) == [field.one]
     unit_idx = next(iter(unit_coords))
     others = [i for i in range(rep.h0.dim) if i != unit_idx]
-    table = rep.product_table()
+    table = product_table(rep)
     found = []
     for flat in iter_product(range(field.p),
                              repeat=len(R.ideal_labels) * len(others)):
@@ -378,7 +389,7 @@ def test_lazy_images_match_the_oracle_on_every_compared_element():
     """All 81 elements of the comparison, each word of S_3 through apply."""
     A, R = njac(F3, 2), truncated_polynomial(F3, 3)
     rep = prorep_compare(A, R, 3)
-    setup, S = DeformationSetup(A, R), rep.presentation.S
+    setup, S = DeformationSetup(A, R), dual_dg_algebra(A, 3)
     elements = [alpha for cls in rep.classes.classes for alpha in cls]
     assert len(elements) == 81
     for alpha in elements:
@@ -388,17 +399,13 @@ def test_lazy_images_match_the_oracle_on_every_compared_element():
 
 
 def test_comparison_multiplies_only_the_words_it_reads(monkeypatch):
-    """The comparison builds its one S_3 once, and the 81 corepresenting
-    maps make at most two products each."""
-    A, R = njac(F3, 2), truncated_polynomial(F3, 3)
+    """The comparison builds no S_N, and each of the 81 induced maps
+    makes at most one product per prefix of a relation word: (e1),
+    (e1 e2), (e2) and (e2 e1) for the one relation of kpoints(F3,2)."""
+    A, R = kpoints(F3, 2), truncated_polynomial(F3, 3)
     built, inside, products = [], [], []
-    real_init = DualTruncation.__init__
     real_multiply = R.multiply
     real_induced = twisting.induced_map
-
-    def init(S, bar):
-        built.append(S)
-        real_init(S, bar)
 
     def multiply(u, v):
         products.append(bool(inside))
@@ -411,13 +418,16 @@ def test_comparison_multiplies_only_the_words_it_reads(monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(DualTruncation, "__init__", init)
+    monkeypatch.setattr(DualTruncation, "__init__",
+                        lambda *args: built.append(args))
     monkeypatch.setattr(R, "multiply", multiply)
     monkeypatch.setattr(twisting, "induced_map", induced)
     rep = prorep_compare(A, R, 3)
     assert rep.ok and rep.rhs == 81
-    assert len(built) == 1
-    assert 0 < sum(products) <= 162
+    assert list(rep.presentation.relations.values()) == [
+        {("e1", "e2"): F3(2), ("e2", "e1"): F3.one}]
+    assert built == []
+    assert 0 < sum(products) <= 4 * 81
 
 
 def test_generator_certificate_catches_a_wrong_sign_in_a_long_word(
@@ -925,16 +935,16 @@ def test_prorep_njac_two_generators():
 def test_prorep_lhs_agrees_with_basis_enumeration():
     for A, R, N in ((njac(F2, 1), truncated_polynomial(F2, 3), 3),
                     (kpoints(F2, 2), truncated_polynomial(F2, 2), 2)):
-        rep = SHatCohomology(A, N)
-        pres = H0Presentation(rep)
-        assert len(algebra_maps(pres, R)) == len(brute_h0_maps(rep, R))
+        pres = H0Presentation(A, N)
+        assert len(algebra_maps(pres, R)) == len(
+            brute_h0_maps(SHatCohomology(A, N), R))
 
 
 def test_prorep_natural_under_base_quotient():
     A = njac(F2, 1)
     R = truncated_polynomial(F2, 3)
     Rbar, pi_map, _ = quotient_by_power(R, 2)
-    pres = H0Presentation(SHatCohomology(A, 3))
+    pres = H0Presentation(A, 3)
     setup = DeformationSetup(A, R)
     setup_bar = DeformationSetup(A, Rbar)
     for alpha in setup.enumerate_mc():
@@ -973,7 +983,7 @@ def test_sweeps_refuse_a_graded_base():
     """d f = e on this base, so a degree-0 generator sent to f or to e + f
     is not a chain map; both sweeps refuse the base outright."""
     R = negative_base(F2)
-    pres = H0Presentation(SHatCohomology(njac(F2, 1), 2))
+    pres = H0Presentation(njac(F2, 1), 2)
     for sweep in (lambda: algebra_maps(pres, R), lambda: enumerate_units(R)):
         with pytest.raises(HypothesisNotMet) as e:
             sweep()
@@ -989,6 +999,56 @@ def test_prorep_answers_non_koszul_input():
     assert rep.ok and rep.lhs == 2 and rep.rhs == 2
 
 
+def test_presentation_refuses_what_s_n_refused():
+    """The gates that building S_N gave, read off A instead: an algebra
+    complete only to arity 2 at order 3 (HypothesisNotMet), and one
+    that fails associativity on (e1, e2, e3), the d^2 = 0 of S_3
+    (ValueError naming the tuple and its residual)."""
+    A = xy(F2)
+    incomplete = AInfAlgebra(A.space, F2, A.m, arity_bound=6, unit="1",
+                             complete_to_arity=2)
+    assert H0Presentation(incomplete, 2).gens == ["x"]
+    with pytest.raises(HypothesisNotMet, match="only complete to arity 2"):
+        H0Presentation(incomplete, 3)
+    A = kpoints(F3, 3)
+    ops = A.m.copy()
+    ops.set(2, ("e12", "e3"), {"e123": -F3.one})
+    B = AInfAlgebra(A.space, F3, ops, arity_bound=2, unit=A.unit)
+    assert H0Presentation(B, 2).gens == ["e1", "e2", "e3"]
+    with pytest.raises(ValueError, match=re.escape(
+            "Stasheff identity of arity 3 fails on ('e1', 'e2', 'e3')")):
+        prorep_compare(B, truncated_polynomial(F3, 2), 3)
+
+
+def m1_resolved_associator(field):
+    """k 1 + <a> + <p, r> + <q> in degrees 0..3 with m_2(a, a) = p,
+    m_2(p, a) = q, m_3(a, a, a) = r and m_1(r) = -q: the m_2
+    associator on (a, a, a) is cancelled by m_1 m_3, so one Stasheff
+    identity mixes three arities."""
+    one = field.one
+    ops = StructureMaps()
+    ops.set(2, ("a", "a"), {"p": one})
+    ops.set(2, ("p", "a"), {"q": one})
+    ops.set(3, ("a", "a", "a"), {"r": one})
+    ops.set(1, ("r",), {"q": -one})
+    space = GradedSpace([("a", 1), ("p", 2), ("q", 3), ("r", 2)])
+    return unitize(AInfAlgebra(space, field, ops, arity_bound=3), "1")
+
+
+def test_prorep_answers_where_m1_m3_cancel_the_m2_associator():
+    """The Stasheff identities hold, and the comparison answers 9 = 9
+    over F3[t]/t^4 at N = 3 and 4: H^0 is k<a>/(a^2, a^3), read off the
+    tables.  Reading it off S_N refused this input, because the dual's
+    d^2 = 0 check meets the arity-dependent sign of ROADMAP item 1."""
+    A, R = m1_resolved_associator(F3), truncated_polynomial(F3, 4)
+    assert check_ainf_axioms(A, 5).ok
+    for N in (3, 4):
+        rep = prorep_compare(A, R, N)
+        assert rep.ok and rep.lhs == rep.rhs == 9
+        assert rep.presentation.relations == {
+            "p": {("a", "a"): F3(2)}, "r": {("a", "a", "a"): F3(2)}}
+
+
 def test_prorep_refuses_a_non_admissible_algebra_before_building_s_n(
         monkeypatch):
     def no_dual(*args):
@@ -998,18 +1058,6 @@ def test_prorep_refuses_a_non_admissible_algebra_before_building_s_n(
     with pytest.raises(HypothesisNotMet) as e:
         prorep_compare(R.algebra, R, 3)
     assert "the comparison needs a strictly unital" in str(e.value)
-
-
-def test_prorep_certifies_that_s_n_sits_in_degrees_at_most_zero(monkeypatch):
-    """The H^0 argument needs S_N in degrees <= 0, which admissibility
-    gives; an admissibility test that let a degree-0 ideal through would
-    put S_N in positive degrees, and that is an engine fault."""
-    import barmc.bar as bar_module
-    monkeypatch.setattr(bar_module, "is_admissible", lambda A: True)
-    R = truncated_polynomial(F2, 3)
-    with pytest.raises(MathCheckFailure) as e:
-        prorep_compare(R.algebra, R, 3)
-    assert "positive dual degrees" in str(e.value)
 
 
 def test_prorep_refuses_orders_below_nu_minus_one():
@@ -1045,47 +1093,10 @@ def test_prorep_agrees_at_nu_minus_one(case):
     assert len(rep.matching) == count
 
 
-def _presentation_cases():
-    """This module's comparisons, then the admissible random draws."""
-    for make_a, make_r, N in SWEEP_CASES.values():
-        yield make_a(), make_r(), N
-    for make_a, make_r, N, _ in NU_MINUS_ONE_CASES.values():
-        yield make_a(), make_r(), N
-    yield xy(F2), truncated_polynomial(F2, 3), 3
-    for field in (F2, F3):
-        for seed in range(16):
-            A, R, _ = random_instance(field, seed)
-            if is_admissible(A):
-                for N in (R.nu - 1, R.nu):
-                    yield A, R, N
-
-
-def test_comparison_presentation_is_the_probes_where_the_probe_passes():
-    """The comparison computes only H^0; its presentation is the one the
-    full probe's cohomology gives, generator for generator."""
-    checked = 0
-    for A, R, N in _presentation_cases():
-        probe = koszul_probe(A, N)
-        if not probe.ok:
-            continue
-        try:
-            got = prorep_compare(A, R, N, cap=2 ** 14).presentation
-        except HypothesisNotMet as e:
-            assert "exceeds the cap" in str(e)
-            continue
-        want = H0Presentation(probe.cohomology)
-        for vecs in ("gens", "relations"):
-            assert [list(v.items()) for v in getattr(got, vecs)] == \
-                [list(v.items()) for v in getattr(want, vecs)]
-        assert [(m, list(v.items())) for m, v in got.values.items()] == \
-            [(m, list(v.items())) for m, v in want.values.items()]
-        checked += 1
-    assert checked == 25
-
-
 def test_prorep_reads_only_h0_and_never_runs_the_probe(monkeypatch):
-    """Only the blocks d^-1 and d^0 of S_4 are eliminated (the full
-    probe eliminates blocks -9 to 0), and koszul_probe is not called."""
+    """H^0(S_4) is read off the tables of A: no block of S_4 is
+    eliminated (the full probe eliminates blocks -9 to 0, and reading
+    H^0 off S_4 took blocks -1 and 0), and koszul_probe is not called."""
     import barmc.bar as bar_module
     asked = set()
     real_block = Complex.block
@@ -1101,14 +1112,33 @@ def test_prorep_reads_only_h0_and_never_runs_the_probe(monkeypatch):
     monkeypatch.setattr(bar_module, "koszul_probe", no_probe)
     rep = prorep_compare(kpoints(F3, 3), truncated_polynomial(F3, 2), 4)
     assert rep.ok and rep.lhs == 27
-    assert asked == {-1, 0}
+    assert asked == set()
+
+
+def test_prorep_builds_no_dual_truncation_cohomology_or_corepresenting_map(
+        monkeypatch):
+    """The comparison answers with S_N, its cohomology and the
+    per-element corepresenting maps all unbuildable."""
+    def refuse(*args):
+        raise AssertionError("the comparison built an S_N object")
+
+    for cls in (DualTruncation, SHatCohomology, CorepresentingHom):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    for A, R, N in ((njac(F3, 2), truncated_polynomial(F3, 3), 3),
+                    (kpoints(F3, 3), truncated_polynomial(F3, 2), 5),
+                    (xy(F2), truncated_polynomial(F2, 3), 3)):
+        rep = prorep_compare(A, R, N)
+        assert rep.ok and rep.lhs == rep.rhs > 1
 
 
 def test_prorep_random_corpus():
     """Admissible or not, every random draw over F2 and F3 at N = nu - 1
     and N = nu is answered, and in agreement, or refused for a reason
-    that stays true: A is not admissible, or a sweep passes the cap."""
-    answered, refused = 0, {"admissible": 0, "cap": 0}
+    that stays true: A is not admissible, or a sweep passes the cap.
+    Every answer matches the presentation read off S_N; 38 of them
+    have relations with a linear term, hence pivot letters."""
+    answered, linear, refused = 0, 0, {"admissible": 0, "cap": 0}
+    sweeps = []
     for field in (F2, F3):
         for seed in range(40):
             A, R, _ = random_instance(field, seed)
@@ -1120,18 +1150,26 @@ def test_prorep_random_corpus():
                     assert "exceeds the cap" in msg or (
                         not is_admissible(A) and "strictly unital" in msg), msg
                     refused["cap" if "cap" in msg else "admissible"] += 1
+                    if "Hom sweep" in msg:
+                        sweeps.append((seed, N, msg))
                     continue
                 assert rep.ok, (field, seed, N, rep.problems)
+                _matches_the_s_n_presentation(A, R, N, rep)
                 answered += 1
-    assert answered == 126
+                linear += bool(rep.presentation.pivots)
+    assert answered == 126 and linear == 38
     assert refused == {"admissible": 28, "cap": 6}
+    # the sweep size counts the generators, as the S_N presentation did
+    assert sweeps == [(seed, N, "Hom sweep 3^9 exceeds the cap 16384")
+                      for seed, N in ((3, 3), (3, 4), (14, 2), (14, 3))]
 
 
 def test_presentation_certifies_generation():
-    pres = H0Presentation(SHatCohomology(njac(F2, 2), 3))
-    assert pres.generator_count() == 2
-    assert pres.relations == []
-    assert len(pres.monomials) == 1 + 2 + 4 + 8
+    """njac(F2,2) has no product, so H^0(S_3) is free on both letters:
+    no relation, no pivot, and both letters generate."""
+    pres = H0Presentation(njac(F2, 2), 3)
+    assert pres.gens == pres.letters == ["x1", "x2"]
+    assert pres.relations == {} and pres.pivots == {}
 
 
 # ---------------------------------------------------------------------------
@@ -1167,17 +1205,84 @@ SWEEP_CASES = dict(COMMUTATIVE_CASES, **{
 })
 
 
+def _listed(maps):
+    return [[list(w.items()) for w in t] for t in maps]
+
+
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_algebra_maps_match_the_oracle_sweep(case):
-    """Item for item, and key order within every generator image."""
+    """Item for item, and key order within every generator image: the
+    presentation read off A against the one read off S_N."""
     make_a, make_r, N = SWEEP_CASES[case]
-    R = make_r()
-    pres = H0Presentation(SHatCohomology(make_a(), N))
+    A, R = make_a(), make_r()
+    assert _listed(algebra_maps(H0Presentation(A, N), R)) == _listed(
+        algebra_maps_oracle(H0PresentationOracle(A, N), R))
 
-    def listed(maps):
-        return [[list(w.items()) for w in t] for t in maps]
 
-    assert listed(algebra_maps(pres, R)) == listed(algebra_maps_oracle(pres, R))
+def _ideal_rows(pres):
+    """u r_c v for all words u, v over the letters, cut at weight N."""
+    rows = []
+    for r in pres.relations.values():
+        words = bar_words(pres.letters, pres.N - min(map(len, r)))
+        rows += [{u + w + v: c for w, c in r.items()
+                  if len(u) + len(w) + len(v) <= pres.N}
+                 for u in words for v in words
+                 if len(u) + len(v) <= pres.N - min(map(len, r))]
+    return rows
+
+
+def _weight_profile(rows, field, N):
+    """The span, and its dimension inside the words of length >= w for
+    w = 0..N: the rows of its echelon form, shortest word first, whose
+    pivot has length >= w."""
+    span = Subspace([{(len(w), w): c for w, c in r.items()} for r in rows],
+                    field)
+    return span, [sum(k[0] >= w for k in span.pivot_keys)
+                  for w in range(N + 1)]
+
+
+def _matches_the_s_n_presentation(A, R, N, rep):
+    """The report's presentation against the one read off S_N: the same
+    generators, the same maps in the same order, the same induced map
+    of every element, and where no relation has a linear term the same
+    relation span at each weight."""
+    new, old = rep.presentation, H0PresentationOracle(A, N)
+    assert [list(g.items()) for g in old.gens] == [
+        [((a,), A.field.one)] for a in new.gens]
+    assert _listed(rep.maps) == _listed(algebra_maps_oracle(old, R))
+    setup = DeformationSetup(A, R)
+    for cls in rep.classes.classes:
+        for alpha in cls:
+            assert induced_map(setup, new, alpha) == \
+                induced_map_oracle(setup, old, alpha)
+    if not any(len(w) == 1 for r in new.relations.values() for w in r):
+        old_rows = [{tuple(new.gens[i] for i in m): c for m, c in r.items()}
+                    for r in old.relations]
+        old_span, old_dims = _weight_profile(old_rows, A.field, N)
+        new_span, new_dims = _weight_profile(_ideal_rows(new), A.field, N)
+        assert old_dims == new_dims
+        assert all(old_span.contains(v) for v in new_span.rows)
+
+
+# every comparison of this module (the noncommutative one and the
+# benchmark's gauge job, njac2-F3-t3-3, among them), the largest, and
+# order 0, where S_0 has no letters
+ORACLE_CASES = dict(SWEEP_CASES, **{
+    case: (make_a, make_r, N)
+    for case, (make_a, make_r, N, _) in NU_MINUS_ONE_CASES.items()}, **{
+    "kpoints3-F3-t2-5": (lambda: kpoints(F3, 3),
+                         lambda: truncated_polynomial(F3, 2), 5),
+    "njac1-t1-0": (lambda: njac(F2, 1), lambda: truncated_polynomial(F2, 1),
+                   0)})
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_presentation_matches_the_s_n_oracle(case):
+    make_a, make_r, N = ORACLE_CASES[case]
+    A, R = make_a(), make_r()
+    rep = prorep_compare(A, R, N)
+    assert rep.ok
+    _matches_the_s_n_presentation(A, R, N, rep)
 
 
 @pytest.mark.parametrize("case", sorted(COMMUTATIVE_CASES))
@@ -1253,7 +1358,7 @@ def test_unit_inversion_refuses_what_the_certificate_cannot_see(u, named):
 
 def test_conjugation_orbits_partition_the_maps():
     R = local_noncommutative(F2)
-    pres = H0Presentation(SHatCohomology(njac(F2, 1), 3))
+    pres = H0Presentation(njac(F2, 1), 3)
     maps = algebra_maps(pres, R)
     orbits, orbit_of = conjugation_orbits(R, maps)
     covered = sorted(i for o in orbits for i in o)
@@ -1277,7 +1382,7 @@ def test_conjugation_orbits_match_the_search(case):
     """One pass over the units per orbit gives the breadth-first orbits."""
     make_a, N, field = NONCOMMUTATIVE_CASES[case]
     R = local_noncommutative(field)
-    maps = algebra_maps(H0Presentation(SHatCohomology(make_a(), N)), R)
+    maps = algebra_maps(H0Presentation(make_a(), N), R)
     orbits, orbit_of = conjugation_orbits(R, maps)
     assert (orbits, orbit_of) == conjugation_orbits_oracle(R, maps)
     assert any(len(o) > 1 for o in orbits)
