@@ -1223,11 +1223,11 @@ def _ideal_rows(pres):
     """u r_c v for all words u, v over the letters, cut at weight N."""
     rows = []
     for r in pres.relations.values():
-        words = bar_words(pres.letters, pres.N - min(map(len, r)))
+        room = pres.N - min(map(len, r))
+        words = bar_words(pres.letters, room)
         rows += [{u + w + v: c for w, c in r.items()
                   if len(u) + len(w) + len(v) <= pres.N}
-                 for u in words for v in words
-                 if len(u) + len(v) <= pres.N - min(map(len, r))]
+                 for u in words for v in words if len(u) + len(v) <= room]
     return rows
 
 
