@@ -22,10 +22,10 @@ basis tuple.  The checkers do not call them tuple by tuple: the
 residuals are sums of composites of table entries (the b o b = 0 form
 of the identities; Stasheff 1963, Keller 2001), so check_ainf_axioms
 and check_ainf_morphism join the tables and visit only the tuples some
-composite produces; compose_morphisms reads its components off the
-same join.  The per-tuple functions name the witness of a failure, and
-replayed over every tuple they are the oracle the joins are tested
-against.
+composite produces; compose_morphisms reads its components, and
+transfer.minimal_model its W_n, off the same join.  The per-tuple
+functions only name the witness of a failure, and replayed over every
+tuple they are the oracle the joins are tested against.
 
 Every multilinear evaluation (eval_m_vectors, the twisted operations
 and the pushforward's f x mu_R) runs through one kernel, _expand.
@@ -405,7 +405,7 @@ def _insertion_join(inner, outer, n, field, shift):
     label); inner holds tables by arity and outer is a _slot_index.
     With shift 0 this is the Stasheff sum; with shift 1 it is minus the
     insertion side of the morphism identity, as morphism_residual
-    subtracts it.
+    subtracts it (_morphism_join).
     """
     acc = {}
     signs = (field.one, -field.one)
@@ -614,6 +614,8 @@ def morphism_residual(f, args):
     (s-1) i_1 + (s-2) i_2 + ... + i_{s-1} + s(s+1)/2
     plus the Koszul cost of evaluating f_{i_1} x ... x f_{i_s}.
     Right side: sum (-1)^(r + st + s) f_{r+1+t} (1^r x m_s x 1^t).
+    It names the witness of a failed check_ainf_morphism; the checker
+    and minimal_model read the same sums off the sparse joins.
     """
     A1, A2 = f.source, f.target
     args = tuple(args)
@@ -664,12 +666,9 @@ def check_ainf_morphism(f, n_max):
     inner = _live_tables(A1.m, A1.arity_bound)
     comps = _live_tables(f.f, f.arity_bound)
     ops = _live_tables(f.target.m, f.target.arity_bound)
-    outer = _slot_index(comps, A1.space.degree)
-    by_output = _output_index(comps, A1.space.degree)
     index = A1.space.index
     for n in range(1, top + 1):
-        acc = _insertion_join(inner, outer, n, A1.field, 1)
-        _block_join(ops, by_output, n, A1.field, acc, _printed_exponent)
+        acc = _morphism_join(comps, inner, ops, A1.space.degree, n, A1.field)
         args = _first_nonzero(acc, index, index)
         if args is not None:
             return CheckReport(False, failure=(n, args, morphism_residual(f, args)),
@@ -679,6 +678,17 @@ def check_ainf_morphism(f, n_max):
         if not rep.ok:
             return rep
     return CheckReport(True, checked_to=top, note=note)
+
+
+def _morphism_join(comps, inner, ops, degree, n, field):
+    """morphism_residual on every arity-n tuple at once, keyed by
+    (tuple, output label): the insertion join of the source tables
+    inner into the components comps, plus the block join of comps into
+    the target tables ops; degree is the source's."""
+    acc = _insertion_join(inner, _slot_index(comps, degree), n, field, 1)
+    _block_join(ops, _output_index(comps, degree), n, field, acc,
+                _printed_exponent)
+    return acc
 
 
 def _output_index(comps, degree):
@@ -697,10 +707,10 @@ def _block_join(ops, by_output, n, field, acc, printed_exponent):
 
     e is printed_exponent(blocks) plus the Koszul cost of evaluating
     the tensor of the f's on their blocks: _printed_exponent gives the
-    product side of morphism_residual, and no printed sign gives a
-    composite of morphisms.  Each entry m_s(b_1..b_s) meets, block by
-    block, the f-entries of arity i_j whose output holds b_j; the tuple
-    is their inputs concatenated.
+    product side of morphism_residual (_morphism_join), and no printed
+    sign gives a composite of morphisms (compose_morphisms).  Each
+    entry m_s(b_1..b_s) meets, block by block, the f-entries of arity
+    i_j whose output holds b_j; the tuple is their inputs concatenated.
     """
     for s, table in ops.items():
         if s > n:
@@ -724,6 +734,17 @@ def _block_join(ops, by_output, n, field, acc, printed_exponent):
                     coeff = field.sign(exponent) * coeff
                     for o, v in m_vec.items():
                         acc[args, o] = acc.get((args, o), 0) + coeff * v
+
+
+def _entries_in_order(acc, index, out_index):
+    """The nonzero (tuple, vector) pairs of a join's accumulator, tuples
+    in itertools.product order and outputs in label order."""
+    entries = {}
+    for (args, o), c in acc.items():
+        if c:
+            entries.setdefault(args, []).append((out_index[o], o, c))
+    for args in sorted(entries, key=lambda a: [index[l] for l in a]):
+        yield args, {o: c for _, o, c in sorted(entries[args])}
 
 
 def check_strict_unital_morphism(f):
@@ -763,12 +784,8 @@ def compose_morphisms(g, f, arity_bound=None):
     for n in range(1, bound + 1):
         acc = {}
         _block_join(ops, by_output, n, A1.field, acc, lambda blocks: 0)
-        entries = {}
-        for (args, o), c in acc.items():
-            if c:
-                entries.setdefault(args, []).append((out_index[o], o, c))
-        for args in sorted(entries, key=lambda a: [index[l] for l in a]):
-            comps.set(n, args, {o: c for _, o, c in sorted(entries[args])})
+        for args, vec in _entries_in_order(acc, index, out_index):
+            comps.set(n, args, vec)
     return AInfMorphism(f.source, g.target, comps, arity_bound=bound,
                         strict_unital=f.strict_unital and g.strict_unital)
 

@@ -4,14 +4,14 @@ The builder does not carry a sign table of its own.  At each arity
 the morphism identity for (f_1, ..., f_{n-1}) and the operations
 found so far has exactly two unknown terms left, m_1 f_n on one side
 and f_1 m_n on the other; every other term is a number already.  So
-ainfinity.morphism_residual, evaluated on the model and the morphism
-as far as they are built, hands us one known vector W_n per argument
-tuple, with d f_n + (-1)^n i m_n = W_n, and the splitting takes it
-apart: m_n is (-1)^n p W_n and f_n is h W_n.  Every sign that enters
-is the one morphism_residual prints, the identity the checker joins
-too, so there is no convention here to get wrong; and the result is
-still not trusted, since the assembled model and morphism go through
-the axiom checkers before being returned.
+the join check_ainf_morphism runs (ainfinity._morphism_join), taken
+over the tables of arity < n, hands us one known vector W_n per
+argument tuple, all tuples at once, with d f_n + (-1)^n i m_n = W_n,
+and the splitting takes it apart: m_n is (-1)^n p W_n and f_n is
+h W_n.  Every sign that enters is the one the checker joins too, so
+there is no convention here to get wrong; and the result is still not
+trusted, since the assembled model and morphism go through the axiom
+checkers before being returned.
 
 The splitting itself is elementary linear algebra, done degree by
 degree through the canonical echelon solvers: representatives for
@@ -23,11 +23,12 @@ homotopy vanish.  The same algebra over the same field always yields
 the same splitting and hence the same model.
 """
 
-from itertools import product as iter_product
-
 from .ainfinity import (
     _algebra,
     _degree_window_bound,
+    _entries_in_order,
+    _live_tables,
+    _morphism_join,
     AInfAlgebra,
     AInfMorphism,
     StructureMaps,
@@ -35,7 +36,6 @@ from .ainfinity import (
     check_ainf_morphism,
     check_strict_unit,
     degree_certified_arity_bound,
-    morphism_residual,
 )
 from .errors import _integer, MathCheckFailure
 from .linalg import (
@@ -247,9 +247,10 @@ def minimal_model(C, arity_max):
     The recursion solves the morphism identity arity by arity.  With
     everything below arity n in hand, the identity on a tuple leaves
     d f_n on the product side and (-1)^n i m_n on the insertion side;
-    the remaining terms form a known vector W_n, which is
-    morphism_residual of the partial (A, f) because f_n and m_n are
-    still absent there.  The splitting disassembles it:
+    the remaining terms form a known vector W_n, the morphism residual
+    of the partial (A, f) because f_n and m_n are still absent there.
+    It is read for every tuple at once off the morphism join over the
+    tables of arity < n.  The splitting disassembles it:
     m_n = (-1)^n p W_n and f_n = h W_n.  The homotopy identity is
     what makes this choice close the recursion, and the axiom checkers
     verify the result before it is returned, so a discrepancy anywhere
@@ -269,14 +270,12 @@ def minimal_model(C, arity_max):
         iv = t.i.get(x, {})
         if iv:
             comps.set(1, (x,), dict(iv))
-    # the model and the morphism as found so far; both grow in place
-    partial = AInfMorphism(AInfAlgebra(H, field, mops, arity_bound=arity_max),
-                           C, comps, arity_bound=arity_max)
+    ops = _live_tables(C.m, C.arity_bound)
     for n in range(2, arity_max + 1):
-        for args in iter_product(H.labels, repeat=n):
-            w = morphism_residual(partial, args)
-            if not w:
-                continue
+        # the residual of the partial (model, morphism), f_n and m_n unset
+        acc = _morphism_join(_live_tables(comps, n - 1),
+                             _live_tables(mops, n - 1), ops, H.degree, n, field)
+        for args, w in _entries_in_order(acc, H.index, C.space.index):
             pw = t.apply_p(w)
             if pw:
                 mops.set(n, args, vec_scale(pw, field.sign(n)))

@@ -36,9 +36,10 @@ table entries: one comparison per basis pair or tuple, in
 ``itertools.product`` order.
 
 ``minimal_model_oracle`` is the transfer recursion with its own
-hand-written W_n, and ``eval_f_tensor_oracle`` the pushforward's own
-regrouping loop, both from before they called the shared morphism
-residual and tensor regrouping in ``ainfinity``.
+hand-written W_n on every tuple, from before W_n was the shared
+morphism residual and then the morphism join; ``eval_f_tensor_oracle``
+is the pushforward's own regrouping loop, from before it called the
+shared tensor regrouping in ``ainfinity``.
 
 ``check_ainf_axioms_oracle``, ``check_module_axioms_oracle`` and
 ``check_ainf_morphism_oracle`` are the identity checkers as they were

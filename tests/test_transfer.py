@@ -23,6 +23,7 @@ from itertools import product as iter_product
 
 import pytest
 
+from barmc import ainfinity, transfer
 from barmc.ainfinity import (
     AInfAlgebra,
     AInfMorphism,
@@ -33,6 +34,7 @@ from barmc.ainfinity import (
     check_strict_unit,
     m_from_b,
     morphism_residual,
+    tensor_with_dg,
 )
 from barmc.artin import truncated_polynomial
 from barmc.bar import dual_dg_algebra
@@ -421,25 +423,50 @@ ORACLE_INPUTS = [
     for field in (F2, F3, Q)
     for name, A in (("kpoints(%s,2)" % field, kpoints(field, 2)),
                     ("xy(%s)" % field, xy(field)))
+] + [
+    ("kpoints(Q,2)*cone",
+     lambda: tensor_with_dg(kpoints(Q, 2), acyclic_cone(Q))),
 ]
 
 
 @pytest.mark.parametrize("make", [m for _, m in ORACLE_INPUTS],
                          ids=[i for i, _ in ORACLE_INPUTS])
 def test_minimal_model_matches_the_recursion_oracle(make):
-    """The model built on morphism_residual is the hand-signed recursion.
+    """The model read off the morphism join is the hand-signed recursion.
 
     The duals carry m_3, m_4 and f_2; the random inputs include ones
-    with f_2 through f_4 and, over Q, m_3 and m_4.
+    with f_2 through f_5 and, over Q, m_3 through m_5.
     """
     C = make()
     t = build_splitting(C)
-    A, f = minimal_model(C, 4)
-    mops, comps = minimal_model_oracle(C, 4, t)
+    A, f = minimal_model(C, 5)
+    mops, comps = minimal_model_oracle(C, 5, t)
     assert [(n, list(tb.items())) for n, tb in A.m.entries.items()] == \
         [(n, list(tb.items())) for n, tb in mops.entries.items()]
     assert [(n, list(tb.items())) for n, tb in f.f.entries.items()] == \
         [(n, list(tb.items())) for n, tb in comps.entries.items()]
+
+
+def test_minimal_model_replays_no_tuple(monkeypatch):
+    """W_n comes from the join; the per-tuple residual only names a
+    failure, and no oracle input fails."""
+    def refuse(*args):
+        raise AssertionError("morphism_residual replayed on %r" % (args,))
+    monkeypatch.setattr(ainfinity, "morphism_residual", refuse)
+    monkeypatch.setattr(transfer, "morphism_residual", refuse, raising=False)
+    for _, make in ORACLE_INPUTS:
+        minimal_model(make(), 5)
+
+
+def test_minimal_models_at_arities_out_of_reach_of_a_tuple_loop():
+    A, _ = minimal_model(tensor_with_dg(kpoints(Q, 2), acyclic_cone(Q)), 8)
+    assert len(A.space.labels) == 4
+    assert A.m.arities() == [2]
+    C = random_instance(F3, 1)[0]
+    _, f = minimal_model(C, 7)
+    _, comps = minimal_model_oracle(C, 7, build_splitting(C))
+    assert 7 in comps.arities()
+    assert list(f.f.entries[7].items()) == list(comps.entries[7].items())
 
 
 def test_transferred_units_stay_strict():
