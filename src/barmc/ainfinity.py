@@ -448,13 +448,19 @@ def check_strict_unit(A):
         right = A.m.get(2, (a, e))
         if left != {a: one} or right != {a: one}:
             return CheckReport(False, failure=(2, (e, a), (left, right)))
-    for n, table in A.m.entries.items():
-        if n < 3:
-            continue
-        for args, vec in table.items():
-            if e in args and vec_clean(vec):
-                return CheckReport(False, failure=(n, args, vec))
-    return CheckReport(True)
+    failure = _unit_input(A.m, e, 3)
+    return CheckReport(failure is None, failure=failure)
+
+
+def _unit_input(maps, e, lowest):
+    """The first nonzero entry (n, args, vec) of arity n >= lowest with e
+    among its inputs, or None: a strict unit is an input of no such entry."""
+    for n, table in maps.entries.items():
+        if n >= lowest:
+            for args, vec in table.items():
+                if e in args and vec_clean(vec):
+                    return n, args, vec
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -753,13 +759,8 @@ def check_strict_unital_morphism(f):
         return CheckReport(False, note="strict unitality requires units on both sides")
     if f.eval_f((e1,)) != {e2: f.source.field.one}:
         return CheckReport(False, failure=(1, (e1,), f.eval_f((e1,))))
-    for n, table in f.f.entries.items():
-        if n < 2:
-            continue
-        for args, vec in table.items():
-            if e1 in args and vec_clean(vec):
-                return CheckReport(False, failure=(n, args, vec))
-    return CheckReport(True)
+    failure = _unit_input(f.f, e1, 2)
+    return CheckReport(failure is None, failure=failure)
 
 
 def compose_morphisms(g, f, arity_bound=None):
@@ -800,16 +801,22 @@ def unitize(A, unit_label="e"):
         raise ValueError("label %r already used" % (unit_label,))
     basis = [(unit_label, 0)] + [(l, A.space.degree[l]) for l in A.space.labels]
     space = GradedSpace(basis)
-    one = A.field.one
     ops = A.m.copy()
-    ops.set(2, (unit_label, unit_label), {unit_label: one})
-    for l in A.space.labels:
-        ops.set(2, (unit_label, l), {l: one})
-        ops.set(2, (l, unit_label), {l: one})
+    _unit_laws(ops, unit_label, A.space.labels, A.field.one)
     return AInfAlgebra(space, A.field, ops,
                        arity_bound=max(A.arity_bound, 2),
                        unit=unit_label,
                        complete_to_arity=A.complete_to_arity)
+
+
+def _unit_laws(ops, unit, labels, one):
+    """Write m_2(unit, unit) = unit, then m_2(unit, l) = m_2(l, unit) = l
+    for every other label l, in label order: the strict unit laws."""
+    ops.set(2, (unit, unit), {unit: one})
+    for l in labels:
+        if l != unit:
+            ops.set(2, (unit, l), {l: one})
+            ops.set(2, (l, unit), {l: one})
 
 
 def restrict_to_ideal(A):
@@ -826,10 +833,6 @@ def restrict_to_ideal(A):
                             % (n, args, lbl))
                 out.set(n, args, dict(vec))
     return out
-
-
-def tensor_label(a, c):
-    return (a, c)
 
 
 def tensor_with_dg(A, C):
@@ -850,7 +853,7 @@ def tensor_with_dg(A, C):
     basis = []
     for a in A.space.labels:
         for c in C.space.labels:
-            basis.append((tensor_label(a, c), A.deg(a) + C.deg(c)))
+            basis.append(((a, c), A.deg(a) + C.deg(c)))
     space = GradedSpace(basis)
     ops = StructureMaps()
     # differential
@@ -858,14 +861,14 @@ def tensor_with_dg(A, C):
         for c in C.space.labels:
             vec = {}
             for out_a, coeff in A.m.get(1, (a,)).items():
-                vec_add(vec, {tensor_label(out_a, c): coeff})
+                vec_add(vec, {(out_a, c): coeff})
             dc = C.m.get(1, (c,))
             if dc:
                 sgn = field.sign(A.deg(a))
                 for out_c, coeff in dc.items():
-                    vec_add(vec, {tensor_label(a, out_c): sgn * coeff})
+                    vec_add(vec, {(a, out_c): sgn * coeff})
             if vec_clean(vec):
-                ops.set(1, (tensor_label(a, c),), vec)
+                ops.set(1, ((a, c),), vec)
     # higher operations
     words = _base_words(C, A.m.max_arity())
     for n, table in A.m.entries.items():
@@ -874,11 +877,11 @@ def tensor_with_dg(A, C):
         for a_args, a_vec in table.items():
             a_degs = [A.deg(a) for a in a_args]
             for c_args, c_prod in words[n - 1].items():
-                args = tuple(map(tensor_label, a_args, c_args))
+                args = tuple(zip(a_args, c_args))
                 ops.set(n, args, _regrouped(a_vec, a_degs, C, c_args, c_prod))
     unit = None
     if A.unit is not None and C.unit is not None:
-        unit = tensor_label(A.unit, C.unit)
+        unit = (A.unit, C.unit)
     return AInfAlgebra(space, field, ops, arity_bound=A.arity_bound,
                        unit=unit,
                        complete_to_arity=A.complete_to_arity)
@@ -939,7 +942,7 @@ def _regrouped(a_vec, a_degs, C, c_args, c_prod):
         for out_c, cc in c_prod.items():
             w = sign * ca * cc
             if w:
-                out[tensor_label(out_a, out_c)] = w
+                out[(out_a, out_c)] = w
     return out
 
 

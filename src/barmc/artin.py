@@ -11,8 +11,8 @@ computes the nilpotency index, and classifies R as negative
 (degrees <= 0) or classical (degree 0 only).
 """
 
-from .ainfinity import (_algebra, _right_products, AInfAlgebra, StructureMaps,
-                        check_ainf_axioms, check_strict_unit)
+from .ainfinity import (_algebra, _right_products, _unit_laws, AInfAlgebra,
+                        StructureMaps, check_ainf_axioms, check_strict_unit)
 from .errors import _integer
 from .linalg import GradedSpace, Subspace, vec_clean
 
@@ -245,11 +245,7 @@ def square_zero(field, gens, d=None):
     space = GradedSpace([("1", 0)] + [(l, _integer(g, "the degree of %r" % (l,)))
                                       for l, g in gens])
     ops = StructureMaps()
-    one = field.one
-    ops.set(2, ("1", "1"), {"1": one})
-    for l, _ in gens:
-        ops.set(2, ("1", l), {l: one})
-        ops.set(2, (l, "1"), {l: one})
+    _unit_laws(ops, "1", space.labels, field.one)
     if d:
         for l, vec in d.items():
             ops.set(1, (l,), {k: field(c) for k, c in vec.items()})
@@ -271,11 +267,7 @@ def fiber_product(R1, R2):
     basis += [("b.%s" % l, R2.deg(l)) for l in R2.ideal_labels]
     space = GradedSpace(basis)
     ops = StructureMaps()
-    one = field.one
-    for l in space.labels:
-        ops.set(2, ("1", l), {l: one})
-        if l != "1":
-            ops.set(2, (l, "1"), {l: one})
+    _unit_laws(ops, "1", space.labels, field.one)
 
     def install(R, prefix):
         for x in R.ideal_labels:

@@ -42,7 +42,6 @@ from .ainfinity import (
     m_from_b,
     restrict_to_ideal,
     stasheff_residual,
-    tensor_label,
 )
 from .errors import _integer, HypothesisNotMet, MathCheckFailure
 from .linalg import (
@@ -406,26 +405,27 @@ class SHatCohomology:
 
 
 def is_admissible(A):
-    """Strictly unital, augmented, augmentation ideal in degrees >= 1.
+    """A declared unit (so augmented), ideal in degrees >= 1.
 
-    This is the degree condition that keeps every dual truncation in
-    nonpositive degrees with finite slices, which the probe and the
-    universal deformation rely on.
+    Whether the unit is strict is not checked here.  The degree
+    condition keeps every dual truncation in nonpositive degrees with
+    finite slices, which the probe and the universal deformation rely on.
     """
     if _algebra(A).unit is None:
         return False
     return all(A.deg(l) >= 1 for l in A.ideal_labels())
 
 
-def weight_raise_bound(A, N):
+def weight_raise_bound(A):
     """Largest jump the dual differential makes along the weight filtration.
 
-    Transposing an s-fold merge raises word weight by s - 1, and only
-    merges that fit inside a weight <= N word can act.
+    Transposing an s-fold merge raises word weight by s - 1.  Every
+    arity present counts, whatever the order N: a merge longer than N
+    still acts in the deeper truncations a faithful slice must match.
     """
     r = 0
     for s, table in A.m.entries.items():
-        if 2 <= s <= N and any(v for v in table.values()):
+        if s >= 2 and any(v for v in table.values()):
             r = max(r, s - 1)
     return r
 
@@ -433,7 +433,8 @@ def weight_raise_bound(A, N):
 class KoszulVerdict:
     """Order-N certificate: graded H^i vanishes for i != 0 in the window.
 
-    The window is the weight range the truncation computes faithfully.
+    The window is the weight range the truncation computes faithfully,
+    0 .. max(N - r, 0) (see koszul_probe).
     Functionals supported near the top weight are cocycles for free
     (their differential raises weight past the cutoff), so the raw
     H^i dims carry truncation-edge classes in negative degrees; dims
@@ -471,7 +472,9 @@ def koszul_probe(A, N):
     The faithful weights are w <= N - r with r the weight raise bound:
     there the cocycle condition on a weight-w functional and all the
     bounding elements it could receive stay inside the truncation, so
-    the graded slice gr_w H^i agrees with every deeper truncation.  A
+    the graded slice gr_w H^i agrees with every deeper truncation.
+    Weight 0 is always faithful, as d never makes or takes the empty
+    word, so the window's top is clamped at 0.  A
     truncation-level certificate only; refuses non-admissible input,
     where the probe has no degree bounds to work with, before S_N is
     built.  An admissible A puts S_N in degrees <= 0, which the
@@ -484,7 +487,7 @@ def koszul_probe(A, N):
     rep = SHatCohomology(A, N)
     if rep.S.space.degrees_present()[-1] > 0:
         raise MathCheckFailure("admissible input produced positive dual degrees")
-    w_hi = N - weight_raise_bound(A, N)
+    w_hi = max(N - weight_raise_bound(A), 0)
     failures = [(i, w, dims[w]) for i, dims in sorted(rep.filtered_dims.items())
                 if i for w in range(w_hi + 1) if dims[w]]
     return KoszulVerdict(not failures, N, (0, w_hi), failures,
@@ -507,4 +510,4 @@ def universal_twisting_cochain(A):
     if A.unit is None:
         raise ValueError("twisting cochains need an augmented algebra")
     one = A.field.one
-    return {tensor_label(a, (a,)): one for a in A.ideal_labels()}
+    return {(a, (a,)): one for a in A.ideal_labels()}

@@ -13,7 +13,8 @@ never needs rejection.
 import random
 from itertools import combinations, product
 
-from .ainfinity import AInfAlgebra, StructureMaps, tensor_with_dg, unitize
+from .ainfinity import (AInfAlgebra, StructureMaps, _compositions, _unit_laws,
+                        tensor_with_dg, unitize)
 from .artin import (
     fiber_product,
     square_zero,
@@ -77,11 +78,7 @@ def njac(field, g):
         raise ValueError("the number of classes must be nonnegative")
     space = GradedSpace([("1", 0)] + [("x%d" % i, 1) for i in range(1, g + 1)])
     ops = StructureMaps()
-    one = field.one
-    for l in space.labels:
-        ops.set(2, ("1", l), {l: one})
-        if l != "1":
-            ops.set(2, (l, "1"), {l: one})
+    _unit_laws(ops, "1", space.labels, field.one)
     return AInfAlgebra(space, field, ops, arity_bound=2,
                        unit="1")
 
@@ -98,7 +95,8 @@ def ngr(field, n, m):
     q = n - m
     pieces = []
     for i in range(q + 1):
-        for mono in _monomials(m, i):
+        for comp in _compositions(i + m, m):
+            mono = tuple(e - 1 for e in comp)
             for subset in combinations(range(1, q + 1), i):
                 pieces.append((mono, subset))
     space = GradedSpace([(_ngr_label(mo, su), len(su)) for mo, su in pieces])
@@ -113,15 +111,6 @@ def ngr(field, n, m):
                     {_ngr_label(mono, merged): field.sign(sign)})
     return AInfAlgebra(space, field, ops, arity_bound=2,
                        unit=_ngr_label((0,) * m, ()))
-
-
-def _monomials(nvars, total):
-    if nvars == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _monomials(nvars - 1, total - first):
-            yield (first,) + rest
 
 
 def _ngr_label(mono, subset):
@@ -160,12 +149,8 @@ def acyclic_cone(field):
     """
     space = GradedSpace([("1", 0), ("a", 1), ("b", 2)])
     ops = StructureMaps()
-    one = field.one
-    for l in space.labels:
-        ops.set(2, ("1", l), {l: one})
-        if l != "1":
-            ops.set(2, (l, "1"), {l: one})
-    ops.set(1, ("a",), {"b": one})
+    _unit_laws(ops, "1", space.labels, field.one)
+    ops.set(1, ("a",), {"b": field.one})
     return AInfAlgebra(space, field, ops, arity_bound=2,
                        unit="1")
 

@@ -48,7 +48,6 @@ from .ainfinity import (
     check_ainf_morphism,
     check_strict_unit,
     check_strict_unital_morphism,
-    tensor_label,
     tensor_with_dg,
 )
 from .artin import _artinian, quotient_by_power
@@ -173,7 +172,7 @@ class DeformationSetup:
         self.ideal_space = GradedSpace(
             [(l, self.T.deg(l)) for l in self.ideal])
         self.one_vec = (
-            {tensor_label(A.unit, R.unit): self.field.one}
+            {(A.unit, R.unit): self.field.one}
             if A.unit is not None else None)
         self._mc = set()  # _vec_key of every element found MC
         self._certified = []  # point lists enumerate_mc certified, unkeyed
@@ -307,6 +306,10 @@ class DeformationSetup:
     @cached_property
     def extension(self):
         """The small extension R -> R/m^(nu-1), over this setup."""
+        if self.nu < 2:
+            raise HypothesisNotMet(
+                "R = k (nu = %d) has no small extension R -> R/m^(nu-1)"
+                % self.nu)
         return SmallExtension(self)
 
     @cached_property
@@ -370,10 +373,10 @@ class DeformationSetup:
     def gauge_part(self, g):
         """u for a gauge element g = 1 + u with u in (A x m)^0.
 
-        Raises ValueError, naming the label, on any other shape.
+        Raises ValueError, naming the label, on any other shape, and
+        HypothesisNotMet unless A's unit is strict.
         """
-        if self.one_vec is None:
-            raise HypothesisNotMet("the gauge groupoid needs a strict unit")
+        self.require_strict_unit()
         _check_vector(g, self.field, "gauge element", self.T.space.index,
                       "1 + A x m")
         one_lbl = next(iter(self.one_vec))
@@ -402,6 +405,15 @@ def enumerate_mc(A, R, cap=ENUMERATION_CAP):
 
 # ---------------------------------------------------------------------------
 # the small extension at the top of the m-adic tower
+
+
+def _base_change(vec, table):
+    """1 x phi on A x R: each (a, r) goes to a x table[r]."""
+    out = {}
+    for (a, r), c in vec.items():
+        for s, cc in table[r].items():
+            vec_add(out, {(a, s): c * cc})
+    return vec_clean(out)
 
 
 class SmallExtension:
@@ -480,19 +492,11 @@ class SmallExtension:
         """A x R -> A x Rbar along the base projection."""
         _check_vector(vec, self.field, "vector", self.setup.T.space.index,
                       "A x R")
-        out = {}
-        for (a, r), c in vec.items():
-            for rbar, cc in self._pi[r].items():
-                vec_add(out, {(a, rbar): c * cc})
-        return vec_clean(out)
+        return _base_change(vec, self._pi)
 
     def embed(self, coord_vec):
         """A vector in the coordinates of A x I, written in A x R."""
-        out = {}
-        for (a, k), c in coord_vec.items():
-            for r, cc in self.kernel_rows[k].items():
-                vec_add(out, {(a, r): c * cc})
-        return vec_clean(out)
+        return _base_change(coord_vec, self.kernel_rows)
 
     def coordinates(self, vec):
         """Rewrite an A x R vector supported in A x I over the row basis."""

@@ -56,10 +56,6 @@ def label_from_json(doc):
     return doc
 
 
-def scalar_to_str(c):
-    return c.as_string()
-
-
 def scalar_from_str(field, text):
     """The coefficient written as a decimal string, or ValueError naming it."""
     if not isinstance(text, str):
@@ -73,7 +69,7 @@ def scalar_from_str(field, text):
 
 def vector_to_json(vec):
     """A sparse vector as a sorted list of [label, coefficient] pairs."""
-    return [[label_to_json(l), scalar_to_str(c)]
+    return [[label_to_json(l), c.as_string()]
             for l, c in sorted(vec.items(), key=lambda kv: repr(kv[0]))]
 
 
@@ -113,7 +109,7 @@ def algebra_to_json(A):
             ops.append({
                 "arity": n,
                 "in": [label_to_json(a) for a in args],
-                "out": [{"label": label_to_json(l), "coeff": scalar_to_str(c)}
+                "out": [{"label": label_to_json(l), "coeff": c.as_string()}
                         for l, c in sorted(A.m.get(n, args).items(),
                                            key=lambda kv: repr(kv[0]))],
             })

@@ -48,7 +48,6 @@ from .ainfinity import (
     AInfAlgebra,
     CheckReport,
     StructureMaps,
-    tensor_label,
 )
 from .artin import _artinian
 from .bar import (
@@ -346,7 +345,7 @@ class TwistedModule:
                       "the module")
         _check_vector(r_vec, self.field, "base element", self.R.space.index,
                       "R")
-        embed = {tensor_label(self.A.unit, r): c for r, c in r_vec.items()}
+        embed = {(self.A.unit, r): c for r, c in r_vec.items()}
         return self.T.eval_m_vectors([x_vec, embed])
 
 
@@ -453,7 +452,7 @@ class ModuleIsomorphism:
         if len(a_vecs) != k - 1:
             raise ValueError("component %d takes %d algebra slots" % (k, k - 1))
         r_unit = self.setup.R.unit
-        embedded = [{tensor_label(a, r_unit): c for a, c in v.items()}
+        embedded = [{(a, r_unit): c for a, c in v.items()}
                     for v in a_vecs]
         morphisms = list(reversed(embedded)) + [x_vec, self.g.vector()]
         objects = [{}] * k + [self.g.alpha, self.g.beta]

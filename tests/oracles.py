@@ -155,7 +155,6 @@ from barmc.ainfinity import (
     morphism_residual,
     stasheff_residual,
     tensor_block_exponent,
-    tensor_label,
     tensor_with_dg,
 )
 from barmc.artin import MAX_NILPOTENCY_SCAN
@@ -632,13 +631,13 @@ def universal_ops_oracle(A, N):
     one = field.one
     S = dual_dg_algebra(A, N)
     T = tensor_with_dg(A, S.algebra)
-    tau = {tensor_label(a, (a,)): one for a in A.ideal_labels()}
+    tau = {(a, (a,)): one for a in A.ideal_labels()}
     ops = StructureMaps()
     for n in range(1, A.arity_bound + 1):
         for x in T.space.labels:
             xvec = {x: one}
             for rest in product(A.space.labels, repeat=n - 1):
-                tail = [{tensor_label(a, ()): one} for a in rest]
+                tail = [{(a, ()): one} for a in rest]
                 acc = {}
                 for i in range(min(A.arity_bound - n, N) + 1):
                     term = T.eval_m_vectors([tau] * i + [xvec] + tail)
@@ -1283,21 +1282,21 @@ def tensor_with_dg_oracle(A, C):
     basis = []
     for a in A.space.labels:
         for c in C.space.labels:
-            basis.append((tensor_label(a, c), A.deg(a) + C.deg(c)))
+            basis.append(((a, c), A.deg(a) + C.deg(c)))
     space = GradedSpace(basis)
     ops = StructureMaps()
     for a in A.space.labels:
         for c in C.space.labels:
             vec = {}
             for out_a, coeff in A.m.get(1, (a,)).items():
-                vec_add(vec, {tensor_label(out_a, c): coeff})
+                vec_add(vec, {(out_a, c): coeff})
             dc = C.m.get(1, (c,))
             if dc:
                 sgn = field.sign(A.deg(a))
                 for out_c, coeff in dc.items():
-                    vec_add(vec, {tensor_label(a, out_c): sgn * coeff})
+                    vec_add(vec, {(a, out_c): sgn * coeff})
             if vec_clean(vec):
-                ops.set(1, (tensor_label(a, c),), vec)
+                ops.set(1, ((a, c),), vec)
     for n, table in A.m.entries.items():
         if n < 2:
             continue
@@ -1319,15 +1318,14 @@ def tensor_with_dg_oracle(A, C):
                 vec = {}
                 for out_a, ca in a_vec.items():
                     for out_c, cc in prod.items():
-                        vec_add(vec, {tensor_label(out_a, out_c):
+                        vec_add(vec, {(out_a, out_c):
                                       sign * ca * cc})
                 if vec:
-                    args = tuple(tensor_label(a, c)
-                                 for a, c in zip(a_args, c_args))
+                    args = tuple(zip(a_args, c_args))
                     ops.add(n, args, vec)
     unit = None
     if A.unit is not None and C.unit is not None:
-        unit = tensor_label(A.unit, C.unit)
+        unit = (A.unit, C.unit)
     return AInfAlgebra(space, field, ops, arity_bound=A.arity_bound,
                        unit=unit, complete_to_arity=A.complete_to_arity)
 
@@ -1362,7 +1360,7 @@ def comodule_ops_oracle(setup, alpha):
         out = {}
         if i == 0:
             for a2, c in A.eval_m((a,) + rest).items():
-                vec_add(out, {tensor_label(a2, r): c})
+                vec_add(out, {(a2, r): c})
             return out
         for combo in product(comps, repeat=i):
             coeff = one
@@ -1377,7 +1375,7 @@ def comodule_ops_oracle(setup, alpha):
             dual = contract(sprod, r)
             for a2, ca in avec.items():
                 for u, cu in dual.items():
-                    vec_add(out, {tensor_label(a2, u): coeff * ca * cu})
+                    vec_add(out, {(a2, u): coeff * ca * cu})
         return out
 
     bound = A.arity_bound
@@ -1390,7 +1388,7 @@ def comodule_ops_oracle(setup, alpha):
                     for i in range(min(bound - n, setup.nu - 1) + 1):
                         vec_add(acc, insertion(i, a, r, rest),
                                 field.sign(i * (i + 1) // 2 + n * i))
-                    ops.set(n, (tensor_label(a, r),) + rest, acc)
+                    ops.set(n, ((a, r),) + rest, acc)
     return ops
 
 
@@ -1414,7 +1412,7 @@ def check_base_change_oracle(E):
     A = E.A
     for n in range(1, A.arity_bound + 1):
         for args in product(A.space.labels, repeat=n):
-            full = E.ops.get(n, (tensor_label(args[0], ()),) + args[1:])
+            full = E.ops.get(n, ((args[0], ()),) + args[1:])
             got = vec_clean({a2: c for (a2, w2), c in full.items()
                              if w2 == ()})
             want = vec_clean(dict(A.m.get(n, args)))

@@ -556,6 +556,32 @@ def test_koszul_probe_detects_non_koszul_truncated_polynomials():
         assert verdict.verdict == "fails at (-1, %d)" % N
 
 
+@pytest.mark.parametrize("make, top, orders", [
+    (lambda: kpoints(F2, 2), 2, (1, 2)),
+    (lambda: xy(F3), 2, (1, 2)),
+    (lambda: njac(F2, 2), 2, (1, 2)),
+    (lambda: random_instance(F3, 7)[0], 3, (1, 2)),
+    (lambda: random_instance(F3, 0)[0], 4, (1, 2, 3)),
+], ids=["kpoints2-F2", "xy-F3", "njac2-F2", "m3-seed7", "m4-seed0"])
+def test_koszul_window_slices_match_two_orders_deeper(make, top, orders):
+    """Below the top arity too, each slice gr_w H^i in the window equals
+    the slice two orders deeper: every arity present bounds the window,
+    whatever N, and weight 0 always lies in it."""
+    A = make()
+    assert A.m.max_arity() == top
+    for N in orders:
+        verdict = koszul_probe(A, N)
+        lo, hi = verdict.window
+        assert lo == 0 <= hi == max(N - top + 1, 0)
+        near = verdict.cohomology.filtered_dims
+        deep = koszul_probe(A, N + 2).cohomology.filtered_dims
+        for i in set(near) | set(deep):
+            assert (near.get(i, [0] * (N + 1))[:hi + 1]
+                    == deep.get(i, [0] * (N + 3))[:hi + 1]), (N, i)
+    verdict = koszul_probe(kpoints(F2, 2), 1)
+    assert verdict.verdict == "koszul-at-order-1" and verdict.window == (0, 0)
+
+
 def test_koszul_probe_njac_every_order():
     for N in range(1, 5):
         verdict = koszul_probe(njac(F2, 1), N)

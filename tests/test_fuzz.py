@@ -94,6 +94,7 @@ from barmc.twisting import (
 Q = Field.rationals()
 F2 = Field.prime(2)
 F3 = Field.prime(3)
+F5 = Field.prime(5)
 
 ALLOWED = (ValueError, HypothesisNotMet, MathCheckFailure)
 
@@ -565,3 +566,62 @@ def test_universal_deformation_refuses_the_higher_arity_sign_defect(seed, N):
                        match=r"not Maurer-Cartan over S_%d \(residual \{.*"
                        r"ROADMAP item 1" % N):
         UniversalDeformation(random_instance(F3, seed)[0], N)
+
+
+# ---------------------------------------------------------------------------
+# ROADMAP item 1: valid input on which two arities meet in one identity
+
+
+def _reproducer_a(field):
+    """Unit, a1 and a2 in degree 1, c in degree 2, with m_2(a1, a2) = c
+    and m_3(a1, a1, a1) = -c."""
+    ops = StructureMaps()
+    ops.set(2, ("a1", "a2"), {"c": field.one})
+    ops.set(3, ("a1", "a1", "a1"), {"c": -field.one})
+    space = GradedSpace([("a1", 1), ("a2", 1), ("c", 2)])
+    return unitize(AInfAlgebra(space, field, ops, arity_bound=3), "1")
+
+
+def _reproducer_b(field):
+    """Unit, a (1), p (2), q (3), r (2) with m_2(a, a) = p, m_2(p, a) = q,
+    m_3(a, a, a) = r and m_1(r) = -q: m_1 m_3 cancels the associator."""
+    ops = StructureMaps()
+    ops.set(1, ("r",), {"q": -field.one})
+    ops.set(2, ("a", "a"), {"p": field.one})
+    ops.set(2, ("p", "a"), {"q": field.one})
+    ops.set(3, ("a", "a", "a"), {"r": field.one})
+    space = GradedSpace([("a", 1), ("p", 2), ("q", 3), ("r", 2)])
+    return unitize(AInfAlgebra(space, field, ops, arity_bound=3), "1")
+
+
+PI0_OF_REPRODUCER_A = {3: 189, 5: 1625}
+
+
+def test_item_one_reproducers_are_valid_input():
+    """Both reproducers satisfy the Stasheff identities, so any refusal
+    of them as "identity false" is an engine fault."""
+    for field in (F3, F5):
+        A = _reproducer_a(field)
+        assert check_ainf_axioms(A, 6)
+        assert (len(pi0(A, truncated_polynomial(field, 4)).classes)
+                == PI0_OF_REPRODUCER_A[field.p])
+    for field in (F3, Q):
+        assert check_ainf_axioms(_reproducer_b(field), 5)
+
+
+@pytest.mark.xfail(strict=True, raises=MathCheckFailure,
+                   reason="ROADMAP item 1 (a): b_n sign defect")
+@pytest.mark.parametrize("field, N", [(F3, 3), (F3, 4), (F5, 3), (F5, 4)],
+                         ids=["F3-N3", "F3-N4", "F5-N3", "F5-N4"])
+def test_comparison_agrees_on_reproducer_a(field, N):
+    report = prorep_compare(_reproducer_a(field), truncated_polynomial(field, 4), N)
+    count = PI0_OF_REPRODUCER_A[field.p]
+    assert report.ok and report.lhs == report.rhs == count
+
+
+@pytest.mark.xfail(strict=True, raises=ValueError,
+                   reason="ROADMAP item 1 (b): b_n sign defect")
+@pytest.mark.parametrize("field, N", [(F3, 3), (F3, 4), (Q, 3), (Q, 4)],
+                         ids=["F3-N3", "F3-N4", "Q-N3", "Q-N4"])
+def test_dual_builds_on_reproducer_b(field, N):
+    assert dual_dg_algebra(_reproducer_b(field), N).algebra

@@ -19,7 +19,6 @@ from barmc.ainfinity import (
     check_ainf_axioms,
     check_ainf_morphism,
     identity_morphism,
-    tensor_label,
 )
 from barmc.artin import quotient_by_power, square_zero, truncated_polynomial
 from barmc.bar import dual_dg_algebra, koszul_probe
@@ -218,7 +217,7 @@ def cone_inclusion(A, C):
     """a -> a x 1 into a cone-tensored algebra; a strict quasi-isomorphism."""
     comps = StructureMaps()
     for l in A.space.labels:
-        comps.set(1, (l,), {tensor_label(l, "1"): A.field.one})
+        comps.set(1, (l,), {(l, "1"): A.field.one})
     return AInfMorphism(A, C, comps, arity_bound=1, strict_unital=True)
 
 
@@ -705,6 +704,21 @@ def test_o2_builds_the_tower_quotient_once(monkeypatch):
     assert calls == [2]
 
 
+@pytest.mark.parametrize("obstruction", [
+    lambda A, R, one: obstruction_o2(A, R, {}),
+    lambda A, R, one: obstruction_o1(A, R, {}, {}, one),
+    lambda A, R, one: obstruction_o0(A, R, {}, {}, one, one),
+], ids=["o2", "o1", "o0"])
+def test_obstructions_over_the_ground_field_are_refused(obstruction):
+    """Over R = k (nu = 1) there is no small extension R -> R/m^(nu-1):
+    every obstruction is refused at DeformationSetup.extension, naming
+    nu, not deep inside quotient_by_power."""
+    A, R = njac(F2, 1), truncated_polynomial(F2, 1)
+    one = DeformationSetup(A, R).one_vec
+    with pytest.raises(HypothesisNotMet, match=r"nu = 1"):
+        obstruction(A, R, one)
+
+
 def test_obstruction_classes_of_different_groups_are_not_compared():
     """Two zero o2 classes, of kpoints(F2,2) over t^3 and of njac(F2,1)
     over t^4, lie in different H^2(A x I); a degree-1 class on the same
@@ -968,7 +982,8 @@ def test_hom_refuses_an_algebra_whose_unit_is_not_strict():
     is not strict, so m_1^{alpha,beta}(1) is not beta - alpha: the hom
     set from 0 to e1 t^2 is refused, as pi_0 refuses the setup, where
     reading the unit image as the difference counted 4 morphisms (the
-    strictly unital algebra has none between them)."""
+    strictly unital algebra has none between them).  A direct
+    gauge_part call is refused by the same gate."""
     A = kpoints(F2, 1)
     ops = A.m.copy()
     ops.set(2, ("e1", A.unit), {})
@@ -980,7 +995,8 @@ def test_hom_refuses_an_algebra_whose_unit_is_not_strict():
     assert setup.is_mc({}) and setup.is_mc(beta)
     for refused in (lambda: MCGroupoid(setup).hom({}, beta),
                     lambda: HomSet(setup, {}, beta),
-                    lambda: pi0(B, R)):
+                    lambda: pi0(B, R),
+                    lambda: setup.gauge_part(dict(setup.one_vec))):
         with pytest.raises(HypothesisNotMet, match="strict unit"):
             refused()
 

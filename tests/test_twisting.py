@@ -21,7 +21,6 @@ from barmc.ainfinity import (
     AInfAlgebra,
     StructureMaps,
     check_ainf_axioms,
-    tensor_label,
     unitize,
 )
 from barmc.artin import (
@@ -98,14 +97,14 @@ def dg_module_d_oracle(setup, alpha, v):
 
 def dg_module_m2_oracle(setup, x_vec, a_vec):
     """m_2(x, a x 1) with no insertions; exact for arity-2 algebras."""
-    embed = {tensor_label(a, setup.R.unit): c for a, c in a_vec.items()}
+    embed = {(a, setup.R.unit): c for a, c in a_vec.items()}
     return vec_clean(setup.T.eval_m_vectors([x_vec, embed]))
 
 
 def category_module_op(setup, alpha, n, x, rest):
     """The same operation through the generic insertion machinery."""
     one = setup.field.one
-    embedded = [{tensor_label(a, setup.R.unit): one} for a in rest]
+    embedded = [{(a, setup.R.unit): one} for a in rest]
     morphisms = list(reversed(embedded)) + [{x: one}]
     return setup.category_op([{}] * n + [alpha], morphisms)
 
@@ -512,7 +511,7 @@ def test_untwisted_module_is_the_tensor_algebra():
     for n in range(1, A.arity_bound + 1):
         for x in setup.T.space.labels:
             for rest in iter_product(A.space.labels, repeat=n - 1):
-                tail = [{tensor_label(a, R.unit): one} for a in rest]
+                tail = [{(a, R.unit): one} for a in rest]
                 want = vec_clean(setup.T.eval_m_vectors([{x: one}] + tail))
                 assert vec_clean(dict(mod.ops.get(n, (x,) + rest))) == want
 
