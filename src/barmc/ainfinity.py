@@ -29,13 +29,18 @@ tuple they are the oracle the joins are tested against.
 
 Every multilinear evaluation (eval_m_vectors, the twisted operations
 and the pushforward's f x mu_R) runs through one kernel, _expand.
-Values are raw inside it, ints mod p or ints and Fractions over Q, and
-Scalar at its edge: inputs are read once and each output coefficient
-is wrapped once.  tensor_with_dg regroups each entry of A only against
-the words of C whose product is nonzero (_base_words), built once per
-arity by prefix extension; _right_products multiplies a vector by every
-label at once through the m_2 entries indexed by their first slot, so
-that costs one _expand per prefix, not one per (prefix, label) pair.
+Values are raw inside it, and inside the joins and the tensor
+regrouping (_regrouped): ints mod p, left unreduced until the end,
+over F_p, and ints and Fractions over Q.  Each coefficient is read
+once (_raw), and one helper, _canonical, is the edge that wraps one
+Scalar per output entry.  The per-tuple residuals, which name
+witnesses, stay on Scalars.
+
+tensor_with_dg regroups each entry of A only against the words of C
+whose product is nonzero (_base_words), built once per arity by prefix
+extension; _right_products multiplies a vector by every label at once
+through the m_2 entries indexed by their first slot, so that costs one
+_expand per prefix, not one per (prefix, label) pair.
 """
 
 from itertools import count, product as iter_product
@@ -239,9 +244,9 @@ def _expand(field, vecs, value):
 
     Values are raw inside the kernel: ints mod p over F_p (left
     unreduced until the end), ints and Fractions over Q.  Each
-    coefficient is read once; a Scalar over field itself passes as it
-    is and anything else goes through _raw.  The edge wraps one
-    canonical Scalar per output key.
+    coefficient is read once by _raw's rule, inlined for a Scalar over
+    field itself; the edge, _canonical, wraps one Scalar per output
+    key.
     """
     rows = []
     for vec in vecs:
@@ -276,24 +281,38 @@ def _expand(field, vecs, value):
                     del acc[k]
             elif w:
                 acc[k] = w
-    if p:
-        return {k: Scalar(field, s % p) for k, s in acc.items()}
-    return {k: Scalar(field, s if type(s) is int or s.denominator != 1
-                      else s.numerator)
-            for k, s in acc.items()}
+    return _canonical(field, acc)
 
 
 def _raw(field, c):
-    """The raw value of a coefficient that is not a Scalar over field.
+    """The raw value of one coefficient.
 
-    Ints and Scalars over an equal field are coerced; a Scalar over
-    another field raises FieldMismatch and anything else TypeError, as
-    Scalar arithmetic does.
+    A Scalar over field itself gives its value; ints and Scalars over
+    an equal field are coerced; a Scalar over another field raises
+    FieldMismatch and anything else TypeError, as Scalar arithmetic
+    does.
     """
+    if type(c) is Scalar and c.field is field:
+        return c.val
     if isinstance(c, Scalar) or (isinstance(c, int)
                                  and not isinstance(c, bool)):
         return field(c).val
     raise TypeError("coefficient %r is not a scalar over %r" % (c, field))
+
+
+def _canonical(field, raw):
+    """The edge of the raw arithmetic: raw values as canonical Scalars.
+
+    raw maps keys to values nonzero in field: ints mod p, possibly
+    unreduced, over F_p; ints and Fractions over Q.  Each comes out
+    reduced mod p, or over Q as an int when its denominator is 1.
+    """
+    p = field.p
+    if p:
+        return {k: Scalar(field, s % p) for k, s in raw.items()}
+    return {k: Scalar(field, s if type(s) is int or s.denominator != 1
+                      else s.numerator)
+            for k, s in raw.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -371,10 +390,10 @@ def _first_stasheff_failure(A, n_max, first_index, rest_index):
     itertools.product orders them.
     """
     ops = _live_tables(A.m, A.arity_bound)
-    outer = _slot_index(ops, A.space.degree)
+    outer = _slot_index(ops, A.space.degree, A.field)
     for n in range(1, n_max + 1):
         acc = _insertion_join(ops, outer, n, A.field, 0)
-        args = _first_nonzero(acc, first_index, rest_index)
+        args = _first_nonzero(acc, first_index, rest_index, A.field)
         if args is not None:
             return (n, args, stasheff_residual(A, args))
     return None
@@ -385,15 +404,20 @@ def _live_tables(maps, bound):
     return {n: t for n, t in maps.entries.items() if 1 <= n <= bound and t}
 
 
-def _slot_index(tables, degree):
-    """arity k -> (slot r, label at r) -> [(args, vec, degree sum of args[:r])]."""
+def _slot_index(tables, degree, field):
+    """arity k -> (slot r, label at r) -> [(args, row, degree sum of args[:r])].
+
+    row lists the entry's (output label, raw coefficient) pairs, each
+    coefficient read once by _raw.
+    """
     index = {}
     for k, table in tables.items():
         by_slot = index.setdefault(k, {})
         for args, vec in table.items():
+            row = [(o, _raw(field, c)) for o, c in vec.items()]
             before = 0
             for r, lbl in enumerate(args):
-                by_slot.setdefault((r, lbl), []).append((args, vec, before))
+                by_slot.setdefault((r, lbl), []).append((args, row, before))
                 before += degree.get(lbl, 0)
     return index
 
@@ -405,10 +429,12 @@ def _insertion_join(inner, outer, n, field, shift):
     label); inner holds tables by arity and outer is a _slot_index.
     With shift 0 this is the Stasheff sum; with shift 1 it is minus the
     insertion side of the morphism identity, as morphism_residual
-    subtracts it (_morphism_join).
+    subtracts it (_morphism_join).  The values are raw, as in _expand:
+    each inner coefficient is read once by _raw, a sign is a negation,
+    and nothing is reduced, so an entry may be zero in the field
+    (_first_nonzero and _entries_in_order reduce and wrap).
     """
     acc = {}
-    signs = (field.one, -field.one)
     for s, table in inner.items():
         k = n + 1 - s
         by_slot = outer.get(k)
@@ -416,22 +442,26 @@ def _insertion_join(inner, outer, n, field, shift):
             continue
         for in_args, in_vec in table.items():
             for lbl, c in in_vec.items():
+                c = _raw(field, c)
                 for r in range(k):
                     base = r + s * (k - 1 - r) + shift * (s + 1)
-                    for out_args, out_vec, before in by_slot.get((r, lbl), ()):
+                    for out_args, out_row, before in by_slot.get((r, lbl), ()):
                         args = out_args[:r] + in_args + out_args[r + 1:]
-                        coeff = signs[(base + s * before) % 2] * c
-                        for o, v in out_vec.items():
+                        coeff = -c if (base + s * before) % 2 else c
+                        for o, v in out_row:
                             acc[args, o] = acc.get((args, o), 0) + coeff * v
     return acc
 
 
-def _first_nonzero(acc, first_index, rest_index):
-    """The tuple with a nonzero entry in acc that itertools.product
-    reaches first, among those its two label indexes admit."""
+def _first_nonzero(acc, first_index, rest_index, field):
+    """The tuple with an entry of acc nonzero in field that
+    itertools.product reaches first, among those its two label indexes
+    admit."""
+    p = field.p
     found = [([first_index[a[0]]] + [rest_index[l] for l in a[1:]], a)
              for (a, _), c in acc.items()
-             if c and a[0] in first_index and all(l in rest_index for l in a[1:])]
+             if (c % p if p else c) and a[0] in first_index
+             and all(l in rest_index for l in a[1:])]
     return min(found, default=(None, None))[1]
 
 
@@ -675,7 +705,7 @@ def check_ainf_morphism(f, n_max):
     index = A1.space.index
     for n in range(1, top + 1):
         acc = _morphism_join(comps, inner, ops, A1.space.degree, n, A1.field)
-        args = _first_nonzero(acc, index, index)
+        args = _first_nonzero(acc, index, index, A1.field)
         if args is not None:
             return CheckReport(False, failure=(n, args, morphism_residual(f, args)),
                                checked_to=top, note=note)
@@ -690,21 +720,27 @@ def _morphism_join(comps, inner, ops, degree, n, field):
     """morphism_residual on every arity-n tuple at once, keyed by
     (tuple, output label): the insertion join of the source tables
     inner into the components comps, plus the block join of comps into
-    the target tables ops; degree is the source's."""
-    acc = _insertion_join(inner, _slot_index(comps, degree), n, field, 1)
-    _block_join(ops, _output_index(comps, degree), n, field, acc,
+    the target tables ops; degree is the source's.  Values are raw, as
+    the two joins leave them."""
+    acc = _insertion_join(inner, _slot_index(comps, degree, field), n,
+                          field, 1)
+    _block_join(ops, _output_index(comps, degree, field), n, field, acc,
                 _printed_exponent)
     return acc
 
 
-def _output_index(comps, degree):
-    """output label -> arity i -> [(args, coefficient, degree sum of args)]."""
+def _output_index(comps, degree, field):
+    """output label -> arity i -> [(args, raw coefficient, degree sum of args)].
+
+    Each coefficient is read once by _raw.
+    """
     index = {}
     for i, table in comps.items():
         for args, vec in table.items():
             total = sum(degree.get(a, 0) for a in args)
             for lbl, c in vec.items():
-                index.setdefault(lbl, {}).setdefault(i, []).append((args, c, total))
+                index.setdefault(lbl, {}).setdefault(i, []).append(
+                    (args, _raw(field, c), total))
     return index
 
 
@@ -717,6 +753,10 @@ def _block_join(ops, by_output, n, field, acc, printed_exponent):
     sign gives a composite of morphisms (compose_morphisms).  Each
     entry m_s(b_1..b_s) meets, block by block, the f-entries of arity
     i_j whose output holds b_j; the tuple is their inputs concatenated.
+    by_output is an _output_index, and acc takes raw values as
+    _insertion_join leaves them: the f-coefficients multiply as raw
+    values, a sign is a negation, and each entry of m_s is read by _raw
+    once per block split it meets.
     """
     for s, table in ops.items():
         if s > n:
@@ -729,28 +769,32 @@ def _block_join(ops, by_output, n, field, acc, printed_exponent):
                            for b, i in zip(m_args, blocks)]
                 if not all(choices):
                     continue
+                row = [(o, _raw(field, v)) for o, v in m_vec.items()]
                 for combo in iter_product(*choices):
                     args = ()
-                    coeff = field.one
+                    coeff = 1
                     for f_args, c, _ in combo:
                         args += f_args
-                        coeff = coeff * c
-                    exponent = printed + tensor_block_exponent(
-                        op_parities, [total for _, _, total in combo])
-                    coeff = field.sign(exponent) * coeff
-                    for o, v in m_vec.items():
+                        coeff *= c
+                    if (printed + tensor_block_exponent(
+                            op_parities, [total for _, _, total in combo])) % 2:
+                        coeff = -coeff
+                    for o, v in row:
                         acc[args, o] = acc.get((args, o), 0) + coeff * v
 
 
-def _entries_in_order(acc, index, out_index):
-    """The nonzero (tuple, vector) pairs of a join's accumulator, tuples
-    in itertools.product order and outputs in label order."""
+def _entries_in_order(acc, index, out_index, field):
+    """The (tuple, vector) pairs of a join's raw accumulator: entries
+    zero in field left out, tuples in itertools.product order, outputs
+    in label order, coefficients wrapped by _canonical."""
+    p = field.p
     entries = {}
     for (args, o), c in acc.items():
-        if c:
+        if c % p if p else c:
             entries.setdefault(args, []).append((out_index[o], o, c))
     for args in sorted(entries, key=lambda a: [index[l] for l in a]):
-        yield args, {o: c for _, o, c in sorted(entries[args])}
+        yield args, _canonical(
+            field, {o: c for _, o, c in sorted(entries[args])})
 
 
 def check_strict_unital_morphism(f):
@@ -779,13 +823,13 @@ def compose_morphisms(g, f, arity_bound=None):
     A1 = f.source
     ops = _live_tables(g.f, g.f.max_arity())
     by_output = _output_index(_live_tables(f.f, f.arity_bound),
-                              A1.space.degree)
+                              A1.space.degree, A1.field)
     index, out_index = A1.space.index, g.target.space.index
     comps = StructureMaps()
     for n in range(1, bound + 1):
         acc = {}
         _block_join(ops, by_output, n, A1.field, acc, lambda blocks: 0)
-        for args, vec in _entries_in_order(acc, index, out_index):
+        for args, vec in _entries_in_order(acc, index, out_index, A1.field):
             comps.set(n, args, vec)
     return AInfMorphism(f.source, g.target, comps, arity_bound=bound,
                         strict_unital=f.strict_unital and g.strict_unital)
@@ -934,16 +978,23 @@ def _regrouped(a_vec, a_degs, C, c_args, c_prod):
     moves each c_i past the later a_j, which costs
     sum_{i<j} deg(a_j) deg(c_i); a_vec is the value on a_1 .. a_n of
     whatever map acts on the A-factors, and c_prod is the nonzero
-    product c_1 ... c_n in C (_base_words).
+    product c_1 ... c_n in C (_base_words).  The coefficients multiply
+    as raw values (_raw), the sign parity negates, and _canonical wraps
+    the products.
     """
-    sign = C.field.sign(tensor_block_exponent(a_degs, [C.deg(c) for c in c_args]))
+    field = C.field
+    odd = tensor_block_exponent(a_degs, [C.deg(c) for c in c_args]) % 2
+    c_row = [(out_c, _raw(field, cc)) for out_c, cc in c_prod.items()]
     out = {}
     for out_a, ca in a_vec.items():
-        for out_c, cc in c_prod.items():
-            w = sign * ca * cc
+        ca = _raw(field, ca)
+        if odd:
+            ca = -ca
+        for out_c, cc in c_row:
+            w = ca * cc
             if w:
                 out[(out_a, out_c)] = w
-    return out
+    return _canonical(field, out)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .ainfinity import (
     AInfAlgebra,
     CheckReport,
     StructureMaps,
+    check_strict_unit,
     koszul_pass_exponent,
     m_from_b,
     restrict_to_ideal,
@@ -405,15 +406,17 @@ class SHatCohomology:
 
 
 def is_admissible(A):
-    """A declared unit (so augmented), ideal in degrees >= 1.
+    """A strict unit (so augmented), ideal in degrees >= 1.
 
-    Whether the unit is strict is not checked here.  The degree
-    condition keeps every dual truncation in nonpositive degrees with
-    finite slices, which the probe and the universal deformation rely on.
+    The degree condition keeps every dual truncation in nonpositive
+    degrees with finite slices, which the probe, the universal
+    deformation and the comparison rely on; the unit laws are checked
+    entrywise by check_strict_unit.
     """
     if _algebra(A).unit is None:
         return False
-    return all(A.deg(l) >= 1 for l in A.ideal_labels())
+    return all(A.deg(l) >= 1 for l in A.ideal_labels()) \
+        and check_strict_unit(A).ok
 
 
 def weight_raise_bound(A):

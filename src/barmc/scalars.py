@@ -15,11 +15,12 @@ field, and arithmetic tests that identity before Field.__eq__.  Equal
 fields built directly through Field(...) still combine; they only miss
 the fast path.
 
-One place bypasses Scalar arithmetic: the multilinear evaluation
-kernel ainfinity._expand reads the raw values of its Scalars (after the
-same field check and coercion as the operators), multiplies and sums
-them as ints mod p or as ints and Fractions, and wraps each result in
-a canonical Scalar again.
+One layer bypasses Scalar arithmetic: the multilinear evaluation
+kernel ainfinity._expand, the sparse identity joins and the tensor
+regrouping read the raw values of their Scalars (after the same field
+check and coercion as the operators, ainfinity._raw), multiply and sum
+them as ints mod p or as ints and Fractions, and wrap each result in a
+canonical Scalar again (ainfinity._canonical).
 
 >>> Q = Field.rationals()
 >>> a = Q(3) / Q(2)

@@ -275,7 +275,7 @@ def minimal_model(C, arity_max):
         # the residual of the partial (model, morphism), f_n and m_n unset
         acc = _morphism_join(_live_tables(comps, n - 1),
                              _live_tables(mops, n - 1), ops, H.degree, n, field)
-        for args, w in _entries_in_order(acc, H.index, C.space.index):
+        for args, w in _entries_in_order(acc, H.index, C.space.index, field):
             pw = t.apply_p(w)
             if pw:
                 mops.set(n, args, vec_scale(pw, field.sign(n)))

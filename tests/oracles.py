@@ -135,6 +135,15 @@ before they read their coordinates off an echelon form the package
 already held: a tagged ``SpanSolver`` over the kernel rows of the
 layer, and one over the H^0 boundary rows followed by the adapted
 representatives.
+
+``slot_index_oracle``, ``insertion_join_oracle``,
+``output_index_oracle`` and ``block_join_oracle`` are the sparse joins
+of ``ainfinity`` as they were before they ran on raw values: every
+term a ``Scalar`` product with a ``field.sign`` or ``field.one``
+factor, summed into the accumulator ``Scalar`` by ``Scalar``, entries
+that cancel kept as zeros.  ``first_failure_oracle`` reads the first
+failing tuple of ``check_ainf_axioms`` or ``check_ainf_morphism`` off
+them, with the witness of the per-tuple residual.
 """
 
 from fractions import Fraction
@@ -143,7 +152,10 @@ from math import gcd
 
 from barmc.ainfinity import (
     _block_terms,
+    _compositions,
     _expand,
+    _live_tables,
+    _printed_exponent,
     AInfAlgebra,
     AInfMorphism,
     CheckReport,
@@ -1508,3 +1520,121 @@ def class_coords_oracle(rep, vecs):
             raise ValueError("vector does not represent a class in H^0")
         out.append({j - nb: c for j, c in coords.items() if j >= nb and c})
     return out
+
+
+# ---------------------------------------------------------------------------
+# the sparse joins on Scalars
+
+
+def slot_index_oracle(tables, degree):
+    """arity k -> (slot r, label at r) -> [(args, vec, degree sum of args[:r])]."""
+    index = {}
+    for k, table in tables.items():
+        by_slot = index.setdefault(k, {})
+        for args, vec in table.items():
+            before = 0
+            for r, lbl in enumerate(args):
+                by_slot.setdefault((r, lbl), []).append((args, vec, before))
+                before += degree.get(lbl, 0)
+    return index
+
+
+def insertion_join_oracle(inner, outer, n, field, shift):
+    """_insertion_join on Scalars; outer is a slot_index_oracle."""
+    acc = {}
+    signs = (field.one, -field.one)
+    for s, table in inner.items():
+        k = n + 1 - s
+        by_slot = outer.get(k)
+        if not by_slot:
+            continue
+        for in_args, in_vec in table.items():
+            for lbl, c in in_vec.items():
+                for r in range(k):
+                    base = r + s * (k - 1 - r) + shift * (s + 1)
+                    for out_args, out_vec, before in by_slot.get((r, lbl), ()):
+                        args = out_args[:r] + in_args + out_args[r + 1:]
+                        coeff = signs[(base + s * before) % 2] * c
+                        for o, v in out_vec.items():
+                            acc[args, o] = acc.get((args, o), 0) + coeff * v
+    return acc
+
+
+def output_index_oracle(comps, degree):
+    """output label -> arity i -> [(args, coefficient, degree sum of args)]."""
+    index = {}
+    for i, table in comps.items():
+        for args, vec in table.items():
+            total = sum(degree.get(a, 0) for a in args)
+            for lbl, c in vec.items():
+                index.setdefault(lbl, {}).setdefault(i, []).append((args, c, total))
+    return index
+
+
+def block_join_oracle(ops, by_output, n, field, acc, printed_exponent):
+    """_block_join on Scalars; by_output is an output_index_oracle."""
+    for s, table in ops.items():
+        if s > n:
+            continue
+        for blocks in _compositions(n, s):
+            op_parities = [(1 - i) % 2 for i in blocks]
+            printed = printed_exponent(blocks)
+            for m_args, m_vec in table.items():
+                choices = [by_output.get(b, {}).get(i)
+                           for b, i in zip(m_args, blocks)]
+                if not all(choices):
+                    continue
+                for combo in product(*choices):
+                    args = ()
+                    coeff = field.one
+                    for f_args, c, _ in combo:
+                        args += f_args
+                        coeff = coeff * c
+                    exponent = printed + tensor_block_exponent(
+                        op_parities, [total for _, _, total in combo])
+                    coeff = field.sign(exponent) * coeff
+                    for o, v in m_vec.items():
+                        acc[args, o] = acc.get((args, o), 0) + coeff * v
+
+
+def morphism_join_oracle(f, n):
+    """The morphism residual of f on every arity-n tuple, on Scalars."""
+    A1, degree = f.source, f.source.space.degree
+    comps = _live_tables(f.f, f.arity_bound)
+    acc = insertion_join_oracle(_live_tables(A1.m, A1.arity_bound),
+                                slot_index_oracle(comps, degree), n,
+                                A1.field, 1)
+    block_join_oracle(_live_tables(f.target.m, f.target.arity_bound),
+                      output_index_oracle(comps, degree), n, A1.field, acc,
+                      _printed_exponent)
+    return acc
+
+
+def first_failure_oracle(structure, n_max):
+    """(n, tuple, residual) of the first failing tuple, or None.
+
+    structure is an AInfAlgebra (the Stasheff identities) or an
+    AInfMorphism (the morphism identities, up to its component bound);
+    the tuple is the one with a nonzero Scalar entry that
+    itertools.product reaches first, as the joins' checkers report it.
+    """
+    if isinstance(structure, AInfMorphism):
+        index = structure.source.space.index
+        top = min(n_max, structure.arity_bound)
+        join = lambda n: morphism_join_oracle(structure, n)
+        residual = morphism_residual
+    else:
+        index = structure.space.index
+        top = n_max
+        ops = _live_tables(structure.m, structure.arity_bound)
+        outer = slot_index_oracle(ops, structure.space.degree)
+        join = lambda n: insertion_join_oracle(ops, outer, n,
+                                               structure.field, 0)
+        residual = stasheff_residual
+    for n in range(1, top + 1):
+        found = [([index[l] for l in a], a)
+                 for (a, _), c in join(n).items() if c]
+        if found:
+            args = min(found)[1]
+            return (n, args, residual(structure, args))
+    return None

@@ -1385,3 +1385,36 @@ def test_conjugation_orbits_match_the_search(case):
     orbits, orbit_of = conjugation_orbits(R, maps)
     assert (orbits, orbit_of) == conjugation_orbits_oracle(R, maps)
     assert any(len(o) > 1 for o in orbits)
+
+
+# ---------------------------------------------------------------------------
+# a declared unit that is not strict
+
+
+def _nonstrict_kpoints():
+    """kpoints(F2,1) without its m_2(e1, 1) entry: degrees as an
+    admissible algebra, but check_strict_unit fails at (2, (1, e1))."""
+    A = kpoints(F2, 1)
+    ops = A.m.copy()
+    ops.set(2, ("e1", A.unit), {})
+    return AInfAlgebra(A.space, F2, ops, arity_bound=A.arity_bound,
+                       unit=A.unit)
+
+
+def test_koszul_probe_refuses_a_unit_that_is_not_strict():
+    with pytest.raises(HypothesisNotMet, match="strictly unital"):
+        koszul_probe(_nonstrict_kpoints(), 3)
+    assert koszul_probe(kpoints(F2, 1), 3).ok
+
+
+def test_universal_deformation_refuses_a_unit_that_is_not_strict():
+    with pytest.raises(HypothesisNotMet, match="strictly unital"):
+        UniversalDeformation(_nonstrict_kpoints(), 2)
+    UniversalDeformation(kpoints(F2, 1), 2)
+
+
+def test_prorep_compare_refuses_a_unit_that_is_not_strict():
+    R = truncated_polynomial(F2, 3)
+    with pytest.raises(HypothesisNotMet, match="strictly unital"):
+        prorep_compare(_nonstrict_kpoints(), R, 2)
+    assert prorep_compare(kpoints(F2, 1), R, 2).ok
