@@ -913,16 +913,26 @@ def tensor_with_dg(A, C):
                     vec_add(vec, {(a, out_c): sgn * coeff})
             if vec_clean(vec):
                 ops.set(1, ((a, c),), vec)
-    # higher operations
-    words = _base_words(C, A.m.max_arity())
+    # higher operations: each word's degrees and raw product once, each
+    # sign parity once per (A-degree parities, word)
+    words = [[(c_args, [C.deg(c) for c in c_args], _raw_row(field, c_prod))
+              for c_args, c_prod in layer.items()]
+             for layer in _base_words(C, A.m.max_arity())]
     for n, table in A.m.entries.items():
         if n < 2:
             continue
+        parities = {}
         for a_args, a_vec in table.items():
-            a_degs = [A.deg(a) for a in a_args]
-            for c_args, c_prod in words[n - 1].items():
-                args = tuple(zip(a_args, c_args))
-                ops.set(n, args, _regrouped(a_vec, a_degs, C, c_args, c_prod))
+            a_degs = tuple([A.deg(a) % 2 for a in a_args])
+            odds = parities.get(a_degs)
+            if odds is None:
+                odds = parities[a_degs] = [
+                    tensor_block_exponent(a_degs, c_degs) % 2
+                    for _, c_degs, _ in words[n - 1]]
+            a_row = _raw_row(field, a_vec)
+            for (c_args, _, c_row), odd in zip(words[n - 1], odds):
+                ops.set(n, tuple(zip(a_args, c_args)),
+                        _regrouped(field, a_row, odd, c_row))
     unit = None
     if A.unit is not None and C.unit is not None:
         unit = (A.unit, C.unit)
@@ -971,23 +981,25 @@ def _right_products(C, vecs, labels):
         yield [(labels[i], split[i]) for i in sorted(split)]
 
 
-def _regrouped(a_vec, a_degs, C, c_args, c_prod):
-    """a_vec x c_prod with the sign of regrouping A x C factors.
+def _raw_row(field, vec):
+    """The items of vec with raw values (_raw), in order."""
+    return [(k, _raw(field, c)) for k, c in vec.items()]
+
+
+def _regrouped(field, a_row, odd, c_row):
+    """a x c with the sign of regrouping A x C factors, as Scalars.
 
     Gathering (a_1 x c_1) ... (a_n x c_n) into (a_1 ... a_n) x (c_1 ... c_n)
     moves each c_i past the later a_j, which costs
-    sum_{i<j} deg(a_j) deg(c_i); a_vec is the value on a_1 .. a_n of
-    whatever map acts on the A-factors, and c_prod is the nonzero
-    product c_1 ... c_n in C (_base_words).  The coefficients multiply
-    as raw values (_raw), the sign parity negates, and _canonical wraps
-    the products.
+    sum_{i<j} deg(a_j) deg(c_i) (tensor_block_exponent); odd is that
+    parity.  a_row is the value on a_1 .. a_n of whatever map acts on
+    the A-factors and c_row the nonzero product c_1 ... c_n in C
+    (_base_words), both as raw rows (_raw_row).  The coefficients
+    multiply as raw values, the sign negates, and _canonical wraps the
+    products.
     """
-    field = C.field
-    odd = tensor_block_exponent(a_degs, [C.deg(c) for c in c_args]) % 2
-    c_row = [(out_c, _raw(field, cc)) for out_c, cc in c_prod.items()]
     out = {}
-    for out_a, ca in a_vec.items():
-        ca = _raw(field, ca)
+    for out_a, ca in a_row:
         if odd:
             ca = -ca
         for out_c, cc in c_row:

@@ -437,7 +437,7 @@ class KoszulVerdict:
     """Order-N certificate: graded H^i vanishes for i != 0 in the window.
 
     The window is the weight range the truncation computes faithfully,
-    0 .. max(N - r, 0) (see koszul_probe).
+    0 .. N - r with N > r (see koszul_probe).
     Functionals supported near the top weight are cocycles for free
     (their differential raises weight past the cutoff), so the raw
     H^i dims carry truncation-edge classes in negative degrees; dims
@@ -477,20 +477,28 @@ def koszul_probe(A, N):
     bounding elements it could receive stay inside the truncation, so
     the graded slice gr_w H^i agrees with every deeper truncation.
     Weight 0 is always faithful, as d never makes or takes the empty
-    word, so the window's top is clamped at 0.  A
+    word, but its slice is the ground field in degree 0, so a window
+    that holds no weight above 0 certifies nothing: when N <= r the
+    probe refuses with HypothesisNotMet naming the window.  A
     truncation-level certificate only; refuses non-admissible input,
-    where the probe has no degree bounds to work with, before S_N is
-    built.  An admissible A puts S_N in degrees <= 0, which the
-    windows rely on; a positive degree is an engine fault.
+    where the probe has no degree bounds to work with, and a vacuous
+    window, before S_N is built.  An admissible A puts S_N in degrees
+    <= 0, which the windows rely on; a positive degree is an engine
+    fault.
     """
     if not is_admissible(A):
         raise HypothesisNotMet(
             "koszul probe needs a strictly unital augmented algebra whose "
             "augmentation ideal sits in degrees >= 1")
-    rep = SHatCohomology(A, N)
+    r = weight_raise_bound(A)
+    if 0 <= _integer(N, "the weight bound N") <= r:
+        raise HypothesisNotMet(
+            "koszul probe at order %d has the window (0, 0): the weight "
+            "raise bound %d leaves no weight above 0 to certify" % (N, r))
+    rep = SHatCohomology(A, N)  # refuses a negative N
     if rep.S.space.degrees_present()[-1] > 0:
         raise MathCheckFailure("admissible input produced positive dual degrees")
-    w_hi = max(N - weight_raise_bound(A), 0)
+    w_hi = N - r
     failures = [(i, w, dims[w]) for i, dims in sorted(rep.filtered_dims.items())
                 if i for w in range(w_hi + 1) if dims[w]]
     return KoszulVerdict(not failures, N, (0, w_hi), failures,

@@ -13,15 +13,25 @@ The category structure on MC elements follows the insertion formula
 
 with eps = sum_{k>j} (|x_k| + i_k) i_j + sum_k i_k(i_k+1)/2 + sum_k k i_k.
 Its n = 1 case is the differential on morphism complexes, and for a DG
-algebra it collapses to d(x) + beta x - (-1)^|x| x alpha.  Its n = 0
-case is the MC residual, and with f in place of m and i_k(i_k-1)/2 in
-place of i_k(i_k+1)/2 it is the pushforward along an A-infinity
-morphism f.  All of them are one insertion sum (_insertion_sum), which
-holds the only copy of eps and the check that a term with nu
+algebra it collapses to d(x) + beta x - (-1)^|x| x alpha.  With f in
+place of m and i_k(i_k-1)/2 in place of i_k(i_k+1)/2 it is the
+pushforward along an A-infinity morphism f.  All of them are one
+insertion sum (_insertion_sum), which checks that a term with nu
 insertions vanishes.  The twisted modules of twisting.py run it once
 per arity, with the twist in the last slot only and terms that are
 whole tables rather than vectors; their dual-side comodules transpose
 those tables and do not sum again.
+
+The n = 0 case is the MC residual sum (-1)^(n(n+1)/2) m_n(alpha..alpha),
+and it has one kernel of its own (DeformationSetup._residual_raw): the
+m_n tables of A x R restricted to degree-1 ideal labels, indexed once
+by first slot, with raw coefficients (ainfinity._raw) and the sign
+applied.  A point is a tuple of raw values over those labels.  The sign
+comes from _insertion_exponent, which _insertion_sum shares, so eps has
+one copy.  The public mc_residual validates its input, runs the kernel
+and wraps the result (ainfinity._canonical); enumerate_mc keeps its
+points raw and wraps only each level's residuals, for the linear solve
+of the lift (SmallExtension.correction), and its output.
 
 Every operation here starts from the fact that its objects are MC
 over R, and DeformationSetup.is_mc is the one place that decides it.
@@ -32,22 +42,27 @@ in twisting.py) check their objects on every call at the cost of one
 key once an object passed.
 What enumerate_mc and lift_mc compute themselves is certified by its
 own residual, as a MathCheckFailure, not asked of is_mc; enumerate_mc
-then enters the points it certified into is_mc's memory.
+then hands the raw points it certified to is_mc's memory, which keys
+them on first need.
 """
 
 from functools import cached_property
-from itertools import product as iter_product
+from itertools import compress, product as iter_product
 from random import Random
 
 from .ainfinity import (
     _algebra,
     _base_words,
+    _canonical,
     _expand,
     _morphism,
+    _raw,
+    _raw_row,
     _regrouped,
     check_ainf_morphism,
     check_strict_unit,
     check_strict_unital_morphism,
+    tensor_block_exponent,
     tensor_with_dg,
 )
 from .artin import _artinian, quotient_by_power
@@ -104,6 +119,44 @@ def _span_points(field, offset, basis):
     return points
 
 
+def _span_tuples(p, basis, size):
+    """Every F_p-combination of raw tuples of the given size, zero included."""
+    points = [(0,) * size]
+    for v in basis:
+        points = [tuple([(a + c * b) % p for a, b in zip(u, v)])
+                  for u in points for c in range(p)]
+    return points
+
+
+def _cosets(p, bases, span):
+    """base + z for each base, then each z in span, as raw tuples.
+
+    Position j of base + z runs through (base[j] + z[j]) % p as z runs
+    through the span, which depends on base[j] alone, so each such
+    column is made once per value and zip assembles the tuples.
+    """
+    size = len(span[0])
+    if not size:
+        return [()] * (len(bases) * len(span))
+    columns = [[tuple([(b + z[j]) % p for z in span]) for b in range(p)]
+               for j in range(size)]
+    out = []
+    for base in bases:
+        out.extend(zip(*[col[b] for col, b in zip(columns, base)]))
+    return out
+
+
+def _insertion_exponent(counts, degs, lam):
+    """eps for i_k = counts[k] objects between x_k and x_(k+1) (_insertion_sum)."""
+    eps = before = 0
+    for k, i in enumerate(counts):
+        if before:
+            eps += (degs[k - 1] + i) * before
+        eps += i * (i + lam) // 2 + k * i
+        before += i
+    return eps
+
+
 def _insertion_sum(field, evaluate, objects, degs, budget, nu, lam):
     """sum (-1)^eps evaluate(counts) over insertion counts (i_0, .., i_n).
 
@@ -114,11 +167,11 @@ def _insertion_sum(field, evaluate, objects, degs, budget, nu, lam):
               + sum_k k i_k,
 
     lam = +1 for the category operations and -1 for the pushforward
-    functor.  The counts run in itertools.product order with sum at
-    most budget, and zero objects are not inserted.  The objects lie
-    in A x m, so a term with nu insertions lies in m^nu = 0: totals
-    above nu are not evaluated, and those of total nu are and must
-    vanish.
+    functor (_insertion_exponent).  The counts run in itertools.product
+    order with sum at most budget, and zero objects are not inserted.
+    The objects lie in A x m, so a term with nu insertions lies in
+    m^nu = 0: totals above nu are not evaluated, and those of total nu
+    are and must vanish.
     """
     top = min(budget, nu)
     out = {}
@@ -130,18 +183,30 @@ def _insertion_sum(field, evaluate, objects, degs, budget, nu, lam):
         term = evaluate(counts)
         if total == nu:
             if vec_clean(term):
-                raise MathCheckFailure(
-                    "nilpotency truncation unsound: a term with %d "
-                    "insertions survives m^%d = 0" % (nu, nu))
+                raise _truncation_unsound(nu)
         elif term:
-            eps = before = 0
-            for k, i in enumerate(counts):
-                if before:
-                    eps += (degs[k - 1] + i) * before
-                eps += i * (i + lam) // 2 + k * i
-                before += i
-            vec_add(out, term, field.sign(eps))
+            vec_add(out, term,
+                    field.sign(_insertion_exponent(counts, degs, lam)))
     return out
+
+
+def _truncation_unsound(nu):
+    return MathCheckFailure(
+        "nilpotency truncation unsound: a term with %d insertions "
+        "survives m^%d = 0" % (nu, nu))
+
+
+def _add_raw(acc, term, p):
+    """acc += term on raw values, deleting keys that cancel, as vec_add does."""
+    for k, w in term.items():
+        if k in acc:
+            s = acc[k] + w
+            if s % p if p else s:
+                acc[k] = s
+            else:
+                del acc[k]
+        else:
+            acc[k] = w
 
 
 class DeformationSetup:
@@ -190,14 +255,95 @@ class DeformationSetup:
     def mc_residual(self, alpha):
         """Sum (-1)^(n(n+1)/2) m_n(alpha..alpha), truncated and verified.
 
-        The insertion sum with no morphisms.  Terms with n >= nu vanish
-        because their coefficients land in m^nu = 0; when the arity
-        bound reaches that far the first such term is computed anyway
-        and checked to be zero.
+        check_mc_input, then the kernel (_residual_raw) on alpha's raw
+        coordinates over ideal_labels_of_degree(1), then one Scalar per
+        output entry.  Terms with n >= nu vanish because their
+        coefficients land in m^nu = 0; when the arity bound reaches that
+        far the first such term is computed anyway and checked to be
+        zero.
         """
         self.check_mc_input(alpha)
-        return self._insertions(self.T.eval_m_vectors, self.A.arity_bound,
-                                [alpha], [])
+        return _canonical(self.field,
+                          self._residual_raw(self._raw_point(alpha)))
+
+    @cached_property
+    def _label_at(self):
+        """The position of each label of ideal_labels_of_degree(1)."""
+        return {l: i for i, l in enumerate(self.ideal_labels_of_degree(1))}
+
+    @cached_property
+    def _residual_index(self):
+        """The m_n entries of T on degree-1 ideal labels, by first slot.
+
+        One (n, by_first) per arity n <= min(arity bound, nu), ascending.
+        by_first lists (i, entries) by ascending position i in
+        ideal_labels_of_degree(1), for the positions that start an
+        entry; entries holds (rest, row) ordered by rest, the positions
+        of the other slots, and row is the output with raw coefficients
+        (_raw) times (-1)^(n(n+1)/2).
+        """
+        at = self._label_at
+        field = self.field
+        top = min(self.A.arity_bound, self.nu)
+        index = []
+        for n in sorted(self.T.m.entries):
+            if n > top:
+                continue
+            sign = -1 if _insertion_exponent((n,), (), 1) % 2 else 1
+            by_first = {}
+            for args, vec in self.T.m.entries[n].items():
+                if all(a in at for a in args):
+                    by_first.setdefault(at[args[0]], []).append((
+                        tuple([at[a] for a in args[1:]]),
+                        [(k, sign * _raw(field, c)) for k, c in vec.items()]))
+            for entries in by_first.values():
+                entries.sort()  # by rest: one entry per args tuple
+            index.append((n, sorted(by_first.items())))
+        return index
+
+    def _residual_raw(self, x):
+        """The MC residual of the point x, in raw values: the one kernel.
+
+        x lists raw values (ints mod p, or ints and Fractions over Q)
+        over ideal_labels_of_degree(1).  For each arity n the kernel
+        walks the nonzero positions of x and the index entries whose
+        other slots are nonzero too, in itertools.product order, and
+        sums the arity-n term on its own; the terms then add up by
+        vec_add's rule, so the keys come in the order that summing
+        (-1)^(n(n+1)/2) m_n(alpha..alpha) term by term gives for alpha
+        written in label order.  The term of arity nu lies in m^nu = 0
+        and must vanish mod p: MathCheckFailure if it survives.
+        """
+        p, nu = self.field.p, self.nu
+        acc = {}
+        for n, by_first in self._residual_index:
+            term = {}
+            for i, entries in by_first:
+                xi = x[i]
+                if not xi:
+                    continue
+                for rest, row in entries:
+                    c = xi
+                    for j in rest:
+                        c *= x[j]
+                    if c:
+                        for k, v in row:
+                            if k in term:
+                                s = term[k] + c * v
+                                if s % p if p else s:
+                                    term[k] = s
+                                else:
+                                    del term[k]
+                            else:
+                                term[k] = c * v
+            if n == nu:
+                if term:
+                    raise _truncation_unsound(n)
+            elif acc:
+                _add_raw(acc, term, p)
+            else:
+                acc = term
+        return acc
 
     def is_mc(self, alpha):
         """Whether alpha is MC over R, decided once per element.
@@ -207,7 +353,7 @@ class DeformationSetup:
         are those of an input that passed.  Any other input is checked
         by check_mc_input (ValueError), and its residual is evaluated
         once per key.  Only positive answers are kept, so a non-MC
-        object is refused on every call.  The points enumerate_mc
+        object is refused on every call.  The raw points enumerate_mc
         certified are keyed on the first element not yet known, and
         need no residual.
         """
@@ -220,7 +366,10 @@ class DeformationSetup:
         element = _vec_key(alpha)
         if element not in self._mc:
             while self._certified:
-                self._mc.update(map(_vec_key, self._certified.pop()))
+                labels, points = self._certified.pop()
+                self._mc.update(
+                    frozenset([(l, v) for l, v in zip(labels, x) if v])
+                    for x in points)
             if element not in self._mc and self.mc_residual(alpha):
                 return False
             self._mc.add(element)
@@ -244,19 +393,29 @@ class DeformationSetup:
         point.  Every element over R projects to an MC element over
         each R/m^n, so nothing is missed.
 
+        Points are raw: tuples of ints mod p over this setup's
+        ideal_labels_of_degree(1), which hold every lower level's
+        labels, since each quotient keeps R's labels.  Each level's
+        Z^1 span is built once as tuples, a fibre is base + z over it
+        (_cosets), and the residuals run through each level's kernel
+        (_residual_raw); only a residual handed to the solve
+        (SmallExtension.correction) is wrapped in Scalars.  The output
+        dicts are built once, in label order, from the p Scalars of
+        the field, and the list is ordered by the coefficient tuple,
+        the order of an exhaustive sweep.
+
         Certificates: below the top level a wrong point shows when the
         next level's residual leaves A x I (SmallExtension.coordinates
         raises MathCheckFailure); at the top level the particular lift
-        of every nonempty fibre is checked with one exact mc_residual,
-        and the Z^1 basis is checked to consist of cocycles.  The points
-        so certified, at every level, enter the is_mc memory of that
-        level's setup in chain(), unkeyed until is_mc first meets an
-        element it does not know, so _gauge_classes evaluates no
-        residual of them again.  The list is ordered by the coefficient
-        tuple over ideal_labels_of_degree(1), the order of an
-        exhaustive sweep.
+        of every nonempty fibre is checked with one exact residual, and
+        the Z^1 basis is checked to consist of cocycles.  The points so
+        certified, at every level, go to the is_mc memory of that
+        level's setup in chain() as raw tuples, keyed only when is_mc
+        first meets an element it does not know, so _gauge_classes
+        evaluates no residual of them again.
         """
-        p = self.field.p
+        field = self.field
+        p = field.p
         if not p:
             raise HypothesisNotMet("enumeration needs a finite prime field")
         labels = self.ideal_labels_of_degree(1)
@@ -264,32 +423,51 @@ class DeformationSetup:
             raise HypothesisNotMet(
                 "enumeration space %d^%d exceeds the cap %d"
                 % (p, len(labels), cap))
-        points = particular = [{}]
+        at = self._label_at
+        points = particular = [(0,) * len(labels)]
         exts = [setup.extension for setup in self.chain() if setup.nu > 1]
         levels = []
         for ext in reversed(exts):
-            shifts = ext.cocycle_span()
-            lifted, particular = [], []
-            for alpha_bar in points:
-                base = ext.lift(alpha_bar, ext.setup.mc_residual(alpha_bar))
-                if base is None:
+            setup = ext.setup
+            own = [at[l] for l in setup.ideal_labels_of_degree(1)]
+            span = _span_tuples(p, [self._raw_point(z) for z in ext.cocycles()],
+                                len(labels))
+            particular = []
+            for x in points:
+                eta = ext.correction(_canonical(
+                    field, setup._residual_raw([x[j] for j in own])))
+                if eta is None:
                     continue
+                base = list(x)
+                for l, c in eta.items():
+                    base[at[l]] = (base[at[l]] + c.val) % p
                 particular.append(base)
-                lifted.extend(vec_add(dict(base), z) for z in shifts)
-            points = lifted
-            levels.append((ext.setup, points))
-        for alpha in particular:
-            if self.mc_residual(alpha):
+            points = _cosets(p, particular, span)
+            levels.append((setup, points))
+        scalars = field.elements().__getitem__
+        for x in particular:
+            if self._residual_raw(x):
                 raise MathCheckFailure(
-                    "lifted element fails the MC equation: %r" % (alpha,))
+                    "lifted element fails the MC equation: %r"
+                    % (dict(compress(zip(labels, map(scalars, x)), x)),))
         for setup, found in levels:
-            setup._certified.append(found)
-        # the coefficient tuple read as base-p digits is one int, which
-        # each point's sparse items give and which orders as the tuples
-        weight = {l: p ** k for k, l in enumerate(reversed(labels))}
-        points.sort(key=lambda a: sum([weight[l] * c.val
-                                       for l, c in a.items()]))
-        return [{l: a[l] for l in labels if l in a} for a in points]
+            setup._certified.append((labels, found))
+        points.sort()
+        return [dict(compress(zip(labels, map(scalars, x)), x))
+                for x in points]
+
+    def _raw_point(self, vec):
+        """The raw values of vec over ideal_labels_of_degree(1), in order.
+
+        vec has its nonzero entries there (check_mc_input); zeros
+        written elsewhere are skipped.
+        """
+        at = self._label_at
+        x = [0] * len(at)
+        for l, c in vec.items():
+            if c:
+                x[at[l]] = c.val
+        return x
 
     def chain(self):
         """Setups over R, R/m^(nu-1), .., R/m^2, each built from the one above.
@@ -445,7 +623,10 @@ class SmallExtension:
     vector in their span are its values at their pivots.  eta0 is the
     unique solution supported on the earliest independent columns of
     m_1: (A x I)^1 -> (A x I)^2, and the relations among the other
-    columns are a basis of Z^1(A x I).
+    columns are a basis of Z^1(A x I).  correction is that solve, the
+    one both walks up the tower share: enumerate_mc adds eta0 to its raw
+    points and spans the fibre with the cocycles, and lift_mc takes the
+    lift alpha~ + eta0.
     """
 
     def __init__(self, setup):
@@ -517,17 +698,28 @@ class SmallExtension:
     def cohomology(self, degree):
         return self.complex.cohomology(degree)
 
-    def lift(self, alpha_bar, residual):
-        """alpha~ + eta0 over R, or None when the fibre is empty.
+    def correction(self, residual):
+        """eta0, embedded in A x R, or None when the fibre is empty.
 
-        residual is residual(alpha~), setup.mc_residual(alpha_bar).
+        residual is residual(alpha~) for a point alpha_bar over Rbar;
+        its coordinates in A x I raise MathCheckFailure unless
+        alpha_bar is MC over Rbar.
         """
         src, solver = self._columns
         sol = solver.coordinates(self.coordinates(residual))
         if sol is None:
             return None
-        eta = {src[j]: c for j, c in sol.items()}
-        return vec_clean(vec_add(dict(alpha_bar), self.embed(eta)))
+        return self.embed({src[j]: c for j, c in sol.items()})
+
+    def lift(self, alpha_bar, residual):
+        """alpha~ + eta0 over R, or None when the fibre is empty.
+
+        residual is residual(alpha~), setup.mc_residual(alpha_bar).
+        """
+        eta = self.correction(residual)
+        if eta is None:
+            return None
+        return vec_clean(vec_add(dict(alpha_bar), eta))
 
     def cocycles(self):
         """A basis of Z^1(A x I) embedded in A x R, each checked d z = 0."""
@@ -539,10 +731,6 @@ class SmallExtension:
                 raise MathCheckFailure("Z^1 basis vector is not a cocycle")
             out.append(self.embed(z))
         return out
-
-    def cocycle_span(self):
-        """Every F_p-combination of the Z^1 basis, zero included."""
-        return _span_points(self.field, {}, self.cocycles())
 
 
 # ---------------------------------------------------------------------------
@@ -1149,6 +1337,7 @@ def _eval_f_tensor(f, R, vecs):
     labels are visited in repr order.
     """
     words = _base_words(R.algebra, len(vecs))[-1]
+    field = f.source.field
 
     def value(args):
         r_args = tuple(r for _, r in args)
@@ -1159,10 +1348,12 @@ def _eval_f_tensor(f, R, vecs):
         fvec = f.eval_f(a_args)
         if not fvec:
             return {}
-        return _regrouped(fvec, [f.source.deg(a) for a in a_args],
-                          R.algebra, r_args, r_prod)
+        odd = tensor_block_exponent([f.source.deg(a) for a in a_args],
+                                    [R.deg(r) for r in r_args]) % 2
+        return _regrouped(field, _raw_row(field, fvec), odd,
+                          _raw_row(field, r_prod))
 
-    return _expand(f.source.field,
+    return _expand(field,
                    [dict(sorted(v.items(), key=lambda kv: repr(kv[0])))
                     for v in vecs], value)
 

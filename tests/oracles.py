@@ -110,13 +110,17 @@ the loop that ``ArtinianDGAlgebra.d_of`` and ``multiply`` and
 ``enumerate_mc_oracle`` is ``DeformationSetup.enumerate_mc`` as it was
 before lifting along the tower: the full residual on every one of the
 p^k candidates, in ``itertools.product`` order, with the same refusals.
+It evaluates ``mc_residual_oracle``, so it shares no code with the
+residual kernel that the enumeration runs on raw points.
 
 ``mc_residual_oracle``, ``category_op_oracle``, ``pushforward_mc_oracle``
 and ``pushforward_morphism_oracle`` are the insertion sums as they were
 before they shared one routine, each with its sign exponent written out
 by hand: the residual's n(n+1)/2, the category exponent, the
 pushforward's n(n-1)/2 and the morphism-level exponent with i(i-1)/2
-per slot.  The pushforward oracles evaluate through
+per slot.  ``mc_residual_oracle`` is also the n = 0 insertion sum that
+``DeformationSetup.mc_residual`` ran before it became the indexed
+residual kernel on raw coordinates.  The pushforward oracles evaluate through
 ``eval_f_tensor_oracle``.
 
 ``class_coords``, ``product_class``, ``product_table``,
@@ -895,7 +899,7 @@ def enumerate_mc_oracle(setup, cap=ENUMERATION_CAP):
     for coeffs in product(range(p), repeat=len(labels)):
         alpha = vec_clean({l: setup.field(c)
                            for l, c in zip(labels, coeffs)})
-        if not setup.mc_residual(alpha):
+        if not mc_residual_oracle(setup, alpha):
             found.append(alpha)
     return found
 

@@ -211,16 +211,18 @@ def test_groupoid_certifies_each_object_once(monkeypatch):
 def test_pi0_evaluates_no_residual_past_the_enumeration(monkeypatch):
     """enumerate_mc enters the points it certified at every level into
     is_mc's memory, so _gauge_classes evaluates no residual of its own:
-    pi0(kpoints(F2,2), poly 4) made 121 residuals, 84 of them repeats."""
+    pi0(kpoints(F2,2), poly 4) made 121 residuals, 84 of them repeats.
+    Every residual, public or inside the enumeration, is one run of the
+    kernel _residual_raw, which is what is counted."""
     A, R = kpoints(F2, 2), truncated_polynomial(F2, 4)
     calls = []
-    real = DeformationSetup.mc_residual
+    real = DeformationSetup._residual_raw
 
-    def counted(self, alpha):
+    def counted(self, x):
         calls.append(1)
-        return real(self, alpha)
+        return real(self, x)
 
-    monkeypatch.setattr(DeformationSetup, "mc_residual", counted)
+    monkeypatch.setattr(DeformationSetup, "_residual_raw", counted)
     assert len(DeformationSetup(A, R).enumerate_mc()) == 64
     enumerated = len(calls)
     calls.clear()

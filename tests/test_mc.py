@@ -339,14 +339,15 @@ def test_is_mc_remembers_only_positive_answers(monkeypatch):
 
 def test_prorep_compare_certifies_no_element_twice(monkeypatch):
     """The gauge classes certify every element on the comparison's
-    setup, so the induced maps evaluate no residual of their own."""
+    setup, so the induced maps evaluate no residual of their own.  Every
+    residual is one run of the kernel _residual_raw, which is counted."""
     inside, calls, induced = [], [], []
-    real_residual = DeformationSetup.mc_residual
+    real_residual = DeformationSetup._residual_raw
     real_induced = twisting_module.induced_map
 
-    def residual(self, alpha):
+    def residual(self, x):
         calls.append(bool(inside))
-        return real_residual(self, alpha)
+        return real_residual(self, x)
 
     def induced_map(*args):
         inside.append(True)
@@ -356,7 +357,7 @@ def test_prorep_compare_certifies_no_element_twice(monkeypatch):
         finally:
             inside.pop()
 
-    monkeypatch.setattr(DeformationSetup, "mc_residual", residual)
+    monkeypatch.setattr(DeformationSetup, "_residual_raw", residual)
     monkeypatch.setattr(twisting_module, "induced_map", induced_map)
     rep = prorep_compare(njac(F3, 2), truncated_polynomial(F3, 3), 3)
     assert rep.ok and rep.rhs == 81 and len(induced) == 81

@@ -203,14 +203,16 @@ def test_over_the_ground_field_only_zero():
 
 
 def test_enumeration_evaluates_few_residuals(monkeypatch):
+    """The enumeration runs the residual kernel on raw points, not the
+    public mc_residual; the kernel runs are counted."""
     calls = []
-    original = DeformationSetup.mc_residual
+    original = DeformationSetup._residual_raw
 
-    def counted(self, alpha):
+    def counted(self, x):
         calls.append(1)
-        return original(self, alpha)
+        return original(self, x)
 
-    monkeypatch.setattr(DeformationSetup, "mc_residual", counted)
+    monkeypatch.setattr(DeformationSetup, "_residual_raw", counted)
     found = enumerate_mc(kpoints(F2, 3), truncated_polynomial(F2, 5))
     assert len(found) == 4096
     # one per point of each lower level, plus one certificate per top
@@ -267,18 +269,19 @@ def test_a_skipped_correction_is_caught(monkeypatch, n):
     """A step that forgets eta0 leaves non-MC points and a certificate fires.
 
     Over t^3 the top-level residual check catches x t; over t^4 the
-    residual of x t at the next level leaves A x I first.
+    residual of x t at the next level leaves A x I first.  The step
+    reads eta0 off SmallExtension.correction; the mutant returns zero.
     """
-    original = SmallExtension.lift
+    original = SmallExtension.correction
 
-    def lazy(self, alpha_bar, residual):
-        lifted = original(self, alpha_bar, residual)
-        return None if lifted is None else vec_clean(dict(alpha_bar))
+    def lazy(self, residual):
+        eta0 = original(self, residual)
+        return None if eta0 is None else {}
 
     setup = DeformationSetup(xyz(F3), truncated_polynomial(F3, n))
     # the honest lifts of x t carry a z t^2 correction
     assert any(a == "z" for alpha in setup.enumerate_mc() for a, _ in alpha)
-    monkeypatch.setattr(SmallExtension, "lift", lazy)
+    monkeypatch.setattr(SmallExtension, "correction", lazy)
     with pytest.raises(MathCheckFailure):
         setup.enumerate_mc()
 
@@ -346,7 +349,10 @@ def test_step_cocycles_span_z1():
     cx = ext.complex
     z1 = len(kernel_oracle(cx.matrix_of_d(1)[0]))
     assert len(ext.cocycles()) == z1
-    assert len(ext.cocycle_span()) == 3 ** z1
+    size = len(ext.setup.ideal_labels_of_degree(1))
+    span = mc_module._span_tuples(
+        3, [ext.setup._raw_point(z) for z in ext.cocycles()], size)
+    assert len(set(span)) == 3 ** z1
     for z in ext.cocycles():
         assert not ext.setup.mc_residual(z)
 

@@ -225,7 +225,7 @@ def test_twisted_tables_do_not_sweep_label_tuples():
 def test_mc_sets_are_not_found_by_sweeping_candidates():
     """MC(R) is lifted along the tower; the sweep is enumerate_mc_oracle."""
     path = ROOT / "src" / "barmc" / "mc.py"
-    assert _replay_loops(path, {"mc_residual"}) == []
+    assert _replay_loops(path, {"mc_residual", "_residual_raw"}) == []
 
 
 # Label-keyed systems go through SpanSolver; only linalg.py itself
